@@ -1,8 +1,8 @@
 //! SIMT-interpreter micro-benchmark → `BENCH_interp.json`.
 //!
 //! ```text
-//! interp_bench [--label S] [--append] [--reps R] [--out FILE]
-//! interp_bench --check FILE [--tolerance T] [--reps R]
+//! interp_bench [--label S] [--append] [--reps R] [--trials N] [--out FILE]
+//! interp_bench --check FILE [--tolerance T] [--reps R] [--trials N]
 //! ```
 //!
 //! `--check` is the CI regression gate mirroring `engine_bench --check`:
@@ -10,7 +10,14 @@
 //! (exit 1) if any op's allocs/op rose more than 0.5 above that entry
 //! (the zero-alloc tripwire is absolute) or its ns/op rose more than
 //! `--tolerance` (default 0.50 — wall time is advisory across machines;
-//! allocation counts are the hard signal).
+//! allocation counts are the hard signal). It runs at the entry's
+//! recorded `reps` and `trials` and refuses (exit 2) an explicit flag
+//! that differs, because ns/op and allocs/op are only comparable at one
+//! config (allocs/op in particular scales with 1/reps).
+//!
+//! Each entry records its config — `reps` per launch, `trials`, and the
+//! `host_cpus` it ran on — and each op's ns/op is the minimum over the
+//! trials (the least-disturbed run; the host's noise only ever adds).
 //!
 //! Measures the per-operation cost of the `BlockCtx` primitives the
 //! kernels are built from — wall nanoseconds *and allocator calls* per
@@ -95,6 +102,21 @@ impl Kernel for OpKernel {
                     let m = ctx.flt(&af, &bf);
                     let _ = ctx.select_f32(&m, &af, &bf);
                 }
+            }
+            "cmp_select_partial" => {
+                // The same op under a half-active mask (even lanes): every
+                // word and warp is partial, so this row times the sparse
+                // lane walk that full-mask rows skip.
+                let one = ctx.splat_u32(1);
+                let odd = ctx.iand(&a, &one);
+                let zero = ctx.splat_u32(0);
+                let even = ctx.ueq(&odd, &zero);
+                ctx.with_mask(gm, &even, |ctx, _| {
+                    for _ in 0..self.reps {
+                        let m = ctx.flt(&af, &bf);
+                        let _ = ctx.select_f32(&m, &af, &bf);
+                    }
+                });
             }
             "if_else" => {
                 let m = ctx.flt(&af, &bf);
@@ -227,11 +249,12 @@ fn run_launches(threads: usize) -> LaunchAllocResult {
 /// single-threaded reference and a forked-shadow run.
 const LAUNCH_THREADS: [usize; 2] = [1, 4];
 
-const OPS: [&str; 12] = [
+const OPS: [&str; 13] = [
     "fmul",
     "fma",
     "fdiv_sfu",
     "cmp_select",
+    "cmp_select_partial",
     "if_else",
     "global_ld",
     "global_st",
@@ -253,9 +276,21 @@ struct OpResult {
 /// clears this slack immediately while counter jitter does not.
 const ALLOC_SLACK: f64 = 0.5;
 
-/// `--check`: re-run the last committed entry's ops and compare. Exit 1
-/// on regression beyond the tolerances.
-fn check(path: &std::path::Path, tolerance: f64, reps: u32) -> ! {
+/// The config an entry ran under.
+#[derive(Clone, Copy)]
+struct Config {
+    reps: u32,
+    trials: u32,
+}
+
+/// Defaults: the 4096-rep baseline config, with five trials. `--check`
+/// also assumes it for an old entry that recorded no config.
+const DEFAULT_CONFIG: Config = Config { reps: 4096, trials: 5 };
+
+/// `--check`: re-run the last committed entry's ops at its recorded
+/// config and compare. Exit 1 on regression beyond the tolerances, exit 2
+/// when an explicit `--reps`/`--trials` contradicts the entry.
+fn check(path: &std::path::Path, tolerance: f64, reps: Option<u32>, trials: Option<u32>) -> ! {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("check: could not read {}: {e}", path.display());
         std::process::exit(2);
@@ -269,6 +304,23 @@ fn check(path: &std::path::Path, tolerance: f64, reps: u32) -> ! {
         std::process::exit(2);
     };
     let label = last.get("label").and_then(Json::str).unwrap_or("unlabeled");
+    let recorded =
+        |key: &str, default: u32| last.get(key).and_then(Json::num).map_or(default, |v| v as u32);
+    let config = Config {
+        reps: recorded("reps", DEFAULT_CONFIG.reps),
+        trials: recorded("trials", DEFAULT_CONFIG.trials),
+    };
+    for (flag, asked, want) in [("--reps", reps, config.reps), ("--trials", trials, config.trials)]
+    {
+        if asked.is_some_and(|v| v != want) {
+            eprintln!(
+                "check: refusing {flag} {}: entry '{label}' was recorded at {want}, and its \
+                 numbers are only comparable at that config (drop the flag)",
+                asked.unwrap_or_default()
+            );
+            std::process::exit(2);
+        }
+    }
     let baseline: Vec<(&str, f64, f64)> = last
         .get("ops")
         .and_then(Json::arr)
@@ -286,8 +338,13 @@ fn check(path: &std::path::Path, tolerance: f64, reps: u32) -> ! {
         eprintln!("check: entry '{label}' has no ops");
         std::process::exit(2);
     }
-    println!("gate: entry '{label}', {} ops, tolerance {tolerance:.2}", baseline.len());
-    let fresh: Vec<OpResult> = OPS.iter().map(|&op| run_op(op, reps)).collect();
+    println!(
+        "gate: entry '{label}', {} ops at reps {} x trials {}, tolerance {tolerance:.2}",
+        baseline.len(),
+        config.reps,
+        config.trials
+    );
+    let fresh: Vec<OpResult> = OPS.iter().map(|&op| run_op(op, config)).collect();
     let mut failed = false;
     for (name, base_ns, base_allocs) in baseline {
         let Some(f) = fresh.iter().find(|r| r.name == name) else {
@@ -346,64 +403,128 @@ fn check(path: &std::path::Path, tolerance: f64, reps: u32) -> ! {
     std::process::exit(0);
 }
 
-fn run_op(op: &'static str, reps: u32) -> OpResult {
+/// Time `op` over `config.trials` trials of 8 launches each; ns/op is
+/// the fastest trial, allocs/op the mean over every trial.
+fn run_op(op: &'static str, config: Config) -> OpResult {
     let dev = DeviceSpec::tesla_c1060();
     let mut gm = GlobalMem::new();
     let buf_f = gm.alloc_f32(256);
     let buf_u = gm.alloc_u32(256);
-    let k = OpKernel { op, reps, buf_f, buf_u };
+    let k = OpKernel { op, reps: config.reps, buf_f, buf_u };
     let cfg = LaunchConfig::new(1, 256).shared(4 * 256);
     // Warm-up launch: fills the thread-local pools and caches.
     launch(&dev, &cfg, &k, &mut gm, SimMode::Full).unwrap();
 
     let rounds = 8u32;
+    let trials = config.trials.max(1);
+    let ops_per_trial = (config.reps as u64) * rounds as u64;
+    let mut best_ns = f64::INFINITY;
     let before_allocs = ALLOC_CALLS.load(Ordering::Relaxed);
-    let t0 = Instant::now();
-    for _ in 0..rounds {
-        launch(&dev, &cfg, &k, &mut gm, SimMode::Full).unwrap();
+    for _ in 0..trials {
+        let t0 = Instant::now();
+        for _ in 0..rounds {
+            launch(&dev, &cfg, &k, &mut gm, SimMode::Full).unwrap();
+        }
+        best_ns = best_ns.min(t0.elapsed().as_nanos() as f64 / ops_per_trial as f64);
     }
-    let elapsed = t0.elapsed();
     let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - before_allocs;
-    let total_ops = (reps as u64) * rounds as u64;
     OpResult {
         name: op,
-        ns_per_op: elapsed.as_nanos() as f64 / total_ops as f64,
-        allocs_per_op: allocs as f64 / total_ops as f64,
+        ns_per_op: best_ns,
+        allocs_per_op: allocs as f64 / (ops_per_trial * trials as u64) as f64,
     }
 }
 
-fn render(label: &str, results: &[OpResult], launches: &[LaunchAllocResult]) -> String {
-    let rows: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "      {{\"op\": \"{}\", \"ns_per_op\": {:.1}, \"allocs_per_op\": {:.4}}}",
-                r.name, r.ns_per_op, r.allocs_per_op
-            )
-        })
-        .collect();
-    let launch_rows: Vec<String> = launches
-        .iter()
-        .map(|l| {
-            format!(
-                "      {{\"family\": \"{}\", \"threads\": {}, \"launches\": {}, \
-                 \"allocs_per_launch\": {:.4}}}",
-                l.family, l.threads, l.launches, l.allocs_per_launch
-            )
-        })
-        .collect();
-    format!(
-        "    {{\n      \"label\": \"{label}\",\n      \"block\": 256,\n      \"ops\": [\n{}\n      \
-         ],\n      \"launches\": [\n{}\n      ]\n    }}",
-        rows.join(",\n"),
-        launch_rows.join(",\n")
-    )
+/// One history entry, as read back or freshly measured. The config and
+/// `host_cpus` are `None` on entries that predate them and are then left
+/// out of the rendering.
+struct Entry {
+    label: String,
+    block: u32,
+    config: Option<Config>,
+    host_cpus: Option<u32>,
+    ops: Vec<(String, f64, f64)>,
+    launches: Vec<(String, u64, u64, f64)>,
+}
+
+impl Entry {
+    fn parse(e: &Json) -> Entry {
+        let text = |j: &Json, k: &str| j.get(k).and_then(Json::str).unwrap_or("?").to_string();
+        let num = |j: &Json, k: &str| j.get(k).and_then(Json::num);
+        let list = |k: &str| e.get(k).and_then(Json::arr).unwrap_or(&[]);
+        Entry {
+            label: text(e, "label"),
+            block: num(e, "block").unwrap_or(256.0) as u32,
+            config: num(e, "reps").map(|reps| Config {
+                reps: reps as u32,
+                trials: num(e, "trials").unwrap_or(1.0) as u32,
+            }),
+            host_cpus: num(e, "host_cpus").map(|c| c as u32),
+            ops: list("ops")
+                .iter()
+                .map(|o| {
+                    let n = |k| num(o, k).unwrap_or(0.0);
+                    (text(o, "op"), n("ns_per_op"), n("allocs_per_op"))
+                })
+                .collect(),
+            launches: list("launches")
+                .iter()
+                .map(|l| {
+                    let n = |k| num(l, k).unwrap_or(0.0);
+                    (
+                        text(l, "family"),
+                        n("threads") as u64,
+                        n("launches") as u64,
+                        n("allocs_per_launch"),
+                    )
+                })
+                .collect(),
+        }
+    }
+
+    fn render(&self) -> String {
+        let mut head =
+            format!("      \"label\": \"{}\",\n      \"block\": {}", self.label, self.block);
+        if let Some(c) = self.config {
+            head += &format!(",\n      \"reps\": {},\n      \"trials\": {}", c.reps, c.trials);
+        }
+        if let Some(cpus) = self.host_cpus {
+            head += &format!(",\n      \"host_cpus\": {cpus}");
+        }
+        let ops: Vec<String> = self
+            .ops
+            .iter()
+            .map(|(op, ns, allocs)| {
+                format!(
+                    "      {{\"op\": \"{op}\", \"ns_per_op\": {ns:.1}, \
+                     \"allocs_per_op\": {allocs:.4}}}"
+                )
+            })
+            .collect();
+        let mut body = format!("{head},\n      \"ops\": [\n{}\n      ]", ops.join(",\n"));
+        // The oldest entries have no launch section.
+        if !self.launches.is_empty() {
+            let rows: Vec<String> = self
+                .launches
+                .iter()
+                .map(|(family, threads, launches, allocs)| {
+                    format!(
+                        "      {{\"family\": \"{family}\", \"threads\": {threads}, \
+                         \"launches\": {launches}, \"allocs_per_launch\": {allocs:.4}}}"
+                    )
+                })
+                .collect();
+            body += &format!(",\n      \"launches\": [\n{}\n      ]", rows.join(",\n"));
+        }
+        format!("    {{\n{body}\n    }}")
+    }
 }
 
 fn main() {
     let mut label = String::from("dev");
     let mut append = false;
-    let mut reps: u32 = 4096;
+    let mut reps: Option<u32> = None;
+    let mut trials: Option<u32> = None;
     let mut out = std::path::PathBuf::from("BENCH_interp.json");
     let mut check_path: Option<std::path::PathBuf> = None;
     let mut tolerance = 0.50;
@@ -412,7 +533,10 @@ fn main() {
         match a.as_str() {
             "--label" => label = it.next().expect("--label S"),
             "--append" => append = true,
-            "--reps" => reps = it.next().expect("--reps R").parse().expect("--reps R"),
+            "--reps" => reps = Some(it.next().expect("--reps R").parse().expect("--reps R")),
+            "--trials" => {
+                trials = Some(it.next().expect("--trials N").parse().expect("--trials N"));
+            }
             "--out" => out = it.next().expect("--out FILE").into(),
             "--check" => check_path = Some(it.next().expect("--check FILE").into()),
             "--tolerance" => {
@@ -425,89 +549,50 @@ fn main() {
         }
     }
     if let Some(path) = &check_path {
-        check(path, tolerance, reps);
+        check(path, tolerance, reps, trials);
     }
+    let config = Config {
+        reps: reps.unwrap_or(DEFAULT_CONFIG.reps),
+        trials: trials.unwrap_or(DEFAULT_CONFIG.trials),
+    };
 
-    let results: Vec<OpResult> = OPS.iter().map(|&op| run_op(op, reps)).collect();
-    println!("{:<14} {:>10} {:>12}", "op", "ns/op", "allocs/op");
+    let results: Vec<OpResult> = OPS.iter().map(|&op| run_op(op, config)).collect();
+    println!("reps {} x trials {} (ns/op: fastest trial)", config.reps, config.trials);
+    println!("{:<18} {:>10} {:>12}", "op", "ns/op", "allocs/op");
     for r in &results {
-        println!("{:<14} {:>10.1} {:>12.4}", r.name, r.ns_per_op, r.allocs_per_op);
+        println!("{:<18} {:>10.1} {:>12.4}", r.name, r.ns_per_op, r.allocs_per_op);
     }
     let launches: Vec<LaunchAllocResult> =
         LAUNCH_THREADS.iter().map(|&t| run_launches(t)).collect();
-    println!("{:<14} {:>10} {:>15}", "family", "launches", "allocs/launch");
+    println!("{:<18} {:>10} {:>15}", "family", "launches", "allocs/launch");
     for l in &launches {
-        println!("{:<14} {:>10} {:>15.4}", l.family, l.launches, l.allocs_per_launch);
+        println!("{:<18} {:>10} {:>15.4}", l.family, l.launches, l.allocs_per_launch);
     }
 
     // Keep prior history entries (drop any with the same label).
-    let mut entries: Vec<String> = Vec::new();
+    let mut entries: Vec<Entry> = Vec::new();
     if append {
-        if let Ok(text) = std::fs::read_to_string(&out) {
-            if let Ok(doc) = Json::parse(&text) {
-                if let Some(hist) = doc.get("history").and_then(Json::arr) {
-                    for e in hist {
-                        let lbl = e.get("label").and_then(Json::str).unwrap_or("");
-                        if lbl == label {
-                            continue;
-                        }
-                        let ops: Vec<String> = e
-                            .get("ops")
-                            .and_then(Json::arr)
-                            .unwrap_or(&[])
-                            .iter()
-                            .map(|o| {
-                                format!(
-                                    "      {{\"op\": \"{}\", \"ns_per_op\": {:.1}, \
-                                     \"allocs_per_op\": {:.4}}}",
-                                    o.get("op").and_then(Json::str).unwrap_or("?"),
-                                    o.get("ns_per_op").and_then(Json::num).unwrap_or(0.0),
-                                    o.get("allocs_per_op").and_then(Json::num).unwrap_or(0.0)
-                                )
-                            })
-                            .collect();
-                        // Pre-PR-8 entries have no launch section; keep
-                        // whatever each entry recorded.
-                        let old_launches: Vec<String> = e
-                            .get("launches")
-                            .and_then(Json::arr)
-                            .unwrap_or(&[])
-                            .iter()
-                            .map(|l| {
-                                format!(
-                                    "      {{\"family\": \"{}\", \"threads\": {}, \
-                                     \"launches\": {}, \"allocs_per_launch\": {:.4}}}",
-                                    l.get("family").and_then(Json::str).unwrap_or("?"),
-                                    l.get("threads").and_then(Json::num).unwrap_or(0.0) as u64,
-                                    l.get("launches").and_then(Json::num).unwrap_or(0.0) as u64,
-                                    l.get("allocs_per_launch").and_then(Json::num).unwrap_or(0.0)
-                                )
-                            })
-                            .collect();
-                        let launches_part = if old_launches.is_empty() {
-                            String::new()
-                        } else {
-                            format!(
-                                ",\n      \"launches\": [\n{}\n      ]",
-                                old_launches.join(",\n")
-                            )
-                        };
-                        entries.push(format!(
-                            "    {{\n      \"label\": \"{lbl}\",\n      \"block\": {},\n      \
-                             \"ops\": [\n{}\n      ]{launches_part}\n    }}",
-                            e.get("block").and_then(Json::num).unwrap_or(256.0) as u32,
-                            ops.join(",\n")
-                        ));
-                    }
-                }
-            }
+        if let Some(doc) = std::fs::read_to_string(&out).ok().and_then(|t| Json::parse(&t).ok()) {
+            let hist = doc.get("history").and_then(Json::arr).unwrap_or(&[]);
+            entries.extend(hist.iter().map(Entry::parse).filter(|e| e.label != label));
         }
     }
-    entries.push(render(&label, &results, &launches));
+    entries.push(Entry {
+        label,
+        block: 256,
+        config: Some(config),
+        host_cpus: std::thread::available_parallelism().ok().map(|n| n.get() as u32),
+        ops: results.iter().map(|r| (r.name.to_string(), r.ns_per_op, r.allocs_per_op)).collect(),
+        launches: launches
+            .iter()
+            .map(|l| (l.family.clone(), l.threads as u64, l.launches, l.allocs_per_launch))
+            .collect(),
+    });
 
+    let rendered: Vec<String> = entries.iter().map(Entry::render).collect();
     let json = format!(
         "{{\n  \"bench\": \"blockctx_ops\",\n  \"history\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
+        rendered.join(",\n")
     );
     match std::fs::write(&out, &json) {
         Ok(()) => println!("-> {}", out.display()),

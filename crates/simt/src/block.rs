@@ -13,11 +13,23 @@
 //! shared accesses through the bank-conflict model, and atomics through
 //! the serialization model (with CAS-loop emulation for float atomics on
 //! CC 1.x, as the paper discusses for the Tesla C1060).
+//!
+//! **Host cost follows the work.** Every lane-wise op runs its body
+//! through one lane loop, [`Mask::for_each_lane`]: under a full mask (the
+//! common case of the data-parallel kernels) that is a plain counted loop
+//! the compiler can vectorise, under any other mask a walk over the set
+//! bits. The full-mask loop and the sparse loop are the same op — the
+//! body is written once, sees the same lanes in the same order, and
+//! inactive lanes of a fresh register read back 0 either way — so the
+//! mask state alone picks the loop and no counter can tell them apart.
+//! Memory ops resolve their buffer once per op, not once per lane, and
+//! the bank-conflict and atomic-replay models count distinct addresses in
+//! linear time ([`WarpTally`]).
 
 use crate::cache::Cache;
 use crate::coalesce::{coalesce_cc13_half_warp_into, lines_cc20_into, Transaction};
 use crate::device::DeviceSpec;
-use crate::global::{DevicePtr, GlobalMem};
+use crate::global::{lane_addr, load_at, DevicePtr, GlobalMem, Word};
 use crate::mask::{Mask, WARP};
 use crate::pool::PoolItem;
 use crate::shared::{ShPtr, SharedMem};
@@ -116,10 +128,64 @@ pub struct BlockCtx<'a> {
     // block, reused by every access — the per-op `collect()`s they
     // replace dominated interpreter time).
     scratch_words: Vec<(usize, u32)>,
-    scratch_addrs: Vec<u64>,
     scratch_lines: Vec<u64>,
     scratch_txns: Vec<Transaction>,
-    scratch_counts: Vec<(u64, u32)>,
+    scratch_flags: Vec<u8>,
+    tally: WarpTally,
+}
+
+/// Multiplicity counter over the addresses of one conflict group (at
+/// most a warp, so at most 32 keys between clears): an open-addressing
+/// table cleared in O(1) by bumping a generation stamp, so counting the
+/// distinct addresses of a group costs linear time.
+struct WarpTally {
+    keys: [u64; TALLY_SLOTS],
+    counts: [u32; TALLY_SLOTS],
+    stamps: [u32; TALLY_SLOTS],
+    generation: u32,
+}
+
+/// Table size: four slots per lane of a warp keeps probes short.
+const TALLY_SLOTS: usize = 4 * WARP;
+
+impl WarpTally {
+    fn new() -> Self {
+        WarpTally {
+            keys: [0; TALLY_SLOTS],
+            counts: [0; TALLY_SLOTS],
+            stamps: [0; TALLY_SLOTS],
+            generation: 0,
+        }
+    }
+
+    /// Forget every key.
+    fn clear(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamps.fill(0);
+            self.generation = 1;
+        }
+    }
+
+    /// Count one occurrence of `key`; returns its multiplicity so far
+    /// (1 = first time since the last `clear`).
+    #[inline]
+    fn add(&mut self, key: u64) -> u32 {
+        let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 57) as usize;
+        loop {
+            if self.stamps[slot] != self.generation {
+                self.stamps[slot] = self.generation;
+                self.keys[slot] = key;
+                self.counts[slot] = 1;
+                return 1;
+            }
+            if self.keys[slot] == key {
+                self.counts[slot] += 1;
+                return self.counts[slot];
+            }
+            slot = (slot + 1) % TALLY_SLOTS;
+        }
+    }
 }
 
 impl<'a> BlockCtx<'a> {
@@ -148,10 +214,10 @@ impl<'a> BlockCtx<'a> {
             l1,
             declared_shared_bytes: shared_bytes,
             scratch_words: Vec::new(),
-            scratch_addrs: Vec::new(),
             scratch_lines: Vec::new(),
             scratch_txns: Vec::new(),
-            scratch_counts: Vec::new(),
+            scratch_flags: Vec::new(),
+            tally: WarpTally::new(),
         }
     }
 
@@ -219,16 +285,31 @@ impl<'a> BlockCtx<'a> {
     /// Initialise a register from a lane function (costed as one move; use
     /// for thread-dependent seeds and similar setup, not bulk compute).
     /// Only *active* lanes are evaluated — inactive lanes read back 0.
-    pub fn reg_from_fn_u32(&mut self, mut f: impl FnMut(usize) -> u32) -> Reg<u32> {
+    pub fn reg_from_fn_u32(&mut self, f: impl FnMut(usize) -> u32) -> Reg<u32> {
         self.charge(Op::Mov, 1);
-        let mut out = u32::take(self.block_dim as usize);
-        for lane in self.active().lanes() {
-            out[lane] = f(lane);
-        }
-        Reg(out)
+        self.map_lanes(f)
     }
 
     // --- generic lane-wise helpers ----------------------------------------
+
+    /// A fresh register with `f(lane)` in every active lane and 0 in the
+    /// others: the output side of every lane-wise op, over the one lane
+    /// loop ([`Mask::for_each_lane`]).
+    #[inline(always)]
+    fn map_lanes<T: PoolItem>(&self, mut f: impl FnMut(usize) -> T) -> Reg<T> {
+        let active = self.active();
+        let mut out = T::take(active.len());
+        let o = &mut out[..active.len()];
+        active.for_each_lane(|lane| o[lane] = f(lane));
+        Reg(out)
+    }
+
+    /// The first `len` lanes of a register, sized for the active mask so
+    /// the lane loop's indexing needs no bounds checks.
+    #[inline(always)]
+    fn view<'r, T: PoolItem>(&self, r: &'r Reg<T>) -> &'r [T] {
+        &r.0[..self.active().len()]
+    }
 
     fn bin<T: PoolItem>(
         &mut self,
@@ -238,20 +319,14 @@ impl<'a> BlockCtx<'a> {
         f: impl Fn(T, T) -> T,
     ) -> Reg<T> {
         self.charge(op, 1);
-        let mut out = T::take(self.block_dim as usize);
-        for lane in self.active().lanes() {
-            out[lane] = f(a.0[lane], b.0[lane]);
-        }
-        Reg(out)
+        let (a, b) = (self.view(a), self.view(b));
+        self.map_lanes(|l| f(a[l], b[l]))
     }
 
-    fn un<T: PoolItem>(&mut self, op: Op, a: &Reg<T>, f: impl Fn(T) -> T) -> Reg<T> {
+    fn un<T: PoolItem, U: PoolItem>(&mut self, op: Op, a: &Reg<T>, f: impl Fn(T) -> U) -> Reg<U> {
         self.charge(op, 1);
-        let mut out = T::take(self.block_dim as usize);
-        for lane in self.active().lanes() {
-            out[lane] = f(a.0[lane]);
-        }
-        Reg(out)
+        let a = self.view(a);
+        self.map_lanes(|l| f(a[l]))
     }
 
     // --- f32 arithmetic -----------------------------------------------------
@@ -268,11 +343,8 @@ impl<'a> BlockCtx<'a> {
     /// `a * b + c` as a single FMA.
     pub fn fma(&mut self, a: &Reg<f32>, b: &Reg<f32>, c: &Reg<f32>) -> Reg<f32> {
         self.charge(Op::FMul, 1);
-        let mut out = f32::take(self.block_dim as usize);
-        for lane in self.active().lanes() {
-            out[lane] = a.0[lane].mul_add(b.0[lane], c.0[lane]);
-        }
-        Reg(out)
+        let (a, b, c) = (self.view(a), self.view(b), self.view(c));
+        self.map_lanes(|l| a[l].mul_add(b[l], c[l]))
     }
     /// Division lowers to SFU reciprocal + multiply.
     pub fn fdiv(&mut self, a: &Reg<f32>, b: &Reg<f32>) -> Reg<f32> {
@@ -341,36 +413,38 @@ impl<'a> BlockCtx<'a> {
 
     /// u32 → f32 conversion.
     pub fn u2f(&mut self, a: &Reg<u32>) -> Reg<f32> {
-        self.charge(Op::Mov, 1);
-        let mut out = f32::take(self.block_dim as usize);
-        for lane in self.active().lanes() {
-            out[lane] = a.0[lane] as f32;
-        }
-        Reg(out)
+        self.un(Op::Mov, a, |x| x as f32)
     }
 
     /// f32 → u32 truncating conversion.
     pub fn f2u(&mut self, a: &Reg<f32>) -> Reg<u32> {
-        self.charge(Op::Mov, 1);
-        let mut out = u32::take(self.block_dim as usize);
-        for lane in self.active().lanes() {
-            out[lane] = a.0[lane].max(0.0) as u32;
-        }
-        Reg(out)
+        self.un(Op::Mov, a, |x| x.max(0.0) as u32)
     }
 
     /// Mask selecting a single lane of the block (e.g. "thread 0 writes
-    /// the result").
+    /// the result"); empty when `lane` is outside the block.
     pub fn lane_mask(&self, lane: u32) -> Mask {
-        Mask::from_fn(self.block_dim as usize, |l| l == lane as usize)
+        let mut m = Mask::none(self.block_dim as usize);
+        if lane < self.block_dim {
+            m.set(lane as usize, true);
+        }
+        m
     }
 
     // --- comparisons & selection ---------------------------------------------
 
     fn cmp<T: PoolItem>(&mut self, a: &Reg<T>, b: &Reg<T>, f: impl Fn(T, T) -> bool) -> Mask {
         self.charge(Op::FAlu, 1);
-        let active = self.mask_stack.last().expect("mask stack never empty");
-        Mask::from_fn(self.block_dim as usize, |lane| active.get(lane) && f(a.0[lane], b.0[lane]))
+        // One flag byte per lane over the whole block (a straight loop the
+        // compiler vectorises; the predicate is pure), then packed into
+        // the active lanes' words.
+        let (a, b) = (self.view(a), self.view(b));
+        let mut flags = std::mem::take(&mut self.scratch_flags);
+        flags.clear();
+        flags.extend(a.iter().zip(b).map(|(&x, &y)| f(x, y) as u8));
+        let m = self.active().filter_flags(&flags);
+        self.scratch_flags = flags;
+        m
     }
 
     pub fn flt(&mut self, a: &Reg<f32>, b: &Reg<f32>) -> Mask {
@@ -398,13 +472,15 @@ impl<'a> BlockCtx<'a> {
         self.cmp(a, b, |x, y| x != y)
     }
 
+    /// `m ? a : b` on the active lanes: `b` everywhere, then `a` over the
+    /// active lanes of `m` (which are usually few, or all).
     fn sel<T: PoolItem>(&mut self, m: &Mask, a: &Reg<T>, b: &Reg<T>) -> Reg<T> {
         self.charge(Op::Mov, 1);
-        let mut out = T::take(self.block_dim as usize);
-        for lane in self.active().lanes() {
-            out[lane] = if m.get(lane) { a.0[lane] } else { b.0[lane] };
-        }
-        Reg(out)
+        let (a, b) = (self.view(a), self.view(b));
+        let mut out = self.map_lanes(|l| b[l]);
+        let o = &mut out.0[..a.len()];
+        self.active().and(m).for_each_lane(|l| o[l] = a[l]);
+        out
     }
 
     /// Lane-wise select: `m ? a : b`.
@@ -420,36 +496,37 @@ impl<'a> BlockCtx<'a> {
     /// Predicated assignment: active lanes copy `src` into `dst`, inactive
     /// lanes keep their value (how real registers behave under masking).
     pub fn assign_f32(&mut self, dst: &mut Reg<f32>, src: &Reg<f32>) {
-        self.charge(Op::Mov, 1);
-        for lane in self.active().lanes() {
-            dst.0[lane] = src.0[lane];
-        }
+        self.assign(dst, src);
     }
 
     /// Predicated assignment for u32 registers.
     pub fn assign_u32(&mut self, dst: &mut Reg<u32>, src: &Reg<u32>) {
+        self.assign(dst, src);
+    }
+
+    fn assign<T: PoolItem>(&mut self, dst: &mut Reg<T>, src: &Reg<T>) {
         self.charge(Op::Mov, 1);
-        for lane in self.active().lanes() {
-            dst.0[lane] = src.0[lane];
-        }
+        let active = self.active();
+        let (d, s) = (&mut dst.0[..active.len()], &src.0[..active.len()]);
+        active.for_each_lane(|l| d[l] = s[l]);
     }
 
     // --- control flow ----------------------------------------------------------
 
+    /// Count warps whose active lanes split over `cond`: a 32-lane half of
+    /// a word diverges when it has active lanes on both sides.
     fn count_divergence(&mut self, cond: &Mask) {
         let active = self.active();
-        let mut divergent = 0.0;
-        for w in 0..active.warp_count() {
-            let aw = active.warp_bits(w);
-            if aw == 0 {
-                continue;
-            }
-            let cw = cond.warp_bits(w) & aw;
-            if cw != 0 && cw != aw {
-                divergent += 1.0;
+        debug_assert_eq!(active.len(), cond.len());
+        let mut divergent = 0u32;
+        for (&a, &c) in active.words().iter().zip(cond.words()) {
+            let (taken, not_taken) = (a & c, a & !c);
+            for half in [0, 32] {
+                divergent +=
+                    ((taken >> half) as u32 != 0 && (not_taken >> half) as u32 != 0) as u32;
             }
         }
-        self.stats.divergent_branches += divergent;
+        self.stats.divergent_branches += divergent as f64;
     }
 
     /// Structured if/else: runs `then_f` with the mask narrowed to
@@ -597,13 +674,8 @@ impl<'a> BlockCtx<'a> {
     fn gather_words<T>(&mut self, ptr: ShPtr<T>, idx: &Reg<u32>) -> Vec<(usize, u32)> {
         let mut words = std::mem::take(&mut self.scratch_words);
         words.clear();
-        words.extend(
-            self.mask_stack
-                .last()
-                .expect("mask stack never empty")
-                .lanes()
-                .map(|lane| (lane, ptr.word_addr(idx.0[lane]))),
-        );
+        let idx = self.view(idx);
+        self.active().for_each_lane(|lane| words.push((lane, ptr.word_addr(idx[lane]))));
         words
     }
 
@@ -613,34 +685,45 @@ impl<'a> BlockCtx<'a> {
         self.charge(Op::Shared, 1);
         self.stats.shared_accesses += words.len() as f64;
         let banks = self.device.shared_banks as usize;
+        let bank_of = |addr: u32| {
+            if banks.is_power_of_two() {
+                addr as usize & (banks - 1)
+            } else {
+                addr as usize % banks
+            }
+        };
         // Conflict granularity: half-warp on CC 1.x, full warp on CC 2.x.
-        let group = if self.device.compute_capability.is_fermi() { WARP } else { WARP / 2 };
+        let group_shift = if self.device.compute_capability.is_fermi() { 5 } else { 4 };
         let mut extra_total = 0.0;
         // Per conflict group: the serialization degree is the largest
-        // number of *distinct* word addresses landing in one bank. Groups
-        // are at most a warp wide, so the quadratic duplicate scan beats
-        // any allocation-backed set.
+        // number of *distinct* word addresses landing in one bank
+        // (repeats of one word are a broadcast). Ascending addresses — the
+        // lane-indexed pattern — are distinct as they stand; otherwise the
+        // tally drops repeats. Either way the group costs linear time.
         let mut bank_counts = [0u32; 64];
         debug_assert!(banks <= bank_counts.len());
-        let mut s = 0;
-        while s < words.len() {
-            let g = words[s].0 / group;
-            let mut e = s;
-            while e < words.len() && words[e].0 / group == g {
-                e += 1;
+        let mut rest = words;
+        while let Some(&(first, _)) = rest.first() {
+            let g = first >> group_shift;
+            let len = rest.iter().take_while(|&&(lane, _)| lane >> group_shift == g).count();
+            let (lanes, tail) = rest.split_at(len);
+            rest = tail;
+            let ascending = lanes.windows(2).all(|p| p[0].1 < p[1].1);
+            if !ascending {
+                self.tally.clear();
             }
             bank_counts[..banks].fill(0);
-            for i in s..e {
-                let addr = words[i].1;
-                if words[s..i].iter().all(|&(_, a)| a != addr) {
-                    bank_counts[addr as usize % banks] += 1;
+            let mut degree = 0;
+            for &(_, addr) in lanes {
+                if ascending || self.tally.add(addr as u64) == 1 {
+                    let bank = &mut bank_counts[bank_of(addr)];
+                    *bank += 1;
+                    degree = degree.max(*bank);
                 }
             }
-            let degree = bank_counts[..banks].iter().copied().max().unwrap_or(0);
             if degree > 1 {
                 extra_total += (degree - 1) as f64;
             }
-            s = e;
         }
         if extra_total > 0.0 {
             self.stats.bank_conflict_extra += extra_total;
@@ -710,30 +793,32 @@ impl<'a> BlockCtx<'a> {
 
     // --- global memory -----------------------------------------------------------
 
-    fn charge_global_access(&mut self, gm: &GlobalMem, buf_id: u32, idx: &Reg<u32>, store: bool) {
+    /// Charge one global access of the active lanes to the buffer based
+    /// at `base`: coalescing (CC 1.3) or L1 lines (CC 2.0), per warp.
+    fn charge_global_access(&mut self, base: u64, idx: &Reg<u32>, store: bool) {
         self.charge(Op::MemIssue, 1);
-        let mut addrs = std::mem::take(&mut self.scratch_addrs);
         let mut lines = std::mem::take(&mut self.scratch_lines);
         let mut txns = std::mem::take(&mut self.scratch_txns);
         let active = self.mask_stack.last().expect("mask stack never empty");
+        let idx = &idx.0[..active.len()];
         let stats = &mut *self.stats;
         stats.mem_warp_instructions += active.active_warps() as f64;
         let fermi = self.device.compute_capability.is_fermi();
         for w in 0..active.warp_count() {
-            if !active.warp_any(w) {
+            let bits = active.warp_bits(w);
+            if bits == 0 {
                 continue;
             }
-            // Lane addresses in ascending lane order; `half` counts the
-            // lanes of the warp's first half (a prefix, since lanes are
-            // ascending).
-            addrs.clear();
-            let mut half = 0usize;
-            for lane in active.warp_lanes(w) {
-                if lane % WARP < WARP / 2 {
-                    half += 1;
-                }
-                addrs.push(gm.addr(buf_id, idx.0[lane] as usize));
-            }
+            // Lane addresses in ascending lane order; the warp's first
+            // half is a prefix of `half` lanes.
+            let mut warp_addrs = [0u64; WARP];
+            let mut n = 0;
+            active.for_each_warp_lane(w, |lane| {
+                warp_addrs[n] = lane_addr(base, idx[lane]);
+                n += 1;
+            });
+            let addrs = &warp_addrs[..n];
+            let half = (bits & 0xFFFF).count_ones() as usize;
             // Partition camping: a warp-wide broadcast load means every
             // concurrently running block is reading this address right now,
             // all hammering one DRAM partition — traffic is effectively
@@ -745,7 +830,7 @@ impl<'a> BlockCtx<'a> {
             };
             if fermi {
                 // L1-cached loads; stores go straight through in line units.
-                lines_cc20_into(&addrs, &mut lines);
+                lines_cc20_into(addrs, &mut lines);
                 for &line in &lines {
                     if !store && self.l1.access(line) {
                         stats.l1_hits += 1.0;
@@ -776,9 +861,35 @@ impl<'a> BlockCtx<'a> {
                 }
             }
         }
-        self.scratch_addrs = addrs;
         self.scratch_lines = lines;
         self.scratch_txns = txns;
+    }
+
+    /// Global load: one buffer lookup, the access charge, then a lane
+    /// loop over the resolved contents.
+    fn ld_global<T: PoolItem + Word>(
+        &mut self,
+        gm: &GlobalMem,
+        ptr: DevicePtr<T>,
+        idx: &Reg<u32>,
+    ) -> Reg<T> {
+        let (base, data) = gm.view(ptr);
+        self.charge_global_access(base, idx, false);
+        let idx = self.view(idx);
+        self.map_lanes(|l| load_at(data, ptr.id, idx[l] as usize))
+    }
+
+    /// Global store (lane order resolves same-address races).
+    fn st_global<T: PoolItem + Word>(
+        &mut self,
+        gm: &mut GlobalMem,
+        ptr: DevicePtr<T>,
+        idx: &Reg<u32>,
+        val: &Reg<T>,
+    ) {
+        self.charge_global_access(gm.view(ptr).0, idx, true);
+        let (idx, val) = (self.view(idx), self.view(val));
+        gm.store_lanes(ptr, self.active(), idx, val);
     }
 
     /// Global load, f32.
@@ -788,12 +899,7 @@ impl<'a> BlockCtx<'a> {
         ptr: DevicePtr<f32>,
         idx: &Reg<u32>,
     ) -> Reg<f32> {
-        self.charge_global_access(gm, ptr.id, idx, false);
-        let mut out = f32::take(self.block_dim as usize);
-        for lane in self.active().lanes() {
-            out[lane] = gm.load_f32(ptr, idx.0[lane] as usize);
-        }
-        Reg(out)
+        self.ld_global(gm, ptr, idx)
     }
 
     /// Global load, u32.
@@ -803,12 +909,7 @@ impl<'a> BlockCtx<'a> {
         ptr: DevicePtr<u32>,
         idx: &Reg<u32>,
     ) -> Reg<u32> {
-        self.charge_global_access(gm, ptr.id, idx, false);
-        let mut out = u32::take(self.block_dim as usize);
-        for lane in self.active().lanes() {
-            out[lane] = gm.load_u32(ptr, idx.0[lane] as usize);
-        }
-        Reg(out)
+        self.ld_global(gm, ptr, idx)
     }
 
     /// Global store, f32 (lane order resolves same-address races).
@@ -819,9 +920,7 @@ impl<'a> BlockCtx<'a> {
         idx: &Reg<u32>,
         val: &Reg<f32>,
     ) {
-        self.charge_global_access(gm, ptr.id, idx, true);
-        let active = self.mask_stack.last().expect("mask stack never empty");
-        gm.store_f32_lanes(ptr, active.lanes().map(|lane| (idx.0[lane] as usize, val.0[lane])));
+        self.st_global(gm, ptr, idx, val);
     }
 
     /// Global store, u32.
@@ -832,9 +931,7 @@ impl<'a> BlockCtx<'a> {
         idx: &Reg<u32>,
         val: &Reg<u32>,
     ) {
-        self.charge_global_access(gm, ptr.id, idx, true);
-        let active = self.mask_stack.last().expect("mask stack never empty");
-        gm.store_u32_lanes(ptr, active.lanes().map(|lane| (idx.0[lane] as usize, val.0[lane])));
+        self.st_global(gm, ptr, idx, val);
     }
 
     /// Read-only load through the texture cache (32-byte lines, per-SM).
@@ -844,23 +941,30 @@ impl<'a> BlockCtx<'a> {
     /// to its miss ratio (with a floor for the cache's own latency).
     pub fn ld_tex_f32(&mut self, gm: &GlobalMem, ptr: DevicePtr<f32>, idx: &Reg<u32>) -> Reg<f32> {
         self.charge(Op::MemIssue, 1);
-        let mut out = f32::take(self.block_dim as usize);
+        let (base, data) = gm.view(ptr);
         let active = self.mask_stack.last().expect("mask stack never empty");
+        let idx = &idx.0[..active.len()];
+        let mut out = f32::take(active.len());
+        let o = &mut out[..active.len()];
         let stats = &mut *self.stats;
+        let tex = &mut *self.tex;
+        let line_bytes = tex.line_bytes() as f64;
         let (mut hits, mut misses) = (0u64, 0u64);
-        for lane in active.lanes() {
-            let addr = gm.addr(ptr.id, idx.0[lane] as usize);
-            if self.tex.access(addr) {
-                stats.tex_hits += 1.0;
+        active.for_each_lane(|lane| {
+            if tex.access(lane_addr(base, idx[lane])) {
                 hits += 1;
             } else {
-                stats.tex_misses += 1.0;
                 misses += 1;
-                stats.dram_bytes += self.tex.line_bytes() as f64;
-                stats.ld_transactions += 1.0;
+                stats.dram_bytes += line_bytes;
             }
-            out[lane] = gm.load_f32(ptr, idx.0[lane] as usize);
-        }
+            o[lane] = load_at(data, ptr.id, idx[lane] as usize);
+        });
+        // These counters only ever hold whole numbers far below 2^53, so
+        // adding the op's count once is exact: the same bits as adding 1.0
+        // per lane.
+        stats.tex_hits += hits as f64;
+        stats.tex_misses += misses as f64;
+        stats.ld_transactions += misses as f64;
         let total = (hits + misses).max(1) as f64;
         let weight = 0.35 + 0.65 * misses as f64 / total;
         stats.mem_warp_instructions += active.active_warps() as f64 * weight;
@@ -878,8 +982,9 @@ impl<'a> BlockCtx<'a> {
         val: &Reg<f32>,
     ) {
         self.charge(Op::MemIssue, 1);
-        let mut addr_counts = std::mem::take(&mut self.scratch_counts);
+        let base = gm.view(ptr).0;
         let active = self.mask_stack.last().expect("mask stack never empty");
+        let (idx, val) = (&idx.0[..active.len()], &val.0[..active.len()]);
         let stats = &mut *self.stats;
         stats.mem_warp_instructions += active.active_warps() as f64;
         let emu = if self.device.native_float_atomics {
@@ -891,18 +996,17 @@ impl<'a> BlockCtx<'a> {
             if !active.warp_any(w) {
                 continue;
             }
-            addr_counts.clear();
-            let mut n_ops = 0.0f64;
-            for lane in active.warp_lanes(w) {
-                let addr = gm.addr(ptr.id, idx.0[lane] as usize);
-                n_ops += 1.0;
-                match addr_counts.iter_mut().find(|(a, _)| *a == addr) {
-                    Some((_, c)) => *c += 1,
-                    None => addr_counts.push((addr, 1)),
-                }
-            }
-            let distinct = addr_counts.len() as f64;
-            let max_mult = addr_counts.iter().map(|&(_, c)| c).max().unwrap_or(0) as f64;
+            // Distinct addresses and the largest multiplicity of one.
+            let tally = &mut self.tally;
+            tally.clear();
+            let (mut n_ops, mut distinct, mut max_mult) = (0u32, 0u32, 0u32);
+            active.for_each_warp_lane(w, |lane| {
+                let mult = tally.add(lane_addr(base, idx[lane]));
+                n_ops += 1;
+                distinct += (mult == 1) as u32;
+                max_mult = max_mult.max(mult);
+            });
+            let (n_ops, distinct, max_mult) = (n_ops as f64, distinct as f64, max_mult as f64);
             stats.atomic_ops += n_ops;
             stats.atomic_conflicts += n_ops - distinct;
             // The warp stalls for one serialized round per replay; each
@@ -915,12 +1019,7 @@ impl<'a> BlockCtx<'a> {
             stats.dram_bytes += distinct * 64.0 * emu;
             stats.st_transactions += distinct * emu;
         }
-        self.scratch_counts = addr_counts;
-        let active = self.mask_stack.last().expect("mask stack never empty");
-        gm.atomic_add_f32_lanes(
-            ptr,
-            active.lanes().map(|lane| (idx.0[lane] as usize, val.0[lane])),
-        );
+        gm.atomic_add_f32_lanes(ptr, active, idx, val);
     }
 
     // --- device RNG -------------------------------------------------------------
@@ -934,14 +1033,14 @@ impl<'a> BlockCtx<'a> {
         // s = s * 16807 mod (2^31 - 1); r = s / (2^31 - 1).
         self.charge(Op::IAlu, 4); // mul.lo, mul.hi, fold, conditional add
         self.charge(Op::FMul, 1); // scale to [0,1)
-        let mut out = f32::take(self.block_dim as usize);
-        for lane in self.active().lanes() {
-            let s = crate::rng::park_miller(state.0[lane]);
-            state.0[lane] = s;
-            out[lane] = s as f32 / 2_147_483_647.0;
-        }
+        let state = &mut state.0[..self.active().len()];
+        let out = self.map_lanes(|l| {
+            let s = crate::rng::park_miller(state[l]);
+            state[l] = s;
+            s as f32 / 2_147_483_647.0
+        });
         self.stats.rng_calls += self.active().count() as f64;
-        Reg(out)
+        out
     }
 
     /// CURAND-style draw: per-thread generator state lives in *global*
@@ -965,24 +1064,23 @@ impl<'a> BlockCtx<'a> {
         // XORWOW state update + sequence bookkeeping (the library does
         // substantially more integer work per draw than a bare xorshift).
         self.charge(Op::IAlu, 20);
-        let mut out = f32::take(self.block_dim as usize);
-        for lane in self.active().lanes() {
-            let mut x =
-                s0.0[lane] ^ s1.0[lane].rotate_left(13) ^ s2.0[lane].wrapping_mul(0x9E37_79B9);
+        let (x0, x1, x2) = (&mut s0.0[..self.active().len()], self.view(&s1), self.view(&s2));
+        let out = self.map_lanes(|l| {
+            let mut x = x0[l] ^ x1[l].rotate_left(13) ^ x2[l].wrapping_mul(0x9E37_79B9);
             if x == 0 {
                 x = 0x1234_5678;
             }
             x ^= x << 13;
             x ^= x >> 17;
             x ^= x << 5;
-            s0.0[lane] = x;
-            out[lane] = (x >> 8) as f32 / (1u32 << 24) as f32;
-        }
+            x0[l] = x;
+            (x >> 8) as f32 / (1u32 << 24) as f32
+        });
         self.st_global_u32(gm, states, &base, &s0);
         self.st_global_u32(gm, states, &idx1, &s1);
         self.st_global_u32(gm, states, &idx2, &s2);
         self.stats.rng_calls += self.active().count() as f64;
-        Reg(out)
+        out
     }
 
     /// Bytes of shared memory the block has allocated so far.

@@ -18,6 +18,10 @@ pub struct Cache {
     tick: u64,
     hits: u64,
     misses: u64,
+    /// `(line, slot)` of the most recent access. That line is its set's
+    /// most recently used, so nothing can have evicted it since: a repeat
+    /// access (neighbouring lanes in one line) hits without a way search.
+    last: Option<(u64, usize)>,
 }
 
 impl Cache {
@@ -38,6 +42,7 @@ impl Cache {
             tick: 0,
             hits: 0,
             misses: 0,
+            last: None,
         }
     }
 
@@ -53,7 +58,14 @@ impl Cache {
             return false;
         }
         self.tick += 1;
-        let line = addr / self.line_bytes;
+        let line = addr >> self.line_bytes.trailing_zeros();
+        if let Some((last, slot)) = self.last {
+            if last == line {
+                self.stamps[slot] = self.tick;
+                self.hits += 1;
+                return true;
+            }
+        }
         let set = (line as usize) % self.sets;
         let base = set * self.ways;
         // Hit?
@@ -61,6 +73,7 @@ impl Cache {
             if self.tags[base + way] == line {
                 self.stamps[base + way] = self.tick;
                 self.hits += 1;
+                self.last = Some((line, base + way));
                 return true;
             }
         }
@@ -74,6 +87,7 @@ impl Cache {
         self.tags[base + victim] = line;
         self.stamps[base + victim] = self.tick;
         self.misses += 1;
+        self.last = Some((line, base + victim));
         false
     }
 
@@ -89,6 +103,7 @@ impl Cache {
         self.tick = 0;
         self.hits = 0;
         self.misses = 0;
+        self.last = None;
     }
 }
 

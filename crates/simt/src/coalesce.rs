@@ -39,37 +39,24 @@ pub fn coalesce_cc13_half_warp_into(
     out: &mut Vec<Transaction>,
 ) {
     out.clear();
-    if addrs.is_empty() {
-        return;
-    }
-    // Distinct 128-byte segments, in address order for determinism.
-    segs.clear();
-    segs.extend(addrs.iter().map(|a| a & !127));
-    segs.sort_unstable();
-    segs.dedup();
-
-    out.extend(segs.iter().map(|&seg| {
-        let lo = addrs
-            .iter()
-            .filter(|&&a| a & !127 == seg)
-            .map(|&a| a - seg)
-            .min()
-            .expect("segment has at least one access");
-        let hi = addrs
-            .iter()
-            .filter(|&&a| a & !127 == seg)
-            .map(|&a| a - seg + 3)
-            .max()
-            .expect("segment has at least one access");
+    // Sorted addresses: each 128-byte segment is one run, in address
+    // order (for determinism), with its lowest and highest access at the
+    // ends of the run. Coalesced and broadcast accesses arrive sorted.
+    let mut rest = sorted(addrs, segs);
+    while let Some(&first) = rest.first() {
+        let seg = first & !127;
+        let run = rest.iter().take_while(|&&a| a & !127 == seg).count();
+        let (lo, hi) = (first - seg, rest[run - 1] - seg + 3);
+        rest = &rest[run..];
         // Shrink to an aligned 32/64-byte window when possible.
-        if lo / 32 == hi / 32 {
+        out.push(if lo / 32 == hi / 32 {
             Transaction { base: seg + (lo / 32) * 32, bytes: 32 }
         } else if lo / 64 == hi / 64 {
             Transaction { base: seg + (lo / 64) * 64, bytes: 64 }
         } else {
             Transaction { base: seg, bytes: 128 }
-        }
-    }));
+        });
+    }
 }
 
 /// Distinct 128-byte lines touched by a warp (CC 2.0 L1 granularity).
@@ -83,8 +70,22 @@ pub fn lines_cc20(addrs: &[u64]) -> Vec<u64> {
 pub fn lines_cc20_into(addrs: &[u64], out: &mut Vec<u64>) {
     out.clear();
     out.extend(addrs.iter().map(|a| a & !127));
-    out.sort_unstable();
+    if !out.is_sorted() {
+        out.sort_unstable();
+    }
     out.dedup();
+}
+
+/// `addrs` in ascending order: the slice itself when it already is (no
+/// copy), else a sorted copy in `scratch`.
+fn sorted<'a>(addrs: &'a [u64], scratch: &'a mut Vec<u64>) -> &'a [u64] {
+    if addrs.is_sorted() {
+        return addrs;
+    }
+    scratch.clear();
+    scratch.extend_from_slice(addrs);
+    scratch.sort_unstable();
+    scratch
 }
 
 #[cfg(test)]

@@ -10,6 +10,8 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
+use crate::mask::Mask;
+
 /// Typed handle to a device buffer. `Copy`, so kernels capture it freely.
 pub struct DevicePtr<T> {
     pub(crate) id: u32,
@@ -34,9 +36,84 @@ impl<T> std::fmt::Debug for DevicePtr<T> {
 /// ([`Arc::make_mut`]) is what pays for the copy — copy-on-write at
 /// buffer granularity.
 #[derive(Clone)]
-enum Data {
+pub(crate) enum Data {
     F32(Arc<Vec<f32>>),
     U32(Arc<Vec<u32>>),
+}
+
+/// An element type a buffer can hold (4 bytes each). Lets the typed
+/// accessors below be written once for both payloads.
+pub(crate) trait Word: Copy + 'static {
+    /// Type name in OOB messages.
+    const NAME: &'static str;
+    /// The payload, given the typed handle guarantees the variant.
+    fn data(d: &Data) -> &Arc<Vec<Self>>;
+    /// Mutable payload.
+    fn data_mut(d: &mut Data) -> &mut Arc<Vec<Self>>;
+    /// The log record of a plain store.
+    fn store_op(id: u32, idx: u32, val: Self) -> LogOp;
+}
+
+impl Word for f32 {
+    const NAME: &'static str = "f32";
+    fn data(d: &Data) -> &Arc<Vec<f32>> {
+        match d {
+            Data::F32(v) => v,
+            Data::U32(_) => unreachable!("typed handle guarantees the variant"),
+        }
+    }
+    fn data_mut(d: &mut Data) -> &mut Arc<Vec<f32>> {
+        match d {
+            Data::F32(v) => v,
+            Data::U32(_) => unreachable!("typed handle guarantees the variant"),
+        }
+    }
+    fn store_op(id: u32, idx: u32, val: f32) -> LogOp {
+        LogOp::StF32 { id, idx, val }
+    }
+}
+
+impl Word for u32 {
+    const NAME: &'static str = "u32";
+    fn data(d: &Data) -> &Arc<Vec<u32>> {
+        match d {
+            Data::U32(v) => v,
+            Data::F32(_) => unreachable!("typed handle guarantees the variant"),
+        }
+    }
+    fn data_mut(d: &mut Data) -> &mut Arc<Vec<u32>> {
+        match d {
+            Data::U32(v) => v,
+            Data::F32(_) => unreachable!("typed handle guarantees the variant"),
+        }
+    }
+    fn store_op(id: u32, idx: u32, val: u32) -> LogOp {
+        LogOp::StU32 { id, idx, val }
+    }
+}
+
+/// The device's out-of-bounds fault (`what` is "load" or "store").
+#[cold]
+#[inline(never)]
+fn oob(what: &str, ty: &str, id: u32, len: usize, idx: usize) -> ! {
+    panic!("device OOB {what}: {ty} buffer #{id} has {len} elements, index {idx}")
+}
+
+/// Virtual byte address of element `idx` of a buffer based at `base`
+/// (elements are 4 bytes).
+#[inline(always)]
+pub(crate) fn lane_addr(base: u64, idx: u32) -> u64 {
+    base + 4 * idx as u64
+}
+
+/// Element `idx` of a buffer resolved by [`GlobalMem::view`], with the
+/// device's OOB fault.
+#[inline(always)]
+pub(crate) fn load_at<T: Word>(data: &[T], id: u32, idx: usize) -> T {
+    match data.get(idx) {
+        Some(&x) => x,
+        None => oob("load", T::NAME, id, data.len(), idx),
+    }
 }
 
 #[derive(Clone)]
@@ -110,11 +187,12 @@ impl GlobalMem {
     pub(crate) fn replay(&mut self, ops: &[LogOp]) {
         for &op in ops {
             match op {
-                LogOp::StF32 { id, idx, val } => self.raw_store_f32(id, idx as usize, val),
-                LogOp::StU32 { id, idx, val } => self.raw_store_u32(id, idx as usize, val),
+                LogOp::StF32 { id, idx, val } => self.raw_store(id, idx as usize, val),
+                LogOp::StU32 { id, idx, val } => self.raw_store(id, idx as usize, val),
                 LogOp::AddF32 { id, idx, val } => {
-                    let old = self.load_f32(DevicePtr { id, _pd: PhantomData }, idx as usize);
-                    self.raw_store_f32(id, idx as usize, old + val);
+                    let old =
+                        load_at(self.f32(DevicePtr { id, _pd: PhantomData }), id, idx as usize);
+                    self.raw_store(id, idx as usize, old + val);
                 }
             }
         }
@@ -140,36 +218,39 @@ impl GlobalMem {
         DevicePtr { id, _pd: PhantomData }
     }
 
+    /// Base address and contents of a buffer: the one lookup a
+    /// warp-wide memory op makes (element `i` lives at `base + 4 * i`).
+    #[inline]
+    pub(crate) fn view<T: Word>(&self, ptr: DevicePtr<T>) -> (u64, &[T]) {
+        let buf = &self.buffers[ptr.id as usize];
+        (buf.base, T::data(&buf.data))
+    }
+
+    /// Writable contents of a buffer (materialising its copy-on-write
+    /// payload) plus the shadow log, for lane-batched mutations.
+    fn view_mut<T: Word>(&mut self, ptr: DevicePtr<T>) -> (&mut [T], &mut Option<Vec<LogOp>>) {
+        let data = T::data_mut(&mut self.buffers[ptr.id as usize].data);
+        (Arc::make_mut(data).as_mut_slice(), &mut self.log)
+    }
+
     /// Host-side view of an `f32` buffer (like `cudaMemcpy` D→H).
     pub fn f32(&self, ptr: DevicePtr<f32>) -> &[f32] {
-        match &self.buffers[ptr.id as usize].data {
-            Data::F32(v) => v,
-            Data::U32(_) => unreachable!("typed handle guarantees the variant"),
-        }
+        self.view(ptr).1
     }
 
     /// Host-side mutable view of an `f32` buffer (like `cudaMemcpy` H→D).
     pub fn f32_mut(&mut self, ptr: DevicePtr<f32>) -> &mut [f32] {
-        match &mut self.buffers[ptr.id as usize].data {
-            Data::F32(v) => Arc::make_mut(v).as_mut_slice(),
-            Data::U32(_) => unreachable!("typed handle guarantees the variant"),
-        }
+        self.view_mut(ptr).0
     }
 
     /// Host-side view of a `u32` buffer.
     pub fn u32(&self, ptr: DevicePtr<u32>) -> &[u32] {
-        match &self.buffers[ptr.id as usize].data {
-            Data::U32(v) => v,
-            Data::F32(_) => unreachable!("typed handle guarantees the variant"),
-        }
+        self.view(ptr).1
     }
 
     /// Host-side mutable view of a `u32` buffer.
     pub fn u32_mut(&mut self, ptr: DevicePtr<u32>) -> &mut [u32] {
-        match &mut self.buffers[ptr.id as usize].data {
-            Data::U32(v) => Arc::make_mut(v).as_mut_slice(),
-            Data::F32(_) => unreachable!("typed handle guarantees the variant"),
-        }
+        self.view_mut(ptr).0
     }
 
     /// Copy a host slice into a buffer (must match length).
@@ -196,157 +277,81 @@ impl GlobalMem {
         self.u32(ptr).len()
     }
 
-    /// Virtual byte address of element `idx` of a buffer (for coalescing).
-    #[inline]
-    pub(crate) fn addr(&self, id: u32, idx: usize) -> u64 {
-        self.buffers[id as usize].base + 4 * idx as u64
+    /// Virtual byte address of element `idx` of a buffer.
+    #[cfg(test)]
+    fn addr(&self, id: u32, idx: usize) -> u64 {
+        lane_addr(self.buffers[id as usize].base, idx as u32)
     }
 
-    #[inline]
-    pub(crate) fn load_f32(&self, ptr: DevicePtr<f32>, idx: usize) -> f32 {
-        let v = self.f32(ptr);
-        match v.get(idx) {
-            Some(&x) => x,
-            None => panic!(
-                "device OOB load: f32 buffer #{} has {} elements, index {idx}",
-                ptr.id,
-                v.len()
-            ),
-        }
+    #[cfg(test)]
+    fn load_f32(&self, ptr: DevicePtr<f32>, idx: usize) -> f32 {
+        load_at(self.f32(ptr), ptr.id, idx)
     }
 
-    #[inline]
-    pub(crate) fn load_u32(&self, ptr: DevicePtr<u32>, idx: usize) -> u32 {
-        let v = self.u32(ptr);
-        match v.get(idx) {
-            Some(&x) => x,
-            None => panic!(
-                "device OOB load: u32 buffer #{} has {} elements, index {idx}",
-                ptr.id,
-                v.len()
-            ),
-        }
-    }
-
-    #[inline]
-    fn raw_store_f32(&mut self, id: u32, idx: usize, val: f32) {
-        let v = match &mut self.buffers[id as usize].data {
-            Data::F32(v) => Arc::make_mut(v),
-            Data::U32(_) => unreachable!("typed handle guarantees the variant"),
-        };
+    /// Unlogged single store (log replay).
+    fn raw_store<T: Word>(&mut self, id: u32, idx: usize, val: T) {
+        let (v, _) = self.view_mut(DevicePtr::<T> { id, _pd: PhantomData });
         let len = v.len();
         match v.get_mut(idx) {
             Some(x) => *x = val,
-            None => {
-                panic!("device OOB store: f32 buffer #{id} has {len} elements, index {idx}")
-            }
-        }
-    }
-
-    #[inline]
-    fn raw_store_u32(&mut self, id: u32, idx: usize, val: u32) {
-        let v = match &mut self.buffers[id as usize].data {
-            Data::U32(v) => Arc::make_mut(v),
-            Data::F32(_) => unreachable!("typed handle guarantees the variant"),
-        };
-        let len = v.len();
-        match v.get_mut(idx) {
-            Some(x) => *x = val,
-            None => {
-                panic!("device OOB store: u32 buffer #{id} has {len} elements, index {idx}")
-            }
+            None => oob("store", T::NAME, id, len, idx),
         }
     }
 
     // Stores arrive lane-batched — one call covers every active lane of a
-    // warp-wide vector operation — so the COW materialisation
-    // (`Arc::make_mut`) is paid **once per operation** instead of once per
-    // lane, which is what keeps the `Arc`-backed buffers from taxing
-    // `global_st`/`atomic_add` (`interp_bench` holds both near their
-    // pre-COW ns/op). Lanes are applied and logged in iteration order, so
-    // same-address races resolve lane-last exactly as before.
+    // warp-wide vector operation — so the buffer lookup and the COW
+    // materialisation (`Arc::make_mut`) are paid **once per operation**
+    // instead of once per lane, which is what keeps the `Arc`-backed
+    // buffers from taxing `global_st`/`atomic_add`. Lanes are applied and
+    // logged in increasing lane order, so same-address races resolve
+    // lane-last exactly as before.
 
-    /// Lane-batched global store, f32: `buf[idx] = val` per lane, logged
-    /// as [`LogOp::StF32`] on shadow arenas.
-    pub(crate) fn store_f32_lanes(
+    /// Lane-batched global store: `buf[idx[l]] = val[l]` for every active
+    /// lane `l`, logged as a plain store on shadow arenas.
+    pub(crate) fn store_lanes<T: Word>(
         &mut self,
-        ptr: DevicePtr<f32>,
-        lanes: impl Iterator<Item = (usize, f32)>,
+        ptr: DevicePtr<T>,
+        active: &Mask,
+        idx: &[u32],
+        val: &[T],
     ) {
-        let v = match &mut self.buffers[ptr.id as usize].data {
-            Data::F32(v) => Arc::make_mut(v),
-            Data::U32(_) => unreachable!("typed handle guarantees the variant"),
-        };
+        let (v, log) = self.view_mut(ptr);
         let len = v.len();
-        let log = &mut self.log;
-        for (idx, val) in lanes {
-            match v.get_mut(idx) {
-                Some(x) => *x = val,
-                None => panic!(
-                    "device OOB store: f32 buffer #{} has {len} elements, index {idx}",
-                    ptr.id
-                ),
+        active.for_each_lane(|lane| {
+            let i = idx[lane] as usize;
+            match v.get_mut(i) {
+                Some(x) => *x = val[lane],
+                None => oob("store", T::NAME, ptr.id, len, i),
             }
             if let Some(log) = log {
-                log.push(LogOp::StF32 { id: ptr.id, idx: idx as u32, val });
+                log.push(T::store_op(ptr.id, i as u32, val[lane]));
             }
-        }
+        });
     }
 
-    /// Lane-batched global store, u32: `buf[idx] = val` per lane, logged
-    /// as [`LogOp::StU32`] on shadow arenas.
-    pub(crate) fn store_u32_lanes(
-        &mut self,
-        ptr: DevicePtr<u32>,
-        lanes: impl Iterator<Item = (usize, u32)>,
-    ) {
-        let v = match &mut self.buffers[ptr.id as usize].data {
-            Data::U32(v) => Arc::make_mut(v),
-            Data::F32(_) => unreachable!("typed handle guarantees the variant"),
-        };
-        let len = v.len();
-        let log = &mut self.log;
-        for (idx, val) in lanes {
-            match v.get_mut(idx) {
-                Some(x) => *x = val,
-                None => panic!(
-                    "device OOB store: u32 buffer #{} has {len} elements, index {idx}",
-                    ptr.id
-                ),
-            }
-            if let Some(log) = log {
-                log.push(LogOp::StU32 { id: ptr.id, idx: idx as u32, val });
-            }
-        }
-    }
-
-    /// Lane-batched simulated `atomicAdd(&buf[idx], val)`: applied
+    /// Lane-batched simulated `atomicAdd(&buf[idx[l]], val[l])`: applied
     /// immediately (so the owning block can proceed) and logged as an
     /// *add* ([`LogOp::AddF32`]) on shadows, so a parallel launch's commit
     /// accumulates deposits exactly like serial execution.
     pub(crate) fn atomic_add_f32_lanes(
         &mut self,
         ptr: DevicePtr<f32>,
-        lanes: impl Iterator<Item = (usize, f32)>,
+        active: &Mask,
+        idx: &[u32],
+        val: &[f32],
     ) {
-        let v = match &mut self.buffers[ptr.id as usize].data {
-            Data::F32(v) => Arc::make_mut(v),
-            Data::U32(_) => unreachable!("typed handle guarantees the variant"),
-        };
+        let (v, log) = self.view_mut(ptr);
         let len = v.len();
-        let log = &mut self.log;
-        for (idx, val) in lanes {
-            match v.get_mut(idx) {
-                Some(x) => *x += val,
-                None => panic!(
-                    "device OOB load: f32 buffer #{} has {len} elements, index {idx}",
-                    ptr.id
-                ),
+        active.for_each_lane(|lane| {
+            let i = idx[lane] as usize;
+            match v.get_mut(i) {
+                Some(x) => *x += val[lane],
+                None => oob("load", "f32", ptr.id, len, i),
             }
             if let Some(log) = log {
-                log.push(LogOp::AddF32 { id: ptr.id, idx: idx as u32, val });
+                log.push(LogOp::AddF32 { id: ptr.id, idx: i as u32, val: val[lane] });
             }
-        }
+        });
     }
 }
 
@@ -393,7 +398,7 @@ mod tests {
     fn oob_store_panics() {
         let mut gm = GlobalMem::new();
         let a = gm.alloc_u32(2);
-        gm.store_u32_lanes(a, std::iter::once((5, 1)));
+        gm.store_lanes(a, &Mask::all(1), &[5], &[1]);
     }
 
     #[test]

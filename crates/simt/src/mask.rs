@@ -5,6 +5,15 @@
 //! `loop_while` iterates while any lane remains active, and every operation
 //! charges issue cycles only for *warps* that still have at least one
 //! active lane — which is exactly how divergence costs on hardware.
+//!
+//! Masks are built, counted and compared a 64-lane word at a time; bits
+//! past `len` in the last word are always zero, so whole-word counts never
+//! see a lane that does not exist. [`Mask::for_each_lane`] is the one lane
+//! loop every lane-wise op of [`crate::block::BlockCtx`] runs through. A
+//! full mask takes a plain counted loop over every lane, which the
+//! compiler can vectorise; any other mask walks its set bits. Both paths
+//! visit the same lanes in the same increasing order, so they are the same
+//! op: an op body is written once and cannot tell which path ran it.
 
 use crate::pool::PoolItem;
 
@@ -51,15 +60,41 @@ impl Mask {
         Mask { bits: u64::take(len.div_ceil(64)), len }
     }
 
-    /// Build from a predicate over lane indices.
+    /// Build from a predicate over lane indices (called once per lane, in
+    /// increasing order).
     pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> bool) -> Self {
-        let mut m = Mask::none(len);
-        for lane in 0..len {
-            if f(lane) {
-                m.set(lane, true);
+        let mut bits = u64::take(len.div_ceil(64));
+        for (wi, word) in bits.iter_mut().enumerate() {
+            let base = wi * 64;
+            for b in 0..(len - base).min(64) {
+                *word |= (f(base + b) as u64) << b;
             }
         }
-        m
+        Mask { bits, len }
+    }
+
+    /// The active lanes of `self` whose flag is set, given one 0/1 byte
+    /// per lane of the block. Flags are packed eight lanes per multiply;
+    /// wholly inactive words are skipped.
+    pub(crate) fn filter_flags(&self, flags: &[u8]) -> Mask {
+        debug_assert_eq!(flags.len(), self.len);
+        let mut bits = u64::take(self.bits.len());
+        for ((out, &act), flags) in bits.iter_mut().zip(&self.bits).zip(flags.chunks(64)) {
+            if act != 0 {
+                let mut word = 0u64;
+                for (i, eight) in flags.chunks(8).enumerate() {
+                    let mut bytes = [0u8; 8];
+                    bytes[..eight.len()].copy_from_slice(eight);
+                    // Flag `k` of the eight moves to bit `56 + k`; the
+                    // partial products never overlap, so nothing carries.
+                    let packed =
+                        u64::from_le_bytes(bytes).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+                    word |= packed << (8 * i);
+                }
+                *out = act & word;
+            }
+        }
+        Mask { bits, len: self.len }
     }
 
     fn trim(bits: &mut [u64], len: usize) {
@@ -108,6 +143,40 @@ impl Mask {
     /// Number of active lanes.
     pub fn count(&self) -> usize {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Every lane active?
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        let Some((&last, whole)) = self.bits.split_last() else {
+            return true;
+        };
+        whole.iter().all(|&w| w == u64::MAX)
+            && last == u64::MAX >> (self.bits.len() * 64 - self.len)
+    }
+
+    /// The backing words (lane `l` is bit `l % 64` of word `l / 64`).
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
+    /// Call `f` on every active lane, in increasing order: a counted loop
+    /// over all lanes when the mask is full, a walk over the set bits
+    /// otherwise. See the module docs for why the two are one op.
+    #[inline(always)]
+    pub(crate) fn for_each_lane(&self, mut f: impl FnMut(usize)) {
+        if self.is_full() {
+            (0..self.len).for_each(f);
+        } else {
+            for (wi, &w) in self.bits.iter().enumerate() {
+                let mut w = w;
+                while w != 0 {
+                    f(wi * 64 + w.trailing_zeros() as usize);
+                    w &= w - 1;
+                }
+            }
+        }
     }
 
     fn zip_with(&self, other: &Mask, f: impl Fn(u64, u64) -> u64) -> Mask {
@@ -185,9 +254,27 @@ impl Mask {
         self.warp_bits(w) != 0
     }
 
-    /// Number of warps with at least one active lane.
+    /// Number of warps with at least one active lane (two warps per word;
+    /// the zero tail of the last word never counts).
     pub fn active_warps(&self) -> usize {
-        (0..self.warp_count()).filter(|&w| self.warp_any(w)).count()
+        self.bits.iter().map(|&w| (w as u32 != 0) as usize + ((w >> 32) != 0) as usize).sum()
+    }
+
+    /// [`Mask::for_each_lane`] restricted to warp `w`: a counted loop over
+    /// its 32 lanes when all are active, a walk over its set bits
+    /// otherwise.
+    #[inline(always)]
+    pub(crate) fn for_each_warp_lane(&self, w: usize, mut f: impl FnMut(usize)) {
+        let base = w * WARP;
+        let mut bits = self.warp_bits(w);
+        if bits == u32::MAX {
+            (base..base + WARP).for_each(f);
+        } else {
+            while bits != 0 {
+                f(base + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
     }
 
     /// Iterate active lanes of warp `w`.

@@ -216,8 +216,18 @@ fn fingerprints(n: usize, m: usize) -> Vec<(String, u64)> {
         // One device TwoOptNn pass over ant 0 of a data-parallel colony.
         {
             let (mut gm, bufs) = colony(&inst, m);
-            run_tour(&dev, &mut gm, bufs, TourStrategy::DataParallel, 1.0, 2.0, 3, 0, SimMode::Full)
-                .unwrap();
+            run_tour(
+                &dev,
+                &mut gm,
+                bufs,
+                TourStrategy::DataParallel,
+                1.0,
+                2.0,
+                3,
+                0,
+                SimMode::Full,
+            )
+            .unwrap();
             let ls = TwoOptDev::allocate(
                 &mut gm,
                 bufs.n,
