@@ -1,8 +1,8 @@
 //! SIMT-interpreter micro-benchmark → `BENCH_interp.json`.
 //!
 //! ```text
-//! interp_bench [--label S] [--append] [--reps R] [--trials N] [--out FILE]
-//! interp_bench --check FILE [--tolerance T] [--reps R] [--trials N]
+//! interp_bench [--label S] [--append] [--reps R] [--out FILE]
+//! interp_bench --check FILE [--tolerance T] [--reps R]
 //! ```
 //!
 //! `--check` is the CI regression gate mirroring `engine_bench --check`:
@@ -11,13 +11,15 @@
 //! (the zero-alloc tripwire is absolute) or its ns/op rose more than
 //! `--tolerance` (default 0.50 — wall time is advisory across machines;
 //! allocation counts are the hard signal). It runs at the entry's
-//! recorded `reps` and `trials` and refuses (exit 2) an explicit flag
-//! that differs, because ns/op and allocs/op are only comparable at one
-//! config (allocs/op in particular scales with 1/reps).
+//! recorded `reps` and `trials` and refuses (exit 2) an explicit `--reps`
+//! that differs, or an entry that records no config, because ns/op and
+//! allocs/op are only comparable at one config (allocs/op in particular
+//! scales with 1/reps).
 //!
-//! Each entry records its config — `reps` per launch, `trials`, and the
-//! `host_cpus` it ran on — and each op's ns/op is the minimum over the
-//! trials (the least-disturbed run; the host's noise only ever adds).
+//! Each entry records its config — `reps` per launch, `trials` (new
+//! entries always run [`TRIALS`]), and the `host_cpus` it ran on — and
+//! each op's ns/op is the minimum over the trials (the least-disturbed
+//! run; the host's noise only ever adds).
 //!
 //! Measures the per-operation cost of the `BlockCtx` primitives the
 //! kernels are built from — wall nanoseconds *and allocator calls* per
@@ -283,14 +285,16 @@ struct Config {
     trials: u32,
 }
 
-/// Defaults: the 4096-rep baseline config, with five trials. `--check`
-/// also assumes it for an old entry that recorded no config.
-const DEFAULT_CONFIG: Config = Config { reps: 4096, trials: 5 };
+/// Reps per launch of the baseline config.
+const DEFAULT_REPS: u32 = 4096;
+
+/// Trials per op of a new entry.
+const TRIALS: u32 = 5;
 
 /// `--check`: re-run the last committed entry's ops at its recorded
 /// config and compare. Exit 1 on regression beyond the tolerances, exit 2
-/// when an explicit `--reps`/`--trials` contradicts the entry.
-fn check(path: &std::path::Path, tolerance: f64, reps: Option<u32>, trials: Option<u32>) -> ! {
+/// when the entry records no config or an explicit `--reps` contradicts it.
+fn check(path: &std::path::Path, tolerance: f64, reps: Option<u32>) -> ! {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("check: could not read {}: {e}", path.display());
         std::process::exit(2);
@@ -303,37 +307,21 @@ fn check(path: &std::path::Path, tolerance: f64, reps: Option<u32>, trials: Opti
         eprintln!("check: no usable history in {}", path.display());
         std::process::exit(2);
     };
-    let label = last.get("label").and_then(Json::str).unwrap_or("unlabeled");
-    let recorded =
-        |key: &str, default: u32| last.get(key).and_then(Json::num).map_or(default, |v| v as u32);
-    let config = Config {
-        reps: recorded("reps", DEFAULT_CONFIG.reps),
-        trials: recorded("trials", DEFAULT_CONFIG.trials),
+    let entry = Entry::parse(last);
+    let label = &entry.label;
+    let Some(config) = entry.config else {
+        eprintln!("check: entry '{label}' records no reps/trials, so nothing is comparable to it");
+        std::process::exit(2);
     };
-    for (flag, asked, want) in [("--reps", reps, config.reps), ("--trials", trials, config.trials)]
-    {
-        if asked.is_some_and(|v| v != want) {
-            eprintln!(
-                "check: refusing {flag} {}: entry '{label}' was recorded at {want}, and its \
-                 numbers are only comparable at that config (drop the flag)",
-                asked.unwrap_or_default()
-            );
-            std::process::exit(2);
-        }
+    if let Some(asked) = reps.filter(|&r| r != config.reps) {
+        eprintln!(
+            "check: refusing --reps {asked}: entry '{label}' was recorded at {}, and its \
+             numbers are only comparable at that config (drop the flag)",
+            config.reps
+        );
+        std::process::exit(2);
     }
-    let baseline: Vec<(&str, f64, f64)> = last
-        .get("ops")
-        .and_then(Json::arr)
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|o| {
-            Some((
-                o.get("op").and_then(Json::str)?,
-                o.get("ns_per_op").and_then(Json::num)?,
-                o.get("allocs_per_op").and_then(Json::num)?,
-            ))
-        })
-        .collect();
+    let baseline = &entry.ops;
     if baseline.is_empty() {
         eprintln!("check: entry '{label}' has no ops");
         std::process::exit(2);
@@ -346,8 +334,8 @@ fn check(path: &std::path::Path, tolerance: f64, reps: Option<u32>, trials: Opti
     );
     let fresh: Vec<OpResult> = OPS.iter().map(|&op| run_op(op, config)).collect();
     let mut failed = false;
-    for (name, base_ns, base_allocs) in baseline {
-        let Some(f) = fresh.iter().find(|r| r.name == name) else {
+    for &(ref name, base_ns, base_allocs) in baseline {
+        let Some(f) = fresh.iter().find(|r| r.name == name.as_str()) else {
             eprintln!("gate FAIL: op '{name}' no longer measured");
             failed = true;
             continue;
@@ -371,21 +359,9 @@ fn check(path: &std::path::Path, tolerance: f64, reps: Option<u32>, trials: Opti
     // Launch-allocation gate: COW shadows hold allocs/launch flat, so a
     // rise past the slack means the launch path started deep-copying
     // buffers again. Entries predating the section are skipped.
-    let launch_baseline: Vec<(&str, f64)> = last
-        .get("launches")
-        .and_then(Json::arr)
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|l| {
-            Some((
-                l.get("family").and_then(Json::str)?,
-                l.get("allocs_per_launch").and_then(Json::num)?,
-            ))
-        })
-        .collect();
     for &threads in &LAUNCH_THREADS {
         let fresh = run_launches(threads);
-        let Some(&(_, base)) = launch_baseline.iter().find(|(f, _)| *f == fresh.family) else {
+        let Some(&(_, _, _, base)) = entry.launches.iter().find(|l| l.0 == fresh.family) else {
             continue;
         };
         if fresh.allocs_per_launch > base + ALLOC_SLACK {
@@ -435,9 +411,9 @@ fn run_op(op: &'static str, config: Config) -> OpResult {
     }
 }
 
-/// One history entry, as read back or freshly measured. The config and
-/// `host_cpus` are `None` on entries that predate them and are then left
-/// out of the rendering.
+/// One history entry, as read back or freshly measured. The config (both
+/// `reps` and `trials`) and `host_cpus` are `None` on an entry that does
+/// not record them and are then left out of the rendering.
 struct Entry {
     label: String,
     block: u32,
@@ -455,10 +431,9 @@ impl Entry {
         Entry {
             label: text(e, "label"),
             block: num(e, "block").unwrap_or(256.0) as u32,
-            config: num(e, "reps").map(|reps| Config {
-                reps: reps as u32,
-                trials: num(e, "trials").unwrap_or(1.0) as u32,
-            }),
+            config: num(e, "reps")
+                .zip(num(e, "trials"))
+                .map(|(reps, trials)| Config { reps: reps as u32, trials: trials as u32 }),
             host_cpus: num(e, "host_cpus").map(|c| c as u32),
             ops: list("ops")
                 .iter()
@@ -524,7 +499,6 @@ fn main() {
     let mut label = String::from("dev");
     let mut append = false;
     let mut reps: Option<u32> = None;
-    let mut trials: Option<u32> = None;
     let mut out = std::path::PathBuf::from("BENCH_interp.json");
     let mut check_path: Option<std::path::PathBuf> = None;
     let mut tolerance = 0.50;
@@ -534,9 +508,6 @@ fn main() {
             "--label" => label = it.next().expect("--label S"),
             "--append" => append = true,
             "--reps" => reps = Some(it.next().expect("--reps R").parse().expect("--reps R")),
-            "--trials" => {
-                trials = Some(it.next().expect("--trials N").parse().expect("--trials N"));
-            }
             "--out" => out = it.next().expect("--out FILE").into(),
             "--check" => check_path = Some(it.next().expect("--check FILE").into()),
             "--tolerance" => {
@@ -549,12 +520,9 @@ fn main() {
         }
     }
     if let Some(path) = &check_path {
-        check(path, tolerance, reps, trials);
+        check(path, tolerance, reps);
     }
-    let config = Config {
-        reps: reps.unwrap_or(DEFAULT_CONFIG.reps),
-        trials: trials.unwrap_or(DEFAULT_CONFIG.trials),
-    };
+    let config = Config { reps: reps.unwrap_or(DEFAULT_REPS), trials: TRIALS };
 
     let results: Vec<OpResult> = OPS.iter().map(|&op| run_op(op, config)).collect();
     println!("reps {} x trials {} (ns/op: fastest trial)", config.reps, config.trials);

@@ -148,6 +148,10 @@ struct WarpTally {
 /// Table size: four slots per lane of a warp keeps probes short.
 const TALLY_SLOTS: usize = 4 * WARP;
 
+// The word-wise code splits 64-lane mask words into two warps, and the
+// tally hashes into its slots with a shift.
+const _: () = assert!(WARP == 32 && TALLY_SLOTS.is_power_of_two());
+
 impl WarpTally {
     fn new() -> Self {
         WarpTally {
@@ -171,7 +175,8 @@ impl WarpTally {
     /// (1 = first time since the last `clear`).
     #[inline]
     fn add(&mut self, key: u64) -> u32 {
-        let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 57) as usize;
+        let shift = 64 - TALLY_SLOTS.trailing_zeros();
+        let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
         loop {
             if self.stamps[slot] != self.generation {
                 self.stamps[slot] = self.generation;
@@ -513,15 +518,15 @@ impl<'a> BlockCtx<'a> {
 
     // --- control flow ----------------------------------------------------------
 
-    /// Count warps whose active lanes split over `cond`: a 32-lane half of
-    /// a word diverges when it has active lanes on both sides.
+    /// Count warps whose active lanes split over `cond`: a warp (one half
+    /// of a mask word) diverges when it has active lanes on both sides.
     fn count_divergence(&mut self, cond: &Mask) {
         let active = self.active();
         debug_assert_eq!(active.len(), cond.len());
         let mut divergent = 0u32;
         for (&a, &c) in active.words().iter().zip(cond.words()) {
             let (taken, not_taken) = (a & c, a & !c);
-            for half in [0, 32] {
+            for half in [0, WARP] {
                 divergent +=
                     ((taken >> half) as u32 != 0 && (not_taken >> half) as u32 != 0) as u32;
             }
@@ -693,13 +698,16 @@ impl<'a> BlockCtx<'a> {
             }
         };
         // Conflict granularity: half-warp on CC 1.x, full warp on CC 2.x.
-        let group_shift = if self.device.compute_capability.is_fermi() { 5 } else { 4 };
+        let group_shift = if self.device.compute_capability.is_fermi() {
+            WARP.trailing_zeros()
+        } else {
+            (WARP / 2).trailing_zeros()
+        };
         let mut extra_total = 0.0;
         // Per conflict group: the serialization degree is the largest
         // number of *distinct* word addresses landing in one bank
-        // (repeats of one word are a broadcast). Ascending addresses — the
-        // lane-indexed pattern — are distinct as they stand; otherwise the
-        // tally drops repeats. Either way the group costs linear time.
+        // (repeats of one word are a broadcast). The tally drops repeats,
+        // so the group costs linear time.
         let mut bank_counts = [0u32; 64];
         debug_assert!(banks <= bank_counts.len());
         let mut rest = words;
@@ -708,14 +716,11 @@ impl<'a> BlockCtx<'a> {
             let len = rest.iter().take_while(|&&(lane, _)| lane >> group_shift == g).count();
             let (lanes, tail) = rest.split_at(len);
             rest = tail;
-            let ascending = lanes.windows(2).all(|p| p[0].1 < p[1].1);
-            if !ascending {
-                self.tally.clear();
-            }
+            self.tally.clear();
             bank_counts[..banks].fill(0);
             let mut degree = 0;
             for &(_, addr) in lanes {
-                if ascending || self.tally.add(addr as u64) == 1 {
+                if self.tally.add(addr as u64) == 1 {
                     let bank = &mut bank_counts[bank_of(addr)];
                     *bank += 1;
                     degree = degree.max(*bank);
@@ -818,7 +823,7 @@ impl<'a> BlockCtx<'a> {
                 n += 1;
             });
             let addrs = &warp_addrs[..n];
-            let half = (bits & 0xFFFF).count_ones() as usize;
+            let half = (bits & ((1 << (WARP / 2)) - 1)).count_ones() as usize;
             // Partition camping: a warp-wide broadcast load means every
             // concurrently running block is reading this address right now,
             // all hammering one DRAM partition — traffic is effectively

@@ -18,10 +18,6 @@ pub struct Cache {
     tick: u64,
     hits: u64,
     misses: u64,
-    /// `(line, slot)` of the most recent access. That line is its set's
-    /// most recently used, so nothing can have evicted it since: a repeat
-    /// access (neighbouring lanes in one line) hits without a way search.
-    last: Option<(u64, usize)>,
 }
 
 impl Cache {
@@ -42,7 +38,6 @@ impl Cache {
             tick: 0,
             hits: 0,
             misses: 0,
-            last: None,
         }
     }
 
@@ -58,14 +53,7 @@ impl Cache {
             return false;
         }
         self.tick += 1;
-        let line = addr >> self.line_bytes.trailing_zeros();
-        if let Some((last, slot)) = self.last {
-            if last == line {
-                self.stamps[slot] = self.tick;
-                self.hits += 1;
-                return true;
-            }
-        }
+        let line = addr / self.line_bytes;
         let set = (line as usize) % self.sets;
         let base = set * self.ways;
         // Hit?
@@ -73,7 +61,6 @@ impl Cache {
             if self.tags[base + way] == line {
                 self.stamps[base + way] = self.tick;
                 self.hits += 1;
-                self.last = Some((line, base + way));
                 return true;
             }
         }
@@ -87,7 +74,6 @@ impl Cache {
         self.tags[base + victim] = line;
         self.stamps[base + victim] = self.tick;
         self.misses += 1;
-        self.last = Some((line, base + victim));
         false
     }
 
@@ -103,7 +89,6 @@ impl Cache {
         self.tick = 0;
         self.hits = 0;
         self.misses = 0;
-        self.last = None;
     }
 }
 

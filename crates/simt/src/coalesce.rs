@@ -41,8 +41,11 @@ pub fn coalesce_cc13_half_warp_into(
     out.clear();
     // Sorted addresses: each 128-byte segment is one run, in address
     // order (for determinism), with its lowest and highest access at the
-    // ends of the run. Coalesced and broadcast accesses arrive sorted.
-    let mut rest = sorted(addrs, segs);
+    // ends of the run.
+    segs.clear();
+    segs.extend_from_slice(addrs);
+    segs.sort_unstable();
+    let mut rest = &segs[..];
     while let Some(&first) = rest.first() {
         let seg = first & !127;
         let run = rest.iter().take_while(|&&a| a & !127 == seg).count();
@@ -70,22 +73,8 @@ pub fn lines_cc20(addrs: &[u64]) -> Vec<u64> {
 pub fn lines_cc20_into(addrs: &[u64], out: &mut Vec<u64>) {
     out.clear();
     out.extend(addrs.iter().map(|a| a & !127));
-    if !out.is_sorted() {
-        out.sort_unstable();
-    }
+    out.sort_unstable();
     out.dedup();
-}
-
-/// `addrs` in ascending order: the slice itself when it already is (no
-/// copy), else a sorted copy in `scratch`.
-fn sorted<'a>(addrs: &'a [u64], scratch: &'a mut Vec<u64>) -> &'a [u64] {
-    if addrs.is_sorted() {
-        return addrs;
-    }
-    scratch.clear();
-    scratch.extend_from_slice(addrs);
-    scratch.sort_unstable();
-    scratch
 }
 
 #[cfg(test)]

@@ -165,16 +165,12 @@ impl Mask {
     /// over all lanes when the mask is full, a walk over the set bits
     /// otherwise. See the module docs for why the two are one op.
     #[inline(always)]
-    pub(crate) fn for_each_lane(&self, mut f: impl FnMut(usize)) {
+    pub fn for_each_lane(&self, mut f: impl FnMut(usize)) {
         if self.is_full() {
             (0..self.len).for_each(f);
         } else {
             for (wi, &w) in self.bits.iter().enumerate() {
-                let mut w = w;
-                while w != 0 {
-                    f(wi * 64 + w.trailing_zeros() as usize);
-                    w &= w - 1;
-                }
+                walk_bits(w, wi * 64, &mut f);
             }
         }
     }
@@ -213,22 +209,6 @@ impl Mask {
         Mask { bits, len: self.len }
     }
 
-    /// Iterate active lane indices in increasing order.
-    pub fn lanes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.bits.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut w = w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
-    }
-
     /// Number of warps the block spans (including trailing partial warp).
     pub fn warp_count(&self) -> usize {
         self.len.div_ceil(WARP)
@@ -260,36 +240,19 @@ impl Mask {
         self.bits.iter().map(|&w| (w as u32 != 0) as usize + ((w >> 32) != 0) as usize).sum()
     }
 
-    /// [`Mask::for_each_lane`] restricted to warp `w`: a counted loop over
-    /// its 32 lanes when all are active, a walk over its set bits
-    /// otherwise.
+    /// Call `f` on every active lane of warp `w`, in increasing order.
     #[inline(always)]
     pub(crate) fn for_each_warp_lane(&self, w: usize, mut f: impl FnMut(usize)) {
-        let base = w * WARP;
-        let mut bits = self.warp_bits(w);
-        if bits == u32::MAX {
-            (base..base + WARP).for_each(f);
-        } else {
-            while bits != 0 {
-                f(base + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
+        walk_bits(self.warp_bits(w) as u64, w * WARP, &mut f);
     }
+}
 
-    /// Iterate active lanes of warp `w`.
-    pub fn warp_lanes(&self, w: usize) -> impl Iterator<Item = usize> + '_ {
-        let base = w * WARP;
-        let mut bits = self.warp_bits(w);
-        std::iter::from_fn(move || {
-            if bits == 0 {
-                None
-            } else {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(base + b)
-            }
-        })
+/// Call `f(base + b)` for every set bit `b` of `word`, lowest first.
+#[inline(always)]
+fn walk_bits(mut word: u64, base: usize, f: &mut impl FnMut(usize)) {
+    while word != 0 {
+        f(base + word.trailing_zeros() as usize);
+        word &= word - 1;
     }
 }
 
@@ -341,7 +304,8 @@ mod tests {
     #[test]
     fn lane_iteration_matches_bits() {
         let m = Mask::from_fn(130, |i| i % 7 == 0);
-        let lanes: Vec<usize> = m.lanes().collect();
+        let mut lanes = Vec::new();
+        m.for_each_lane(|l| lanes.push(l));
         let expect: Vec<usize> = (0..130).filter(|i| i % 7 == 0).collect();
         assert_eq!(lanes, expect);
     }
@@ -356,7 +320,8 @@ mod tests {
         assert_eq!(m.active_warps(), 2);
         assert!(m.warp_any(1));
         assert!(!m.warp_any(2));
-        let lanes: Vec<usize> = m.warp_lanes(1).collect();
+        let mut lanes = Vec::new();
+        m.for_each_warp_lane(1, |l| lanes.push(l));
         assert_eq!(lanes, (32..40).collect::<Vec<_>>());
     }
 

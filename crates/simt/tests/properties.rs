@@ -200,10 +200,9 @@ fn check_mask_against_reference(bits: &[bool]) -> Result<(), TestCaseError> {
     prop_assert_eq!(m.is_full(), count == len);
     prop_assert_eq!(m.not().count(), len - count);
     prop_assert_eq!(m.not().is_full(), count == 0);
-    prop_assert_eq!(
-        m.lanes().collect::<Vec<_>>(),
-        (0..len).filter(|&l| bits[l]).collect::<Vec<_>>()
-    );
+    let mut lanes = Vec::new();
+    m.for_each_lane(|l| lanes.push(l));
+    prop_assert_eq!(lanes, (0..len).filter(|&l| bits[l]).collect::<Vec<_>>());
     let warps: Vec<&[bool]> = bits.chunks(32).collect();
     prop_assert_eq!(m.warp_count(), warps.len());
     for (w, lanes) in warps.iter().enumerate() {
