@@ -23,11 +23,13 @@
 //!
 //! Measures the per-operation cost of the `BlockCtx` primitives the
 //! kernels are built from — wall nanoseconds *and allocator calls* per
-//! op — on a 256-lane block. The allocation column is the regression
-//! tripwire for the pooled register file: every row must stay at (or
-//! very near) zero allocations per op once the thread-local pools are
-//! warm; a future change that reintroduces per-op `Vec` churn shows up
-//! here immediately, long before it is visible in end-to-end numbers.
+//! op — on a 256-lane block of the Tesla C1060 (the two bank-model
+//! rows, `shared_reduce` and `shared_conflict`, run on the M2050). The
+//! allocation column is the regression tripwire for the pooled register
+//! file: every row must stay at (or very near) zero allocations per op
+//! once the thread-local pools are warm; a future change that
+//! reintroduces per-op `Vec` churn shows up here immediately, long
+//! before it is visible in end-to-end numbers.
 //!
 //! The `launches` section measures allocator calls **per
 //! `launch_threads` call** of a read-heavy kernel family at 1 and 4
@@ -153,6 +155,38 @@ impl Kernel for OpKernel {
                     let _ = ctx.sh_ld_f32(sh, &idx);
                 }
             }
+            "shared_reduce" => {
+                // One level of the data-parallel argmax (Table II rows
+                // 7-8): lanes below `s` compare `lane` with `lane + s` —
+                // strictly increasing words, the bank model's shortcut.
+                let sh = ctx.shared_alloc_f32(256);
+                ctx.sh_st_f32(sh, &idx, &af);
+                let s = ctx.splat_u32(64);
+                let is_lo = ctx.ult(&a, &s);
+                ctx.with_mask(gm, &is_lo, |ctx, _| {
+                    let other = ctx.iadd(&a, &s);
+                    for _ in 0..self.reps {
+                        let vo = ctx.sh_ld_f32(sh, &other);
+                        let vm = ctx.sh_ld_f32(sh, &a);
+                        let better = ctx.fgt(&vo, &vm);
+                        let nv = ctx.select_f32(&better, &vo, &vm);
+                        ctx.sh_st_f32(sh, &a, &nv);
+                    }
+                });
+            }
+            "shared_conflict" => {
+                // Stride-2 words: two-way conflicts in every warp on the
+                // 32-bank M2050 — the bank model's counted path.
+                let sh = ctx.shared_alloc_f32(256);
+                let two = ctx.splat_u32(2);
+                let doubled = ctx.imul(&a, &two);
+                let mask = ctx.splat_u32(255);
+                let strided = ctx.iand(&doubled, &mask);
+                for _ in 0..self.reps {
+                    ctx.sh_st_f32(sh, &strided, &af);
+                    let _ = ctx.sh_ld_f32(sh, &strided);
+                }
+            }
             "atomic_add" => {
                 let eight = ctx.splat_u32(8);
                 let target = ctx.imod(&a, &eight);
@@ -251,7 +285,7 @@ fn run_launches(threads: usize) -> LaunchAllocResult {
 /// single-threaded reference and a forked-shadow run.
 const LAUNCH_THREADS: [usize; 2] = [1, 4];
 
-const OPS: [&str; 13] = [
+const OPS: [&str; 15] = [
     "fmul",
     "fma",
     "fdiv_sfu",
@@ -262,6 +296,8 @@ const OPS: [&str; 13] = [
     "global_st",
     "tex_ld",
     "shared_ld_st",
+    "shared_reduce",
+    "shared_conflict",
     "atomic_add",
     "lcg_rng",
     "roulette_loop",
@@ -379,10 +415,19 @@ fn check(path: &std::path::Path, tolerance: f64, reps: Option<u32>) -> ! {
     std::process::exit(0);
 }
 
+/// The device an op runs on: the Tesla C1060, except the rows that time
+/// the bank model on the 32-bank, warp-grouped M2050.
+fn device_for(op: &str) -> DeviceSpec {
+    match op {
+        "shared_reduce" | "shared_conflict" => DeviceSpec::tesla_m2050(),
+        _ => DeviceSpec::tesla_c1060(),
+    }
+}
+
 /// Time `op` over `config.trials` trials of 8 launches each; ns/op is
 /// the fastest trial, allocs/op the mean over every trial.
 fn run_op(op: &'static str, config: Config) -> OpResult {
-    let dev = DeviceSpec::tesla_c1060();
+    let dev = device_for(op);
     let mut gm = GlobalMem::new();
     let buf_f = gm.alloc_f32(256);
     let buf_u = gm.alloc_u32(256);

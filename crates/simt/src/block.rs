@@ -22,15 +22,31 @@
 //! body is written once, sees the same lanes in the same order, and
 //! inactive lanes of a fresh register read back 0 either way — so the
 //! mask state alone picks the loop and no counter can tell them apart.
-//! Memory ops resolve their buffer once per op, not once per lane, and
-//! the bank-conflict and atomic-replay models count distinct addresses in
-//! linear time ([`WarpTally`]).
+//! Memory ops resolve their buffer once per op, not once per lane.
+//!
+//! **Comparisons build mask words directly.** A compare fills one 64-lane
+//! mask word at a time from fixed-width `[T; 64]` chunks of its two
+//! operands (a loop the compiler vectorises; a partial tail word goes
+//! lane by lane) and keeps the word's active lanes. Words with no active
+//! lane are never compared.
+//!
+//! **Bank model.** A shared access is charged per conflict group (the
+//! half-warp on CC 1.x, the warp on CC 2.x) at its serialization degree,
+//! [`bank_conflict_degree`]: the largest number of distinct words that
+//! fall in one bank. When the group's word addresses strictly increase
+//! in lane order and span fewer words than there are banks
+//! (`last - first < banks`), they are distinct words in distinct banks,
+//! so the degree is 1 with nothing to count — the pattern of every
+//! contiguous tile and tree-reduction level. Any other group sorts its at
+//! most 32 addresses and counts distinct words per bank. Atomics count
+//! each warp's distinct addresses and largest multiplicity the same
+//! sorted way ([`atomic_replays`]).
 
 use crate::cache::Cache;
 use crate::coalesce::{coalesce_cc13_half_warp_into, lines_cc20_into, Transaction};
 use crate::device::DeviceSpec;
 use crate::global::{lane_addr, load_at, DevicePtr, GlobalMem, Word};
-use crate::mask::{Mask, WARP};
+use crate::mask::{walk_bits, Mask, WARP};
 use crate::pool::PoolItem;
 use crate::shared::{ShPtr, SharedMem};
 use crate::stats::KernelStats;
@@ -108,6 +124,44 @@ pub fn op_cycles(dev: &DeviceSpec, op: Op) -> u32 {
     }
 }
 
+/// Largest `DeviceSpec::shared_banks` the bank model counts; launches on
+/// a device with more banks (or none) are refused.
+pub(crate) const MAX_SHARED_BANKS: u32 = 64;
+
+/// Serialization degree of one shared-memory conflict group: the largest
+/// number of *distinct* word addresses that fall in one bank (repeats of
+/// one word are a broadcast). `words` holds the group's active lanes'
+/// word addresses in lane order and may be reordered; an empty group has
+/// degree 0. See the module docs for the rule.
+pub fn bank_conflict_degree(words: &mut [u32], banks: u32) -> u32 {
+    debug_assert!((1..=MAX_SHARED_BANKS).contains(&banks));
+    let Some(&first) = words.first() else {
+        return 0;
+    };
+    if words.windows(2).all(|p| p[0] < p[1]) && words[words.len() - 1] - first < banks {
+        return 1;
+    }
+    words.sort_unstable();
+    let bank = |w: u32| if banks.is_power_of_two() { w & (banks - 1) } else { w % banks };
+    let mut per_bank = [0u32; MAX_SHARED_BANKS as usize];
+    let mut degree = 0;
+    for word in words.chunk_by(|a, b| a == b) {
+        let count = &mut per_bank[bank(word[0]) as usize];
+        *count += 1;
+        degree = degree.max(*count);
+    }
+    degree
+}
+
+/// Replay counts of one warp's atomics: the number of distinct addresses
+/// and the largest number of lanes sharing one. `addrs` may be reordered.
+pub fn atomic_replays(addrs: &mut [u64]) -> (u32, u32) {
+    addrs.sort_unstable();
+    addrs
+        .chunk_by(|a, b| a == b)
+        .fold((0, 0), |(distinct, most), run| (distinct + 1, most.max(run.len() as u32)))
+}
+
 /// Execution context of one thread block.
 pub struct BlockCtx<'a> {
     pub(crate) device: &'a DeviceSpec,
@@ -127,70 +181,8 @@ pub struct BlockCtx<'a> {
     // Reusable scratch buffers for the memory models (allocated once per
     // block, reused by every access — the per-op `collect()`s they
     // replace dominated interpreter time).
-    scratch_words: Vec<(usize, u32)>,
     scratch_lines: Vec<u64>,
     scratch_txns: Vec<Transaction>,
-    scratch_flags: Vec<u8>,
-    tally: WarpTally,
-}
-
-/// Multiplicity counter over the addresses of one conflict group (at
-/// most a warp, so at most 32 keys between clears): an open-addressing
-/// table cleared in O(1) by bumping a generation stamp, so counting the
-/// distinct addresses of a group costs linear time.
-struct WarpTally {
-    keys: [u64; TALLY_SLOTS],
-    counts: [u32; TALLY_SLOTS],
-    stamps: [u32; TALLY_SLOTS],
-    generation: u32,
-}
-
-/// Table size: four slots per lane of a warp keeps probes short.
-const TALLY_SLOTS: usize = 4 * WARP;
-
-// The word-wise code splits 64-lane mask words into two warps, and the
-// tally hashes into its slots with a shift.
-const _: () = assert!(WARP == 32 && TALLY_SLOTS.is_power_of_two());
-
-impl WarpTally {
-    fn new() -> Self {
-        WarpTally {
-            keys: [0; TALLY_SLOTS],
-            counts: [0; TALLY_SLOTS],
-            stamps: [0; TALLY_SLOTS],
-            generation: 0,
-        }
-    }
-
-    /// Forget every key.
-    fn clear(&mut self) {
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            self.stamps.fill(0);
-            self.generation = 1;
-        }
-    }
-
-    /// Count one occurrence of `key`; returns its multiplicity so far
-    /// (1 = first time since the last `clear`).
-    #[inline]
-    fn add(&mut self, key: u64) -> u32 {
-        let shift = 64 - TALLY_SLOTS.trailing_zeros();
-        let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
-        loop {
-            if self.stamps[slot] != self.generation {
-                self.stamps[slot] = self.generation;
-                self.keys[slot] = key;
-                self.counts[slot] = 1;
-                return 1;
-            }
-            if self.keys[slot] == key {
-                self.counts[slot] += 1;
-                return self.counts[slot];
-            }
-            slot = (slot + 1) % TALLY_SLOTS;
-        }
-    }
 }
 
 impl<'a> BlockCtx<'a> {
@@ -218,11 +210,8 @@ impl<'a> BlockCtx<'a> {
             tex,
             l1,
             declared_shared_bytes: shared_bytes,
-            scratch_words: Vec::new(),
             scratch_lines: Vec::new(),
             scratch_txns: Vec::new(),
-            scratch_flags: Vec::new(),
-            tally: WarpTally::new(),
         }
     }
 
@@ -440,16 +429,27 @@ impl<'a> BlockCtx<'a> {
 
     fn cmp<T: PoolItem>(&mut self, a: &Reg<T>, b: &Reg<T>, f: impl Fn(T, T) -> bool) -> Mask {
         self.charge(Op::FAlu, 1);
-        // One flag byte per lane over the whole block (a straight loop the
-        // compiler vectorises; the predicate is pure), then packed into
-        // the active lanes' words.
         let (a, b) = (self.view(a), self.view(b));
-        let mut flags = std::mem::take(&mut self.scratch_flags);
-        flags.clear();
-        flags.extend(a.iter().zip(b).map(|(&x, &y)| f(x, y) as u8));
-        let m = self.active().filter_flags(&flags);
-        self.scratch_flags = flags;
-        m
+        self.active().filter_words(|wi| {
+            let (a, b) = (&a[wi * 64..], &b[wi * 64..]);
+            match (a.first_chunk::<64>(), b.first_chunk::<64>()) {
+                // Each warp half into a u32: that loop vectorises, a
+                // 64-lane u64 fold does not.
+                (Some(a), Some(b)) => {
+                    let warp = |w: usize| {
+                        let bits =
+                            (0..WARP).fold(0, |m, i| m | (f(a[w + i], b[w + i]) as u32) << i);
+                        (bits as u64) << w
+                    };
+                    warp(0) | warp(WARP)
+                }
+                _ => a
+                    .iter()
+                    .zip(b)
+                    .enumerate()
+                    .fold(0, |m, (i, (&x, &y))| m | (f(x, y) as u64) << i),
+            }
+        })
     }
 
     pub fn flt(&mut self, a: &Reg<f32>, b: &Reg<f32>) -> Mask {
@@ -674,111 +674,84 @@ impl<'a> BlockCtx<'a> {
         })
     }
 
-    /// Gather `(lane, word_addr)` pairs of active lanes into the reusable
-    /// scratch list (callers put it back when done).
-    fn gather_words<T>(&mut self, ptr: ShPtr<T>, idx: &Reg<u32>) -> Vec<(usize, u32)> {
-        let mut words = std::mem::take(&mut self.scratch_words);
-        words.clear();
-        let idx = self.view(idx);
-        self.active().for_each_lane(|lane| words.push((lane, ptr.word_addr(idx[lane]))));
-        words
+    /// Charge one shared access of the active lanes to `ptr[idx]`: the
+    /// instruction, then the bank conflicts of each conflict group
+    /// (half-warp on CC 1.x, warp on CC 2.x), read straight off the
+    /// group's active lanes.
+    fn charge_shared<T>(&mut self, ptr: ShPtr<T>, idx: &Reg<u32>) {
+        self.charge(Op::Shared, 1);
+        let active = self.mask_stack.last().expect("mask stack never empty");
+        let idx = &idx.0[..active.len()];
+        let banks = self.device.shared_banks;
+        let group = if self.device.compute_capability.is_fermi() { WARP } else { WARP / 2 };
+        let mut words = [0u32; WARP];
+        let mut extra = 0;
+        for (wi, &bits) in active.words().iter().enumerate() {
+            for lane0 in (0..64).step_by(group) {
+                let mut n = 0;
+                walk_bits(
+                    (bits >> lane0) & (u64::MAX >> (64 - group)),
+                    wi * 64 + lane0,
+                    &mut |l| {
+                        words[n] = ptr.word_addr(idx[l]);
+                        n += 1;
+                    },
+                );
+                extra += bank_conflict_degree(&mut words[..n], banks).saturating_sub(1);
+            }
+        }
+        self.stats.shared_accesses += active.count() as f64;
+        if extra > 0 {
+            let extra = extra as f64;
+            self.stats.bank_conflict_extra += extra;
+            self.stats.issue_cycles_per_sm[self.sm_id] +=
+                extra * op_cycles(self.device, Op::Shared) as f64;
+        }
     }
 
-    /// Charge one shared access instruction and its bank conflicts.
-    fn charge_shared(&mut self, words: &[(usize, u32)]) {
-        // words: (lane, word_addr) pairs of active lanes.
-        self.charge(Op::Shared, 1);
-        self.stats.shared_accesses += words.len() as f64;
-        let banks = self.device.shared_banks as usize;
-        let bank_of = |addr: u32| {
-            if banks.is_power_of_two() {
-                addr as usize & (banks - 1)
-            } else {
-                addr as usize % banks
-            }
-        };
-        // Conflict granularity: half-warp on CC 1.x, full warp on CC 2.x.
-        let group_shift = if self.device.compute_capability.is_fermi() {
-            WARP.trailing_zeros()
-        } else {
-            (WARP / 2).trailing_zeros()
-        };
-        let mut extra_total = 0.0;
-        // Per conflict group: the serialization degree is the largest
-        // number of *distinct* word addresses landing in one bank
-        // (repeats of one word are a broadcast). The tally drops repeats,
-        // so the group costs linear time.
-        let mut bank_counts = [0u32; 64];
-        debug_assert!(banks <= bank_counts.len());
-        let mut rest = words;
-        while let Some(&(first, _)) = rest.first() {
-            let g = first >> group_shift;
-            let len = rest.iter().take_while(|&&(lane, _)| lane >> group_shift == g).count();
-            let (lanes, tail) = rest.split_at(len);
-            rest = tail;
-            self.tally.clear();
-            bank_counts[..banks].fill(0);
-            let mut degree = 0;
-            for &(_, addr) in lanes {
-                if self.tally.add(addr as u64) == 1 {
-                    let bank = &mut bank_counts[bank_of(addr)];
-                    *bank += 1;
-                    degree = degree.max(*bank);
-                }
-            }
-            if degree > 1 {
-                extra_total += (degree - 1) as f64;
-            }
-        }
-        if extra_total > 0.0 {
-            self.stats.bank_conflict_extra += extra_total;
-            self.stats.issue_cycles_per_sm[self.sm_id] +=
-                extra_total * op_cycles(self.device, Op::Shared) as f64;
-        }
+    fn sh_ld<T: PoolItem>(
+        &mut self,
+        ptr: ShPtr<T>,
+        idx: &Reg<u32>,
+        from_bits: impl Fn(u32) -> T,
+    ) -> Reg<T> {
+        self.charge_shared(ptr, idx);
+        let idx = self.view(idx);
+        self.map_lanes(|l| from_bits(self.shared.load(ptr.word_addr(idx[l]))))
+    }
+
+    fn sh_st<T: PoolItem>(
+        &mut self,
+        ptr: ShPtr<T>,
+        idx: &Reg<u32>,
+        val: &Reg<T>,
+        to_bits: impl Fn(T) -> u32,
+    ) {
+        self.charge_shared(ptr, idx);
+        let active = self.mask_stack.last().expect("mask stack never empty");
+        let (idx, val) = (&idx.0[..active.len()], &val.0[..active.len()]);
+        let shared = &mut self.shared;
+        active.for_each_lane(|l| shared.store(ptr.word_addr(idx[l]), to_bits(val[l])));
     }
 
     /// Shared load with per-lane indices.
     pub fn sh_ld_f32(&mut self, ptr: ShPtr<f32>, idx: &Reg<u32>) -> Reg<f32> {
-        let words = self.gather_words(ptr, idx);
-        self.charge_shared(&words);
-        let mut out = f32::take(self.block_dim as usize);
-        for &(lane, word) in &words {
-            out[lane] = f32::from_bits(self.shared.load(word));
-        }
-        self.scratch_words = words;
-        Reg(out)
+        self.sh_ld(ptr, idx, f32::from_bits)
     }
 
     /// Shared store with per-lane indices (lane order resolves races).
     pub fn sh_st_f32(&mut self, ptr: ShPtr<f32>, idx: &Reg<u32>, val: &Reg<f32>) {
-        let words = self.gather_words(ptr, idx);
-        self.charge_shared(&words);
-        for &(lane, word) in &words {
-            self.shared.store(word, val.0[lane].to_bits());
-        }
-        self.scratch_words = words;
+        self.sh_st(ptr, idx, val, f32::to_bits);
     }
 
     /// Shared load with per-lane indices (u32).
     pub fn sh_ld_u32(&mut self, ptr: ShPtr<u32>, idx: &Reg<u32>) -> Reg<u32> {
-        let words = self.gather_words(ptr, idx);
-        self.charge_shared(&words);
-        let mut out = u32::take(self.block_dim as usize);
-        for &(lane, word) in &words {
-            out[lane] = self.shared.load(word);
-        }
-        self.scratch_words = words;
-        Reg(out)
+        self.sh_ld(ptr, idx, |w| w)
     }
 
     /// Shared store with per-lane indices (u32).
     pub fn sh_st_u32(&mut self, ptr: ShPtr<u32>, idx: &Reg<u32>, val: &Reg<u32>) {
-        let words = self.gather_words(ptr, idx);
-        self.charge_shared(&words);
-        for &(lane, word) in &words {
-            self.shared.store(word, val.0[lane]);
-        }
-        self.scratch_words = words;
+        self.sh_st(ptr, idx, val, |w| w);
     }
 
     /// Uniform (broadcast) shared read — all active lanes read one word;
@@ -1001,16 +974,13 @@ impl<'a> BlockCtx<'a> {
             if !active.warp_any(w) {
                 continue;
             }
-            // Distinct addresses and the largest multiplicity of one.
-            let tally = &mut self.tally;
-            tally.clear();
-            let (mut n_ops, mut distinct, mut max_mult) = (0u32, 0u32, 0u32);
+            let mut addrs = [0u64; WARP];
+            let mut n_ops = 0;
             active.for_each_warp_lane(w, |lane| {
-                let mult = tally.add(lane_addr(base, idx[lane]));
+                addrs[n_ops] = lane_addr(base, idx[lane]);
                 n_ops += 1;
-                distinct += (mult == 1) as u32;
-                max_mult = max_mult.max(mult);
             });
+            let (distinct, max_mult) = atomic_replays(&mut addrs[..n_ops]);
             let (n_ops, distinct, max_mult) = (n_ops as f64, distinct as f64, max_mult as f64);
             stats.atomic_ops += n_ops;
             stats.atomic_conflicts += n_ops - distinct;

@@ -4,12 +4,18 @@
 //! Determinism matters more than cycle-accuracy here: the paper's texture
 //! wins come from read-only spatial locality, which set-associative LRU
 //! captures.
+//!
+//! An access costs no divide: the line is a shift (line sizes are powers
+//! of two) and the set index is `SetIndex::of`, one exact remainder by
+//! multiplication that serves every set count alike, so a 48-set Fermi L1
+//! indexes the same way as a 32-set texture cache.
 
 /// Set-associative LRU cache over byte addresses.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    line_bytes: u64,
+    line_shift: u32,
     sets: usize,
+    set_index: SetIndex,
     ways: usize,
     /// `tags[set * ways + way]` = line tag; `u64::MAX` = invalid.
     tags: Vec<u64>,
@@ -30,8 +36,10 @@ impl Cache {
         let lines = (capacity_bytes / line_bytes) as usize;
         let sets = (lines / ways).max(if lines == 0 { 0 } else { 1 });
         Cache {
-            line_bytes,
+            line_shift: line_bytes.trailing_zeros(),
             sets,
+            // A zero-set cache never indexes.
+            set_index: SetIndex::new(sets.max(1) as u64),
             ways,
             tags: vec![u64::MAX; sets * ways],
             stamps: vec![0; sets * ways],
@@ -43,7 +51,7 @@ impl Cache {
 
     /// Line size in bytes.
     pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
+        1 << self.line_shift
     }
 
     /// Access `addr`; returns `true` on hit. Misses fill the line.
@@ -53,8 +61,8 @@ impl Cache {
             return false;
         }
         self.tick += 1;
-        let line = addr / self.line_bytes;
-        let set = (line as usize) % self.sets;
+        let line = addr >> self.line_shift;
+        let set = self.set_index.of(line) as usize;
         let base = set * self.ways;
         // Hit?
         for way in 0..self.ways {
@@ -89,6 +97,34 @@ impl Cache {
         self.tick = 0;
         self.hits = 0;
         self.misses = 0;
+    }
+}
+
+/// `line % sets` without a divide, exact for every u64 `line` and every
+/// `sets >= 1` (Lemire, Kaser & Kurz, "Faster remainder by direct
+/// computation", 2019): with `m = ceil(2^128 / sets)` — which wraps to 0
+/// for `sets == 1`, whose remainder is always 0 — the remainder is the
+/// top 64 bits of `(m * line mod 2^128) * sets`.
+#[derive(Debug, Clone, Copy)]
+struct SetIndex {
+    m: u128,
+    sets: u64,
+}
+
+impl SetIndex {
+    fn new(sets: u64) -> Self {
+        assert!(sets >= 1);
+        SetIndex { m: (u128::MAX / sets as u128).wrapping_add(1), sets }
+    }
+
+    #[inline]
+    fn of(&self, line: u64) -> u64 {
+        let frac = self.m.wrapping_mul(line as u128);
+        let sets = self.sets as u128;
+        // (frac * sets) >> 128 from two 128-bit products; the sum cannot
+        // overflow because (2^64 - 1)^2 + 2^64 < 2^128.
+        let high = (frac >> 64) * sets + (((frac as u64) as u128 * sets) >> 64);
+        (high >> 64) as u64
     }
 }
 
@@ -136,6 +172,25 @@ mod tests {
         c.reset();
         assert_eq!(c.counters(), (0, 0));
         assert!(!c.access(0));
+    }
+
+    #[test]
+    fn set_index_is_the_exact_remainder() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let edges = [0, 1, 2, 47, 48, 49, u32::MAX as u64, u64::MAX - 1, u64::MAX];
+        for sets in [1, 2, 3, 7, 32, 48, 64, 1000, u32::MAX as u64 + 3, u64::MAX - 1, u64::MAX] {
+            let index = SetIndex::new(sets);
+            let random: Vec<u64> = (0..2000).map(|i| next() >> (i % 64)).collect();
+            for line in edges.into_iter().chain(random) {
+                assert_eq!(index.of(line), line % sets, "{line} % {sets}");
+            }
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! are for timing studies, and the integration tests cross-validate
 //! sampled against full counters on small instances.
 
-use crate::block::BlockCtx;
+use crate::block::{BlockCtx, MAX_SHARED_BANKS};
 use crate::cache::Cache;
 use crate::device::DeviceSpec;
 use crate::global::GlobalMem;
@@ -120,6 +120,15 @@ pub struct LaunchResult {
 
 /// Validate a launch configuration against the device limits.
 pub fn validate(dev: &DeviceSpec, cfg: &LaunchConfig) -> Result<(), SimtError> {
+    if dev.sm_count == 0 {
+        return Err(SimtError::BadLaunch(format!("{} has no SMs", dev.name)));
+    }
+    if dev.shared_banks == 0 || dev.shared_banks > MAX_SHARED_BANKS {
+        return Err(SimtError::BadLaunch(format!(
+            "{} shared banks on {} outside the modeled 1..={MAX_SHARED_BANKS}",
+            dev.shared_banks, dev.name
+        )));
+    }
     if cfg.grid == 0 {
         return Err(SimtError::BadLaunch("grid must have at least one block".into()));
     }
@@ -509,5 +518,33 @@ mod tests {
             SimMode::Full
         )
         .is_err());
+    }
+
+    fn refused(dev: &DeviceSpec) -> bool {
+        let mut gm = GlobalMem::new();
+        let x = gm.alloc_f32(16);
+        let k = Saxpy { a: 1.0, x, y: x, n: 16 };
+        let r = launch(dev, &LaunchConfig::new(1, 32), &k, &mut gm, SimMode::Full);
+        matches!(r, Err(SimtError::BadLaunch(_)))
+    }
+
+    #[test]
+    fn device_without_sms_is_refused() {
+        let dev = DeviceSpec { sm_count: 0, ..DeviceSpec::tesla_c1060() };
+        assert!(refused(&dev));
+    }
+
+    #[test]
+    fn device_without_shared_banks_is_refused() {
+        let dev = DeviceSpec { shared_banks: 0, ..DeviceSpec::tesla_m2050() };
+        assert!(refused(&dev));
+    }
+
+    #[test]
+    fn device_with_more_banks_than_the_model_is_refused() {
+        let dev = DeviceSpec { shared_banks: MAX_SHARED_BANKS + 1, ..DeviceSpec::tesla_m2050() };
+        assert!(refused(&dev));
+        let widest = DeviceSpec { shared_banks: MAX_SHARED_BANKS, ..DeviceSpec::tesla_m2050() };
+        assert!(!refused(&widest));
     }
 }

@@ -73,25 +73,15 @@ impl Mask {
         Mask { bits, len }
     }
 
-    /// The active lanes of `self` whose flag is set, given one 0/1 byte
-    /// per lane of the block. Flags are packed eight lanes per multiply;
-    /// wholly inactive words are skipped.
-    pub(crate) fn filter_flags(&self, flags: &[u8]) -> Mask {
-        debug_assert_eq!(flags.len(), self.len);
+    /// The active lanes of `self` whose bit is set in `word(wi)`, the
+    /// comparison result for lanes `64 * wi ..`; `word` runs only for
+    /// words with an active lane.
+    #[inline(always)]
+    pub(crate) fn filter_words(&self, mut word: impl FnMut(usize) -> u64) -> Mask {
         let mut bits = u64::take(self.bits.len());
-        for ((out, &act), flags) in bits.iter_mut().zip(&self.bits).zip(flags.chunks(64)) {
+        for (wi, (out, &act)) in bits.iter_mut().zip(&self.bits).enumerate() {
             if act != 0 {
-                let mut word = 0u64;
-                for (i, eight) in flags.chunks(8).enumerate() {
-                    let mut bytes = [0u8; 8];
-                    bytes[..eight.len()].copy_from_slice(eight);
-                    // Flag `k` of the eight moves to bit `56 + k`; the
-                    // partial products never overlap, so nothing carries.
-                    let packed =
-                        u64::from_le_bytes(bytes).wrapping_mul(0x0102_0408_1020_4080) >> 56;
-                    word |= packed << (8 * i);
-                }
-                *out = act & word;
+                *out = act & word(wi);
             }
         }
         Mask { bits, len: self.len }
@@ -249,7 +239,7 @@ impl Mask {
 
 /// Call `f(base + b)` for every set bit `b` of `word`, lowest first.
 #[inline(always)]
-fn walk_bits(mut word: u64, base: usize, f: &mut impl FnMut(usize)) {
+pub(crate) fn walk_bits(mut word: u64, base: usize, f: &mut impl FnMut(usize)) {
     while word != 0 {
         f(base + word.trailing_zeros() as usize);
         word &= word - 1;

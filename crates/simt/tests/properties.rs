@@ -1,5 +1,7 @@
 //! Property tests for the SIMT simulator.
 
+use aco_simt::block::{atomic_replays, bank_conflict_degree};
+use aco_simt::cache::Cache;
 use aco_simt::coalesce::{coalesce_cc13_half_warp, lines_cc20};
 use aco_simt::prelude::*;
 use aco_simt::rng::{park_miller, PmRng, PM_MODULUS};
@@ -343,6 +345,231 @@ proptest! {
             let failures = probe.failures.lock().unwrap();
             prop_assert!(failures.is_empty(), "len {}: {:?}", n, &failures[..failures.len().min(8)]);
             prop_assert_eq!(r.stats.divergent_branches, probe.expected_divergence(), "len {}", n);
+        }
+    }
+}
+
+/// Strides, in words, of the strided shared-memory patterns: unit,
+/// two-way, and the bank-count multiples and near-multiples.
+const STRIDES: [u32; 5] = [1, 2, 16, 32, 33];
+
+/// Word index of every lane in a 4096-word arena (wrapping around it): a
+/// broadcast (pattern 0), repeats of three words (1), one of [`STRIDES`]
+/// (2..=6) or random words (7).
+fn lane_words(lanes: usize, pattern: u32, base: u32, seed: u64) -> Vec<u32> {
+    let mut x = seed | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    (0..lanes as u32)
+        .map(|lane| match pattern {
+            0 => base,
+            1 => base + 16 * (next() % 3) as u32,
+            2..=6 => base + STRIDES[pattern as usize - 2] * lane,
+            _ => (next() % 2048) as u32,
+        } % 4096)
+        .collect()
+}
+
+/// Active lanes: the shapes of [`reference_bits`], or exactly two lanes
+/// (shape 4), so strided pairs land exactly one bank count apart.
+fn active_lanes(lanes: usize, shape: u32, seed: u64, cut: usize) -> Vec<bool> {
+    if shape == 4 {
+        let (a, b) = (seed as usize % lanes, cut % lanes);
+        (0..lanes).map(|l| l == a || l == b).collect()
+    } else {
+        reference_bits(lanes, shape, seed, cut % (lanes + 1))
+    }
+}
+
+/// The first occurrence of each value, in order: O(g^2).
+fn naive_distinct<T: PartialEq + Copy>(v: &[T]) -> Vec<T> {
+    v.iter().enumerate().filter(|&(i, x)| !v[..i].contains(x)).map(|(_, &x)| x).collect()
+}
+
+/// Largest number of distinct words sharing a bank.
+fn naive_degree(words: &[u32], banks: u32) -> u32 {
+    let distinct = naive_distinct(words);
+    let per_bank = |w: u32| distinct.iter().filter(|&&v| v % banks == w % banks).count() as u32;
+    distinct.iter().map(|&w| per_bank(w)).max().unwrap_or(0)
+}
+
+/// Distinct addresses and the largest multiplicity of one.
+fn naive_replays(addrs: &[u64]) -> (u32, u32) {
+    let most = addrs.iter().map(|a| addrs.iter().filter(|&b| b == a).count()).max();
+    (naive_distinct(addrs).len() as u32, most.unwrap_or(0) as u32)
+}
+
+/// One shared load and one atomic add per lane at the given word
+/// indices, under the given mask.
+struct BankProbe {
+    active: Vec<bool>,
+    words: Vec<u32>,
+    tau: DevicePtr<f32>,
+}
+
+impl Kernel for BankProbe {
+    fn name(&self) -> &'static str {
+        "bank_probe"
+    }
+
+    fn run_block(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem) {
+        let idx = ctx.reg_from_fn_u32(|l| self.words[l]);
+        let one = ctx.splat_f32(1.0);
+        let sh = ctx.shared_alloc_u32(4096);
+        let cond = Mask::from_fn(self.active.len(), |l| self.active[l]);
+        ctx.with_mask(gm, &cond, |ctx, gm| {
+            let _ = ctx.sh_ld_u32(sh, &idx);
+            ctx.atomic_add_f32(gm, self.tau, &idx, &one);
+        });
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    #[test]
+    fn bank_degrees_and_atomic_replays_match_a_naive_count(
+        shape in 0u32..5,
+        base in 0u32..2048,
+        seed in any::<u64>(),
+        cut in 0usize..64,
+    ) {
+        // Half-warp and warp groups on 16- and 32-bank devices.
+        for (group, banks) in [(16, 16), (16, 32), (32, 16), (32, 32)] {
+            let active = active_lanes(group, shape, seed, cut);
+            for pattern in 0..8 {
+                let words = lane_words(group, pattern, base, seed.rotate_left(pattern));
+                let mut on: Vec<u32> = (0..group).filter(|&l| active[l]).map(|l| words[l]).collect();
+                let want = naive_degree(&on, banks);
+                prop_assert_eq!(
+                    bank_conflict_degree(&mut on, banks), want,
+                    "banks {} group {} pattern {} words {:?}", banks, group, pattern, &on
+                );
+                let mut addrs: Vec<u64> = on.iter().map(|&w| 4096 + 4 * w as u64).collect();
+                let want = naive_replays(&addrs);
+                prop_assert_eq!(atomic_replays(&mut addrs), want, "pattern {}", pattern);
+            }
+        }
+    }
+
+    #[test]
+    fn shared_and_atomic_counters_sum_the_naive_per_group_counts(
+        len in 1usize..161,
+        shape in 0u32..5,
+        base in 0u32..2048,
+        seed in any::<u64>(),
+        cut in 0usize..161,
+    ) {
+        // C1060: 16 banks per half-warp, CAS-emulated atomics (factor 4);
+        // M2050: 32 banks per warp, native atomics.
+        for (dev, group, emu) in
+            [(DeviceSpec::tesla_c1060(), 16, 4.0), (DeviceSpec::tesla_m2050(), 32, 1.0)]
+        {
+            let active = active_lanes(len, shape, seed, cut);
+            for pattern in 0..8 {
+                let words = lane_words(len, pattern, base, seed.rotate_left(pattern));
+                let on = |lanes: std::ops::Range<usize>| -> Vec<u32> {
+                    lanes.filter(|&l| l < len && active[l]).map(|l| words[l]).collect()
+                };
+                let groups = len.div_ceil(group);
+                let extra: u32 = (0..groups)
+                    .map(|g| naive_degree(&on(g * group..(g + 1) * group), dev.shared_banks).saturating_sub(1))
+                    .sum();
+                let (mut conflicts, mut distinct) = (0, 0);
+                for w in 0..len.div_ceil(32) {
+                    let lanes = on(w * 32..(w + 1) * 32);
+                    let (d, _) = naive_replays(&lanes.iter().map(|&x| x as u64).collect::<Vec<_>>());
+                    conflicts += lanes.len() as u32 - d;
+                    distinct += d;
+                }
+                let mut gm = GlobalMem::new();
+                let tau = gm.alloc_f32(4096);
+                let probe = BankProbe { active: active.clone(), words, tau };
+                let cfg = LaunchConfig::new(1, len as u32).shared(4 * 4096);
+                let r = launch(&dev, &cfg, &probe, &mut gm, SimMode::Full).expect("valid launch");
+                let count = active.iter().filter(|&&a| a).count() as f64;
+                let ctx = format!("{} len {} pattern {}", dev.name, len, pattern);
+                prop_assert_eq!(r.stats.bank_conflict_extra, extra as f64, "{}", &ctx);
+                prop_assert_eq!(r.stats.shared_accesses, count, "{}", &ctx);
+                prop_assert_eq!(r.stats.atomic_ops, count, "{}", &ctx);
+                prop_assert_eq!(r.stats.atomic_conflicts, conflicts as f64, "{}", &ctx);
+                prop_assert_eq!(r.stats.st_transactions, distinct as f64 * emu, "{}", &ctx);
+            }
+        }
+    }
+}
+
+/// The division-based set-associative LRU cache the shift-and-multiply
+/// indexing of [`Cache`] must reproduce exactly.
+struct ReferenceCache {
+    line_bytes: u64,
+    sets: u64,
+    ways: usize,
+    /// Per set: resident lines, least recently used first.
+    lru: Vec<Vec<u64>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl ReferenceCache {
+    fn new(capacity: u64, line_bytes: u64, ways: usize) -> Self {
+        let sets = capacity / line_bytes / ways as u64;
+        ReferenceCache {
+            line_bytes,
+            sets,
+            ways,
+            lru: vec![Vec::new(); sets as usize],
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn access(&mut self, addr: u64) -> bool {
+        let line = addr / self.line_bytes;
+        let set = &mut self.lru[(line % self.sets) as usize];
+        let hit = set.iter().position(|&l| l == line).map(|i| set.remove(i)).is_some();
+        if !hit && set.len() == self.ways {
+            set.remove(0);
+        }
+        set.push(line);
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    #[test]
+    fn cache_matches_a_division_based_reference(seed in any::<u64>(), span_pow in 10u32..24) {
+        // Texture cache, a 32-set L1, and the 48-set 48 KB L1.
+        for (capacity, line, ways) in [(8 << 10, 32, 8), (16 << 10, 128, 8), (48 << 10, 128, 8)] {
+            let mut cache = Cache::new(capacity, line, ways);
+            let mut reference = ReferenceCache::new(capacity, line, ways);
+            let mut x = seed | 1;
+            let mut addr = 0u64;
+            for i in 0..4000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Mostly short strides (hits), some jumps over a working
+                // set of 2^span_pow bytes, a few anywhere in 64-bit space.
+                addr = match x % 16 {
+                    0..=9 => addr.wrapping_add(x >> 60),
+                    10..=14 => (x >> 8) % (1 << span_pow),
+                    _ => x,
+                };
+                prop_assert_eq!(cache.access(addr), reference.access(addr), "access {} addr {}", i, addr);
+            }
+            prop_assert_eq!(cache.counters(), (reference.hits, reference.misses));
         }
     }
 }
