@@ -1,0 +1,283 @@
+//! Golden reports for every colony, driven end to end through the engine.
+//!
+//! Each of the six backends runs on one small instance under every local
+//! search mode: none, `TwoOptNn` on the iteration best, `TwoOptNn` on all
+//! ants, `OrOpt`, and the end-of-run `PostPass`. Dynamics are on, so the
+//! progress events carry their full statistics. For every run the suite
+//! hashes:
+//!
+//! - `best_len`, the best tour, `iterations`, `outcome`, `restarts` and
+//!   `local_search_improvement`;
+//! - every `IterationEvent`, with the `to_bits()` of each float;
+//! - the `to_bits()` of every per-iteration span in the job's timeline.
+//!
+//! `modeled_ms` is pinned next to the hash as its exact bits. The two
+//! candidate-list CPU colonies (ACS and MMAS) price every iteration the
+//! same, and a running sum of that price may differ from
+//! `per_iter_ms × iterations` in the last bits, so for those two a
+//! relative error of 1e-12 is accepted.
+//!
+//! One more run is cancelled once its second iteration has been
+//! observed. It must report exactly the state of a completed run of as
+//! many iterations as it finished, and its first two events and spans
+//! are pinned like the rest.
+//!
+//! A mismatch prints every entry of the run, so an intended change can be
+//! re-recorded in one step.
+
+use std::sync::Arc;
+
+use aco_gpu::core::cpu::{AcsParams, MmasParams, TourPolicy};
+use aco_gpu::core::gpu::{PheromoneStrategy, TourStrategy};
+use aco_gpu::core::AcoParams;
+use aco_gpu::engine::{
+    Backend, DynamicsConfig, Engine, EngineConfig, GpuDevice, IterationEvent, IterationSpans,
+    JobOutcome, LocalSearch, LsScope, SolveReport, SolveRequest,
+};
+use aco_gpu::tsp;
+
+/// FNV-1a over 64-bit words.
+struct Fp(u64);
+
+impl Fp {
+    fn new() -> Self {
+        Fp(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.word(v.to_bits());
+    }
+
+    fn report(&mut self, r: &SolveReport) {
+        self.word(r.best_len);
+        self.word(r.best_tour.n() as u64);
+        r.best_tour.order().iter().for_each(|&c| self.word(c as u64));
+        self.word(r.iterations as u64);
+        self.word(match r.outcome {
+            JobOutcome::Completed => 0,
+            JobOutcome::Cancelled => 1,
+            JobOutcome::DeadlineExpired => 2,
+        });
+        self.word(r.local_search_improvement);
+        self.word(r.restarts);
+    }
+
+    fn events(&mut self, events: &[IterationEvent]) {
+        self.word(events.len() as u64);
+        for ev in events {
+            // Destructured so a new field cannot be left out silently.
+            let IterationEvent { iteration, iter_best, best_so_far, device, stats } = ev;
+            self.word(*iteration);
+            self.word(*iter_best);
+            self.word(*best_so_far);
+            self.word(device.map_or(u64::MAX, u64::from));
+            let Some(s) = stats else {
+                self.word(u64::MAX);
+                continue;
+            };
+            self.f64(s.mean_len);
+            self.f64(s.stddev_len);
+            self.word(s.improvement);
+            self.f64(s.entropy);
+            self.f64(s.lambda_branching);
+            self.word(s.stagnant_iterations);
+            self.word(s.stagnant as u64);
+        }
+    }
+
+    fn spans(&mut self, spans: &[IterationSpans]) {
+        self.word(spans.len() as u64);
+        for s in spans {
+            let IterationSpans { iteration, construction_ms, local_search_ms, pheromone_ms } = s;
+            self.word(*iteration);
+            self.f64(*construction_ms);
+            self.f64(*local_search_ms);
+            self.f64(*pheromone_ms);
+        }
+    }
+}
+
+fn backends() -> [(&'static str, Backend); 6] {
+    [
+        ("cpu-seq", Backend::CpuSequential { policy: TourPolicy::NearestNeighborList }),
+        ("cpu-par", Backend::CpuParallel { policy: TourPolicy::NearestNeighborList, threads: 3 }),
+        ("cpu-acs", Backend::CpuAcs(AcsParams::default())),
+        ("cpu-mmas", Backend::CpuMmas(MmasParams::default())),
+        (
+            "gpu",
+            Backend::Gpu {
+                device: GpuDevice::TeslaC1060,
+                tour: TourStrategy::NNList,
+                pheromone: PheromoneStrategy::AtomicShared,
+            },
+        ),
+        ("gpu-acs", Backend::GpuAcs { device: GpuDevice::TeslaM2050, acs: AcsParams::default() }),
+    ]
+}
+
+fn local_searches() -> [(&'static str, LocalSearch, LsScope); 5] {
+    [
+        ("none", LocalSearch::None, LsScope::IterationBest),
+        ("2opt-nn-best", LocalSearch::TwoOptNn, LsScope::IterationBest),
+        ("2opt-nn-all", LocalSearch::TwoOptNn, LsScope::AllAnts),
+        ("or-opt", LocalSearch::OrOpt, LsScope::IterationBest),
+        ("post-pass", LocalSearch::PostPass, LsScope::IterationBest),
+    ]
+}
+
+fn instance() -> Arc<tsp::TspInstance> {
+    Arc::new(tsp::uniform_random("colony-golden", 24, 600.0, 5))
+}
+
+fn request(inst: &Arc<tsp::TspInstance>, backend: Backend, iterations: usize) -> SolveRequest {
+    SolveRequest::new(Arc::clone(inst), AcoParams::default().nn(8).ants(8))
+        .backend(backend)
+        .iterations(iterations)
+        .seed(17)
+}
+
+fn engine() -> Engine {
+    Engine::new(EngineConfig::with_workers(2).dynamics(DynamicsConfig::default().window(2)))
+}
+
+/// Every entry of the run: `(label, fingerprint, modeled_ms)`.
+fn entries() -> Vec<(String, u64, f64)> {
+    let inst = instance();
+    let engine = engine();
+    let mut jobs = Vec::new();
+    for (b_label, backend) in backends() {
+        for (ls_label, ls, scope) in local_searches() {
+            let req = request(&inst, backend.clone(), 4).local_search(ls).local_search_scope(scope);
+            jobs.push((format!("{b_label}/{ls_label}"), engine.submit(req)));
+        }
+    }
+    let mut out: Vec<(String, u64, f64)> = jobs
+        .into_iter()
+        .map(|(label, h)| {
+            let stream = h.progress();
+            let report = h.wait().unwrap_or_else(|e| panic!("{label}: {e}"));
+            let events: Vec<IterationEvent> = stream.collect();
+            let timeline = h.timeline().expect("observability defaults on");
+            let mut fp = Fp::new();
+            fp.report(&report);
+            fp.events(&events);
+            fp.spans(&timeline.iterations);
+            (label, fp.0, report.modeled_ms)
+        })
+        .collect();
+    out.push(cancelled_entry(&inst, &engine));
+    out
+}
+
+/// A sequential colony cancelled once its second iteration is observed.
+/// However many iterations it finished, its report, events and spans must
+/// equal those of a completed run of that length.
+fn cancelled_entry(inst: &Arc<tsp::TspInstance>, engine: &Engine) -> (String, u64, f64) {
+    let backend = Backend::CpuSequential { policy: TourPolicy::NearestNeighborList };
+    // An unbounded progress buffer, so a slow consumer loses no event.
+    let h = engine.submit(request(inst, backend.clone(), 1_000_000).progress_events(usize::MAX));
+    let mut stream = h.progress();
+    let mut events: Vec<IterationEvent> = stream.by_ref().take(2).collect();
+    h.cancel();
+    let report = h.wait().expect("a cancelled run reports its partial best");
+    events.extend(stream);
+    let spans = h.timeline().expect("observability defaults on").iterations;
+    assert_eq!(report.outcome, JobOutcome::Cancelled);
+    assert!(report.iterations >= 2, "two iterations were observed");
+    assert_eq!(h.progress_dropped(), 0, "every event of the cancelled run kept");
+
+    let full = engine.submit(request(inst, backend, report.iterations).progress_events(usize::MAX));
+    let full_stream = full.progress();
+    let full_report = full.wait().expect("completed run");
+    assert_eq!(full_report.outcome, JobOutcome::Completed);
+    assert_eq!(
+        SolveReport { outcome: JobOutcome::Cancelled, ..full_report },
+        report,
+        "a cancelled run reports the state after the iterations it completed"
+    );
+    assert_eq!(full_stream.collect::<Vec<_>>(), events);
+    assert_eq!(full.timeline().expect("observability defaults on").iterations, spans);
+
+    let mut fp = Fp::new();
+    fp.events(&events[..2]);
+    fp.spans(&spans[..2]);
+    fp.word(1);
+    ("cpu-seq/cancelled-at-2".to_string(), fp.0, spans[0].total_ms() + spans[1].total_ms())
+}
+
+/// ACS and MMAS price every iteration the same; see the module docs.
+fn modeled_tolerance(label: &str) -> f64 {
+    if label.starts_with("cpu-acs/") || label.starts_with("cpu-mmas/") {
+        1e-12
+    } else {
+        0.0
+    }
+}
+
+#[test]
+fn every_colony_matches_its_golden_report() {
+    let actual = entries();
+    let listing: String = actual
+        .iter()
+        .map(|(label, fp, ms)| format!("    (\"{label}\", {fp:#018x}, {:#018x}),\n", ms.to_bits()))
+        .collect();
+    let labels: Vec<&str> = actual.iter().map(|(l, _, _)| l.as_str()).collect();
+    let want: Vec<&str> = GOLDEN.iter().map(|(l, _, _)| *l).collect();
+    assert_eq!(labels, want, "case list changed; actual entries:\n{listing}");
+    let mut wrong = Vec::new();
+    for ((label, fp, ms), (_, want_fp, want_ms)) in actual.iter().zip(GOLDEN) {
+        let want_ms = f64::from_bits(*want_ms);
+        if fp != want_fp {
+            wrong.push(format!("{label}: fingerprint"));
+        }
+        let rel = (ms - want_ms).abs() / want_ms.abs().max(f64::MIN_POSITIVE);
+        let tol = modeled_tolerance(label);
+        if (tol == 0.0 && ms.to_bits() != want_ms.to_bits()) || rel > tol {
+            wrong.push(format!("{label}: modeled_ms {ms:?} vs {want_ms:?} (rel {rel:e})"));
+        }
+    }
+    assert!(wrong.is_empty(), "entries differ: {wrong:#?}; actual entries:\n{listing}");
+}
+
+// Recorded before the colonies were moved onto one shared driver; the
+// move must not change a bit outside the documented ACS/MMAS tolerance.
+const GOLDEN: &[(&str, u64, u64)] = &[
+    ("cpu-seq/none", 0x978916652363d518, 0x3fc2851f316b300d),
+    ("cpu-seq/2opt-nn-best", 0xccecf14205bad977, 0x3fc99aedcfc95486),
+    ("cpu-seq/2opt-nn-all", 0x14f4fbbcd3758018, 0x3fe2c4b3e22d9c20),
+    ("cpu-seq/or-opt", 0xb6473d3188535634, 0x3fcd17ca9a3a2680),
+    ("cpu-seq/post-pass", 0x3514b905990e567c, 0x3fc2851f316b300d),
+    ("cpu-par/none", 0x4e1b6b4aaa0712d7, 0x3fbe3820d833d349),
+    ("cpu-par/2opt-nn-best", 0x912b9654f3948b3e, 0x3fc63000e3e6a9dc),
+    ("cpu-par/2opt-nn-all", 0x8761aab47beb8746, 0x3fe1eee50a9ffad8),
+    ("cpu-par/or-opt", 0xdac26e5f8f89233b, 0x3fc9b9f91fcd09f8),
+    ("cpu-par/post-pass", 0xeab0a5b02538fa44, 0x3fbe3820d833d349),
+    ("cpu-acs/none", 0x23149b32d9d0eb32, 0x3fc2ffc5c0b6920c),
+    ("cpu-acs/2opt-nn-best", 0xb1982eaca7c7aca1, 0x3fca13b638835244),
+    ("cpu-acs/2opt-nn-all", 0xd2a39f2be35d4f67, 0x3fe2e7d25fc724f2),
+    ("cpu-acs/or-opt", 0x270cc163c4bd0589, 0x3fcd9dae7469b260),
+    ("cpu-acs/post-pass", 0x7e53c47847bcb059, 0x3fc2ffc5c0b6920c),
+    ("cpu-mmas/none", 0x2ec30f73cdc547da, 0x3fc2ffc5c0b6920c),
+    ("cpu-mmas/2opt-nn-best", 0xe02184b1425c40b3, 0x3fca13b638835244),
+    ("cpu-mmas/2opt-nn-all", 0x3608f952d6715719, 0x3fe2e7d25fc724f2),
+    ("cpu-mmas/or-opt", 0xf976a10bfd09769f, 0x3fcd9dae7469b260),
+    ("cpu-mmas/post-pass", 0x37b2890166dbac19, 0x3fc2ffc5c0b6920c),
+    ("gpu/none", 0xf64a761245a430cc, 0x3feac5239313a547),
+    ("gpu/2opt-nn-best", 0xe83e4b1dd66b4327, 0x4000941b635bc327),
+    ("gpu/2opt-nn-all", 0x7f9f8e101b2921e2, 0x400569ba392a38cc),
+    ("gpu/or-opt", 0xbf7da3258df749e2, 0x400955b1fc56d52b),
+    ("gpu/post-pass", 0x456791eaa8a90be1, 0x3feac5239313a547),
+    ("gpu-acs/none", 0x2b04af685726f8c6, 0x3ff09aa4161e7e44),
+    ("gpu-acs/2opt-nn-best", 0x8b3348bc5ae2327c, 0x3ff27cf98ce84ead),
+    ("gpu-acs/2opt-nn-all", 0x1a8e8d586aa2c490, 0x3ff786b3890d95bd),
+    ("gpu-acs/or-opt", 0xb975f668dc4c02d9, 0x3ff76a12ac4cc198),
+    ("gpu-acs/post-pass", 0xbc8483e276061e96, 0x3ff09aa4161e7e44),
+    ("cpu-seq/cancelled-at-2", 0x5637cb35fc2ca0ca, 0x3fb28e546452e3e6),
+];
