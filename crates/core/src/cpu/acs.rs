@@ -12,10 +12,15 @@
 //!   `tau = (1-rho) tau + rho/C_bs` on its edges,
 //! * `tau0 = 1 / (n * C_nn)`.
 
-use aco_localsearch::{LocalSearch, LsScope, LsScratch};
+use aco_localsearch::{LocalSearch, LsScope};
 use aco_simt::rng::PmRng;
+use aco_simt::SimtError;
 use aco_tsp::{nearest_neighbor_tour, NearestNeighborLists, Tour, TspInstance};
 
+use super::counter::CpuModel;
+use super::local_search::HostLocalSearch;
+use super::pricing::cpu_phase_ms;
+use crate::lifecycle::{Colony, PhaseMs, SolveCtx, Step};
 use crate::params::AcoParams;
 
 /// ACS-specific parameters on top of [`AcoParams`].
@@ -55,10 +60,7 @@ pub struct AntColonySystem<'a> {
     /// Reusable per-ant visited flags (construction scratch).
     visited_scratch: Vec<bool>,
     /// Per-iteration local search (ACOTSP-style hybridisation).
-    local_search: LocalSearch,
-    ls_scope: LsScope,
-    ls_scratch: LsScratch,
-    ls_improvement: u64,
+    ls: HostLocalSearch,
 }
 
 impl<'a> AntColonySystem<'a> {
@@ -103,10 +105,7 @@ impl<'a> AntColonySystem<'a> {
             best: None,
             last_iter_best: u64::MAX,
             visited_scratch: vec![false; n],
-            local_search: LocalSearch::None,
-            ls_scope: LsScope::IterationBest,
-            ls_scratch: LsScratch::new(),
-            ls_improvement: 0,
+            ls: HostLocalSearch::default(),
             params,
             acs,
         }
@@ -119,24 +118,12 @@ impl<'a> AntColonySystem<'a> {
     /// stays as built (only the result steers best tracking and the
     /// global update).
     pub fn set_local_search(&mut self, ls: LocalSearch, scope: LsScope) {
-        self.local_search = ls;
-        self.ls_scope = scope;
+        (self.ls.strategy, self.ls.scope) = (ls, scope);
     }
 
     /// Total tour-length reduction attributable to local search so far.
     pub fn local_search_improvement(&self) -> u64 {
-        self.ls_improvement
-    }
-
-    fn ls_improve(&mut self, tour: &mut Tour, len: &mut u64) {
-        let ls = self.local_search.per_iteration();
-        if !ls.runs_per_iteration() {
-            return;
-        }
-        let AntColonySystem { inst, nn, ls_scratch, ls_improvement, .. } = self;
-        let gain = ls.improve(tour, inst.matrix(), nn, ls_scratch);
-        *len -= gain;
-        *ls_improvement += gain;
+        self.ls.improvement
     }
 
     /// Best solution found so far.
@@ -265,13 +252,13 @@ impl<'a> AntColonySystem<'a> {
         &mut self,
         dynamics: Option<&aco_obs::DynamicsConfig>,
     ) -> (u64, Option<aco_obs::RawDynamics>) {
-        let all_ants = self.ls_scope == LsScope::AllAnts;
+        let all_ants = self.ls.scope == LsScope::AllAnts;
         let mut iter_best: Option<(Tour, u64)> = None;
         let (mut len_sum, mut len_sumsq) = (0.0f64, 0.0f64);
         for _ in 0..self.m {
             let (mut tour, mut len) = self.construct_one();
             if all_ants {
-                self.ls_improve(&mut tour, &mut len);
+                self.ls.improve(&mut tour, &mut len, self.inst.matrix(), &self.nn);
             }
             len_sum += len as f64;
             len_sumsq += len as f64 * len as f64;
@@ -281,7 +268,7 @@ impl<'a> AntColonySystem<'a> {
         }
         let (mut best_tour, mut best_len) = iter_best.expect("m >= 1 ants");
         if !all_ants {
-            self.ls_improve(&mut best_tour, &mut best_len);
+            self.ls.improve(&mut best_tour, &mut best_len, self.inst.matrix(), &self.nn);
         }
         self.last_iter_best = best_len;
         if self.best.as_ref().is_none_or(|&(_, b)| best_len < b) {
@@ -321,18 +308,38 @@ impl<'a> AntColonySystem<'a> {
         }
         best
     }
+}
 
-    /// Ctx-driven run: cancellation/deadline checked at every iteration
-    /// boundary; one iteration-best event emitted per iteration.
-    pub fn run_ctx(
-        &mut self,
-        iterations: usize,
-        ctx: &crate::lifecycle::SolveCtx,
-    ) -> crate::lifecycle::RunOutcome {
-        crate::lifecycle::drive_dynamics(iterations, ctx, |_| {
-            let (best, raw) = self.iterate_dynamics(ctx.dynamics());
-            (self.last_iter_best, best, raw)
+/// The colony under [`crate::lifecycle::drive`]. Its clock is analytic:
+/// every iteration is priced like the candidate-list Ant System of the
+/// same size ([`cpu_phase_ms`]) plus the configured local search.
+impl Colony for AntColonySystem<'_> {
+    fn step(&mut self, _k: u64, ctx: &SolveCtx) -> Result<Step, SimtError> {
+        let (best_so_far, raw_dynamics) = self.iterate_dynamics(ctx.dynamics());
+        let model = CpuModel::default();
+        let (choice, tour, update) = cpu_phase_ms(self.n, self.m, self.params.nn_size, &model);
+        Ok(Step {
+            iter_best: self.last_iter_best,
+            best_so_far,
+            raw_dynamics,
+            phase_ms: PhaseMs {
+                construction: choice + tour,
+                local_search: self.ls.iter_ms(self.n, self.nn.depth(), self.m, &model),
+                pheromone: update,
+            },
         })
+    }
+
+    fn best(&self) -> Option<(&Tour, u64)> {
+        AntColonySystem::best(self)
+    }
+
+    fn set_local_search(&mut self, ls: LocalSearch, scope: LsScope) {
+        AntColonySystem::set_local_search(self, ls, scope);
+    }
+
+    fn local_search_improvement(&self) -> u64 {
+        self.ls.improvement
     }
 }
 

@@ -16,11 +16,14 @@
 //! Every phase counts its abstract operations (see
 //! [`super::counter::OpCounter`]) so the CPU cost model can price it.
 
-use aco_localsearch::{LocalSearch, LsScope, LsScratch};
+use aco_localsearch::{LocalSearch, LsScope};
 use aco_simt::rng::PmRng;
+use aco_simt::SimtError;
 use aco_tsp::{nearest_neighbor_tour, NearestNeighborLists, Tour, TspInstance};
 
-use super::counter::OpCounter;
+use super::counter::{CpuModel, OpCounter};
+use super::local_search::HostLocalSearch;
+use crate::lifecycle::{Colony, PhaseMs, SolveCtx, Step};
 use crate::params::AcoParams;
 
 /// Which construction rule the ants use.
@@ -99,11 +102,10 @@ pub struct AntSystem<'a> {
     best: Option<(Tour, u64)>,
     /// Initial pheromone level (`m / C_nn`).
     tau0: f64,
+    /// Construction rule [`Colony::step`] runs.
+    policy: TourPolicy,
     /// Per-iteration local search (ACOTSP-style hybridisation).
-    local_search: LocalSearch,
-    ls_scope: LsScope,
-    ls_scratch: LsScratch,
-    ls_improvement: u64,
+    ls: HostLocalSearch,
 }
 
 impl<'a> AntSystem<'a> {
@@ -150,15 +152,25 @@ impl<'a> AntSystem<'a> {
             rng: PmRng::new((params.seed % 0x7FFF_FFFF) as u32),
             best: None,
             tau0,
-            local_search: LocalSearch::None,
-            ls_scope: LsScope::IterationBest,
-            ls_scratch: LsScratch::new(),
-            ls_improvement: 0,
+            policy: TourPolicy::NearestNeighborList,
+            ls: HostLocalSearch::default(),
             params,
         };
         let mut scratch = OpCounter::default();
         s.compute_choice_info(&mut scratch);
         s
+    }
+
+    /// Builder: the construction rule [`Colony::step`] runs (the ACOTSP
+    /// default, [`TourPolicy::NearestNeighborList`], unless set).
+    pub fn with_policy(mut self, policy: TourPolicy) -> Self {
+        self.policy = policy;
+        self
+    }
+
+    /// The construction rule [`Colony::step`] runs.
+    pub fn policy(&self) -> TourPolicy {
+        self.policy
     }
 
     /// Number of cities.
@@ -197,45 +209,26 @@ impl<'a> AntSystem<'a> {
     /// selects. [`LocalSearch::PostPass`] does nothing here (it is an
     /// engine-level polish).
     pub fn set_local_search(&mut self, ls: LocalSearch, scope: LsScope) {
-        self.local_search = ls;
-        self.ls_scope = scope;
+        (self.ls.strategy, self.ls.scope) = (ls, scope);
     }
 
     /// Total tour-length reduction attributable to the per-iteration
     /// local search so far.
     pub fn local_search_improvement(&self) -> u64 {
-        self.ls_improvement
+        self.ls.improvement
+    }
+
+    /// Analytic per-iteration price of the configured local search.
+    pub(crate) fn ls_iter_ms(&self, model: &CpuModel) -> f64 {
+        self.ls.iter_ms(self.n, self.nn.depth(), self.m, model)
     }
 
     /// Apply the configured local search to `sols` in place (iteration
     /// best or every ant), keeping the reported lengths exact and
-    /// accumulating the improvement telemetry. Deterministic — the
-    /// passes use no RNG — so colony results stay a pure function of the
-    /// seed. Public so the parallel colony loop ([`super::parallel`])
-    /// shares the exact same semantics.
+    /// accumulating the improvement telemetry. Public so the parallel
+    /// colony ([`super::parallel`]) shares the exact same semantics.
     pub fn apply_local_search(&mut self, sols: &mut [(Tour, u64)]) {
-        let ls = self.local_search.per_iteration();
-        if !ls.runs_per_iteration() || sols.is_empty() {
-            return;
-        }
-        let AntSystem { inst, nn, ls_scratch, ls_improvement, ls_scope, .. } = self;
-        let mut improve = |sol: &mut (Tour, u64)| {
-            let gain = ls.improve(&mut sol.0, inst.matrix(), nn, ls_scratch);
-            sol.1 -= gain;
-            *ls_improvement += gain;
-        };
-        match ls_scope {
-            LsScope::IterationBest => {
-                let mut best = 0;
-                for (k, sol) in sols.iter().enumerate() {
-                    if sol.1 < sols[best].1 {
-                        best = k;
-                    }
-                }
-                improve(&mut sols[best]);
-            }
-            LsScope::AllAnts => sols.iter_mut().for_each(improve),
-        }
+        self.ls.improve_scope(sols, self.inst.matrix(), &self.nn);
     }
 
     /// Recompute `choice_info` from the current pheromone.
@@ -576,24 +569,39 @@ impl<'a> AntSystem<'a> {
         }
         last
     }
+}
 
-    /// Ctx-driven run: up to `iterations` iterations, checking
-    /// [`SolveCtx::stop_reason`](crate::lifecycle::SolveCtx) at every
-    /// iteration boundary and emitting one iteration-best event per
-    /// completed iteration. `on_iter` sees each [`IterationReport`]
-    /// (callers price the iteration from its counters).
-    pub fn run_ctx(
-        &mut self,
-        policy: TourPolicy,
-        iterations: usize,
-        ctx: &crate::lifecycle::SolveCtx,
-        mut on_iter: impl FnMut(&IterationReport),
-    ) -> crate::lifecycle::RunOutcome {
-        crate::lifecycle::drive_dynamics(iterations, ctx, |_| {
-            let (rep, raw) = self.iterate_dynamics(policy, ctx.dynamics());
-            on_iter(&rep);
-            (rep.iter_best, rep.best_so_far, raw)
+/// The sequential colony under [`crate::lifecycle::drive`]: each step is
+/// one [`AntSystem::iterate_dynamics`] with the configured policy, its
+/// construction and update priced from the measured counters and the
+/// local search analytically.
+impl Colony for AntSystem<'_> {
+    fn step(&mut self, _k: u64, ctx: &SolveCtx) -> Result<Step, SimtError> {
+        let (rep, raw_dynamics) = self.iterate_dynamics(self.policy, ctx.dynamics());
+        let model = CpuModel::default();
+        let c = &rep.counters;
+        Ok(Step {
+            iter_best: rep.iter_best,
+            best_so_far: rep.best_so_far,
+            raw_dynamics,
+            phase_ms: PhaseMs {
+                construction: model.time_ms(&c.choice) + model.time_ms(&c.tour),
+                local_search: self.ls_iter_ms(&model),
+                pheromone: model.time_ms(&c.update),
+            },
         })
+    }
+
+    fn best(&self) -> Option<(&Tour, u64)> {
+        AntSystem::best(self)
+    }
+
+    fn set_local_search(&mut self, ls: LocalSearch, scope: LsScope) {
+        AntSystem::set_local_search(self, ls, scope);
+    }
+
+    fn local_search_improvement(&self) -> u64 {
+        self.ls.improvement
     }
 }
 

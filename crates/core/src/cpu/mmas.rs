@@ -11,11 +11,15 @@
 //! * trails start at `tau_max` (optimistic initialisation),
 //! * stagnation triggers a trail re-initialisation.
 
-use aco_localsearch::{LocalSearch, LsScope, LsScratch};
+use aco_localsearch::{LocalSearch, LsScope};
 use aco_simt::rng::PmRng;
+use aco_simt::SimtError;
 use aco_tsp::{nearest_neighbor_tour, NearestNeighborLists, Tour, TspInstance};
 
-use super::counter::OpCounter;
+use super::counter::{CpuModel, OpCounter};
+use super::local_search::HostLocalSearch;
+use super::pricing::cpu_phase_ms;
+use crate::lifecycle::{Colony, PhaseMs, SolveCtx, Step};
 use crate::params::AcoParams;
 
 /// MMAS-specific knobs.
@@ -60,10 +64,7 @@ pub struct MaxMinAntSystem<'a> {
     visited_scratch: Vec<bool>,
     prob_scratch: Vec<f64>,
     /// Per-iteration local search (ACOTSP-style hybridisation).
-    local_search: LocalSearch,
-    ls_scope: LsScope,
-    ls_scratch: LsScratch,
-    ls_improvement: u64,
+    ls: HostLocalSearch,
 }
 
 impl<'a> MaxMinAntSystem<'a> {
@@ -115,10 +116,7 @@ impl<'a> MaxMinAntSystem<'a> {
             restarts: 0,
             visited_scratch: vec![false; n],
             prob_scratch: vec![0.0; nn_depth],
-            local_search: LocalSearch::None,
-            ls_scope: LsScope::IterationBest,
-            ls_scratch: LsScratch::new(),
-            ls_improvement: 0,
+            ls: HostLocalSearch::default(),
             params,
             mmas,
         };
@@ -220,24 +218,12 @@ impl<'a> MaxMinAntSystem<'a> {
     /// iteration-best tour is what deposits — and what tightens the
     /// `[tau_min, tau_max]` bounds.
     pub fn set_local_search(&mut self, ls: LocalSearch, scope: LsScope) {
-        self.local_search = ls;
-        self.ls_scope = scope;
+        (self.ls.strategy, self.ls.scope) = (ls, scope);
     }
 
     /// Total tour-length reduction attributable to local search so far.
     pub fn local_search_improvement(&self) -> u64 {
-        self.ls_improvement
-    }
-
-    fn ls_improve(&mut self, tour: &mut Tour, len: &mut u64) {
-        let ls = self.local_search.per_iteration();
-        if !ls.runs_per_iteration() {
-            return;
-        }
-        let MaxMinAntSystem { inst, nn, ls_scratch, ls_improvement, .. } = self;
-        let gain = ls.improve(tour, inst.matrix(), nn, ls_scratch);
-        *len -= gain;
-        *ls_improvement += gain;
+        self.ls.improvement
     }
 
     /// One MMAS iteration; returns the best-so-far length.
@@ -255,13 +241,13 @@ impl<'a> MaxMinAntSystem<'a> {
         dynamics: Option<&aco_obs::DynamicsConfig>,
     ) -> (u64, Option<aco_obs::RawDynamics>) {
         self.iterations += 1;
-        let all_ants = self.ls_scope == LsScope::AllAnts;
+        let all_ants = self.ls.scope == LsScope::AllAnts;
         let mut iter_best: Option<(Tour, u64)> = None;
         let (mut len_sum, mut len_sumsq) = (0.0f64, 0.0f64);
         for _ in 0..self.m {
             let (mut tour, mut len) = self.construct_one();
             if all_ants {
-                self.ls_improve(&mut tour, &mut len);
+                self.ls.improve(&mut tour, &mut len, self.inst.matrix(), &self.nn);
             }
             len_sum += len as f64;
             len_sumsq += len as f64 * len as f64;
@@ -271,7 +257,8 @@ impl<'a> MaxMinAntSystem<'a> {
         }
         let mut iter_best = iter_best.expect("m >= 1 ants");
         if !all_ants {
-            self.ls_improve(&mut iter_best.0, &mut iter_best.1);
+            let (tour, len) = &mut iter_best;
+            self.ls.improve(tour, len, self.inst.matrix(), &self.nn);
         }
         self.last_iter_best = iter_best.1;
 
@@ -351,19 +338,6 @@ impl<'a> MaxMinAntSystem<'a> {
         self.last_iter_best
     }
 
-    /// Ctx-driven run: cancellation/deadline checked at every iteration
-    /// boundary; one iteration-best event emitted per iteration.
-    pub fn run_ctx(
-        &mut self,
-        iterations: usize,
-        ctx: &crate::lifecycle::SolveCtx,
-    ) -> crate::lifecycle::RunOutcome {
-        crate::lifecycle::drive_dynamics(iterations, ctx, |_| {
-            let (best, raw) = self.iterate_dynamics(ctx.dynamics());
-            (self.last_iter_best, best, raw)
-        })
-    }
-
     /// Operation counters for an MMAS update (extension of the paper's
     /// cost analysis: deposit is `O(n)` instead of `O(m n)`).
     pub fn update_counters(n: usize) -> OpCounter {
@@ -375,6 +349,43 @@ impl<'a> MaxMinAntSystem<'a> {
             alu: 4 * n as u64,
             ..Default::default()
         }
+    }
+}
+
+/// The colony under [`crate::lifecycle::drive`]. Its clock is analytic:
+/// every iteration is priced like the candidate-list Ant System of the
+/// same size ([`cpu_phase_ms`]) plus the configured local search.
+impl Colony for MaxMinAntSystem<'_> {
+    fn step(&mut self, _k: u64, ctx: &SolveCtx) -> Result<Step, SimtError> {
+        let (best_so_far, raw_dynamics) = self.iterate_dynamics(ctx.dynamics());
+        let model = CpuModel::default();
+        let (choice, tour, update) = cpu_phase_ms(self.n, self.m, self.params.nn_size, &model);
+        Ok(Step {
+            iter_best: self.last_iter_best,
+            best_so_far,
+            raw_dynamics,
+            phase_ms: PhaseMs {
+                construction: choice + tour,
+                local_search: self.ls.iter_ms(self.n, self.nn.depth(), self.m, &model),
+                pheromone: update,
+            },
+        })
+    }
+
+    fn best(&self) -> Option<(&Tour, u64)> {
+        MaxMinAntSystem::best(self)
+    }
+
+    fn set_local_search(&mut self, ls: LocalSearch, scope: LsScope) {
+        MaxMinAntSystem::set_local_search(self, ls, scope);
+    }
+
+    fn local_search_improvement(&self) -> u64 {
+        self.ls.improvement
+    }
+
+    fn restarts(&self) -> u64 {
+        self.restarts
     }
 }
 

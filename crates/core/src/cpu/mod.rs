@@ -7,12 +7,15 @@ pub mod acs;
 pub mod ant_system;
 pub mod counter;
 pub mod elitist;
+mod local_search;
 pub mod mmas;
 pub mod parallel;
+pub mod pricing;
 
 pub use acs::{AcsParams, AntColonySystem};
 pub use ant_system::{AntSystem, IterationReport, PhaseCounters, TourPolicy, TourScratch};
 pub use counter::{CpuModel, OpCounter};
 pub use elitist::{Elitism, ElitistAntSystem};
 pub use mmas::{MaxMinAntSystem, MmasParams};
-pub use parallel::{construct_parallel, iterate_parallel, run_parallel_ctx};
+pub use parallel::{construct_parallel, ParallelAntSystem};
+pub use pricing::{cpu_ls_colony_ms, cpu_ls_iter_ms, cpu_phase_ms, LS_ROUNDS_EST};

@@ -6,10 +6,14 @@
 //! count — a property the tests pin down. Pheromone update stays
 //! sequential (it is O(n²) and memory-bound).
 
+use aco_localsearch::{LocalSearch, LsScope};
 use aco_simt::rng::PmRng;
+use aco_simt::SimtError;
 use aco_tsp::Tour;
 
-use super::ant_system::{AntSystem, TourPolicy, TourScratch};
+use super::ant_system::{model, AntSystem, TourPolicy, TourScratch};
+use super::counter::{CpuModel, OpCounter};
+use crate::lifecycle::{Colony, PhaseMs, SolveCtx, Step};
 
 /// Construct all `m` tours with `threads` workers. Deterministic in
 /// `(seed, iteration)` regardless of `threads`. Each worker reuses one
@@ -50,59 +54,37 @@ pub fn construct_parallel(
     out.into_iter().map(|s| s.expect("every ant constructed")).collect()
 }
 
-/// A full parallel iteration: parallel construction + sequential update.
-/// Returns the iteration-best length.
-pub fn iterate_parallel(
-    aco: &mut AntSystem<'_>,
-    policy: TourPolicy,
-    iteration: u64,
+/// The multi-threaded colony under [`crate::lifecycle::drive`]: each
+/// step refreshes the choice info, fans construction out over `threads`
+/// ([`construct_parallel`]), runs the local search on the fan-in thread,
+/// and updates the pheromone sequentially.
+///
+/// Deterministic in the seed regardless of `threads` — the same per-ant
+/// decorrelated streams as [`construct_parallel`], keyed by the colony's
+/// own iteration counter.
+pub struct ParallelAntSystem<'a> {
+    aco: AntSystem<'a>,
     threads: usize,
-) -> u64 {
-    let mut sols = construct_parallel(aco, policy, iteration, threads);
-    aco.apply_local_search(&mut sols);
-    let best = sols.iter().map(|&(_, l)| l).min().expect("m >= 1");
-    let mut c = super::counter::OpCounter::default();
-    aco.update_pheromone(&sols, &mut c);
-    best
+    iteration: u64,
+    best: Option<(Tour, u64)>,
 }
 
-/// Ctx-driven parallel colony loop: `iterations` full iterations
-/// (choice refresh → parallel construction → sequential update) starting
-/// at colony iteration `first_iteration`, with cancellation/deadline
-/// checked at every iteration boundary and one iteration-best event
-/// emitted per iteration.
-///
-/// `best` carries the best-so-far across calls (the caller owns it, so a
-/// stopped run can resume or report its partial best). `on_iter` receives
-/// the counters of the sequential phases (choice refresh + pheromone
-/// update) so callers can price what did not fan out over `threads`.
-///
-/// Deterministic in `(seed, first_iteration, iterations)` regardless of
-/// `threads` — the same per-ant decorrelated streams as
-/// [`construct_parallel`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_ctx(
-    aco: &mut AntSystem<'_>,
-    policy: TourPolicy,
-    threads: usize,
-    iterations: usize,
-    first_iteration: u64,
-    ctx: &crate::lifecycle::SolveCtx,
-    best: &mut Option<(Tour, u64)>,
-    mut on_iter: impl FnMut(&super::counter::OpCounter),
-) -> crate::lifecycle::RunOutcome {
-    if aco.m() == 0 {
-        // No ants, no work: report zero completed iterations instead of
-        // panicking on an empty solution set (callers map a best-less
-        // outcome to their no-solution error).
-        return crate::lifecycle::RunOutcome { iterations: 0, stopped: None };
+impl<'a> ParallelAntSystem<'a> {
+    /// Run `aco` (with its construction policy) over `threads` workers.
+    pub fn new(aco: AntSystem<'a>, threads: usize) -> Self {
+        ParallelAntSystem { aco, threads: threads.max(1), iteration: 0, best: None }
     }
-    crate::lifecycle::drive_dynamics(iterations, ctx, |k| {
+}
+
+impl Colony for ParallelAntSystem<'_> {
+    fn step(&mut self, _k: u64, ctx: &SolveCtx) -> Result<Step, SimtError> {
+        let ParallelAntSystem { aco, threads, iteration, best } = self;
         // Match sequential semantics: refresh choice info from the
         // pheromone laid down last iteration before constructing.
-        let mut c = super::counter::OpCounter::default();
+        let mut c = OpCounter::default();
         aco.refresh_choice(&mut c);
-        let mut sols = construct_parallel(aco, policy, first_iteration + k, threads);
+        let mut sols = construct_parallel(aco, aco.policy(), *iteration, *threads);
+        *iteration += 1;
         // Local search runs on the host thread after the parallel fan-in,
         // so results stay thread-count independent.
         aco.apply_local_search(&mut sols);
@@ -111,15 +93,46 @@ pub fn run_parallel_ctx(
             *best = Some((tour, len));
         }
         aco.update_pheromone(&sols, &mut c);
-        on_iter(&c);
         // Dynamics are measured at the fan-in on the host thread, so they
         // are as thread-count independent as the tours themselves.
-        let raw = ctx.dynamics().map(|cfg| {
+        let raw_dynamics = ctx.dynamics().map(|cfg| {
             let lens: Vec<u64> = sols.iter().map(|&(_, l)| l).collect();
             aco_obs::dynamics::compute_raw(cfg, &lens, aco.tau(), aco.n())
         });
-        (len, best.as_ref().map(|&(_, l)| l).expect("set above"), raw)
-    })
+        // Construction fans out over `threads`; the choice refresh and the
+        // pheromone update stay sequential (memory-bound) and are priced
+        // together, from their measured counters, as the pheromone span.
+        let model = CpuModel::default();
+        let (n, m) = (aco.n(), aco.m());
+        let tour_counters = match aco.policy() {
+            TourPolicy::FullProbabilistic => model::full_tour_counters(n, m),
+            TourPolicy::NearestNeighborList => {
+                model::nn_tour_counters(n, m, aco.params().nn_size.min(n - 1))
+            }
+        };
+        Ok(Step {
+            iter_best: len,
+            best_so_far: best.as_ref().map(|&(_, l)| l).expect("set above"),
+            raw_dynamics,
+            phase_ms: PhaseMs {
+                construction: model.time_ms(&tour_counters) / *threads as f64,
+                local_search: aco.ls_iter_ms(&model),
+                pheromone: model.time_ms(&c),
+            },
+        })
+    }
+
+    fn best(&self) -> Option<(&Tour, u64)> {
+        self.best.as_ref().map(|(t, l)| (t, *l))
+    }
+
+    fn set_local_search(&mut self, ls: LocalSearch, scope: LsScope) {
+        self.aco.set_local_search(ls, scope);
+    }
+
+    fn local_search_improvement(&self) -> u64 {
+        self.aco.local_search_improvement()
+    }
 }
 
 #[cfg(test)]
@@ -154,11 +167,12 @@ mod tests {
     #[test]
     fn parallel_iterations_converge() {
         let inst = uniform_random("par", 60, 1000.0, 43);
-        let mut aco = AntSystem::new(&inst, AcoParams::default().nn(15).seed(3));
-        let mut bests = Vec::new();
-        for it in 0..15 {
-            bests.push(iterate_parallel(&mut aco, TourPolicy::NearestNeighborList, it, 4));
-        }
+        let aco = AntSystem::new(&inst, AcoParams::default().nn(15).seed(3));
+        let mut colony = ParallelAntSystem::new(aco, 4);
+        let ctx = SolveCtx::new();
+        let bests: Vec<u64> = (0..15)
+            .map(|k| colony.step(k, &ctx).expect("CPU steps cannot fail").iter_best)
+            .collect();
         let first = bests[0];
         let min_late = *bests[5..].iter().min().expect("non-empty");
         assert!(min_late <= first, "search should not degrade: {min_late} vs {first}");

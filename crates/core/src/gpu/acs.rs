@@ -19,10 +19,10 @@
 //! The heuristic weights live in a precomputed `eta^beta` table (the
 //! Choice kernel with `alpha = 0`), since ACS multiplies raw `tau` in.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
-use aco_localsearch::{LocalSearch, LsScope, LsScratch, OrOptDev, TwoOptBatchDev, TwoOptDev};
+use aco_localsearch::{LocalSearch, LsScope};
 use aco_simt::prelude::*;
 use aco_simt::rng::PmRng;
 use aco_simt::SimtError;
@@ -30,7 +30,9 @@ use aco_tsp::{Tour, TspInstance};
 
 use super::buffers::ColonyBuffers;
 use super::choice::ChoiceKernel;
+use super::{ExecThreads, GpuLocalSearch};
 use crate::cpu::acs::AcsParams;
+use crate::lifecycle::{Colony, PhaseMs, SolveCtx, Step};
 use crate::params::AcoParams;
 
 /// Per-iteration report: `(best_so_far, tour_ms, update_ms, ls_ms)`.
@@ -319,21 +321,8 @@ pub struct GpuAntColonySystem<'a> {
     /// Best length found in the most recent iteration (`u64::MAX` before
     /// the first) — the iteration-best stream for lifecycle observers.
     last_iter_best: u64,
-    exec_threads: usize,
-    /// Host copy of the candidate lists (local-search fallbacks).
-    nn_host: aco_tsp::NearestNeighborLists,
-    local_search: LocalSearch,
-    ls_scope: LsScope,
-    /// Device scratch of the per-ant 2-opt kernel family (on demand).
-    ls_dev: Option<TwoOptDev>,
-    /// Device scratch of the batched all-ants 2-opt family (on demand).
-    ls_batch: Option<TwoOptBatchDev>,
-    /// Device scratch of the `or_opt` kernel family (on demand).
-    ls_oropt: Option<OrOptDev>,
-    ls_scratch: LsScratch,
-    ls_improvement: u64,
-    /// Engine-donated extra host threads (see `set_thread_donor`).
-    donor: Option<Arc<AtomicUsize>>,
+    threads: ExecThreads,
+    ls: GpuLocalSearch,
 }
 
 impl<'a> GpuAntColonySystem<'a> {
@@ -378,73 +367,20 @@ impl<'a> GpuAntColonySystem<'a> {
             iteration: 0,
             best: None,
             last_iter_best: u64::MAX,
-            exec_threads: 1,
-            nn_host: nn_lists.clone(),
-            local_search: LocalSearch::None,
-            ls_scope: LsScope::IterationBest,
-            ls_dev: None,
-            ls_batch: None,
-            ls_oropt: None,
-            ls_scratch: LsScratch::new(),
-            ls_improvement: 0,
-            donor: None,
+            threads: ExecThreads::default(),
+            ls: GpuLocalSearch::new(nn_lists),
         }
     }
 
     /// Configure the per-iteration local search (see
-    /// [`super::GpuAntSystem::set_local_search`]): `TwoOptNn` runs as
-    /// the device kernel family (batched all-ants variant for
-    /// [`LsScope::AllAnts`]), `OrOpt` as the windowed `or_opt` family;
-    /// only the host-only `TwoOpt` remains a host pass with a device
-    /// write-back.
+    /// [`super::GpuAntSystem::set_local_search`]).
     pub fn set_local_search(&mut self, ls: LocalSearch, scope: LsScope) {
-        self.local_search = ls;
-        self.ls_scope = scope;
-        if ls.per_iteration() == LocalSearch::TwoOptNn {
-            if scope == LsScope::AllAnts && self.ls_batch.is_none() {
-                self.ls_batch = Some(TwoOptBatchDev::allocate(
-                    &mut self.gm,
-                    self.bufs.n,
-                    self.bufs.m,
-                    self.bufs.nn,
-                    self.bufs.stride,
-                    self.bufs.dist,
-                    self.bufs.tours,
-                    self.bufs.lengths,
-                    self.bufs.nn_list,
-                ));
-            }
-            if scope == LsScope::IterationBest && self.ls_dev.is_none() {
-                self.ls_dev = Some(TwoOptDev::allocate(
-                    &mut self.gm,
-                    self.bufs.n,
-                    self.bufs.nn,
-                    self.bufs.stride,
-                    self.bufs.dist,
-                    self.bufs.tours,
-                    self.bufs.lengths,
-                    self.bufs.nn_list,
-                ));
-            }
-        }
-        if ls.per_iteration() == LocalSearch::OrOpt && self.ls_oropt.is_none() {
-            self.ls_oropt = Some(OrOptDev::allocate(
-                &mut self.gm,
-                self.bufs.n,
-                self.bufs.m,
-                self.bufs.nn,
-                self.bufs.stride,
-                self.bufs.dist,
-                self.bufs.tours,
-                self.bufs.lengths,
-                self.bufs.nn_list,
-            ));
-        }
+        self.ls.configure(&mut self.gm, self.bufs, ls, scope);
     }
 
     /// Total tour-length reduction attributable to local search so far.
     pub fn local_search_improvement(&self) -> u64 {
-        self.ls_improvement
+        self.ls.improvement
     }
 
     /// Execute the simulator's blocks across up to `threads` host threads
@@ -453,7 +389,7 @@ impl<'a> GpuAntColonySystem<'a> {
     /// [`aco_simt::launch_threads`] — so this only trades host cores for
     /// wall clock.
     pub fn set_exec_threads(&mut self, threads: usize) {
-        self.exec_threads = threads.max(1);
+        self.threads.budget = threads.max(1);
     }
 
     /// Attach the engine's idle-worker donation counter (see
@@ -461,17 +397,7 @@ impl<'a> GpuAntColonySystem<'a> {
     /// bit-identical at any thread count, so donation only trades
     /// wall-clock.
     pub fn set_thread_donor(&mut self, donor: Arc<AtomicUsize>) {
-        self.donor = Some(donor);
-    }
-
-    /// Host threads for the next launch: the profile budget plus any
-    /// currently-donated idle engine workers (bounded).
-    fn effective_threads(&self) -> usize {
-        let donated = self
-            .donor
-            .as_ref()
-            .map_or(0, |d| d.load(Ordering::Relaxed).min(super::MAX_DONATED_THREADS));
-        self.exec_threads + donated
+        self.threads.donor = Some(donor);
     }
 
     /// Best solution so far (exact length).
@@ -513,7 +439,7 @@ impl<'a> GpuAntColonySystem<'a> {
             seed: self.params.seed,
             iteration: self.iteration,
         };
-        let threads = self.effective_threads();
+        let threads = self.threads.current();
         let rt =
             launch_threads(&self.dev, &tk.config(), &tk, &mut self.gm, SimMode::Full, threads)?;
 
@@ -528,14 +454,16 @@ impl<'a> GpuAntColonySystem<'a> {
             .map(|t| Tour::new(t[..n].to_vec()).expect("device tours are permutations"))
             .collect();
         let mut lens: Vec<u64> = tours.iter().map(|t| t.length(self.inst.matrix())).collect();
-        let mut ls_ms = 0.0;
-        if self.local_search.runs_per_iteration() {
-            let ants: Vec<usize> = match self.ls_scope {
-                LsScope::IterationBest => vec![super::first_min(&lens)],
-                LsScope::AllAnts => (0..tours.len()).collect(),
-            };
-            ls_ms += self.ls_pass(&ants, &mut tours, &mut lens)?;
-        }
+        let threads = self.threads.current();
+        let ls_ms = self.ls.run(
+            &self.dev,
+            &mut self.gm,
+            self.bufs,
+            self.inst,
+            threads,
+            &mut tours,
+            &mut lens,
+        )?;
         let best_ant = super::first_min(&lens) as u32;
         let best_this_iter = lens[best_ant as usize];
         if self.best.as_ref().is_none_or(|&(_, b)| best_this_iter < b) {
@@ -553,7 +481,7 @@ impl<'a> GpuAntColonySystem<'a> {
             best_len: best_len as f32,
             rho: self.params.rho,
         };
-        let threads = self.effective_threads();
+        let threads = self.threads.current();
         let ru =
             launch_threads(&self.dev, &uk.config(), &uk, &mut self.gm, SimMode::Full, threads)?;
 
@@ -563,46 +491,6 @@ impl<'a> GpuAntColonySystem<'a> {
             aco_obs::dynamics::compute_raw(cfg, &lens, tau, n)
         });
         Ok(((best_len, rt.time.total_ms, ru.time.total_ms, ls_ms), raw))
-    }
-
-    /// Improve the window of ant tours with the configured strategy (the
-    /// shared [`super::LsPass`] path), accounting the improvement
-    /// telemetry.
-    fn ls_pass(
-        &mut self,
-        ants: &[usize],
-        tours: &mut [Tour],
-        lens: &mut [u64],
-    ) -> Result<f64, SimtError> {
-        let threads = self.effective_threads();
-        let GpuAntColonySystem {
-            dev,
-            bufs,
-            ls_dev,
-            ls_batch,
-            ls_oropt,
-            local_search,
-            inst,
-            nn_host,
-            ls_scratch,
-            gm,
-            ls_improvement,
-            ..
-        } = &mut *self;
-        let pass = super::LsPass {
-            dev,
-            bufs: *bufs,
-            ls_dev: *ls_dev,
-            batch_dev: *ls_batch,
-            oropt_dev: *ls_oropt,
-            exec_threads: threads,
-            strategy: local_search.per_iteration(),
-        };
-        let before: u64 = ants.iter().map(|&a| lens[a]).sum();
-        let ms = pass.improve_ants(gm, inst, nn_host, ls_scratch, ants, tours, lens)?;
-        let after: u64 = ants.iter().map(|&a| lens[a]).sum();
-        *ls_improvement += before - after;
-        Ok(ms)
     }
 
     /// Run `iters` iterations; returns the best length.
@@ -619,25 +507,40 @@ impl<'a> GpuAntColonySystem<'a> {
     pub fn last_iter_best(&self) -> u64 {
         self.last_iter_best
     }
+}
 
-    /// Ctx-driven run: cancellation/deadline checked at every iteration
-    /// boundary (between simulated kernel launches); one iteration-best
-    /// event emitted per iteration. `on_iter` sees each iteration's
-    /// `(tour_ms, update_ms, ls_ms)` modeled times.
-    pub fn run_ctx(
-        &mut self,
-        iterations: usize,
-        ctx: &crate::lifecycle::SolveCtx,
-        mut on_iter: impl FnMut(f64, f64, f64),
-    ) -> Result<crate::lifecycle::RunOutcome, SimtError> {
-        crate::lifecycle::try_drive_dynamics(iterations, ctx, |k| {
-            let ((best, tour_ms, update_ms, ls_ms), raw) = self.iterate_dynamics(ctx.dynamics())?;
-            if let Some(trace) = ctx.trace() {
-                trace.record_iteration(k, tour_ms, ls_ms, update_ms);
-            }
-            on_iter(tour_ms, update_ms, ls_ms);
-            Ok((self.last_iter_best, best, raw))
+/// The colony under [`crate::lifecycle::drive`], priced by the
+/// simulator's modeled kernel times.
+impl Colony for GpuAntColonySystem<'_> {
+    fn step(&mut self, _k: u64, ctx: &SolveCtx) -> Result<Step, SimtError> {
+        let ((best_so_far, tour_ms, update_ms, ls_ms), raw_dynamics) =
+            self.iterate_dynamics(ctx.dynamics())?;
+        Ok(Step {
+            iter_best: self.last_iter_best,
+            best_so_far,
+            raw_dynamics,
+            phase_ms: PhaseMs { construction: tour_ms, local_search: ls_ms, pheromone: update_ms },
         })
+    }
+
+    fn best(&self) -> Option<(&Tour, u64)> {
+        GpuAntColonySystem::best(self)
+    }
+
+    fn set_local_search(&mut self, ls: LocalSearch, scope: LsScope) {
+        GpuAntColonySystem::set_local_search(self, ls, scope);
+    }
+
+    fn local_search_improvement(&self) -> u64 {
+        self.ls.improvement
+    }
+
+    fn set_exec_threads(&mut self, threads: usize) {
+        GpuAntColonySystem::set_exec_threads(self, threads);
+    }
+
+    fn set_thread_donor(&mut self, donor: Arc<AtomicUsize>) {
+        GpuAntColonySystem::set_thread_donor(self, donor);
     }
 }
 

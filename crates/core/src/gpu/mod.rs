@@ -1,6 +1,13 @@
 //! GPU designs for the ACO algorithm (Section IV of the paper), written
 //! against the [`aco_simt`] simulator.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use aco_localsearch::{LocalSearch, LsScope, LsScratch, OrOptDev, TwoOptBatchDev, TwoOptDev};
+use aco_simt::{DeviceSpec, GlobalMem, SimtError};
+use aco_tsp::{NearestNeighborLists, Tour, TspInstance};
+
 pub mod acs;
 pub mod buffers;
 pub mod choice;
@@ -34,118 +41,195 @@ pub(crate) fn first_min(lens: &[u64]) -> usize {
 /// wall-clock; the cap bounds oversubscription.
 pub const MAX_DONATED_THREADS: usize = 8;
 
-/// The local-search execution context shared by both GPU colonies:
-/// which strategy runs, on which device, against which colony buffers.
-pub(crate) struct LsPass<'a> {
-    pub dev: &'a aco_simt::DeviceSpec,
-    pub bufs: ColonyBuffers,
-    /// The per-ant 2-opt family's device scratch (present iff the
-    /// strategy is `TwoOptNn` with the iteration-best scope; guaranteed
-    /// by `set_local_search`).
-    pub ls_dev: Option<aco_localsearch::TwoOptDev>,
-    /// The batched all-ants 2-opt family's scratch (present iff the
-    /// strategy is `TwoOptNn` with the all-ants scope).
-    pub batch_dev: Option<aco_localsearch::TwoOptBatchDev>,
-    /// The `or_opt` family's scratch (present iff the strategy is
-    /// `OrOpt`; serves both scopes via windowed launches).
-    pub oropt_dev: Option<aco_localsearch::OrOptDev>,
-    pub exec_threads: usize,
-    pub strategy: aco_localsearch::LocalSearch,
+/// The host thread budget both GPU colonies launch with: the device
+/// profile's exec threads plus, while other engine workers are parked
+/// idle, up to [`MAX_DONATED_THREADS`] donated ones. Simulator results
+/// are bit-identical at any thread count, so this only trades host
+/// cores for wall clock.
+pub(crate) struct ExecThreads {
+    pub budget: usize,
+    pub donor: Option<Arc<AtomicUsize>>,
 }
 
-impl LsPass<'_> {
-    /// Re-read one improved tour row from the device and settle the
-    /// exact host length plus the f32 device length (the kernels' gain
-    /// subtraction is f32-exact at TSPLIB scales; this mirrors the
-    /// host-exact best tracking).
-    fn resync_ant(
-        &self,
-        gm: &mut aco_simt::GlobalMem,
-        inst: &aco_tsp::TspInstance,
-        ant: usize,
-        tours: &mut [aco_tsp::Tour],
-        lens: &mut [u64],
-    ) {
-        let n = self.bufs.n as usize;
-        let stride = self.bufs.stride as usize;
-        let row = &gm.u32(self.bufs.tours)[ant * stride..ant * stride + n];
-        tours[ant] =
-            aco_tsp::Tour::new(row.to_vec()).expect("local search preserves the permutation");
-        lens[ant] = tours[ant].length(inst.matrix());
-        gm.f32_mut(self.bufs.lengths)[ant] = lens[ant] as f32;
+impl Default for ExecThreads {
+    fn default() -> Self {
+        ExecThreads { budget: 1, donor: None }
+    }
+}
+
+impl ExecThreads {
+    /// Host threads for the next launch.
+    pub fn current(&self) -> usize {
+        let donated =
+            self.donor.as_ref().map_or(0, |d| d.load(Ordering::Relaxed).min(MAX_DONATED_THREADS));
+        self.budget + donated
+    }
+}
+
+/// The per-iteration local search both GPU colonies run between
+/// construction and the pheromone update: the strategy, its scope, the
+/// device scratch of its kernel family, and the improvement it has
+/// contributed.
+pub(crate) struct GpuLocalSearch {
+    strategy: LocalSearch,
+    scope: LsScope,
+    /// The per-ant 2-opt family's device scratch (present iff the
+    /// strategy is `TwoOptNn` with the iteration-best scope).
+    two_opt: Option<TwoOptDev>,
+    /// The batched all-ants 2-opt family's scratch (present iff the
+    /// strategy is `TwoOptNn` with the all-ants scope).
+    two_opt_all: Option<TwoOptBatchDev>,
+    /// The `or_opt` family's scratch (present iff the strategy is
+    /// `OrOpt`; serves both scopes via windowed launches).
+    or_opt: Option<OrOptDev>,
+    /// Host copy of the candidate lists (host-pass fallback).
+    nn_host: NearestNeighborLists,
+    scratch: LsScratch,
+    pub improvement: u64,
+}
+
+impl GpuLocalSearch {
+    /// No local search yet, with the host candidate lists for fallbacks.
+    pub fn new(nn_host: &NearestNeighborLists) -> Self {
+        GpuLocalSearch {
+            strategy: LocalSearch::None,
+            scope: LsScope::IterationBest,
+            two_opt: None,
+            two_opt_all: None,
+            or_opt: None,
+            nn_host: nn_host.clone(),
+            scratch: LsScratch::new(),
+            improvement: 0,
+        }
     }
 
-    /// Improve a contiguous window of ant tours in place — `ants` is
-    /// either `[iteration_best]` or `0..m`, matching [`aco_localsearch::LsScope`].
-    ///
-    /// Device strategies batch the whole window into `O(rounds)`
-    /// launches: `TwoOptNn` runs the per-ant family for a single ant and
-    /// the batched all-ants family otherwise; `OrOpt` runs the windowed
-    /// `or_opt` family for any window. The host-only `TwoOpt` falls back
-    /// to per-ant host passes + [`ColonyBuffers::write_tour`]. Returns
-    /// the modeled kernel milliseconds (0 for host passes). All paths
-    /// leave device tours, padding and f32 lengths in sync with the host
-    /// copies, so the subsequent pheromone kernels deposit the improved
-    /// tours; callers account the improvement from the `lens` delta.
-    #[allow(clippy::too_many_arguments)]
-    pub fn improve_ants(
-        &self,
-        gm: &mut aco_simt::GlobalMem,
-        inst: &aco_tsp::TspInstance,
-        nn_host: &aco_tsp::NearestNeighborLists,
-        scratch: &mut aco_localsearch::LsScratch,
-        ants: &[usize],
-        tours: &mut [aco_tsp::Tour],
-        lens: &mut [u64],
-    ) -> Result<f64, aco_simt::SimtError> {
-        match self.strategy {
-            aco_localsearch::LocalSearch::TwoOptNn if ants.len() > 1 => {
-                let dev_bufs = self.batch_dev.expect("allocated by set_local_search");
-                let run =
-                    aco_localsearch::run_two_opt_all(self.dev, gm, dev_bufs, self.exec_threads)?;
-                for &ant in ants {
-                    self.resync_ant(gm, inst, ant, tours, lens);
-                }
-                Ok(run.ms)
+    /// Configure `ls` on the tours `scope` selects, allocating its
+    /// kernel family's scratch next to the colony buffers:
+    /// [`LocalSearch::TwoOptNn`] runs the per-ant `two_opt` family for
+    /// the iteration best and the batched all-ants family (one launch
+    /// per phase for the whole colony) for [`LsScope::AllAnts`];
+    /// [`LocalSearch::OrOpt`] runs the windowed `or_opt` family. Only the
+    /// host-only [`LocalSearch::TwoOpt`] stays a host pass whose improved
+    /// tours are written back to device memory before the pheromone
+    /// update (a `cudaMemcpy` round trip, like ACOTSP-hybrid ports do).
+    pub fn configure(
+        &mut self,
+        gm: &mut GlobalMem,
+        bufs: ColonyBuffers,
+        ls: LocalSearch,
+        scope: LsScope,
+    ) {
+        self.strategy = ls;
+        self.scope = scope;
+        let b = bufs;
+        if ls.per_iteration() == LocalSearch::TwoOptNn {
+            if scope == LsScope::AllAnts && self.two_opt_all.is_none() {
+                self.two_opt_all = Some(TwoOptBatchDev::allocate(
+                    gm, b.n, b.m, b.nn, b.stride, b.dist, b.tours, b.lengths, b.nn_list,
+                ));
             }
-            aco_localsearch::LocalSearch::TwoOptNn => {
-                let dev_bufs = self.ls_dev.expect("allocated by set_local_search");
-                let ant = ants[0];
-                let run = aco_localsearch::run_two_opt(
-                    self.dev,
-                    gm,
-                    dev_bufs,
-                    ant as u32,
-                    self.exec_threads,
-                )?;
-                self.resync_ant(gm, inst, ant, tours, lens);
-                Ok(run.ms)
-            }
-            aco_localsearch::LocalSearch::OrOpt => {
-                let dev_bufs = self.oropt_dev.expect("allocated by set_local_search");
-                let first = ants[0] as u32;
-                let run = aco_localsearch::run_or_opt(
-                    self.dev,
-                    gm,
-                    dev_bufs,
-                    first,
-                    ants.len() as u32,
-                    self.exec_threads,
-                )?;
-                for &ant in ants {
-                    self.resync_ant(gm, inst, ant, tours, lens);
-                }
-                Ok(run.ms)
-            }
-            _ => {
-                for &ant in ants {
-                    let gain =
-                        self.strategy.improve(&mut tours[ant], inst.matrix(), nn_host, scratch);
-                    lens[ant] -= gain;
-                    self.bufs.write_tour(gm, ant, &tours[ant], lens[ant]);
-                }
-                Ok(0.0)
+            if scope == LsScope::IterationBest && self.two_opt.is_none() {
+                self.two_opt = Some(TwoOptDev::allocate(
+                    gm, b.n, b.nn, b.stride, b.dist, b.tours, b.lengths, b.nn_list,
+                ));
             }
         }
+        if ls.per_iteration() == LocalSearch::OrOpt && self.or_opt.is_none() {
+            self.or_opt = Some(OrOptDev::allocate(
+                gm, b.n, b.m, b.nn, b.stride, b.dist, b.tours, b.lengths, b.nn_list,
+            ));
+        }
+    }
+
+    /// Improve the configured scope of this iteration's tours in place —
+    /// the iteration best or every ant — keeping the device tours,
+    /// padding and f32 lengths in sync with the host copies so the
+    /// pheromone kernels deposit the improved tours, and accounting the
+    /// improvement. Returns the modeled kernel milliseconds (0 without a
+    /// per-iteration strategy, and for host passes).
+    #[allow(clippy::too_many_arguments)]
+    pub fn run(
+        &mut self,
+        dev: &DeviceSpec,
+        gm: &mut GlobalMem,
+        bufs: ColonyBuffers,
+        inst: &TspInstance,
+        threads: usize,
+        tours: &mut [Tour],
+        lens: &mut [u64],
+    ) -> Result<f64, SimtError> {
+        if !self.strategy.runs_per_iteration() {
+            return Ok(0.0);
+        }
+        let ants: Vec<usize> = match self.scope {
+            LsScope::IterationBest => vec![first_min(lens)],
+            LsScope::AllAnts => (0..tours.len()).collect(),
+        };
+        let before: u64 = ants.iter().map(|&a| lens[a]).sum();
+        let ms = self.improve_ants(dev, gm, bufs, inst, threads, &ants, tours, lens)?;
+        let after: u64 = ants.iter().map(|&a| lens[a]).sum();
+        self.improvement += before - after;
+        Ok(ms)
+    }
+
+    /// Improve a contiguous window of ant tours — `ants` is either
+    /// `[iteration_best]` or `0..m`. Device strategies batch the whole
+    /// window into `O(rounds)` launches: `TwoOptNn` runs the per-ant
+    /// family for a single ant and the batched all-ants family
+    /// otherwise; `OrOpt` runs the windowed `or_opt` family for any
+    /// window. The host-only `TwoOpt` falls back to per-ant host passes
+    /// + [`ColonyBuffers::write_tour`].
+    #[allow(clippy::too_many_arguments)]
+    fn improve_ants(
+        &mut self,
+        dev: &DeviceSpec,
+        gm: &mut GlobalMem,
+        bufs: ColonyBuffers,
+        inst: &TspInstance,
+        threads: usize,
+        ants: &[usize],
+        tours: &mut [Tour],
+        lens: &mut [u64],
+    ) -> Result<f64, SimtError> {
+        let ms = match self.strategy.per_iteration() {
+            LocalSearch::TwoOptNn if ants.len() > 1 => {
+                let scratch = self.two_opt_all.expect("allocated by configure");
+                aco_localsearch::run_two_opt_all(dev, gm, scratch, threads)?.ms
+            }
+            LocalSearch::TwoOptNn => {
+                let scratch = self.two_opt.expect("allocated by configure");
+                aco_localsearch::run_two_opt(dev, gm, scratch, ants[0] as u32, threads)?.ms
+            }
+            LocalSearch::OrOpt => {
+                let scratch = self.or_opt.expect("allocated by configure");
+                let (first, count) = (ants[0] as u32, ants.len() as u32);
+                aco_localsearch::run_or_opt(dev, gm, scratch, first, count, threads)?.ms
+            }
+            host => {
+                for &ant in ants {
+                    let gain = host.improve(
+                        &mut tours[ant],
+                        inst.matrix(),
+                        &self.nn_host,
+                        &mut self.scratch,
+                    );
+                    lens[ant] -= gain;
+                    bufs.write_tour(gm, ant, &tours[ant], lens[ant]);
+                }
+                return Ok(0.0);
+            }
+        };
+        // Re-read every improved row and settle the exact host length
+        // plus the f32 device length (the kernels' gain subtraction is
+        // f32-exact at TSPLIB scales; this mirrors the host-exact best
+        // tracking).
+        let (n, stride) = (bufs.n as usize, bufs.stride as usize);
+        for &ant in ants {
+            let row = &gm.u32(bufs.tours)[ant * stride..ant * stride + n];
+            tours[ant] = Tour::new(row.to_vec()).expect("local search preserves the permutation");
+            lens[ant] = tours[ant].length(inst.matrix());
+            gm.f32_mut(bufs.lengths)[ant] = lens[ant] as f32;
+        }
+        Ok(ms)
     }
 }

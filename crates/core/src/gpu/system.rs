@@ -7,10 +7,10 @@
 //! [`TourStrategy`] and [`PheromoneStrategy`], tracks the best tour, and
 //! reports per-stage modeled times.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
-use aco_localsearch::{LocalSearch, LsScope, LsScratch, OrOptDev, TwoOptBatchDev, TwoOptDev};
+use aco_localsearch::{LocalSearch, LsScope};
 use aco_simt::prelude::*;
 use aco_simt::SimtError;
 use aco_tsp::{NearestNeighborLists, Tour, TspInstance};
@@ -18,6 +18,8 @@ use aco_tsp::{NearestNeighborLists, Tour, TspInstance};
 use super::buffers::ColonyBuffers;
 use super::pheromone::{run_pheromone_threads, PheromoneStrategy};
 use super::tour::{run_tour_threads, TourRun, TourStrategy};
+use super::{ExecThreads, GpuLocalSearch};
+use crate::lifecycle::{Colony, PhaseMs, SolveCtx, Step};
 use crate::params::AcoParams;
 
 /// Per-iteration report of the GPU colony.
@@ -50,21 +52,8 @@ pub struct GpuAntSystem<'a> {
     pheromone_strategy: PheromoneStrategy,
     iteration: u64,
     best: Option<(Tour, u64)>,
-    exec_threads: usize,
-    /// Host copy of the candidate lists (local-search fallbacks).
-    nn_host: NearestNeighborLists,
-    local_search: LocalSearch,
-    ls_scope: LsScope,
-    /// Device scratch of the per-ant 2-opt kernel family (on demand).
-    ls_dev: Option<TwoOptDev>,
-    /// Device scratch of the batched all-ants 2-opt family (on demand).
-    ls_batch: Option<TwoOptBatchDev>,
-    /// Device scratch of the `or_opt` kernel family (on demand).
-    ls_oropt: Option<OrOptDev>,
-    ls_scratch: LsScratch,
-    ls_improvement: u64,
-    /// Engine-donated extra host threads (see `set_thread_donor`).
-    donor: Option<Arc<AtomicUsize>>,
+    threads: ExecThreads,
+    ls: GpuLocalSearch,
 }
 
 impl<'a> GpuAntSystem<'a> {
@@ -105,77 +94,23 @@ impl<'a> GpuAntSystem<'a> {
             pheromone_strategy,
             iteration: 0,
             best: None,
-            exec_threads: 1,
-            nn_host: nn_lists.clone(),
-            local_search: LocalSearch::None,
-            ls_scope: LsScope::IterationBest,
-            ls_dev: None,
-            ls_batch: None,
-            ls_oropt: None,
-            ls_scratch: LsScratch::new(),
-            ls_improvement: 0,
-            donor: None,
+            threads: ExecThreads::default(),
+            ls: GpuLocalSearch::new(nn_lists),
         }
     }
 
     /// Configure the per-iteration local search. [`LocalSearch::TwoOptNn`]
-    /// runs *on the device* as the `two_opt` kernel family — the per-ant
-    /// variant for the iteration-best scope, the batched all-ants variant
-    /// (one launch per phase for the whole colony) for
-    /// [`LsScope::AllAnts`] — and [`LocalSearch::OrOpt`] as the windowed
-    /// `or_opt` family. Their scratch is allocated here, next to the
-    /// colony buffers. Only the host-only [`LocalSearch::TwoOpt`] still
-    /// runs as a host pass whose improved tours are written back to
-    /// device memory before the pheromone update (a `cudaMemcpy` round
-    /// trip, like ACOTSP-hybrid ports do).
+    /// and [`LocalSearch::OrOpt`] run *on the device* as kernel families
+    /// whose scratch is allocated here, next to the colony buffers; only
+    /// the host-only [`LocalSearch::TwoOpt`] runs as a host pass with a
+    /// device write-back.
     pub fn set_local_search(&mut self, ls: LocalSearch, scope: LsScope) {
-        self.local_search = ls;
-        self.ls_scope = scope;
-        if ls.per_iteration() == LocalSearch::TwoOptNn {
-            if scope == LsScope::AllAnts && self.ls_batch.is_none() {
-                self.ls_batch = Some(TwoOptBatchDev::allocate(
-                    &mut self.gm,
-                    self.bufs.n,
-                    self.bufs.m,
-                    self.bufs.nn,
-                    self.bufs.stride,
-                    self.bufs.dist,
-                    self.bufs.tours,
-                    self.bufs.lengths,
-                    self.bufs.nn_list,
-                ));
-            }
-            if scope == LsScope::IterationBest && self.ls_dev.is_none() {
-                self.ls_dev = Some(TwoOptDev::allocate(
-                    &mut self.gm,
-                    self.bufs.n,
-                    self.bufs.nn,
-                    self.bufs.stride,
-                    self.bufs.dist,
-                    self.bufs.tours,
-                    self.bufs.lengths,
-                    self.bufs.nn_list,
-                ));
-            }
-        }
-        if ls.per_iteration() == LocalSearch::OrOpt && self.ls_oropt.is_none() {
-            self.ls_oropt = Some(OrOptDev::allocate(
-                &mut self.gm,
-                self.bufs.n,
-                self.bufs.m,
-                self.bufs.nn,
-                self.bufs.stride,
-                self.bufs.dist,
-                self.bufs.tours,
-                self.bufs.lengths,
-                self.bufs.nn_list,
-            ));
-        }
+        self.ls.configure(&mut self.gm, self.bufs, ls, scope);
     }
 
     /// Total tour-length reduction attributable to local search so far.
     pub fn local_search_improvement(&self) -> u64 {
-        self.ls_improvement
+        self.ls.improvement
     }
 
     /// Execute the simulator's blocks across up to `threads` host threads.
@@ -183,7 +118,7 @@ impl<'a> GpuAntSystem<'a> {
     /// for every value (see [`aco_simt::launch_threads`]); this only
     /// trades host wall-clock for cores.
     pub fn set_exec_threads(&mut self, threads: usize) {
-        self.exec_threads = threads.max(1);
+        self.threads.budget = threads.max(1);
     }
 
     /// Attach the engine's idle-worker donation counter: each launch adds
@@ -192,17 +127,7 @@ impl<'a> GpuAntSystem<'a> {
     /// a wall-clock lever — results stay bit-identical at any thread
     /// count, so reports and placements are donation-invariant.
     pub fn set_thread_donor(&mut self, donor: Arc<AtomicUsize>) {
-        self.donor = Some(donor);
-    }
-
-    /// Host threads for the next launch: the profile budget plus any
-    /// currently-donated idle engine workers (bounded).
-    fn effective_threads(&self) -> usize {
-        let donated = self
-            .donor
-            .as_ref()
-            .map_or(0, |d| d.load(Ordering::Relaxed).min(super::MAX_DONATED_THREADS));
-        self.exec_threads + donated
+        self.threads.donor = Some(donor);
     }
 
     /// The device this colony runs on.
@@ -239,7 +164,7 @@ impl<'a> GpuAntSystem<'a> {
         mode: SimMode,
         dynamics: Option<&aco_obs::DynamicsConfig>,
     ) -> Result<(GpuIterationReport, Option<aco_obs::RawDynamics>), SimtError> {
-        let threads = self.effective_threads();
+        let threads = self.threads.current();
         let tour_run = run_tour_threads(
             &self.dev,
             &mut self.gm,
@@ -271,13 +196,16 @@ impl<'a> GpuAntSystem<'a> {
                 .map(|t| Tour::new(t[..n].to_vec()).expect("device tours are permutations"))
                 .collect();
             let mut lens: Vec<u64> = tours.iter().map(|t| t.length(self.inst.matrix())).collect();
-            if self.local_search.runs_per_iteration() {
-                let ants: Vec<usize> = match self.ls_scope {
-                    LsScope::IterationBest => vec![super::first_min(&lens)],
-                    LsScope::AllAnts => (0..tours.len()).collect(),
-                };
-                ls_ms += self.ls_pass(&ants, &mut tours, &mut lens)?;
-            }
+            let threads = self.threads.current();
+            ls_ms = self.ls.run(
+                &self.dev,
+                &mut self.gm,
+                self.bufs,
+                self.inst,
+                threads,
+                &mut tours,
+                &mut lens,
+            )?;
             let k = super::first_min(&lens);
             iter_best = lens[k];
             if self.best.as_ref().is_none_or(|&(_, b)| iter_best < b) {
@@ -288,7 +216,7 @@ impl<'a> GpuAntSystem<'a> {
             }
         }
 
-        let threads = self.effective_threads();
+        let threads = self.threads.current();
         let ph = run_pheromone_threads(
             &self.dev,
             &mut self.gm,
@@ -319,46 +247,6 @@ impl<'a> GpuAntSystem<'a> {
         Ok((rep, raw))
     }
 
-    /// Improve the window of ant tours with the configured strategy (the
-    /// shared [`super::LsPass`] path), accounting the improvement
-    /// telemetry.
-    fn ls_pass(
-        &mut self,
-        ants: &[usize],
-        tours: &mut [Tour],
-        lens: &mut [u64],
-    ) -> Result<f64, SimtError> {
-        let threads = self.effective_threads();
-        let GpuAntSystem {
-            dev,
-            bufs,
-            ls_dev,
-            ls_batch,
-            ls_oropt,
-            local_search,
-            inst,
-            nn_host,
-            ls_scratch,
-            gm,
-            ls_improvement,
-            ..
-        } = &mut *self;
-        let pass = super::LsPass {
-            dev,
-            bufs: *bufs,
-            ls_dev: *ls_dev,
-            batch_dev: *ls_batch,
-            oropt_dev: *ls_oropt,
-            exec_threads: threads,
-            strategy: local_search.per_iteration(),
-        };
-        let before: u64 = ants.iter().map(|&a| lens[a]).sum();
-        let ms = pass.improve_ants(gm, inst, nn_host, ls_scratch, ants, tours, lens)?;
-        let after: u64 = ants.iter().map(|&a| lens[a]).sum();
-        *ls_improvement += before - after;
-        Ok(ms)
-    }
-
     /// Run `iters` full-fidelity iterations; returns the best length.
     pub fn run(&mut self, iters: usize) -> Result<u64, SimtError> {
         let mut best = u64::MAX;
@@ -367,25 +255,44 @@ impl<'a> GpuAntSystem<'a> {
         }
         Ok(best)
     }
+}
 
-    /// Ctx-driven full-fidelity run: cancellation/deadline checked at
-    /// every iteration boundary (i.e. between simulated kernel launches);
-    /// one iteration-best event emitted per iteration. `on_iter` sees
-    /// each [`GpuIterationReport`] (callers accumulate modeled time).
-    pub fn run_ctx(
-        &mut self,
-        iterations: usize,
-        ctx: &crate::lifecycle::SolveCtx,
-        mut on_iter: impl FnMut(&GpuIterationReport),
-    ) -> Result<crate::lifecycle::RunOutcome, SimtError> {
-        crate::lifecycle::try_drive_dynamics(iterations, ctx, |k| {
-            let (rep, raw) = self.iterate_dynamics(SimMode::Full, ctx.dynamics())?;
-            if let Some(trace) = ctx.trace() {
-                trace.record_iteration(k, rep.tour_ms, rep.ls_ms, rep.pheromone_ms);
-            }
-            on_iter(&rep);
-            Ok((rep.iter_best, rep.best_so_far, raw))
+/// The colony under [`crate::lifecycle::drive`]: full-fidelity
+/// iterations, so cancellation and deadlines are checked between
+/// simulated kernel launches, priced by the simulator's modeled times.
+impl Colony for GpuAntSystem<'_> {
+    fn step(&mut self, _k: u64, ctx: &SolveCtx) -> Result<Step, SimtError> {
+        let (rep, raw_dynamics) = self.iterate_dynamics(SimMode::Full, ctx.dynamics())?;
+        Ok(Step {
+            iter_best: rep.iter_best,
+            best_so_far: rep.best_so_far,
+            raw_dynamics,
+            phase_ms: PhaseMs {
+                construction: rep.tour_ms,
+                local_search: rep.ls_ms,
+                pheromone: rep.pheromone_ms,
+            },
         })
+    }
+
+    fn best(&self) -> Option<(&Tour, u64)> {
+        GpuAntSystem::best(self)
+    }
+
+    fn set_local_search(&mut self, ls: LocalSearch, scope: LsScope) {
+        GpuAntSystem::set_local_search(self, ls, scope);
+    }
+
+    fn local_search_improvement(&self) -> u64 {
+        self.ls.improvement
+    }
+
+    fn set_exec_threads(&mut self, threads: usize) {
+        GpuAntSystem::set_exec_threads(self, threads);
+    }
+
+    fn set_thread_donor(&mut self, donor: Arc<AtomicUsize>) {
+        GpuAntSystem::set_thread_donor(self, donor);
     }
 }
 

@@ -20,8 +20,10 @@ pub mod quality;
 pub use aco_localsearch::{LocalSearch, LsScope};
 pub use cpu::{
     AcsParams, AntColonySystem, AntSystem, CpuModel, MaxMinAntSystem, MmasParams, OpCounter,
-    TourPolicy,
+    ParallelAntSystem, TourPolicy,
 };
 pub use gpu::{GpuAntColonySystem, GpuAntSystem, PheromoneStrategy, TourStrategy};
-pub use lifecycle::{CancelToken, IterationEvent, RunOutcome, SolveCtx, StopReason};
+pub use lifecycle::{
+    drive, CancelToken, Colony, IterationEvent, PhaseMs, RunOutcome, SolveCtx, Step, StopReason,
+};
 pub use params::AcoParams;

@@ -14,16 +14,21 @@
 //!   [`IterationEvent`] per completed iteration (iteration-best and
 //!   best-so-far lengths), the raw material for progress streams.
 //!
-//! Every colony in this crate exposes a ctx-driven loop (`run_ctx`) built
-//! on [`drive`] / [`try_drive`], so the check-emit protocol is identical
-//! across the sequential/parallel CPU Ant System, ACS, MMAS, and the GPU
-//! system/ACS paths. Determinism: for a run that is never stopped, the
-//! emitted event sequence is a pure function of the colony's inputs —
-//! wall-clock only enters through the *optional* deadline.
+//! Every colony in this crate implements [`Colony`] — one iteration per
+//! [`Colony::step`] — and runs under the one loop [`drive`], so the
+//! check-record-emit protocol is identical across the sequential and
+//! parallel CPU Ant System, ACS, MMAS, and the GPU Ant System and ACS.
+//! Determinism: for a run that is never stopped, the emitted event
+//! sequence is a pure function of the colony's inputs — wall-clock only
+//! enters through the *optional* deadline.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+use aco_localsearch::{LocalSearch, LsScope};
+use aco_simt::SimtError;
+use aco_tsp::Tour;
 
 /// Shared cancellation flag. Clones observe the same flag; `cancel()` is
 /// a release store, so a colony's next iteration-boundary check
@@ -164,12 +169,6 @@ impl SolveCtx {
         self.dynamics.as_ref()
     }
 
-    /// The trace this run records spans into, if any. Colonies call
-    /// `record_iteration` on it with their modeled per-phase times.
-    pub fn trace(&self) -> Option<&Arc<aco_obs::JobTrace>> {
-        self.trace.as_ref()
-    }
-
     /// The cancellation token this context watches.
     pub fn cancel_token(&self) -> &CancelToken {
         &self.cancel
@@ -195,12 +194,15 @@ impl SolveCtx {
 }
 
 /// How a ctx-driven run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunOutcome {
     /// Iterations actually completed (≤ requested).
     pub iterations: usize,
     /// `None` if all requested iterations ran; otherwise why it stopped.
     pub stopped: Option<StopReason>,
+    /// Modeled milliseconds of the completed iterations: the sum of each
+    /// iteration's `(construction + pheromone) + local_search`.
+    pub modeled_ms: f64,
 }
 
 impl RunOutcome {
@@ -210,66 +212,99 @@ impl RunOutcome {
     }
 }
 
-/// The shared check-emit loop every colony's `run_ctx` is built on:
-/// before each iteration consult [`SolveCtx::stop_reason`]; after it,
-/// emit the `(iter_best, best_so_far)` pair `step` returns.
-pub fn drive(
-    iterations: usize,
-    ctx: &SolveCtx,
-    mut step: impl FnMut(u64) -> (u64, u64),
-) -> RunOutcome {
-    drive_dynamics(iterations, ctx, |k| {
-        let (iter_best, best_so_far) = step(k);
-        (iter_best, best_so_far, None)
-    })
+/// Modeled milliseconds of one iteration's phases, in the paper's split:
+/// tour construction (choice refresh included), the optional local
+/// search between the stages, and the pheromone update.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PhaseMs {
+    /// Tour construction, choice-info refresh included.
+    pub construction: f64,
+    /// The per-iteration local search (0 without one).
+    pub local_search: f64,
+    /// The pheromone update.
+    pub pheromone: f64,
 }
 
-/// [`drive`] for colonies that also measure search dynamics: `step`
-/// returns `(iter_best, best_so_far, raw)` where `raw` carries the
-/// iteration's tour-length distribution and trail statistics (`None`
-/// when the context asked for no dynamics — colonies gate the `O(n²)`
-/// scans on [`SolveCtx::dynamics`]). The driver owns the per-run
-/// [`DynamicsTracker`](aco_obs::DynamicsTracker), so improvement deltas
-/// and the stagnation detector behave identically across all six
-/// colonies.
-pub fn drive_dynamics(
-    iterations: usize,
-    ctx: &SolveCtx,
-    mut step: impl FnMut(u64) -> (u64, u64, Option<aco_obs::RawDynamics>),
-) -> RunOutcome {
-    match try_drive_dynamics::<std::convert::Infallible>(iterations, ctx, |k| Ok(step(k))) {
-        Ok(out) => out,
-        Err(e) => match e {},
+/// One completed iteration, as a colony reports it to [`drive`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Step {
+    /// Best tour length found in this iteration.
+    pub iter_best: u64,
+    /// Best tour length found so far.
+    pub best_so_far: u64,
+    /// The iteration's tour-length distribution and trail statistics;
+    /// `None` unless the context asked for dynamics
+    /// ([`SolveCtx::dynamics`] gates the `O(n²)` scans).
+    pub raw_dynamics: Option<aco_obs::RawDynamics>,
+    /// Modeled cost of the iteration's phases.
+    pub phase_ms: PhaseMs,
+}
+
+/// The contract every colony implements: one ACO iteration (construction,
+/// optional local search, pheromone update) per [`Colony::step`], plus
+/// the configuration and results [`drive`] and the engine need. The
+/// sequential, parallel, ACS and MMAS colonies on the CPU and the Ant
+/// System and ACS on the simulated GPU all implement it, so one loop
+/// drives them all.
+pub trait Colony {
+    /// Run iteration `k` (0-based within this run) and report it. Only
+    /// the simulated GPU colonies can fail (a rejected kernel launch).
+    fn step(&mut self, k: u64, ctx: &SolveCtx) -> Result<Step, SimtError>;
+
+    /// Best tour found so far, with its exact length.
+    fn best(&self) -> Option<(&Tour, u64)>;
+
+    /// Configure the per-iteration local search: `ls` runs on the tours
+    /// `scope` selects, after construction and before the pheromone
+    /// update. [`LocalSearch::PostPass`] does nothing here (it is an
+    /// engine-level polish).
+    fn set_local_search(&mut self, ls: LocalSearch, scope: LsScope);
+
+    /// Tour-length reduction the per-iteration local search has
+    /// contributed so far.
+    fn local_search_improvement(&self) -> u64;
+
+    /// Stagnation restarts fired so far (only MMAS restarts).
+    fn restarts(&self) -> u64 {
+        0
     }
+
+    /// Host threads the simulator may spread blocks over. Results are
+    /// thread-count invariant; CPU colonies ignore it.
+    fn set_exec_threads(&mut self, _threads: usize) {}
+
+    /// Attach the engine's idle-worker donation counter (see
+    /// [`crate::gpu::MAX_DONATED_THREADS`]); CPU colonies ignore it.
+    fn set_thread_donor(&mut self, _donor: Arc<AtomicUsize>) {}
 }
 
-/// [`drive`] for fallible steps (the simulated GPU paths, whose kernel
-/// launches can reject). An `Err` aborts the loop without emitting.
-pub fn try_drive<E>(
+/// The one iteration loop every colony runs under. Before each
+/// iteration it consults [`SolveCtx::stop_reason`]; after it, it records
+/// the iteration's phase spans into the context's trace, folds the
+/// colony's raw dynamics into [`aco_obs::IterationStats`] (one
+/// [`DynamicsTracker`](aco_obs::DynamicsTracker) per run, so improvement
+/// deltas and the stagnation detector behave the same for every colony),
+/// emits the [`IterationEvent`] and adds the iteration's modeled
+/// milliseconds to the outcome. A step error aborts the loop without
+/// emitting.
+pub fn drive<C: Colony + ?Sized>(
+    colony: &mut C,
     iterations: usize,
     ctx: &SolveCtx,
-    mut step: impl FnMut(u64) -> Result<(u64, u64), E>,
-) -> Result<RunOutcome, E> {
-    try_drive_dynamics(iterations, ctx, |k| {
-        let (iter_best, best_so_far) = step(k)?;
-        Ok((iter_best, best_so_far, None))
-    })
-}
-
-/// [`drive_dynamics`] for fallible steps. An `Err` aborts the loop
-/// without emitting.
-pub fn try_drive_dynamics<E>(
-    iterations: usize,
-    ctx: &SolveCtx,
-    mut step: impl FnMut(u64) -> Result<(u64, u64, Option<aco_obs::RawDynamics>), E>,
-) -> Result<RunOutcome, E> {
+) -> Result<RunOutcome, SimtError> {
     let mut tracker = ctx.dynamics.map(aco_obs::DynamicsTracker::new);
+    let mut modeled_ms = 0.0;
     for k in 0..iterations {
         if let Some(reason) = ctx.stop_reason() {
-            return Ok(RunOutcome { iterations: k, stopped: Some(reason) });
+            return Ok(RunOutcome { iterations: k, stopped: Some(reason), modeled_ms });
         }
-        let (iter_best, best_so_far, raw) = step(k as u64)?;
-        let stats = match (&mut tracker, raw) {
+        let Step { iter_best, best_so_far, raw_dynamics, phase_ms } = colony.step(k as u64, ctx)?;
+        let PhaseMs { construction, local_search, pheromone } = phase_ms;
+        if let Some(trace) = &ctx.trace {
+            trace.record_iteration(k as u64, construction, local_search, pheromone);
+        }
+        modeled_ms += (construction + pheromone) + local_search;
+        let stats = match (&mut tracker, raw_dynamics) {
             (Some(t), Some(raw)) => Some(t.observe(best_so_far, raw)),
             _ => None,
         };
@@ -281,7 +316,7 @@ pub fn try_drive_dynamics<E>(
             stats,
         });
     }
-    Ok(RunOutcome { iterations, stopped: None })
+    Ok(RunOutcome { iterations, stopped: None, modeled_ms })
 }
 
 #[cfg(test)]
@@ -289,11 +324,39 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// A colony whose iterations come from a closure.
+    struct FnColony<F>(F);
+
+    impl<F: FnMut(u64) -> Result<Step, SimtError>> Colony for FnColony<F> {
+        fn step(&mut self, k: u64, _ctx: &SolveCtx) -> Result<Step, SimtError> {
+            (self.0)(k)
+        }
+
+        fn best(&self) -> Option<(&Tour, u64)> {
+            None
+        }
+
+        fn set_local_search(&mut self, _ls: LocalSearch, _scope: LsScope) {}
+
+        fn local_search_improvement(&self) -> u64 {
+            0
+        }
+    }
+
+    fn step(best: u64) -> Step {
+        let phase_ms = PhaseMs { construction: 1.0, local_search: 0.5, pheromone: 2.0 };
+        Step { iter_best: best, best_so_far: best, raw_dynamics: None, phase_ms }
+    }
+
+    fn run(iterations: usize, ctx: &SolveCtx, mut f: impl FnMut(u64) -> Step) -> RunOutcome {
+        drive(&mut FnColony(|k| Ok(f(k))), iterations, ctx).expect("infallible steps")
+    }
+
     #[test]
-    fn empty_ctx_runs_to_completion_and_emits_nothing() {
+    fn empty_ctx_runs_to_completion_and_sums_modeled_ms() {
         let ctx = SolveCtx::new();
-        let out = drive(5, &ctx, |k| (100 - k, 100 - k));
-        assert_eq!(out, RunOutcome { iterations: 5, stopped: None });
+        let out = run(5, &ctx, |k| step(100 - k));
+        assert_eq!(out, RunOutcome { iterations: 5, stopped: None, modeled_ms: 17.5 });
         assert!(out.completed());
     }
 
@@ -302,20 +365,21 @@ mod tests {
         let token = CancelToken::new();
         let ctx = SolveCtx::new().with_cancel(token.clone());
         let cancel_at = 3u64;
-        let out = drive(10, &ctx, |k| {
+        let out = run(10, &ctx, |k| {
             if k + 1 == cancel_at {
                 token.cancel();
             }
-            (50, 50)
+            step(50)
         });
         assert_eq!(out.iterations, cancel_at as usize);
         assert_eq!(out.stopped, Some(StopReason::Cancelled));
+        assert_eq!(out.modeled_ms, 3.0 * 3.5, "only completed iterations are priced");
     }
 
     #[test]
     fn expired_deadline_stops_before_the_first_iteration() {
         let ctx = SolveCtx::new().with_deadline(Instant::now());
-        let out = drive(4, &ctx, |_| unreachable!("deadline already passed"));
+        let out = run(4, &ctx, |_| unreachable!("deadline already passed"));
         assert_eq!(out.iterations, 0);
         assert_eq!(out.stopped, Some(StopReason::DeadlineExpired));
     }
@@ -329,9 +393,22 @@ mod tests {
             assert_eq!(ev.iter_best, ev.iteration + 10);
             seen2.fetch_add(1, Ordering::SeqCst);
         });
-        let out = drive(6, &ctx, |k| (k + 10, k + 10));
+        let out = run(6, &ctx, |k| step(k + 10));
         assert!(out.completed());
         assert_eq!(seen.load(Ordering::SeqCst), 6);
+    }
+
+    #[test]
+    fn trace_gets_one_span_per_iteration() {
+        let trace = Arc::new(aco_obs::JobTrace::new(7, 16));
+        let ctx = SolveCtx::new().with_trace(Arc::clone(&trace));
+        run(3, &ctx, step);
+        let spans = trace.snapshot().iterations;
+        assert_eq!(spans.len(), 3);
+        for (k, s) in spans.iter().enumerate() {
+            assert_eq!(s.iteration, k as u64);
+            assert_eq!((s.construction_ms, s.local_search_ms, s.pheromone_ms), (1.0, 0.5, 2.0));
+        }
     }
 
     #[test]
@@ -342,11 +419,11 @@ mod tests {
         let ctx = SolveCtx::new()
             .with_dynamics(DynamicsConfig::default().window(2).entropy_floor(0.0))
             .with_observer(move |ev| seen2.lock().unwrap().push(ev));
-        let out = drive_dynamics(4, &ctx, |k| {
+        let out = run(4, &ctx, |k| {
             let best = 100 - k.min(1) * 10; // one improvement at k = 1, then flat
             let raw =
                 RawDynamics { mean_len: best as f64 + 5.0, entropy: 0.9, ..Default::default() };
-            (best, best, Some(raw))
+            Step { raw_dynamics: Some(raw), ..step(best) }
         });
         assert!(out.completed());
         let evs = seen.lock().expect("events");
@@ -361,21 +438,29 @@ mod tests {
     }
 
     #[test]
-    fn plain_drive_emits_no_stats() {
+    fn steps_without_raw_dynamics_emit_no_stats() {
         let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
         let seen2 = Arc::clone(&seen);
         let ctx = SolveCtx::new()
             .with_dynamics(aco_obs::DynamicsConfig::default())
             .with_observer(move |ev| seen2.lock().unwrap().push(ev));
-        drive(2, &ctx, |_| (7, 7));
+        run(2, &ctx, |_| step(7));
         assert!(seen.lock().expect("events").iter().all(|ev| ev.stats.is_none()));
     }
 
     #[test]
-    fn try_drive_propagates_errors() {
+    fn step_errors_abort_the_run() {
         let ctx = SolveCtx::new();
-        let r: Result<RunOutcome, &str> =
-            try_drive(3, &ctx, |k| if k == 1 { Err("boom") } else { Ok((1, 1)) });
-        assert_eq!(r, Err("boom"));
+        let mut colony =
+            FnColony(
+                |k| {
+                    if k == 1 {
+                        Err(SimtError::DeviceFault("boom".into()))
+                    } else {
+                        Ok(step(1))
+                    }
+                },
+            );
+        assert_eq!(drive(&mut colony, 3, &ctx), Err(SimtError::DeviceFault("boom".into())));
     }
 }

@@ -18,6 +18,7 @@
 //! cached in the [`ArtifactCache`], so a batch of `auto` jobs on one
 //! instance pays for the probes once.
 
+use aco_core::cpu::{cpu_ls_colony_ms, cpu_phase_ms, LS_ROUNDS_EST};
 use aco_core::gpu::{run_pheromone, run_tour, ColonyBuffers, PheromoneStrategy, TourStrategy};
 use aco_core::{AcoParams, CpuModel, TourPolicy};
 use aco_devices::{DeviceAffinity, DevicePool};
@@ -29,7 +30,7 @@ use aco_simt::{GlobalMem, SimMode};
 use aco_tsp::TspInstance;
 
 use crate::cache::{ArtifactCache, InstanceArtifacts};
-use crate::solver::{cpu_ls_iter_ms, cpu_phase_ms, Backend, GpuDevice, LS_ROUNDS_EST};
+use crate::solver::{Backend, GpuDevice};
 
 /// Thread count the parallel-CPU candidate assumes. Fixed (not probed from
 /// the host) so decisions — and therefore batch results — are identical on
@@ -106,11 +107,7 @@ pub fn estimates(
     let (choice_ms, tour_ms, update_ms) = cpu_phase_ms(n, m, params.nn_size, &model);
     // Every auto candidate is an Ant-System-family colony (m = ants_for),
     // so one scope multiplier covers them all.
-    let ls_passes = match scope {
-        LsScope::IterationBest => 1.0,
-        LsScope::AllAnts => m.max(1) as f64,
-    };
-    let host_ls_ms = cpu_ls_iter_ms(ls, n, artifacts.nn.depth(), &model) * ls_passes;
+    let host_ls_ms = cpu_ls_colony_ms(ls, scope, n, artifacts.nn.depth(), m, &model);
 
     let mut out = Vec::new();
     if allow_cpu {

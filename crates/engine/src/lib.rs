@@ -5,13 +5,16 @@
 //! at a time; this crate turns that single-solve capability into a
 //! throughput system with full job-lifecycle control:
 //!
-//! * **Unified [`Solver`] trait** ([`solver`]): the sequential Ant System,
+//! * **One colony contract** ([`solver`]): the sequential Ant System,
 //!   the multi-threaded CPU colony, [`GpuAntSystem`](aco_core::GpuAntSystem)
 //!   under any `TourStrategy × PheromoneStrategy` combination, and the
-//!   ACS/MMAS variants all answer one ctx-driven [`SolveRequest`] →
-//!   [`SolveReport`] API, selected by a [`Backend`] value. Every colony's
-//!   iteration loop checks cancellation/deadlines and emits
-//!   iteration-best events.
+//!   ACS/MMAS variants all implement [`Colony`] — one ACO iteration per
+//!   step, priced per phase. [`build_solver`] turns a [`Backend`] value
+//!   into a boxed colony, and [`solve`] runs it under the one
+//!   [`drive`](aco_core::lifecycle::drive) loop, which checks
+//!   cancellation/deadlines, records trace spans, folds search dynamics
+//!   and emits iteration-best events for every colony alike, and turns
+//!   the run into a [`SolveReport`].
 //! * **Priority-aware work-stealing scheduler** ([`scheduler`]):
 //!   [`Engine::submit`] queues jobs onto a worker pool and returns a
 //!   [`JobHandle`] — non-blocking [`JobHandle::poll`], blocking
@@ -124,7 +127,9 @@ pub mod scheduler;
 pub mod serve;
 pub mod solver;
 
-pub use aco_core::lifecycle::{CancelToken, IterationEvent, RunOutcome, SolveCtx, StopReason};
+pub use aco_core::lifecycle::{
+    CancelToken, Colony, IterationEvent, RunOutcome, SolveCtx, StopReason,
+};
 pub use aco_devices::{
     DeviceAffinity, DeviceId, DeviceModel, DevicePool, DeviceProfile, DeviceSnapshot, HealthEvent,
     HealthPolicy, HealthState, HealthSummary, Placement, PlacementError, PlacementStrategy,
@@ -145,6 +150,6 @@ pub use scheduler::{
 };
 pub use serve::ObsServer;
 pub use solver::{
-    build_solver, AttemptFault, Backend, EngineError, Failover, GpuBinding, GpuDevice, JobOutcome,
-    Priority, RetryPolicy, SolveReport, SolveRequest, Solver, DEFAULT_PROGRESS_EVENTS,
+    build_solver, solve, AttemptFault, Backend, EngineError, Failover, GpuBinding, GpuDevice,
+    JobOutcome, Priority, RetryPolicy, SolveReport, SolveRequest, DEFAULT_PROGRESS_EVENTS,
 };

@@ -93,8 +93,8 @@ use aco_simt::SimtError;
 use crate::auto;
 use crate::cache::{ArtifactCache, CacheStats};
 use crate::solver::{
-    build_solver, AttemptFault, Backend, EngineError, Failover, GpuBinding, JobOutcome, Priority,
-    SolveReport, SolveRequest,
+    build_solver, solve, AttemptFault, Backend, EngineError, Failover, GpuBinding, JobOutcome,
+    Priority, SolveReport, SolveRequest,
 };
 
 /// The pool an [`EngineConfig`] builds by default: one unmodified device
@@ -641,19 +641,14 @@ impl Shared {
                 reg.counter(&dev("aco_device_faults_observed_total", name)).set(d.faults_observed);
             }
             // Per-job search-dynamics gauges for every timeline still in
-            // the ring. The `*_milli` integer series keep their
-            // long-stable Prometheus names; the float twins carry the
-            // unquantised values (full precision in the JSON snapshot).
+            // the ring; the fractional ones are float gauges, so they
+            // carry the unquantised values.
             let job =
                 |base: &str, id: u64| aco_obs::metrics::labelled(base, "job", &id.to_string());
             for t in self.obs.sink().recent() {
                 if let Some(d) = &t.dynamics {
-                    reg.gauge(&job("aco_job_entropy_milli", t.job))
-                        .set((d.final_entropy * 1e3).round() as i64);
                     reg.gauge(&job("aco_job_stagnant_iterations", t.job))
                         .set(d.stagnant_iterations as i64);
-                    reg.gauge(&job("aco_job_lambda_branching_milli", t.job))
-                        .set((d.final_lambda_branching * 1e3).round() as i64);
                     reg.float_gauge(&job("aco_job_entropy", t.job)).set(d.final_entropy);
                     reg.float_gauge(&job("aco_job_lambda_branching", t.job))
                         .set(d.final_lambda_branching);
@@ -1172,6 +1167,11 @@ fn run_attempt(
     attempt: u32,
     force_cpu: bool,
 ) -> Result<SolveReport, EngineError> {
+    // A colony without ants constructs no tour: every backend reports
+    // that the same way, before any artifact, probe or iteration runs.
+    if req.params.num_ants == Some(0) {
+        return Err(EngineError::NoSolution);
+    }
     let inst = &*req.instance;
     let seed = req.effective_seed();
     let params = req.params.clone().seed(seed);
@@ -1249,7 +1249,7 @@ fn run_attempt(
             profiler: Some(Arc::clone(shared.obs.profiler())),
         })
     });
-    let mut solver =
+    let mut colony =
         build_solver(&backend, inst, &params, &artifacts, gpu, req.local_search, req.ls_scope);
     // Deliver this attempt's injected fault, if the plan schedules one —
     // a pure function of (job, device, attempt), so the same attempt
@@ -1293,7 +1293,7 @@ fn run_attempt(
         },
         None => None,
     };
-    let mut report = solver.solve(req.iterations, seed, ctx)?;
+    let mut report = solve(&mut *colony, backend, req.iterations, seed, ctx)?;
     report.instance = inst.name().to_string();
     report.n = inst.n();
     report.device = device;

@@ -1,29 +1,28 @@
-//! The unified [`Solver`] trait and its adapters over every backend the
-//! workspace implements.
+//! Jobs and their reports, and the one path every backend is solved on.
 //!
 //! The paper benchmarks each parallelisation strategy in isolation; a
 //! production engine needs them interchangeable. One [`SolveRequest`] names
 //! an instance, parameters and a [`Backend`]; [`build_solver`] turns the
-//! resolved backend into a boxed [`Solver`] driven under a
-//! [`SolveCtx`](aco_core::lifecycle::SolveCtx): every adapter delegates its
-//! iteration loop to the colony's own ctx-driven `run_ctx`, so cancellation
-//! and deadlines are checked — and iteration-best events emitted — at every
-//! iteration boundary *inside* each CPU and GPU colony, and `modeled_ms`
-//! accumulates alongside.
+//! resolved backend into a boxed [`Colony`] with its local search and
+//! device binding configured, and [`solve`] runs it under the one
+//! [`drive`] loop of [`aco_core::lifecycle`] — which checks cancellation
+//! and deadlines at every iteration boundary, records the trace spans,
+//! folds the search dynamics, emits the iteration-best events and sums
+//! the modeled milliseconds — and assembles the [`SolveReport`].
 //!
-//! All adapters are deterministic in the request seed: given the same
+//! Every backend is deterministic in the request seed: given the same
 //! `SolveRequest`, an uncancelled `solve` produces a bit-identical
 //! [`SolveReport`] — and an identical iteration-event sequence — no matter
 //! which engine worker runs it or how many workers exist.
 
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::Duration;
 
-use aco_core::cpu::ant_system::model as cpu_model;
-use aco_core::cpu::{run_parallel_ctx, AcsParams, AntColonySystem, MaxMinAntSystem, MmasParams};
+use aco_core::cpu::{AcsParams, AntColonySystem, MaxMinAntSystem, MmasParams, ParallelAntSystem};
 use aco_core::gpu::{GpuAntColonySystem, GpuAntSystem, PheromoneStrategy, TourStrategy};
-use aco_core::lifecycle::{RunOutcome, SolveCtx, StopReason};
-use aco_core::{AcoParams, AntSystem, CpuModel, TourPolicy};
+use aco_core::lifecycle::{drive, Colony, SolveCtx, StopReason};
+use aco_core::{AcoParams, AntSystem, TourPolicy};
 use aco_devices::{DeviceAffinity, DeviceId, DeviceModel, PlacementError};
 use aco_localsearch::{LocalSearch, LsScope};
 use aco_simt::{DeviceSpec, SimtError};
@@ -551,391 +550,48 @@ pub struct SolveReport {
     pub faults: Vec<AttemptFault>,
 }
 
-/// A backend adapter: a ctx-driven iteration loop over one colony.
-pub trait Solver {
-    /// Stable label of the concrete backend.
-    fn backend(&self) -> Backend;
-
-    /// Run up to `iterations` iterations under `ctx`. Every adapter
-    /// delegates to the colony's own `run_ctx`, so cancellation/deadline
-    /// checks and iteration-best events happen inside the colony loop.
-    fn run(&mut self, iterations: usize, ctx: &SolveCtx) -> Result<RunOutcome, EngineError>;
-
-    /// Best tour found so far.
-    fn best(&self) -> Option<(Tour, u64)>;
-
-    /// Modeled milliseconds accumulated so far.
-    fn modeled_ms(&self) -> f64;
-
-    /// Tour-length reduction the colony's per-iteration local search has
-    /// contributed so far (0 for colonies without one).
-    fn local_search_improvement(&self) -> u64 {
-        0
-    }
-
-    /// Stagnation restarts the colony has fired so far (0 for colonies
-    /// without a restart mechanism; MMAS overrides).
-    fn restarts(&self) -> u64 {
-        0
-    }
-
-    /// Drive the run and assemble the report. A run stopped before its
-    /// first completed iteration has no solution to report and fails with
-    /// [`EngineError::Cancelled`] / [`EngineError::DeadlineExpired`]
-    /// (or [`EngineError::NoSolution`] for a zero-iteration request);
-    /// otherwise the partial best is reported with the matching
-    /// [`JobOutcome`].
-    fn solve(
-        &mut self,
-        iterations: usize,
-        seed: u64,
-        ctx: &SolveCtx,
-    ) -> Result<SolveReport, EngineError> {
-        let outcome = self.run(iterations, ctx)?;
-        let Some((best_tour, best_len)) = self.best() else {
-            return Err(match outcome.stopped {
-                Some(StopReason::Cancelled) => EngineError::Cancelled,
-                Some(StopReason::DeadlineExpired) => EngineError::DeadlineExpired,
-                None => EngineError::NoSolution,
-            });
-        };
-        Ok(SolveReport {
-            instance: String::new(), // filled by the caller, which owns the instance
-            n: best_tour.n(),
-            backend: self.backend(),
-            best_tour,
-            best_len,
-            iterations: outcome.iterations,
-            modeled_ms: self.modeled_ms(),
-            seed,
-            outcome: outcome.stopped.into(),
-            device: None, // filled by the scheduler, which owns the placement
-            local_search_improvement: self.local_search_improvement(),
-            restarts: self.restarts(),
-            attempts: 1, // the supervisor overwrites this on retried jobs
-            faults: Vec::new(),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CPU sequential
-
-struct CpuSequentialSolver<'a> {
-    aco: AntSystem<'a>,
-    policy: TourPolicy,
-    model: CpuModel,
-    /// Analytic per-iteration cost of the configured local search.
-    ls_iter_ms: f64,
-    ms: f64,
-}
-
-impl Solver for CpuSequentialSolver<'_> {
-    fn backend(&self) -> Backend {
-        Backend::CpuSequential { policy: self.policy }
-    }
-
-    fn run(&mut self, iterations: usize, ctx: &SolveCtx) -> Result<RunOutcome, EngineError> {
-        let CpuSequentialSolver { aco, policy, model, ls_iter_ms, ms } = self;
-        let trace = ctx.trace().map(std::sync::Arc::clone);
-        let mut k = 0u64;
-        Ok(aco.run_ctx(*policy, iterations, ctx, |rep| {
-            // CPU phases priced from the measured counters: choice-table
-            // refresh + tour construction make the construction span,
-            // the pheromone update its own, local search analytic.
-            let construct = model.time_ms(&rep.counters.choice) + model.time_ms(&rep.counters.tour);
-            let update = model.time_ms(&rep.counters.update);
-            if let Some(trace) = &trace {
-                trace.record_iteration(k, construct, *ls_iter_ms, update);
-            }
-            k += 1;
-            *ms += construct + update + *ls_iter_ms;
-        }))
-    }
-
-    fn best(&self) -> Option<(Tour, u64)> {
-        self.aco.best().map(|(t, l)| (t.clone(), l))
-    }
-
-    fn modeled_ms(&self) -> f64 {
-        self.ms
-    }
-
-    fn local_search_improvement(&self) -> u64 {
-        self.aco.local_search_improvement()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CPU parallel colony
-
-struct CpuParallelSolver<'a> {
-    aco: AntSystem<'a>,
-    policy: TourPolicy,
-    threads: usize,
-    iteration: u64,
-    best: Option<(Tour, u64)>,
-    model: CpuModel,
-    /// Analytic per-iteration cost of the configured local search (the
-    /// pass runs on the fan-in thread, so it is not divided by
-    /// `threads`).
-    ls_iter_ms: f64,
-    ms: f64,
-}
-
-impl Solver for CpuParallelSolver<'_> {
-    fn backend(&self) -> Backend {
-        Backend::CpuParallel { policy: self.policy, threads: self.threads }
-    }
-
-    fn run(&mut self, iterations: usize, ctx: &SolveCtx) -> Result<RunOutcome, EngineError> {
-        let CpuParallelSolver { aco, policy, threads, iteration, best, model, ls_iter_ms, ms } =
-            self;
-        // Construction fans out over `threads`; choice refresh and the
-        // pheromone update stay sequential (memory-bound, as measured by
-        // the per-iteration counters below). Model accordingly.
-        let n = aco.n();
-        let m = aco.m();
-        let tour_counters = match policy {
-            TourPolicy::FullProbabilistic => cpu_model::full_tour_counters(n, m),
-            TourPolicy::NearestNeighborList => {
-                cpu_model::nn_tour_counters(n, m, aco.params().nn_size.min(n - 1))
-            }
-        };
-        let tour_ms = model.time_ms(&tour_counters) / (*threads).max(1) as f64;
-        let trace = ctx.trace().map(std::sync::Arc::clone);
-        let base = *iteration;
-        let mut k = 0u64;
-        let outcome =
-            run_parallel_ctx(aco, *policy, *threads, iterations, *iteration, ctx, best, |c| {
-                // The fan-in counters measure choice refresh + pheromone
-                // update together; the trace lumps both under the
-                // pheromone span, construction is the fanned-out tour.
-                let update = model.time_ms(c);
-                if let Some(trace) = &trace {
-                    trace.record_iteration(base + k, tour_ms, *ls_iter_ms, update);
-                }
-                k += 1;
-                *ms += update + tour_ms + *ls_iter_ms;
-            });
-        *iteration += outcome.iterations as u64;
-        Ok(outcome)
-    }
-
-    fn best(&self) -> Option<(Tour, u64)> {
-        self.best.clone()
-    }
-
-    fn modeled_ms(&self) -> f64 {
-        self.ms
-    }
-
-    fn local_search_improvement(&self) -> u64 {
-        self.aco.local_search_improvement()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CPU ACS / MMAS
-
-struct CpuAcsSolver<'a> {
-    acs: AntColonySystem<'a>,
-    acs_params: AcsParams,
-    per_iter_ms: f64,
-    /// Analytic `(choice, tour, update)` split of `per_iter_ms` minus
-    /// local search (the ACS clock is analytic, so the trace spans are
-    /// the same for every iteration).
-    phase_ms: (f64, f64, f64),
-    ls_iter_ms: f64,
-    iters: u64,
-}
-
-impl Solver for CpuAcsSolver<'_> {
-    fn backend(&self) -> Backend {
-        Backend::CpuAcs(self.acs_params)
-    }
-
-    fn run(&mut self, iterations: usize, ctx: &SolveCtx) -> Result<RunOutcome, EngineError> {
-        let base = self.iters;
-        let outcome = self.acs.run_ctx(iterations, ctx);
-        self.iters += outcome.iterations as u64;
-        if let Some(trace) = ctx.trace() {
-            let (choice, tour, update) = self.phase_ms;
-            for k in 0..outcome.iterations as u64 {
-                trace.record_iteration(base + k, choice + tour, self.ls_iter_ms, update);
-            }
-        }
-        Ok(outcome)
-    }
-
-    fn best(&self) -> Option<(Tour, u64)> {
-        self.acs.best().map(|(t, l)| (t.clone(), l))
-    }
-
-    fn modeled_ms(&self) -> f64 {
-        self.per_iter_ms * self.iters as f64
-    }
-
-    fn local_search_improvement(&self) -> u64 {
-        self.acs.local_search_improvement()
-    }
-}
-
-struct CpuMmasSolver<'a> {
-    mmas: MaxMinAntSystem<'a>,
-    mmas_params: MmasParams,
-    per_iter_ms: f64,
-    /// Analytic `(choice, tour, update)` split, as in [`CpuAcsSolver`].
-    phase_ms: (f64, f64, f64),
-    ls_iter_ms: f64,
-    iters: u64,
-}
-
-impl Solver for CpuMmasSolver<'_> {
-    fn backend(&self) -> Backend {
-        Backend::CpuMmas(self.mmas_params)
-    }
-
-    fn run(&mut self, iterations: usize, ctx: &SolveCtx) -> Result<RunOutcome, EngineError> {
-        let base = self.iters;
-        let outcome = self.mmas.run_ctx(iterations, ctx);
-        self.iters += outcome.iterations as u64;
-        if let Some(trace) = ctx.trace() {
-            let (choice, tour, update) = self.phase_ms;
-            for k in 0..outcome.iterations as u64 {
-                trace.record_iteration(base + k, choice + tour, self.ls_iter_ms, update);
-            }
-        }
-        Ok(outcome)
-    }
-
-    fn best(&self) -> Option<(Tour, u64)> {
-        self.mmas.best().map(|(t, l)| (t.clone(), l))
-    }
-
-    fn modeled_ms(&self) -> f64 {
-        self.per_iter_ms * self.iters as f64
-    }
-
-    fn local_search_improvement(&self) -> u64 {
-        self.mmas.local_search_improvement()
-    }
-
-    fn restarts(&self) -> u64 {
-        self.mmas.restarts()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// GPU Ant System / ACS
-
-struct GpuSolver<'a> {
-    sys: GpuAntSystem<'a>,
-    device: GpuDevice,
-    tour: TourStrategy,
-    pheromone: PheromoneStrategy,
-    ms: f64,
-}
-
-impl Solver for GpuSolver<'_> {
-    fn backend(&self) -> Backend {
-        Backend::Gpu { device: self.device, tour: self.tour, pheromone: self.pheromone }
-    }
-
-    fn run(&mut self, iterations: usize, ctx: &SolveCtx) -> Result<RunOutcome, EngineError> {
-        let GpuSolver { sys, ms, .. } = self;
-        Ok(sys.run_ctx(iterations, ctx, |rep| *ms += rep.tour_ms + rep.pheromone_ms + rep.ls_ms)?)
-    }
-
-    fn best(&self) -> Option<(Tour, u64)> {
-        self.sys.best().map(|(t, l)| (t.clone(), l))
-    }
-
-    fn modeled_ms(&self) -> f64 {
-        self.ms
-    }
-
-    fn local_search_improvement(&self) -> u64 {
-        self.sys.local_search_improvement()
-    }
-}
-
-struct GpuAcsSolver<'a> {
-    sys: GpuAntColonySystem<'a>,
-    device: GpuDevice,
-    acs: AcsParams,
-    ms: f64,
-}
-
-impl Solver for GpuAcsSolver<'_> {
-    fn backend(&self) -> Backend {
-        Backend::GpuAcs { device: self.device, acs: self.acs }
-    }
-
-    fn run(&mut self, iterations: usize, ctx: &SolveCtx) -> Result<RunOutcome, EngineError> {
-        let GpuAcsSolver { sys, ms, .. } = self;
-        Ok(sys.run_ctx(iterations, ctx, |tour_ms, update_ms, ls_ms| {
-            *ms += tour_ms + update_ms + ls_ms
-        })?)
-    }
-
-    fn best(&self) -> Option<(Tour, u64)> {
-        self.sys.best().map(|(t, l)| (t.clone(), l))
-    }
-
-    fn modeled_ms(&self) -> f64 {
-        self.ms
-    }
-
-    fn local_search_improvement(&self) -> u64 {
-        self.sys.local_search_improvement()
-    }
-}
-
-/// Analytic `(choice, tour, update)` per-iteration milliseconds of a
-/// candidate-list CPU colony — the single pricing formula shared by the
-/// ACS/MMAS report clocks and the `auto` cost model (`crate::auto`).
-pub(crate) fn cpu_phase_ms(n: usize, m: usize, nn: usize, model: &CpuModel) -> (f64, f64, f64) {
-    let nn = nn.min(n.saturating_sub(1)).max(1);
-    (
-        model.time_ms(&cpu_model::choice_counters(n)),
-        model.time_ms(&cpu_model::nn_tour_counters(n, m, nn)),
-        model.time_ms(&cpu_model::update_counters(n, m)),
-    )
-}
-
-/// Rounds the analytic local-search model assumes per iteration-best
-/// pass: candidate scans repeat until the move stream dries up, and a
-/// handful of best-improvement rounds is what construction-quality tours
-/// take in practice (the GPU side prices the same constant against a
-/// probed kernel round — see `crate::auto`).
-pub(crate) const LS_ROUNDS_EST: u64 = 6;
-
-/// Analytic per-iteration cost of a host-side local-search pass: one
-/// candidate evaluation is ~6 loads + 6 flops + 3 branches + 4 ALU ops,
-/// and a round evaluates every city's candidate set (both directions for
-/// 2-opt, three segment lengths for Or-opt). Used by the report clocks
-/// and the `auto` cost model, so enabling local search genuinely moves
-/// backend selection.
-pub(crate) fn cpu_ls_iter_ms(ls: LocalSearch, n: usize, nn: usize, model: &CpuModel) -> f64 {
-    let per_city = match ls.per_iteration() {
-        LocalSearch::None | LocalSearch::PostPass => return 0.0,
-        LocalSearch::TwoOpt => 2 * n.saturating_sub(1),
-        LocalSearch::TwoOptNn => 2 * nn,
-        LocalSearch::OrOpt => 3 * nn,
-    } as u64;
-    let evals = LS_ROUNDS_EST * n as u64 * per_city;
-    let c = aco_core::OpCounter {
-        loads: 6 * evals,
-        flops: 6 * evals,
-        branches: 3 * evals,
-        alu: 4 * evals,
-        ..Default::default()
+/// Drive `colony` for up to `iterations` iterations under `ctx`
+/// ([`drive`]) and assemble its report. A run stopped before its first
+/// completed iteration has no solution to report and fails with
+/// [`EngineError::Cancelled`] / [`EngineError::DeadlineExpired`] (or
+/// [`EngineError::NoSolution`] for a zero-iteration request); otherwise
+/// the partial best is reported with the matching [`JobOutcome`].
+/// `instance`, `n` and `device` are left for the caller, which owns the
+/// instance and the placement.
+pub fn solve(
+    colony: &mut dyn Colony,
+    backend: Backend,
+    iterations: usize,
+    seed: u64,
+    ctx: &SolveCtx,
+) -> Result<SolveReport, EngineError> {
+    let outcome = drive(colony, iterations, ctx)?;
+    let Some((best_tour, best_len)) = colony.best() else {
+        return Err(match outcome.stopped {
+            Some(StopReason::Cancelled) => EngineError::Cancelled,
+            Some(StopReason::DeadlineExpired) => EngineError::DeadlineExpired,
+            None => EngineError::NoSolution,
+        });
     };
-    model.time_ms(&c)
+    Ok(SolveReport {
+        instance: String::new(),
+        n: best_tour.n(),
+        backend,
+        best_tour: best_tour.clone(),
+        best_len,
+        iterations: outcome.iterations,
+        modeled_ms: outcome.modeled_ms,
+        seed,
+        outcome: outcome.stopped.into(),
+        device: None,
+        local_search_improvement: colony.local_search_improvement(),
+        restarts: colony.restarts(),
+        attempts: 1, // the supervisor overwrites this on retried jobs
+        faults: Vec::new(),
+    })
 }
 
-/// How a GPU solver is bound to a concrete pool device: the profile's
+/// How a GPU colony is bound to a concrete pool device: the profile's
 /// derived spec (which may rescale the Table-I preset) and its
 /// exec-thread budget. Without a binding, GPU backends fall back to the
 /// model's unmodified preset on one exec thread — the pre-pool behaviour,
@@ -951,13 +607,13 @@ pub struct GpuBinding {
     /// colony adds `min(count, MAX_DONATED_THREADS)` threads to each
     /// launch while peers are idle; simulator results are thread-count
     /// invariant, so reports stay bit-identical either way.
-    pub donated: Option<std::sync::Arc<std::sync::atomic::AtomicUsize>>,
+    pub donated: Option<Arc<AtomicUsize>>,
 }
 
-/// Build a concrete solver for a **resolved** backend (callers resolve
+/// Build the colony of a **resolved** backend (callers resolve
 /// [`Backend::Auto`] first — see [`crate::auto::resolve`]), optionally
 /// bound to a pool device profile, with `local_search` configured into
-/// the colony's iteration loop (`scope` picks the tours it improves;
+/// its iteration loop (`scope` picks the tours it improves;
 /// [`LocalSearch::PostPass`] is applied by the engine after the run, not
 /// here).
 ///
@@ -971,140 +627,56 @@ pub fn build_solver<'a>(
     gpu: Option<GpuBinding>,
     local_search: LocalSearch,
     scope: LsScope,
-) -> Box<dyn Solver + 'a> {
-    let model = CpuModel::default();
-    let eff_nn = artifacts.nn.depth();
-    // Per-iteration local-search clock: one pass (iteration best) or one
-    // per ant — with each backend's *own* colony size (ACS runs
-    // `num_ants.unwrap_or(10)` ants, not `ants_for`).
-    let ls_ms_for = |colony_m: usize| {
-        let passes = match scope {
-            LsScope::IterationBest => 1,
-            LsScope::AllAnts => colony_m.max(1),
-        };
-        cpu_ls_iter_ms(local_search, inst.n(), eff_nn, &model) * passes as f64
+) -> Box<dyn Colony + 'a> {
+    let (nn, c_nn) = (&artifacts.nn, artifacts.c_nn);
+    let ant_system = |policy: TourPolicy| {
+        AntSystem::with_artifacts(inst, params.clone(), Arc::clone(nn), c_nn).with_policy(policy)
     };
-    let ls_iter_ms = ls_ms_for(params.ants_for(inst.n()));
-    match backend {
-        Backend::CpuSequential { policy } => {
-            let mut aco = AntSystem::with_artifacts(
-                inst,
-                params.clone(),
-                Arc::clone(&artifacts.nn),
-                artifacts.c_nn,
-            );
-            aco.set_local_search(local_search, scope);
-            Box::new(CpuSequentialSolver { aco, policy: *policy, model, ls_iter_ms, ms: 0.0 })
-        }
+    let spec = |device: &GpuDevice| gpu.as_ref().map_or_else(|| device.spec(), |b| b.spec.clone());
+    let mut colony: Box<dyn Colony + 'a> = match backend {
+        Backend::CpuSequential { policy } => Box::new(ant_system(*policy)),
         Backend::CpuParallel { policy, threads } => {
-            let mut aco = AntSystem::with_artifacts(
-                inst,
-                params.clone(),
-                Arc::clone(&artifacts.nn),
-                artifacts.c_nn,
-            );
-            aco.set_local_search(local_search, scope);
-            Box::new(CpuParallelSolver {
-                aco,
-                policy: *policy,
-                threads: (*threads).max(1),
-                iteration: 0,
-                best: None,
-                model,
-                ls_iter_ms,
-                ms: 0.0,
-            })
+            Box::new(ParallelAntSystem::new(ant_system(*policy), *threads))
         }
-        Backend::CpuAcs(acs) => {
-            let m = params.num_ants.unwrap_or(10);
-            let mut colony = AntColonySystem::with_artifacts(
-                inst,
-                params.clone(),
-                *acs,
-                Arc::clone(&artifacts.nn),
-                artifacts.c_nn,
-            );
-            colony.set_local_search(local_search, scope);
-            let phase_ms = cpu_phase_ms(inst.n(), m, params.nn_size, &model);
-            let ls = ls_ms_for(m);
-            Box::new(CpuAcsSolver {
-                acs: colony,
-                acs_params: *acs,
-                per_iter_ms: phase_ms.0 + phase_ms.1 + phase_ms.2 + ls,
-                phase_ms,
-                ls_iter_ms: ls,
-                iters: 0,
-            })
-        }
-        Backend::CpuMmas(mmas) => {
-            let mut colony = MaxMinAntSystem::with_artifacts(
-                inst,
-                params.clone(),
-                *mmas,
-                Arc::clone(&artifacts.nn),
-                artifacts.c_nn,
-            );
-            colony.set_local_search(local_search, scope);
-            let phase_ms =
-                cpu_phase_ms(inst.n(), params.ants_for(inst.n()), params.nn_size, &model);
-            Box::new(CpuMmasSolver {
-                mmas: colony,
-                mmas_params: *mmas,
-                per_iter_ms: phase_ms.0 + phase_ms.1 + phase_ms.2 + ls_iter_ms,
-                phase_ms,
-                ls_iter_ms,
-                iters: 0,
-            })
-        }
-        Backend::Gpu { device, tour, pheromone } => {
-            let binding = gpu.unwrap_or_else(|| GpuBinding {
-                spec: device.spec(),
-                exec_threads: 1,
-                donated: None,
-            });
-            let mut sys = GpuAntSystem::with_artifacts(
-                inst,
-                params.clone(),
-                binding.spec,
-                *tour,
-                *pheromone,
-                &artifacts.nn,
-                artifacts.c_nn,
-            );
-            sys.set_exec_threads(binding.exec_threads);
-            if let Some(donor) = binding.donated {
-                sys.set_thread_donor(donor);
-            }
-            sys.set_local_search(local_search, scope);
-            Box::new(GpuSolver {
-                sys,
-                device: *device,
-                tour: *tour,
-                pheromone: *pheromone,
-                ms: 0.0,
-            })
-        }
-        Backend::GpuAcs { device, acs } => {
-            let binding = gpu.unwrap_or_else(|| GpuBinding {
-                spec: device.spec(),
-                exec_threads: 1,
-                donated: None,
-            });
-            let mut sys = GpuAntColonySystem::with_artifacts(
-                inst,
-                params.clone(),
-                *acs,
-                binding.spec,
-                &artifacts.nn,
-                artifacts.c_nn,
-            );
-            sys.set_exec_threads(binding.exec_threads);
-            if let Some(donor) = binding.donated {
-                sys.set_thread_donor(donor);
-            }
-            sys.set_local_search(local_search, scope);
-            Box::new(GpuAcsSolver { sys, device: *device, acs: *acs, ms: 0.0 })
-        }
+        Backend::CpuAcs(acs) => Box::new(AntColonySystem::with_artifacts(
+            inst,
+            params.clone(),
+            *acs,
+            Arc::clone(nn),
+            c_nn,
+        )),
+        Backend::CpuMmas(mmas) => Box::new(MaxMinAntSystem::with_artifacts(
+            inst,
+            params.clone(),
+            *mmas,
+            Arc::clone(nn),
+            c_nn,
+        )),
+        Backend::Gpu { device, tour, pheromone } => Box::new(GpuAntSystem::with_artifacts(
+            inst,
+            params.clone(),
+            spec(device),
+            *tour,
+            *pheromone,
+            nn,
+            c_nn,
+        )),
+        Backend::GpuAcs { device, acs } => Box::new(GpuAntColonySystem::with_artifacts(
+            inst,
+            params.clone(),
+            *acs,
+            spec(device),
+            nn,
+            c_nn,
+        )),
         Backend::Auto => panic!("Backend::Auto must be resolved before build_solver"),
+    };
+    if let Some(binding) = gpu {
+        colony.set_exec_threads(binding.exec_threads);
+        if let Some(donor) = binding.donated {
+            colony.set_thread_donor(donor);
+        }
     }
+    colony.set_local_search(local_search, scope);
+    colony
 }

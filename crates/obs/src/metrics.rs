@@ -106,10 +106,9 @@ impl Gauge {
 }
 
 /// A full-precision floating-point gauge handle (`f64` bits in an
-/// `AtomicU64`). Exists because integer [`Gauge`]s quantise — the
-/// `*_milli` job gauges truncate to milli-units for Prometheus name
-/// stability, and the float twin carries the true value into the JSON
-/// snapshot. No-op when disabled.
+/// `AtomicU64`), for fractional quantities an integer [`Gauge`] would
+/// quantise — such as the per-job trail entropy and λ-branching. No-op
+/// when disabled.
 #[derive(Clone, Default)]
 pub struct FloatGauge {
     cell: Option<Arc<AtomicU64>>,

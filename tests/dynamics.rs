@@ -7,49 +7,19 @@
 
 use std::sync::Arc;
 
-use aco_gpu::core::cpu::{AcsParams, MmasParams, TourPolicy};
-use aco_gpu::core::gpu::{PheromoneStrategy, TourStrategy};
+use aco_gpu::core::cpu::{MmasParams, TourPolicy};
 use aco_gpu::core::AcoParams;
 use aco_gpu::engine::{
-    replay_timeline, Backend, DynamicsConfig, Engine, EngineConfig, GpuDevice, IterationEvent,
-    JobOutcome, JournalConfig, SolveRequest,
+    replay_timeline, Backend, DynamicsConfig, Engine, EngineConfig, IterationEvent, JournalConfig,
+    LocalSearch, SolveRequest,
 };
 use aco_gpu::tsp;
 
+mod common;
+
 /// One request per backend family, so every colony's dynamics path runs.
 fn mixed_batch(inst: &Arc<tsp::TspInstance>, iterations: usize) -> Vec<SolveRequest> {
-    let params = AcoParams::default().nn(8).ants(10);
-    vec![
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::CpuSequential { policy: TourPolicy::NearestNeighborList })
-            .iterations(iterations)
-            .seed(1),
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::CpuParallel { policy: TourPolicy::NearestNeighborList, threads: 3 })
-            .iterations(iterations)
-            .seed(2),
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::CpuAcs(AcsParams::default()))
-            .iterations(iterations)
-            .seed(3),
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::CpuMmas(MmasParams::default()))
-            .iterations(iterations)
-            .seed(4),
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::Gpu {
-                device: GpuDevice::TeslaC1060,
-                tour: TourStrategy::NNList,
-                pheromone: PheromoneStrategy::AtomicShared,
-            })
-            .iterations(iterations)
-            .seed(5),
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::GpuAcs { device: GpuDevice::TeslaM2050, acs: AcsParams::default() })
-            .iterations(iterations)
-            .seed(6),
-        SolveRequest::new(Arc::clone(inst), params).backend(Backend::Auto).iterations(3).seed(7),
-    ]
+    common::batch_of(inst, [(iterations, LocalSearch::None); 6])
 }
 
 fn config(workers: usize, dynamics: bool, journal: bool) -> EngineConfig {
@@ -69,19 +39,10 @@ type BatchFingerprint = Vec<(u64, Vec<u32>, Option<u32>, u64, Vec<IterationEvent
 fn run_batch(cfg: EngineConfig, inst: &Arc<tsp::TspInstance>) -> BatchFingerprint {
     let engine = Engine::new(cfg);
     let handles: Vec<_> = mixed_batch(inst, 5).into_iter().map(|r| engine.submit(r)).collect();
-    handles
+    common::completed(handles)
         .into_iter()
-        .map(|h| {
-            let stream = h.progress();
-            let report = h.wait().expect("job solves");
-            assert_eq!(report.outcome, JobOutcome::Completed);
-            (
-                report.best_len,
-                report.best_tour.order().to_vec(),
-                report.device.map(|d| d.0),
-                report.restarts,
-                stream.collect(),
-            )
+        .map(|(r, events)| {
+            (r.best_len, r.best_tour.order().to_vec(), r.device.map(|d| d.0), r.restarts, events)
         })
         .collect()
 }
@@ -290,8 +251,10 @@ fn stagnation_detector_fires_and_is_exported() {
     // Per-job dynamics gauges are bridged into the snapshot.
     let gauge = |name: &str| snap.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
     let job = h.id().as_u64();
-    let entropy = gauge(&format!("aco_job_entropy_milli{{job=\"{job}\"}}")).expect("entropy gauge");
-    assert_eq!(entropy, (d.final_entropy * 1e3).round() as i64);
+    let float_gauge =
+        |name: &str| snap.float_gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+    let entropy = float_gauge(&format!("aco_job_entropy{{job=\"{job}\"}}")).expect("entropy gauge");
+    assert_eq!(entropy, d.final_entropy);
     assert!(gauge(&format!("aco_job_stagnant_iterations{{job=\"{job}\"}}")).is_some());
     assert_eq!(report.restarts, 0, "plain AS never restarts");
 }

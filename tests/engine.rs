@@ -6,7 +6,9 @@ use std::sync::Arc;
 use aco_gpu::core::cpu::{AcsParams, MmasParams, TourPolicy};
 use aco_gpu::core::gpu::{PheromoneStrategy, TourStrategy};
 use aco_gpu::core::AcoParams;
-use aco_gpu::engine::{Backend, Engine, EngineConfig, GpuDevice, SolveRequest};
+use aco_gpu::engine::{
+    Backend, Engine, EngineConfig, EngineError, GpuDevice, RetryPolicy, SolveRequest,
+};
 use aco_gpu::tsp;
 
 /// A batch of ≥ 8 jobs mixing instance sizes and CPU / GPU / auto
@@ -145,4 +147,37 @@ fn auto_jobs_share_one_cost_model_decision_per_instance() {
     let stats = engine.cache_stats();
     assert_eq!(stats.decision_misses, 1, "cost models ran once");
     assert_eq!(stats.decision_hits, 3, "three jobs reused the decision");
+}
+
+/// A colony without ants constructs no tour. Every backend reports that
+/// the same way — `NoSolution`, with no iteration run — and, since the
+/// verdict is not retryable, a retry policy does not repeat it.
+#[test]
+fn zero_ants_is_no_solution_on_every_backend() {
+    let inst = Arc::new(tsp::uniform_random("no-ants", 24, 500.0, 6));
+    let engine = Engine::new(EngineConfig::with_workers(2));
+    let backends = [
+        Backend::CpuSequential { policy: TourPolicy::NearestNeighborList },
+        Backend::CpuParallel { policy: TourPolicy::NearestNeighborList, threads: 2 },
+        Backend::CpuAcs(AcsParams::default()),
+        Backend::CpuMmas(MmasParams::default()),
+        Backend::Gpu {
+            device: GpuDevice::TeslaC1060,
+            tour: TourStrategy::NNList,
+            pheromone: PheromoneStrategy::AtomicShared,
+        },
+        Backend::GpuAcs { device: GpuDevice::TeslaM2050, acs: AcsParams::default() },
+    ];
+    for backend in backends {
+        let label = backend.label();
+        let h = engine.submit(
+            SolveRequest::new(Arc::clone(&inst), AcoParams::default().nn(8).ants(0))
+                .backend(backend)
+                .iterations(2)
+                .retry(RetryPolicy::retries(2)),
+        );
+        let events = h.progress();
+        assert_eq!(h.wait(), Err(EngineError::NoSolution), "{label}");
+        assert_eq!(events.count(), 0, "{label}: no iteration ran");
+    }
 }

@@ -26,65 +26,19 @@ use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
-use aco_gpu::core::cpu::{AcsParams, MmasParams, TourPolicy};
-use aco_gpu::core::gpu::{PheromoneStrategy, TourStrategy};
-use aco_gpu::core::AcoParams;
 use aco_gpu::engine::{
-    AlertState, Backend, DynamicsConfig, Engine, EngineConfig, GpuDevice, IterationEvent,
-    JobOutcome, JournalConfig, LocalSearch, ManualClock, SloBoard, SloObjective, SloSpec,
-    SolveRequest, WindowConfig, LATENCY_BUCKETS_MS,
+    AlertState, DynamicsConfig, Engine, EngineConfig, JournalConfig, ManualClock, SloBoard,
+    SloObjective, SloSpec, WindowConfig, LATENCY_BUCKETS_MS,
 };
 use aco_gpu::obs::metrics::{labelled, MetricsRegistry};
 use aco_gpu::obs::window::{COMPLETED_TOTAL, FAILED_TOTAL, QUEUE_WAIT_MS, SUBMITTED_TOTAL};
 use aco_gpu::obs::RollingWindow;
 use aco_gpu::tsp;
 
+mod common;
+use common::{fingerprint, mixed_batch, BatchFingerprint};
+
 // ---------------------------------------------------------------- helpers
-
-/// A mixed batch exercising every backend family (same shape as
-/// `tests/observability.rs`), so serving reads race against every
-/// span-recording path.
-fn mixed_batch(inst: &Arc<tsp::TspInstance>) -> Vec<SolveRequest> {
-    let params = AcoParams::default().nn(8).ants(10);
-    vec![
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::CpuSequential { policy: TourPolicy::NearestNeighborList })
-            .iterations(5)
-            .seed(1),
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::CpuParallel { policy: TourPolicy::NearestNeighborList, threads: 3 })
-            .iterations(5)
-            .seed(2)
-            .local_search(LocalSearch::PostPass),
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::CpuAcs(AcsParams::default()))
-            .iterations(4)
-            .seed(3),
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::CpuMmas(MmasParams::default()))
-            .iterations(4)
-            .seed(4)
-            .local_search(LocalSearch::TwoOptNn),
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::Gpu {
-                device: GpuDevice::TeslaC1060,
-                tour: TourStrategy::NNList,
-                pheromone: PheromoneStrategy::AtomicShared,
-            })
-            .iterations(3)
-            .seed(5)
-            .local_search(LocalSearch::TwoOptNn),
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::GpuAcs { device: GpuDevice::TeslaM2050, acs: AcsParams::default() })
-            .iterations(3)
-            .seed(6),
-        SolveRequest::new(Arc::clone(inst), params).backend(Backend::Auto).iterations(3).seed(7),
-    ]
-}
-
-/// Everything observable about a batch that must not depend on the
-/// serving setting or the worker count.
-type BatchFingerprint = Vec<(u64, Vec<u32>, Option<u32>, Vec<IterationEvent>)>;
 
 /// Blocking GET over a raw `TcpStream` (no HTTP client dependency).
 /// Returns `(status, head, body)`.
@@ -140,16 +94,7 @@ fn run_batch(workers: usize, serve: bool, inst: &Arc<tsp::TspInstance>) -> Batch
             assert_eq!(status, 200, "GET {path} failed mid-run");
         }
     }
-    let fp: BatchFingerprint = handles
-        .into_iter()
-        .map(|h| {
-            let stream = h.progress();
-            let report = h.wait().expect("job solves");
-            assert_eq!(report.outcome, JobOutcome::Completed);
-            let events: Vec<IterationEvent> = stream.collect();
-            (report.best_len, report.best_tour.order().to_vec(), report.device.map(|d| d.0), events)
-        })
-        .collect();
+    let fp = fingerprint(handles);
     if let Some(mut srv) = server {
         srv.shutdown();
     }
@@ -587,9 +532,8 @@ fn metrics_endpoint_byte_parses_as_valid_prometheus_text() {
         samples.iter().any(|s| s.labels.iter().any(|(k, _)| k == "device")),
         "per-device labelled series present"
     );
-    // Float-gauge twins export alongside the stable milli-gauges.
+    // The per-job dynamics float gauges export.
     assert!(types.keys().any(|n| n == "aco_job_entropy"), "float twin exported");
-    assert!(types.keys().any(|n| n == "aco_job_entropy_milli"), "milli gauge kept");
 }
 
 /// `metrics::labelled` escaping survives the round trip through the

@@ -10,73 +10,19 @@
 
 use std::sync::Arc;
 
-use aco_gpu::core::cpu::{AcsParams, MmasParams, TourPolicy};
+use aco_gpu::core::cpu::TourPolicy;
 use aco_gpu::core::gpu::{PheromoneStrategy, TourStrategy};
 use aco_gpu::core::AcoParams;
-use aco_gpu::engine::{
-    Backend, Engine, EngineConfig, GpuDevice, IterationEvent, JobOutcome, LocalSearch,
-    SolveRequest, LATENCY_BUCKETS_MS,
-};
+use aco_gpu::engine::{Backend, Engine, EngineConfig, GpuDevice, SolveRequest, LATENCY_BUCKETS_MS};
 use aco_gpu::tsp;
 
-/// A mixed batch exercising every backend family, with and without
-/// local search / post-pass, so every span-recording path runs.
-fn mixed_batch(inst: &Arc<tsp::TspInstance>) -> Vec<SolveRequest> {
-    let params = AcoParams::default().nn(8).ants(10);
-    vec![
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::CpuSequential { policy: TourPolicy::NearestNeighborList })
-            .iterations(5)
-            .seed(1),
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::CpuParallel { policy: TourPolicy::NearestNeighborList, threads: 3 })
-            .iterations(5)
-            .seed(2)
-            .local_search(LocalSearch::PostPass),
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::CpuAcs(AcsParams::default()))
-            .iterations(4)
-            .seed(3),
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::CpuMmas(MmasParams::default()))
-            .iterations(4)
-            .seed(4)
-            .local_search(LocalSearch::TwoOptNn),
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::Gpu {
-                device: GpuDevice::TeslaC1060,
-                tour: TourStrategy::NNList,
-                pheromone: PheromoneStrategy::AtomicShared,
-            })
-            .iterations(3)
-            .seed(5)
-            .local_search(LocalSearch::TwoOptNn),
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::GpuAcs { device: GpuDevice::TeslaM2050, acs: AcsParams::default() })
-            .iterations(3)
-            .seed(6),
-        SolveRequest::new(Arc::clone(inst), params).backend(Backend::Auto).iterations(3).seed(7),
-    ]
-}
-
-/// Everything observable about a batch that must not depend on the
-/// observability setting or the worker count.
-type BatchFingerprint = Vec<(u64, Vec<u32>, Option<u32>, Vec<IterationEvent>)>;
+mod common;
+use common::{fingerprint, mixed_batch, BatchFingerprint};
 
 fn run_batch(workers: usize, observe: bool, inst: &Arc<tsp::TspInstance>) -> BatchFingerprint {
     let engine = Engine::new(EngineConfig::with_workers(workers).observe(observe));
     assert_eq!(engine.observability_enabled(), observe);
-    let handles: Vec<_> = mixed_batch(inst).into_iter().map(|r| engine.submit(r)).collect();
-    handles
-        .into_iter()
-        .map(|h| {
-            let stream = h.progress();
-            let report = h.wait().expect("job solves");
-            assert_eq!(report.outcome, JobOutcome::Completed);
-            let events: Vec<IterationEvent> = stream.collect();
-            (report.best_len, report.best_tour.order().to_vec(), report.device.map(|d| d.0), events)
-        })
-        .collect()
+    fingerprint(mixed_batch(inst).into_iter().map(|r| engine.submit(r)).collect())
 }
 
 /// Acceptance: observability cannot change solve results, device
