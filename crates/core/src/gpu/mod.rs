@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use aco_localsearch::{LocalSearch, LsScope, LsScratch, OrOptDev, TwoOptBatchDev, TwoOptDev};
+use aco_localsearch::{LocalSearch, LsScope, LsScratch, OrOptDev, TwoOptDev};
 use aco_simt::{DeviceSpec, GlobalMem, SimtError};
 use aco_tsp::{NearestNeighborLists, Tour, TspInstance};
 
@@ -73,12 +73,9 @@ impl ExecThreads {
 pub(crate) struct GpuLocalSearch {
     strategy: LocalSearch,
     scope: LsScope,
-    /// The per-ant 2-opt family's device scratch (present iff the
-    /// strategy is `TwoOptNn` with the iteration-best scope).
+    /// The `two_opt` family's scratch (present iff the strategy is
+    /// `TwoOptNn`; serves both scopes via windowed launches).
     two_opt: Option<TwoOptDev>,
-    /// The batched all-ants 2-opt family's scratch (present iff the
-    /// strategy is `TwoOptNn` with the all-ants scope).
-    two_opt_all: Option<TwoOptBatchDev>,
     /// The `or_opt` family's scratch (present iff the strategy is
     /// `OrOpt`; serves both scopes via windowed launches).
     or_opt: Option<OrOptDev>,
@@ -95,7 +92,6 @@ impl GpuLocalSearch {
             strategy: LocalSearch::None,
             scope: LsScope::IterationBest,
             two_opt: None,
-            two_opt_all: None,
             or_opt: None,
             nn_host: nn_host.clone(),
             scratch: LsScratch::new(),
@@ -105,10 +101,9 @@ impl GpuLocalSearch {
 
     /// Configure `ls` on the tours `scope` selects, allocating its
     /// kernel family's scratch next to the colony buffers:
-    /// [`LocalSearch::TwoOptNn`] runs the per-ant `two_opt` family for
-    /// the iteration best and the batched all-ants family (one launch
-    /// per phase for the whole colony) for [`LsScope::AllAnts`];
-    /// [`LocalSearch::OrOpt`] runs the windowed `or_opt` family. Only the
+    /// [`LocalSearch::TwoOptNn`] runs the windowed `two_opt` family and
+    /// [`LocalSearch::OrOpt`] the windowed `or_opt` family, each one
+    /// launch per phase for the whole scope. Only the
     /// host-only [`LocalSearch::TwoOpt`] stays a host pass whose improved
     /// tours are written back to device memory before the pheromone
     /// update (a `cudaMemcpy` round trip, like ACOTSP-hybrid ports do).
@@ -122,21 +117,14 @@ impl GpuLocalSearch {
         self.strategy = ls;
         self.scope = scope;
         let b = bufs;
-        if ls.per_iteration() == LocalSearch::TwoOptNn {
-            if scope == LsScope::AllAnts && self.two_opt_all.is_none() {
-                self.two_opt_all = Some(TwoOptBatchDev::allocate(
-                    gm, b.n, b.m, b.nn, b.stride, b.dist, b.tours, b.lengths, b.nn_list,
-                ));
-            }
-            if scope == LsScope::IterationBest && self.two_opt.is_none() {
-                self.two_opt = Some(TwoOptDev::allocate(
-                    gm, b.n, b.nn, b.stride, b.dist, b.tours, b.lengths, b.nn_list,
-                ));
-            }
+        if ls.per_iteration() == LocalSearch::TwoOptNn && self.two_opt.is_none() {
+            self.two_opt = Some(TwoOptDev::allocate(
+                gm, b.n, b.nn, b.stride, b.dist, b.tours, b.lengths, b.nn_list,
+            ));
         }
         if ls.per_iteration() == LocalSearch::OrOpt && self.or_opt.is_none() {
             self.or_opt = Some(OrOptDev::allocate(
-                gm, b.n, b.m, b.nn, b.stride, b.dist, b.tours, b.lengths, b.nn_list,
+                gm, b.n, b.nn, b.stride, b.dist, b.tours, b.lengths, b.nn_list,
             ));
         }
     }
@@ -173,12 +161,10 @@ impl GpuLocalSearch {
     }
 
     /// Improve a contiguous window of ant tours — `ants` is either
-    /// `[iteration_best]` or `0..m`. Device strategies batch the whole
-    /// window into `O(rounds)` launches: `TwoOptNn` runs the per-ant
-    /// family for a single ant and the batched all-ants family
-    /// otherwise; `OrOpt` runs the windowed `or_opt` family for any
-    /// window. The host-only `TwoOpt` falls back to per-ant host passes
-    /// + [`ColonyBuffers::write_tour`].
+    /// `[iteration_best]` or `0..m`. Device strategies (`TwoOptNn`,
+    /// `OrOpt`) batch the whole window into `O(rounds)` launches of
+    /// their windowed kernel family. The host-only `TwoOpt` falls back
+    /// to per-ant host passes + [`ColonyBuffers::write_tour`].
     #[allow(clippy::too_many_arguments)]
     fn improve_ants(
         &mut self,
@@ -191,18 +177,14 @@ impl GpuLocalSearch {
         tours: &mut [Tour],
         lens: &mut [u64],
     ) -> Result<f64, SimtError> {
+        let (first, count) = (ants[0] as u32, ants.len() as u32);
         let ms = match self.strategy.per_iteration() {
-            LocalSearch::TwoOptNn if ants.len() > 1 => {
-                let scratch = self.two_opt_all.expect("allocated by configure");
-                aco_localsearch::run_two_opt_all(dev, gm, scratch, threads)?.ms
-            }
             LocalSearch::TwoOptNn => {
                 let scratch = self.two_opt.expect("allocated by configure");
-                aco_localsearch::run_two_opt(dev, gm, scratch, ants[0] as u32, threads)?.ms
+                aco_localsearch::run_two_opt_window(dev, gm, scratch, first, count, threads)?.ms
             }
             LocalSearch::OrOpt => {
                 let scratch = self.or_opt.expect("allocated by configure");
-                let (first, count) = (ants[0] as u32, ants.len() as u32);
                 aco_localsearch::run_or_opt(dev, gm, scratch, first, count, threads)?.ms
             }
             host => {

@@ -23,8 +23,7 @@ use aco_core::gpu::{run_pheromone, run_tour, ColonyBuffers, PheromoneStrategy, T
 use aco_core::{AcoParams, CpuModel, TourPolicy};
 use aco_devices::{DeviceAffinity, DevicePool};
 use aco_localsearch::{
-    probe_all_round_ms, probe_or_round_ms, probe_round_ms, LocalSearch, LsScope, OrOptDev,
-    TwoOptBatchDev, TwoOptDev,
+    probe_or_round_ms, probe_round_ms, LocalSearch, LsScope, OrOptDev, TwoOptDev,
 };
 use aco_simt::{GlobalMem, SimMode};
 use aco_tsp::TspInstance;
@@ -85,11 +84,11 @@ pub const PROBE_SEED: u64 = 0x0A07_0CA5;
 /// every candidate: CPU candidates pay the analytic pass model (with
 /// [`LsScope::AllAnts`] multiplying by the colony size), GPU candidates
 /// pay a *probed* kernel round (× [`LS_ROUNDS_EST`]) of the matching
-/// device family — the per-ant `two_opt` round for iteration-best, the
-/// batched all-ants round for [`LsScope::AllAnts`] (one launch per
-/// phase covers the colony, so the all-ants cost is a single batched
-/// round, **not** `round × m`), and the windowed `or_opt` round for
-/// `OrOpt`. Only the host-only full 2-opt is priced as host time. This
+/// windowed device family (`two_opt` or `or_opt`) over the scope's
+/// window — one ant for iteration-best, the colony for
+/// [`LsScope::AllAnts`] (one launch per phase covers the window, so the
+/// all-ants cost is a single windowed round, **not** `round × m`). Only
+/// the host-only full 2-opt is priced as host time. This
 /// is how enabling local search genuinely shifts the CPU/GPU crossover.
 pub fn estimates(
     inst: &TspInstance,
@@ -128,10 +127,10 @@ pub fn estimates(
     let mode = probe_mode(n);
     for &device in gpu_models {
         let dev = device.spec();
-        // The 2-opt round cost depends only on the device (the family
-        // reads whatever tours the preceding construction probe left),
-        // so probe it once per device — on the first candidate pair —
-        // and reuse the number. Pair order is fixed, so the estimate
+        // The local-search round cost depends only on the device (the
+        // family reads whatever tours the preceding construction probe
+        // left), so probe it once per device — on the first candidate
+        // pair — and reuse the number. Pair order is fixed, so the estimate
         // stays a pure function of the inputs.
         let mut ls_round: Option<f64> = None;
         for (tour, pheromone) in AUTO_GPU_CANDIDATES {
@@ -172,72 +171,35 @@ pub fn estimates(
             })
             .and_then(|iter_ms| {
                 // Fold the local-search cost in: the device-resident
-                // strategies are priced from a probed kernel round
-                // scaled by the round estimate. Batched families cover
-                // the whole scope window in one launch per phase, so an
-                // all-ants pass costs one *batched* round — never
-                // `round × m`. Only the host-only full 2-opt still
-                // costs host time.
+                // strategies are priced from one probed kernel round
+                // over the scope's window, scaled by the round estimate.
+                // Both families cover the whole window in one launch per
+                // phase, so an all-ants pass costs one *windowed* round
+                // — never `round × m`. Only the host-only full 2-opt
+                // still costs host time.
                 match ls.per_iteration() {
-                    LocalSearch::TwoOptNn => {
+                    per_iter @ (LocalSearch::TwoOptNn | LocalSearch::OrOpt) => {
                         let round = match ls_round {
                             Some(r) => r,
                             None => {
-                                let r = match scope {
-                                    LsScope::IterationBest => {
-                                        let ls_bufs = TwoOptDev::allocate(
-                                            &mut gm,
-                                            bufs.n,
-                                            bufs.nn,
-                                            bufs.stride,
-                                            bufs.dist,
-                                            bufs.tours,
-                                            bufs.lengths,
-                                            bufs.nn_list,
-                                        );
-                                        probe_round_ms(&dev, &mut gm, ls_bufs, 0, mode)?
-                                    }
-                                    LsScope::AllAnts => {
-                                        let ls_bufs = TwoOptBatchDev::allocate(
-                                            &mut gm,
-                                            bufs.n,
-                                            bufs.m,
-                                            bufs.nn,
-                                            bufs.stride,
-                                            bufs.dist,
-                                            bufs.tours,
-                                            bufs.lengths,
-                                            bufs.nn_list,
-                                        );
-                                        probe_all_round_ms(&dev, &mut gm, ls_bufs, mode)?
-                                    }
-                                };
-                                ls_round = Some(r);
-                                r
-                            }
-                        };
-                        Ok(iter_ms + LS_ROUNDS_EST as f64 * round)
-                    }
-                    LocalSearch::OrOpt => {
-                        let round = match ls_round {
-                            Some(r) => r,
-                            None => {
-                                let ls_bufs = OrOptDev::allocate(
-                                    &mut gm,
-                                    bufs.n,
-                                    bufs.m,
-                                    bufs.nn,
-                                    bufs.stride,
-                                    bufs.dist,
-                                    bufs.tours,
-                                    bufs.lengths,
-                                    bufs.nn_list,
-                                );
                                 let num = match scope {
                                     LsScope::IterationBest => 1,
                                     LsScope::AllAnts => bufs.m,
                                 };
-                                let r = probe_or_round_ms(&dev, &mut gm, ls_bufs, 0, num, mode)?;
+                                let b = bufs;
+                                let r = if per_iter == LocalSearch::TwoOptNn {
+                                    let ls_bufs = TwoOptDev::allocate(
+                                        &mut gm, b.n, b.nn, b.stride, b.dist, b.tours, b.lengths,
+                                        b.nn_list,
+                                    );
+                                    probe_round_ms(&dev, &mut gm, ls_bufs, 0, num, mode)?
+                                } else {
+                                    let ls_bufs = OrOptDev::allocate(
+                                        &mut gm, b.n, b.nn, b.stride, b.dist, b.tours, b.lengths,
+                                        b.nn_list,
+                                    );
+                                    probe_or_round_ms(&dev, &mut gm, ls_bufs, 0, num, mode)?
+                                };
                                 ls_round = Some(r);
                                 r
                             }

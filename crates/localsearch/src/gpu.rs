@@ -1,13 +1,17 @@
-//! The simulated-device `two_opt` kernel family.
+//! The simulated-device `two_opt` kernel family, plus the pieces it
+//! shares with the `or_opt` family in [`crate::oropt`].
 //!
 //! GPU colonies run the [`crate::LocalSearch::TwoOptNn`] pass *on the
 //! device*, as the strongest GPU-ACO systems do (Skinderowicz 2016,
-//! 2020), instead of round-tripping tours to the host. One improvement
-//! **round** is four launches driven by [`run_two_opt`]:
+//! 2020), instead of round-tripping tours to the host. The family works
+//! on a **window** of ant rows `first_ant .. first_ant + num_ants` — one
+//! ant for the iteration-best scope, all `m` for the all-ants hybrid —
+//! and one improvement **round** is one launch per phase whatever the
+//! window size, driven by [`run_two_opt_window`]:
 //!
-//! 1. [`TwoOptPosKernel`] — scatter `pos[city] = index` for the ant's
-//!    tour and refresh the θ-padding (positions `n..stride` repeat the
-//!    possibly-new start city).
+//! 1. [`PosKernel`] — scatter `pos[ant*n + city] = index` for every
+//!    windowed ant and refresh the θ-padding (positions `n..stride`
+//!    repeat the possibly-new start city).
 //! 2. [`TwoOptProposeKernel`] — **one proposed swap per thread**: thread
 //!    `c` scans its city's nearest-neighbour candidates in both tour
 //!    directions (distances through the texture cache, exactly like the
@@ -15,38 +19,77 @@
 //!    the city's *don't-look bit* when nothing improves, and the block
 //!    reduces `(gain, city)` pairs through shared memory to a per-block
 //!    best (ties → lowest city).
-//! 3. [`TwoOptSelectKernel`] — a single block folds the per-block bests
-//!    into the chosen move of the round (same tie-break).
-//! 4. [`TwoOptApplyKernel`] — reverse the shorter side of the chosen
-//!    segment (strided swaps, disjoint pairs), subtract the gain from the
-//!    ant's device length, and clear the don't-look bits of the four
-//!    cities whose edges changed.
+//! 3. [`TwoOptSelectKernel`] — one block per windowed ant folds its
+//!    per-block bests into the ant's chosen move (same tie-break).
+//! 4. [`TwoOptApplyKernel`] — one block per windowed ant reverses the
+//!    shorter side of the chosen segment (strided swaps, disjoint pairs),
+//!    subtracts the gain from the ant's device length, and clears the
+//!    don't-look bits of the four cities whose edges changed.
 //!
-//! The host reads back one word per round (the chosen gain) to decide
-//! termination — the same single-`cudaMemcpy` loop a real implementation
-//! uses.
+//! Scratch is ant-major (one slice of position index, don't-look bits
+//! and reduction entries per ant row), so a pass costs `O(rounds)`
+//! launches no matter how many ants it improves. The host reads back one
+//! gain word per windowed ant per round to decide termination.
 //!
-//! **CPU equivalence.** The family executes exactly the round algorithm
-//! of [`crate::cpu::two_opt_nn`]: identical candidate sets, identical
-//! `f32` gain expression `(removed₁ + removed₂) - (added₁ + added₂)`,
-//! identical strict-`>` scan order, identical `(gain, city)` reduction
-//! tie-break, identical shorter-side reversal and don't-look updates.
-//! On the same input tour both sides therefore produce the **same order
-//! array**, pinned by the cross-crate equivalence tests. And because
-//! every launch goes through [`aco_simt::launch_threads`], counters,
-//! modeled times and memory are bit-identical at any host `exec_threads`
-//! count.
+//! **CPU equivalence.** Per ant, a round executes exactly the round
+//! algorithm of [`crate::cpu::two_opt_nn`]: identical candidate sets,
+//! identical `f32` gain expression `(removed₁ + removed₂) - (added₁ +
+//! added₂)`, identical strict-`>` scan order, identical `(gain, city)`
+//! reduction tie-break, identical shorter-side reversal and don't-look
+//! updates. The window keeps rounding until *no* ant proposes a move; an
+//! ant whose own move stream dried up has every city asleep, so the
+//! extra rounds are exact no-ops for it. On the same input tours both
+//! sides therefore produce the **same order arrays**, pinned by the
+//! tests below and the cross-crate suite. Every launch goes through
+//! [`aco_simt::launch_threads`], so counters, modeled times and memory
+//! are bit-identical at any host `exec_threads` count.
 
 use aco_simt::prelude::*;
 use aco_simt::SimtError;
 
-/// Threads per block for every kernel of the family.
+/// Threads per block for every kernel of both device families.
 pub const LS_BLOCK: u32 = 128;
 
+/// Outcome of one device local-search pass over a window of ant rows.
+#[derive(Debug, Clone)]
+pub struct LsRun {
+    /// Proposal rounds executed (the final round finds no move).
+    pub rounds: u32,
+    /// Moves applied (summed over the window).
+    pub moves: u32,
+    /// Total modeled milliseconds across every launch of the pass.
+    pub ms: f64,
+    /// Merged counters of every launch.
+    pub stats: KernelStats,
+}
+
+impl LsRun {
+    /// A pass that has launched nothing yet.
+    pub(crate) fn new(dev: &DeviceSpec) -> Self {
+        LsRun { rounds: 0, moves: 0, ms: 0.0, stats: KernelStats::for_sms(dev.sm_count as usize) }
+    }
+
+    /// Launch one kernel of the pass and fold in its time and counters.
+    pub(crate) fn launch(
+        &mut self,
+        dev: &DeviceSpec,
+        cfg: &LaunchConfig,
+        kernel: &dyn Kernel,
+        gm: &mut GlobalMem,
+        mode: SimMode,
+        threads: usize,
+    ) -> Result<(), SimtError> {
+        let r = launch_threads(dev, cfg, kernel, gm, mode, threads)?;
+        self.ms += r.time.total_ms;
+        self.stats.merge(&r.stats);
+        Ok(())
+    }
+}
+
 /// Device state of the 2-opt family: the colony buffers it reads
-/// (distances, tours, lengths, candidate lists) plus the family's own
-/// scratch (position index, don't-look bits, reduction buffers).
-/// `Copy` so kernels capture it like `ColonyBuffers`.
+/// (distances, tours, lengths, candidate lists) plus per-ant slices of
+/// the family's own scratch. `Copy` so kernels capture it like
+/// `ColonyBuffers`.
 #[derive(Debug, Clone, Copy)]
 pub struct TwoOptDev {
     /// Cities.
@@ -63,11 +106,11 @@ pub struct TwoOptDev {
     pub lengths: DevicePtr<f32>,
     /// `n x nn` nearest-neighbour lists.
     pub nn_list: DevicePtr<u32>,
-    /// `n` positions: `pos[city] = index` in the current order.
+    /// `m x n` positions: `pos[ant*n + city] = index` in the ant's order.
     pub pos: DevicePtr<u32>,
-    /// `n` don't-look bits (0 = awake).
+    /// `m x n` don't-look bits (0 = awake).
     pub dont_look: DevicePtr<u32>,
-    /// Per-block best gain (`grid` entries).
+    /// Per-block best gain (`m x pgrid` entries, ant-major).
     pub block_gain: DevicePtr<f32>,
     /// Per-block best move `a` (reverse starts after `a`).
     pub block_a: DevicePtr<u32>,
@@ -75,18 +118,20 @@ pub struct TwoOptDev {
     pub block_b: DevicePtr<u32>,
     /// Per-block proposing city (the reduction tie-break key).
     pub block_city: DevicePtr<u32>,
-    /// The round's chosen gain (1 entry; the host's termination read).
+    /// Each ant's chosen gain this round (`m` entries; the host's
+    /// termination read).
     pub chosen_gain: DevicePtr<f32>,
-    /// The round's chosen `a` (1 entry).
+    /// Each ant's chosen `a`.
     pub chosen_a: DevicePtr<u32>,
-    /// The round's chosen `b` (1 entry).
+    /// Each ant's chosen `b`.
     pub chosen_b: DevicePtr<u32>,
 }
 
 impl TwoOptDev {
     /// Allocate the family's scratch next to an existing colony's
     /// buffers (distances / tours / lengths / candidate lists are
-    /// borrowed from the colony, not copied).
+    /// borrowed from the colony, not copied), one slice per row of
+    /// `lengths`.
     #[allow(clippy::too_many_arguments)]
     pub fn allocate(
         gm: &mut GlobalMem,
@@ -98,7 +143,8 @@ impl TwoOptDev {
         lengths: DevicePtr<f32>,
         nn_list: DevicePtr<u32>,
     ) -> Self {
-        let grid = n.div_ceil(LS_BLOCK) as usize;
+        let m = gm.len_f32(lengths);
+        let pgrid = n.div_ceil(LS_BLOCK) as usize;
         TwoOptDev {
             n,
             nn,
@@ -107,81 +153,112 @@ impl TwoOptDev {
             tours,
             lengths,
             nn_list,
-            pos: gm.alloc_u32(n as usize),
-            dont_look: gm.alloc_u32(n as usize),
-            block_gain: gm.alloc_f32(grid),
-            block_a: gm.alloc_u32(grid),
-            block_b: gm.alloc_u32(grid),
-            block_city: gm.alloc_u32(grid),
-            chosen_gain: gm.alloc_f32(1),
-            chosen_a: gm.alloc_u32(1),
-            chosen_b: gm.alloc_u32(1),
+            pos: gm.alloc_u32(m * n as usize),
+            dont_look: gm.alloc_u32(m * n as usize),
+            block_gain: gm.alloc_f32(m * pgrid),
+            block_a: gm.alloc_u32(m * pgrid),
+            block_b: gm.alloc_u32(m * pgrid),
+            block_city: gm.alloc_u32(m * pgrid),
+            chosen_gain: gm.alloc_f32(m),
+            chosen_a: gm.alloc_u32(m),
+            chosen_b: gm.alloc_u32(m),
         }
     }
 
-    /// Blocks of the propose grid (one thread per city).
-    pub fn grid(&self) -> u32 {
+    /// Propose blocks per ant (one thread per city).
+    pub fn pgrid(&self) -> u32 {
         self.n.div_ceil(LS_BLOCK)
     }
 }
 
-/// Position scatter + padding refresh for one ant's tour row.
-pub struct TwoOptPosKernel {
-    /// Family buffers.
-    pub bufs: TwoOptDev,
-    /// The ant whose row is being improved.
-    pub ant: u32,
+/// Position scatter + padding refresh for a window of ant rows — the
+/// first phase of both device families. Blocks are ant-major, one thread
+/// per padded tour cell. `name` is the family's profiler name
+/// (`two_opt_pos` or `or_opt_pos`), so the two stay separate families.
+pub struct PosKernel {
+    /// Profiler name of the launching family.
+    pub name: &'static str,
+    /// Cities.
+    pub n: u32,
+    /// Row stride of the per-ant tour array.
+    pub stride: u32,
+    /// `m x stride` tours (padding refreshed in place).
+    pub tours: DevicePtr<u32>,
+    /// `m x n` positions written by the scatter.
+    pub pos: DevicePtr<u32>,
+    /// First ant of the window.
+    pub first_ant: u32,
+    /// Ants in the window.
+    pub num_ants: u32,
 }
 
-impl TwoOptPosKernel {
-    /// One thread per padded tour cell.
+impl PosKernel {
+    /// Scatter blocks per ant.
+    fn per_ant(&self) -> u32 {
+        self.stride.div_ceil(LS_BLOCK)
+    }
+
+    /// One thread per padded tour cell, window-wide.
     pub fn config(&self) -> LaunchConfig {
-        LaunchConfig::new(self.bufs.stride.div_ceil(LS_BLOCK), LS_BLOCK).regs(10)
+        LaunchConfig::new(self.num_ants * self.per_ant(), LS_BLOCK).regs(10)
     }
 }
 
-impl Kernel for TwoOptPosKernel {
+impl Kernel for PosKernel {
     fn name(&self) -> &'static str {
-        "two_opt_pos"
+        self.name
     }
 
     fn run_block(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem) {
-        let n = self.bufs.n;
-        let base = self.ant * self.bufs.stride;
-        let idx = ctx.global_thread_idx();
+        let n = self.n;
+        let per_ant = self.per_ant();
+        let ant = self.first_ant + ctx.block_idx / per_ant;
+        let blk = ctx.block_idx % per_ant;
+        let base = ant * self.stride;
+        let row = ant * n; // this ant's pos slice
+        let off = ctx.splat_u32(blk * LS_BLOCK);
+        let lane = ctx.thread_idx();
+        let idx = ctx.iadd(&off, &lane);
         let n_reg = ctx.splat_u32(n);
         let in_n = ctx.ult(&idx, &n_reg);
         let base_reg = ctx.splat_u32(base);
+        let row_reg = ctx.splat_u32(row);
         let g_idx = ctx.iadd(&base_reg, &idx);
         ctx.if_then(gm, &in_n, |ctx, gm| {
-            let city = ctx.ld_global_u32(gm, self.bufs.tours, &g_idx);
-            ctx.st_global_u32(gm, self.bufs.pos, &city, &idx);
+            let city = ctx.ld_global_u32(gm, self.tours, &g_idx);
+            let p_idx = ctx.iadd(&row_reg, &city);
+            ctx.st_global_u32(gm, self.pos, &p_idx, &idx);
         });
         // Padding cells repeat the (possibly new) start city, so the
         // pheromone kernels keep seeing their harmless diagonal edges.
-        let stride_reg = ctx.splat_u32(self.bufs.stride);
+        let stride_reg = ctx.splat_u32(self.stride);
         let in_pad = ctx.ult(&idx, &stride_reg).and(&in_n.not());
         ctx.if_then(gm, &in_pad, |ctx, gm| {
             let start_idx = ctx.splat_u32(base);
-            let start = ctx.ld_global_u32(gm, self.bufs.tours, &start_idx);
-            ctx.st_global_u32(gm, self.bufs.tours, &g_idx, &start);
+            let start = ctx.ld_global_u32(gm, self.tours, &start_idx);
+            ctx.st_global_u32(gm, self.tours, &g_idx, &start);
         });
     }
 }
 
-/// Per-city move proposal + per-block best-improvement reduction.
+/// Per-city move proposal + per-block best-improvement reduction for a
+/// window of ants (`pgrid` blocks per ant, ant-major).
 pub struct TwoOptProposeKernel {
     /// Family buffers.
     pub bufs: TwoOptDev,
-    /// The ant whose row is being improved.
-    pub ant: u32,
+    /// First ant of the window.
+    pub first_ant: u32,
+    /// Ants in the window.
+    pub num_ants: u32,
 }
 
 impl TwoOptProposeKernel {
-    /// One thread per city; shared memory holds the four reduction
-    /// arrays (gain, a, b, proposing city).
+    /// One thread per city per windowed ant; shared memory holds the
+    /// four reduction arrays (gain, a, b, proposing city).
     pub fn config(&self) -> LaunchConfig {
-        LaunchConfig::new(self.bufs.grid(), LS_BLOCK).regs(30).shared(4 * LS_BLOCK * 4)
+        LaunchConfig::new(self.num_ants * self.bufs.pgrid(), LS_BLOCK)
+            .regs(30)
+            .shared(4 * LS_BLOCK * 4)
     }
 }
 
@@ -193,13 +270,20 @@ impl Kernel for TwoOptProposeKernel {
     fn run_block(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem) {
         let n = self.bufs.n;
         let nn = self.bufs.nn;
-        let base = self.ant * self.bufs.stride;
-        let tid = ctx.global_thread_idx();
+        let per_ant = self.bufs.pgrid();
+        let ant = self.first_ant + ctx.block_idx / per_ant;
+        let blk = ctx.block_idx % per_ant;
+        let base = ant * self.bufs.stride;
+        let prow = ant * n; // this ant's pos / don't-look slice
+        let off = ctx.splat_u32(blk * LS_BLOCK);
+        let lane = ctx.thread_idx();
+        let tid = ctx.iadd(&off, &lane);
         let n_reg = ctx.splat_u32(n);
         let zero_f = ctx.splat_f32(0.0);
         let zero_u = ctx.splat_u32(0);
         let one_u = ctx.splat_u32(1);
         let base_reg = ctx.splat_u32(base);
+        let prow_reg = ctx.splat_u32(prow);
         let nm1 = ctx.splat_u32(n - 1);
 
         // Per-lane best move; lanes out of range or asleep keep the
@@ -210,12 +294,14 @@ impl Kernel for TwoOptProposeKernel {
 
         let in_range = ctx.ult(&tid, &n_reg);
         ctx.if_then(gm, &in_range, |ctx, gm| {
-            let look = ctx.ld_global_u32(gm, self.bufs.dont_look, &tid);
+            let dl_idx = ctx.iadd(&prow_reg, &tid);
+            let look = ctx.ld_global_u32(gm, self.bufs.dont_look, &dl_idx);
             let awake = ctx.ueq(&look, &zero_u);
             ctx.branch(&awake);
             ctx.with_mask(gm, &awake, |ctx, gm| {
                 // succ(c) / pred(c) positions via the scattered index.
-                let my_pos = ctx.ld_global_u32(gm, self.bufs.pos, &tid);
+                let mp_idx = ctx.iadd(&prow_reg, &tid);
+                let my_pos = ctx.ld_global_u32(gm, self.bufs.pos, &mp_idx);
                 let p_plus = ctx.iadd(&my_pos, &one_u);
                 let wrap_s = ctx.ueq(&p_plus, &n_reg);
                 let sp = ctx.select_u32(&wrap_s, &zero_u, &p_plus);
@@ -254,7 +340,8 @@ impl Kernel for TwoOptProposeKernel {
                     let c2 = ctx.ld_global_u32(gm, self.bufs.nn_list, &l_idx);
                     let cc_idx = ctx.iadd(&row, &c2);
                     let dcc = ctx.ld_tex_f32(gm, self.bufs.dist, &cc_idx);
-                    let c2_pos = ctx.ld_global_u32(gm, self.bufs.pos, &c2);
+                    let c2p_idx = ctx.iadd(&prow_reg, &c2);
+                    let c2_pos = ctx.ld_global_u32(gm, self.bufs.pos, &c2p_idx);
                     let c2p1 = ctx.iadd(&c2_pos, &one_u);
                     let wrap = ctx.ueq(&c2p1, &n_reg);
                     let sp2 = ctx.select_u32(&wrap, &zero_u, &c2p1);
@@ -291,7 +378,8 @@ impl Kernel for TwoOptProposeKernel {
                     let c2 = ctx.ld_global_u32(gm, self.bufs.nn_list, &l_idx);
                     let cc_idx = ctx.iadd(&row, &c2);
                     let dcc = ctx.ld_tex_f32(gm, self.bufs.dist, &cc_idx);
-                    let c2_pos = ctx.ld_global_u32(gm, self.bufs.pos, &c2);
+                    let c2p_idx = ctx.iadd(&prow_reg, &c2);
+                    let c2_pos = ctx.ld_global_u32(gm, self.bufs.pos, &c2p_idx);
                     let wrap = ctx.ueq(&c2_pos, &zero_u);
                     let c2m1 = ctx.isub(&c2_pos, &one_u);
                     let ppos2 = ctx.select_u32(&wrap, &nm1, &c2m1);
@@ -323,7 +411,7 @@ impl Kernel for TwoOptProposeKernel {
                 // neighbouring edge changes.
                 let stale = ctx.fle(&best_g, &zero_f);
                 ctx.if_then(gm, &stale, |ctx, gm| {
-                    ctx.st_global_u32(gm, self.bufs.dont_look, &tid, &one_u);
+                    ctx.st_global_u32(gm, self.bufs.dont_look, &dl_idx, &one_u);
                 });
             });
         });
@@ -334,12 +422,13 @@ impl Kernel for TwoOptProposeKernel {
         let max_u = ctx.splat_u32(u32::MAX);
         let best_city = ctx.select_u32(&improved, &tid, &max_u);
 
+        let entry = ant * per_ant + blk;
         block_reduce_best(ctx, gm, &best_g, &best_a, &best_b, &best_city, |ctx, gm, g, a, b, c| {
-            let bidx = ctx.splat_u32(ctx.block_idx);
-            ctx.st_global_f32(gm, self.bufs.block_gain, &bidx, g);
-            ctx.st_global_u32(gm, self.bufs.block_a, &bidx, a);
-            ctx.st_global_u32(gm, self.bufs.block_b, &bidx, b);
-            ctx.st_global_u32(gm, self.bufs.block_city, &bidx, c);
+            let eidx = ctx.splat_u32(entry);
+            ctx.st_global_f32(gm, self.bufs.block_gain, &eidx, g);
+            ctx.st_global_u32(gm, self.bufs.block_a, &eidx, a);
+            ctx.st_global_u32(gm, self.bufs.block_b, &eidx, b);
+            ctx.st_global_u32(gm, self.bufs.block_city, &eidx, c);
         });
     }
 }
@@ -347,9 +436,8 @@ impl Kernel for TwoOptProposeKernel {
 /// Shared-memory tree reduction of `(gain, a, b, city)` down to lane 0,
 /// preferring higher gain, then lower proposing city — the block-level
 /// half of the family's canonical move order. `emit` runs under the
-/// lane-0 mask with the winning values. Shared with the batched
-/// all-ants variants in [`crate::gpu_batch`].
-pub(crate) fn block_reduce_best(
+/// lane-0 mask with the winning values.
+fn block_reduce_best(
     ctx: &mut BlockCtx,
     gm: &mut GlobalMem,
     best_g: &Reg<f32>,
@@ -412,16 +500,21 @@ pub(crate) fn block_reduce_best(
     });
 }
 
-/// Fold the per-block bests into the round's chosen move.
+/// Fold each windowed ant's per-block bests into its chosen move — one
+/// block per ant.
 pub struct TwoOptSelectKernel {
     /// Family buffers.
     pub bufs: TwoOptDev,
+    /// First ant of the window.
+    pub first_ant: u32,
+    /// Ants in the window.
+    pub num_ants: u32,
 }
 
 impl TwoOptSelectKernel {
-    /// One block; threads stride over the per-block entries.
+    /// One block per windowed ant; threads stride over the ant's entries.
     pub fn config(&self) -> LaunchConfig {
-        LaunchConfig::new(1, LS_BLOCK).regs(18).shared(4 * LS_BLOCK * 4)
+        LaunchConfig::new(self.num_ants, LS_BLOCK).regs(18).shared(4 * LS_BLOCK * 4)
     }
 }
 
@@ -431,7 +524,9 @@ impl Kernel for TwoOptSelectKernel {
     }
 
     fn run_block(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem) {
-        let entries = self.bufs.grid();
+        let entries = self.bufs.pgrid();
+        let ant = self.first_ant + ctx.block_idx;
+        let ebase = ctx.splat_u32(ant * entries);
         let lane = ctx.thread_idx();
         let e_reg = ctx.splat_u32(entries);
         let step = ctx.splat_u32(LS_BLOCK);
@@ -445,10 +540,11 @@ impl Kernel for TwoOptSelectKernel {
             let in_range = ctx.ult(&idx, &e_reg);
             ctx.branch(&in_range);
             ctx.with_mask(gm, &in_range, |ctx, gm| {
-                let g2 = ctx.ld_global_f32(gm, self.bufs.block_gain, &idx);
-                let c2 = ctx.ld_global_u32(gm, self.bufs.block_city, &idx);
-                let a2 = ctx.ld_global_u32(gm, self.bufs.block_a, &idx);
-                let b2 = ctx.ld_global_u32(gm, self.bufs.block_b, &idx);
+                let g_idx = ctx.iadd(&ebase, &idx);
+                let g2 = ctx.ld_global_f32(gm, self.bufs.block_gain, &g_idx);
+                let c2 = ctx.ld_global_u32(gm, self.bufs.block_city, &g_idx);
+                let a2 = ctx.ld_global_u32(gm, self.bufs.block_a, &g_idx);
+                let b2 = ctx.ld_global_u32(gm, self.bufs.block_b, &g_idx);
                 let gt = ctx.fgt(&g2, &fold_g);
                 let ge = ctx.fge(&g2, &fold_g);
                 let le = ctx.fle(&g2, &fold_g);
@@ -467,26 +563,33 @@ impl Kernel for TwoOptSelectKernel {
             idx = ctx.iadd(&idx, &step);
         }
         block_reduce_best(ctx, gm, &fold_g, &fold_a, &fold_b, &fold_c, |ctx, gm, g, a, b, _c| {
-            let zero = ctx.splat_u32(0);
-            ctx.st_global_f32(gm, self.bufs.chosen_gain, &zero, g);
-            ctx.st_global_u32(gm, self.bufs.chosen_a, &zero, a);
-            ctx.st_global_u32(gm, self.bufs.chosen_b, &zero, b);
+            let aidx = ctx.splat_u32(ant);
+            ctx.st_global_f32(gm, self.bufs.chosen_gain, &aidx, g);
+            ctx.st_global_u32(gm, self.bufs.chosen_a, &aidx, a);
+            ctx.st_global_u32(gm, self.bufs.chosen_b, &aidx, b);
         });
     }
 }
 
-/// Apply the round's chosen move to the ant's tour row.
+/// Apply each windowed ant's chosen move — one block per ant. Blocks
+/// write only their own ant's rows (tours, don't-look, length), so the
+/// launch satisfies the execution-model rule. An ant whose round found
+/// no improving move (chosen gain ≤ 0) is an exact no-op: its swap span
+/// is forced to zero and its wake/length section is masked off.
 pub struct TwoOptApplyKernel {
     /// Family buffers.
     pub bufs: TwoOptDev,
-    /// The ant whose row is being improved.
-    pub ant: u32,
+    /// First ant of the window.
+    pub first_ant: u32,
+    /// Ants in the window.
+    pub num_ants: u32,
 }
 
 impl TwoOptApplyKernel {
-    /// One block; threads stride over the (disjoint) swap pairs.
+    /// One block per windowed ant; threads stride over the (disjoint)
+    /// swap pairs.
     pub fn config(&self) -> LaunchConfig {
-        LaunchConfig::new(1, LS_BLOCK).regs(22)
+        LaunchConfig::new(self.num_ants, LS_BLOCK).regs(22)
     }
 }
 
@@ -497,20 +600,31 @@ impl Kernel for TwoOptApplyKernel {
 
     fn run_block(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem) {
         let n = self.bufs.n;
-        let base = self.ant * self.bufs.stride;
+        let ant = self.first_ant + ctx.block_idx;
+        let base = ant * self.bufs.stride;
+        let prow = ant * n;
         let zero_u = ctx.splat_u32(0);
+        let zero_f = ctx.splat_f32(0.0);
         let one_u = ctx.splat_u32(1);
         let n_reg = ctx.splat_u32(n);
         let base_reg = ctx.splat_u32(base);
+        let prow_reg = ctx.splat_u32(prow);
+        let ant_reg = ctx.splat_u32(ant);
 
-        // The chosen move (uniform broadcast loads), and everything that
-        // must be read *before* any cell moves: the removed edges'
-        // successor cities and the two segment boundaries.
-        let gain = ctx.ld_global_f32(gm, self.bufs.chosen_gain, &zero_u);
-        let a = ctx.ld_global_u32(gm, self.bufs.chosen_a, &zero_u);
-        let b = ctx.ld_global_u32(gm, self.bufs.chosen_b, &zero_u);
-        let pa = ctx.ld_global_u32(gm, self.bufs.pos, &a);
-        let pb = ctx.ld_global_u32(gm, self.bufs.pos, &b);
+        // The ant's chosen move (uniform broadcast loads), and everything
+        // that must be read *before* any cell moves: the removed edges'
+        // successor cities and the two segment boundaries. A
+        // non-improving ant holds the select fold's defaults (gain 0,
+        // a = b = 0), so the reads below stay in range and the move is
+        // neutralised by the `active` mask.
+        let gain = ctx.ld_global_f32(gm, self.bufs.chosen_gain, &ant_reg);
+        let active = ctx.fgt(&gain, &zero_f);
+        let a = ctx.ld_global_u32(gm, self.bufs.chosen_a, &ant_reg);
+        let b = ctx.ld_global_u32(gm, self.bufs.chosen_b, &ant_reg);
+        let pa_idx = ctx.iadd(&prow_reg, &a);
+        let pa = ctx.ld_global_u32(gm, self.bufs.pos, &pa_idx);
+        let pb_idx = ctx.iadd(&prow_reg, &b);
+        let pb = ctx.ld_global_u32(gm, self.bufs.pos, &pb_idx);
         let pa1 = ctx.iadd(&pa, &one_u);
         let wrap_a = ctx.ueq(&pa1, &n_reg);
         let spa = ctx.select_u32(&wrap_a, &zero_u, &pa1);
@@ -541,11 +655,13 @@ impl Kernel for TwoOptApplyKernel {
         let span_w = ctx.isub(&span, &n_reg);
         let seg_m1 = ctx.select_u32(&span_over, &span_w, &span);
         let seg = ctx.iadd(&seg_m1, &one_u);
-        let half = ctx.ishr(&seg, &one_u);
+        let half_raw = ctx.ishr(&seg, &one_u);
+        // Inactive ants swap nothing: zero-length span.
+        let half = ctx.select_u32(&active, &half_raw, &zero_u);
 
-        // Strided swap loop: pair t swaps positions (i0 + t) and
-        // (j0 - t); pairs are disjoint, and all boundary reads above
-        // happened before the first store.
+        // Strided swap loop over this ant's row only: pair t swaps
+        // positions (i0 + t) and (j0 - t); pairs are disjoint, and all
+        // boundary reads above happened before the first store.
         let mut t = ctx.thread_idx();
         let step = ctx.splat_u32(LS_BLOCK);
         ctx.loop_while(gm, |ctx, gm| {
@@ -570,14 +686,14 @@ impl Kernel for TwoOptApplyKernel {
             cont
         });
 
-        // Lane 0: wake the four cities whose edges changed and settle
-        // the ant's device-side length.
-        let lane0 = ctx.lane_mask(0);
+        // Lane 0 of an active ant: wake the four cities whose edges
+        // changed and settle the ant's device-side length.
+        let lane0 = ctx.lane_mask(0).and(&active);
         ctx.if_then(gm, &lane0, |ctx, gm| {
             for city in [&a, &sa, &b, &sb] {
-                ctx.st_global_u32(gm, self.bufs.dont_look, city, &zero_u);
+                let dl_idx = ctx.iadd(&prow_reg, city);
+                ctx.st_global_u32(gm, self.bufs.dont_look, &dl_idx, &zero_u);
             }
-            let ant_reg = ctx.splat_u32(self.ant);
             let len = ctx.ld_global_f32(gm, self.bufs.lengths, &ant_reg);
             let new_len = ctx.fsub(&len, &gain);
             ctx.st_global_f32(gm, self.bufs.lengths, &ant_reg, &new_len);
@@ -585,101 +701,145 @@ impl Kernel for TwoOptApplyKernel {
     }
 }
 
-/// Outcome of one device 2-opt pass over a single ant's tour.
-#[derive(Debug, Clone)]
-pub struct TwoOptRun {
-    /// Proposal rounds executed (the final round finds no move).
-    pub rounds: u32,
-    /// Improving moves applied.
-    pub moves: u32,
-    /// Total modeled milliseconds across every launch of the pass.
-    pub ms: f64,
-    /// Merged counters of every launch.
-    pub stats: KernelStats,
+/// One proposal round (position-scatter, propose, select) over the
+/// window, folded into `run`.
+#[allow(clippy::too_many_arguments)]
+fn propose_round(
+    run: &mut LsRun,
+    dev: &DeviceSpec,
+    gm: &mut GlobalMem,
+    bufs: TwoOptDev,
+    first_ant: u32,
+    num_ants: u32,
+    mode: SimMode,
+    threads: usize,
+) -> Result<(), SimtError> {
+    let pk = PosKernel {
+        name: "two_opt_pos",
+        n: bufs.n,
+        stride: bufs.stride,
+        tours: bufs.tours,
+        pos: bufs.pos,
+        first_ant,
+        num_ants,
+    };
+    run.launch(dev, &pk.config(), &pk, gm, mode, threads)?;
+    let prk = TwoOptProposeKernel { bufs, first_ant, num_ants };
+    run.launch(dev, &prk.config(), &prk, gm, mode, threads)?;
+    let sk = TwoOptSelectKernel { bufs, first_ant, num_ants };
+    run.launch(dev, &sk.config(), &sk, gm, mode, threads)
 }
 
-/// Run the 2-opt kernel family on `ant`'s tour row until no candidate
-/// move improves it. Each round launches position-scatter, propose,
-/// select and (when a move was found) apply; the host reads back one
-/// gain word per round. Launches execute across up to `threads` host
-/// threads with bit-identical results at any count.
+/// cudaMemset of the window's don't-look bits: a pass starts with every
+/// city awake.
+fn wake_window(gm: &mut GlobalMem, bufs: TwoOptDev, first_ant: u32, num_ants: u32) {
+    let n = bufs.n as usize;
+    gm.u32_mut(bufs.dont_look)[first_ant as usize * n..(first_ant + num_ants) as usize * n].fill(0);
+}
+
+/// Run the 2-opt family over the window `first_ant .. first_ant +
+/// num_ants` of tour rows until no windowed ant proposes an improving
+/// move. Each round is one launch per phase — position-scatter, propose,
+/// select and (when any ant found a move) apply — so the pass costs
+/// `O(rounds)` launches whatever the window size. The host reads back
+/// `num_ants` gain words per round. An empty window returns an empty run
+/// without a launch. Results are bit-identical to the CPU pass per ant,
+/// at any host `threads` count.
+pub fn run_two_opt_window(
+    dev: &DeviceSpec,
+    gm: &mut GlobalMem,
+    bufs: TwoOptDev,
+    first_ant: u32,
+    num_ants: u32,
+    threads: usize,
+) -> Result<LsRun, SimtError> {
+    let mut run = LsRun::new(dev);
+    if num_ants == 0 {
+        return Ok(run);
+    }
+    wake_window(gm, bufs, first_ant, num_ants);
+    let window = first_ant as usize..(first_ant + num_ants) as usize;
+    loop {
+        propose_round(&mut run, dev, gm, bufs, first_ant, num_ants, SimMode::Full, threads)?;
+        run.rounds += 1;
+        let improving =
+            gm.f32(bufs.chosen_gain)[window.clone()].iter().filter(|&&g| g > 0.0).count();
+        if improving == 0 {
+            break;
+        }
+        let ak = TwoOptApplyKernel { bufs, first_ant, num_ants };
+        run.launch(dev, &ak.config(), &ak, gm, SimMode::Full, threads)?;
+        run.moves += improving as u32;
+    }
+    Ok(run)
+}
+
+/// The one-ant window `ant .. ant + 1` of [`run_two_opt_window`]. Only
+/// the benchmark harness still calls it; it goes with the next benchmark
+/// change.
 pub fn run_two_opt(
     dev: &DeviceSpec,
     gm: &mut GlobalMem,
     bufs: TwoOptDev,
     ant: u32,
     threads: usize,
-) -> Result<TwoOptRun, SimtError> {
-    // cudaMemset of the don't-look bits: a pass starts with every city
-    // awake.
-    gm.u32_mut(bufs.dont_look).fill(0);
-    let mut ms = 0.0;
-    let mut stats = KernelStats::for_sms(dev.sm_count as usize);
-    let mut rounds = 0u32;
-    let mut moves = 0u32;
-    loop {
-        let pk = TwoOptPosKernel { bufs, ant };
-        let r = launch_threads(dev, &pk.config(), &pk, gm, SimMode::Full, threads)?;
-        ms += r.time.total_ms;
-        stats.merge(&r.stats);
-        let prk = TwoOptProposeKernel { bufs, ant };
-        let r = launch_threads(dev, &prk.config(), &prk, gm, SimMode::Full, threads)?;
-        ms += r.time.total_ms;
-        stats.merge(&r.stats);
-        let sk = TwoOptSelectKernel { bufs };
-        let r = launch_threads(dev, &sk.config(), &sk, gm, SimMode::Full, threads)?;
-        ms += r.time.total_ms;
-        stats.merge(&r.stats);
-        rounds += 1;
-        if gm.f32(bufs.chosen_gain)[0] <= 0.0 {
-            break;
-        }
-        let ak = TwoOptApplyKernel { bufs, ant };
-        let r = launch_threads(dev, &ak.config(), &ak, gm, SimMode::Full, threads)?;
-        ms += r.time.total_ms;
-        stats.merge(&r.stats);
-        moves += 1;
-    }
-    Ok(TwoOptRun { rounds, moves, ms, stats })
+) -> Result<LsRun, SimtError> {
+    run_two_opt_window(dev, gm, bufs, ant, 1, threads)
 }
 
-/// Price one proposal round (position-scatter + propose + select) at the
-/// given fidelity without mutating the tour — the engine's cost model
-/// uses this to fold the per-iteration local-search kernel into backend
-/// selection. Deterministic in the inputs.
+/// Price one proposal round (position-scatter + propose + select) over
+/// the window at the given fidelity without mutating any tour — the
+/// engine's cost model folds the per-iteration local-search kernel into
+/// backend selection with it. Deterministic in the inputs.
 pub fn probe_round_ms(
     dev: &DeviceSpec,
     gm: &mut GlobalMem,
     bufs: TwoOptDev,
-    ant: u32,
+    first_ant: u32,
+    num_ants: u32,
     mode: SimMode,
 ) -> Result<f64, SimtError> {
-    gm.u32_mut(bufs.dont_look).fill(0);
-    let mut ms = 0.0;
-    let pk = TwoOptPosKernel { bufs, ant };
-    ms += launch_threads(dev, &pk.config(), &pk, gm, mode, 1)?.time.total_ms;
-    let prk = TwoOptProposeKernel { bufs, ant };
-    ms += launch_threads(dev, &prk.config(), &prk, gm, mode, 1)?.time.total_ms;
-    let sk = TwoOptSelectKernel { bufs };
-    ms += launch_threads(dev, &sk.config(), &sk, gm, mode, 1)?.time.total_ms;
-    Ok(ms)
+    if num_ants == 0 {
+        return Ok(0.0);
+    }
+    wake_window(gm, bufs, first_ant, num_ants);
+    let mut run = LsRun::new(dev);
+    propose_round(&mut run, dev, gm, bufs, first_ant, num_ants, mode, 1)?;
+    Ok(run.ms)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cpu::{two_opt_nn, LsScratch};
     use aco_tsp::{uniform_random, NearestNeighborLists, Tour, TspInstance};
     use rand::SeedableRng;
 
-    /// Minimal device setup mirroring a colony's buffers: distances,
-    /// one-ant tour row (padded), length, candidate lists.
-    fn device_setup(
+    // Fixtures shared with the `or_opt` family's tests.
+
+    /// A family scratch constructor (`TwoOptDev::allocate`,
+    /// `OrOptDev::allocate`).
+    type Allocate<D> = fn(
+        &mut GlobalMem,
+        u32,
+        u32,
+        u32,
+        DevicePtr<f32>,
+        DevicePtr<u32>,
+        DevicePtr<f32>,
+        DevicePtr<u32>,
+    ) -> D;
+
+    /// Device buffers mirroring a colony's — distances, one padded tour
+    /// row per tour, f32 lengths, candidate lists — plus the scratch
+    /// `allocate` builds next to them.
+    pub fn device_setup<D>(
         inst: &TspInstance,
         nn: &NearestNeighborLists,
         tours: &[Tour],
         stride: u32,
-    ) -> (GlobalMem, TwoOptDev) {
+        allocate: Allocate<D>,
+    ) -> (GlobalMem, D) {
         let n = inst.n();
         let mut gm = GlobalMem::new();
         let dist = gm.alloc_f32(n * n);
@@ -701,78 +861,113 @@ mod tests {
         gm.write_f32(lengths, &lens);
         let nn_buf = gm.alloc_u32(n * nn.depth());
         gm.write_u32(nn_buf, nn.as_flat());
-        let bufs = TwoOptDev::allocate(
-            &mut gm,
-            n as u32,
-            nn.depth() as u32,
-            stride,
-            dist,
-            tbuf,
-            lengths,
-            nn_buf,
-        );
+        let bufs =
+            allocate(&mut gm, n as u32, nn.depth() as u32, stride, dist, tbuf, lengths, nn_buf);
         (gm, bufs)
     }
 
+    /// `m` random tours on `n` cities.
+    pub fn random_tours(n: usize, m: usize, seed: u64) -> Vec<Tour> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..m).map(|_| Tour::random(n, &mut rng)).collect()
+    }
+
     #[test]
-    fn kernel_family_matches_cpu_two_opt_nn_exactly() {
-        for (n, seed, depth) in [(32usize, 7u64, 8usize), (61, 21, 12), (96, 3, 16)] {
+    fn full_and_single_ant_windows_match_cpu_two_opt_nn_exactly() {
+        for (n, seed, depth, m) in
+            [(32usize, 7u64, 8usize, 4usize), (61, 21, 12, 6), (96, 3, 16, 3)]
+        {
             let inst = uniform_random("ls-gpu", n, 1000.0, seed);
             let nn = NearestNeighborLists::build(inst.matrix(), depth).unwrap();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xA5);
-            let tour = Tour::random(n, &mut rng);
+            let tours = random_tours(n, m, seed ^ 0xA5);
             let stride = ((n + 1) as u32).next_multiple_of(256);
-            let (mut gm, bufs) = device_setup(&inst, &nn, std::slice::from_ref(&tour), stride);
-
-            let run = run_two_opt(&DeviceSpec::tesla_m2050(), &mut gm, bufs, 0, 1).unwrap();
-            let device_order = gm.u32(bufs.tours)[..n].to_vec();
-
-            let mut host = tour.clone();
-            let mut scratch = LsScratch::new();
-            let moves = two_opt_nn(&mut host, inst.matrix(), &nn, &mut scratch);
-
-            assert_eq!(
-                device_order,
-                host.order().to_vec(),
-                "n={n} seed={seed}: device and host tours must be identical"
-            );
-            assert_eq!(run.moves as usize, moves, "n={n}: same move count");
-            assert!(run.moves > 0, "a random tour on {n} cities must improve");
-            // The device-side f32 length tracks the exact improvement.
-            let exact = host.length(inst.matrix()) as f32;
-            let dev_len = gm.f32(bufs.lengths)[0];
-            assert!(
-                (dev_len - exact).abs() <= exact * 1e-5,
-                "device length {dev_len} vs exact {exact}"
-            );
+            let hosts: Vec<(Tour, usize)> = tours
+                .iter()
+                .map(|t| {
+                    let mut host = t.clone();
+                    let moves = two_opt_nn(&mut host, inst.matrix(), &nn, &mut LsScratch::new());
+                    (host, moves)
+                })
+                .collect();
+            // The full window, then a one-ant window at the last (non-zero) ant.
+            let last = m as u32 - 1;
+            for (first, num) in [(0, m as u32), (last, 1)] {
+                let (mut gm, bufs) = device_setup(&inst, &nn, &tours, stride, TwoOptDev::allocate);
+                let run =
+                    run_two_opt_window(&DeviceSpec::tesla_m2050(), &mut gm, bufs, first, num, 1)
+                        .unwrap();
+                let mut moves = 0;
+                let window = hosts.iter().enumerate().skip(first as usize).take(num as usize);
+                for (a, (host, host_moves)) in window {
+                    moves += host_moves;
+                    let row = &gm.u32(bufs.tours)[a * stride as usize..a * stride as usize + n];
+                    assert_eq!(row, host.order(), "n={n} ant={a}: device and host tours differ");
+                    // The device-side f32 length tracks the exact improvement.
+                    let exact = host.length(inst.matrix()) as f32;
+                    let dev_len = gm.f32(bufs.lengths)[a];
+                    assert!(
+                        (dev_len - exact).abs() <= exact * 1e-5,
+                        "ant {a}: device length {dev_len} vs exact {exact}"
+                    );
+                }
+                assert_eq!(run.moves as usize, moves, "n={n} window {first}+{num}: move count");
+                assert!(run.rounds >= 2, "random tours on {n} cities take several rounds");
+            }
         }
     }
 
     #[test]
-    fn kernel_family_is_bit_identical_at_any_exec_thread_count() {
+    fn window_leaves_every_other_row_byte_identical() {
         let n = 48usize;
+        let inst = uniform_random("ls-win", n, 900.0, 5);
+        let nn = NearestNeighborLists::build(inst.matrix(), 10).unwrap();
+        let tours = random_tours(n, 5, 9);
+        let stride = ((n + 1) as u32).next_multiple_of(256) as usize;
+        let (mut gm, bufs) = device_setup(&inst, &nn, &tours, stride as u32, TwoOptDev::allocate);
+        let rows_before = gm.u32(bufs.tours).to_vec();
+        let lens_before: Vec<u32> = gm.f32(bufs.lengths).iter().map(|l| l.to_bits()).collect();
+        let run = run_two_opt_window(&DeviceSpec::tesla_c1060(), &mut gm, bufs, 1, 2, 1).unwrap();
+        assert!(run.moves > 0);
+        for a in [0usize, 3, 4] {
+            let row = a * stride..(a + 1) * stride;
+            assert_eq!(
+                gm.u32(bufs.tours)[row.clone()],
+                rows_before[row],
+                "ant {a}: tour or padding"
+            );
+            assert_eq!(gm.f32(bufs.lengths)[a].to_bits(), lens_before[a], "ant {a}: length");
+        }
+    }
+
+    #[test]
+    fn window_is_bit_identical_at_any_exec_thread_count() {
+        let n = 48usize;
+        let m = 5usize;
         let inst = uniform_random("ls-thr", n, 900.0, 5);
         let nn = NearestNeighborLists::build(inst.matrix(), 10).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let tour = Tour::random(n, &mut rng);
+        let tours = random_tours(n, m, 9);
         let stride = ((n + 1) as u32).next_multiple_of(256);
         let dev = DeviceSpec::tesla_c1060();
-
-        let (mut gm1, b1) = device_setup(&inst, &nn, std::slice::from_ref(&tour), stride);
-        let serial = run_two_opt(&dev, &mut gm1, b1, 0, 1).unwrap();
+        let pass = |threads: usize| {
+            let (mut gm, bufs) = device_setup(&inst, &nn, &tours, stride, TwoOptDev::allocate);
+            let run = run_two_opt_window(&dev, &mut gm, bufs, 0, m as u32, threads).unwrap();
+            let lens: Vec<u32> = gm.f32(bufs.lengths).iter().map(|l| l.to_bits()).collect();
+            (run, gm.u32(bufs.tours).to_vec(), lens)
+        };
+        let (serial, tours1, lens1) = pass(1);
         for threads in [2, 4, 16] {
-            let (mut gm2, b2) = device_setup(&inst, &nn, std::slice::from_ref(&tour), stride);
-            let parallel = run_two_opt(&dev, &mut gm2, b2, 0, threads).unwrap();
+            let (parallel, tours2, lens2) = pass(threads);
             assert_eq!(serial.rounds, parallel.rounds, "{threads} threads");
             assert_eq!(serial.moves, parallel.moves, "{threads} threads");
             assert_eq!(serial.stats, parallel.stats, "{threads} threads: counters");
             assert_eq!(serial.ms.to_bits(), parallel.ms.to_bits(), "{threads} threads: time");
-            assert_eq!(gm1.u32(b1.tours), gm2.u32(b2.tours), "{threads} threads: memory");
+            assert_eq!(tours1, tours2, "{threads} threads: memory");
+            assert_eq!(lens1, lens2, "{threads} threads: lengths");
         }
     }
 
     #[test]
-    fn pass_leaves_local_optima_untouched_and_prices_time() {
+    fn local_optimum_is_a_single_round_noop_and_the_probe_touches_no_tour() {
         let n = 40usize;
         let inst = uniform_random("ls-idem", n, 800.0, 2);
         let nn = NearestNeighborLists::build(inst.matrix(), 10).unwrap();
@@ -784,17 +979,38 @@ mod tests {
         // iterate fresh passes until none finds anything.
         while two_opt_nn(&mut tour, inst.matrix(), &nn, &mut scratch) > 0 {}
         let stride = ((n + 1) as u32).next_multiple_of(256);
-        let (mut gm, bufs) = device_setup(&inst, &nn, std::slice::from_ref(&tour), stride);
+        let tours = [tour.clone()];
+        let (mut gm, bufs) = device_setup(&inst, &nn, &tours, stride, TwoOptDev::allocate);
         let dev = DeviceSpec::tesla_m2050();
-        let run = run_two_opt(&dev, &mut gm, bufs, 0, 1).unwrap();
+        let run = run_two_opt_window(&dev, &mut gm, bufs, 0, 1, 1).unwrap();
         assert_eq!(run.moves, 0, "a host local optimum admits no device move");
         assert_eq!(run.rounds, 1);
         assert!(run.ms > 0.0, "even an empty pass costs kernel time");
         assert_eq!(gm.u32(bufs.tours)[..n], *tour.order());
-        // The probe prices a round without touching the tour.
+
+        // The probe prices a round of a random tour without touching it.
+        let tours = random_tours(n, 3, 13);
+        let (mut gm, bufs) = device_setup(&inst, &nn, &tours, stride, TwoOptDev::allocate);
         let before = gm.u32(bufs.tours).to_vec();
-        let ms = probe_round_ms(&dev, &mut gm, bufs, 0, SimMode::Full).unwrap();
+        let ms = probe_round_ms(&dev, &mut gm, bufs, 0, 3, SimMode::Full).unwrap();
         assert!(ms > 0.0);
+        assert_eq!(gm.u32(bufs.tours).to_vec(), before);
+    }
+
+    #[test]
+    fn empty_window_returns_an_empty_run_without_a_launch() {
+        let n = 24usize;
+        let inst = uniform_random("ls-empty", n, 500.0, 1);
+        let nn = NearestNeighborLists::build(inst.matrix(), 6).unwrap();
+        let tours = random_tours(n, 2, 3);
+        let (mut gm, bufs) = device_setup(&inst, &nn, &tours, 256, TwoOptDev::allocate);
+        let dev = DeviceSpec::tesla_m2050();
+        let before = gm.u32(bufs.tours).to_vec();
+        let run = run_two_opt_window(&dev, &mut gm, bufs, 1, 0, 1).unwrap();
+        assert_eq!((run.rounds, run.moves), (0, 0));
+        assert_eq!(run.ms, 0.0);
+        assert_eq!(run.stats, LsRun::new(&dev).stats, "no launch merged any counter");
+        assert_eq!(probe_round_ms(&dev, &mut gm, bufs, 1, 0, SimMode::Full).unwrap(), 0.0);
         assert_eq!(gm.u32(bufs.tours).to_vec(), before);
     }
 }

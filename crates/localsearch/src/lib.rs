@@ -21,19 +21,21 @@
 //!   same algorithm the GPU kernels execute, so the two produce
 //!   **identical tours** on identical inputs.
 //! * [`gpu`] — the simulated-device `two_opt` kernel family
-//!   ([`gpu::TwoOptPosKernel`] → [`gpu::TwoOptProposeKernel`] →
+//!   ([`gpu::PosKernel`] → [`gpu::TwoOptProposeKernel`] →
 //!   [`gpu::TwoOptSelectKernel`] → [`gpu::TwoOptApplyKernel`], driven by
-//!   [`gpu::run_two_opt`]): one proposed swap per thread, texture-cached
+//!   [`run_two_opt_window`]): one proposed swap per thread, texture-cached
 //!   distance reads, shared-memory best-improvement reduction per block.
-//!   Counters, modeled times and memory are bit-identical at any host
+//!   It improves a *window* of ant rows `(first_ant, num_ants)` — the
+//!   iteration best or the whole colony — in one launch per phase, so a
+//!   pass costs `O(rounds)` launches whatever the window size. Counters,
+//!   modeled times and memory are bit-identical at any host
 //!   `exec_threads` count ([`aco_simt::launch_threads`]).
-//! * [`gpu_batch`] — batched all-ants variants of the same family
-//!   (driven by [`run_two_opt_all`]): every ant's tour in **one launch
-//!   per phase**, so an all-ants pass costs `O(rounds)` launches instead
-//!   of `O(m · rounds)`, with tours bit-identical per ant.
-//! * [`oropt`] — the device `or_opt` kernel family (same
-//!   Propose/Select/Apply shape, first-improvement key reduction),
-//!   replacing the old host-fallback + write-back path on GPU backends.
+//! * [`oropt`] — the device `or_opt` kernel family: the same windowed
+//!   Pos/Propose/Select/Apply shape (sharing the position scatter and
+//!   the [`LsRun`] outcome with `two_opt`), first-improvement key
+//!   reduction. Both families' scratch is built by the same
+//!   `allocate(gm, n, nn, stride, dist, tours, lengths, nn_list)`
+//!   signature, sized by the rows of `lengths`.
 //!
 //! Every pass is deterministic (no RNG) and never worsens a tour, so
 //! colonies that apply one keep their bit-identical-at-any-worker-count
@@ -41,13 +43,11 @@
 
 pub mod cpu;
 pub mod gpu;
-pub mod gpu_batch;
 pub mod oropt;
 
 pub use cpu::LsScratch;
-pub use gpu::{probe_round_ms, run_two_opt, TwoOptDev, TwoOptRun};
-pub use gpu_batch::{probe_all_round_ms, run_two_opt_all, TwoOptBatchDev};
-pub use oropt::{probe_or_round_ms, run_or_opt, OrOptDev, OrOptRun};
+pub use gpu::{probe_round_ms, run_two_opt, run_two_opt_window, LsRun, TwoOptDev};
+pub use oropt::{probe_or_round_ms, run_or_opt, OrOptDev};
 
 use aco_tsp::{DistanceMatrix, NearestNeighborLists, Tour};
 

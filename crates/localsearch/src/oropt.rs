@@ -8,8 +8,8 @@
 //! iteration-best scope, all `m` for the all-ants hybrid — either way
 //! `O(rounds)` launches per pass):
 //!
-//! 1. [`OrOptPosKernel`] — scatter `pos[city] = index` per windowed ant
-//!    and refresh the θ-padding.
+//! 1. [`PosKernel`] — the position scatter shared with the `two_opt`
+//!    family, launched under the profiler name `or_opt_pos`.
 //! 2. [`OrOptProposeKernel`] — **one segment start per thread**: thread
 //!    `p` evaluates relocating the segments starting at tour position
 //!    `p` (lengths 1–3, forward or reversed) after each nearest
@@ -39,7 +39,7 @@
 use aco_simt::prelude::*;
 use aco_simt::SimtError;
 
-use crate::gpu::LS_BLOCK;
+use crate::gpu::{LsRun, PosKernel, LS_BLOCK};
 
 /// Device state of the `or_opt` family: colony buffers it reads plus
 /// per-ant slices of its own scratch. `Copy` so kernels capture it.
@@ -47,8 +47,6 @@ use crate::gpu::LS_BLOCK;
 pub struct OrOptDev {
     /// Cities.
     pub n: u32,
-    /// Ant count (tour rows; kernels run over a window of them).
-    pub ants: u32,
     /// Candidate-list depth.
     pub nn: u32,
     /// Row stride of the per-ant tour array.
@@ -88,12 +86,12 @@ pub struct OrOptDev {
 impl OrOptDev {
     /// Allocate the family's scratch next to an existing colony's
     /// buffers (distances / tours / lengths / candidate lists are
-    /// borrowed from the colony, not copied).
+    /// borrowed from the colony, not copied), one slice per row of
+    /// `lengths` — the same arguments as `TwoOptDev::allocate`.
     #[allow(clippy::too_many_arguments)]
     pub fn allocate(
         gm: &mut GlobalMem,
         n: u32,
-        ants: u32,
         nn: u32,
         stride: u32,
         dist: DevicePtr<f32>,
@@ -101,11 +99,10 @@ impl OrOptDev {
         lengths: DevicePtr<f32>,
         nn_list: DevicePtr<u32>,
     ) -> Self {
+        let m = gm.len_f32(lengths);
         let pgrid = n.div_ceil(LS_BLOCK) as usize;
-        let m = ants as usize;
         OrOptDev {
             n,
-            ants,
             nn,
             stride,
             dist,
@@ -130,66 +127,9 @@ impl OrOptDev {
         self.n.div_ceil(LS_BLOCK)
     }
 
-    /// Position-scatter blocks per ant (one thread per padded cell).
-    fn posgrid(&self) -> u32 {
-        self.stride.div_ceil(LS_BLOCK)
-    }
-
     /// Longest relocatable segment (the CPU pass's `3.min(n - 4)`).
     fn seg_max(&self) -> u32 {
         3.min(self.n.saturating_sub(4))
-    }
-}
-
-/// Position scatter + padding refresh for a window of ant rows.
-pub struct OrOptPosKernel {
-    /// Family buffers.
-    pub bufs: OrOptDev,
-    /// First ant of the window.
-    pub first_ant: u32,
-    /// Ants in the window.
-    pub num_ants: u32,
-}
-
-impl OrOptPosKernel {
-    /// One thread per padded tour cell, window-wide.
-    pub fn config(&self) -> LaunchConfig {
-        LaunchConfig::new(self.num_ants * self.bufs.posgrid(), LS_BLOCK).regs(10)
-    }
-}
-
-impl Kernel for OrOptPosKernel {
-    fn name(&self) -> &'static str {
-        "or_opt_pos"
-    }
-
-    fn run_block(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem) {
-        let n = self.bufs.n;
-        let per_ant = self.bufs.posgrid();
-        let ant = self.first_ant + ctx.block_idx / per_ant;
-        let blk = ctx.block_idx % per_ant;
-        let base = ant * self.bufs.stride;
-        let row = ant * n;
-        let off = ctx.splat_u32(blk * LS_BLOCK);
-        let lane = ctx.thread_idx();
-        let idx = ctx.iadd(&off, &lane);
-        let n_reg = ctx.splat_u32(n);
-        let in_n = ctx.ult(&idx, &n_reg);
-        let base_reg = ctx.splat_u32(base);
-        let row_reg = ctx.splat_u32(row);
-        let g_idx = ctx.iadd(&base_reg, &idx);
-        ctx.if_then(gm, &in_n, |ctx, gm| {
-            let city = ctx.ld_global_u32(gm, self.bufs.tours, &g_idx);
-            let p_idx = ctx.iadd(&row_reg, &city);
-            ctx.st_global_u32(gm, self.bufs.pos, &p_idx, &idx);
-        });
-        let stride_reg = ctx.splat_u32(self.bufs.stride);
-        let in_pad = ctx.ult(&idx, &stride_reg).and(&in_n.not());
-        ctx.if_then(gm, &in_pad, |ctx, gm| {
-            let start_idx = ctx.splat_u32(base);
-            let start = ctx.ld_global_u32(gm, self.bufs.tours, &start_idx);
-            ctx.st_global_u32(gm, self.bufs.tours, &g_idx, &start);
-        });
     }
 }
 
@@ -449,12 +389,14 @@ pub struct OrOptSelectKernel {
     pub bufs: OrOptDev,
     /// First ant of the window.
     pub first_ant: u32,
+    /// Ants in the window.
+    pub num_ants: u32,
 }
 
 impl OrOptSelectKernel {
     /// One block per windowed ant; threads stride over the entries.
-    pub fn config(&self, num_ants: u32) -> LaunchConfig {
-        LaunchConfig::new(num_ants, LS_BLOCK).regs(18).shared(4 * LS_BLOCK * 4)
+    pub fn config(&self) -> LaunchConfig {
+        LaunchConfig::new(self.num_ants, LS_BLOCK).regs(18).shared(4 * LS_BLOCK * 4)
     }
 }
 
@@ -517,12 +459,14 @@ pub struct OrOptApplyKernel {
     pub bufs: OrOptDev,
     /// First ant of the window.
     pub first_ant: u32,
+    /// Ants in the window.
+    pub num_ants: u32,
 }
 
 impl OrOptApplyKernel {
     /// One block per windowed ant; threads stride over the order cells.
-    pub fn config(&self, num_ants: u32) -> LaunchConfig {
-        LaunchConfig::new(num_ants, LS_BLOCK).regs(28)
+    pub fn config(&self) -> LaunchConfig {
+        LaunchConfig::new(self.num_ants, LS_BLOCK).regs(28)
     }
 }
 
@@ -698,17 +642,33 @@ impl Kernel for OrOptApplyKernel {
     }
 }
 
-/// Outcome of one device Or-opt pass over a window of ant rows.
-#[derive(Debug, Clone)]
-pub struct OrOptRun {
-    /// Proposal rounds executed (the final round finds no move).
-    pub rounds: u32,
-    /// Relocations applied (summed over the window).
-    pub moves: u32,
-    /// Total modeled milliseconds across every launch of the pass.
-    pub ms: f64,
-    /// Merged counters of every launch.
-    pub stats: KernelStats,
+/// One proposal round (position-scatter, propose, select) over the
+/// window, folded into `run`.
+#[allow(clippy::too_many_arguments)]
+fn propose_round(
+    run: &mut LsRun,
+    dev: &DeviceSpec,
+    gm: &mut GlobalMem,
+    bufs: OrOptDev,
+    first_ant: u32,
+    num_ants: u32,
+    mode: SimMode,
+    threads: usize,
+) -> Result<(), SimtError> {
+    let pk = PosKernel {
+        name: "or_opt_pos",
+        n: bufs.n,
+        stride: bufs.stride,
+        tours: bufs.tours,
+        pos: bufs.pos,
+        first_ant,
+        num_ants,
+    };
+    run.launch(dev, &pk.config(), &pk, gm, mode, threads)?;
+    let prk = OrOptProposeKernel { bufs, first_ant, num_ants };
+    run.launch(dev, &prk.config(), &prk, gm, mode, threads)?;
+    let sk = OrOptSelectKernel { bufs, first_ant, num_ants };
+    run.launch(dev, &sk.config(), &sk, gm, mode, threads)
 }
 
 /// Run the `or_opt` kernel family over the window `first_ant ..
@@ -724,44 +684,27 @@ pub fn run_or_opt(
     first_ant: u32,
     num_ants: u32,
     threads: usize,
-) -> Result<OrOptRun, SimtError> {
-    let mut out = OrOptRun {
-        rounds: 0,
-        moves: 0,
-        ms: 0.0,
-        stats: KernelStats::for_sms(dev.sm_count as usize),
-    };
+) -> Result<LsRun, SimtError> {
+    let mut run = LsRun::new(dev);
     // The CPU pass is a no-op below 5 cities (no segment both removable
     // and reinsertable); mirror that without a launch.
     if bufs.n < 5 || num_ants == 0 {
-        return Ok(out);
+        return Ok(run);
     }
+    let window = first_ant as usize..(first_ant + num_ants) as usize;
     loop {
-        let pk = OrOptPosKernel { bufs, first_ant, num_ants };
-        let r = launch_threads(dev, &pk.config(), &pk, gm, SimMode::Full, threads)?;
-        out.ms += r.time.total_ms;
-        out.stats.merge(&r.stats);
-        let prk = OrOptProposeKernel { bufs, first_ant, num_ants };
-        let r = launch_threads(dev, &prk.config(), &prk, gm, SimMode::Full, threads)?;
-        out.ms += r.time.total_ms;
-        out.stats.merge(&r.stats);
-        let sk = OrOptSelectKernel { bufs, first_ant };
-        let r = launch_threads(dev, &sk.config(num_ants), &sk, gm, SimMode::Full, threads)?;
-        out.ms += r.time.total_ms;
-        out.stats.merge(&r.stats);
-        out.rounds += 1;
-        let keys = &gm.u32(bufs.chosen_key)[first_ant as usize..(first_ant + num_ants) as usize];
-        let improving = keys.iter().filter(|&&k| k != u32::MAX).count() as u32;
+        propose_round(&mut run, dev, gm, bufs, first_ant, num_ants, SimMode::Full, threads)?;
+        run.rounds += 1;
+        let improving =
+            gm.u32(bufs.chosen_key)[window.clone()].iter().filter(|&&k| k != u32::MAX).count();
         if improving == 0 {
             break;
         }
-        let ak = OrOptApplyKernel { bufs, first_ant };
-        let r = launch_threads(dev, &ak.config(num_ants), &ak, gm, SimMode::Full, threads)?;
-        out.ms += r.time.total_ms;
-        out.stats.merge(&r.stats);
-        out.moves += improving;
+        let ak = OrOptApplyKernel { bufs, first_ant, num_ants };
+        run.launch(dev, &ak.config(), &ak, gm, SimMode::Full, threads)?;
+        run.moves += improving as u32;
     }
-    Ok(out)
+    Ok(run)
 }
 
 /// Modeled milliseconds of one windowed proposal round (pos + propose +
@@ -779,68 +722,18 @@ pub fn probe_or_round_ms(
     if bufs.n < 5 || num_ants == 0 {
         return Ok(0.0);
     }
-    let mut ms = 0.0;
-    let pk = OrOptPosKernel { bufs, first_ant, num_ants };
-    ms += launch_threads(dev, &pk.config(), &pk, gm, mode, 1)?.time.total_ms;
-    let prk = OrOptProposeKernel { bufs, first_ant, num_ants };
-    ms += launch_threads(dev, &prk.config(), &prk, gm, mode, 1)?.time.total_ms;
-    let sk = OrOptSelectKernel { bufs, first_ant };
-    ms += launch_threads(dev, &sk.config(num_ants), &sk, gm, mode, 1)?.time.total_ms;
-    Ok(ms)
+    let mut run = LsRun::new(dev);
+    propose_round(&mut run, dev, gm, bufs, first_ant, num_ants, mode, 1)?;
+    Ok(run.ms)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cpu::{or_opt, LsScratch};
-    use aco_tsp::{uniform_random, NearestNeighborLists, Tour, TspInstance};
+    use crate::gpu::tests::{device_setup, random_tours};
+    use aco_tsp::{uniform_random, NearestNeighborLists, Tour};
     use rand::SeedableRng;
-
-    fn device_setup(
-        inst: &TspInstance,
-        nn: &NearestNeighborLists,
-        tours: &[Tour],
-        stride: u32,
-    ) -> (GlobalMem, OrOptDev) {
-        let n = inst.n();
-        let mut gm = GlobalMem::new();
-        let dist = gm.alloc_f32(n * n);
-        let host: Vec<f32> = inst.matrix().as_flat().iter().map(|&d| d as f32).collect();
-        gm.write_f32(dist, &host);
-        let tbuf = gm.alloc_u32(tours.len() * stride as usize);
-        {
-            let cells = gm.u32_mut(tbuf);
-            for (a, t) in tours.iter().enumerate() {
-                let row = &mut cells[a * stride as usize..(a + 1) * stride as usize];
-                row[..n].copy_from_slice(t.order());
-                for c in row[n..].iter_mut() {
-                    *c = t.order()[0];
-                }
-            }
-        }
-        let lengths = gm.alloc_f32(tours.len());
-        let lens: Vec<f32> = tours.iter().map(|t| t.length(inst.matrix()) as f32).collect();
-        gm.write_f32(lengths, &lens);
-        let nn_buf = gm.alloc_u32(n * nn.depth());
-        gm.write_u32(nn_buf, nn.as_flat());
-        let bufs = OrOptDev::allocate(
-            &mut gm,
-            n as u32,
-            tours.len() as u32,
-            nn.depth() as u32,
-            stride,
-            dist,
-            tbuf,
-            lengths,
-            nn_buf,
-        );
-        (gm, bufs)
-    }
-
-    fn random_tours(n: usize, m: usize, seed: u64) -> Vec<Tour> {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        (0..m).map(|_| Tour::random(n, &mut rng)).collect()
-    }
 
     #[test]
     fn kernel_family_matches_cpu_or_opt_exactly() {
@@ -851,7 +744,7 @@ mod tests {
             let nn = NearestNeighborLists::build(inst.matrix(), depth).unwrap();
             let tours = random_tours(n, m, seed ^ 0x5A);
             let stride = ((n + 1) as u32).next_multiple_of(256);
-            let (mut gm, bufs) = device_setup(&inst, &nn, &tours, stride);
+            let (mut gm, bufs) = device_setup(&inst, &nn, &tours, stride, OrOptDev::allocate);
 
             let run =
                 run_or_opt(&DeviceSpec::tesla_m2050(), &mut gm, bufs, 0, m as u32, 1).unwrap();
@@ -886,7 +779,7 @@ mod tests {
         let nn = NearestNeighborLists::build(inst.matrix(), 10).unwrap();
         let tours = random_tours(n, 3, 9);
         let stride = ((n + 1) as u32).next_multiple_of(256);
-        let (mut gm, bufs) = device_setup(&inst, &nn, &tours, stride);
+        let (mut gm, bufs) = device_setup(&inst, &nn, &tours, stride, OrOptDev::allocate);
         let run = run_or_opt(&DeviceSpec::tesla_m2050(), &mut gm, bufs, 1, 1, 1).unwrap();
         assert!(run.moves > 0);
         // Ant 1 matches the CPU pass; ants 0 and 2 are untouched.
@@ -911,10 +804,10 @@ mod tests {
         let stride = ((n + 1) as u32).next_multiple_of(256);
         let dev = DeviceSpec::tesla_c1060();
 
-        let (mut gm1, b1) = device_setup(&inst, &nn, &tours, stride);
+        let (mut gm1, b1) = device_setup(&inst, &nn, &tours, stride, OrOptDev::allocate);
         let serial = run_or_opt(&dev, &mut gm1, b1, 0, m as u32, 1).unwrap();
         for threads in [2, 4, 16] {
-            let (mut gm2, b2) = device_setup(&inst, &nn, &tours, stride);
+            let (mut gm2, b2) = device_setup(&inst, &nn, &tours, stride, OrOptDev::allocate);
             let parallel = run_or_opt(&dev, &mut gm2, b2, 0, m as u32, threads).unwrap();
             assert_eq!(serial.rounds, parallel.rounds, "{threads} threads");
             assert_eq!(serial.moves, parallel.moves, "{threads} threads");
@@ -934,7 +827,8 @@ mod tests {
         let mut scratch = LsScratch::new();
         or_opt(&mut tour, inst.matrix(), &nn, &mut scratch);
         let stride = ((n + 1) as u32).next_multiple_of(256);
-        let (mut gm, bufs) = device_setup(&inst, &nn, std::slice::from_ref(&tour), stride);
+        let (mut gm, bufs) =
+            device_setup(&inst, &nn, std::slice::from_ref(&tour), stride, OrOptDev::allocate);
         let run = run_or_opt(&DeviceSpec::tesla_m2050(), &mut gm, bufs, 0, 1, 1).unwrap();
         assert_eq!(run.moves, 0, "a host Or-opt optimum admits no device move");
         assert_eq!(run.rounds, 1);
@@ -948,7 +842,8 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let tour = Tour::random(4, &mut rng);
         let stride = 256u32;
-        let (mut gm, bufs) = device_setup(&inst, &nn, std::slice::from_ref(&tour), stride);
+        let (mut gm, bufs) =
+            device_setup(&inst, &nn, std::slice::from_ref(&tour), stride, OrOptDev::allocate);
         let run = run_or_opt(&DeviceSpec::tesla_m2050(), &mut gm, bufs, 0, 1, 1).unwrap();
         assert_eq!((run.rounds, run.moves), (0, 0));
         assert_eq!(run.ms, 0.0);

@@ -248,6 +248,9 @@ fn every_colony_matches_its_golden_report() {
 
 // Recorded before the colonies were moved onto one shared driver; the
 // move must not change a bit outside the documented ACS/MMAS tolerance.
+// `gpu/2opt-nn-best` was re-recorded when the device 2-opt became one
+// windowed family: same best tour, improvement and events, with the
+// local-search spans and modeled ms 0.02% higher on the C1060.
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("cpu-seq/none", 0x978916652363d518, 0x3fc2851f316b300d),
     ("cpu-seq/2opt-nn-best", 0xccecf14205bad977, 0x3fc99aedcfc95486),
@@ -270,7 +273,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("cpu-mmas/or-opt", 0xf976a10bfd09769f, 0x3fcd9dae7469b260),
     ("cpu-mmas/post-pass", 0x37b2890166dbac19, 0x3fc2ffc5c0b6920c),
     ("gpu/none", 0xf64a761245a430cc, 0x3feac5239313a547),
-    ("gpu/2opt-nn-best", 0xe83e4b1dd66b4327, 0x4000941b635bc327),
+    ("gpu/2opt-nn-best", 0x21561754b7d7abe4, 0x400095163474eb7a),
     ("gpu/2opt-nn-all", 0x7f9f8e101b2921e2, 0x400569ba392a38cc),
     ("gpu/or-opt", 0xbf7da3258df749e2, 0x400955b1fc56d52b),
     ("gpu/post-pass", 0x456791eaa8a90be1, 0x3feac5239313a547),

@@ -2,10 +2,12 @@
 //! cancellation, deadlines, priority scheduling, and the 2-opt post-pass
 //! — the acceptance criteria of the lifecycle refactor.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use aco_gpu::core::cpu::{AcsParams, MmasParams, TourPolicy};
+use aco_gpu::core::cpu::{AcsParams, TourPolicy};
 use aco_gpu::core::gpu::{PheromoneStrategy, TourStrategy};
 use aco_gpu::core::AcoParams;
 use aco_gpu::engine::{
@@ -21,36 +23,11 @@ fn seq_req(inst: &Arc<tsp::TspInstance>, seed: u64, iterations: usize) -> SolveR
         .seed(seed)
 }
 
-/// A mixed batch exercising every ctx-driven backend family.
+/// A mixed batch exercising every backend family, without local search,
+/// plus one `Auto` job.
 fn mixed_batch(inst: &Arc<tsp::TspInstance>) -> Vec<SolveRequest> {
-    let params = AcoParams::default().nn(8).ants(10);
-    vec![
-        seq_req(inst, 1, 5),
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::CpuParallel { policy: TourPolicy::NearestNeighborList, threads: 3 })
-            .iterations(5)
-            .seed(2),
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::CpuAcs(AcsParams::default()))
-            .iterations(4)
-            .seed(3),
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::CpuMmas(MmasParams::default()))
-            .iterations(4)
-            .seed(4),
-        SolveRequest::new(Arc::clone(inst), params.clone())
-            .backend(Backend::Gpu {
-                device: GpuDevice::TeslaC1060,
-                tour: TourStrategy::NNList,
-                pheromone: PheromoneStrategy::AtomicShared,
-            })
-            .iterations(3)
-            .seed(5),
-        SolveRequest::new(Arc::clone(inst), params)
-            .backend(Backend::GpuAcs { device: GpuDevice::TeslaM2050, acs: AcsParams::default() })
-            .iterations(3)
-            .seed(6),
-    ]
+    let none = LocalSearch::None;
+    common::batch_of(inst, [(5, none), (5, none), (4, none), (4, none), (3, none), (3, none)])
 }
 
 /// Acceptance: the full progress event sequence — not just the final

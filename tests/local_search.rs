@@ -157,12 +157,14 @@ fn gpu_colony_local_search_is_exec_thread_invariant() {
 }
 
 /// Acceptance (batched launches): with `LsScope::AllAnts`, the 2-opt
-/// pass runs the `two_opt_*_all` kernels — `O(rounds)` launches per
-/// iteration, **independent of the colony size** — instead of looping
-/// the per-ant family `m` times. Pinned through the obs kernel
-/// profiler: per round the driver launches pos + propose + select, plus
-/// one apply for every round that found an improving ant, so total
-/// batched launches are exactly `4·rounds − 1` whatever `m` is.
+/// pass runs the `two_opt_*` kernels over one window of the whole
+/// colony — `O(rounds)` launches per iteration, **independent of the
+/// colony size** — instead of looping a one-ant window `m` times.
+/// Pinned through the obs kernel profiler: per round the driver
+/// launches pos + propose + select, plus one apply for every round that
+/// found an improving ant, so total launches are exactly `4·rounds − 1`
+/// whatever `m` is (a per-ant loop would end with `m` non-moving rounds
+/// and launch `4·rounds − m`).
 #[test]
 fn all_ants_two_opt_launches_scale_with_rounds_not_colony_size() {
     let inst = tsp::uniform_random("ls-batch", 44, 850.0, 13);
@@ -188,25 +190,59 @@ fn all_ants_two_opt_launches_scale_with_rounds_not_colony_size() {
     };
     for ants in [4usize, 12] {
         let fam = batched_launches(ants);
-        let rounds = fam.get("two_opt_pos_all").copied().unwrap_or(0);
-        assert!(rounds > 0, "m={ants}: the batched family must run");
-        assert_eq!(fam.get("two_opt_propose_all"), Some(&rounds), "m={ants}");
-        assert_eq!(fam.get("two_opt_select_all"), Some(&rounds), "m={ants}");
-        assert_eq!(fam.get("two_opt_apply_all"), Some(&(rounds - 1)), "m={ants}");
-        // The whole pass is O(rounds) launches — and never falls back to
-        // the per-ant family (which would cost O(m · rounds)).
-        for per_ant in ["two_opt_pos", "two_opt_propose", "two_opt_select", "two_opt_apply"] {
-            assert!(
-                !fam.contains_key(per_ant),
-                "m={ants}: all-ants pass must not launch the per-ant `{per_ant}` kernel"
-            );
-        }
+        let rounds = fam.get("two_opt_pos").copied().unwrap_or(0);
+        assert!(rounds > 0, "m={ants}: the 2-opt family must run");
+        assert_eq!(fam.get("two_opt_propose"), Some(&rounds), "m={ants}");
+        assert_eq!(fam.get("two_opt_select"), Some(&rounds), "m={ants}");
+        assert_eq!(fam.get("two_opt_apply"), Some(&(rounds - 1)), "m={ants}");
+        // The whole pass is O(rounds) launches: one window for the
+        // colony, never one per ant (which would cost O(m · rounds)).
         let batched: u64 = fam
             .iter()
-            .filter(|(family, _)| family.starts_with("two_opt") && family.ends_with("_all"))
+            .filter(|(family, _)| family.starts_with("two_opt"))
             .map(|(_, &inv)| inv)
             .sum();
         assert_eq!(batched, 4 * rounds - 1, "m={ants}: launches are O(rounds), not O(m·rounds)");
+    }
+}
+
+/// A one-ant GPU colony's all-ants 2-opt window is its iteration-best
+/// window, so both scopes must complete and report the same run.
+#[test]
+fn one_ant_all_ants_two_opt_reports_what_iteration_best_reports() {
+    let inst = Arc::new(tsp::uniform_random("ls-one-ant", 30, 700.0, 23));
+    let engine = Engine::new(EngineConfig::with_workers(1));
+    for backend in [
+        Backend::Gpu {
+            device: GpuDevice::TeslaC1060,
+            tour: TourStrategy::NNList,
+            pheromone: PheromoneStrategy::AtomicShared,
+        },
+        Backend::GpuAcs { device: GpuDevice::TeslaM2050, acs: AcsParams::default() },
+    ] {
+        let run = |scope: LsScope| {
+            let req = SolveRequest::new(Arc::clone(&inst), AcoParams::default().nn(8).ants(1))
+                .backend(backend.clone())
+                .iterations(3)
+                .seed(4)
+                .local_search(LocalSearch::TwoOptNn)
+                .local_search_scope(scope);
+            let h = engine.submit(req);
+            let stream = h.progress();
+            let r = h.wait().unwrap_or_else(|e| panic!("{backend:?} {scope:?}: {e}"));
+            let events: Vec<IterationEvent> = stream.collect();
+            (
+                r.best_len,
+                r.best_tour,
+                r.iterations,
+                r.modeled_ms.to_bits(),
+                r.local_search_improvement,
+                events,
+            )
+        };
+        let best = run(LsScope::IterationBest);
+        assert!(best.4 > 0, "{backend:?}: 2-opt must improve a one-ant colony");
+        assert_eq!(run(LsScope::AllAnts), best, "{backend:?}: one-ant scopes must agree");
     }
 }
 

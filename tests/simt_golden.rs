@@ -22,7 +22,7 @@ use aco_gpu::core::gpu::{
     run_pheromone, run_tour, ColonyBuffers, GpuAntColonySystem, PheromoneStrategy, TourStrategy,
 };
 use aco_gpu::core::{AcoParams, AcsParams};
-use aco_gpu::localsearch::{run_two_opt, TwoOptDev};
+use aco_gpu::localsearch::{run_two_opt_window, TwoOptDev};
 use aco_gpu::simt::prelude::*;
 use aco_gpu::tsp;
 
@@ -238,7 +238,7 @@ fn fingerprints(n: usize, m: usize) -> Vec<(String, u64)> {
                 bufs.lengths,
                 bufs.nn_list,
             );
-            let run = run_two_opt(&dev, &mut gm, ls, 0, 1).unwrap();
+            let run = run_two_opt_window(&dev, &mut gm, ls, 0, 1, 1).unwrap();
             let mut fp = Fp::new();
             fp.stats(&run.stats);
             fp.f64(run.ms);
@@ -287,7 +287,10 @@ fn n100_counters_are_golden() {
 }
 
 // Recorded on the interpreter before its word-wise/full-mask rewrite;
-// the rewrite must not move a single bit.
+// the rewrite must not move a single bit. The `two_opt_nn` entries were
+// re-recorded when the device 2-opt became one windowed family: rounds,
+// moves and colony memory are unchanged, while the per-ant scratch
+// indexing adds 4-5% warp instructions and up to 0.04% C1060 modeled ms.
 const GOLDEN_N24: &[(&str, u64)] = &[
     ("c1060/tour/Baseline", 0xd9f430abcc24e600),
     ("c1060/tour/ChoiceKernel", 0x90950bcc51e6c323),
@@ -304,7 +307,7 @@ const GOLDEN_N24: &[(&str, u64)] = &[
     ("c1060/pheromone/Scatter", 0x347eae75a6c41ed5),
     ("c1060/acs/kernels", 0x940f898c461e7c9e),
     ("c1060/acs/colony", 0x75b597d18f132289),
-    ("c1060/two_opt_nn", 0x6a506df64490b011),
+    ("c1060/two_opt_nn", 0xe21e44965fa89595),
     ("m2050/tour/Baseline", 0x1b7c5a1943f52b39),
     ("m2050/tour/ChoiceKernel", 0xcc51f8ab8de01814),
     ("m2050/tour/DeviceRng", 0xbecd0e85305d28e2),
@@ -320,7 +323,7 @@ const GOLDEN_N24: &[(&str, u64)] = &[
     ("m2050/pheromone/Scatter", 0xe6cdb15fc14a0342),
     ("m2050/acs/kernels", 0x09a5eca9e93ecc8f),
     ("m2050/acs/colony", 0x9046cd3764c75929),
-    ("m2050/two_opt_nn", 0x07e6b07c61311d69),
+    ("m2050/two_opt_nn", 0xde1212557864248f),
 ];
 
 const GOLDEN_N48: &[(&str, u64)] = &[
@@ -339,7 +342,7 @@ const GOLDEN_N48: &[(&str, u64)] = &[
     ("c1060/pheromone/Scatter", 0xf44adb88f1a10985),
     ("c1060/acs/kernels", 0xffe76e974b958f79),
     ("c1060/acs/colony", 0xc5ecb1b720c99f07),
-    ("c1060/two_opt_nn", 0x90558d53f6734d03),
+    ("c1060/two_opt_nn", 0x188d82d765ad4203),
     ("m2050/tour/Baseline", 0x5b48f8588d27afe6),
     ("m2050/tour/ChoiceKernel", 0x10d36466296dfa87),
     ("m2050/tour/DeviceRng", 0xb9b83d36fcdb6dcf),
@@ -355,7 +358,7 @@ const GOLDEN_N48: &[(&str, u64)] = &[
     ("m2050/pheromone/Scatter", 0x814d94737e09639d),
     ("m2050/acs/kernels", 0x4b391ba04c5782b0),
     ("m2050/acs/colony", 0xa74a4bf9cbef8458),
-    ("m2050/two_opt_nn", 0x4c9a0d96d1f8d6cf),
+    ("m2050/two_opt_nn", 0x7aefebe22904d73a),
 ];
 
 const GOLDEN_N100: &[(&str, u64)] = &[
@@ -374,7 +377,7 @@ const GOLDEN_N100: &[(&str, u64)] = &[
     ("c1060/pheromone/Scatter", 0x4e38ddbd85e152ac),
     ("c1060/acs/kernels", 0x87fe1eb13e0b464e),
     ("c1060/acs/colony", 0xd29f80b91d87af2b),
-    ("c1060/two_opt_nn", 0x86b166b515c34441),
+    ("c1060/two_opt_nn", 0x2eb25f0009b5f79d),
     ("m2050/tour/Baseline", 0x01d0c38a65d85d93),
     ("m2050/tour/ChoiceKernel", 0x115bc70313ec6032),
     ("m2050/tour/DeviceRng", 0xc349093c6acd36ba),
@@ -390,5 +393,5 @@ const GOLDEN_N100: &[(&str, u64)] = &[
     ("m2050/pheromone/Scatter", 0xf4285a0433095356),
     ("m2050/acs/kernels", 0xa9a660b6ef604f3f),
     ("m2050/acs/colony", 0xb18ee0f470e94466),
-    ("m2050/two_opt_nn", 0x7500af3bb7aacd25),
+    ("m2050/two_opt_nn", 0x249968e63d9dab62),
 ];
