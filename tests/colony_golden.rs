@@ -1,6 +1,6 @@
 //! Golden reports for every colony, driven end to end through the engine.
 //!
-//! Each of the six backends runs on one small instance under every local
+//! Each of the eight backends runs on one small instance under every local
 //! search mode: none, `TwoOptNn` on the iteration best, `TwoOptNn` on all
 //! ants, `OrOpt`, and the end-of-run `PostPass`. Dynamics are on, so the
 //! progress events carry their full statistics. For every run the suite
@@ -104,10 +104,15 @@ impl Fp {
     }
 }
 
-fn backends() -> [(&'static str, Backend); 6] {
+fn backends() -> [(&'static str, Backend); 8] {
     [
         ("cpu-seq", Backend::CpuSequential { policy: TourPolicy::NearestNeighborList }),
         ("cpu-par", Backend::CpuParallel { policy: TourPolicy::NearestNeighborList, threads: 3 }),
+        ("cpu-seq-full", Backend::CpuSequential { policy: TourPolicy::FullProbabilistic }),
+        (
+            "cpu-par-full",
+            Backend::CpuParallel { policy: TourPolicy::FullProbabilistic, threads: 3 },
+        ),
         ("cpu-acs", Backend::CpuAcs(AcsParams::default())),
         ("cpu-mmas", Backend::CpuMmas(MmasParams::default())),
         (
@@ -251,6 +256,8 @@ fn every_colony_matches_its_golden_report() {
 // `gpu/2opt-nn-best` was re-recorded when the device 2-opt became one
 // windowed family: same best tour, improvement and events, with the
 // local-search spans and modeled ms 0.02% higher on the C1060.
+// The `cpu-*-full` entries pin the full-roulette construction rule; they
+// were recorded before the CPU colonies moved onto one construction core.
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("cpu-seq/none", 0x978916652363d518, 0x3fc2851f316b300d),
     ("cpu-seq/2opt-nn-best", 0xccecf14205bad977, 0x3fc99aedcfc95486),
@@ -262,6 +269,16 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("cpu-par/2opt-nn-all", 0x8761aab47beb8746, 0x3fe1eee50a9ffad8),
     ("cpu-par/or-opt", 0xdac26e5f8f89233b, 0x3fc9b9f91fcd09f8),
     ("cpu-par/post-pass", 0xeab0a5b02538fa44, 0x3fbe3820d833d349),
+    ("cpu-seq-full/none", 0xdabd8fab2c0298f0, 0x3fc6dbb1e5377ad4),
+    ("cpu-seq-full/2opt-nn-best", 0x9a5356153562bdc8, 0x3fcdefa25d043b0c),
+    ("cpu-seq-full/2opt-nn-all", 0x22ccf20f5e8dc227, 0x3fe3decd68e75f24),
+    ("cpu-seq-full/or-opt", 0x6973c0f9fd2b62cf, 0x3fd0bccd4c754d94),
+    ("cpu-seq-full/post-pass", 0x023c4b74441090ac, 0x3fc6dbb1e5377ad4),
+    ("cpu-par-full/none", 0x961cb3719a202156, 0x3fc06a091d710f26),
+    ("cpu-par-full/2opt-nn-best", 0x0c31b29061aa5707, 0x3fc77df9953dcf5e),
+    ("cpu-par-full/2opt-nn-all", 0x7676ba84f66a3014, 0x3fe2426336f5c438),
+    ("cpu-par-full/or-opt", 0x766b2870e7d8c764, 0x3fcb07f1d1242f7a),
+    ("cpu-par-full/post-pass", 0xd1b74c2a75b5b052, 0x3fc06a091d710f26),
     ("cpu-acs/none", 0x23149b32d9d0eb32, 0x3fc2ffc5c0b6920c),
     ("cpu-acs/2opt-nn-best", 0xb1982eaca7c7aca1, 0x3fca13b638835244),
     ("cpu-acs/2opt-nn-all", 0xd2a39f2be35d4f67, 0x3fe2e7d25fc724f2),
