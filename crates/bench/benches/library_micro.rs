@@ -2,7 +2,7 @@
 //! TSPLIB parsing, NN-list construction, 2-opt, CPU AS iterations, and
 //! raw simulator throughput.
 
-use aco_core::cpu::{AntSystem, OpCounter, TourPolicy};
+use aco_core::cpu::{AntSystem, OpCounter, TourPolicy, TourScratch};
 use aco_core::params::AcoParams;
 use aco_simt::prelude::*;
 use aco_tsp::{tsplib, NearestNeighborLists, Tour};
@@ -58,10 +58,11 @@ fn bench(c: &mut Criterion) {
 
     c.bench_function("cpu_as_construct_only_100", |b| {
         let aco = AntSystem::new(&inst, AcoParams::default().nn(20).seed(1));
+        let mut scratch = TourScratch::default();
         b.iter(|| {
             let mut rng = aco_simt::rng::PmRng::new(42);
             let mut c = OpCounter::default();
-            aco.construct_one(&mut rng, TourPolicy::NearestNeighborList, &mut c)
+            aco.construct_one_with(&mut scratch, &mut rng, TourPolicy::NearestNeighborList, &mut c)
         })
     });
 

@@ -13,7 +13,7 @@
 use std::sync::Mutex;
 
 use aco_core::cpu::ant_system::model as cpu_model;
-use aco_core::cpu::{AntSystem, CpuModel, OpCounter, TourPolicy};
+use aco_core::cpu::{AntSystem, CpuModel, OpCounter, TourPolicy, TourScratch};
 use aco_core::gpu::{run_pheromone, run_tour, ColonyBuffers, PheromoneStrategy, TourStrategy};
 use aco_core::params::AcoParams;
 use aco_core::quality::{cpu_quality, gpu_quality};
@@ -289,9 +289,10 @@ pub fn cpu_tour_ms(inst: &TspInstance, params: &AcoParams, policy: TourPolicy) -
     let aco = AntSystem::new(inst, params.clone());
     let sample = if n <= 442 { 8.min(m) } else { 2 };
     let mut tour_c = OpCounter::default();
+    let mut scratch = TourScratch::default();
     for a in 0..sample {
         let mut rng = PmRng::new(PmRng::thread_seed(params.seed, a as u64));
-        let _ = aco.construct_one(&mut rng, policy, &mut tour_c);
+        let _ = aco.construct_one_with(&mut scratch, &mut rng, policy, &mut tour_c);
     }
     let scale = m as f64 / sample as f64;
     let scaled = OpCounter {

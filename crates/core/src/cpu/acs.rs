@@ -17,7 +17,8 @@ use aco_simt::rng::PmRng;
 use aco_simt::SimtError;
 use aco_tsp::{nearest_neighbor_tour, NearestNeighborLists, Tour, TspInstance};
 
-use super::counter::CpuModel;
+use super::construct::{best_unvisited, first_max, gather, roulette, TourScratch, Trails};
+use super::counter::{CpuModel, OpCounter};
 use super::local_search::HostLocalSearch;
 use super::pricing::cpu_phase_ms;
 use crate::lifecycle::{Colony, PhaseMs, SolveCtx, Step};
@@ -45,11 +46,9 @@ pub struct AntColonySystem<'a> {
     acs: AcsParams,
     n: usize,
     m: usize,
-    tau: Vec<f64>,
-    /// `eta^beta`, precomputed once — ACS evaluates edge desirability on
-    /// every candidate inspection, so hoisting the `powf` out of the
-    /// construction loop removes the dominant transcendental traffic.
-    eta_pow: Vec<f64>,
+    /// `tau` and `eta^beta`; ACS reads `tau · eta^beta` on every candidate
+    /// inspection, since its local update moves `tau` at every step.
+    trails: Trails,
     nn: std::sync::Arc<NearestNeighborLists>,
     rng: PmRng,
     tau0: f64,
@@ -57,8 +56,7 @@ pub struct AntColonySystem<'a> {
     /// Best length found in the most recent iteration (`u64::MAX` before
     /// the first) — the iteration-best stream for lifecycle observers.
     last_iter_best: u64,
-    /// Reusable per-ant visited flags (construction scratch).
-    visited_scratch: Vec<bool>,
+    scratch: TourScratch,
     /// Per-iteration local search (ACOTSP-style hybridisation).
     ls: HostLocalSearch,
 }
@@ -84,27 +82,17 @@ impl<'a> AntColonySystem<'a> {
         let n = inst.n();
         let m = params.num_ants.unwrap_or(10);
         let tau0 = 1.0 / (n as f64 * c_nn as f64);
-        let beta = params.beta as f64;
-        let mut eta_pow = vec![0.0f64; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                let d = inst.dist(i, j);
-                let eta = if d == 0 { 10.0 } else { 1.0 / d as f64 };
-                eta_pow[i * n + j] = eta.powf(beta);
-            }
-        }
         AntColonySystem {
             inst,
             n,
             m,
-            tau: vec![tau0; n * n],
-            eta_pow,
+            trails: Trails::new(inst, params.beta as f64, tau0),
+            scratch: TourScratch::default(),
             nn,
             rng: PmRng::new((params.seed % 0x7FFF_FFFF) as u32),
             tau0,
             best: None,
             last_iter_best: u64::MAX,
-            visited_scratch: vec![false; n],
             ls: HostLocalSearch::default(),
             params,
             acs,
@@ -138,98 +126,7 @@ impl<'a> AntColonySystem<'a> {
 
     /// Pheromone matrix.
     pub fn tau(&self) -> &[f64] {
-        &self.tau
-    }
-
-    #[inline]
-    fn value(&self, i: usize, j: usize) -> f64 {
-        // ACS uses alpha = 1 by definition: tau * eta^beta (precomputed).
-        self.tau[i * self.n + j] * self.eta_pow[i * self.n + j]
-    }
-
-    fn step(&mut self, cur: usize, visited: &[bool]) -> usize {
-        let cands = self.nn.neighbors(cur);
-        let q: f64 = self.rng.next_f64();
-        // Gather feasible candidates and their values.
-        let mut vals = [0.0f64; 64];
-        let mut sum = 0.0;
-        let mut any = false;
-        for (k, &cand) in cands.iter().enumerate() {
-            let v = if visited[cand as usize] { 0.0 } else { self.value(cur, cand as usize) };
-            vals[k.min(63)] = v;
-            sum += v;
-            any |= v > 0.0;
-        }
-        if !any {
-            // Fallback: best over all unvisited cities.
-            let mut best = usize::MAX;
-            let mut best_v = f64::NEG_INFINITY;
-            for (j, &seen) in visited.iter().enumerate().take(self.n) {
-                if !seen {
-                    let v = self.value(cur, j);
-                    if v > best_v {
-                        best_v = v;
-                        best = j;
-                    }
-                }
-            }
-            return best;
-        }
-        if q < self.acs.q0 {
-            // Exploitation: argmax over candidates.
-            let mut best_k = 0;
-            for k in 0..cands.len() {
-                if vals[k.min(63)] > vals[best_k.min(63)] {
-                    best_k = k;
-                }
-            }
-            cands[best_k] as usize
-        } else {
-            // Biased exploration: roulette.
-            let r = self.rng.next_f64() * sum;
-            let mut cum = 0.0;
-            for (k, &cand) in cands.iter().enumerate() {
-                cum += vals[k.min(63)];
-                if cum >= r && vals[k.min(63)] > 0.0 {
-                    return cand as usize;
-                }
-            }
-            cands
-                .iter()
-                .enumerate()
-                .rfind(|&(k, _)| vals[k.min(63)] > 0.0)
-                .map(|(_, &c)| c as usize)
-                .expect("sum > 0 implies a feasible candidate")
-        }
-    }
-
-    fn construct_one(&mut self) -> (Tour, u64) {
-        let n = self.n;
-        let mut visited = std::mem::take(&mut self.visited_scratch);
-        visited.clear();
-        visited.resize(n, false);
-        let mut order = Vec::with_capacity(n);
-        let start = (self.rng.next_f64() * n as f64) as usize % n;
-        visited[start] = true;
-        order.push(start as u32);
-        let (mut cur, mut len) = (start, 0u64);
-        let xi = self.acs.xi;
-        let tau0 = self.tau0;
-        for _ in 1..n {
-            let next = self.step(cur, &visited);
-            visited[next] = true;
-            order.push(next as u32);
-            len += self.inst.dist(cur, next) as u64;
-            // Local pheromone update on the crossed edge (both directions).
-            for (a, b) in [(cur, next), (next, cur)] {
-                let t = &mut self.tau[a * n + b];
-                *t = (1.0 - xi) * *t + xi * tau0;
-            }
-            cur = next;
-        }
-        len += self.inst.dist(cur, start) as u64;
-        self.visited_scratch = visited;
-        (Tour::new_unchecked(order), len)
+        &self.trails.tau
     }
 
     /// Best length found in the most recent [`AntColonySystem::iterate`]
@@ -245,59 +142,43 @@ impl<'a> AntColonySystem<'a> {
 
     /// [`iterate`](Self::iterate), additionally measuring search dynamics
     /// when a config is supplied. ACS constructs ants one at a time, so
-    /// tour-length moments are accumulated in-stream
-    /// ([`aco_obs::dynamics::compute_raw_from_moments`]); the O(n²) trail
+    /// tour-length moments are accumulated in-stream; the O(n²) trail
     /// scans run only when `dynamics` is `Some`.
     pub fn iterate_dynamics(
         &mut self,
         dynamics: Option<&aco_obs::DynamicsConfig>,
     ) -> (u64, Option<aco_obs::RawDynamics>) {
-        let all_ants = self.ls.scope == LsScope::AllAnts;
-        let mut iter_best: Option<(Tour, u64)> = None;
-        let (mut len_sum, mut len_sumsq) = (0.0f64, 0.0f64);
-        for _ in 0..self.m {
-            let (mut tour, mut len) = self.construct_one();
-            if all_ants {
-                self.ls.improve(&mut tour, &mut len, self.inst.matrix(), &self.nn);
-            }
-            len_sum += len as f64;
-            len_sumsq += len as f64 * len as f64;
-            if iter_best.as_ref().is_none_or(|&(_, b)| len < b) {
-                iter_best = Some((tour, len));
-            }
-        }
-        let (mut best_tour, mut best_len) = iter_best.expect("m >= 1 ants");
-        if !all_ants {
-            self.ls.improve(&mut best_tour, &mut best_len, self.inst.matrix(), &self.nn);
-        }
+        let AntColonySystem { inst, acs, n, m, trails, nn, rng, tau0, scratch, ls, .. } = self;
+        let (n, AcsParams { q0, xi }) = (*n, *acs);
+        let ((best_tour, best_len), moments) = ls.improve_stream(*m, inst.matrix(), nn, || {
+            scratch.walk(inst, rng, &mut OpCounter::default(), |cur, visited, prob, rng, c| {
+                let value = |j| trails.value(cur, j);
+                let next = step(value, nn.neighbors(cur), visited, prob, q0, rng, c);
+                // Local pheromone update on the crossed edge (both directions).
+                for (a, b) in [(cur, next), (next, cur)] {
+                    let t = &mut trails.tau[a * n + b];
+                    *t = (1.0 - xi) * *t + xi * *tau0;
+                }
+                next
+            })
+        });
         self.last_iter_best = best_len;
         if self.best.as_ref().is_none_or(|&(_, b)| best_len < b) {
             self.best = Some((best_tour, best_len));
         }
         // Global update: best-so-far ant only.
-        let (tour, len) = self.best.as_ref().expect("m >= 1 ants ran").clone();
+        let (tour, len) = self.best.as_ref().expect("m >= 1 ants ran");
         let rho = self.params.rho as f64;
-        let dep = rho / len as f64;
-        let n = self.n;
+        let dep = rho / *len as f64;
         for k in 0..n {
             let i = tour.order()[k] as usize;
             let j = tour.order()[(k + 1) % n] as usize;
             for (a, b) in [(i, j), (j, i)] {
-                let t = &mut self.tau[a * n + b];
+                let t = &mut self.trails.tau[a * n + b];
                 *t = (1.0 - rho) * *t + dep;
             }
         }
-        let raw = dynamics.map(|cfg| {
-            aco_obs::dynamics::compute_raw_from_moments(
-                cfg,
-                self.m as u64,
-                len_sum,
-                len_sumsq,
-                &self.tau,
-                self.n,
-            )
-        });
-        (len, raw)
+        (*len, moments.dynamics(dynamics, &self.trails.tau, n))
     }
 
     /// Run `iters` iterations; returns the best length.
@@ -308,6 +189,30 @@ impl<'a> AntColonySystem<'a> {
         }
         best
     }
+}
+
+/// ACS's pseudo-random-proportional step over the candidates `cands`,
+/// valued by `value` (`tau · eta^beta` from the current city, as ACS fixes
+/// `alpha = 1`): with probability `q0` the best candidate (exploitation),
+/// otherwise the shared roulette; the best unvisited city once every
+/// candidate is visited.
+fn step(
+    value: impl Fn(usize) -> f64 + Copy,
+    cands: &[u32],
+    visited: &[bool],
+    prob: &mut [f64],
+    q0: f64,
+    rng: &mut PmRng,
+    c: &mut OpCounter,
+) -> usize {
+    let q = rng.next_f64();
+    let sum = gather(cands.iter().map(|&j| j as usize), visited, prob, value);
+    if sum <= 0.0 {
+        return best_unvisited(visited, value);
+    }
+    let prob = &prob[..cands.len()];
+    let k = if q < q0 { first_max(prob.iter().copied()) } else { roulette(prob, sum, rng, c) };
+    cands[k] as usize
 }
 
 /// The colony under [`crate::lifecycle::drive`]. Its clock is analytic:

@@ -13,6 +13,8 @@
 //!   `1/C_k`,
 //! * `tau0 = m / C_nn` initialisation from a nearest-neighbour tour.
 //!
+//! The trails and the construction are the CPU colonies' shared core
+//! (`construct.rs`); this module adds the AS update and iteration.
 //! Every phase counts its abstract operations (see
 //! [`super::counter::OpCounter`]) so the CPU cost model can price it.
 
@@ -21,6 +23,7 @@ use aco_simt::rng::PmRng;
 use aco_simt::SimtError;
 use aco_tsp::{nearest_neighbor_tour, NearestNeighborLists, Tour, TspInstance};
 
+use super::construct::{TourScratch, Trails};
 use super::counter::{CpuModel, OpCounter};
 use super::local_search::HostLocalSearch;
 use crate::lifecycle::{Colony, PhaseMs, SolveCtx, Step};
@@ -34,33 +37,6 @@ pub enum TourPolicy {
     /// Roulette over the `nn` candidate list, argmax fallback
     /// (paper Figure 4(a) baseline; ACOTSP default).
     NearestNeighborList,
-}
-
-/// Reusable per-ant construction scratch: the visited flags and roulette
-/// probabilities every tour needs. One scratch serves any number of
-/// sequential constructions (each resets it), so a colony — or one worker
-/// thread of a parallel colony — allocates these buffers once instead of
-/// once per ant.
-#[derive(Debug, Default, Clone)]
-pub struct TourScratch {
-    visited: Vec<bool>,
-    prob: Vec<f64>,
-}
-
-impl TourScratch {
-    /// Scratch sized for `n` cities and candidate depth `nn`.
-    pub fn new(n: usize, nn: usize) -> Self {
-        TourScratch { visited: vec![false; n], prob: vec![0.0; n.max(nn)] }
-    }
-
-    fn reset(&mut self, n: usize, nn: usize) {
-        self.visited.clear();
-        self.visited.resize(n, false);
-        let want = n.max(nn);
-        if self.prob.len() < want {
-            self.prob.resize(want, 0.0);
-        }
-    }
 }
 
 /// Per-phase operation counters of the last iteration.
@@ -91,13 +67,12 @@ pub struct AntSystem<'a> {
     params: AcoParams,
     n: usize,
     m: usize,
-    /// Pheromone matrix, `f64` like ACOTSP.
-    tau: Vec<f64>,
-    /// Heuristic matrix `1/d`.
-    eta: Vec<f64>,
-    /// `tau^alpha * eta^beta`, recomputed per iteration.
-    choice: Vec<f64>,
+    /// `tau`, `eta^beta` and `choice`, refreshed per iteration.
+    trails: Trails,
     nn: std::sync::Arc<NearestNeighborLists>,
+    /// Construction scratch reused by every ant of
+    /// [`AntSystem::construct_solutions`].
+    scratch: TourScratch,
     rng: PmRng,
     best: Option<(Tour, u64)>,
     /// Initial pheromone level (`m / C_nn`).
@@ -134,20 +109,14 @@ impl<'a> AntSystem<'a> {
         let n = inst.n();
         let m = params.ants_for(n);
         let tau0 = m as f64 / c_nn as f64;
-        let mut eta = vec![0.0f64; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                let d = inst.dist(i, j);
-                eta[i * n + j] = if d == 0 { 10.0 } else { 1.0 / d as f64 };
-            }
-        }
-        let mut s = AntSystem {
+        let mut trails = Trails::new(inst, params.beta as f64, tau0);
+        trails.refresh(params.alpha as f64, &mut OpCounter::default());
+        AntSystem {
             inst,
             n,
             m,
-            tau: vec![tau0; n * n],
-            eta,
-            choice: vec![0.0; n * n],
+            trails,
+            scratch: TourScratch::default(),
             nn,
             rng: PmRng::new((params.seed % 0x7FFF_FFFF) as u32),
             best: None,
@@ -155,10 +124,7 @@ impl<'a> AntSystem<'a> {
             policy: TourPolicy::NearestNeighborList,
             ls: HostLocalSearch::default(),
             params,
-        };
-        let mut scratch = OpCounter::default();
-        s.compute_choice_info(&mut scratch);
-        s
+        }
     }
 
     /// Builder: the construction rule [`Colony::step`] runs (the ACOTSP
@@ -190,7 +156,7 @@ impl<'a> AntSystem<'a> {
 
     /// Pheromone matrix (row-major `n x n`).
     pub fn tau(&self) -> &[f64] {
-        &self.tau
+        &self.trails.tau
     }
 
     /// Best solution found so far.
@@ -231,41 +197,11 @@ impl<'a> AntSystem<'a> {
         self.ls.improve_scope(sols, self.inst.matrix(), &self.nn);
     }
 
-    /// Recompute `choice_info` from the current pheromone.
-    fn compute_choice_info(&mut self, c: &mut OpCounter) {
-        let (a, b) = (self.params.alpha as f64, self.params.beta as f64);
-        for i in 0..self.n {
-            for j in 0..self.n {
-                let idx = i * self.n + j;
-                self.choice[idx] = self.tau[idx].powf(a) * self.eta[idx].powf(b);
-            }
-        }
-        let cells = (self.n * self.n) as u64;
-        c.pow_calls += 2 * cells;
-        c.flops += cells;
-        c.loads += 2 * cells;
-        c.stores += cells;
-        c.alu += cells;
-    }
-
-    /// Construct one tour under `policy` with an explicit RNG stream,
-    /// counting into `c`. Immutable on `self` so colonies can run ants
-    /// concurrently (see [`super::parallel`]). Allocates fresh scratch;
-    /// loops should use [`AntSystem::construct_one_with`] and reuse one
-    /// [`TourScratch`] across ants.
-    pub fn construct_one(
-        &self,
-        rng: &mut PmRng,
-        policy: TourPolicy,
-        c: &mut OpCounter,
-    ) -> (Tour, u64) {
-        let mut scratch = TourScratch::new(self.n, self.nn.depth());
-        self.construct_one_with(&mut scratch, rng, policy, c)
-    }
-
-    /// [`AntSystem::construct_one`] against caller-owned scratch — the
-    /// zero-allocation construction hot path (only the tour's own order
-    /// vector is allocated, since it outlives the call).
+    /// Construct one tour under `policy` from the caller's RNG stream and
+    /// scratch, counting into `c` — the zero-allocation construction hot
+    /// path (only the tour's own order vector is allocated, since it
+    /// outlives the call). Immutable on `self` so colonies can run ants
+    /// concurrently (see [`super::parallel`]).
     pub fn construct_one_with(
         &self,
         scratch: &mut TourScratch,
@@ -273,156 +209,7 @@ impl<'a> AntSystem<'a> {
         policy: TourPolicy,
         c: &mut OpCounter,
     ) -> (Tour, u64) {
-        let n = self.n;
-        scratch.reset(n, self.nn.depth());
-        let TourScratch { visited, prob } = scratch;
-        let mut order = Vec::with_capacity(n);
-
-        let start = (rng.next_f64() * n as f64) as usize % n;
-        c.rng += 1;
-        visited[start] = true;
-        order.push(start as u32);
-        let mut cur = start;
-        let mut len = 0u64;
-
-        for _ in 1..n {
-            let next = match policy {
-                TourPolicy::FullProbabilistic => self.step_full(rng, cur, visited, prob, c),
-                TourPolicy::NearestNeighborList => self.step_nn(rng, cur, visited, prob, c),
-            };
-            debug_assert!(!visited[next]);
-            visited[next] = true;
-            order.push(next as u32);
-            len += self.inst.dist(cur, next) as u64;
-            cur = next;
-            c.alu += 4;
-            c.stores += 2;
-            c.loads += 1;
-        }
-        len += self.inst.dist(cur, start) as u64;
-        (Tour::new_unchecked(order), len)
-    }
-
-    /// Random-proportional step over the full feasible neighbourhood
-    /// (ACOTSP's fully probabilistic rule; two passes like the C code).
-    fn step_full(
-        &self,
-        rng: &mut PmRng,
-        cur: usize,
-        visited: &[bool],
-        prob: &mut [f64],
-        c: &mut OpCounter,
-    ) -> usize {
-        let n = self.n;
-        let row = &self.choice[cur * n..(cur + 1) * n];
-        let mut sum = 0.0f64;
-        for j in 0..n {
-            let p = if visited[j] { 0.0 } else { row[j] };
-            prob[j] = p;
-            sum += p;
-        }
-        c.loads += 2 * n as u64;
-        c.stores += n as u64;
-        c.flops += n as u64;
-        c.branches += n as u64;
-        c.alu += n as u64;
-
-        debug_assert!(sum > 0.0, "some city must remain feasible");
-        let r = rng.next_f64() * sum;
-        c.rng += 1;
-        c.flops += 1;
-
-        let mut cum = 0.0f64;
-        let mut j = 0usize;
-        loop {
-            cum += prob[j];
-            c.loads += 1;
-            c.flops += 1;
-            c.branches += 1;
-            if cum >= r {
-                break;
-            }
-            j += 1;
-            if j == n {
-                // Floating-point shortfall: take the last feasible city.
-                j = (0..n).rfind(|&k| !visited[k]).expect("feasible city exists");
-                break;
-            }
-        }
-        if visited[j] {
-            // Zero-probability cell hit by rounding; advance to feasible.
-            j = (0..n)
-                .find(|&k| !visited[k] && prob[k] > 0.0)
-                .unwrap_or_else(|| (0..n).find(|&k| !visited[k]).expect("feasible city exists"));
-        }
-        j
-    }
-
-    /// Candidate-list step (ACOTSP `neighbour_choose_and_move_to_next`):
-    /// roulette over the unvisited nearest neighbours, falling back to the
-    /// best `choice_info` city when all candidates are exhausted.
-    fn step_nn(
-        &self,
-        rng: &mut PmRng,
-        cur: usize,
-        visited: &[bool],
-        prob: &mut [f64],
-        c: &mut OpCounter,
-    ) -> usize {
-        let n = self.n;
-        let nn = self.nn.depth();
-        let cands = self.nn.neighbors(cur);
-        let row = &self.choice[cur * n..(cur + 1) * n];
-
-        let mut sum = 0.0f64;
-        for (k, &cand) in cands.iter().enumerate() {
-            let p = if visited[cand as usize] { 0.0 } else { row[cand as usize] };
-            prob[k] = p;
-            sum += p;
-        }
-        c.loads += 3 * nn as u64;
-        c.stores += nn as u64;
-        c.flops += nn as u64;
-        c.branches += nn as u64;
-        c.alu += nn as u64;
-
-        if sum <= 0.0 {
-            // All candidates visited: deterministic best choice over all
-            // cities (the divergent fallback path on the GPU).
-            let mut best = usize::MAX;
-            let mut best_v = f64::NEG_INFINITY;
-            for j in 0..n {
-                if !visited[j] && row[j] > best_v {
-                    best_v = row[j];
-                    best = j;
-                }
-            }
-            c.loads += 2 * n as u64;
-            c.branches += n as u64;
-            c.alu += n as u64;
-            return best;
-        }
-
-        let r = rng.next_f64() * sum;
-        c.rng += 1;
-        c.flops += 1;
-        let mut cum = 0.0f64;
-        let mut k = 0usize;
-        loop {
-            cum += prob[k];
-            c.loads += 1;
-            c.flops += 1;
-            c.branches += 1;
-            if cum >= r || k == nn - 1 {
-                break;
-            }
-            k += 1;
-        }
-        // Guard against landing on a zero-probability candidate.
-        if prob[k] == 0.0 {
-            k = (0..nn).find(|&q| prob[q] > 0.0).expect("sum > 0 implies a candidate");
-        }
-        cands[k] as usize
+        scratch.construct(self.inst, &self.nn, &self.trails.choice, policy, rng, c)
     }
 
     /// Construct tours for the whole colony from the colony's own stream.
@@ -431,97 +218,21 @@ impl<'a> AntSystem<'a> {
         policy: TourPolicy,
         c: &mut OpCounter,
     ) -> Vec<(Tour, u64)> {
-        let mut rng = self.rng.clone();
-        let mut scratch = TourScratch::new(self.n, self.nn.depth());
-        let sols = (0..self.m)
-            .map(|_| self.construct_one_with(&mut scratch, &mut rng, policy, c))
-            .collect();
-        self.rng = rng;
-        sols
-    }
-
-    /// Construct one tour from a derived seed (parallel colonies give every
-    /// ant its own decorrelated stream so results are thread-count
-    /// independent).
-    pub fn construct_with_seed(&self, ant_seed: u32, policy: TourPolicy) -> (Tour, u64) {
-        let mut scratch = TourScratch::new(self.n, self.nn.depth());
-        self.construct_with_seed_in(&mut scratch, ant_seed, policy)
-    }
-
-    /// [`AntSystem::construct_with_seed`] against caller-owned scratch
-    /// (each parallel worker reuses one scratch across its ants).
-    pub fn construct_with_seed_in(
-        &self,
-        scratch: &mut TourScratch,
-        ant_seed: u32,
-        policy: TourPolicy,
-    ) -> (Tour, u64) {
-        let mut rng = PmRng::new(ant_seed);
-        let mut c = OpCounter::default();
-        self.construct_one_with(scratch, &mut rng, policy, &mut c)
+        let AntSystem { inst, m, trails, nn, scratch, rng, .. } = self;
+        (0..*m).map(|_| scratch.construct(inst, nn, &trails.choice, policy, rng, c)).collect()
     }
 
     /// Evaporate and deposit (Equations 2–4 of the paper).
     pub fn update_pheromone(&mut self, sols: &[(Tour, u64)], c: &mut OpCounter) {
-        let n = self.n;
-        let keep = 1.0 - self.params.rho as f64;
-        for t in self.tau.iter_mut() {
-            *t *= keep;
-        }
-        let cells = (n * n) as u64;
-        c.loads += cells;
-        c.stores += cells;
-        c.flops += cells;
-
+        self.trails.evaporate(self.params.rho as f64, c);
         for (tour, len) in sols {
-            let dep = 1.0 / *len as f64;
-            let order = tour.order();
-            for k in 0..n {
-                let i = order[k] as usize;
-                let j = order[(k + 1) % n] as usize;
-                self.tau[i * n + j] += dep;
-                self.tau[j * n + i] += dep;
-            }
-            let e = n as u64;
-            c.loads += 4 * e;
-            c.stores += 2 * e;
-            c.flops += 2 * e;
-            c.alu += 4 * e;
+            self.trails.deposit(tour, 1.0 / *len as f64, c);
         }
-    }
-
-    /// Evaporate all trails by `(1 - rho)` (Equation 2 alone). Building
-    /// block for the elitist / rank-based variants.
-    pub fn evaporate(&mut self, c: &mut OpCounter) {
-        let keep = 1.0 - self.params.rho as f64;
-        for t in self.tau.iter_mut() {
-            *t *= keep;
-        }
-        let cells = (self.n * self.n) as u64;
-        c.loads += cells;
-        c.stores += cells;
-        c.flops += cells;
-    }
-
-    /// Deposit `amount` on every edge of `tour`, both directions.
-    pub fn deposit_weighted(&mut self, tour: &Tour, amount: f64, c: &mut OpCounter) {
-        let n = self.n;
-        for k in 0..n {
-            let i = tour.order()[k] as usize;
-            let j = tour.order()[(k + 1) % n] as usize;
-            self.tau[i * n + j] += amount;
-            self.tau[j * n + i] += amount;
-        }
-        let e = n as u64;
-        c.loads += 2 * e;
-        c.stores += 2 * e;
-        c.flops += 2 * e;
-        c.alu += 4 * e;
     }
 
     /// Recompute `choice_info` after custom pheromone edits.
     pub fn refresh_choice(&mut self, c: &mut OpCounter) {
-        self.compute_choice_info(c);
+        self.trails.refresh(self.params.alpha as f64, c);
     }
 
     /// One full AS iteration: choice info, construction, local search
@@ -540,7 +251,7 @@ impl<'a> AntSystem<'a> {
         dynamics: Option<&aco_obs::DynamicsConfig>,
     ) -> (IterationReport, Option<aco_obs::RawDynamics>) {
         let mut counters = PhaseCounters::default();
-        self.compute_choice_info(&mut counters.choice);
+        self.refresh_choice(&mut counters.choice);
         let mut sols = self.construct_solutions(policy, &mut counters.tour);
         self.apply_local_search(&mut sols);
         let iter_best = sols.iter().map(|&(_, l)| l).min().expect("m >= 1 ants");
@@ -551,7 +262,7 @@ impl<'a> AntSystem<'a> {
         self.update_pheromone(&sols, &mut counters.update);
         let raw = dynamics.map(|cfg| {
             let lens: Vec<u64> = sols.iter().map(|&(_, l)| l).collect();
-            aco_obs::dynamics::compute_raw(cfg, &lens, &self.tau, self.n)
+            aco_obs::dynamics::compute_raw(cfg, &lens, &self.trails.tau, self.n)
         });
         let rep = IterationReport {
             iter_best,
@@ -681,6 +392,7 @@ pub mod model {
 
 #[cfg(test)]
 mod tests {
+    use super::super::construct::{step_full, step_nn};
     use super::*;
     use aco_tsp::generator::uniform_random;
 
@@ -853,8 +565,10 @@ mod tests {
         };
         for s in 1..=samples {
             let mut c = OpCounter::default();
-            full_counts[aco.step_full(&mut warmed(s), cur, &visited, &mut prob, &mut c)] += 1;
-            nn_counts[aco.step_nn(&mut warmed(s), cur, &visited, &mut prob, &mut c)] += 1;
+            let row = &aco.trails.choice[cur * n..(cur + 1) * n];
+            let cands = aco.nn.neighbors(cur);
+            full_counts[step_full(row, &visited, &mut prob, &mut warmed(s), &mut c)] += 1;
+            nn_counts[step_nn(row, cands, &visited, &mut prob, &mut warmed(s), &mut c)] += 1;
         }
         for city in 0..n {
             let diff = (full_counts[city] as f64 - nn_counts[city] as f64).abs() / samples as f64;

@@ -1,5 +1,7 @@
 //! The per-iteration local search every CPU colony runs between tour
-//! construction and the pheromone update (ACOTSP-style hybridisation).
+//! construction and the pheromone update (ACOTSP-style hybridisation),
+//! and the per-ant stream of the colonies that build their ants one at a
+//! time.
 
 use aco_localsearch::{LocalSearch, LsScope, LsScratch};
 use aco_tsp::{DistanceMatrix, NearestNeighborLists, Tour};
@@ -73,9 +75,70 @@ impl HostLocalSearch {
         }
     }
 
+    /// One iteration's ants built one at a time (MMAS and ACS): each of
+    /// the `m` tours `construct` returns is improved under
+    /// [`LsScope::AllAnts`] and counted into the length moments; the
+    /// shortest (the first on ties) is the iteration best, improved under
+    /// [`LsScope::IterationBest`].
+    pub fn improve_stream(
+        &mut self,
+        m: usize,
+        matrix: &DistanceMatrix,
+        nn: &NearestNeighborLists,
+        mut construct: impl FnMut() -> (Tour, u64),
+    ) -> ((Tour, u64), LenMoments) {
+        let all_ants = self.scope == LsScope::AllAnts;
+        let mut best: Option<(Tour, u64)> = None;
+        let mut moments = LenMoments::default();
+        for _ in 0..m {
+            let (mut tour, mut len) = construct();
+            if all_ants {
+                self.improve(&mut tour, &mut len, matrix, nn);
+            }
+            moments.ants += 1;
+            moments.sum += len as f64;
+            moments.sumsq += len as f64 * len as f64;
+            if best.as_ref().is_none_or(|&(_, b)| len < b) {
+                best = Some((tour, len));
+            }
+        }
+        let (mut tour, mut len) = best.expect("m >= 1 ants");
+        if !all_ants {
+            self.improve(&mut tour, &mut len, matrix, nn);
+        }
+        ((tour, len), moments)
+    }
+
     /// Analytic per-iteration price for a colony of `m` ants on `n`
     /// cities with candidate depth `nn`.
     pub fn iter_ms(&self, n: usize, nn: usize, m: usize, model: &CpuModel) -> f64 {
         cpu_ls_colony_ms(self.strategy, self.scope, n, nn, m, model)
+    }
+}
+
+/// Tour-length moments of one iteration's ants, accumulated as they are
+/// built, so a streaming colony never holds every tour.
+#[derive(Default)]
+pub(crate) struct LenMoments {
+    ants: u64,
+    sum: f64,
+    sumsq: f64,
+}
+
+impl LenMoments {
+    /// Search dynamics at the iteration boundary
+    /// ([`aco_obs::dynamics::compute_raw_from_moments`]) when a config is
+    /// supplied; the O(n²) trail scans of `tau` run only then.
+    pub fn dynamics(
+        &self,
+        cfg: Option<&aco_obs::DynamicsConfig>,
+        tau: &[f64],
+        n: usize,
+    ) -> Option<aco_obs::RawDynamics> {
+        cfg.map(|cfg| {
+            aco_obs::dynamics::compute_raw_from_moments(
+                cfg, self.ants, self.sum, self.sumsq, tau, n,
+            )
+        })
     }
 }

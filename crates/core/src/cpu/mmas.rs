@@ -16,6 +16,8 @@ use aco_simt::rng::PmRng;
 use aco_simt::SimtError;
 use aco_tsp::{nearest_neighbor_tour, NearestNeighborLists, Tour, TspInstance};
 
+use super::ant_system::TourPolicy;
+use super::construct::{TourScratch, Trails};
 use super::counter::{CpuModel, OpCounter};
 use super::local_search::HostLocalSearch;
 use super::pricing::cpu_phase_ms;
@@ -46,9 +48,7 @@ pub struct MaxMinAntSystem<'a> {
     mmas: MmasParams,
     n: usize,
     m: usize,
-    tau: Vec<f64>,
-    eta: Vec<f64>,
-    choice: Vec<f64>,
+    trails: Trails,
     nn: std::sync::Arc<NearestNeighborLists>,
     rng: PmRng,
     tau_max: f64,
@@ -60,9 +60,7 @@ pub struct MaxMinAntSystem<'a> {
     iterations: usize,
     since_improvement: usize,
     restarts: u64,
-    /// Reusable construction scratch (visited flags + roulette slots).
-    visited_scratch: Vec<bool>,
-    prob_scratch: Vec<f64>,
+    scratch: TourScratch,
     /// Per-iteration local search (ACOTSP-style hybridisation).
     ls: HostLocalSearch,
 }
@@ -90,21 +88,14 @@ impl<'a> MaxMinAntSystem<'a> {
         let rho = params.rho as f64;
         let tau_max = 1.0 / (rho * c_nn as f64);
         let tau_min = tau_max / (2.0 * n as f64);
-        let mut eta = vec![0.0f64; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                let d = inst.dist(i, j);
-                eta[i * n + j] = if d == 0 { 10.0 } else { 1.0 / d as f64 };
-            }
-        }
-        let nn_depth = nn.depth();
-        let mut s = MaxMinAntSystem {
+        let mut trails = Trails::new(inst, params.beta as f64, tau_max);
+        trails.refresh(params.alpha as f64, &mut OpCounter::default());
+        MaxMinAntSystem {
             inst,
             n,
             m,
-            tau: vec![tau_max; n * n],
-            eta,
-            choice: vec![0.0; n * n],
+            trails,
+            scratch: TourScratch::default(),
             nn,
             rng: PmRng::new((params.seed % 0x7FFF_FFFF) as u32),
             tau_max,
@@ -114,14 +105,10 @@ impl<'a> MaxMinAntSystem<'a> {
             iterations: 0,
             since_improvement: 0,
             restarts: 0,
-            visited_scratch: vec![false; n],
-            prob_scratch: vec![0.0; nn_depth],
             ls: HostLocalSearch::default(),
             params,
             mmas,
-        };
-        s.recompute_choice();
-        s
+        }
     }
 
     /// Current `[tau_min, tau_max]` bounds.
@@ -136,81 +123,7 @@ impl<'a> MaxMinAntSystem<'a> {
 
     /// Pheromone matrix.
     pub fn tau(&self) -> &[f64] {
-        &self.tau
-    }
-
-    fn recompute_choice(&mut self) {
-        let (a, b) = (self.params.alpha as f64, self.params.beta as f64);
-        for i in 0..self.n * self.n {
-            self.choice[i] = self.tau[i].powf(a) * self.eta[i].powf(b);
-        }
-    }
-
-    fn construct_one(&mut self) -> (Tour, u64) {
-        // Candidate-list construction, same rule as the Ant System.
-        let n = self.n;
-        let nn_depth = self.nn.depth();
-        let mut visited = std::mem::take(&mut self.visited_scratch);
-        visited.clear();
-        visited.resize(n, false);
-        let mut prob = std::mem::take(&mut self.prob_scratch);
-        prob.clear();
-        prob.resize(nn_depth, 0.0);
-        let mut order = Vec::with_capacity(n);
-        let start = (self.rng.next_f64() * n as f64) as usize % n;
-        visited[start] = true;
-        order.push(start as u32);
-        let (mut cur, mut len) = (start, 0u64);
-        for _ in 1..n {
-            let cands = self.nn.neighbors(cur);
-            let row = &self.choice[cur * n..(cur + 1) * n];
-            let mut sum = 0.0;
-            for (k, &cand) in cands.iter().enumerate() {
-                let p = if visited[cand as usize] { 0.0 } else { row[cand as usize] };
-                prob[k] = p;
-                sum += p;
-            }
-            let next = if sum > 0.0 {
-                let r = self.rng.next_f64() * sum;
-                let mut cum = 0.0;
-                let mut pick = nn_depth - 1;
-                for (k, &p) in prob.iter().enumerate() {
-                    cum += p;
-                    if cum >= r && p > 0.0 {
-                        pick = k;
-                        break;
-                    }
-                }
-                if prob[pick] == 0.0 {
-                    pick = (0..nn_depth).find(|&q| prob[q] > 0.0).expect("sum > 0");
-                }
-                cands[pick] as usize
-            } else {
-                let mut best = usize::MAX;
-                let mut best_v = f64::NEG_INFINITY;
-                for j in 0..n {
-                    if !visited[j] && row[j] > best_v {
-                        best_v = row[j];
-                        best = j;
-                    }
-                }
-                best
-            };
-            visited[next] = true;
-            order.push(next as u32);
-            len += self.inst.dist(cur, next) as u64;
-            cur = next;
-        }
-        len += self.inst.dist(cur, start) as u64;
-        self.visited_scratch = visited;
-        self.prob_scratch = prob;
-        (Tour::new_unchecked(order), len)
-    }
-
-    fn clamp(&mut self) {
-        for t in self.tau.iter_mut() {
-            *t = t.clamp(self.tau_min, self.tau_max);
-        }
+        &self.trails.tau
     }
 
     /// Configure the per-iteration local search (see
@@ -233,33 +146,18 @@ impl<'a> MaxMinAntSystem<'a> {
 
     /// [`iterate`](Self::iterate), additionally measuring search dynamics
     /// when a config is supplied. Ants are constructed one at a time, so
-    /// tour-length moments accumulate in-stream
-    /// ([`aco_obs::dynamics::compute_raw_from_moments`]); the O(n²) trail
-    /// scans run only when `dynamics` is `Some`.
+    /// tour-length moments accumulate in-stream; the O(n²) trail scans run
+    /// only when `dynamics` is `Some`.
     pub fn iterate_dynamics(
         &mut self,
         dynamics: Option<&aco_obs::DynamicsConfig>,
     ) -> (u64, Option<aco_obs::RawDynamics>) {
         self.iterations += 1;
-        let all_ants = self.ls.scope == LsScope::AllAnts;
-        let mut iter_best: Option<(Tour, u64)> = None;
-        let (mut len_sum, mut len_sumsq) = (0.0f64, 0.0f64);
-        for _ in 0..self.m {
-            let (mut tour, mut len) = self.construct_one();
-            if all_ants {
-                self.ls.improve(&mut tour, &mut len, self.inst.matrix(), &self.nn);
-            }
-            len_sum += len as f64;
-            len_sumsq += len as f64 * len as f64;
-            if iter_best.as_ref().is_none_or(|&(_, b)| len < b) {
-                iter_best = Some((tour, len));
-            }
-        }
-        let mut iter_best = iter_best.expect("m >= 1 ants");
-        if !all_ants {
-            let (tour, len) = &mut iter_best;
-            self.ls.improve(tour, len, self.inst.matrix(), &self.nn);
-        }
+        let MaxMinAntSystem { inst, m, trails, nn, scratch, rng, ls, .. } = self;
+        let (iter_best, moments) = ls.improve_stream(*m, inst.matrix(), nn, || {
+            let policy = TourPolicy::NearestNeighborList;
+            scratch.construct(inst, nn, &trails.choice, policy, rng, &mut OpCounter::default())
+        });
         self.last_iter_best = iter_best.1;
 
         let improved = self.best.as_ref().is_none_or(|&(_, b)| iter_best.1 < b);
@@ -274,46 +172,28 @@ impl<'a> MaxMinAntSystem<'a> {
             self.since_improvement += 1;
         }
 
-        // Evaporation.
-        let keep = 1.0 - self.params.rho as f64;
-        for t in self.tau.iter_mut() {
-            *t *= keep;
-        }
-
-        // Deposit: iteration-best, or best-so-far on the schedule.
+        // Evaporation, then a deposit by the iteration-best ant, or by the
+        // best-so-far one on the schedule.
+        let mut c = OpCounter::default();
+        self.trails.evaporate(self.params.rho as f64, &mut c);
         let use_gb = self.mmas.gb_every > 0 && self.iterations % self.mmas.gb_every == 0;
-        let (tour, len) =
-            if use_gb { self.best.as_ref().expect("set above").clone() } else { iter_best };
-        let dep = 1.0 / len as f64;
-        for k in 0..self.n {
-            let i = tour.order()[k] as usize;
-            let j = tour.order()[(k + 1) % self.n] as usize;
-            self.tau[i * self.n + j] += dep;
-            self.tau[j * self.n + i] += dep;
+        let (tour, len) = if use_gb { self.best.as_ref().expect("set above") } else { &iter_best };
+        self.trails.deposit(tour, 1.0 / *len as f64, &mut c);
+        for t in self.trails.tau.iter_mut() {
+            *t = t.clamp(self.tau_min, self.tau_max);
         }
-
-        self.clamp();
 
         // Stagnation restart.
         if self.mmas.restart_after > 0 && self.since_improvement >= self.mmas.restart_after {
-            self.tau.fill(self.tau_max);
+            self.trails.tau.fill(self.tau_max);
             self.since_improvement = 0;
             self.restarts += 1;
         }
 
-        self.recompute_choice();
+        self.trails.refresh(self.params.alpha as f64, &mut c);
         // Dynamics snapshot the trail state at the iteration boundary —
         // after deposit, clamp, and any restart.
-        let raw = dynamics.map(|cfg| {
-            aco_obs::dynamics::compute_raw_from_moments(
-                cfg,
-                self.m as u64,
-                len_sum,
-                len_sumsq,
-                &self.tau,
-                self.n,
-            )
-        });
+        let raw = moments.dynamics(dynamics, &self.trails.tau, self.n);
         (self.best.as_ref().map(|&(_, l)| l).expect("set above"), raw)
     }
 

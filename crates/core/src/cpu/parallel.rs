@@ -11,7 +11,8 @@ use aco_simt::rng::PmRng;
 use aco_simt::SimtError;
 use aco_tsp::Tour;
 
-use super::ant_system::{model, AntSystem, TourPolicy, TourScratch};
+use super::ant_system::{model, AntSystem, TourPolicy};
+use super::construct::TourScratch;
 use super::counter::{CpuModel, OpCounter};
 use crate::lifecycle::{Colony, PhaseMs, SolveCtx, Step};
 
@@ -27,26 +28,25 @@ pub fn construct_parallel(
 ) -> Vec<(Tour, u64)> {
     let m = aco.m();
     let threads = threads.clamp(1, m);
-    let seed_of =
-        |ant: usize| PmRng::thread_seed(aco.params().seed ^ (iteration << 20), ant as u64);
+    let construct = |scratch: &mut TourScratch, ant: usize| {
+        let seed = PmRng::thread_seed(aco.params().seed ^ (iteration << 20), ant as u64);
+        aco.construct_one_with(scratch, &mut PmRng::new(seed), policy, &mut OpCounter::default())
+    };
 
     if threads == 1 {
         let mut scratch = TourScratch::default();
-        return (0..m)
-            .map(|a| aco.construct_with_seed_in(&mut scratch, seed_of(a), policy))
-            .collect();
+        return (0..m).map(|a| construct(&mut scratch, a)).collect();
     }
 
     let mut out: Vec<Option<(Tour, u64)>> = (0..m).map(|_| None).collect();
     let chunk = m.div_ceil(threads);
     std::thread::scope(|scope| {
         for (w, slot) in out.chunks_mut(chunk).enumerate() {
-            let aco_ref = &aco;
+            let construct = &construct;
             scope.spawn(move || {
                 let mut scratch = TourScratch::default();
                 for (k, s) in slot.iter_mut().enumerate() {
-                    let ant = w * chunk + k;
-                    *s = Some(aco_ref.construct_with_seed_in(&mut scratch, seed_of(ant), policy));
+                    *s = Some(construct(&mut scratch, w * chunk + k));
                 }
             });
         }

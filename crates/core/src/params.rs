@@ -3,7 +3,7 @@
 //! Defaults follow Dorigo & Stützle, *Ant Colony Optimization* (2004) — the
 //! settings the paper states it uses ("ACO parameters such as the number of
 //! ants m, α, β, and so on are set according with the values recommended in
-//! [1]"), with the paper's own choices for `m = n` and `NN = 30`.
+//! \[1\]"), with the paper's own choices for `m = n` and `NN = 30`.
 
 /// Parameters shared by every ACO variant in this crate.
 #[derive(Debug, Clone, PartialEq)]

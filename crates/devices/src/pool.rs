@@ -28,7 +28,7 @@ pub enum DeviceAffinity {
     #[default]
     Any,
     /// Use this device unless its predicted completion is more than
-    /// [`PREFERRED_SLACK`]× the best compatible device's (or it is
+    /// `PREFERRED_SLACK` (1.5)× the best compatible device's (or it is
     /// incompatible), in which case place as `Any`.
     Preferred(DeviceId),
     /// Exactly this device, or a typed rejection.

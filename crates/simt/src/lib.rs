@@ -20,7 +20,7 @@
 //!   latency hiding.
 //!
 //! The [`timing`] module converts counters into milliseconds with a
-//! documented roofline model; [`launch`] drives grids of blocks with
+//! documented roofline model; [`launch()`] drives grids of blocks with
 //! optional deterministic block sampling for very large launches.
 //!
 //! ```

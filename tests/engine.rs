@@ -181,3 +181,26 @@ fn zero_ants_is_no_solution_on_every_backend() {
         assert_eq!(events.count(), 0, "{label}: no iteration ran");
     }
 }
+
+/// CPU ACS keeps one value per candidate, however deep the lists are: at
+/// depth 80 on 100 cities, both the pure roulette (`q0 = 0`) and the
+/// default mix of exploitation and roulette build valid tours whose
+/// reported length is exact.
+#[test]
+fn cpu_acs_handles_candidate_lists_deeper_than_64() {
+    let inst = Arc::new(tsp::uniform_random("acs-deep", 100, 1000.0, 7));
+    let engine = Engine::new(EngineConfig::with_workers(2));
+    for q0 in [0.0, AcsParams::default().q0] {
+        let acs = AcsParams { q0, ..AcsParams::default() };
+        let h = engine.submit(
+            SolveRequest::new(Arc::clone(&inst), AcoParams::default().nn(80).ants(10))
+                .backend(Backend::CpuAcs(acs))
+                .iterations(5)
+                .seed(9),
+        );
+        let report = h.wait().unwrap_or_else(|e| panic!("q0 = {q0}: {e}"));
+        assert_eq!(report.iterations, 5, "q0 = {q0}");
+        assert!(report.best_tour.is_valid(), "q0 = {q0}: invalid tour");
+        assert_eq!(report.best_len, report.best_tour.length(inst.matrix()), "q0 = {q0}");
+    }
+}
