@@ -591,6 +591,93 @@ mod tests {
         assert_eq!(rep.counters.choice, model::choice_counters(50));
     }
 
+    /// One AS iteration's choice and construction counters, exactly. The
+    /// construction must charge ACOTSP's loops (an `n`-slot gather and a
+    /// scan up to the drawn city), whatever the host loop visits.
+    #[test]
+    fn iteration_counters_are_pinned() {
+        let inst = small_instance(60, 14);
+        let pinned = [
+            (
+                TourPolicy::FullProbabilistic,
+                OpCounter {
+                    alu: 45312,
+                    flops: 64801,
+                    pow_calls: 0,
+                    loads: 107281,
+                    stores: 43896,
+                    rng: 720,
+                    branches: 64093,
+                },
+            ),
+            (
+                TourPolicy::NearestNeighborList,
+                OpCounter {
+                    alu: 15252,
+                    flops: 14293,
+                    pow_calls: 0,
+                    loads: 39163,
+                    stores: 12036,
+                    rng: 690,
+                    branches: 15415,
+                },
+            ),
+        ];
+        for (policy, tour) in pinned {
+            let mut aco = AntSystem::new(&inst, quick_params(4).ants(12)).with_policy(policy);
+            aco.iterate(policy);
+            let rep = aco.iterate(policy);
+            assert_eq!(rep.counters.choice, model::choice_counters(60), "{policy:?}");
+            assert_eq!(rep.counters.tour, tour, "{policy:?}");
+        }
+    }
+
+    /// A construction is exact whatever the last refresh covered: after a
+    /// refresh under the other policy, every construction entry point
+    /// builds the tours, lengths and counts of a colony refreshed under
+    /// the policy it runs.
+    #[test]
+    fn construction_is_exact_whatever_the_last_refresh_covered() {
+        use super::super::parallel::construct_parallel;
+        let inst = small_instance(50, 15);
+        let policies = [TourPolicy::FullProbabilistic, TourPolicy::NearestNeighborList];
+        for (policy, other) in [(policies[0], policies[1]), (policies[1], policies[0])] {
+            // Two iterations leave the trails uneven; then the colony
+            // refreshes under its configured policy.
+            let colony = |refresh: TourPolicy| {
+                let mut aco = AntSystem::new(&inst, quick_params(21).ants(6)).with_policy(refresh);
+                aco.iterate(policy);
+                aco.iterate(policy);
+                aco.refresh_choice(&mut OpCounter::default());
+                aco
+            };
+            let (mut same, mut cross) = (colony(policy), colony(other));
+            let one_by_one = |aco: &AntSystem| {
+                let (mut scratch, mut c) = (TourScratch::default(), OpCounter::default());
+                let mut rng = PmRng::new(99);
+                let tours: Vec<_> = (0..4)
+                    .map(|_| aco.construct_one_with(&mut scratch, &mut rng, policy, &mut c))
+                    .collect();
+                (tours, c)
+            };
+            assert_eq!(one_by_one(&same), one_by_one(&cross), "{policy:?}: construct_one_with");
+            for threads in [1, 3] {
+                assert_eq!(
+                    construct_parallel(&same, policy, 5, threads),
+                    construct_parallel(&cross, policy, 5, threads),
+                    "{policy:?}: construct_parallel on {threads} threads"
+                );
+            }
+            let (mut c_same, mut c_cross) = (OpCounter::default(), OpCounter::default());
+            assert_eq!(
+                same.construct_solutions(policy, &mut c_same),
+                cross.construct_solutions(policy, &mut c_cross),
+                "{policy:?}: construct_solutions"
+            );
+            assert_eq!(c_same, c_cross, "{policy:?}: construct_solutions counters");
+        }
+    }
+
     #[test]
     fn cpu_model_prices_phases_sensibly() {
         let inst = small_instance(100, 10);
