@@ -1,8 +1,8 @@
 //! Library microbenchmarks: the real wall time of the building blocks —
-//! TSPLIB parsing, NN-list construction, 2-opt, CPU AS iterations, and
-//! raw simulator throughput.
+//! TSPLIB parsing, NN-list construction, 2-opt, CPU AS (both roulettes)
+//! and MMAS iterations, and raw simulator throughput.
 
-use aco_core::cpu::{AntSystem, OpCounter, TourPolicy, TourScratch};
+use aco_core::cpu::{AntSystem, MaxMinAntSystem, MmasParams, OpCounter, TourPolicy, TourScratch};
 use aco_core::params::AcoParams;
 use aco_simt::prelude::*;
 use aco_tsp::{tsplib, NearestNeighborLists, Tour};
@@ -54,6 +54,17 @@ fn bench(c: &mut Criterion) {
     c.bench_function("cpu_as_iteration_100", |b| {
         let mut aco = AntSystem::new(&inst, AcoParams::default().nn(20).seed(1));
         b.iter(|| aco.iterate(TourPolicy::NearestNeighborList).iter_best)
+    });
+
+    c.bench_function("cpu_as_iteration_full_100", |b| {
+        let mut aco = AntSystem::new(&inst, AcoParams::default().nn(20).seed(1));
+        b.iter(|| aco.iterate(TourPolicy::FullProbabilistic).iter_best)
+    });
+
+    c.bench_function("cpu_mmas_iteration_100", |b| {
+        let params = AcoParams::default().nn(20).seed(1);
+        let mut mmas = MaxMinAntSystem::new(&inst, params, MmasParams::default());
+        b.iter(|| mmas.iterate())
     });
 
     c.bench_function("cpu_as_construct_only_100", |b| {

@@ -286,7 +286,8 @@ pub fn cpu_tour_ms(inst: &TspInstance, params: &AcoParams, policy: TourPolicy) -
     let mut counters = cpu_model::choice_counters(n);
 
     // Physically measure a handful of ants, scale to m.
-    let aco = AntSystem::new(inst, params.clone());
+    let mut aco = AntSystem::new(inst, params.clone()).with_policy(policy);
+    aco.refresh_choice(&mut OpCounter::default());
     let sample = if n <= 442 { 8.min(m) } else { 2 };
     let mut tour_c = OpCounter::default();
     let mut scratch = TourScratch::default();

@@ -86,7 +86,7 @@ impl<'a> AntColonySystem<'a> {
             inst,
             n,
             m,
-            trails: Trails::new(inst, params.beta as f64, tau0),
+            trails: Trails::new(inst, 1.0, params.beta as f64, tau0),
             scratch: TourScratch::default(),
             nn,
             rng: PmRng::new((params.seed % 0x7FFF_FFFF) as u32),
@@ -206,7 +206,7 @@ fn step(
     c: &mut OpCounter,
 ) -> usize {
     let q = rng.next_f64();
-    let sum = gather(cands.iter().map(|&j| j as usize), visited, prob, value);
+    let sum = gather(cands.iter().map(|&j| (j as usize, value(j as usize))), visited, prob);
     if sum <= 0.0 {
         return best_unvisited(visited, value);
     }

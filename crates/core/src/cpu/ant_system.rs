@@ -5,7 +5,8 @@
 //! ANSI C, provided by Stützle"). The structure mirrors ACOTSP:
 //!
 //! * `choice_info[i][j] = tau[i][j]^alpha * eta[i][j]^beta` recomputed once
-//!   per iteration,
+//!   per iteration over the cells the construction rule reads (only the
+//!   candidate cells under the candidate list, as ACOTSP does),
 //! * tour construction by the random-proportional rule, either over the
 //!   full feasible neighbourhood ("fully probabilistic") or over a
 //!   nearest-neighbour candidate list with a best-choice fallback,
@@ -67,7 +68,7 @@ pub struct AntSystem<'a> {
     params: AcoParams,
     n: usize,
     m: usize,
-    /// `tau`, `eta^beta` and `choice`, refreshed per iteration.
+    /// `tau`, `eta^beta` and the choice cells, refreshed per iteration.
     trails: Trails,
     nn: std::sync::Arc<NearestNeighborLists>,
     /// Construction scratch reused by every ant of
@@ -109,8 +110,8 @@ impl<'a> AntSystem<'a> {
         let n = inst.n();
         let m = params.ants_for(n);
         let tau0 = m as f64 / c_nn as f64;
-        let mut trails = Trails::new(inst, params.beta as f64, tau0);
-        trails.refresh(params.alpha as f64, &mut OpCounter::default());
+        let mut trails = Trails::new(inst, params.alpha as f64, params.beta as f64, tau0);
+        trails.refresh(TourPolicy::NearestNeighborList, &nn, &mut OpCounter::default());
         AntSystem {
             inst,
             n,
@@ -200,8 +201,9 @@ impl<'a> AntSystem<'a> {
     /// Construct one tour under `policy` from the caller's RNG stream and
     /// scratch, counting into `c` — the zero-allocation construction hot
     /// path (only the tour's own order vector is allocated, since it
-    /// outlives the call). Immutable on `self` so colonies can run ants
-    /// concurrently (see [`super::parallel`]).
+    /// outlives the call) once a refresh covered `policy`. Immutable on
+    /// `self` so colonies can run ants concurrently (see
+    /// [`super::parallel`]).
     pub fn construct_one_with(
         &self,
         scratch: &mut TourScratch,
@@ -209,7 +211,16 @@ impl<'a> AntSystem<'a> {
         policy: TourPolicy,
         c: &mut OpCounter,
     ) -> (Tour, u64) {
-        scratch.construct(self.inst, &self.nn, &self.trails.choice, policy, rng, c)
+        self.constructor(policy)(scratch, rng, c)
+    }
+
+    /// Tour construction under `policy` from one [`Trails::view`].
+    pub(crate) fn constructor(
+        &self,
+        policy: TourPolicy,
+    ) -> impl Fn(&mut TourScratch, &mut PmRng, &mut OpCounter) -> (Tour, u64) + Sync + '_ {
+        let choice = self.trails.view(policy, &self.nn);
+        move |scratch, rng, c| scratch.construct(self.inst, &choice, rng, c)
     }
 
     /// Construct tours for the whole colony from the colony's own stream.
@@ -219,7 +230,8 @@ impl<'a> AntSystem<'a> {
         c: &mut OpCounter,
     ) -> Vec<(Tour, u64)> {
         let AntSystem { inst, m, trails, nn, scratch, rng, .. } = self;
-        (0..*m).map(|_| scratch.construct(inst, nn, &trails.choice, policy, rng, c)).collect()
+        let choice = trails.view(policy, nn);
+        (0..*m).map(|_| scratch.construct(inst, &choice, rng, c)).collect()
     }
 
     /// Evaporate and deposit (Equations 2–4 of the paper).
@@ -230,13 +242,14 @@ impl<'a> AntSystem<'a> {
         }
     }
 
-    /// Recompute `choice_info` after custom pheromone edits.
+    /// Recompute the choice info the colony's configured policy reads
+    /// from the current pheromone.
     pub fn refresh_choice(&mut self, c: &mut OpCounter) {
-        self.trails.refresh(self.params.alpha as f64, c);
+        self.trails.refresh(self.policy, &self.nn, c);
     }
 
-    /// One full AS iteration: choice info, construction, local search
-    /// (when configured), update.
+    /// One full AS iteration: choice info for `policy`, construction,
+    /// local search (when configured), update.
     pub fn iterate(&mut self, policy: TourPolicy) -> IterationReport {
         self.iterate_dynamics(policy, None).0
     }
@@ -251,7 +264,7 @@ impl<'a> AntSystem<'a> {
         dynamics: Option<&aco_obs::DynamicsConfig>,
     ) -> (IterationReport, Option<aco_obs::RawDynamics>) {
         let mut counters = PhaseCounters::default();
-        self.refresh_choice(&mut counters.choice);
+        self.trails.refresh(policy, &self.nn, &mut counters.choice);
         let mut sols = self.construct_solutions(policy, &mut counters.tour);
         self.apply_local_search(&mut sols);
         let iter_best = sols.iter().map(|&(_, l)| l).min().expect("m >= 1 ants");
@@ -563,12 +576,18 @@ mod tests {
             }
             rng
         };
+        let full = aco.trails.view(TourPolicy::FullProbabilistic, &aco.nn);
+        let row = &full.cells[cur * n..(cur + 1) * n];
+        let unvisited: Vec<u32> = (0..n as u32).filter(|&j| !visited[j as usize]).collect();
+        let near = aco.trails.view(TourPolicy::NearestNeighborList, &aco.nn);
+        let vals = &near.cells[cur * (n - 1)..(cur + 1) * (n - 1)];
+        let value = |j| aco.trails.choice(cur, j);
         for s in 1..=samples {
             let mut c = OpCounter::default();
-            let row = &aco.trails.choice[cur * n..(cur + 1) * n];
             let cands = aco.nn.neighbors(cur);
-            full_counts[step_full(row, &visited, &mut prob, &mut warmed(s), &mut c)] += 1;
-            nn_counts[step_nn(row, cands, &visited, &mut prob, &mut warmed(s), &mut c)] += 1;
+            full_counts[step_full(row, &unvisited, &mut prob, &mut warmed(s), &mut c)] += 1;
+            let step = step_nn(vals, cands, &visited, &mut prob, &mut warmed(s), &mut c, value);
+            nn_counts[step] += 1;
         }
         for city in 0..n {
             let diff = (full_counts[city] as f64 - nn_counts[city] as f64).abs() / samples as f64;

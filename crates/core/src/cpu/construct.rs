@@ -3,14 +3,17 @@
 //! `compute_total_information` and one `neighbour_choose_and_move_to_next`.
 //!
 //! * [`Trails`] holds `tau`, `eta^β` (computed once, when the colony is
-//!   built) and `choice = tau^α · eta^β`, which AS, parallel AS and MMAS
-//!   refresh and read. ACS reads `tau · eta^β` directly, since its local
-//!   update moves `tau` at every step.
+//!   built) and `tau^α · eta^β` over only the cells one rule reads, which
+//!   AS, parallel AS and MMAS refresh: the candidate cells (as ACOTSP's
+//!   `compute_nn_list_total_information`) or all `n x n`. ACS reads
+//!   `tau · eta^β` directly, since its local update moves `tau` at every step.
 //! * [`TourScratch`] walks one tour: a random start, then one step rule per
 //!   city. AS, parallel AS and MMAS step with the random-proportional rule
-//!   over the candidate list (argmax fallback) or over every city; ACS
-//!   steps with its pseudo-random-proportional rule on the same scratch and
-//!   the same roulette.
+//!   over the candidate list (argmax fallback) or over the unvisited
+//!   cities; ACS steps with its pseudo-random-proportional rule on the same
+//!   scratch and the same roulette.
+
+use std::borrow::Cow;
 
 use aco_simt::rng::PmRng;
 use aco_tsp::{NearestNeighborLists, Tour, TspInstance};
@@ -18,20 +21,34 @@ use aco_tsp::{NearestNeighborLists, Tour, TspInstance};
 use super::ant_system::TourPolicy;
 use super::counter::OpCounter;
 
-/// Pheromone `tau`, heuristic `eta^β` and the `choice` matrix the
-/// roulettes read, all row-major `n x n` and `f64` like ACOTSP.
+/// Pheromone `tau` and heuristic `eta^β`, row-major `n x n` and `f64`
+/// like ACOTSP, and the cached `tau^α · eta^β` cells the roulettes read.
 pub(crate) struct Trails {
     n: usize,
+    alpha: f64,
+    /// Pheromone. A write outside [`Trails::evaporate`] and
+    /// [`Trails::deposit`] must be followed by a [`Trails::refresh`].
     pub tau: Vec<f64>,
     /// `(1/d)^β` (`10^β` on zero-length edges), computed once.
     eta_beta: Vec<f64>,
-    /// `tau^α · eta^β` as of the last [`Trails::refresh`]; empty before it.
-    pub choice: Vec<f64>,
+    /// `tau^α · eta^β` of the cells `covers` reads: all `n x n`, or
+    /// `cells[i * depth + k]` for city `nn.neighbors(i)[k]`.
+    cells: Vec<f64>,
+    /// The rule `cells` serves; `None` once the pheromone moved since.
+    covers: Option<TourPolicy>,
+}
+
+/// What one construction reads: its rule and the cells it scans.
+pub(crate) struct ChoiceView<'a> {
+    trails: &'a Trails,
+    nn: &'a NearestNeighborLists,
+    policy: TourPolicy,
+    pub cells: Cow<'a, [f64]>,
 }
 
 impl Trails {
     /// Trails at `tau_init` on every edge of `inst`, with `eta^β` computed.
-    pub fn new(inst: &TspInstance, beta: f64, tau_init: f64) -> Self {
+    pub fn new(inst: &TspInstance, alpha: f64, beta: f64, tau_init: f64) -> Self {
         let n = inst.n();
         let mut eta_beta = Vec::with_capacity(n * n);
         for i in 0..n {
@@ -41,24 +58,58 @@ impl Trails {
                 eta_beta.push(eta.powf(beta));
             }
         }
-        Trails { n, tau: vec![tau_init; n * n], eta_beta, choice: Vec::new() }
+        Trails { n, alpha, tau: vec![tau_init; n * n], eta_beta, cells: Vec::new(), covers: None }
     }
 
-    /// Recompute `choice = tau^α · eta^β` from the current pheromone.
+    /// `tau^α · eta^β` of edge `(i, j)`, bit for bit the cached value.
+    #[inline]
+    pub fn choice(&self, i: usize, j: usize) -> f64 {
+        let cell = i * self.n + j;
+        self.tau[cell].powf(self.alpha) * self.eta_beta[cell]
+    }
+
+    /// `out`, refilled with the cells a construction under `policy` reads.
+    fn fill(&self, policy: TourPolicy, nn: &NearestNeighborLists, mut out: Vec<f64>) -> Vec<f64> {
+        out.clear();
+        match policy {
+            TourPolicy::FullProbabilistic => out
+                .extend(self.tau.iter().zip(&self.eta_beta).map(|(t, eb)| t.powf(self.alpha) * eb)),
+            TourPolicy::NearestNeighborList => {
+                for i in 0..self.n {
+                    out.extend(nn.neighbors(i).iter().map(|&j| self.choice(i, j as usize)));
+                }
+            }
+        }
+        out
+    }
+
+    /// Cache the cells `policy` reads, from the current pheromone.
     ///
-    /// The host calls `powf` once per cell, since `eta^β` is hoisted. The
-    /// counters still charge two `pow` calls per cell: they price ACOTSP's
-    /// `compute_total_information`, the paper's CPU baseline, not this
-    /// loop, so every modeled millisecond stays the baseline's.
-    pub fn refresh(&mut self, alpha: f64, c: &mut OpCounter) {
-        self.choice.clear();
-        self.choice.extend(self.tau.iter().zip(&self.eta_beta).map(|(t, eb)| t.powf(alpha) * eb));
+    /// The counters charge ACOTSP's `compute_total_information` whatever
+    /// the cache holds: two `pow` calls on every one of the `n²` cells.
+    /// They price Fig. 4's CPU baseline, not this loop (which calls `powf`
+    /// once per cached cell, since `eta^β` is hoisted), so every modeled
+    /// millisecond stays the baseline's.
+    pub fn refresh(&mut self, policy: TourPolicy, nn: &NearestNeighborLists, c: &mut OpCounter) {
+        let cells = std::mem::take(&mut self.cells);
+        (self.cells, self.covers) = (self.fill(policy, nn, cells), Some(policy));
         let cells = (self.n * self.n) as u64;
         c.pow_calls += 2 * cells;
         c.flops += cells;
         c.loads += 2 * cells;
         c.stores += cells;
         c.alu += cells;
+    }
+
+    /// The view a construction under `policy` reads: the cache when the
+    /// last refresh covered `policy` and the pheromone has not moved
+    /// since, else cells computed now.
+    pub fn view<'a>(&'a self, policy: TourPolicy, nn: &'a NearestNeighborLists) -> ChoiceView<'a> {
+        let cells = match self.covers == Some(policy) {
+            true => Cow::Borrowed(&self.cells[..]),
+            false => Cow::Owned(self.fill(policy, nn, Vec::new())),
+        };
+        ChoiceView { trails: self, nn, policy, cells }
     }
 
     /// `tau · eta^β` of edge `(i, j)`: ACS's desirability (`α = 1`).
@@ -70,6 +121,7 @@ impl Trails {
     /// Evaporate every trail by `(1 - rho)` (Equation 2).
     pub fn evaporate(&mut self, rho: f64, c: &mut OpCounter) {
         let keep = 1.0 - rho;
+        self.covers = None;
         for t in self.tau.iter_mut() {
             *t *= keep;
         }
@@ -84,6 +136,7 @@ impl Trails {
     pub fn deposit(&mut self, tour: &Tour, amount: f64, c: &mut OpCounter) {
         let n = self.n;
         let order = tour.order();
+        self.covers = None;
         for k in 0..n {
             let i = order[k] as usize;
             let j = order[(k + 1) % n] as usize;
@@ -98,40 +151,46 @@ impl Trails {
     }
 }
 
-/// Reusable per-ant construction scratch: the visited flags and roulette
-/// slots every tour needs. One scratch serves any number of sequential
-/// constructions (each resets it, sizing it on first use), so a colony —
-/// or one worker thread of a parallel colony — allocates these buffers
-/// once instead of once per ant.
+/// Reusable per-ant construction scratch: visited flags, the full
+/// roulette's ascending unvisited list and roulette slots. One scratch
+/// serves any number of sequential constructions (each resets it, sizing
+/// it on first use), so a colony — or one worker thread of a parallel
+/// colony — allocates these buffers once instead of once per ant.
 #[derive(Debug, Default, Clone)]
 pub struct TourScratch {
     visited: Vec<bool>,
+    unvisited: Vec<u32>,
     prob: Vec<f64>,
 }
 
 impl TourScratch {
-    /// Construct one tour under `policy` from the `choice` matrix and the
-    /// candidate lists `nn` (the construction AS, parallel AS and MMAS
-    /// share). Only the tour's own order vector is allocated.
+    /// Construct one tour under `choice.policy` from its cells and
+    /// candidate lists (the construction AS, parallel AS and MMAS share).
+    /// Only the tour's own order vector is allocated.
     pub(crate) fn construct(
         &mut self,
         inst: &TspInstance,
-        nn: &NearestNeighborLists,
-        choice: &[f64],
-        policy: TourPolicy,
+        choice: &ChoiceView<'_>,
         rng: &mut PmRng,
         c: &mut OpCounter,
     ) -> (Tour, u64) {
-        let n = inst.n();
-        self.walk(inst, rng, c, |cur, visited, prob, rng, c| {
-            let row = &choice[cur * n..(cur + 1) * n];
-            match policy {
-                TourPolicy::FullProbabilistic => step_full(row, visited, prob, rng, c),
-                TourPolicy::NearestNeighborList => {
-                    step_nn(row, nn.neighbors(cur), visited, prob, rng, c)
-                }
+        let (n, depth, cells) = (inst.n(), choice.nn.depth(), &choice.cells[..]);
+        let mut unvisited = std::mem::take(&mut self.unvisited);
+        unvisited.clear();
+        unvisited.extend(0..n as u32);
+        let tour = self.walk(inst, rng, c, |cur, visited, prob, rng, c| match choice.policy {
+            TourPolicy::FullProbabilistic => {
+                unvisited.remove(unvisited.binary_search(&(cur as u32)).expect("just visited"));
+                step_full(&cells[cur * n..(cur + 1) * n], &unvisited, prob, rng, c)
             }
-        })
+            TourPolicy::NearestNeighborList => {
+                let vals = &cells[cur * depth..(cur + 1) * depth];
+                let fallback = |j| choice.trails.choice(cur, j);
+                step_nn(vals, choice.nn.neighbors(cur), visited, prob, rng, c, fallback)
+            }
+        });
+        self.unvisited = unvisited;
+        tour
     }
 
     /// Walk one tour of `inst`: a random start city, then `n - 1` moves,
@@ -174,17 +233,16 @@ impl TourScratch {
     }
 }
 
-/// Write each city's value (0 once visited) into `prob`, in order, and
-/// return their sum.
+/// Write each candidate's value (0 once visited) into `prob`, in order,
+/// and return their sum.
 pub(crate) fn gather(
-    cities: impl Iterator<Item = usize>,
+    cands: impl Iterator<Item = (usize, f64)>,
     visited: &[bool],
     prob: &mut [f64],
-    value: impl Fn(usize) -> f64,
 ) -> f64 {
     let mut sum = 0.0f64;
-    for (p, j) in prob.iter_mut().zip(cities) {
-        *p = if visited[j] { 0.0 } else { value(j) };
+    for (p, (j, v)) in prob.iter_mut().zip(cands) {
+        *p = if visited[j] { 0.0 } else { v };
         sum += *p;
     }
     sum
@@ -203,7 +261,8 @@ pub(crate) fn first_max(values: impl Iterator<Item = f64>) -> usize {
     best
 }
 
-/// The unvisited city of highest `value` (the candidate-list fallback).
+/// The unvisited city of highest `value` (the candidate-list fallback);
+/// `value` is called on unvisited cities only.
 pub(crate) fn best_unvisited(visited: &[bool], value: impl Fn(usize) -> f64) -> usize {
     let all = visited.iter().enumerate();
     first_max(all.map(|(j, &seen)| if seen { f64::NEG_INFINITY } else { value(j) }))
@@ -216,6 +275,10 @@ pub(crate) fn best_unvisited(visited: &[bool], value: impl Fn(usize) -> f64) -> 
 /// first reaches `r` on a live slot; and it adds the same terms in the same
 /// order as `sum`, so it does reach `r`. The zero-slot guard only catches a
 /// float shortfall at the last slot.
+///
+/// Dropping zero slots thus draws the same live slot, as adding `0.0`
+/// leaves the sum and every cumulative value bit for bit as they were:
+/// the full roulette scans only the unvisited cities.
 pub(crate) fn roulette(prob: &[f64], sum: f64, rng: &mut PmRng, c: &mut OpCounter) -> usize {
     let r = rng.next_f64() * sum;
     c.rng += 1;
@@ -239,38 +302,54 @@ pub(crate) fn roulette(prob: &[f64], sum: f64, rng: &mut PmRng, c: &mut OpCounte
 }
 
 /// Random-proportional step over the full feasible neighbourhood
-/// (ACOTSP's fully probabilistic rule; two passes like the C code).
+/// (ACOTSP's fully probabilistic rule), scanning the `unvisited` cities
+/// of `row` only: it draws the city ACOTSP's scan over all `n` slots
+/// draws (see [`roulette`]), and the counters charge that scan's two
+/// passes, visited slots included.
 pub(crate) fn step_full(
     row: &[f64],
-    visited: &[bool],
+    unvisited: &[u32],
     prob: &mut [f64],
     rng: &mut PmRng,
     c: &mut OpCounter,
 ) -> usize {
     let n = row.len();
-    let sum = gather(0..n, visited, prob, |j| row[j]);
+    let live = &mut prob[..unvisited.len()];
+    let mut sum = 0.0f64;
+    for (p, &j) in live.iter_mut().zip(unvisited) {
+        *p = row[j as usize];
+        sum += *p;
+    }
     c.loads += 2 * n as u64;
     c.stores += n as u64;
     c.flops += n as u64;
     c.branches += n as u64;
     c.alu += n as u64;
     debug_assert!(sum > 0.0, "some city must remain feasible");
-    roulette(&prob[..n], sum, rng, c)
+    let k = roulette(live, sum, rng, c);
+    // The n-slot scan also steps over the visited cities before the drawn one.
+    let skipped = (unvisited[k] as usize - k) as u64;
+    c.loads += skipped;
+    c.flops += skipped;
+    c.branches += skipped;
+    unvisited[k] as usize
 }
 
 /// Candidate-list step (ACOTSP `neighbour_choose_and_move_to_next`):
-/// roulette over the unvisited nearest neighbours `cands`, falling back to
-/// the best `choice` city when all candidates are visited.
+/// roulette over the unvisited nearest neighbours `cands`, whose values
+/// are `vals`, falling back to the unvisited city of highest `value` when
+/// all candidates are visited.
 pub(crate) fn step_nn(
-    row: &[f64],
+    vals: &[f64],
     cands: &[u32],
     visited: &[bool],
     prob: &mut [f64],
     rng: &mut PmRng,
     c: &mut OpCounter,
+    value: impl Fn(usize) -> f64,
 ) -> usize {
-    let (n, nn) = (row.len() as u64, cands.len() as u64);
-    let sum = gather(cands.iter().map(|&j| j as usize), visited, prob, |j| row[j]);
+    let (n, nn) = (visited.len() as u64, cands.len() as u64);
+    let sum = gather(cands.iter().map(|&j| j as usize).zip(vals.iter().copied()), visited, prob);
     c.loads += 3 * nn;
     c.stores += nn;
     c.flops += nn;
@@ -283,7 +362,7 @@ pub(crate) fn step_nn(
         c.loads += 2 * n;
         c.branches += n;
         c.alu += n;
-        return best_unvisited(visited, |j| row[j]);
+        return best_unvisited(visited, value);
     }
     cands[roulette(&prob[..cands.len()], sum, rng, c)] as usize
 }

@@ -88,8 +88,8 @@ impl<'a> MaxMinAntSystem<'a> {
         let rho = params.rho as f64;
         let tau_max = 1.0 / (rho * c_nn as f64);
         let tau_min = tau_max / (2.0 * n as f64);
-        let mut trails = Trails::new(inst, params.beta as f64, tau_max);
-        trails.refresh(params.alpha as f64, &mut OpCounter::default());
+        let mut trails = Trails::new(inst, params.alpha as f64, params.beta as f64, tau_max);
+        trails.refresh(TourPolicy::NearestNeighborList, &nn, &mut OpCounter::default());
         MaxMinAntSystem {
             inst,
             n,
@@ -154,9 +154,9 @@ impl<'a> MaxMinAntSystem<'a> {
     ) -> (u64, Option<aco_obs::RawDynamics>) {
         self.iterations += 1;
         let MaxMinAntSystem { inst, m, trails, nn, scratch, rng, ls, .. } = self;
+        let choice = trails.view(TourPolicy::NearestNeighborList, nn);
         let (iter_best, moments) = ls.improve_stream(*m, inst.matrix(), nn, || {
-            let policy = TourPolicy::NearestNeighborList;
-            scratch.construct(inst, nn, &trails.choice, policy, rng, &mut OpCounter::default())
+            scratch.construct(inst, &choice, rng, &mut OpCounter::default())
         });
         self.last_iter_best = iter_best.1;
 
@@ -190,7 +190,7 @@ impl<'a> MaxMinAntSystem<'a> {
             self.restarts += 1;
         }
 
-        self.trails.refresh(self.params.alpha as f64, &mut c);
+        self.trails.refresh(TourPolicy::NearestNeighborList, &self.nn, &mut c);
         // Dynamics snapshot the trail state at the iteration boundary —
         // after deposit, clamp, and any restart.
         let raw = moments.dynamics(dynamics, &self.trails.tau, self.n);
@@ -216,19 +216,6 @@ impl<'a> MaxMinAntSystem<'a> {
     /// (`u64::MAX` before the first iteration).
     pub fn last_iter_best(&self) -> u64 {
         self.last_iter_best
-    }
-
-    /// Operation counters for an MMAS update (extension of the paper's
-    /// cost analysis: deposit is `O(n)` instead of `O(m n)`).
-    pub fn update_counters(n: usize) -> OpCounter {
-        let cells = (n * n) as u64;
-        OpCounter {
-            loads: cells + 4 * n as u64,
-            stores: cells + 2 * n as u64,
-            flops: cells + 2 * n as u64,
-            alu: 4 * n as u64,
-            ..Default::default()
-        }
     }
 }
 

@@ -4,8 +4,8 @@
 //! future work.
 //!
 //! Every colony runs on one core (`construct.rs`): one trail/heuristic
-//! structure (`tau`, `eta^β` computed once, `choice`) and one tour walk on
-//! a reusable [`TourScratch`]. AS, parallel AS and MMAS share its
+//! structure (`tau`, `eta^β` computed once, `tau^α · eta^β` over the cells
+//! a rule reads) and one tour walk on a reusable [`TourScratch`]. AS, parallel AS and MMAS share its
 //! candidate-list and full roulettes; ACS adds only its
 //! pseudo-random-proportional rule and local update on the same scratch.
 

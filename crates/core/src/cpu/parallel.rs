@@ -28,9 +28,10 @@ pub fn construct_parallel(
 ) -> Vec<(Tour, u64)> {
     let m = aco.m();
     let threads = threads.clamp(1, m);
+    let construct_one = aco.constructor(policy);
     let construct = |scratch: &mut TourScratch, ant: usize| {
         let seed = PmRng::thread_seed(aco.params().seed ^ (iteration << 20), ant as u64);
-        aco.construct_one_with(scratch, &mut PmRng::new(seed), policy, &mut OpCounter::default())
+        construct_one(scratch, &mut PmRng::new(seed), &mut OpCounter::default())
     };
 
     if threads == 1 {
@@ -115,7 +116,7 @@ impl Colony for ParallelAntSystem<'_> {
             best_so_far: best.as_ref().map(|&(_, l)| l).expect("set above"),
             raw_dynamics,
             phase_ms: PhaseMs {
-                construction: model.time_ms(&tour_counters) / *threads as f64,
+                construction: model.time_ms(&tour_counters) / (*threads).min(m) as f64,
                 local_search: aco.ls_iter_ms(&model),
                 pheromone: model.time_ms(&c),
             },
@@ -176,6 +177,20 @@ mod tests {
         let first = bests[0];
         let min_late = *bests[5..].iter().min().expect("non-empty");
         assert!(min_late <= first, "search should not degrade: {min_late} vs {first}");
+    }
+
+    /// Construction runs at most one worker per ant, so threads beyond
+    /// `m` must not shorten the modeled construction.
+    #[test]
+    fn threads_beyond_the_ants_do_not_shorten_construction() {
+        let inst = uniform_random("par", 30, 600.0, 45);
+        let construction_ms = |threads| {
+            let aco = AntSystem::new(&inst, AcoParams::default().nn(8).seed(9).ants(2));
+            let step = ParallelAntSystem::new(aco, threads).step(0, &SolveCtx::new());
+            step.expect("CPU steps cannot fail").phase_ms.construction
+        };
+        assert_eq!(construction_ms(8), construction_ms(2));
+        assert!(construction_ms(1) > construction_ms(2));
     }
 
     #[test]

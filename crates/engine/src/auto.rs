@@ -8,7 +8,8 @@
 //!
 //! * the sequential CPU is priced by [`CpuModel`] over the analytic
 //!   operation counters of `aco_core::cpu::ant_system::model`;
-//! * the parallel CPU divides the construction term by its thread count;
+//! * the parallel CPU divides the construction term by its thread count
+//!   (at most one per ant);
 //! * each GPU candidate is priced by the simulator's kernel-time
 //!   estimate, measured on a one-iteration probe launch against the
 //!   actual [`DeviceSpec`](aco_simt::DeviceSpec) (block-sampled on large
@@ -114,13 +115,15 @@ pub fn estimates(
             backend: Backend::CpuSequential { policy: TourPolicy::NearestNeighborList },
             ms_per_iter: choice_ms + tour_ms + update_ms + host_ls_ms,
         });
+        // Construction runs at most one worker per ant; the local-search
+        // pass runs on the fan-in thread.
+        let workers = AUTO_CPU_THREADS.min(m) as f64;
         out.push(CandidateEstimate {
             backend: Backend::CpuParallel {
                 policy: TourPolicy::NearestNeighborList,
                 threads: AUTO_CPU_THREADS,
             },
-            // The local-search pass runs on the fan-in thread.
-            ms_per_iter: choice_ms + tour_ms / AUTO_CPU_THREADS as f64 + update_ms + host_ls_ms,
+            ms_per_iter: choice_ms + tour_ms / workers + update_ms + host_ls_ms,
         });
     }
 
@@ -352,6 +355,19 @@ mod tests {
         );
         assert!(est.len() >= 2 + GpuDevice::ALL.len()); // CPUs + at least one GPU pair each
         assert!(est.iter().all(|e| e.ms_per_iter.is_finite() && e.ms_per_iter > 0.0));
+    }
+
+    /// Parallel construction runs at most one worker per ant, so a
+    /// one-ant colony's parallel estimate is its sequential one.
+    #[test]
+    fn parallel_estimate_runs_at_most_one_worker_per_ant() {
+        let inst = uniform_random("auto-ants", 28, 500.0, 4);
+        let params = AcoParams::default().nn(8).ants(1);
+        let arts = artifacts_for(&inst, 8);
+        let cpu =
+            estimates(&inst, &params, &arts, &[], true, LocalSearch::None, LsScope::IterationBest);
+        assert!(matches!(cpu[1].backend, Backend::CpuParallel { .. }));
+        assert_eq!(cpu[0].ms_per_iter, cpu[1].ms_per_iter);
     }
 
     #[test]
