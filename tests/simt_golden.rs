@@ -12,8 +12,9 @@
 //! - the bytes of the colony's tours, lengths, tau and choice buffers.
 //!
 //! A mismatch prints every fingerprint of the run, so an intended change
-//! of the model can be re-recorded in one step. The small instance runs
-//! in the debug tier; the paper-sized ones are `#[ignore]`d for release
+//! of the model can be re-recorded in one step. The small instance and a
+//! two-tile data-parallel case (n = 300) run in the debug tier; the
+//! paper-sized ones are `#[ignore]`d for release
 //! (`cargo test --release --test simt_golden -- --include-ignored`).
 
 use aco_gpu::core::gpu::acs::{AcsGlobalUpdateKernel, AcsTourKernel};
@@ -139,25 +140,37 @@ fn launch_fp(fp: &mut Fp, r: &LaunchResult) {
     fp.time(&r.time);
 }
 
+fn device_tag(dev: &DeviceSpec) -> &'static str {
+    if dev.compute_capability.is_fermi() {
+        "m2050"
+    } else {
+        "c1060"
+    }
+}
+
+/// One Table II row on a fresh colony: its counters, modeled ms and memory.
+fn tour_fp(dev: &DeviceSpec, inst: &tsp::TspInstance, m: usize, strategy: TourStrategy) -> u64 {
+    let (mut gm, bufs) = colony(inst, m);
+    let run = run_tour(dev, &mut gm, bufs, strategy, 1.0, 2.0, 11, 0, SimMode::Full).unwrap();
+    let mut fp = Fp::new();
+    fp.stats(&run.stats);
+    fp.time(&run.tour_time);
+    if let Some(t) = &run.choice_time {
+        fp.time(t);
+    }
+    fp.memory(&gm, bufs);
+    fp.0
+}
+
 /// Every fingerprint of one instance size, labelled `device/kernel`.
 fn fingerprints(n: usize, m: usize) -> Vec<(String, u64)> {
     let inst = instance(n);
     let mut out = Vec::new();
     for dev in devices() {
-        let tag = if dev.compute_capability.is_fermi() { "m2050" } else { "c1060" };
+        let tag = device_tag(&dev);
 
         for strategy in TourStrategy::ALL {
-            let (mut gm, bufs) = colony(&inst, m);
-            let run =
-                run_tour(&dev, &mut gm, bufs, strategy, 1.0, 2.0, 11, 0, SimMode::Full).unwrap();
-            let mut fp = Fp::new();
-            fp.stats(&run.stats);
-            fp.time(&run.tour_time);
-            if let Some(t) = &run.choice_time {
-                fp.time(t);
-            }
-            fp.memory(&gm, bufs);
-            out.push((format!("{tag}/tour/{strategy:?}"), fp.0));
+            out.push((format!("{tag}/tour/{strategy:?}"), tour_fp(&dev, &inst, m, strategy)));
         }
 
         for strategy in PheromoneStrategy::ALL {
@@ -250,8 +263,25 @@ fn fingerprints(n: usize, m: usize) -> Vec<(String, u64)> {
     out
 }
 
+/// The data-parallel rows only: at n = 300 a block covers the cities in
+/// two 256-lane tiles, so each step also picks the best partial best.
+fn two_tile_fingerprints() -> Vec<(String, u64)> {
+    let inst = instance(300);
+    let mut out = Vec::new();
+    for dev in devices() {
+        for strategy in [TourStrategy::DataParallel, TourStrategy::DataParallelTex] {
+            let label = format!("{}/tour/{strategy:?}", device_tag(&dev));
+            out.push((label, tour_fp(&dev, &inst, 2, strategy)));
+        }
+    }
+    out
+}
+
 fn check(n: usize, m: usize, expected: &[(&str, u64)]) {
-    let actual = fingerprints(n, m);
+    compare(&format!("n={n} m={m}"), fingerprints(n, m), expected);
+}
+
+fn compare(case: &str, actual: Vec<(String, u64)>, expected: &[(&str, u64)]) {
     let listing: String =
         actual.iter().map(|(label, fp)| format!("    (\"{label}\", {fp:#018x}),\n")).collect();
     let labels: Vec<&str> = actual.iter().map(|(l, _)| l.as_str()).collect();
@@ -265,13 +295,18 @@ fn check(n: usize, m: usize, expected: &[(&str, u64)]) {
         .collect();
     assert!(
         wrong.is_empty(),
-        "n={n} m={m}: fingerprints differ for {wrong:?}; actual fingerprints:\n{listing}"
+        "{case}: fingerprints differ for {wrong:?}; actual fingerprints:\n{listing}"
     );
 }
 
 #[test]
 fn small_instance_counters_are_golden() {
     check(24, 4, GOLDEN_N24);
+}
+
+#[test]
+fn two_tile_data_parallel_counters_are_golden() {
+    compare("n=300 m=2", two_tile_fingerprints(), GOLDEN_TWO_TILE);
 }
 
 #[test]
@@ -394,4 +429,13 @@ const GOLDEN_N100: &[(&str, u64)] = &[
     ("m2050/acs/kernels", 0xa9a660b6ef604f3f),
     ("m2050/acs/colony", 0xb18ee0f470e94466),
     ("m2050/two_opt_nn", 0x249968e63d9dab62),
+];
+
+// Recorded on the written-out shared-memory argmax loop of the
+// data-parallel tour kernel.
+const GOLDEN_TWO_TILE: &[(&str, u64)] = &[
+    ("c1060/tour/DataParallel", 0xb38cc0f4258f4586),
+    ("c1060/tour/DataParallelTex", 0x84b516f18c0f017e),
+    ("m2050/tour/DataParallel", 0xbecdbe2346536a2a),
+    ("m2050/tour/DataParallelTex", 0x164bf95491c9bdc1),
 ];
