@@ -17,14 +17,15 @@
 //! scales with 1/reps).
 //!
 //! Each entry records its config — `reps` per launch, `trials` (new
-//! entries always run [`TRIALS`]), and the `host_cpus` it ran on — and
-//! each op's ns/op is the minimum over the trials (the least-disturbed
-//! run; the host's noise only ever adds).
+//! entries always run [`TRIALS`]), the `host_cpus` it ran on and the git
+//! `rev` it was built from — and each op's ns/op is the minimum over the
+//! trials (the least-disturbed run; the host's noise only ever adds).
 //!
 //! Measures the per-operation cost of the `BlockCtx` primitives the
 //! kernels are built from — wall nanoseconds *and allocator calls* per
 //! op — on a 256-lane block of the Tesla C1060 (the two bank-model
-//! rows, `shared_reduce` and `shared_conflict`, run on the M2050). The
+//! rows, `shared_reduce` and `shared_conflict`, and the
+//! `shared_argmax_tree` collective run on the M2050). The
 //! allocation column is the regression tripwire for the pooled register
 //! file: every row must stay at (or very near) zero allocations per op
 //! once the thread-local pools are warm; a future change that
@@ -156,9 +157,9 @@ impl Kernel for OpKernel {
                 }
             }
             "shared_reduce" => {
-                // One level of the data-parallel argmax (Table II rows
-                // 7-8): lanes below `s` compare `lane` with `lane + s` —
-                // strictly increasing words, the bank model's shortcut.
+                // Lanes below 64 compare `lane` with `lane + 64`: strictly
+                // increasing words, so this row times the bank model's
+                // shortcut.
                 let sh = ctx.shared_alloc_f32(256);
                 ctx.sh_st_f32(sh, &idx, &af);
                 let s = ctx.splat_u32(64);
@@ -173,6 +174,17 @@ impl Kernel for OpKernel {
                         ctx.sh_st_f32(sh, &a, &nv);
                     }
                 });
+            }
+            "shared_argmax_tree" => {
+                // The data-parallel tour kernel's argmax (Table II rows
+                // 7-8): all 8 levels of a 256-slot tree per op.
+                let sh_val = ctx.shared_alloc_f32(256);
+                let sh_idx = ctx.shared_alloc_u32(256);
+                ctx.sh_st_f32(sh_val, &idx, &af);
+                ctx.sh_st_u32(sh_idx, &idx, &a);
+                for _ in 0..self.reps {
+                    ctx.sh_argmax_tree(sh_val, sh_idx);
+                }
             }
             "shared_conflict" => {
                 // Stride-2 words: two-way conflicts in every warp on the
@@ -285,7 +297,7 @@ fn run_launches(threads: usize) -> LaunchAllocResult {
 /// single-threaded reference and a forked-shadow run.
 const LAUNCH_THREADS: [usize; 2] = [1, 4];
 
-const OPS: [&str; 15] = [
+const OPS: [&str; 16] = [
     "fmul",
     "fma",
     "fdiv_sfu",
@@ -297,6 +309,7 @@ const OPS: [&str; 15] = [
     "tex_ld",
     "shared_ld_st",
     "shared_reduce",
+    "shared_argmax_tree",
     "shared_conflict",
     "atomic_add",
     "lcg_rng",
@@ -416,10 +429,11 @@ fn check(path: &std::path::Path, tolerance: f64, reps: Option<u32>) -> ! {
 }
 
 /// The device an op runs on: the Tesla C1060, except the rows that time
-/// the bank model on the 32-bank, warp-grouped M2050.
+/// the bank model on the 32-bank, warp-grouped M2050 and the argmax tree
+/// the data-parallel rows run there.
 fn device_for(op: &str) -> DeviceSpec {
     match op {
-        "shared_reduce" | "shared_conflict" => DeviceSpec::tesla_m2050(),
+        "shared_reduce" | "shared_argmax_tree" | "shared_conflict" => DeviceSpec::tesla_m2050(),
         _ => DeviceSpec::tesla_c1060(),
     }
 }
@@ -432,7 +446,8 @@ fn run_op(op: &'static str, config: Config) -> OpResult {
     let buf_f = gm.alloc_f32(256);
     let buf_u = gm.alloc_u32(256);
     let k = OpKernel { op, reps: config.reps, buf_f, buf_u };
-    let cfg = LaunchConfig::new(1, 256).shared(4 * 256);
+    // Room for the argmax tree's two 256-word arrays.
+    let cfg = LaunchConfig::new(1, 256).shared(8 * 256);
     // Warm-up launch: fills the thread-local pools and caches.
     launch(&dev, &cfg, &k, &mut gm, SimMode::Full).unwrap();
 
@@ -457,13 +472,14 @@ fn run_op(op: &'static str, config: Config) -> OpResult {
 }
 
 /// One history entry, as read back or freshly measured. The config (both
-/// `reps` and `trials`) and `host_cpus` are `None` on an entry that does
-/// not record them and are then left out of the rendering.
+/// `reps` and `trials`), `host_cpus` and the git `rev` are `None` on an
+/// entry that does not record them and are then left out of the rendering.
 struct Entry {
     label: String,
     block: u32,
     config: Option<Config>,
     host_cpus: Option<u32>,
+    rev: Option<String>,
     ops: Vec<(String, f64, f64)>,
     launches: Vec<(String, u64, u64, f64)>,
 }
@@ -480,6 +496,7 @@ impl Entry {
                 .zip(num(e, "trials"))
                 .map(|(reps, trials)| Config { reps: reps as u32, trials: trials as u32 }),
             host_cpus: num(e, "host_cpus").map(|c| c as u32),
+            rev: e.get("rev").and_then(Json::str).map(str::to_string),
             ops: list("ops")
                 .iter()
                 .map(|o| {
@@ -511,6 +528,9 @@ impl Entry {
         if let Some(cpus) = self.host_cpus {
             head += &format!(",\n      \"host_cpus\": {cpus}");
         }
+        if let Some(rev) = &self.rev {
+            head += &format!(",\n      \"rev\": \"{rev}\"");
+        }
         let ops: Vec<String> = self
             .ops
             .iter()
@@ -538,6 +558,20 @@ impl Entry {
         }
         format!("    {{\n{body}\n    }}")
     }
+}
+
+/// `git rev-parse --short HEAD` of the working directory, or `"unknown"`
+/// when git or the repository is unavailable.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn main() {
@@ -595,6 +629,7 @@ fn main() {
         block: 256,
         config: Some(config),
         host_cpus: std::thread::available_parallelism().ok().map(|n| n.get() as u32),
+        rev: Some(git_rev()),
         ops: results.iter().map(|r| (r.name.to_string(), r.ns_per_op, r.allocs_per_op)).collect(),
         launches: launches
             .iter()

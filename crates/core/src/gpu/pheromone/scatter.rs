@@ -96,13 +96,7 @@ impl ScatterGatherKernel {
 
     /// Accumulate this cell's deposits by scanning all tours directly from
     /// global memory (version 5).
-    fn gather_plain(
-        &self,
-        ctx: &mut BlockCtx,
-        gm: &mut GlobalMem,
-        i: &Reg<u32>,
-        j: &Reg<u32>,
-    ) -> Reg<f32> {
+    fn gather_plain(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem) -> Reg<f32> {
         let n = self.bufs.n;
         let m = self.bufs.m;
         let stride = self.bufs.stride;
@@ -117,22 +111,16 @@ impl ScatterGatherKernel {
                 let i1 = ctx.splat_u32(k * stride + s + 1);
                 let c0 = ctx.ld_global_u32(gm, self.bufs.tours, &i0);
                 let c1 = ctx.ld_global_u32(gm, self.bufs.tours, &i1);
-                acc = self.match_accumulate(ctx, &acc, &c0, &c1, i, j, &delta);
+                self.deposit(ctx, &mut acc, c0.lane(0), c1.lane(0), &delta);
             }
+            charge_match(ctx, n, false);
         }
         acc
     }
 
     /// Accumulate deposits with tour tiles staged in shared memory
     /// (versions 3–4).
-    fn gather_tiled(
-        &self,
-        ctx: &mut BlockCtx,
-        gm: &mut GlobalMem,
-        i: &Reg<u32>,
-        j: &Reg<u32>,
-        sh: ShPtr<u32>,
-    ) -> Reg<f32> {
+    fn gather_tiled(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem, sh: ShPtr<u32>) -> Reg<f32> {
         let n = self.bufs.n;
         let m = self.bufs.m;
         let stride = self.bufs.stride;
@@ -163,43 +151,55 @@ impl ScatterGatherKernel {
                 // Scan the staged tile (broadcast shared reads).
                 let upto = if tile == tiles - 1 { n - tile * THETA } else { THETA };
                 for s in 0..upto {
-                    let c0s = ctx.sh_ld_u32_uniform(sh, s);
-                    let c1s = ctx.sh_ld_u32_uniform(sh, s + 1);
-                    let c0 = ctx.splat_u32(c0s);
-                    let c1 = ctx.splat_u32(c1s);
-                    acc = self.match_accumulate(ctx, &acc, &c0, &c1, i, j, &delta);
+                    let c0 = ctx.sh_ld_u32_uniform(sh, s);
+                    let c1 = ctx.sh_ld_u32_uniform(sh, s + 1);
+                    self.deposit(ctx, &mut acc, c0, c1, &delta);
                 }
+                charge_match(ctx, upto, true);
                 ctx.sync_threads();
             }
         }
         acc
     }
 
-    /// `acc += delta` when the edge `(c0, c1)` matches this cell in either
-    /// direction — branch-free, as the device code would be.
-    #[allow(clippy::too_many_arguments)]
-    fn match_accumulate(
-        &self,
-        ctx: &mut BlockCtx,
-        acc: &Reg<f32>,
-        c0: &Reg<u32>,
-        c1: &Reg<u32>,
-        i: &Reg<u32>,
-        j: &Reg<u32>,
-        delta: &Reg<f32>,
-    ) -> Reg<f32> {
-        let m1 = ctx.ueq(c0, i);
-        let m2 = ctx.ueq(c1, j);
-        let m3 = ctx.ueq(c0, j);
-        let m4 = ctx.ueq(c1, i);
-        let fwd = m1.and(&m2);
-        let bwd = m3.and(&m4);
-        let hit = fwd.or(&bwd);
-        ctx.charge(Op::IAlu, 3); // the and/and/or predicate ops
-        let zero = ctx.splat_f32(0.0);
-        let dd = ctx.select_f32(&hit, delta, &zero);
-        ctx.fadd(acc, &dd)
+    /// One tour step's deposit: `acc += delta` on the in-range lanes
+    /// whose cell is the edge `(c0, c1)` in either direction — the lanes
+    /// the branch-free match ([`charge_match`]) selects. Every other lane
+    /// would add `+0.0`, which leaves an accumulator that starts at `+0.0`
+    /// and only gains `1/L` for `L >= 0` bit for bit unchanged, so only
+    /// these (at most two) lanes are written.
+    fn deposit(&self, ctx: &BlockCtx, acc: &mut Reg<f32>, c0: u32, c1: u32, delta: &Reg<f32>) {
+        let n = self.bufs.n;
+        if c0 >= n || c1 >= n {
+            return;
+        }
+        let (lo, hi) = (c0.min(c1), c0.max(c1));
+        let cells = match self.mode {
+            // Row `lo` of the upper triangle starts at `lo*n - lo*(lo-1)/2`.
+            ScatterMode::TiledReduced => [Some(lo * (2 * n + 1 - lo) / 2 + hi - lo), None],
+            _ => [Some(c0 * n + c1), (c0 != c1).then_some(c1 * n + c0)],
+        };
+        let first = ctx.block_idx * ctx.block_dim;
+        for cell in cells.into_iter().flatten() {
+            if let Some(l) = cell.checked_sub(first).filter(|&l| l < ctx.block_dim) {
+                let l = l as usize;
+                acc.set_lane(l, acc.lane(l) + delta.lane(l));
+            }
+        }
     }
+}
+
+/// Charge `steps` tour steps of the branch-free edge match every lane
+/// runs: 4 compares against its cell, the 3 predicate ops, a zero
+/// splat, a select and an `fadd`, after 2 splats of the edge's cities
+/// when they come from a staged tile. The counts do not depend on the
+/// data, so one charge per tile (or per ant) adds the same whole numbers
+/// the per-step ops would.
+fn charge_match(ctx: &mut BlockCtx, steps: u32, staged: bool) {
+    let steps = steps as u64;
+    ctx.charge(Op::Mov, if staged { 4 } else { 2 } * steps);
+    ctx.charge(Op::FAlu, 5 * steps);
+    ctx.charge(Op::IAlu, 3 * steps);
 }
 
 impl Kernel for ScatterGatherKernel {
@@ -242,8 +242,8 @@ impl Kernel for ScatterGatherKernel {
         };
 
         let acc = match self.mode {
-            ScatterMode::Plain => self.gather_plain(ctx, gm, &i, &j),
-            _ => self.gather_tiled(ctx, gm, &i, &j, sh.expect("allocated above")),
+            ScatterMode::Plain => self.gather_plain(ctx, gm),
+            _ => self.gather_tiled(ctx, gm, sh.expect("allocated above")),
         };
 
         ctx.if_then(gm, &in_range, |ctx, gm| {

@@ -166,25 +166,7 @@ impl Kernel for DataParallelTourKernel {
                 ctx.sh_st_f32(sh_val, &lane, &val);
                 ctx.sh_st_u32(sh_idx, &lane, &city);
                 ctx.sync_threads();
-                let mut s = t / 2;
-                while s >= 1 {
-                    let s_reg = ctx.splat_u32(s);
-                    let is_lo = ctx.ult(&lane, &s_reg);
-                    ctx.if_then(gm, &is_lo, |ctx, _| {
-                        let other = ctx.iadd(&lane, &s_reg);
-                        let vo = ctx.sh_ld_f32(sh_val, &other);
-                        let io = ctx.sh_ld_u32(sh_idx, &other);
-                        let vm = ctx.sh_ld_f32(sh_val, &lane);
-                        let im = ctx.sh_ld_u32(sh_idx, &lane);
-                        let better = ctx.fgt(&vo, &vm);
-                        let nv = ctx.select_f32(&better, &vo, &vm);
-                        let ni = ctx.select_u32(&better, &io, &im);
-                        ctx.sh_st_f32(sh_val, &lane, &nv);
-                        ctx.sh_st_u32(sh_idx, &lane, &ni);
-                    });
-                    ctx.sync_threads();
-                    s /= 2;
-                }
+                ctx.sh_argmax_tree(sh_val, sh_idx);
                 let tile_val = ctx.sh_ld_f32_uniform(sh_val, 0);
                 let tile_city = ctx.sh_ld_u32_uniform(sh_idx, 0);
                 ctx.charge(Op::FAlu, 1); // partial-best comparison

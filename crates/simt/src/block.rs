@@ -84,6 +84,13 @@ impl<T: PoolItem> Reg<T> {
     pub fn as_slice(&self) -> &[T] {
         &self.0
     }
+
+    /// Write `v` into `lane`, not charged: for a kernel that charges the
+    /// ops this write stands for itself, with [`BlockCtx::charge`], as it
+    /// does for the lane values [`BlockCtx::reg_from_fn_u32`] computes.
+    pub fn set_lane(&mut self, lane: usize, v: T) {
+        self.0[lane] = v;
+    }
 }
 
 /// Instruction classes with distinct issue costs.
@@ -767,6 +774,63 @@ impl<'a> BlockCtx<'a> {
         self.charge(Op::Shared, 1);
         self.stats.shared_accesses += self.active().count() as f64;
         self.shared.load(ptr.word_addr(idx))
+    }
+
+    /// Shared-memory argmax tree over the first `block_dim` slots of
+    /// `vals`/`idxs`, in place: at each level `s = block_dim/2, …, 1`,
+    /// lane `l < s` takes slot `l + s` when its value is strictly greater
+    /// (ties and NaN keep `l`), then the block syncs. Slot 0 ends with
+    /// the first-lowest-slot maximum and its index.
+    ///
+    /// Counters are charged in closed form, exactly as the written-out
+    /// level loop charges them: a splat, a `lane < s` compare and a branch
+    /// over every warp (one divergent warp when `s` is not a multiple of
+    /// 32); `iadd`, 4 shared loads, a compare, 2 selects and 2 shared
+    /// stores over the `ceil(s/32)` warps of lanes below `s`; and a
+    /// `__syncthreads`. See the module docs for why that is exact.
+    ///
+    /// Panics unless every lane is active and `block_dim` is a power of
+    /// two: the closed form assumes both.
+    pub fn sh_argmax_tree(&mut self, vals: ShPtr<f32>, idxs: ShPtr<u32>) {
+        let t = self.block_dim;
+        assert!(t.is_power_of_two(), "argmax tree needs a power-of-two block, not {t}");
+        assert!(self.active().is_full(), "argmax tree needs every lane of the block active");
+        assert!(vals.len() >= t as usize && idxs.len() >= t as usize, "argmax tree slots");
+        let c = |op| op_cycles(self.device, op) as f64;
+        let warp = WARP as u32;
+        let block_warps = t.div_ceil(warp) as f64;
+        let group = if self.device.compute_capability.is_fermi() { warp } else { warp / 2 };
+        let banks = self.device.shared_banks;
+        let (mut instr, mut cycles) = (0.0, 0.0);
+        let mut s = t / 2;
+        while s >= 1 {
+            let lo_warps = s.div_ceil(warp) as f64;
+            instr += 4.0 * block_warps + 10.0 * lo_warps;
+            cycles += block_warps * (c(Op::Mov) + c(Op::FAlu) + c(Op::Branch) + c(Op::Bar))
+                + lo_warps * (c(Op::IAlu) + 6.0 * c(Op::Shared) + c(Op::FAlu) + 2.0 * c(Op::Mov));
+            // Each access's conflict group holds `k` contiguous words:
+            // ceil(k / banks) of them per bank (1 on both modeled devices).
+            let extra: u32 = (0..s)
+                .step_by(group as usize)
+                .map(|g| (s - g).min(group).div_ceil(banks) - 1)
+                .sum();
+            self.stats.bank_conflict_extra += 6.0 * extra as f64;
+            cycles += 6.0 * extra as f64 * c(Op::Shared);
+            self.stats.shared_accesses += 6.0 * s as f64;
+            self.stats.divergent_branches += (s % warp != 0) as u32 as f64;
+            self.stats.barriers += 1.0;
+            for l in 0..s {
+                let (mine, other) = (vals.word_addr(l), vals.word_addr(l + s));
+                if f32::from_bits(self.shared.load(other)) > f32::from_bits(self.shared.load(mine))
+                {
+                    self.shared.store(mine, self.shared.load(other));
+                    self.shared.store(idxs.word_addr(l), self.shared.load(idxs.word_addr(l + s)));
+                }
+            }
+            s /= 2;
+        }
+        self.stats.warp_instructions += instr;
+        self.stats.issue_cycles_per_sm[self.sm_id] += cycles;
     }
 
     // --- global memory -----------------------------------------------------------
