@@ -15,6 +15,21 @@
 //!   writing both `(i,j)` and `(j,i)`.
 //!
 //! Evaporation is fused into the same kernel (each thread owns its cell).
+//!
+//! **Host cost.** Every lane runs the same branch-free match per tour
+//! step, so its counters do not depend on the data: they are charged once
+//! per staged tile (once per ant in the plain row) as `count × steps`,
+//! and each step's deposit is added only to the lanes that own the edge's
+//! cells — `(c0, c1)` and `(c1, c0)`, or the one upper-triangle cell of
+//! the reduced row. This is exact. Each charge is a whole number of
+//! cycles and instructions (see the `aco_simt::block` docs). `acc` starts
+//! at `+0.0` and only gains `δ = 1/L` with `L ≥ 0`, so it is never
+//! `-0.0`, and the `+0.0` a non-matching lane would add is the identity.
+//! Each cell still adds its deltas in `(ant, step)` order. Out-of-range
+//! lanes, clamped to the last cell, get no deposit, and they are never
+//! stored. Everything the memory models see stays a real op: the tile
+//! staging loads and barriers, the uniform shared reads, the plain row's
+//! two global loads per step and the fused evaporate-and-deposit writes.
 
 use aco_simt::prelude::*;
 
@@ -162,12 +177,9 @@ impl ScatterGatherKernel {
         acc
     }
 
-    /// One tour step's deposit: `acc += delta` on the in-range lanes
-    /// whose cell is the edge `(c0, c1)` in either direction — the lanes
-    /// the branch-free match ([`charge_match`]) selects. Every other lane
-    /// would add `+0.0`, which leaves an accumulator that starts at `+0.0`
-    /// and only gains `1/L` for `L >= 0` bit for bit unchanged, so only
-    /// these (at most two) lanes are written.
+    /// One tour step's deposit: `acc += delta` on the in-range lanes whose
+    /// cell is the edge `(c0, c1)` in either direction, the lanes the
+    /// branch-free match selects (the module docs say why that is exact).
     fn deposit(&self, ctx: &BlockCtx, acc: &mut Reg<f32>, c0: u32, c1: u32, delta: &Reg<f32>) {
         let n = self.bufs.n;
         if c0 >= n || c1 >= n {
@@ -189,12 +201,9 @@ impl ScatterGatherKernel {
     }
 }
 
-/// Charge `steps` tour steps of the branch-free edge match every lane
-/// runs: 4 compares against its cell, the 3 predicate ops, a zero
-/// splat, a select and an `fadd`, after 2 splats of the edge's cities
-/// when they come from a staged tile. The counts do not depend on the
-/// data, so one charge per tile (or per ant) adds the same whole numbers
-/// the per-step ops would.
+/// Charge `steps` tour steps of the branch-free edge match: 4 compares,
+/// 3 predicate ops, a zero splat, a select and an `fadd`, after 2 splats
+/// of the edge's cities when they come from a staged tile.
 fn charge_match(ctx: &mut BlockCtx, steps: u32, staged: bool) {
     let steps = steps as u64;
     ctx.charge(Op::Mov, if staged { 4 } else { 2 } * steps);

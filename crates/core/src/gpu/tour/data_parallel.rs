@@ -7,6 +7,10 @@
 //! block size are covered by *tiling*: a "partial best" is selected per
 //! tile and the best of the partial bests wins (Section IV-A).
 //!
+//! The per-tile argmax is [`BlockCtx::sh_argmax_tree`], which charges the
+//! written-out level loop's counters in closed form and runs its
+//! comparisons as a host loop.
+//!
 //! The tabu list is bit-packed in registers — one bit per tile per thread
 //! — exactly the paper's scheme, including the integer div/mod it costs to
 //! locate a city's owner thread and tile.

@@ -41,6 +41,20 @@
 //! most 32 addresses and counts distinct words per bank. Atomics count
 //! each warp's distinct addresses and largest multiplicity the same
 //! sorted way ([`atomic_replays`]).
+//!
+//! **Closed-form collectives.** A loop whose control flow and counters do
+//! not depend on the data need not run op by op: it can charge its
+//! counters in one step and do its data work as a plain host loop.
+//! [`BlockCtx::sh_argmax_tree`] does this for the data-parallel argmax
+//! tree, and a kernel can do it with [`BlockCtx::charge`] and
+//! [`Reg::set_lane`]. Such a batched charge is exact only for counters
+//! that hold whole numbers: instruction counts, issue cycles, shared
+//! accesses, bank replays, branches and barriers all do, and stay far
+//! below 2^53, where every f64 sum of whole numbers is exact in any
+//! grouping. So one add of `k · c` leaves the same bits as `k` adds of
+//! `c`, in any order. A counter that can hold a fraction, such as the
+//! texture path's weighted `mem_warp_instructions`, must still be
+//! charged op by op.
 
 use crate::cache::Cache;
 use crate::coalesce::{coalesce_cc13_half_warp_into, lines_cc20_into, Transaction};
@@ -817,7 +831,7 @@ impl<'a> BlockCtx<'a> {
             self.stats.bank_conflict_extra += 6.0 * extra as f64;
             cycles += 6.0 * extra as f64 * c(Op::Shared);
             self.stats.shared_accesses += 6.0 * s as f64;
-            self.stats.divergent_branches += (s % warp != 0) as u32 as f64;
+            self.stats.divergent_branches += f64::from(s % warp != 0);
             self.stats.barriers += 1.0;
             for l in 0..s {
                 let (mine, other) = (vals.word_addr(l), vals.word_addr(l + s));
