@@ -809,7 +809,10 @@ impl<'a> BlockCtx<'a> {
         let t = self.block_dim;
         assert!(t.is_power_of_two(), "argmax tree needs a power-of-two block, not {t}");
         assert!(self.active().is_full(), "argmax tree needs every lane of the block active");
-        assert!(vals.len() >= t as usize && idxs.len() >= t as usize, "argmax tree slots");
+        assert!(
+            vals.len() >= t as usize && idxs.len() >= t as usize,
+            "argmax tree needs block_dim slots in both arrays"
+        );
         let c = |op| op_cycles(self.device, op) as f64;
         let warp = WARP as u32;
         let block_warps = t.div_ceil(warp) as f64;
