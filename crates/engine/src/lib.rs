@@ -122,10 +122,14 @@
 //! ```
 
 pub mod auto;
+mod board;
 pub mod cache;
+mod config;
+mod obs_bridge;
 pub mod scheduler;
 pub mod serve;
 pub mod solver;
+mod supervisor;
 
 pub use aco_core::lifecycle::{
     CancelToken, Colony, IterationEvent, RunOutcome, SolveCtx, StopReason,
@@ -144,10 +148,10 @@ pub use aco_obs::{
     WindowConfig, WindowStats, LATENCY_BUCKETS_MS,
 };
 pub use auto::{choose, estimates, resolve, CandidateEstimate};
+pub use board::ProgressStream;
 pub use cache::{ArtifactCache, CacheStats, InstanceArtifacts};
-pub use scheduler::{
-    default_devices, Engine, EngineConfig, JobHandle, JobId, JobStatus, ProgressStream,
-};
+pub use config::{default_devices, EngineConfig};
+pub use scheduler::{Engine, JobHandle, JobId, JobStatus};
 pub use serve::ObsServer;
 pub use solver::{
     build_solver, solve, AttemptFault, Backend, EngineError, Failover, GpuBinding, GpuDevice,

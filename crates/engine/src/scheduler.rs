@@ -69,235 +69,30 @@
 //! `engine_results_do_not_depend_on_worker_count`, `tests/lifecycle.rs`,
 //! `tests/devices.rs` and `tests/observability.rs` suites.
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use aco_core::lifecycle::{CancelToken, IterationEvent, SolveCtx};
-use aco_core::TourPolicy;
+use aco_core::lifecycle::CancelToken;
 use aco_devices::{
-    DeviceAffinity, DeviceId, DeviceModel, DevicePool, DeviceProfile, DeviceSnapshot, HealthPolicy,
-    Placement, PlacementError, PlacementStrategy,
+    DeviceAffinity, DeviceId, DevicePool, DeviceSnapshot, Placement, PlacementError,
 };
-use aco_faults::{FaultInjector, FaultKind, FaultPlan};
+use aco_faults::FaultInjector;
 use aco_obs::{
-    default_slos, sparkline, AlertState, Clock, Counter, Gauge, Histogram, JobTimeline, JobTrace,
-    KernelSink, MetricsSnapshot, MonotonicClock, Obs, RollingWindow, SloBoard, SloSpec, SloStatus,
-    WindowConfig, WindowStats, LATENCY_BUCKETS_MS,
+    default_slos, Clock, Counter, Gauge, Histogram, JobTimeline, JobTrace, MonotonicClock, Obs,
+    RollingWindow, SloBoard, LATENCY_BUCKETS_MS,
 };
-use aco_simt::SimtError;
 
-use crate::auto;
+use crate::board::{Board, JobSlot, ProgressShared, ProgressStream};
 use crate::cache::{ArtifactCache, CacheStats};
+use crate::config::EngineConfig;
+use crate::obs_bridge::WindowState;
 use crate::solver::{
-    build_solver, solve, AttemptFault, Backend, EngineError, Failover, GpuBinding, JobOutcome,
-    Priority, SolveReport, SolveRequest,
+    Backend, EngineError, Failover, JobOutcome, Priority, SolveReport, SolveRequest,
 };
-
-/// The pool an [`EngineConfig`] builds by default: one unmodified device
-/// of each Table-I model, which reproduces the pre-pool engine exactly
-/// (every `Backend::Gpu { device, .. }` job lands on the single device of
-/// that model, with the preset spec).
-pub fn default_devices() -> Vec<DeviceProfile> {
-    vec![DeviceProfile::tesla_c1060("gpu0"), DeviceProfile::tesla_m2050("gpu1")]
-}
-
-/// Engine construction options.
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// Worker threads. Results never depend on this; throughput does.
-    pub workers: usize,
-    /// LRU entry bound for each artifact-cache map (see
-    /// [`crate::cache::ArtifactCache`]).
-    pub cache_entries: usize,
-    /// The simulated devices this engine schedules GPU jobs onto (see
-    /// [`default_devices`]). An empty vector makes a CPU-only engine:
-    /// GPU submissions fail with a typed [`EngineError::Placement`] and
-    /// `auto` restricts itself to CPU candidates.
-    pub devices: Vec<DeviceProfile>,
-    /// Placement policy for jobs without a pinned device.
-    pub placement: PlacementStrategy,
-    /// Record metrics, per-job timelines and kernel profiles (default
-    /// `true`). Never affects results — only whether the engine can
-    /// answer "where did the milliseconds go" afterwards. Disabled, all
-    /// instrumentation degrades to unarmed branches ([`aco_obs`]).
-    pub observability: bool,
-    /// Completed [`JobTimeline`]s retained for [`Engine::recent_timelines`]
-    /// (oldest evicted first).
-    pub trace_capacity: usize,
-    /// Deterministic fault-injection plan (default `None`: injection
-    /// disabled, zero scheduling impact). Injected faults are pure
-    /// functions of `(job, device, attempt)` — see [`aco_faults`] — so a
-    /// fixed plan yields bit-identical outcomes, placements and retry
-    /// sequences at any worker count.
-    pub fault_plan: Option<FaultPlan>,
-    /// Thresholds of the per-device health state machine (see
-    /// [`aco_devices::HealthPolicy`]).
-    pub health: HealthPolicy,
-    /// Donate idle workers' threads to running GPU launches (default
-    /// `true`). A worker whose run queue and steal targets are empty
-    /// parks on the ready condvar; while parked it is counted in a
-    /// shared donation counter, and every GPU colony launch adds
-    /// `min(count, MAX_DONATED_THREADS)` host threads on top of its
-    /// device profile's `exec_threads` budget — returned the moment new
-    /// work wakes the worker. Simulator results are bit-identical at any
-    /// thread count, so placements, reports and progress streams do not
-    /// depend on donation (or the worker count); only wall-clock does.
-    pub donate_idle_threads: bool,
-    /// Per-iteration search-dynamics measurement (default `None`: off,
-    /// zero cost). Armed, every colony computes mean/stddev tour length,
-    /// trail entropy and λ-branching at each iteration boundary and the
-    /// lifecycle driver folds them through the config's stagnation
-    /// detector; the stats ride on each `IterationEvent`, fold into the
-    /// job's [`JobTimeline`], and bridge into per-job gauges. Write-only
-    /// like the rest of observability: reports, placements and the
-    /// non-stats event fields are bit-identical on or off.
-    pub dynamics: Option<aco_obs::DynamicsConfig>,
-    /// Engine-wide structured event journal (default `None`: off). Armed,
-    /// the engine appends one JSONL record per lifecycle event — submit,
-    /// placement, failed attempt, iteration sample, stagnation onset,
-    /// completion — to a bounded in-memory ring (and optionally a file);
-    /// export with [`Engine::journal_export`], replay with
-    /// [`aco_obs::replay_timeline`]. Write-only: recording never feeds
-    /// back into scheduling or solving. A config without an explicit
-    /// [`aco_obs::JournalConfig::epoch_ms`] is anchored once at engine
-    /// construction (one wall-clock read; never in the hot path), so
-    /// exported journals from different runs can be time-aligned.
-    pub journal: Option<aco_obs::JournalConfig>,
-    /// Rolling-window aggregation for the serving layer (default `None`:
-    /// off, zero cost). Armed, the engine keeps an [`RollingWindow`] a
-    /// sampler feeds with bridged metrics snapshots ([`Engine::tick_windows`]
-    /// manually, or the [`Engine::serve_observability`] sampler thread)
-    /// and evaluates the configured SLOs on each tick. Strictly read-side:
-    /// windows observe the same snapshots the Prometheus export does and
-    /// never feed back into scheduling or solving.
-    pub windows: Option<WindowConfig>,
-    /// SLO specs evaluated on each window tick; empty means
-    /// [`default_slos`] when `windows` is armed.
-    pub slos: Vec<SloSpec>,
-    /// Clock driving the window/SLO layer (default `None`: a
-    /// [`MonotonicClock`] built at engine construction). Inject an
-    /// [`aco_obs::ManualClock`] in tests to make every window and
-    /// burn-rate computation deterministic.
-    pub clock: Option<Arc<dyn Clock>>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4).min(8);
-        EngineConfig {
-            workers,
-            cache_entries: crate::cache::DEFAULT_CACHE_ENTRIES,
-            devices: default_devices(),
-            placement: PlacementStrategy::default(),
-            observability: true,
-            trace_capacity: aco_obs::DEFAULT_TRACE_CAPACITY,
-            fault_plan: None,
-            health: HealthPolicy::default(),
-            donate_idle_threads: true,
-            dynamics: None,
-            journal: None,
-            windows: None,
-            slos: Vec::new(),
-            clock: None,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// Config with an explicit worker count.
-    pub fn with_workers(workers: usize) -> Self {
-        EngineConfig { workers: workers.max(1), ..Default::default() }
-    }
-
-    /// Builder: LRU entry bound for the artifact/decision caches.
-    pub fn cache_entries(mut self, entries: usize) -> Self {
-        self.cache_entries = entries.max(1);
-        self
-    }
-
-    /// Builder: the simulated device pool.
-    pub fn devices(mut self, devices: Vec<DeviceProfile>) -> Self {
-        self.devices = devices;
-        self
-    }
-
-    /// Builder: placement strategy.
-    pub fn placement(mut self, strategy: PlacementStrategy) -> Self {
-        self.placement = strategy;
-        self
-    }
-
-    /// Builder: enable or disable observability (see
-    /// [`EngineConfig::observability`]).
-    pub fn observe(mut self, enabled: bool) -> Self {
-        self.observability = enabled;
-        self
-    }
-
-    /// Builder: retained completed-timeline count (clamped to ≥ 1).
-    pub fn trace_capacity(mut self, timelines: usize) -> Self {
-        self.trace_capacity = timelines.max(1);
-        self
-    }
-
-    /// Builder: arm deterministic fault injection with `plan`.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Builder: device health thresholds.
-    pub fn health_policy(mut self, policy: HealthPolicy) -> Self {
-        self.health = policy;
-        self
-    }
-
-    /// Builder: enable or disable idle-worker thread donation (see
-    /// [`EngineConfig::donate_idle_threads`]).
-    pub fn donate_idle(mut self, enabled: bool) -> Self {
-        self.donate_idle_threads = enabled;
-        self
-    }
-
-    /// Builder: arm per-iteration search-dynamics measurement (see
-    /// [`EngineConfig::dynamics`]).
-    pub fn dynamics(mut self, config: aco_obs::DynamicsConfig) -> Self {
-        self.dynamics = Some(config);
-        self
-    }
-
-    /// Builder: arm the engine-wide event journal (see
-    /// [`EngineConfig::journal`]).
-    pub fn journal(mut self, config: aco_obs::JournalConfig) -> Self {
-        self.journal = Some(config);
-        self
-    }
-
-    /// Builder: arm rolling-window aggregation (see
-    /// [`EngineConfig::windows`]).
-    pub fn windows(mut self, config: WindowConfig) -> Self {
-        self.windows = Some(config);
-        self
-    }
-
-    /// Builder: the SLO specs the window layer evaluates (see
-    /// [`EngineConfig::slos`]).
-    pub fn slos(mut self, specs: Vec<SloSpec>) -> Self {
-        self.slos = specs;
-        self
-    }
-
-    /// Builder: inject the window layer's clock (see
-    /// [`EngineConfig::clock`]).
-    pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = Some(clock);
-        self
-    }
-}
+use crate::supervisor::{preview_attempts, run_supervised};
 
 /// Handle to a submitted job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -324,112 +119,9 @@ pub enum JobStatus {
     Claimed,
 }
 
-const PHASE_QUEUED: u8 = 0;
-const PHASE_RUNNING: u8 = 1;
-const PHASE_FINISHED: u8 = 2;
-
-// ---------------------------------------------------------------------------
-// Progress streams
-
-struct ProgressInner {
-    events: VecDeque<IterationEvent>,
-    dropped: u64,
-    closed: bool,
-}
-
-/// The bounded per-job event buffer shared by the solving worker (push
-/// side, via the job's `SolveCtx` observer) and any [`ProgressStream`]s.
-struct ProgressShared {
-    inner: Mutex<ProgressInner>,
-    cv: Condvar,
-    capacity: usize,
-    /// Engine-wide `aco_engine_progress_dropped_total` bridge (no-op
-    /// when observability is off).
-    dropped_metric: Counter,
-}
-
-impl ProgressShared {
-    fn new(capacity: usize, dropped_metric: Counter) -> Self {
-        ProgressShared {
-            inner: Mutex::new(ProgressInner { events: VecDeque::new(), dropped: 0, closed: false }),
-            cv: Condvar::new(),
-            capacity: capacity.max(1),
-            dropped_metric,
-        }
-    }
-
-    /// Push one event, dropping (and counting) the oldest past the bound
-    /// so the solver never blocks on a slow consumer.
-    fn push(&self, ev: IterationEvent) {
-        let mut inner = self.inner.lock().expect("progress lock");
-        if inner.events.len() >= self.capacity {
-            inner.events.pop_front();
-            inner.dropped += 1;
-            self.dropped_metric.inc();
-        }
-        inner.events.push_back(ev);
-        drop(inner);
-        self.cv.notify_all();
-    }
-
-    /// Events dropped so far (see the module's backpressure contract).
-    fn dropped(&self) -> u64 {
-        self.inner.lock().expect("progress lock").dropped
-    }
-
-    /// Mark the stream finished (no further events will arrive).
-    fn close(&self) {
-        self.inner.lock().expect("progress lock").closed = true;
-        self.cv.notify_all();
-    }
-}
-
-/// A consuming view of a job's progress events, obtained from
-/// [`JobHandle::progress`]. Iteration blocks until the next event or the
-/// end of the job; [`ProgressStream::try_next`] never blocks. Events are
-/// *consumed*: two streams over the same job split them between
-/// themselves, so use one consumer per job.
-///
-/// For an uncancelled job whose event count stays within the request's
-/// `progress_events` bound, the consumed sequence is bit-identical at any
-/// engine worker count.
-pub struct ProgressStream {
-    shared: Arc<ProgressShared>,
-}
-
-impl ProgressStream {
-    /// Next event if one is buffered (never blocks). `None` means "none
-    /// right now" — the job may still be running; use the blocking
-    /// iterator to distinguish end-of-stream.
-    pub fn try_next(&mut self) -> Option<IterationEvent> {
-        self.shared.inner.lock().expect("progress lock").events.pop_front()
-    }
-
-    /// Events dropped so far because the buffer was full (the oldest go
-    /// first — see the module docs on backpressure).
-    pub fn dropped(&self) -> u64 {
-        self.shared.dropped()
-    }
-}
-
-impl Iterator for ProgressStream {
-    type Item = IterationEvent;
-
-    /// Block until the next event, or `None` once the job has finished
-    /// and every buffered event was consumed.
-    fn next(&mut self) -> Option<IterationEvent> {
-        let mut inner = self.shared.inner.lock().expect("progress lock");
-        loop {
-            if let Some(ev) = inner.events.pop_front() {
-                return Some(ev);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.shared.cv.wait(inner).expect("progress wait");
-        }
-    }
-}
+pub(crate) const PHASE_QUEUED: u8 = 0;
+pub(crate) const PHASE_RUNNING: u8 = 1;
+pub(crate) const PHASE_FINISHED: u8 = 2;
 
 // ---------------------------------------------------------------------------
 // Job state and queues
@@ -438,7 +130,7 @@ impl Iterator for ProgressStream {
 /// stealing pops directly from the owner's heap), so `set_priority`
 /// knows which heap to restamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QueueSlot {
+pub(crate) enum QueueSlot {
     /// Never enqueued (placement was rejected at submit).
     Unqueued,
     /// A per-worker CPU queue.
@@ -452,61 +144,61 @@ const NO_DEVICE: u32 = u32::MAX;
 
 /// Shared per-job lifecycle state (held by the board, the queue entry and
 /// every [`JobHandle`] clone).
-struct JobState {
-    cancel: CancelToken,
-    priority: AtomicU8,
-    phase: AtomicU8,
-    progress: Arc<ProgressShared>,
-    deadline: Option<Instant>,
-    queue: QueueSlot,
+pub(crate) struct JobState {
+    pub(crate) cancel: CancelToken,
+    pub(crate) priority: AtomicU8,
+    pub(crate) phase: AtomicU8,
+    pub(crate) progress: Arc<ProgressShared>,
+    pub(crate) deadline: Option<Instant>,
+    pub(crate) queue: QueueSlot,
     /// When `submit` accepted the job (the zero point of its queue-wait
     /// and first-event latencies).
-    submitted: Instant,
+    pub(crate) submitted: Instant,
     /// The job's span recorder (`None` with observability off).
-    trace: Option<Arc<JobTrace>>,
+    pub(crate) trace: Option<Arc<JobTrace>>,
     /// Has the first progress event been stamped with its latency?
-    first_event: AtomicBool,
+    pub(crate) first_event: AtomicBool,
     /// The pool device the job is bound to (`NO_DEVICE` = none). Set at
     /// submit for explicitly-GPU jobs; set during `run_job` (before the
     /// solver is built, so before any progress event) when an auto job
     /// resolves to a GPU backend. Read by the progress observer to stamp
     /// events and by the retry supervisor to release the device after
     /// each attempt.
-    device: AtomicU32,
+    pub(crate) device: AtomicU32,
     /// The pool's quarantine mask captured at submit (before this job's
     /// own supervision preview charged the health ledger). Run-time
     /// device choice — auto rotation and retry failover — avoids these
     /// devices via [`DevicePool::rotate_avoiding`] instead of reading
     /// live health, keeping it a pure function of the submission
     /// sequence.
-    qmask: u64,
+    pub(crate) qmask: u64,
     /// Submit-time graceful degradation: every compatible device was
     /// quarantined and the job's policy allows the CPU fallback, so it
     /// queued as a CPU job and every attempt forces the CPU reference
     /// backend.
-    degraded: bool,
+    pub(crate) degraded: bool,
 }
 
 impl JobState {
-    fn device_id(&self) -> Option<DeviceId> {
+    pub(crate) fn device_id(&self) -> Option<DeviceId> {
         match self.device.load(Ordering::Acquire) {
             NO_DEVICE => None,
             d => Some(DeviceId(d)),
         }
     }
 
-    fn set_device(&self, d: DeviceId) {
+    pub(crate) fn set_device(&self, d: DeviceId) {
         self.device.store(d.0, Ordering::Release);
     }
 
-    fn clear_device(&self) {
+    pub(crate) fn clear_device(&self) {
         self.device.store(NO_DEVICE, Ordering::Release);
     }
 }
 
 /// One queued job. Ordered by `(priority, submission order)`; the `prio`
 /// stamp is a snapshot reconciled lazily against `state.priority` at pop.
-struct QueueEntry {
+pub(crate) struct QueueEntry {
     prio: u8,
     id: u64,
     state: Arc<JobState>,
@@ -534,345 +226,95 @@ impl Ord for QueueEntry {
     }
 }
 
-/// Lifecycle of one submitted job's result slot.
-enum JobSlot {
-    /// Submitted; no result yet.
-    Pending,
-    /// Finished; result waiting to be claimed.
-    Done(Result<SolveReport, EngineError>),
-}
-
-/// In-flight result slots. A slot is created at submission and **removed
-/// at claim**, so the board's size is bounded by the number of
-/// outstanding jobs — no claimed-id tombstones and no drained-report
-/// accumulation over the engine's lifetime. A claim on an issued id whose
-/// slot is gone means "already claimed" and fails fast.
-#[derive(Default)]
-struct Board {
-    jobs: HashMap<u64, JobSlot>,
-}
-
-/// The rolling-window/SLO state one engine owns when
-/// [`EngineConfig::windows`] is armed. Serving-path only: the solve hot
-/// path never reads or writes any of it.
-pub(crate) struct WindowState {
-    clock: Arc<dyn Clock>,
-    window: RollingWindow,
-    slos: Mutex<SloBoard>,
-}
-
 pub(crate) struct Shared {
-    queues: Vec<Mutex<BinaryHeap<QueueEntry>>>,
+    pub(crate) queues: Vec<Mutex<BinaryHeap<QueueEntry>>>,
     /// One run queue per pool device; GPU jobs wait here for their
     /// placed device's slot budget.
-    device_queues: Vec<Mutex<BinaryHeap<QueueEntry>>>,
-    pool: Arc<DevicePool>,
+    pub(crate) device_queues: Vec<Mutex<BinaryHeap<QueueEntry>>>,
+    pub(crate) pool: Arc<DevicePool>,
     /// Count of queued-but-unclaimed jobs; the condvar predicate.
-    ready: Mutex<usize>,
-    ready_cv: Condvar,
-    board: Mutex<Board>,
-    results_cv: Condvar,
-    shutdown: AtomicBool,
-    cache: ArtifactCache,
+    pub(crate) ready: Mutex<usize>,
+    pub(crate) ready_cv: Condvar,
+    pub(crate) board: Mutex<Board>,
+    pub(crate) results_cv: Condvar,
+    pub(crate) shutdown: AtomicBool,
+    pub(crate) cache: ArtifactCache,
     /// The engine's observability hub (metrics registry, timeline sink,
     /// kernel profiler). Always present; disabled it records nothing.
-    obs: Obs,
+    pub(crate) obs: Obs,
     /// Pre-registered scheduler metric handles (all no-ops when
     /// observability is off, so the hot path pays one branch each).
-    metrics: SchedMetrics,
+    pub(crate) metrics: SchedMetrics,
     /// Engine construction time (denominator of device utilization).
-    started: Instant,
+    pub(crate) started: Instant,
     /// The deterministic fault injector (disabled unless the config armed
     /// a [`FaultPlan`]; disabled, every query is one `None` branch).
-    injector: FaultInjector,
+    pub(crate) injector: FaultInjector,
     /// Workers currently parked on `ready_cv` with nothing runnable —
     /// the idle-thread donation counter GPU launches read (see
     /// [`EngineConfig::donate_idle_threads`]).
-    donated: Arc<AtomicUsize>,
+    pub(crate) donated: Arc<AtomicUsize>,
     /// Whether GPU bindings are handed the donation counter.
-    donate: bool,
+    pub(crate) donate: bool,
     /// Search-dynamics config handed to every job's `SolveCtx` (`None`:
     /// colonies skip the measurement entirely).
-    dynamics: Option<aco_obs::DynamicsConfig>,
+    pub(crate) dynamics: Option<aco_obs::DynamicsConfig>,
     /// The engine-wide event journal (`None`: journalling off).
-    journal: Option<Arc<aco_obs::Journal>>,
+    pub(crate) journal: Option<Arc<aco_obs::Journal>>,
     /// Rolling windows + SLO board (`None`: window layer off).
-    windows: Option<WindowState>,
+    pub(crate) windows: Option<WindowState>,
 }
 
 impl Shared {
     /// Journal timestamp: milliseconds since engine construction (wall
     /// clock, never fed back into scheduling).
-    fn journal_ts_ms(&self) -> f64 {
+    pub(crate) fn journal_ts_ms(&self) -> f64 {
         self.started.elapsed().as_secs_f64() * 1e3
-    }
-
-    /// The full engine snapshot behind `Engine::metrics`: scheduler
-    /// series plus per-device, per-job-dynamics and cache series bridged
-    /// from their native counters here, at snapshot time, so neither
-    /// subsystem depends on the metrics registry. Lives on `Shared` so
-    /// the serving layer can snapshot without an `Engine` borrow.
-    pub(crate) fn bridged_snapshot(&self) -> MetricsSnapshot {
-        let reg = self.obs.metrics();
-        if self.obs.is_enabled() {
-            let elapsed = self.started.elapsed().as_secs_f64();
-            // Label values flow through `labelled`, which escapes `\`,
-            // `"` and newlines per the Prometheus text format — a
-            // hostile device name must not corrupt the whole export.
-            let dev = |base: &str, name: &str| aco_obs::metrics::labelled(base, "device", name);
-            for d in self.pool.snapshot() {
-                let name = &d.name;
-                reg.gauge(&dev("aco_device_queued", name)).set(d.queued as i64);
-                reg.gauge(&dev("aco_device_running", name)).set(d.running as i64);
-                reg.counter(&dev("aco_device_completed_total", name)).set(d.completed);
-                reg.counter(&dev("aco_device_admission_waits_total", name)).set(d.admission_waits);
-                reg.gauge(&dev("aco_device_busy_ms", name)).set(d.busy_ms as i64);
-                reg.gauge(&dev("aco_device_assigned_ms", name)).set(d.assigned_ms as i64);
-                // Utilization in basis points (gauges are integers):
-                // busy wall time over the engine's lifetime so far.
-                let util_bp = if elapsed > 0.0 {
-                    (d.busy_ms / (elapsed * 1e3) * 1e4).round() as i64
-                } else {
-                    0
-                };
-                reg.gauge(&dev("aco_device_utilization_bp", name)).set(util_bp);
-                reg.gauge(&dev("aco_device_health", name)).set(d.health.code() as i64);
-                reg.counter(&dev("aco_device_quarantines_total", name)).set(d.quarantines);
-                reg.counter(&dev("aco_device_faults_observed_total", name)).set(d.faults_observed);
-            }
-            // Per-job search-dynamics gauges for every timeline still in
-            // the ring; the fractional ones are float gauges, so they
-            // carry the unquantised values.
-            let job =
-                |base: &str, id: u64| aco_obs::metrics::labelled(base, "job", &id.to_string());
-            for t in self.obs.sink().recent() {
-                if let Some(d) = &t.dynamics {
-                    reg.gauge(&job("aco_job_stagnant_iterations", t.job))
-                        .set(d.stagnant_iterations as i64);
-                    reg.float_gauge(&job("aco_job_entropy", t.job)).set(d.final_entropy);
-                    reg.float_gauge(&job("aco_job_lambda_branching", t.job))
-                        .set(d.final_lambda_branching);
-                }
-            }
-            let cs = self.cache.stats();
-            reg.counter("aco_cache_artifact_hits_total").set(cs.artifact_hits);
-            reg.counter("aco_cache_artifact_misses_total").set(cs.artifact_misses);
-            reg.counter("aco_cache_decision_hits_total").set(cs.decision_hits);
-            reg.counter("aco_cache_decision_misses_total").set(cs.decision_misses);
-            reg.counter("aco_cache_evictions_total")
-                .set(cs.artifact_evictions + cs.decision_evictions);
-        }
-        self.obs.snapshot()
-    }
-
-    /// Per-device health codes for the SLO bridge, as the plain view
-    /// `aco-obs` understands (it depends on no other crate).
-    fn device_health_view(&self) -> aco_obs::DeviceHealthView {
-        self.pool.snapshot().into_iter().map(|d| (d.name, d.health.code())).collect()
-    }
-
-    /// One window tick: record the bridged snapshot at the clock's
-    /// current time, then evaluate every SLO. See `Engine::tick_windows`.
-    pub(crate) fn tick_windows(&self) -> Option<AlertState> {
-        let ws = self.windows.as_ref()?;
-        let now = ws.clock.now_ms();
-        ws.window.record(now, self.bridged_snapshot());
-        let devices = self.device_health_view();
-        Some(ws.slos.lock().expect("slo lock").evaluate(&ws.window, &devices, now))
-    }
-
-    /// See `Engine::window_stats`.
-    pub(crate) fn window_stats(&self, window_ms: u64) -> Option<WindowStats> {
-        let ws = self.windows.as_ref()?;
-        ws.window.stats(ws.clock.now_ms(), window_ms)
-    }
-
-    /// See `Engine::slo_statuses`.
-    pub(crate) fn slo_statuses(&self) -> Vec<SloStatus> {
-        match &self.windows {
-            Some(ws) => ws.slos.lock().expect("slo lock").statuses(),
-            None => Vec::new(),
-        }
-    }
-
-    /// The `/slo` document: the SLO board as JSON (`[]` when the window
-    /// layer is off).
-    pub(crate) fn slo_json(&self) -> String {
-        match &self.windows {
-            Some(ws) => ws.slos.lock().expect("slo lock").to_json(),
-            None => "[]".to_string(),
-        }
-    }
-
-    /// Worst alert state on the board (`Ok` when the window layer is
-    /// off — no alerting configured means nothing is firing).
-    fn worst_alert(&self) -> AlertState {
-        match &self.windows {
-            Some(ws) => ws.slos.lock().expect("slo lock").worst(),
-            None => AlertState::Ok,
-        }
-    }
-
-    /// The `/healthz` document: engine uptime and queue state, job
-    /// counters, per-device health, and the alert board's worst state.
-    pub(crate) fn healthz_json(&self) -> String {
-        use aco_obs::metrics::json_escape;
-        let worst = self.worst_alert();
-        let health = self.pool.health_summary();
-        let outstanding = self.board.lock().expect("board lock").jobs.len();
-        let mut out = format!(
-            "{{\"status\":\"{}\",\"uptime_ms\":{},\"workers\":{},\"outstanding\":{},\
-             \"jobs\":{{\"submitted\":{},\"completed\":{},\"failed\":{}}},\
-             \"devices_quarantined\":{},\"devices\":[",
-            worst.label(),
-            (self.started.elapsed().as_secs_f64() * 1e3) as u64,
-            self.queues.len(),
-            outstanding,
-            self.metrics.jobs_submitted.get(),
-            self.metrics.jobs_completed.get(),
-            self.metrics.jobs_failed.get(),
-            health.quarantined,
-        );
-        for (i, d) in self.pool.snapshot().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"health\":\"{}\",\"queued\":{},\"running\":{},\
-                 \"completed\":{},\"faults\":{}}}",
-                json_escape(&d.name),
-                d.health.label(),
-                d.queued,
-                d.running,
-                d.completed,
-                d.faults_observed,
-            ));
-        }
-        out.push_str(&format!("],\"alerts\":{}}}", self.slo_json()));
-        out
-    }
-
-    /// The journal, for the serving layer's `/events` stream.
-    pub(crate) fn journal_arc(&self) -> Option<Arc<aco_obs::Journal>> {
-        self.journal.clone()
-    }
-
-    /// Is the rolling-window layer armed?
-    pub(crate) fn has_windows(&self) -> bool {
-        self.windows.is_some()
-    }
-
-    /// The armed window's bucket width, for the sampler cadence.
-    pub(crate) fn window_bucket_ms(&self) -> Option<u64> {
-        self.windows.as_ref().map(|ws| ws.window.bucket_ms())
-    }
-
-    /// The dashboard render behind `Engine::render_dashboard` (on
-    /// `Shared` so the serving layer can render it).
-    pub(crate) fn render_dashboard(&self) -> String {
-        let elapsed = self.started.elapsed().as_secs_f64();
-        let mut out = format!(
-            "aco-engine dashboard  t+{elapsed:.1}s  workers {}  journal {}\n",
-            self.queues.len(),
-            match &self.journal {
-                Some(j) => format!("{} lines", j.len()),
-                None => "off".to_string(),
-            },
-        );
-        let devices = self.pool.snapshot();
-        if devices.is_empty() {
-            out.push_str("devices: none\n");
-        } else {
-            out.push_str("devices:\n");
-            for d in devices {
-                let util = if elapsed > 0.0 { d.busy_ms / (elapsed * 1e3) * 1e2 } else { 0.0 };
-                out.push_str(&format!(
-                    "  [{}] {:<12} queued {:>3}  running {:>2}  done {:>4}  util {:>5.1}%  {}\n",
-                    d.id.0,
-                    d.name,
-                    d.queued,
-                    d.running,
-                    d.completed,
-                    util,
-                    d.health.label(),
-                ));
-            }
-        }
-        let timelines = self.obs.sink().recent();
-        if timelines.is_empty() {
-            out.push_str("jobs: none completed yet\n");
-        } else {
-            out.push_str("jobs (most recent last):\n");
-            for t in timelines {
-                let device = match t.device {
-                    Some(d) => format!("dev{d}"),
-                    None => "cpu".to_string(),
-                };
-                match &t.dynamics {
-                    Some(d) => out.push_str(&format!(
-                        "  job {:>3} {:<22} {device:<5} best {:>8}  {}  entropy {:.3}  \
-                         lambda {:.2}  stagnant {}\n",
-                        t.job,
-                        t.backend,
-                        if d.final_best == u64::MAX { 0 } else { d.final_best },
-                        sparkline(&d.best_trajectory.values(), 24),
-                        d.final_entropy,
-                        d.final_lambda_branching,
-                        d.stagnant_iterations,
-                    )),
-                    None => out.push_str(&format!(
-                        "  job {:>3} {:<22} {device:<5} wall {:.1}ms\n",
-                        t.job, t.backend, t.solve_wall_ms,
-                    )),
-                }
-            }
-        }
-        out
     }
 }
 
 /// The scheduler's own metric handles, registered once at engine
 /// construction (names are the export surface — see `Engine::metrics`).
-struct SchedMetrics {
-    jobs_submitted: Counter,
-    jobs_completed: Counter,
-    jobs_failed: Counter,
+pub(crate) struct SchedMetrics {
+    pub(crate) jobs_submitted: Counter,
+    pub(crate) jobs_completed: Counter,
+    pub(crate) jobs_failed: Counter,
     /// Pops served from a *peer's* queue (work stealing).
-    steals: Counter,
+    pub(crate) steals: Counter,
     /// Back-off bouts workers spent with every runnable job gated on a
     /// saturated device (scheduler-side admission waiting; the pool
     /// counts per-device rejections separately).
-    admission_wait_bouts: Counter,
-    progress_dropped: Counter,
+    pub(crate) admission_wait_bouts: Counter,
+    pub(crate) progress_dropped: Counter,
     /// Entries resident in run queues (decremented when a worker pops
     /// the entry, so eagerly-finalised jobs leave the gauge only when
     /// their dead entry is reaped).
-    queue_depth: Gauge,
-    jobs_running: Gauge,
-    queue_wait_ms: Histogram,
-    first_event_ms: Histogram,
-    placement_ms: Histogram,
+    pub(crate) queue_depth: Gauge,
+    pub(crate) jobs_running: Gauge,
+    pub(crate) queue_wait_ms: Histogram,
+    pub(crate) first_event_ms: Histogram,
+    pub(crate) placement_ms: Histogram,
     /// Wall time of the supervised solve (jobs that actually ran —
     /// eagerly cancelled/expired jobs are excluded), the serving layer's
     /// solve-latency SLI.
-    solve_wall_ms: Histogram,
+    pub(crate) solve_wall_ms: Histogram,
     /// Failed attempts that were retried by the supervisor.
-    retries: Counter,
+    pub(crate) retries: Counter,
     /// Retries that moved to a different device than the failed attempt.
-    failovers: Counter,
+    pub(crate) failovers: Counter,
     /// Jobs degraded to the CPU reference backend (at submit, when the
     /// pool was fully quarantined, or mid-job by `Failover::CpuFallback`).
-    cpu_fallbacks: Counter,
+    pub(crate) cpu_fallbacks: Counter,
     /// Faults delivered by the injection plan.
-    faults_injected: Counter,
+    pub(crate) faults_injected: Counter,
     /// Attempts reclassified as hung by the per-attempt watchdog.
-    watchdog_trips: Counter,
+    pub(crate) watchdog_trips: Counter,
     /// Healthy→stagnant transitions the dynamics detector flagged
     /// (counted once per onset, across all jobs).
-    stagnation_events: Counter,
+    pub(crate) stagnation_events: Counter,
     /// Colony stagnation restarts surfaced by completed reports (MMAS
     /// trail re-initialisations).
-    restarts: Counter,
+    pub(crate) restarts: Counter,
 }
 
 impl SchedMetrics {
@@ -1003,668 +445,7 @@ impl Shared {
             }
         }
     }
-
-    /// Finalise a job: close its progress stream, mark it finished, and
-    /// fill its result slot (a no-op if the slot was already claimed).
-    fn post(&self, id: u64, state: &JobState, result: Result<SolveReport, EngineError>) {
-        state.progress.close();
-        state.phase.store(PHASE_FINISHED, Ordering::Release);
-        let mut board = self.board.lock().expect("board lock");
-        if let Some(slot) = board.jobs.get_mut(&id) {
-            *slot = JobSlot::Done(result);
-        }
-        drop(board);
-        self.results_cv.notify_all();
-    }
-
-    /// Blocking claim of `id`'s result (exactly once).
-    fn claim_blocking(&self, id: u64, issued: bool) -> Result<SolveReport, EngineError> {
-        if !issued {
-            return Err(EngineError::UnknownJob);
-        }
-        let mut board = self.board.lock().expect("board lock");
-        loop {
-            match board.jobs.get(&id) {
-                // Issued id without a slot: already claimed.
-                None => return Err(EngineError::UnknownJob),
-                Some(JobSlot::Done(_)) => {
-                    let Some(JobSlot::Done(r)) = board.jobs.remove(&id) else {
-                        unreachable!("matched Done above")
-                    };
-                    return r;
-                }
-                Some(JobSlot::Pending) => {
-                    board = self.results_cv.wait(board).expect("results wait");
-                }
-            }
-        }
-    }
-
-    /// Non-blocking claim: `None` while the job is still in flight.
-    fn claim_nonblocking(&self, id: u64, issued: bool) -> Option<Result<SolveReport, EngineError>> {
-        if !issued {
-            return Some(Err(EngineError::UnknownJob));
-        }
-        let mut board = self.board.lock().expect("board lock");
-        match board.jobs.get(&id) {
-            None => Some(Err(EngineError::UnknownJob)),
-            Some(JobSlot::Done(_)) => {
-                let Some(JobSlot::Done(r)) = board.jobs.remove(&id) else {
-                    unreachable!("matched Done above")
-                };
-                Some(r)
-            }
-            Some(JobSlot::Pending) => None,
-        }
-    }
 }
-
-/// The [`SolveCtx`] one *attempt* runs under: the job's cancel token, the
-/// attempt's effective deadline (the job deadline capped by the
-/// per-attempt watchdog, when one is armed), and an observer feeding the
-/// bounded progress buffer. The observer stamps each event with the
-/// device the job is bound to (if any) — bound before the solver is
-/// built, so the stamp is identical on every event and deterministic
-/// across worker counts. The observer also stamps the submit→first-event
-/// latency (once, on the first event) into the scheduler histogram and
-/// the job's trace — pure recording, so it cannot perturb the event
-/// sequence.
-///
-/// With [`EngineConfig::dynamics`] armed the ctx carries the config (so
-/// colonies measure and the driver attaches [`aco_obs::IterationStats`]
-/// to each event), and the observer additionally folds the stats into
-/// the job's timeline, samples iteration records into the journal, and
-/// journals/counts stagnation *onsets* (healthy→stagnant edges) — all
-/// write-only.
-fn job_ctx(shared: &Shared, id: u64, state: &Arc<JobState>, deadline: Option<Instant>) -> SolveCtx {
-    let trace = state.trace.clone();
-    let first_event_ms = shared.metrics.first_event_ms.clone();
-    let stagnation_metric = shared.metrics.stagnation_events.clone();
-    let journal = shared.journal.clone();
-    let started = shared.started;
-    let was_stagnant = AtomicBool::new(false);
-    let obs_state = Arc::clone(state);
-    let mut ctx = SolveCtx::new().with_cancel(state.cancel.clone()).with_observer(move |mut ev| {
-        if !obs_state.first_event.swap(true, Ordering::Relaxed) {
-            let ms = obs_state.submitted.elapsed().as_secs_f64() * 1e3;
-            first_event_ms.observe(ms);
-            if let Some(trace) = &obs_state.trace {
-                trace.record_first_event_ms(ms);
-            }
-        }
-        ev.device = obs_state.device_id().map(|d| d.0);
-        // Healthy → stagnant edges count once per entry (the detector
-        // state lives here, per attempt, not in the colony).
-        let mut onset = false;
-        if let Some(stats) = ev.stats {
-            if let Some(trace) = &obs_state.trace {
-                trace.record_dynamics(ev.iteration, ev.best_so_far, &stats);
-            }
-            let prev = was_stagnant.swap(stats.stagnant, Ordering::Relaxed);
-            onset = stats.stagnant && !prev;
-            if onset {
-                stagnation_metric.inc();
-            }
-        }
-        if let Some(j) = &journal {
-            let ts = started.elapsed().as_secs_f64() * 1e3;
-            if ev.iteration % j.sample_every() == 0 {
-                // Iteration samples are journaled with or without
-                // dynamics; the stats fields simply stay absent.
-                j.record_iteration(
-                    ts,
-                    id,
-                    ev.iteration,
-                    ev.iter_best,
-                    ev.best_so_far,
-                    ev.stats.as_ref(),
-                );
-            }
-            if let (true, Some(stats)) = (onset, ev.stats) {
-                j.record_stagnation(ts, id, ev.iteration, stats.stagnant_iterations, stats.entropy);
-            }
-        }
-        obs_state.progress.push(ev);
-    });
-    if let Some(cfg) = shared.dynamics {
-        ctx = ctx.with_dynamics(cfg);
-    }
-    if let Some(d) = deadline {
-        ctx = ctx.with_deadline(d);
-    }
-    if let Some(trace) = trace {
-        ctx = ctx.with_trace(trace);
-    }
-    ctx
-}
-
-/// The CPU backend jobs degrade to when [`Failover::CpuFallback`] runs
-/// out of healthy devices: the workspace's reference solver, which
-/// depends on no device at all.
-fn cpu_fallback_backend() -> Backend {
-    Backend::CpuSequential { policy: TourPolicy::NearestNeighborList }
-}
-
-/// Label of the backend an attempt runs (the request's own, or the CPU
-/// fallback when the supervisor degraded the job).
-fn attempt_backend_label(req: &SolveRequest, force_cpu: bool) -> String {
-    if force_cpu {
-        cpu_fallback_backend().label()
-    } else {
-        req.backend.label()
-    }
-}
-
-/// Run one attempt of a job: resolve the backend, bind a device, build
-/// the solver and drive it under `ctx` — delivering this attempt's
-/// injected fault, if the engine's plan schedules one.
-fn run_attempt(
-    shared: &Shared,
-    id: u64,
-    state: &JobState,
-    req: &SolveRequest,
-    ctx: &SolveCtx,
-    attempt: u32,
-    force_cpu: bool,
-) -> Result<SolveReport, EngineError> {
-    // A colony without ants constructs no tour: every backend reports
-    // that the same way, before any artifact, probe or iteration runs.
-    if req.params.num_ants == Some(0) {
-        return Err(EngineError::NoSolution);
-    }
-    let inst = &*req.instance;
-    let seed = req.effective_seed();
-    let params = req.params.clone().seed(seed);
-    let (artifacts, built_here) = shared.cache.artifacts_with_origin(inst, params.nn_size);
-    if let Some(trace) = &state.trace {
-        trace.record_cache(!built_here);
-    }
-    let backend = if force_cpu {
-        cpu_fallback_backend()
-    } else {
-        auto::resolve(
-            &req.backend,
-            inst,
-            &params,
-            &artifacts,
-            &shared.cache,
-            &shared.pool,
-            req.affinity,
-            req.local_search,
-            req.ls_scope,
-        )
-    };
-    // Bind the job to a pool device. Explicitly-GPU jobs were placed at
-    // submit time (affinity-aware, least-loaded); an auto job that just
-    // resolved to a GPU backend rotates over the compatible devices as a
-    // pure function of its id, so the binding — like everything else
-    // about the job — cannot depend on execution order. The device's
-    // resident-job slot budget applies either way: the auto path waits
-    // for a free slot here (staying responsive to cancel/deadline),
-    // mirroring what a device-queued entry does in `pop_device_queue`.
-    let device = match state.device_id() {
-        Some(d) => Some(d),
-        None => match backend.required_model() {
-            Some(model) => {
-                let d = shared.pool.rotate_avoiding(model, req.affinity, id, state.qmask)?;
-                while !shared.pool.try_admit_unqueued(d) {
-                    if let Some(reason) = ctx.stop_reason() {
-                        return Err(match reason {
-                            aco_core::lifecycle::StopReason::Cancelled => EngineError::Cancelled,
-                            aco_core::lifecycle::StopReason::DeadlineExpired => {
-                                EngineError::DeadlineExpired
-                            }
-                        });
-                    }
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                }
-                // The worker loop releases via `state.device_id()`, so
-                // the id is only published once the slot is held.
-                state.set_device(d);
-                Some(d)
-            }
-            None => None,
-        },
-    };
-    let gpu = device.and_then(|d| {
-        Some(GpuBinding {
-            spec: shared.pool.spec(d)?.clone(),
-            exec_threads: shared.pool.profile(d)?.exec_threads,
-            donated: shared.donate.then(|| Arc::clone(&shared.donated)),
-        })
-    });
-    if let Some(trace) = &state.trace {
-        trace.set_backend(&backend.label());
-        if let Some(d) = device {
-            trace.set_device(d.0);
-        }
-    }
-    // Route this thread's simulated-kernel launches (the colony's and any
-    // nested auto-probe's) into the job's trace and the engine profiler
-    // for the duration of the solve. Nothing is installed with
-    // observability off, so the launch path pays one thread-local read.
-    let _kernel_scope = shared.obs.is_enabled().then(|| {
-        aco_obs::install(KernelSink {
-            trace: state.trace.clone(),
-            profiler: Some(Arc::clone(shared.obs.profiler())),
-        })
-    });
-    let mut colony =
-        build_solver(&backend, inst, &params, &artifacts, gpu, req.local_search, req.ls_scope);
-    // Deliver this attempt's injected fault, if the plan schedules one —
-    // a pure function of (job, device, attempt), so the same attempt
-    // faults identically at any worker count. Armed only now, *after*
-    // backend resolution and solver construction, so auto-probe kernel
-    // launches never trip a fault meant for the solve itself.
-    let _fault_scope = match shared.injector.fault_for(id, device.map(|d| d.0), attempt) {
-        Some(FaultKind::Hang) => {
-            // A hung device: burn wall time (bounded by the plan's hang
-            // cap, and interruptible by cancel/deadline) and then surface
-            // the retryable device-fault class. The error message carries
-            // no timing, so reports stay bit-identical across runs.
-            let cap =
-                Duration::from_millis(shared.injector.plan().map(|p| p.hang_cap_ms()).unwrap_or(0));
-            let hung_at = Instant::now();
-            while hung_at.elapsed() < cap && ctx.stop_reason().is_none() {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            return Err(EngineError::Simt(SimtError::DeviceFault(format!(
-                "injected hang (job {id}, attempt {attempt})"
-            ))));
-        }
-        Some(FaultKind::KernelPanic) => match device {
-            // GPU attempts panic from inside the kernel launch path (the
-            // hook in `aco_simt::launch_threads`), exercising the same
-            // unwind the real failure would take.
-            Some(_) => Some(aco_faults::launch::arm(aco_faults::launch::LaunchFault::Panic(
-                format!("injected kernel panic (job {id}, attempt {attempt})"),
-            ))),
-            None => panic!("injected solver panic (job {id}, attempt {attempt})"),
-        },
-        Some(FaultKind::TransientError) => match device {
-            Some(_) => Some(aco_faults::launch::arm(aco_faults::launch::LaunchFault::Transient(
-                format!("injected transient device error (job {id}, attempt {attempt})"),
-            ))),
-            None => {
-                return Err(EngineError::Simt(SimtError::DeviceFault(format!(
-                    "injected transient device error (job {id}, attempt {attempt})"
-                ))))
-            }
-        },
-        None => None,
-    };
-    let mut report = solve(&mut *colony, backend, req.iterations, seed, ctx)?;
-    report.instance = inst.name().to_string();
-    report.n = inst.n();
-    report.device = device;
-    if req.local_search.is_post_pass()
-        && report.outcome == JobOutcome::Completed
-        && ctx.stop_reason().is_none()
-    {
-        // Host-side 2-opt post-pass (the paper's named hybridisation);
-        // strictly non-worsening, pinned by tests/lifecycle.rs. Skipped
-        // for cancelled/expired jobs — and when the deadline elapsed (or
-        // a cancel arrived) during the final iteration, where the
-        // outcome is still Completed: an unbounded local search after
-        // the budget is spent would break the prompt-cancel and
-        // wall-clock-budget guarantees.
-        let mut scratch = aco_localsearch::LsScratch::new();
-        let post_t0 = Instant::now();
-        // One pass stops at a don't-look-bit fixpoint, which can fall
-        // short of 2-opt local optimality; iterate fresh passes until
-        // the move stream dries up, matching the pre-LocalSearch
-        // post-pass (run-to-optimality) behaviour.
-        loop {
-            let gain = req.local_search.improve(
-                &mut report.best_tour,
-                inst.matrix(),
-                &artifacts.nn,
-                &mut scratch,
-            );
-            report.best_len -= gain;
-            report.local_search_improvement += gain;
-            if gain == 0 {
-                break;
-            }
-        }
-        debug_assert_eq!(report.best_len, report.best_tour.length(inst.matrix()));
-        if let Some(trace) = &state.trace {
-            trace.record_post_pass_ms(post_t0.elapsed().as_secs_f64() * 1e3);
-        }
-    }
-    Ok(report)
-}
-
-// ---------------------------------------------------------------------------
-// Retry supervision
-
-/// Where the supervisor runs a job's next attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AttemptTarget {
-    /// Re-run exactly as submitted (CPU jobs retry their own backend).
-    Resubmit,
-    /// Run on this pool device.
-    Gpu(DeviceId),
-    /// Degrade to the CPU reference backend.
-    Cpu,
-}
-
-/// The pure failover function: where attempt `attempt` of job `job` runs
-/// after the previous attempt failed on `failed`. A pure function of its
-/// arguments — no live health, no wall clock — shared by the submit-time
-/// supervision preview and the run-time supervisor, which is what makes
-/// retry placements bit-identical at any worker count. Returns `None`
-/// when no target remains (the job fails with its last error).
-#[allow(clippy::too_many_arguments)]
-fn next_attempt_device(
-    pool: &DevicePool,
-    model: DeviceModel,
-    affinity: DeviceAffinity,
-    job: u64,
-    attempt: u32,
-    avoid: u64,
-    qmask: u64,
-    failover: Failover,
-    failed: DeviceId,
-) -> Option<AttemptTarget> {
-    if failover == Failover::Same {
-        return Some(AttemptTarget::Gpu(failed));
-    }
-    if let DeviceAffinity::Pinned(d) = affinity {
-        // A pin is a contract: retries never move to another device. With
-        // a CPU fallback the first pin failure degrades immediately —
-        // there is no other device the pin would allow.
-        return match failover {
-            Failover::CpuFallback => Some(AttemptTarget::Cpu),
-            _ => Some(AttemptTarget::Gpu(d)),
-        };
-    }
-    let masked = |d: &DeviceId, mask: u64| d.0 < 64 && (mask >> d.0) & 1 == 1;
-    let compatible = pool.devices_of(model);
-    let fresh: Vec<DeviceId> =
-        compatible.iter().copied().filter(|d| !masked(d, avoid) && !masked(d, qmask)).collect();
-    let pick = |set: &[DeviceId]| set[((job + attempt as u64) % set.len() as u64) as usize];
-    if !fresh.is_empty() {
-        return Some(AttemptTarget::Gpu(pick(&fresh)));
-    }
-    match failover {
-        Failover::CpuFallback => Some(AttemptTarget::Cpu),
-        _ => {
-            // Every compatible device already failed or is quarantined:
-            // wrap back to the already-failed ones (a transient fault may
-            // have cleared) rather than fail outright — but never to a
-            // quarantined device.
-            let open: Vec<DeviceId> =
-                compatible.iter().copied().filter(|d| !masked(d, qmask)).collect();
-            (!open.is_empty()).then(|| AttemptTarget::Gpu(pick(&open)))
-        }
-    }
-}
-
-/// Predict an explicit-GPU job's attempt trajectory at submit time and
-/// charge the predicted outcomes to the pool's health ledger. Because
-/// injected faults and failover targets are pure functions of
-/// `(job, device, attempt)`, this preview reaches the same verdicts the
-/// run-time supervisor will — so the health ledger (and with it every
-/// subsequent placement) advances in the submission sequence, never on
-/// execution timing. Run-time attempts therefore charge *nothing*:
-/// genuine (non-injected) faults only feed a telemetry counter.
-fn preview_attempts(
-    pool: &DevicePool,
-    injector: &FaultInjector,
-    id: u64,
-    req: &SolveRequest,
-    first: DeviceId,
-    model: DeviceModel,
-    qmask: u64,
-) {
-    let max = req.retry.attempts();
-    let mut avoid = 0u64;
-    let mut device = first;
-    for attempt in 1..=max {
-        let ok = injector.fault_for(id, Some(device.0), attempt).is_none();
-        pool.note_outcome(device, ok);
-        if ok || attempt >= max {
-            return;
-        }
-        if device.0 < 64 {
-            avoid |= 1 << device.0;
-        }
-        match next_attempt_device(
-            pool,
-            model,
-            req.affinity,
-            id,
-            attempt + 1,
-            avoid,
-            qmask,
-            req.retry.failover,
-            device,
-        ) {
-            Some(AttemptTarget::Gpu(d)) => device = d,
-            // Degraded to CPU (or out of targets): no further device
-            // outcomes to charge.
-            Some(AttemptTarget::Cpu) | Some(AttemptTarget::Resubmit) | None => return,
-        }
-    }
-}
-
-/// Is this error the retryable class (a panic or a transient device
-/// fault), as opposed to a verdict no retry can change?
-fn is_retryable(err: &EngineError) -> bool {
-    matches!(err, EngineError::Failed { .. } | EngineError::Simt(SimtError::DeviceFault(_)))
-}
-
-/// Drive one job to a terminal outcome under its [`RetryPolicy`]:
-/// run attempts, catch panics, reclassify watchdog expiries, release the
-/// device slot after every attempt, and re-place retries via the pure
-/// failover function. The default policy (`max_attempts = 1`, no
-/// watchdog) makes this exactly one `run_attempt` with the job's own
-/// deadline — the unsupervised engine.
-fn run_supervised(
-    shared: &Shared,
-    id: u64,
-    state: &Arc<JobState>,
-    req: &SolveRequest,
-) -> Result<SolveReport, EngineError> {
-    let policy = req.retry;
-    let max_attempts = policy.attempts();
-    let mut faults: Vec<AttemptFault> = Vec::new();
-    let mut avoid = 0u64;
-    let mut force_cpu = state.degraded;
-    let mut attempt: u32 = 1;
-    loop {
-        let attempt_start = Instant::now();
-        let attempt_deadline = match (state.deadline, policy.watchdog) {
-            (Some(job), Some(dog)) => Some(job.min(attempt_start + dog)),
-            (Some(job), None) => Some(job),
-            (None, Some(dog)) => Some(attempt_start + dog),
-            (None, None) => None,
-        };
-        let ctx = job_ctx(shared, id, state, attempt_deadline);
-        let entered_with = state.device_id();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            run_attempt(shared, id, state, req, &ctx, attempt, force_cpu)
-        }))
-        .unwrap_or_else(|panic| {
-            let message = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "job panicked".into());
-            Err(EngineError::Failed {
-                job: id,
-                backend: attempt_backend_label(req, force_cpu),
-                device: state.device_id(),
-                message,
-            })
-        });
-        // The attempt may have bound a device mid-run (auto resolution):
-        // capture it before releasing, then release whatever slot this
-        // attempt held — entered with (device-queue admission) or
-        // acquired itself — so slot accounting balances per attempt even
-        // across panics.
-        let device = state.device_id().or(entered_with);
-        if let Some(d) = state.device_id() {
-            shared.pool.release(d, attempt_start.elapsed());
-        }
-        state.clear_device();
-
-        // Watchdog reclassification: an attempt stopped by the *watchdog*
-        // deadline (not the job's own, which is terminal) is a hung
-        // attempt — retryable, partial result discarded.
-        let dogged = |stopped_early: bool| {
-            policy.watchdog.is_some()
-                && stopped_early
-                && !state.cancel.is_cancelled()
-                && state.deadline.is_none_or(|d| Instant::now() < d)
-        };
-        let watchdog_failed = |message: String| EngineError::Failed {
-            job: id,
-            backend: attempt_backend_label(req, force_cpu),
-            device,
-            message,
-        };
-        let result = match result {
-            Ok(report) if dogged(report.outcome == JobOutcome::DeadlineExpired) => {
-                shared.metrics.watchdog_trips.inc();
-                Err(watchdog_failed(format!("attempt {attempt} exceeded its execution watchdog")))
-            }
-            Err(EngineError::DeadlineExpired) if dogged(true) => {
-                shared.metrics.watchdog_trips.inc();
-                Err(watchdog_failed(format!(
-                    "attempt {attempt} exceeded its execution watchdog before any result"
-                )))
-            }
-            other => other,
-        };
-
-        let err = match result {
-            Ok(mut report) => {
-                report.attempts = attempt;
-                report.faults = faults;
-                return Ok(report);
-            }
-            Err(err) => err,
-        };
-        if !is_retryable(&err) {
-            return Err(err);
-        }
-
-        // Record the failed attempt (report, trace, metrics). `injected`
-        // is recomputed from the pure plan rather than threaded through
-        // the error path — same inputs, same verdict.
-        let injected = shared.injector.fault_for(id, device.map(|d| d.0), attempt);
-        if injected.is_some() {
-            shared.metrics.faults_injected.inc();
-        } else if let Some(d) = device {
-            // A genuine fault: telemetry only, never the health ledger
-            // (which advances via the deterministic submit-time preview).
-            shared.pool.note_fault_observed(d);
-        }
-        let error = err.to_string();
-        if let Some(trace) = &state.trace {
-            trace.record_attempt(attempt, device.map(|d| d.0), &error);
-        }
-        if let Some(journal) = &shared.journal {
-            journal.record_attempt(
-                shared.journal_ts_ms(),
-                id,
-                attempt,
-                device.map(|d| d.0),
-                &error,
-            );
-        }
-        faults.push(AttemptFault {
-            attempt,
-            device,
-            backend: attempt_backend_label(req, force_cpu),
-            error,
-            injected,
-        });
-
-        // Retry budget: attempts, cancellation, and the deadline-aware
-        // check that another attempt could still start in time.
-        if attempt >= max_attempts || state.cancel.is_cancelled() {
-            return Err(err);
-        }
-        if let Some(deadline) = state.deadline {
-            if Instant::now() + policy.backoff >= deadline {
-                return Err(err);
-            }
-        }
-
-        // Re-place via the pure failover function (the same one the
-        // submit-time preview walked).
-        if let Some(d) = device {
-            if d.0 < 64 {
-                avoid |= 1 << d.0;
-            }
-        }
-        let target = match device {
-            // CPU attempts retry as they ran (the request's own CPU
-            // backend, or the fallback once degraded).
-            _ if force_cpu => Some(AttemptTarget::Resubmit),
-            None => Some(AttemptTarget::Resubmit),
-            Some(failed) => match shared.pool.profile(failed).map(|p| p.model) {
-                Some(model) => next_attempt_device(
-                    &shared.pool,
-                    model,
-                    req.affinity,
-                    id,
-                    attempt + 1,
-                    avoid,
-                    state.qmask,
-                    policy.failover,
-                    failed,
-                ),
-                None => None,
-            },
-        };
-        let Some(target) = target else {
-            return Err(err);
-        };
-        shared.metrics.retries.inc();
-
-        // Cancel-aware backoff.
-        if policy.backoff > Duration::ZERO {
-            let until = Instant::now() + policy.backoff;
-            while Instant::now() < until {
-                if state.cancel.is_cancelled() {
-                    return Err(err);
-                }
-                std::thread::sleep(Duration::from_millis(1).min(policy.backoff));
-            }
-        }
-
-        match target {
-            AttemptTarget::Resubmit => {}
-            AttemptTarget::Cpu => {
-                shared.metrics.cpu_fallbacks.inc();
-                force_cpu = true;
-            }
-            AttemptTarget::Gpu(d) => {
-                if Some(d) != device {
-                    shared.metrics.failovers.inc();
-                }
-                // Admit a slot on the retry's device (the same gate every
-                // other execution path respects), staying responsive to
-                // cancellation and the job deadline.
-                while !shared.pool.try_admit_unqueued(d) {
-                    if state.cancel.is_cancelled()
-                        || state.deadline.is_some_and(|dl| Instant::now() >= dl)
-                    {
-                        return Err(err);
-                    }
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-                state.set_device(d);
-            }
-        }
-        attempt += 1;
-    }
-}
-
 /// The stable journal spelling of a [`JobOutcome`].
 fn outcome_label(outcome: &JobOutcome) -> &'static str {
     match outcome {
@@ -1869,7 +650,8 @@ impl JobHandle {
         self.shared.claim_blocking(self.id.0, true)
     }
 
-    /// The job's bounded progress stream (one [`IterationEvent`] per
+    /// The job's bounded progress stream (one
+    /// [`IterationEvent`](aco_core::lifecycle::IterationEvent) per
     /// completed colony iteration). Consume via the blocking [`Iterator`]
     /// impl or [`ProgressStream::try_next`].
     pub fn progress(&self) -> ProgressStream {
@@ -2264,16 +1046,6 @@ impl Engine {
         self.shared.obs.is_enabled()
     }
 
-    /// Point-in-time snapshot of every engine metric — scheduler
-    /// counters/gauges/latency histograms, per-device and cache gauges
-    /// (bridged from their native counters here, at snapshot time, so
-    /// neither subsystem depends on the metrics registry), and per-family
-    /// kernel profiles. Export via [`MetricsSnapshot::to_prometheus`] or
-    /// [`MetricsSnapshot::to_json`]. Empty when observability is off.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.bridged_snapshot()
-    }
-
     /// The most recent completed-job timelines (bounded ring of
     /// [`EngineConfig::trace_capacity`] entries, oldest evicted first).
     /// Jobs that never ran — eagerly cancelled or expired while queued —
@@ -2299,45 +1071,6 @@ impl Engine {
     /// [`aco_obs::replay_timeline`] to reconstruct its timeline offline.
     pub fn journal_export(&self) -> Option<String> {
         self.shared.journal.as_ref().map(|j| j.export())
-    }
-
-    /// A textual live view of the engine: one row per pool device
-    /// (queue depth, running jobs, utilisation, health) and one row per
-    /// recent job with a best-so-far convergence sparkline and the final
-    /// dynamics numbers. Purely observational — rendering reads the same
-    /// snapshots the metrics export does.
-    pub fn render_dashboard(&self) -> String {
-        self.shared.render_dashboard()
-    }
-
-    /// Record one window frame (the bridged metrics snapshot at the
-    /// configured clock's current time) and evaluate every SLO against
-    /// it, returning the board's worst [`AlertState`]. `None` when
-    /// [`EngineConfig::windows`] is off. The
-    /// [`Engine::serve_observability`] sampler calls this on a cadence;
-    /// tests drive it manually under an [`aco_obs::ManualClock`].
-    pub fn tick_windows(&self) -> Option<AlertState> {
-        self.shared.tick_windows()
-    }
-
-    /// The rolling serving summary for the last `window_ms` milliseconds
-    /// (throughput, failure rate, latency quantiles, per-device
-    /// utilisation/fault rates). `None` when the window layer is off or
-    /// fewer than two frames have been recorded.
-    pub fn window_stats(&self, window_ms: u64) -> Option<WindowStats> {
-        self.shared.window_stats(window_ms)
-    }
-
-    /// Current status of every configured SLO (state, burn rates, cause,
-    /// transition timeline). Empty when the window layer is off.
-    pub fn slo_statuses(&self) -> Vec<SloStatus> {
-        self.shared.slo_statuses()
-    }
-
-    /// The aggregated health document served at `/healthz` (engine
-    /// uptime/queue state, per-device health, worst alert state).
-    pub fn healthz_json(&self) -> String {
-        self.shared.healthz_json()
     }
 }
 
