@@ -3,8 +3,10 @@
 //! SLO glue the serving layer ([`crate::serve`]) and the in-process
 //! accessors share.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use aco_obs::metrics::labelled;
 use aco_obs::{
     sparkline, AlertState, Clock, MetricsSnapshot, RollingWindow, SloBoard, SloStatus, WindowStats,
 };
@@ -21,62 +23,65 @@ pub(crate) struct WindowState {
 }
 
 impl Shared {
-    /// The full engine snapshot behind `Engine::metrics`: scheduler
-    /// series plus per-device, per-job-dynamics and cache series bridged
-    /// from their native counters here, at snapshot time, so neither
-    /// subsystem depends on the metrics registry. Lives on `Shared` so
-    /// the serving layer can snapshot without an `Engine` borrow.
+    /// The full engine snapshot behind `Engine::metrics`: the registry's
+    /// scheduler series, merged in name order with per-device, per-job
+    /// dynamics and cache series rendered here, at snapshot time, from
+    /// their native sources. Rendered series are never registered, so
+    /// per-job series exist exactly for the timelines still in the ring.
+    /// Lives on `Shared` so the serving layer can snapshot without an
+    /// `Engine` borrow.
     pub(crate) fn bridged_snapshot(&self) -> MetricsSnapshot {
-        let reg = self.obs.metrics();
-        if self.obs.is_enabled() {
-            let elapsed = self.started.elapsed().as_secs_f64();
-            // Label values flow through `labelled`, which escapes `\`,
-            // `"` and newlines per the Prometheus text format — a
-            // hostile device name must not corrupt the whole export.
-            let dev = |base: &str, name: &str| aco_obs::metrics::labelled(base, "device", name);
-            for d in self.pool.snapshot() {
-                let name = &d.name;
-                reg.gauge(&dev("aco_device_queued", name)).set(d.queued as i64);
-                reg.gauge(&dev("aco_device_running", name)).set(d.running as i64);
-                reg.counter(&dev("aco_device_completed_total", name)).set(d.completed);
-                reg.counter(&dev("aco_device_admission_waits_total", name)).set(d.admission_waits);
-                reg.gauge(&dev("aco_device_busy_ms", name)).set(d.busy_ms as i64);
-                reg.gauge(&dev("aco_device_assigned_ms", name)).set(d.assigned_ms as i64);
-                // Utilization in basis points (gauges are integers):
-                // busy wall time over the engine's lifetime so far.
-                let util_bp = if elapsed > 0.0 {
-                    (d.busy_ms / (elapsed * 1e3) * 1e4).round() as i64
-                } else {
-                    0
-                };
-                reg.gauge(&dev("aco_device_utilization_bp", name)).set(util_bp);
-                reg.gauge(&dev("aco_device_health", name)).set(d.health.code() as i64);
-                reg.counter(&dev("aco_device_quarantines_total", name)).set(d.quarantines);
-                reg.counter(&dev("aco_device_faults_observed_total", name)).set(d.faults_observed);
-            }
-            // Per-job search-dynamics gauges for every timeline still in
-            // the ring; the fractional ones are float gauges, so they
-            // carry the unquantised values.
-            let job =
-                |base: &str, id: u64| aco_obs::metrics::labelled(base, "job", &id.to_string());
-            for t in self.obs.sink().recent() {
-                if let Some(d) = &t.dynamics {
-                    reg.gauge(&job("aco_job_stagnant_iterations", t.job))
-                        .set(d.stagnant_iterations as i64);
-                    reg.float_gauge(&job("aco_job_entropy", t.job)).set(d.final_entropy);
-                    reg.float_gauge(&job("aco_job_lambda_branching", t.job))
-                        .set(d.final_lambda_branching);
-                }
-            }
-            let cs = self.cache.stats();
-            reg.counter("aco_cache_artifact_hits_total").set(cs.artifact_hits);
-            reg.counter("aco_cache_artifact_misses_total").set(cs.artifact_misses);
-            reg.counter("aco_cache_decision_hits_total").set(cs.decision_hits);
-            reg.counter("aco_cache_decision_misses_total").set(cs.decision_misses);
-            reg.counter("aco_cache_evictions_total")
-                .set(cs.artifact_evictions + cs.decision_evictions);
+        let mut snap = self.obs.snapshot();
+        if !self.obs.is_enabled() {
+            return snap;
         }
-        self.obs.snapshot()
+        let (mut counters, mut gauges, mut float_gauges) = (Vec::new(), Vec::new(), Vec::new());
+        let elapsed = self.started.elapsed().as_secs_f64();
+        // Label values flow through `labelled`, which escapes `\`, `"`
+        // and newlines per the Prometheus text format — a hostile device
+        // name must not corrupt the whole export.
+        let dev = |base: &str, name: &str| labelled(base, "device", name);
+        for d in self.pool.snapshot() {
+            let name = &d.name;
+            gauges.push((dev("aco_device_queued", name), d.queued as i64));
+            gauges.push((dev("aco_device_running", name), d.running as i64));
+            counters.push((dev("aco_device_completed_total", name), d.completed));
+            counters.push((dev("aco_device_admission_waits_total", name), d.admission_waits));
+            gauges.push((dev("aco_device_busy_ms", name), d.busy_ms as i64));
+            gauges.push((dev("aco_device_assigned_ms", name), d.assigned_ms as i64));
+            // Utilization in basis points (gauges are integers): busy
+            // wall time over the engine's lifetime so far.
+            let util_bp =
+                if elapsed > 0.0 { (d.busy_ms / (elapsed * 1e3) * 1e4).round() as i64 } else { 0 };
+            gauges.push((dev("aco_device_utilization_bp", name), util_bp));
+            gauges.push((dev("aco_device_health", name), d.health.code() as i64));
+            counters.push((dev("aco_device_quarantines_total", name), d.quarantines));
+            counters.push((dev("aco_device_faults_observed_total", name), d.faults_observed));
+        }
+        // Per-job search-dynamics series for every timeline still in the
+        // ring; the fractional ones are float gauges, so they carry the
+        // unquantised values.
+        for t in self.obs.sink().recent() {
+            if let Some(d) = &t.dynamics {
+                let job = |base: &str| labelled(base, "job", &t.job.to_string());
+                gauges.push((job("aco_job_stagnant_iterations"), d.stagnant_iterations as i64));
+                float_gauges.push((job("aco_job_entropy"), d.final_entropy));
+                float_gauges.push((job("aco_job_lambda_branching"), d.final_lambda_branching));
+            }
+        }
+        let cs = self.cache.stats();
+        counters.push(("aco_cache_artifact_hits_total".into(), cs.artifact_hits));
+        counters.push(("aco_cache_artifact_misses_total".into(), cs.artifact_misses));
+        counters.push(("aco_cache_decision_hits_total".into(), cs.decision_hits));
+        counters.push(("aco_cache_decision_misses_total".into(), cs.decision_misses));
+        counters.push((
+            "aco_cache_evictions_total".into(),
+            cs.artifact_evictions + cs.decision_evictions,
+        ));
+        merge_by_name(&mut snap.counters, counters);
+        merge_by_name(&mut snap.gauges, gauges);
+        merge_by_name(&mut snap.float_gauges, float_gauges);
+        snap
     }
 
     /// Per-device health codes for the SLO bridge, as the plain view
@@ -243,6 +248,15 @@ impl Shared {
         }
         out
     }
+}
+
+/// Merge series rendered at snapshot time into a registry snapshot's
+/// name-sorted list. A name rendered twice (two devices sharing a name)
+/// keeps its last value, as the registry's overwrite did.
+fn merge_by_name<V>(series: &mut Vec<(String, V)>, rendered: Vec<(String, V)>) {
+    let mut all: BTreeMap<String, V> = std::mem::take(series).into_iter().collect();
+    all.extend(rendered);
+    *series = all.into_iter().collect();
 }
 
 impl Engine {

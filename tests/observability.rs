@@ -13,7 +13,10 @@ use std::sync::Arc;
 use aco_gpu::core::cpu::TourPolicy;
 use aco_gpu::core::gpu::{PheromoneStrategy, TourStrategy};
 use aco_gpu::core::AcoParams;
-use aco_gpu::engine::{Backend, Engine, EngineConfig, GpuDevice, SolveRequest, LATENCY_BUCKETS_MS};
+use aco_gpu::engine::{
+    Backend, DynamicsConfig, Engine, EngineConfig, GpuDevice, MetricsSnapshot, SolveRequest,
+    LATENCY_BUCKETS_MS,
+};
 use aco_gpu::tsp;
 
 mod common;
@@ -192,4 +195,56 @@ fn metrics_snapshot_reconciles_with_the_batch() {
     assert!(text.contains("aco_kernel_invocations_total{family=\"tour_"));
     assert!(text.contains("# TYPE aco_engine_queue_wait_ms histogram"));
     assert!(text.contains("aco_engine_queue_wait_ms_bucket{le=\"+Inf\"} 7"));
+}
+
+/// Per-job series are rendered from the timeline ring at snapshot time,
+/// never registered: after every job, the `aco_job_*` names are exactly
+/// three per dynamics timeline still in the ring, and once the ring is
+/// full the export stops growing with the number of jobs run.
+#[test]
+fn per_job_series_cover_exactly_the_timeline_ring() {
+    let inst = Arc::new(tsp::uniform_random("obs-ring", 24, 400.0, 29));
+    let engine = Engine::new(
+        EngineConfig::with_workers(1).trace_capacity(4).dynamics(DynamicsConfig::default()),
+    );
+    let series = |s: &MetricsSnapshot| {
+        s.counters.len() + s.gauges.len() + s.float_gauges.len() + s.histograms.len()
+    };
+    let mut counts = Vec::new();
+    for seed in 0..12 {
+        engine
+            .submit(
+                SolveRequest::new(Arc::clone(&inst), AcoParams::default().nn(8).ants(8))
+                    .backend(Backend::CpuSequential { policy: TourPolicy::NearestNeighborList })
+                    .iterations(3)
+                    .seed(seed),
+            )
+            .wait()
+            .expect("job solves");
+        let snap = engine.metrics();
+        let mut exported: Vec<String> = snap
+            .gauges
+            .iter()
+            .map(|(n, _)| n)
+            .chain(snap.float_gauges.iter().map(|(n, _)| n))
+            .chain(snap.counters.iter().map(|(n, _)| n))
+            .filter(|n| n.starts_with("aco_job_"))
+            .cloned()
+            .collect();
+        exported.sort();
+        let mut expected: Vec<String> = engine
+            .recent_timelines()
+            .iter()
+            .filter(|t| t.dynamics.is_some())
+            .flat_map(|t| {
+                ["aco_job_entropy", "aco_job_lambda_branching", "aco_job_stagnant_iterations"]
+                    .map(|base| format!("{base}{{job=\"{}\"}}", t.job))
+            })
+            .collect();
+        expected.sort();
+        assert_eq!(exported, expected, "per-job series after job {seed}");
+        counts.push(series(&snap));
+    }
+    assert_eq!(engine.recent_timelines().len(), 4);
+    assert_eq!(counts[11], counts[3], "series count is flat once the ring is full: {counts:?}");
 }
