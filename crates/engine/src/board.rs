@@ -68,8 +68,9 @@ impl ProgressShared {
 /// A consuming view of a job's progress events, obtained from
 /// [`JobHandle::progress`](crate::JobHandle::progress). Iteration blocks
 /// until the next event or the end of the job;
-/// [`ProgressStream::try_next`] never blocks. Events are *consumed*: two streams over the same job split them between
-/// themselves, so use one consumer per job.
+/// [`ProgressStream::try_next`] never blocks. Events are *consumed*: two
+/// streams over the same job split them between themselves, so use one
+/// consumer per job.
 ///
 /// For an uncancelled job whose event count stays within the request's
 /// `progress_events` bound, the consumed sequence is bit-identical at any
@@ -130,6 +131,21 @@ pub(crate) struct Board {
     pub(crate) jobs: HashMap<u64, JobSlot>,
 }
 
+impl Board {
+    /// Take `id`'s result if it is done, removing its slot: `None` while
+    /// it is pending, and `UnknownJob` for an issued id whose slot is
+    /// gone because it was already claimed.
+    fn take(&mut self, id: u64) -> Option<Result<SolveReport, EngineError>> {
+        if matches!(self.jobs.get(&id), Some(JobSlot::Pending)) {
+            return None;
+        }
+        match self.jobs.remove(&id) {
+            Some(JobSlot::Done(result)) => Some(result),
+            _ => Some(Err(EngineError::UnknownJob)),
+        }
+    }
+}
+
 impl Shared {
     /// Finalise a job: close its progress stream, mark it finished, and
     /// fill its result slot (a no-op if the slot was already claimed).
@@ -145,47 +161,18 @@ impl Shared {
     }
 
     /// Blocking claim of `id`'s result (exactly once).
-    pub(crate) fn claim_blocking(&self, id: u64, issued: bool) -> Result<SolveReport, EngineError> {
-        if !issued {
-            return Err(EngineError::UnknownJob);
-        }
+    pub(crate) fn claim_blocking(&self, id: u64) -> Result<SolveReport, EngineError> {
         let mut board = self.board.lock().expect("board lock");
         loop {
-            match board.jobs.get(&id) {
-                // Issued id without a slot: already claimed.
-                None => return Err(EngineError::UnknownJob),
-                Some(JobSlot::Done(_)) => {
-                    let Some(JobSlot::Done(r)) = board.jobs.remove(&id) else {
-                        unreachable!("matched Done above")
-                    };
-                    return r;
-                }
-                Some(JobSlot::Pending) => {
-                    board = self.results_cv.wait(board).expect("results wait");
-                }
+            if let Some(result) = board.take(id) {
+                return result;
             }
+            board = self.results_cv.wait(board).expect("results wait");
         }
     }
 
     /// Non-blocking claim: `None` while the job is still in flight.
-    pub(crate) fn claim_nonblocking(
-        &self,
-        id: u64,
-        issued: bool,
-    ) -> Option<Result<SolveReport, EngineError>> {
-        if !issued {
-            return Some(Err(EngineError::UnknownJob));
-        }
-        let mut board = self.board.lock().expect("board lock");
-        match board.jobs.get(&id) {
-            None => Some(Err(EngineError::UnknownJob)),
-            Some(JobSlot::Done(_)) => {
-                let Some(JobSlot::Done(r)) = board.jobs.remove(&id) else {
-                    unreachable!("matched Done above")
-                };
-                Some(r)
-            }
-            Some(JobSlot::Pending) => None,
-        }
+    pub(crate) fn claim_nonblocking(&self, id: u64) -> Option<Result<SolveReport, EngineError>> {
+        self.board.lock().expect("board lock").take(id)
     }
 }

@@ -5,12 +5,15 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 use aco_obs::metrics::labelled;
 use aco_obs::{
-    sparkline, AlertState, Clock, MetricsSnapshot, RollingWindow, SloBoard, SloStatus, WindowStats,
+    default_slos, sparkline, AlertState, Clock, JobTimeline, Journal, JournalConfig,
+    MetricsSnapshot, MonotonicClock, RollingWindow, SloBoard, SloStatus, WindowStats,
 };
 
+use crate::config::EngineConfig;
 use crate::scheduler::{Engine, Shared};
 
 /// The rolling-window/SLO state one engine owns when
@@ -20,6 +23,27 @@ pub(crate) struct WindowState {
     pub(crate) clock: Arc<dyn Clock>,
     pub(crate) window: RollingWindow,
     pub(crate) slos: Mutex<SloBoard>,
+}
+
+impl WindowState {
+    /// The window layer `config` arms (`None` when it arms none): its
+    /// clock, or a fresh monotonic one, and its SLOs, or the defaults.
+    pub(crate) fn from_config(config: &EngineConfig) -> Option<Self> {
+        let window = RollingWindow::new(config.windows.clone()?);
+        let clock = config.clock.clone().unwrap_or_else(|| Arc::new(MonotonicClock::new()));
+        let specs = if config.slos.is_empty() { default_slos() } else { config.slos.clone() };
+        Some(WindowState { clock, window, slos: Mutex::new(SloBoard::new(specs)) })
+    }
+}
+
+/// The engine journal for `cfg`, anchored to the wall clock once, here at
+/// construction — never per event in the hot path — so exports from
+/// different runs can be time-aligned.
+pub(crate) fn anchored_journal(mut cfg: JournalConfig) -> Arc<Journal> {
+    cfg.epoch_ms.get_or_insert_with(|| {
+        SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0)
+    });
+    Arc::new(Journal::new(cfg))
 }
 
 impl Shared {
@@ -100,20 +124,6 @@ impl Shared {
         Some(ws.slos.lock().expect("slo lock").evaluate(&ws.window, &devices, now))
     }
 
-    /// See `Engine::window_stats`.
-    pub(crate) fn window_stats(&self, window_ms: u64) -> Option<WindowStats> {
-        let ws = self.windows.as_ref()?;
-        ws.window.stats(ws.clock.now_ms(), window_ms)
-    }
-
-    /// See `Engine::slo_statuses`.
-    pub(crate) fn slo_statuses(&self) -> Vec<SloStatus> {
-        match &self.windows {
-            Some(ws) => ws.slos.lock().expect("slo lock").statuses(),
-            None => Vec::new(),
-        }
-    }
-
     /// The `/slo` document: the SLO board as JSON (`[]` when the window
     /// layer is off).
     pub(crate) fn slo_json(&self) -> String {
@@ -169,21 +179,6 @@ impl Shared {
         }
         out.push_str(&format!("],\"alerts\":{}}}", self.slo_json()));
         out
-    }
-
-    /// The journal, for the serving layer's `/events` stream.
-    pub(crate) fn journal_arc(&self) -> Option<Arc<aco_obs::Journal>> {
-        self.journal.clone()
-    }
-
-    /// Is the rolling-window layer armed?
-    pub(crate) fn has_windows(&self) -> bool {
-        self.windows.is_some()
-    }
-
-    /// The armed window's bucket width, for the sampler cadence.
-    pub(crate) fn window_bucket_ms(&self) -> Option<u64> {
-        self.windows.as_ref().map(|ws| ws.window.bucket_ms())
     }
 
     /// The dashboard render behind `Engine::render_dashboard` (on
@@ -260,11 +255,45 @@ fn merge_by_name<V>(series: &mut Vec<(String, V)>, rendered: Vec<(String, V)>) {
 }
 
 impl Engine {
+    /// Whether this engine records metrics, traces and kernel profiles.
+    pub fn observability_enabled(&self) -> bool {
+        self.shared.obs.is_enabled()
+    }
+
+    /// The most recent completed-job timelines (bounded ring of
+    /// [`EngineConfig::trace_capacity`] entries, oldest evicted first).
+    /// Jobs that never ran — eagerly cancelled or expired while queued —
+    /// are not recorded. Empty when observability is off.
+    pub fn recent_timelines(&self) -> Vec<Arc<JobTimeline>> {
+        self.shared.obs.sink().recent()
+    }
+
+    /// Timelines evicted from the [`Engine::recent_timelines`] ring so
+    /// far (how much history the bound has discarded).
+    pub fn timelines_evicted(&self) -> u64 {
+        self.shared.obs.sink().evicted()
+    }
+
+    /// The engine's event journal, when [`EngineConfig::journal`]
+    /// configured one.
+    pub fn journal(&self) -> Option<&Journal> {
+        self.shared.journal.as_deref()
+    }
+
+    /// The retained journal as one JSONL document (oldest line first),
+    /// or `None` when no journal is configured. Feed one job's worth to
+    /// [`aco_obs::replay_timeline`] to reconstruct its timeline offline.
+    pub fn journal_export(&self) -> Option<String> {
+        self.shared.journal.as_ref().map(|j| j.export())
+    }
+
     /// Point-in-time snapshot of every engine metric — scheduler
-    /// counters/gauges/latency histograms, per-device and cache gauges
-    /// (bridged from their native counters here, at snapshot time, so
-    /// neither subsystem depends on the metrics registry), and per-family
-    /// kernel profiles. Export via [`MetricsSnapshot::to_prometheus`] or
+    /// counters/gauges/latency histograms, per-device and cache series
+    /// (rendered from their native counters at snapshot time, so neither
+    /// subsystem depends on the metrics registry), per-job dynamics
+    /// series for the timelines still in the
+    /// [`Engine::recent_timelines`] ring, and per-family kernel
+    /// profiles. Export via [`MetricsSnapshot::to_prometheus`] or
     /// [`MetricsSnapshot::to_json`]. Empty when observability is off.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.bridged_snapshot()
@@ -282,7 +311,7 @@ impl Engine {
     /// Record one window frame (the bridged metrics snapshot at the
     /// configured clock's current time) and evaluate every SLO against
     /// it, returning the board's worst [`AlertState`]. `None` when
-    /// [`EngineConfig::windows`](crate::EngineConfig::windows) is off. The
+    /// [`EngineConfig::windows`] is off. The
     /// [`Engine::serve_observability`] sampler calls this on a cadence;
     /// tests drive it manually under an [`aco_obs::ManualClock`].
     pub fn tick_windows(&self) -> Option<AlertState> {
@@ -294,13 +323,15 @@ impl Engine {
     /// utilisation/fault rates). `None` when the window layer is off or
     /// fewer than two frames have been recorded.
     pub fn window_stats(&self, window_ms: u64) -> Option<WindowStats> {
-        self.shared.window_stats(window_ms)
+        let ws = self.shared.windows.as_ref()?;
+        ws.window.stats(ws.clock.now_ms(), window_ms)
     }
 
     /// Current status of every configured SLO (state, burn rates, cause,
     /// transition timeline). Empty when the window layer is off.
     pub fn slo_statuses(&self) -> Vec<SloStatus> {
-        self.shared.slo_statuses()
+        let ws = self.shared.windows.as_ref();
+        ws.map_or_else(Vec::new, |ws| ws.slos.lock().expect("slo lock").statuses())
     }
 
     /// The aggregated health document served at `/healthz` (engine

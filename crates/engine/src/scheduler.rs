@@ -75,22 +75,19 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use aco_core::lifecycle::CancelToken;
+use aco_core::lifecycle::{CancelToken, StopReason};
 use aco_devices::{
     DeviceAffinity, DeviceId, DevicePool, DeviceSnapshot, Placement, PlacementError,
 };
 use aco_faults::FaultInjector;
-use aco_obs::{
-    default_slos, Clock, Counter, Gauge, Histogram, JobTimeline, JobTrace, MonotonicClock, Obs,
-    RollingWindow, SloBoard, LATENCY_BUCKETS_MS,
-};
+use aco_obs::{Counter, Gauge, Histogram, JobTimeline, JobTrace, Obs, LATENCY_BUCKETS_MS};
 
 use crate::board::{Board, JobSlot, ProgressShared, ProgressStream};
 use crate::cache::{ArtifactCache, CacheStats};
 use crate::config::EngineConfig;
-use crate::obs_bridge::WindowState;
+use crate::obs_bridge::{anchored_journal, WindowState};
 use crate::solver::{
-    Backend, EngineError, Failover, JobOutcome, Priority, SolveReport, SolveRequest,
+    stop_error, Backend, EngineError, Failover, JobOutcome, Priority, SolveReport, SolveRequest,
 };
 use crate::supervisor::{preview_attempts, run_supervised};
 
@@ -159,7 +156,7 @@ pub(crate) struct JobState {
     /// Has the first progress event been stamped with its latency?
     pub(crate) first_event: AtomicBool,
     /// The pool device the job is bound to (`NO_DEVICE` = none). Set at
-    /// submit for explicitly-GPU jobs; set during `run_job` (before the
+    /// submit for explicitly-GPU jobs; set during `run_attempt` (before the
     /// solver is built, so before any progress event) when an auto job
     /// resolves to a GPU backend. Read by the progress observer to stamp
     /// events and by the retry supervisor to release the device after
@@ -193,6 +190,18 @@ impl JobState {
 
     pub(crate) fn clear_device(&self) {
         self.device.store(NO_DEVICE, Ordering::Release);
+    }
+
+    /// Why the job must stop now, if it must: it was cancelled, or its
+    /// own deadline has passed.
+    pub(crate) fn stop_reason(&self) -> Option<StopReason> {
+        if self.cancel.is_cancelled() {
+            Some(StopReason::Cancelled)
+        } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            Some(StopReason::DeadlineExpired)
+        } else {
+            None
+        }
     }
 }
 
@@ -446,6 +455,7 @@ impl Shared {
         }
     }
 }
+
 /// The stable journal spelling of a [`JobOutcome`].
 fn outcome_label(outcome: &JobOutcome) -> &'static str {
     match outcome {
@@ -486,16 +496,11 @@ fn worker_loop(shared: Arc<Shared>, worker: usize) {
         // solver is built and no cache entry is touched.
         let mut solve_wall_ms = 0.0;
         let mut cache_hit = None;
-        let outcome = if state.cancel.is_cancelled() {
+        let outcome = if let Some(reason) = state.stop_reason() {
             if let Some(d) = admitted {
                 shared.pool.cancel_admit(d);
             }
-            Err(EngineError::Cancelled)
-        } else if state.deadline.is_some_and(|d| Instant::now() >= d) {
-            if let Some(d) = admitted {
-                shared.pool.cancel_admit(d);
-            }
-            Err(EngineError::DeadlineExpired)
+            Err(stop_error(reason))
         } else {
             shared.metrics.jobs_running.inc();
             let t0 = Instant::now();
@@ -503,12 +508,11 @@ fn worker_loop(shared: Arc<Shared>, worker: usize) {
             // watchdog reclassification, per-attempt slot release, and
             // retry/failover re-placement.
             let result = run_supervised(&shared, id, &state, &req);
-            let wall = t0.elapsed();
-            solve_wall_ms = wall.as_secs_f64() * 1e3;
+            solve_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
             shared.metrics.solve_wall_ms.observe(solve_wall_ms);
             shared.metrics.jobs_running.dec();
             if let Some(trace) = &state.trace {
-                trace.record_solve_wall_ms(wall.as_secs_f64() * 1e3);
+                trace.record_solve_wall_ms(solve_wall_ms);
                 // The job ran (even if it failed mid-run): its timeline
                 // goes to the engine-wide ring. Never-ran jobs (eager
                 // cancel/expiry) have no spans worth keeping.
@@ -518,45 +522,29 @@ fn worker_loop(shared: Arc<Shared>, worker: usize) {
             }
             result
         };
-        match &outcome {
-            Ok(report) => {
+        let report = outcome.as_ref().ok();
+        match report {
+            Some(r) => {
                 shared.metrics.jobs_completed.inc();
-                shared.metrics.restarts.add(report.restarts);
+                shared.metrics.restarts.add(r.restarts);
             }
-            Err(_) => shared.metrics.jobs_failed.inc(),
+            None => shared.metrics.jobs_failed.inc(),
         }
         if let Some(journal) = &shared.journal {
-            let ts = shared.journal_ts_ms();
-            match &outcome {
-                Ok(report) => journal.record_complete(
-                    ts,
-                    id,
-                    outcome_label(&report.outcome),
-                    &report.backend.label(),
-                    report.device.map(|d| d.0),
-                    report.best_len,
-                    report.iterations,
-                    queue_wait_ms,
-                    solve_wall_ms,
-                    cache_hit,
-                    report.attempts,
-                    report.restarts,
-                ),
-                Err(_) => journal.record_complete(
-                    ts,
-                    id,
-                    "failed",
-                    &req.backend.label(),
-                    state.device_id().map(|d| d.0),
-                    0,
-                    0,
-                    queue_wait_ms,
-                    solve_wall_ms,
-                    cache_hit,
-                    0,
-                    0,
-                ),
-            }
+            journal.record_complete(
+                shared.journal_ts_ms(),
+                id,
+                report.map_or("failed", |r| outcome_label(&r.outcome)),
+                &report.map_or_else(|| req.backend.label(), |r| r.backend.label()),
+                report.map_or(state.device_id(), |r| r.device).map(|d| d.0),
+                report.map_or(0, |r| r.best_len),
+                report.map_or(0, |r| r.iterations),
+                queue_wait_ms,
+                solve_wall_ms,
+                cache_hit,
+                report.map_or(0, |r| r.attempts),
+                report.map_or(0, |r| r.restarts),
+            );
         }
         shared.post(id, &state, outcome);
     }
@@ -598,15 +586,22 @@ impl JobHandle {
     /// deadlines): without this, a queued job behind a long-running
     /// blocker would only be expired when a worker eventually popped it.
     fn expire_if_overdue(&self) {
-        let overdue = self.state.deadline.is_some_and(|d| Instant::now() >= d);
-        if overdue
-            && self
-                .state
-                .phase
-                .compare_exchange(PHASE_QUEUED, PHASE_FINISHED, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
+        if self.state.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.finalise_queued(EngineError::DeadlineExpired);
+        }
+    }
+
+    /// Finalise a still-queued job with `err`. The CAS races the
+    /// worker's QUEUED→RUNNING transition: exactly one side wins, so the
+    /// result is still delivered exactly once.
+    fn finalise_queued(&self, err: EngineError) {
+        if self
+            .state
+            .phase
+            .compare_exchange(PHASE_QUEUED, PHASE_FINISHED, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
         {
-            self.shared.post(self.id.0, &self.state, Err(EngineError::DeadlineExpired));
+            self.shared.post(self.id.0, &self.state, Err(err));
         }
     }
 
@@ -615,7 +610,7 @@ impl JobHandle {
     /// returns `Some(Err(UnknownJob))`, like a second `wait`).
     pub fn poll(&self) -> Option<Result<SolveReport, EngineError>> {
         self.expire_if_overdue();
-        self.shared.claim_nonblocking(self.id.0, true)
+        self.shared.claim_nonblocking(self.id.0)
     }
 
     /// Block until the job finishes and claim its result (exactly once).
@@ -647,7 +642,7 @@ impl JobHandle {
             // the plain blocking claim below observes race-free.
             self.expire_if_overdue();
         }
-        self.shared.claim_blocking(self.id.0, true)
+        self.shared.claim_blocking(self.id.0)
     }
 
     /// The job's bounded progress stream (one
@@ -728,17 +723,7 @@ impl JobHandle {
     /// best with a `Cancelled` outcome.
     pub fn cancel(&self) {
         self.state.cancel.cancel();
-        // Try to finalise a still-queued job eagerly. The CAS races the
-        // worker's QUEUED→RUNNING transition: exactly one side wins, so
-        // the result is still delivered exactly once.
-        if self
-            .state
-            .phase
-            .compare_exchange(PHASE_QUEUED, PHASE_FINISHED, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            self.shared.post(self.id.0, &self.state, Err(EngineError::Cancelled));
-        }
+        self.finalise_queued(EngineError::Cancelled);
     }
 }
 
@@ -791,16 +776,6 @@ impl Engine {
             .clone()
             .map(FaultInjector::new)
             .unwrap_or_else(FaultInjector::disabled);
-        let windows = config.windows.map(|wcfg| {
-            let clock: Arc<dyn Clock> =
-                config.clock.clone().unwrap_or_else(|| Arc::new(MonotonicClock::new()));
-            let specs = if config.slos.is_empty() { default_slos() } else { config.slos.clone() };
-            WindowState {
-                clock,
-                window: RollingWindow::new(wcfg),
-                slos: Mutex::new(SloBoard::new(specs)),
-            }
-        });
         let shared = Arc::new(Shared {
             queues: (0..workers).map(|_| Mutex::new(BinaryHeap::new())).collect(),
             device_queues: (0..pool.len()).map(|_| Mutex::new(BinaryHeap::new())).collect(),
@@ -818,21 +793,8 @@ impl Engine {
             donated: Arc::new(AtomicUsize::new(0)),
             donate: config.donate_idle_threads,
             dynamics: config.dynamics,
-            journal: config.journal.map(|mut cfg| {
-                // Anchor the journal to the wall clock once, here at
-                // construction — never per event in the hot path — so
-                // exports from different runs can be time-aligned.
-                if cfg.epoch_ms.is_none() {
-                    cfg.epoch_ms = Some(
-                        std::time::SystemTime::now()
-                            .duration_since(std::time::UNIX_EPOCH)
-                            .map(|d| d.as_millis() as u64)
-                            .unwrap_or(0),
-                    );
-                }
-                Arc::new(aco_obs::Journal::new(cfg))
-            }),
-            windows,
+            journal: config.journal.clone().map(anchored_journal),
+            windows: WindowState::from_config(&config),
         });
         let handles = (0..workers)
             .map(|w| {
@@ -1007,7 +969,10 @@ impl Engine {
     /// removes the job's slot entirely, so the engine holds no per-job
     /// state after delivery.
     pub fn wait(&self, job: JobId) -> Result<SolveReport, EngineError> {
-        self.shared.claim_blocking(job.0, job.0 < self.next_id.load(Ordering::Relaxed))
+        if job.0 >= self.next_id.load(Ordering::Relaxed) {
+            return Err(EngineError::UnknownJob);
+        }
+        self.shared.claim_blocking(job.0)
     }
 
     /// Number of jobs submitted but not yet claimed (the engine's entire
@@ -1039,38 +1004,6 @@ impl Engine {
     /// occupancy, completions, busy time, assigned backlog).
     pub fn device_stats(&self) -> Vec<DeviceSnapshot> {
         self.shared.pool.snapshot()
-    }
-
-    /// Whether this engine records metrics, traces and kernel profiles.
-    pub fn observability_enabled(&self) -> bool {
-        self.shared.obs.is_enabled()
-    }
-
-    /// The most recent completed-job timelines (bounded ring of
-    /// [`EngineConfig::trace_capacity`] entries, oldest evicted first).
-    /// Jobs that never ran — eagerly cancelled or expired while queued —
-    /// are not recorded. Empty when observability is off.
-    pub fn recent_timelines(&self) -> Vec<Arc<JobTimeline>> {
-        self.shared.obs.sink().recent()
-    }
-
-    /// Timelines evicted from the [`Engine::recent_timelines`] ring so
-    /// far (how much history the bound has discarded).
-    pub fn timelines_evicted(&self) -> u64 {
-        self.shared.obs.sink().evicted()
-    }
-
-    /// The engine's event journal, when [`EngineConfig::journal`]
-    /// configured one.
-    pub fn journal(&self) -> Option<&aco_obs::Journal> {
-        self.shared.journal.as_deref()
-    }
-
-    /// The retained journal as one JSONL document (oldest line first),
-    /// or `None` when no journal is configured. Feed one job's worth to
-    /// [`aco_obs::replay_timeline`] to reconstruct its timeline offline.
-    pub fn journal_export(&self) -> Option<String> {
-        self.shared.journal.as_ref().map(|j| j.export())
     }
 }
 

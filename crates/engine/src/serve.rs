@@ -73,7 +73,7 @@ impl ObsHandler for EngineHandler {
             "/healthz" => Reply::json(self.shared.healthz_json()),
             "/slo" => Reply::json(self.shared.slo_json()),
             "/dashboard" => Reply::text(self.shared.render_dashboard()),
-            "/events" => match self.shared.journal_arc() {
+            "/events" => match self.shared.journal.clone() {
                 Some(journal) => {
                     let from = req
                         .query_param("from")
@@ -153,12 +153,10 @@ impl Engine {
         let handler = Arc::new(EngineHandler { shared: Arc::clone(&self.shared) });
         let http = HttpServer::bind(addr, handler, HTTP_THREADS)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let sampler = if self.shared.has_windows() {
+        let sampler = if let Some(ws) = &self.shared.windows {
+            let tick = Duration::from_millis(ws.window.bucket_ms()).min(MAX_SAMPLE_SLEEP);
             let shared = Arc::clone(&self.shared);
             let stop = Arc::clone(&stop);
-            let tick = shared
-                .window_bucket_ms()
-                .map_or(MAX_SAMPLE_SLEEP, |ms| Duration::from_millis(ms).min(MAX_SAMPLE_SLEEP));
             Some(std::thread::Builder::new().name("aco-obs-sampler".to_string()).spawn(
                 move || {
                     while !stop.load(Ordering::Acquire) {

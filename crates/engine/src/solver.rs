@@ -550,6 +550,14 @@ pub struct SolveReport {
     pub faults: Vec<AttemptFault>,
 }
 
+/// The error a job stopped before it had any result fails with.
+pub(crate) fn stop_error(reason: StopReason) -> EngineError {
+    match reason {
+        StopReason::Cancelled => EngineError::Cancelled,
+        StopReason::DeadlineExpired => EngineError::DeadlineExpired,
+    }
+}
+
 /// Drive `colony` for up to `iterations` iterations under `ctx`
 /// ([`drive`]) and assemble its report. A run stopped before its first
 /// completed iteration has no solution to report and fails with
@@ -567,11 +575,7 @@ pub fn solve(
 ) -> Result<SolveReport, EngineError> {
     let outcome = drive(colony, iterations, ctx)?;
     let Some((best_tour, best_len)) = colony.best() else {
-        return Err(match outcome.stopped {
-            Some(StopReason::Cancelled) => EngineError::Cancelled,
-            Some(StopReason::DeadlineExpired) => EngineError::DeadlineExpired,
-            None => EngineError::NoSolution,
-        });
+        return Err(outcome.stopped.map_or(EngineError::NoSolution, stop_error));
     };
     Ok(SolveReport {
         instance: String::new(),

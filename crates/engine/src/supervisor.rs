@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use aco_core::lifecycle::SolveCtx;
+use aco_core::lifecycle::{SolveCtx, StopReason};
 use aco_core::TourPolicy;
 use aco_devices::{DeviceAffinity, DeviceId, DeviceModel, DevicePool};
 use aco_faults::{FaultInjector, FaultKind};
@@ -17,8 +17,8 @@ use aco_simt::SimtError;
 use crate::auto;
 use crate::scheduler::{JobState, Shared};
 use crate::solver::{
-    build_solver, solve, AttemptFault, Backend, EngineError, Failover, GpuBinding, JobOutcome,
-    SolveReport, SolveRequest,
+    build_solver, solve, stop_error, AttemptFault, Backend, EngineError, Failover, GpuBinding,
+    JobOutcome, SolveReport, SolveRequest,
 };
 
 /// The [`SolveCtx`] one *attempt* runs under: the job's cancel token, the
@@ -117,6 +117,23 @@ fn attempt_backend_label(req: &SolveRequest, force_cpu: bool) -> String {
     }
 }
 
+/// Wait for a free resident-job slot on `d` (the gate every execution
+/// path respects), polling every 100 µs, until `stop` gives a reason to
+/// stop waiting.
+fn wait_for_slot(
+    pool: &DevicePool,
+    d: DeviceId,
+    stop: impl Fn() -> Option<StopReason>,
+) -> Result<(), StopReason> {
+    while !pool.try_admit_unqueued(d) {
+        if let Some(reason) = stop() {
+            return Err(reason);
+        }
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    Ok(())
+}
+
 /// Run one attempt of a job: resolve the backend, bind a device, build
 /// the solver and drive it under `ctx` — delivering this attempt's
 /// injected fault, if the engine's plan schedules one.
@@ -169,17 +186,7 @@ fn run_attempt(
         None => match backend.required_model() {
             Some(model) => {
                 let d = shared.pool.rotate_avoiding(model, req.affinity, id, state.qmask)?;
-                while !shared.pool.try_admit_unqueued(d) {
-                    if let Some(reason) = ctx.stop_reason() {
-                        return Err(match reason {
-                            aco_core::lifecycle::StopReason::Cancelled => EngineError::Cancelled,
-                            aco_core::lifecycle::StopReason::DeadlineExpired => {
-                                EngineError::DeadlineExpired
-                            }
-                        });
-                    }
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                }
+                wait_for_slot(&shared.pool, d, || ctx.stop_reason()).map_err(stop_error)?;
                 // The worker loop releases via `state.device_id()`, so
                 // the id is only published once the slot is held.
                 state.set_device(d);
@@ -444,20 +451,7 @@ pub(crate) fn run_supervised(
         let entered_with = state.device_id();
         let result = catch_unwind(AssertUnwindSafe(|| {
             run_attempt(shared, id, state, req, &ctx, attempt, force_cpu)
-        }))
-        .unwrap_or_else(|panic| {
-            let message = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "job panicked".into());
-            Err(EngineError::Failed {
-                job: id,
-                backend: attempt_backend_label(req, force_cpu),
-                device: state.device_id(),
-                message,
-            })
-        });
+        }));
         // The attempt may have bound a device mid-run (auto resolution):
         // capture it before releasing, then release whatever slot this
         // attempt held — entered with (device-queue admission) or
@@ -469,33 +463,37 @@ pub(crate) fn run_supervised(
         }
         state.clear_device();
 
-        // Watchdog reclassification: an attempt stopped by the *watchdog*
-        // deadline (not the job's own, which is terminal) is a hung
-        // attempt — retryable, partial result discarded.
-        let dogged = |stopped_early: bool| {
-            policy.watchdog.is_some()
-                && stopped_early
-                && !state.cancel.is_cancelled()
-                && state.deadline.is_none_or(|d| Instant::now() < d)
-        };
-        let watchdog_failed = |message: String| EngineError::Failed {
+        // A panic fails the attempt with the retryable class, and so does
+        // the *watchdog* deadline (not the job's own, which is terminal):
+        // a hung attempt's partial result is discarded.
+        let failed = |message: String| EngineError::Failed {
             job: id,
             backend: attempt_backend_label(req, force_cpu),
             device,
             message,
         };
+        let dogged = |stopped_early: bool| {
+            policy.watchdog.is_some() && stopped_early && state.stop_reason().is_none()
+        };
         let result = match result {
-            Ok(report) if dogged(report.outcome == JobOutcome::DeadlineExpired) => {
+            Err(panic) => Err(failed(
+                panic
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "job panicked".into()),
+            )),
+            Ok(Ok(report)) if dogged(report.outcome == JobOutcome::DeadlineExpired) => {
                 shared.metrics.watchdog_trips.inc();
-                Err(watchdog_failed(format!("attempt {attempt} exceeded its execution watchdog")))
+                Err(failed(format!("attempt {attempt} exceeded its execution watchdog")))
             }
-            Err(EngineError::DeadlineExpired) if dogged(true) => {
+            Ok(Err(EngineError::DeadlineExpired)) if dogged(true) => {
                 shared.metrics.watchdog_trips.inc();
-                Err(watchdog_failed(format!(
+                Err(failed(format!(
                     "attempt {attempt} exceeded its execution watchdog before any result"
                 )))
             }
-            other => other,
+            Ok(other) => other,
         };
 
         let err = match result {
@@ -606,16 +604,10 @@ pub(crate) fn run_supervised(
                 if Some(d) != device {
                     shared.metrics.failovers.inc();
                 }
-                // Admit a slot on the retry's device (the same gate every
-                // other execution path respects), staying responsive to
-                // cancellation and the job deadline.
-                while !shared.pool.try_admit_unqueued(d) {
-                    if state.cancel.is_cancelled()
-                        || state.deadline.is_some_and(|dl| Instant::now() >= dl)
-                    {
-                        return Err(err);
-                    }
-                    std::thread::sleep(Duration::from_micros(100));
+                // Admit a slot on the retry's device, staying responsive
+                // to cancellation and the job deadline.
+                if wait_for_slot(&shared.pool, d, || state.stop_reason()).is_err() {
+                    return Err(err);
                 }
                 state.set_device(d);
             }
