@@ -70,8 +70,8 @@ pub use journal::{
 };
 pub use kernel::{install, record, KernelProfiler, KernelScope, KernelSink};
 pub use metrics::{
-    Counter, FloatGauge, Gauge, Histogram, HistogramSnapshot, KernelFamilySnapshot,
-    MetricsRegistry, MetricsSnapshot, LATENCY_BUCKETS_MS,
+    Counter, Gauge, Histogram, HistogramSnapshot, KernelFamilySnapshot, MetricsRegistry,
+    MetricsSnapshot, LATENCY_BUCKETS_MS,
 };
 pub use slo::{
     default_slos, AlertState, AlertTransition, DeviceHealthView, SloBoard, SloEvaluator,

@@ -48,15 +48,6 @@ impl Counter {
         }
     }
 
-    /// Overwrite with an absolute value. For counters *bridged* from an
-    /// external monotone source at snapshot time (cache stats, device
-    /// completions) — event-sourced counters should use [`Counter::add`].
-    pub fn set(&self, v: u64) {
-        if let Some(c) = &self.cell {
-            c.store(v, Ordering::Relaxed);
-        }
-    }
-
     /// Current value (0 for a no-op handle).
     pub fn get(&self) -> u64 {
         self.cell.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
@@ -102,35 +93,6 @@ impl Gauge {
     /// Current value (0 for a no-op handle).
     pub fn get(&self) -> i64 {
         self.cell.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-}
-
-/// A full-precision floating-point gauge handle (`f64` bits in an
-/// `AtomicU64`), for fractional quantities an integer [`Gauge`] would
-/// quantise — such as the per-job trail entropy and λ-branching. No-op
-/// when disabled.
-#[derive(Clone, Default)]
-pub struct FloatGauge {
-    cell: Option<Arc<AtomicU64>>,
-}
-
-impl FloatGauge {
-    /// A handle that records nothing.
-    pub fn noop() -> Self {
-        FloatGauge { cell: None }
-    }
-
-    /// Overwrite the value.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        if let Some(c) = &self.cell {
-            c.store(v.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Current value (0.0 for a no-op handle).
-    pub fn get(&self) -> f64 {
-        self.cell.as_ref().map_or(0.0, |c| f64::from_bits(c.load(Ordering::Relaxed)))
     }
 }
 
@@ -181,7 +143,6 @@ impl Histogram {
 enum Metric {
     Counter(Arc<AtomicU64>),
     Gauge(Arc<AtomicI64>),
-    FloatGauge(Arc<AtomicU64>),
     Histogram(Arc<HistogramCell>),
 }
 
@@ -242,24 +203,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Get or register the float gauge `name` (no-op on kind mismatch).
-    pub fn float_gauge(&self, name: &str) -> FloatGauge {
-        if !self.enabled {
-            return FloatGauge::noop();
-        }
-        let mut map = self.metrics.lock().expect("metrics lock");
-        let m = map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::FloatGauge(Arc::new(AtomicU64::new(0.0f64.to_bits()))));
-        match m {
-            Metric::FloatGauge(g) => FloatGauge { cell: Some(Arc::clone(g)) },
-            _ => {
-                debug_assert!(false, "metric {name:?} registered with a different kind");
-                FloatGauge::noop()
-            }
-        }
-    }
-
     /// Get or register the histogram `name` with the given bucket upper
     /// bounds (ascending; an `+Inf` bucket is implicit). The bounds of
     /// the *first* registration win; later calls reuse them.
@@ -298,9 +241,6 @@ impl MetricsRegistry {
                     snap.counters.push((name.clone(), c.load(Ordering::Relaxed)));
                 }
                 Metric::Gauge(g) => snap.gauges.push((name.clone(), g.load(Ordering::Relaxed))),
-                Metric::FloatGauge(g) => snap
-                    .float_gauges
-                    .push((name.clone(), f64::from_bits(g.load(Ordering::Relaxed)))),
                 Metric::Histogram(h) => snap.histograms.push(HistogramSnapshot {
                     name: name.clone(),
                     bounds: h.bounds.to_vec(),
@@ -360,7 +300,8 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     /// `(name, value)` per gauge.
     pub gauges: Vec<(String, i64)>,
-    /// `(name, value)` per full-precision float gauge.
+    /// `(name, value)` per full-precision float gauge (the registry
+    /// records integers only; the snapshot's owner renders these).
     pub float_gauges: Vec<(String, f64)>,
     /// Every histogram.
     pub histograms: Vec<HistogramSnapshot>,
@@ -675,25 +616,20 @@ mod tests {
 
     #[test]
     fn float_gauges_keep_full_precision_in_both_exports() {
-        let reg = MetricsRegistry::new(true);
-        let fg = reg.float_gauge("aco_job_entropy{job=\"1\"}");
-        fg.set(0.123_456_789);
-        assert!((fg.get() - 0.123_456_789).abs() < 1e-15);
-        let snap = reg.snapshot();
-        assert_eq!(snap.float_gauges.len(), 1);
+        let snap = MetricsSnapshot {
+            float_gauges: vec![
+                ("aco_job_entropy{job=\"1\"}".to_string(), 0.123_456_789),
+                ("aco_whole".to_string(), 2.0),
+            ],
+            ..MetricsSnapshot::default()
+        };
         let json = snap.to_json();
-        assert!(json.contains("\"float_gauges\":{\"aco_job_entropy{job=\\\"1\\\"}\":0.123456789}"));
+        assert!(json.contains("\"float_gauges\":{\"aco_job_entropy{job=\\\"1\\\"}\":0.123456789,"));
         let prom = snap.to_prometheus();
         assert!(prom.contains("# TYPE aco_job_entropy gauge\n"));
         assert!(prom.contains("aco_job_entropy{job=\"1\"} 0.123456789\n"));
         // Whole values keep a decimal point so they still parse as floats.
-        reg.float_gauge("aco_whole").set(2.0);
-        assert!(reg.snapshot().to_prometheus().contains("aco_whole 2.0\n"));
-        // Disabled registries hand out no-ops.
-        let off = MetricsRegistry::new(false);
-        let noop = off.float_gauge("x");
-        noop.set(9.0);
-        assert_eq!(noop.get(), 0.0);
+        assert!(prom.contains("aco_whole 2.0\n"));
     }
 
     #[test]
