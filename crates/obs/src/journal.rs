@@ -201,14 +201,11 @@ impl Journal {
     /// mid-stream cursor yields exactly the journal suffix.
     pub fn export_from(&self, from_seq: u64) -> Vec<(u64, String)> {
         let inner = self.inner.lock().expect("journal lock");
-        let base = inner.evicted;
-        inner
-            .ring
-            .iter()
-            .enumerate()
-            .map(|(i, line)| (base + i as u64, line.clone()))
-            .filter(|(seq, _)| *seq >= from_seq)
-            .collect()
+        // Skip the lines before the cursor without cloning them: only the
+        // suffix is copied under the lock.
+        let skip = from_seq.saturating_sub(inner.evicted).min(inner.ring.len() as u64);
+        let first = inner.evicted + skip;
+        (first..).zip(inner.ring.range(skip as usize..).cloned()).collect()
     }
 
     fn push(&self, line: String) {
