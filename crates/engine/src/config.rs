@@ -62,11 +62,12 @@ pub struct EngineConfig {
     /// zero cost). Armed, every colony computes mean/stddev tour length,
     /// trail entropy and λ-branching at each iteration boundary and the
     /// lifecycle driver folds them through the config's stagnation
-    /// detector; the stats ride on each `IterationEvent`, fold into the
-    /// job's [`JobTimeline`](aco_obs::JobTimeline), and bridge into
-    /// per-job gauges. Write-only like the rest of observability:
-    /// reports, placements and the non-stats event fields are
-    /// bit-identical on or off.
+    /// detector; the stats ride on each `IterationEvent` and fold into
+    /// the job's [`JobTimeline`](aco_obs::JobTimeline), from which
+    /// [`Engine::metrics`](crate::Engine::metrics) renders per-job gauges
+    /// for the timelines still in the ring. Write-only like the rest of
+    /// observability: reports, placements and the non-stats event fields
+    /// are bit-identical on or off.
     pub dynamics: Option<aco_obs::DynamicsConfig>,
     /// Engine-wide structured event journal (default `None`: off). Armed,
     /// the engine appends one JSONL record per lifecycle event — submit,
