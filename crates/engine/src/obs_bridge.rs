@@ -247,7 +247,7 @@ impl Shared {
 
 /// Merge series rendered at snapshot time into a registry snapshot's
 /// name-sorted list. A name rendered twice (two devices sharing a name)
-/// keeps its last value, as the registry's overwrite did.
+/// is exported once, with its last value.
 fn merge_by_name<V>(series: &mut Vec<(String, V)>, rendered: Vec<(String, V)>) {
     let mut all: BTreeMap<String, V> = std::mem::take(series).into_iter().collect();
     all.extend(rendered);
