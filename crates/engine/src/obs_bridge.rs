@@ -20,9 +20,9 @@ use crate::scheduler::{Engine, Shared};
 /// `EngineConfig::windows` is armed. Serving-path only: the solve hot
 /// path never reads or writes any of it.
 pub(crate) struct WindowState {
-    pub(crate) clock: Arc<dyn Clock>,
+    clock: Arc<dyn Clock>,
     pub(crate) window: RollingWindow,
-    pub(crate) slos: Mutex<SloBoard>,
+    slos: Mutex<SloBoard>,
 }
 
 impl WindowState {
