@@ -25,7 +25,12 @@
 //! kernels are built from — wall nanoseconds *and allocator calls* per
 //! op — on a 256-lane block of the Tesla C1060 (the two bank-model
 //! rows, `shared_reduce` and `shared_conflict`, and the
-//! `shared_argmax_tree` collective run on the M2050). The
+//! `shared_argmax_tree` collective run on the M2050). One row times a
+//! whole kernel instead: `dp_tour_tile` is one construction step of the
+//! data-parallel tour kernel with texture loads (Table II row 8) at
+//! n = 100 on the M2050 — one 128-lane tile: the choice pass, the
+//! barrier, the argmax tree, the visited mark and lane 0's tour and
+//! distance accesses — per ant, over `ceil(reps / 99)` ants. The
 //! allocation column is the regression tripwire for the pooled register
 //! file: every row must stay at (or very near) zero allocations per op
 //! once the thread-local pools are warm; a future change that
@@ -46,6 +51,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use aco_bench::json::Json;
+use aco_core::gpu::choice::ChoiceKernel;
+use aco_core::gpu::tour::DataParallelTourKernel;
+use aco_core::gpu::ColonyBuffers;
+use aco_core::AcoParams;
 use aco_simt::prelude::*;
 
 /// Counts every allocator call so the bench can report allocs/op.
@@ -297,7 +306,7 @@ fn run_launches(threads: usize) -> LaunchAllocResult {
 /// single-threaded reference and a forked-shadow run.
 const LAUNCH_THREADS: [usize; 2] = [1, 4];
 
-const OPS: [&str; 16] = [
+const OPS: [&str; 17] = [
     "fmul",
     "fma",
     "fdiv_sfu",
@@ -314,6 +323,7 @@ const OPS: [&str; 16] = [
     "atomic_add",
     "lcg_rng",
     "roulette_loop",
+    "dp_tour_tile",
 ];
 
 struct OpResult {
@@ -433,9 +443,31 @@ fn check(path: &std::path::Path, tolerance: f64, reps: Option<u32>) -> ! {
 /// the data-parallel rows run there.
 fn device_for(op: &str) -> DeviceSpec {
     match op {
-        "shared_reduce" | "shared_argmax_tree" | "shared_conflict" => DeviceSpec::tesla_m2050(),
+        "shared_reduce" | "shared_argmax_tree" | "shared_conflict" | "dp_tour_tile" => {
+            DeviceSpec::tesla_m2050()
+        }
         _ => DeviceSpec::tesla_c1060(),
     }
+}
+
+/// Cities of the `dp_tour_tile` instance: one 128-lane tile per step.
+const DP_CITIES: u32 = 100;
+
+/// The `dp_tour_tile` launch: a row-8 kernel over `ceil(reps / 99)` ants
+/// on a fresh n = 100 colony whose choice table is filled, and its ops
+/// per launch (construction steps over all ants).
+fn dp_tour_kernel(
+    dev: &DeviceSpec,
+    gm: &mut GlobalMem,
+    reps: u32,
+) -> (DataParallelTourKernel, u64) {
+    let steps = DP_CITIES - 1;
+    let ants = reps.div_ceil(steps);
+    let inst = aco_tsp::uniform_random("interp-bench", DP_CITIES as usize, 1000.0, 1);
+    let bufs = ColonyBuffers::allocate(gm, &inst, &AcoParams::default().nn(10).ants(ants as usize));
+    let ck = ChoiceKernel { bufs, alpha: 1.0, beta: 2.0 };
+    launch(dev, &ck.config(), &ck, gm, SimMode::Full).unwrap();
+    (DataParallelTourKernel::new(bufs, true, 7, 0), ants as u64 * steps as u64)
 }
 
 /// Time `op` over `config.trials` trials of 8 launches each; ns/op is
@@ -443,23 +475,31 @@ fn device_for(op: &str) -> DeviceSpec {
 fn run_op(op: &'static str, config: Config) -> OpResult {
     let dev = device_for(op);
     let mut gm = GlobalMem::new();
-    let buf_f = gm.alloc_f32(256);
-    let buf_u = gm.alloc_u32(256);
-    let k = OpKernel { op, reps: config.reps, buf_f, buf_u };
-    // Room for the argmax tree's two 256-word arrays.
-    let cfg = LaunchConfig::new(1, 256).shared(8 * 256);
+    let (k, cfg, ops_per_launch): (Box<dyn Kernel>, LaunchConfig, u64) = if op == "dp_tour_tile" {
+        let (k, ops) = dp_tour_kernel(&dev, &mut gm, config.reps);
+        let cfg = k.config();
+        (Box::new(k), cfg, ops)
+    } else {
+        let buf_f = gm.alloc_f32(256);
+        let buf_u = gm.alloc_u32(256);
+        let k = OpKernel { op, reps: config.reps, buf_f, buf_u };
+        // Room for the argmax tree's two 256-word arrays.
+        let cfg = LaunchConfig::new(1, 256).shared(8 * 256);
+        (Box::new(k), cfg, config.reps as u64)
+    };
+    let k = k.as_ref();
     // Warm-up launch: fills the thread-local pools and caches.
-    launch(&dev, &cfg, &k, &mut gm, SimMode::Full).unwrap();
+    launch(&dev, &cfg, k, &mut gm, SimMode::Full).unwrap();
 
     let rounds = 8u32;
     let trials = config.trials.max(1);
-    let ops_per_trial = (config.reps as u64) * rounds as u64;
+    let ops_per_trial = ops_per_launch * rounds as u64;
     let mut best_ns = f64::INFINITY;
     let before_allocs = ALLOC_CALLS.load(Ordering::Relaxed);
     for _ in 0..trials {
         let t0 = Instant::now();
         for _ in 0..rounds {
-            launch(&dev, &cfg, &k, &mut gm, SimMode::Full).unwrap();
+            launch(&dev, &cfg, k, &mut gm, SimMode::Full).unwrap();
         }
         best_ns = best_ns.min(t0.elapsed().as_nanos() as f64 / ops_per_trial as f64);
     }

@@ -7,13 +7,36 @@
 //! block size are covered by *tiling*: a "partial best" is selected per
 //! tile and the best of the partial bests wins (Section IV-A).
 //!
-//! The per-tile argmax is [`BlockCtx::sh_argmax_tree`], which charges the
-//! written-out level loop's counters in closed form and runs its
-//! comparisons as a host loop.
-//!
 //! The tabu list is bit-packed in registers — one bit per tile per thread
 //! — exactly the paper's scheme, including the integer div/mod it costs to
 //! locate a city's owner thread and tile.
+//!
+//! **What is charged in closed form and what runs for real.** The kernel
+//! is modeled as the op-by-op CUDA it stands for, but only the parts whose
+//! counters depend on the data are interpreted:
+//!
+//! - Each tile is one lane pass, [`BlockCtx::ld_draw_st_tile`]. Its
+//!   arithmetic is charged with [`BlockCtx::charge`]: three splats and the
+//!   select (`Mov`); the city add, tabu shift and mask, index add and
+//!   clamp (`IAlu`); the in-range and unvisited compares (`FAlu`); and the
+//!   product (`FMul`). The collective charges the Park–Miller draw and the
+//!   two lane-indexed shared stores in closed form. The choice load's
+//!   texture or global memory model stays real, per lane and in lane
+//!   order.
+//! - [`BlockCtx::sh_argmax_tree`] charges the written-out level loop's
+//!   counters in closed form and runs its comparisons as a host loop.
+//! - Marking a city visited sets one lane with [`Reg::set_lane`]. It
+//!   charges the owner/tile div-mod, the branch over the block (with its
+//!   one divergent warp, via [`BlockCtx::branch`]), and a splat, an `ior`
+//!   and an assign on the owner's warp.
+//! - These stay real ops: `__syncthreads`, the two uniform shared reads
+//!   of each tile's winner, lane 0's tour stores and distance loads, the
+//!   start draw, and the padding stores.
+//!
+//! Every closed-form counter holds whole numbers, so the batched charges
+//! leave the same bits as the ops would (see [`aco_simt::block`]).
+//! `tests/data_parallel_oracle.rs` keeps the op-by-op kernel and checks
+//! every counter, the modeled time, the tours and the lengths against it.
 //!
 //! Note the selection rule: this is a *stochastically weighted argmax*
 //! (`argmax_j choice[cur][j] * r_j` over unvisited `j`), not the exact
@@ -73,27 +96,22 @@ impl DataParallelTourKernel {
         LaunchConfig::new(self.bufs.m, t).regs(16).shared(2 * t * 4)
     }
 
-    fn load_choice(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem, idx: &Reg<u32>) -> Reg<f32> {
-        if self.texture {
-            ctx.ld_tex_f32(gm, self.bufs.choice, idx)
-        } else {
-            ctx.ld_global_f32(gm, self.bufs.choice, idx)
-        }
-    }
-
     /// Mark `city` visited: its owner thread sets bit `city / T` —
     /// the div/mod arithmetic the paper attributes to the bitwise tabu.
+    /// `if (lane == owner) tabu |= 1 << tile`, charged in closed form.
     fn mark_visited(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem, tabu: &mut Reg<u32>, city: u32) {
         let t = self.block_dim();
         ctx.charge(Op::IDivMod, 2); // owner = city % T, tile = city / T
         let owner = city % t;
         let tile = city / t;
         let owner_mask = ctx.lane_mask(owner);
-        ctx.if_then(gm, &owner_mask, |ctx, _| {
-            let bit = ctx.splat_u32(1 << tile);
-            let updated = ctx.ior(tabu, &bit);
-            ctx.assign_u32(tabu, &updated);
+        ctx.branch(&owner_mask);
+        ctx.with_mask(gm, &owner_mask, |ctx, _| {
+            ctx.charge(Op::Mov, 2); // splat `1 << tile`, assign
+            ctx.charge(Op::IAlu, 1); // ior
         });
+        let owner = owner as usize;
+        tabu.set_lane(owner, tabu.lane(owner) | 1 << tile);
     }
 }
 
@@ -135,40 +153,39 @@ impl Kernel for DataParallelTourKernel {
 
         let mut cur = start;
         let mut len = 0.0f32;
-        let neg = ctx.splat_f32(-1.0);
-        let zero_u = ctx.splat_u32(0);
-        let one_u = ctx.splat_u32(1);
-        let cells_m1 = ctx.splat_u32(n * n - 1);
-        let n_reg = ctx.splat_u32(n);
+        ctx.charge(Op::Mov, 5); // splats of -1, 0, 1, n^2 - 1 and n
+        let last_cell = n * n - 1;
 
         for step in 1..n {
             let mut best_val = f32::NEG_INFINITY;
             let mut best_city = u32::MAX;
 
             for tile in 0..tiles {
-                // city = tile*T + lane
-                let tile_base = ctx.splat_u32(tile * t);
-                let city = ctx.iadd(&tile_base, &lane);
-                let in_range = ctx.ult(&city, &n_reg);
-                // unvisited = bit `tile` of my tabu register is clear
-                let tile_sh = ctx.splat_u32(tile);
-                let shifted = ctx.ishr(&tabu, &tile_sh);
-                let bit = ctx.iand(&shifted, &one_u);
-                let unvis = ctx.ueq(&bit, &zero_u).and(&in_range);
+                // city = tile*T + lane; unvisited = in range and bit `tile`
+                // of my tabu register clear; value = choice[cur*n + city] * r
+                // (clamped index for the out-of-range lanes; their value is
+                // -1 anyway). Then value and city go to shared slot `lane`.
+                ctx.charge(Op::Mov, 4); // splats of tile*T, tile, cur*n; select
+                ctx.charge(Op::IAlu, 5); // city, shift, mask, index, clamp
+                ctx.charge(Op::FAlu, 2); // in range, unvisited
+                ctx.charge(Op::FMul, 1); // choice * r
+                let first = tile * t;
+                let row = cur * n;
+                let tabu = tabu.as_slice();
+                ctx.ld_draw_st_tile(
+                    gm,
+                    self.bufs.choice,
+                    self.texture,
+                    |l| row.wrapping_add(first + l as u32).min(last_cell),
+                    &mut lcg,
+                    (sh_val, sh_idx),
+                    |l, choice, r| {
+                        let city = first + l as u32;
+                        let unvisited = city < n && (tabu[l] >> tile) & 1 == 0;
+                        (if unvisited { choice * r } else { -1.0 }, city)
+                    },
+                );
 
-                // value = choice[cur*n + city] * r  (clamped index for the
-                // out-of-range lanes; their value is masked to -1 anyway)
-                let row = ctx.splat_u32(cur * n);
-                let idx_raw = ctx.iadd(&row, &city);
-                let idx = ctx.imin(&idx_raw, &cells_m1);
-                let c = self.load_choice(ctx, gm, &idx);
-                let r = ctx.lcg_next_f32(&mut lcg);
-                let v = ctx.fmul(&c, &r);
-                let val = ctx.select_f32(&unvis, &v, &neg);
-
-                // Shared-memory argmax reduction over the tile.
-                ctx.sh_st_f32(sh_val, &lane, &val);
-                ctx.sh_st_u32(sh_idx, &lane, &city);
                 ctx.sync_threads();
                 ctx.sh_argmax_tree(sh_val, sh_idx);
                 let tile_val = ctx.sh_ld_f32_uniform(sh_val, 0);

@@ -47,14 +47,18 @@
 //! counters in one step and do its data work as a plain host loop.
 //! [`BlockCtx::sh_argmax_tree`] does this for the data-parallel argmax
 //! tree, and a kernel can do it with [`BlockCtx::charge`] and
-//! [`Reg::set_lane`]. Such a batched charge is exact only for counters
+//! [`Reg::set_lane`]. [`BlockCtx::ld_draw_st_tile`] serves a loop whose
+//! only data-dependent counters are one load's memory model: it runs that
+//! model for real, lane by lane, and charges the rest of the pass in
+//! closed form. Such a batched charge is exact only for counters
 //! that hold whole numbers: instruction counts, issue cycles, shared
 //! accesses, bank replays, branches and barriers all do, and stay far
 //! below 2^53, where every f64 sum of whole numbers is exact in any
 //! grouping. So one add of `k · c` leaves the same bits as `k` adds of
 //! `c`, in any order. A counter that can hold a fraction, such as the
-//! texture path's weighted `mem_warp_instructions`, must still be
-//! charged op by op.
+//! texture path's weighted `mem_warp_instructions` or the
+//! broadcast-camping share of `dram_bytes`, must still be charged op by
+//! op, in program order.
 
 use crate::cache::Cache;
 use crate::coalesce::{coalesce_cc13_half_warp_into, lines_cc20_into, Transaction};
@@ -62,6 +66,7 @@ use crate::device::DeviceSpec;
 use crate::global::{lane_addr, load_at, DevicePtr, GlobalMem, Word};
 use crate::mask::{walk_bits, Mask, WARP};
 use crate::pool::PoolItem;
+use crate::rng::park_miller;
 use crate::shared::{ShPtr, SharedMem};
 use crate::stats::KernelStats;
 
@@ -790,6 +795,17 @@ impl<'a> BlockCtx<'a> {
         self.shared.load(ptr.word_addr(idx))
     }
 
+    /// Bank-conflict replays of one shared access by lanes `0..lanes`
+    /// to contiguous words: each conflict group holds `k` contiguous words,
+    /// `ceil(k / banks)` of them in its busiest bank (1 on both modeled
+    /// devices), so it replays `ceil(k / banks) - 1` times.
+    fn contiguous_bank_extra(&self, lanes: u32) -> u32 {
+        let warp = WARP as u32;
+        let group = if self.device.compute_capability.is_fermi() { warp } else { warp / 2 };
+        let banks = self.device.shared_banks;
+        (0..lanes).step_by(group as usize).map(|g| (lanes - g).min(group).div_ceil(banks) - 1).sum()
+    }
+
     /// Shared-memory argmax tree over the first `block_dim` slots of
     /// `vals`/`idxs`, in place: at each level `s = block_dim/2, …, 1`,
     /// lane `l < s` takes slot `l + s` when its value is strictly greater
@@ -816,8 +832,6 @@ impl<'a> BlockCtx<'a> {
         let c = |op| op_cycles(self.device, op) as f64;
         let warp = WARP as u32;
         let block_warps = t.div_ceil(warp) as f64;
-        let group = if self.device.compute_capability.is_fermi() { warp } else { warp / 2 };
-        let banks = self.device.shared_banks;
         let (mut instr, mut cycles) = (0.0, 0.0);
         let mut s = t / 2;
         while s >= 1 {
@@ -825,12 +839,7 @@ impl<'a> BlockCtx<'a> {
             instr += 4.0 * block_warps + 10.0 * lo_warps;
             cycles += block_warps * (c(Op::Mov) + c(Op::FAlu) + c(Op::Branch) + c(Op::Bar))
                 + lo_warps * (c(Op::IAlu) + 6.0 * c(Op::Shared) + c(Op::FAlu) + 2.0 * c(Op::Mov));
-            // Each access's conflict group holds `k` contiguous words:
-            // ceil(k / banks) of them per bank (1 on both modeled devices).
-            let extra: u32 = (0..s)
-                .step_by(group as usize)
-                .map(|g| (s - g).min(group).div_ceil(banks) - 1)
-                .sum();
+            let extra = self.contiguous_bank_extra(s);
             self.stats.bank_conflict_extra += 6.0 * extra as f64;
             cycles += 6.0 * extra as f64 * c(Op::Shared);
             self.stats.shared_accesses += 6.0 * s as f64;
@@ -1005,29 +1014,85 @@ impl<'a> BlockCtx<'a> {
         let idx = &idx.0[..active.len()];
         let mut out = f32::take(active.len());
         let o = &mut out[..active.len()];
-        let stats = &mut *self.stats;
-        let tex = &mut *self.tex;
-        let line_bytes = tex.line_bytes() as f64;
-        let (mut hits, mut misses) = (0u64, 0u64);
-        active.for_each_lane(|lane| {
-            if tex.access(lane_addr(base, idx[lane])) {
-                hits += 1;
-            } else {
-                misses += 1;
-                stats.dram_bytes += line_bytes;
-            }
+        tex_lanes(self.stats, self.tex, active, base, idx, |lane| {
             o[lane] = load_at(data, ptr.id, idx[lane] as usize);
         });
-        // These counters only ever hold whole numbers far below 2^53, so
-        // adding the op's count once is exact: the same bits as adding 1.0
-        // per lane.
-        stats.tex_hits += hits as f64;
-        stats.tex_misses += misses as f64;
-        stats.ld_transactions += misses as f64;
-        let total = (hits + misses).max(1) as f64;
-        let weight = 0.35 + 0.65 * misses as f64 / total;
-        stats.mem_warp_instructions += active.active_warps() as f64 * weight;
         Reg(out)
+    }
+
+    /// One tile of a data-parallel choice pass as a single lane pass. For
+    /// every lane `l` of the block, in lane order: load `src[idx(l)]` —
+    /// through the texture cache when `texture`, else as a global load —
+    /// advance lane `l`'s Park–Miller state in `rng` once, and store the
+    /// `(key, tag)` that `f(l, value, draw)` returns at slot `l` of `keys`
+    /// and `tags`.
+    ///
+    /// The counters are exactly those of the op-by-op sequence it stands
+    /// for: [`BlockCtx::ld_tex_f32`] or [`BlockCtx::ld_global_f32`] with
+    /// the indices `idx(l)`, [`BlockCtx::lcg_next_f32`], then
+    /// [`BlockCtx::sh_st_f32`] and [`BlockCtx::sh_st_u32`] at
+    /// [`BlockCtx::thread_idx`]. The load's memory model is the only part
+    /// whose counters depend on the data, so it runs for real: the texture
+    /// cache per lane in the same pass as the draw, the global coalescing
+    /// or L1 model per warp just before it; its fractional counters (the
+    /// texture weight, the broadcast-camping factor) are added once per
+    /// call, as the load adds them. The draw and the two stores, contiguous
+    /// words with bank degree `ceil(k / banks)` per conflict group, are
+    /// charged in closed form. The caller charges the arithmetic `f` stands
+    /// for.
+    ///
+    /// Panics unless every lane is active and both arrays hold
+    /// `block_dim` slots.
+    #[allow(clippy::too_many_arguments)]
+    pub fn ld_draw_st_tile(
+        &mut self,
+        gm: &GlobalMem,
+        src: DevicePtr<f32>,
+        texture: bool,
+        idx: impl Fn(usize) -> u32,
+        rng: &mut Reg<u32>,
+        (keys, tags): (ShPtr<f32>, ShPtr<u32>),
+        mut f: impl FnMut(usize, f32, f32) -> (f32, u32),
+    ) {
+        let t = self.block_dim as usize;
+        assert!(self.active().is_full(), "a choice tile needs every lane of the block active");
+        assert!(
+            keys.len() >= t && tags.len() >= t,
+            "a choice tile needs block_dim slots in both arrays"
+        );
+        let ix = self.map_lanes(idx);
+        let (base, data) = gm.view(src);
+        if texture {
+            self.charge(Op::MemIssue, 1);
+        } else {
+            self.charge_global_access(base, &ix, false);
+        }
+        let state = &mut rng.0[..t];
+        let (key_words, tag_words) = self.shared.two_mut(keys, tags, t);
+        let ixs = &ix.0[..t];
+        let mut lane = |l: usize| {
+            let value = load_at(data, src.id, ixs[l] as usize);
+            let (key, tag) = f(l, value, pm_draw(&mut state[l]));
+            key_words[l] = key.to_bits();
+            tag_words[l] = tag;
+        };
+        if texture {
+            let active = self.mask_stack.last().expect("mask stack never empty");
+            tex_lanes(self.stats, self.tex, active, base, ixs, lane);
+        } else {
+            (0..t).for_each(&mut lane);
+        }
+        // The draw, as `lcg_next_f32` charges it.
+        self.charge(Op::IAlu, 4);
+        self.charge(Op::FMul, 1);
+        self.stats.rng_calls += t as f64;
+        // The two stores, as `charge_shared` charges contiguous slots.
+        self.charge(Op::Shared, 2);
+        self.stats.shared_accesses += 2.0 * t as f64;
+        let extra = 2.0 * self.contiguous_bank_extra(t as u32) as f64;
+        self.stats.bank_conflict_extra += extra;
+        self.stats.issue_cycles_per_sm[self.sm_id] +=
+            extra * op_cycles(self.device, Op::Shared) as f64;
     }
 
     /// Atomic `tau[idx] += val` with intra-warp serialization. On devices
@@ -1090,11 +1155,7 @@ impl<'a> BlockCtx<'a> {
         self.charge(Op::IAlu, 4); // mul.lo, mul.hi, fold, conditional add
         self.charge(Op::FMul, 1); // scale to [0,1)
         let state = &mut state.0[..self.active().len()];
-        let out = self.map_lanes(|l| {
-            let s = crate::rng::park_miller(state[l]);
-            state[l] = s;
-            s as f32 / 2_147_483_647.0
-        });
+        let out = self.map_lanes(|l| pm_draw(&mut state[l]));
         self.stats.rng_calls += self.active().count() as f64;
         out
     }
@@ -1143,4 +1204,44 @@ impl<'a> BlockCtx<'a> {
     pub fn shared_used_bytes(&self) -> u32 {
         self.shared.used_bytes()
     }
+}
+
+/// One Park–Miller step of a lane's state and its draw in `[0, 1)`.
+#[inline(always)]
+fn pm_draw(state: &mut u32) -> f32 {
+    *state = park_miller(*state);
+    *state as f32 / 2_147_483_647.0
+}
+
+/// The texture cache model of one load over the `active` lanes, in lane
+/// order: each lane's cache access, then `each(lane)`; then the op's hit,
+/// miss and transaction counts and its weighted memory instruction.
+fn tex_lanes(
+    stats: &mut KernelStats,
+    tex: &mut Cache,
+    active: &Mask,
+    base: u64,
+    idx: &[u32],
+    mut each: impl FnMut(usize),
+) {
+    let line_bytes = tex.line_bytes() as f64;
+    let (mut hits, mut misses) = (0u64, 0u64);
+    active.for_each_lane(|lane| {
+        if tex.access(lane_addr(base, idx[lane])) {
+            hits += 1;
+        } else {
+            misses += 1;
+            stats.dram_bytes += line_bytes;
+        }
+        each(lane);
+    });
+    // These counters only ever hold whole numbers far below 2^53, so
+    // adding the op's count once is exact: the same bits as adding 1.0
+    // per lane.
+    stats.tex_hits += hits as f64;
+    stats.tex_misses += misses as f64;
+    stats.ld_transactions += misses as f64;
+    let total = (hits + misses).max(1) as f64;
+    let weight = 0.35 + 0.65 * misses as f64 / total;
+    stats.mem_warp_instructions += active.active_warps() as f64 * weight;
 }

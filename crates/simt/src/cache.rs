@@ -9,6 +9,15 @@
 //! of two) and the set index is `SetIndex::of`, one exact remainder by
 //! multiplication that serves every set count alike, so a 48-set Fermi L1
 //! indexes the same way as a 32-set texture cache.
+//!
+//! **Repeat-line rule.** An access to the line the previous access touched
+//! is a hit, on the most recent way of its set, and refreshing that way's
+//! stamp cannot change which way of the set is oldest. So such an access
+//! only counts the hit: no set lookup, no stamp. Consecutive lanes of a
+//! contiguous load fall in one line most of the time (8 f32 lanes per
+//! 32-byte texture line), so most accesses take this path. The hit/miss
+//! sequence, the counters and every later victim are those of the full
+//! lookup.
 
 /// Set-associative LRU cache over byte addresses.
 #[derive(Debug, Clone)]
@@ -22,6 +31,8 @@ pub struct Cache {
     /// LRU stamps parallel to `tags` (larger = more recent).
     stamps: Vec<u64>,
     tick: u64,
+    /// Line of the previous access, if any since the last `reset`.
+    last_line: Option<u64>,
     hits: u64,
     misses: u64,
 }
@@ -44,6 +55,7 @@ impl Cache {
             tags: vec![u64::MAX; sets * ways],
             stamps: vec![0; sets * ways],
             tick: 0,
+            last_line: None,
             hits: 0,
             misses: 0,
         }
@@ -54,14 +66,29 @@ impl Cache {
         1 << self.line_shift
     }
 
-    /// Access `addr`; returns `true` on hit. Misses fill the line.
+    /// Access `addr`; returns `true` on hit. Misses fill the line. A
+    /// repeat of the previous access's line is a hit with no lookup (see
+    /// the module docs).
+    #[inline(always)]
     pub fn access(&mut self, addr: u64) -> bool {
+        let line = addr >> self.line_shift;
+        if self.last_line == Some(line) {
+            self.hits += 1;
+            return true;
+        }
+        self.lookup(line)
+    }
+
+    /// The set lookup of an access that does not repeat the previous line
+    /// (kept out of line so the repeat check inlines into lane loops).
+    #[inline(never)]
+    fn lookup(&mut self, line: u64) -> bool {
         if self.sets == 0 {
             self.misses += 1;
             return false;
         }
+        self.last_line = Some(line);
         self.tick += 1;
-        let line = addr >> self.line_shift;
         let set = self.set_index.of(line) as usize;
         let base = set * self.ways;
         // Hit?
@@ -95,6 +122,7 @@ impl Cache {
         self.tags.fill(u64::MAX);
         self.stamps.fill(0);
         self.tick = 0;
+        self.last_line = None;
         self.hits = 0;
         self.misses = 0;
     }
@@ -191,6 +219,127 @@ mod tests {
                 assert_eq!(index.of(line), line % sets, "{line} % {sets}");
             }
         }
+    }
+
+    /// The lookup without the repeat-line path: every access scans its
+    /// set and restamps the way it hits or fills.
+    struct ReferenceLru {
+        line_shift: u32,
+        sets: u64,
+        ways: usize,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl ReferenceLru {
+        fn new(capacity_bytes: u64, line_bytes: u64, ways: usize) -> Self {
+            let lines = (capacity_bytes / line_bytes) as usize;
+            let sets = (lines / ways).max(if lines == 0 { 0 } else { 1 });
+            ReferenceLru {
+                line_shift: line_bytes.trailing_zeros(),
+                sets: sets as u64,
+                ways,
+                tags: vec![u64::MAX; sets * ways],
+                stamps: vec![0; sets * ways],
+                tick: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            if self.sets == 0 {
+                self.misses += 1;
+                return false;
+            }
+            self.tick += 1;
+            let line = addr >> self.line_shift;
+            let base = (line % self.sets) as usize * self.ways;
+            for way in 0..self.ways {
+                if self.tags[base + way] == line {
+                    self.stamps[base + way] = self.tick;
+                    self.hits += 1;
+                    return true;
+                }
+            }
+            let mut victim = 0;
+            for way in 1..self.ways {
+                if self.stamps[base + way] < self.stamps[base + victim] {
+                    victim = way;
+                }
+            }
+            self.tags[base + victim] = line;
+            self.stamps[base + victim] = self.tick;
+            self.misses += 1;
+            false
+        }
+    }
+
+    /// Address streams that exercise the repeat-line path and the full
+    /// lookup alike: random addresses over a few times the capacity,
+    /// strides below, at and above a line, and runs of one address.
+    fn streams(capacity: u64) -> Vec<(String, Vec<u64>)> {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let span = 4 * capacity.max(64);
+        let mut out = vec![("random".to_string(), (0..4000).map(|_| next() % span).collect())];
+        for stride in [4, 12, 32, 36, 128, 4096] {
+            let addrs = (0..4000u64).map(|i| (i * stride) % span).collect();
+            out.push((format!("stride {stride}"), addrs));
+        }
+        let repeating = (0..4000u64).map(|i| (i / 5) * 4 % span).collect();
+        out.push(("runs of 5".to_string(), repeating));
+        let mixed =
+            (0..4000).map(|i| if i % 3 == 2 { next() % span } else { (i / 2) * 4 }).collect();
+        out.push(("pairs between random".to_string(), mixed));
+        out
+    }
+
+    #[test]
+    fn repeat_line_path_matches_the_reference_lru() {
+        for (line, ways, sets) in [(32, 8, 1), (32, 8, 32), (128, 8, 48), (32, 1, 32)] {
+            let capacity = line * ways as u64 * sets;
+            for (name, addrs) in streams(capacity) {
+                let mut fast = Cache::new(capacity, line, ways);
+                let mut reference = ReferenceLru::new(capacity, line, ways);
+                for (i, &a) in addrs.iter().enumerate() {
+                    let want = reference.access(a);
+                    assert_eq!(fast.access(a), want, "{sets} sets, {name}: access {i} ({a:#x})");
+                }
+                assert_eq!(
+                    fast.counters(),
+                    (reference.hits, reference.misses),
+                    "{sets} sets, {name}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reset_forgets_the_repeat_line() {
+        let mut c = Cache::new(1024, 32, 4);
+        assert!(!c.access(64));
+        assert!(c.access(68));
+        c.reset();
+        assert!(!c.access(68), "the line was flushed, so its repeat must miss");
+        assert_eq!(c.counters(), (0, 1));
+    }
+
+    #[test]
+    fn zero_capacity_misses_repeats_too() {
+        let mut c = Cache::new(0, 32, 4);
+        for _ in 0..4 {
+            assert!(!c.access(8));
+        }
+        assert_eq!(c.counters(), (0, 4));
     }
 
     #[test]

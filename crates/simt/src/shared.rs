@@ -82,6 +82,23 @@ impl SharedMem {
     pub(crate) fn store(&mut self, word: u32, val: u32) {
         self.words[word as usize] = val;
     }
+
+    /// The first `n` words of two distinct arrays, both writable at once.
+    pub(crate) fn two_mut<A, B>(
+        &mut self,
+        a: ShPtr<A>,
+        b: ShPtr<B>,
+        n: usize,
+    ) -> (&mut [u32], &mut [u32]) {
+        let (a, b) = (a.off_words as usize, b.off_words as usize);
+        if a < b {
+            let (lo, hi) = self.words.split_at_mut(b);
+            (&mut lo[a..a + n], &mut hi[..n])
+        } else {
+            let (lo, hi) = self.words.split_at_mut(a);
+            (&mut hi[..n], &mut lo[b..b + n])
+        }
+    }
 }
 
 #[cfg(test)]

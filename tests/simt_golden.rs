@@ -13,12 +13,14 @@
 //!
 //! A mismatch prints every fingerprint of the run, so an intended change
 //! of the model can be re-recorded in one step. The small instance and a
-//! two-tile data-parallel case (n = 300) run in the debug tier; the
+//! two-tile data-parallel case (n = 300) run in the debug tier, as do
+//! three data-parallel tile layouts `run_tour` does not pick; the
 //! paper-sized ones are `#[ignore]`d for release
 //! (`cargo test --release --test simt_golden -- --include-ignored`).
 
 use aco_gpu::core::gpu::acs::{AcsGlobalUpdateKernel, AcsTourKernel};
 use aco_gpu::core::gpu::choice::ChoiceKernel;
+use aco_gpu::core::gpu::tour::DataParallelTourKernel;
 use aco_gpu::core::gpu::{
     run_pheromone, run_tour, ColonyBuffers, GpuAntColonySystem, PheromoneStrategy, TourStrategy,
 };
@@ -277,6 +279,37 @@ fn two_tile_fingerprints() -> Vec<(String, u64)> {
     out
 }
 
+/// The data-parallel tile layouts `run_tour` does not reach: row 8 in
+/// four 32-lane tiles (n = 100) and in one 512-lane tile (n = 300), and
+/// plain row 7 at n = 33, whose last warp's clamped choice indices can
+/// all be `n² − 1` (the broadcast-camping path).
+fn tile_layout_fingerprints() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for dev in devices() {
+        let tag = device_tag(&dev);
+        for (n, block) in [(100, 32), (300, 512)] {
+            let inst = instance(n);
+            let (mut gm, bufs) = colony(&inst, 3);
+            let ck = ChoiceKernel { bufs, alpha: 1.0, beta: 2.0 };
+            let mut fp = Fp::new();
+            launch_fp(&mut fp, &launch(&dev, &ck.config(), &ck, &mut gm, SimMode::Full).unwrap());
+            let k = DataParallelTourKernel {
+                bufs,
+                texture: true,
+                seed: 11,
+                iteration: 0,
+                block_override: Some(block),
+            };
+            launch_fp(&mut fp, &launch(&dev, &k.config(), &k, &mut gm, SimMode::Full).unwrap());
+            fp.memory(&gm, bufs);
+            out.push((format!("{tag}/tour/DataParallelTex/n{n}/block{block}"), fp.0));
+        }
+        let fp = tour_fp(&dev, &instance(33), 4, TourStrategy::DataParallel);
+        out.push((format!("{tag}/tour/DataParallel/n33"), fp));
+    }
+    out
+}
+
 fn check(n: usize, m: usize, expected: &[(&str, u64)]) {
     compare(&format!("n={n} m={m}"), fingerprints(n, m), expected);
 }
@@ -307,6 +340,11 @@ fn small_instance_counters_are_golden() {
 #[test]
 fn two_tile_data_parallel_counters_are_golden() {
     compare("n=300 m=2", two_tile_fingerprints(), GOLDEN_TWO_TILE);
+}
+
+#[test]
+fn tile_layout_counters_are_golden() {
+    compare("tile layouts", tile_layout_fingerprints(), GOLDEN_TILE_LAYOUTS);
 }
 
 #[test]
@@ -438,4 +476,15 @@ const GOLDEN_TWO_TILE: &[(&str, u64)] = &[
     ("c1060/tour/DataParallelTex", 0x84b516f18c0f017e),
     ("m2050/tour/DataParallel", 0xbecdbe2346536a2a),
     ("m2050/tour/DataParallelTex", 0x164bf95491c9bdc1),
+];
+
+// Recorded on the op-by-op construction tile (one lane-wise op per index,
+// tabu, load, draw, product and select step).
+const GOLDEN_TILE_LAYOUTS: &[(&str, u64)] = &[
+    ("c1060/tour/DataParallelTex/n100/block32", 0xa40e44fab24a0b8b),
+    ("c1060/tour/DataParallelTex/n300/block512", 0x44c837731e8a10a8),
+    ("c1060/tour/DataParallel/n33", 0xbca8f06e1de8aa8e),
+    ("m2050/tour/DataParallelTex/n100/block32", 0x4826e08714dd0d99),
+    ("m2050/tour/DataParallelTex/n300/block512", 0x4e88ce3bd8a1489f),
+    ("m2050/tour/DataParallel/n33", 0x44d713e8da8e677d),
 ];
