@@ -14,8 +14,9 @@
 //! A mismatch prints every fingerprint of the run, so an intended change
 //! of the model can be re-recorded in one step. The small instance and a
 //! two-tile data-parallel case (n = 300) run in the debug tier, as do
-//! three data-parallel tile layouts `run_tour` does not pick; the
-//! paper-sized ones are `#[ignore]`d for release
+//! three data-parallel tile layouts `run_tour` does not pick and the
+//! task-parallel layouts the sizes above miss (bit-packed shared tabu,
+//! partial last block and warp, sampled blocks); the paper-sized ones are `#[ignore]`d for release
 //! (`cargo test --release --test simt_golden -- --include-ignored`).
 
 use aco_gpu::core::gpu::acs::{AcsGlobalUpdateKernel, AcsTourKernel};
@@ -152,8 +153,19 @@ fn device_tag(dev: &DeviceSpec) -> &'static str {
 
 /// One Table II row on a fresh colony: its counters, modeled ms and memory.
 fn tour_fp(dev: &DeviceSpec, inst: &tsp::TspInstance, m: usize, strategy: TourStrategy) -> u64 {
+    tour_fp_in(dev, inst, m, strategy, SimMode::Full)
+}
+
+/// [`tour_fp`] with the construction kernel launched in `mode`.
+fn tour_fp_in(
+    dev: &DeviceSpec,
+    inst: &tsp::TspInstance,
+    m: usize,
+    strategy: TourStrategy,
+    mode: SimMode,
+) -> u64 {
     let (mut gm, bufs) = colony(inst, m);
-    let run = run_tour(dev, &mut gm, bufs, strategy, 1.0, 2.0, 11, 0, SimMode::Full).unwrap();
+    let run = run_tour(dev, &mut gm, bufs, strategy, 1.0, 2.0, 11, 0, mode).unwrap();
     let mut fp = Fp::new();
     fp.stats(&run.stats);
     fp.time(&run.tour_time);
@@ -310,6 +322,32 @@ fn tile_layout_fingerprints() -> Vec<(String, u64)> {
     out
 }
 
+/// The task-parallel layouts (rows 1–6) the other entries miss: rows 5–6
+/// on the C1060 at n = 150, where 32 ants × 150 cities × 4 B exceed its
+/// 16 KB and the shared tabu is bit-packed; every row with a partial last
+/// block and warp (m = 40); and every row under block sampling with at
+/// least four blocks (m = 400: four 128-ant blocks, thirteen 32-ant ones).
+fn task_layout_fingerprints() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    let c1060 = DeviceSpec::tesla_c1060();
+    for strategy in [TourStrategy::NNListShared, TourStrategy::NNListSharedTex] {
+        let fp = tour_fp(&c1060, &instance(150), 8, strategy);
+        out.push((format!("c1060/tour/{strategy:?}/n150"), fp));
+    }
+    for dev in devices() {
+        let tag = device_tag(&dev);
+        for strategy in &TourStrategy::ALL[..6] {
+            let fp = tour_fp(&dev, &instance(30), 40, *strategy);
+            out.push((format!("{tag}/tour/{strategy:?}/m40"), fp));
+        }
+        for strategy in &TourStrategy::ALL[..6] {
+            let fp = tour_fp_in(&dev, &instance(16), 400, *strategy, SimMode::SampleBlocks(2));
+            out.push((format!("{tag}/tour/{strategy:?}/sampled"), fp));
+        }
+    }
+    out
+}
+
 fn check(n: usize, m: usize, expected: &[(&str, u64)]) {
     compare(&format!("n={n} m={m}"), fingerprints(n, m), expected);
 }
@@ -345,6 +383,11 @@ fn two_tile_data_parallel_counters_are_golden() {
 #[test]
 fn tile_layout_counters_are_golden() {
     compare("tile layouts", tile_layout_fingerprints(), GOLDEN_TILE_LAYOUTS);
+}
+
+#[test]
+fn task_layout_counters_are_golden() {
+    compare("task layouts", task_layout_fingerprints(), GOLDEN_TASK_LAYOUTS);
 }
 
 #[test]
@@ -487,4 +530,35 @@ const GOLDEN_TILE_LAYOUTS: &[(&str, u64)] = &[
     ("m2050/tour/DataParallelTex/n100/block32", 0x4826e08714dd0d99),
     ("m2050/tour/DataParallelTex/n300/block512", 0x4e88ce3bd8a1489f),
     ("m2050/tour/DataParallel/n33", 0x44d713e8da8e677d),
+];
+
+// Recorded on the op-by-op task kernel (every probability, candidate,
+// fallback and tabu step as lane-wise ops).
+const GOLDEN_TASK_LAYOUTS: &[(&str, u64)] = &[
+    ("c1060/tour/NNListShared/n150", 0xad8239f1e1c3810c),
+    ("c1060/tour/NNListSharedTex/n150", 0xeb8a41b07f2a91c1),
+    ("c1060/tour/Baseline/m40", 0xf211852350334b4b),
+    ("c1060/tour/ChoiceKernel/m40", 0xddcf13ac8a20dd0d),
+    ("c1060/tour/DeviceRng/m40", 0xdd461f2e1ca46ec2),
+    ("c1060/tour/NNList/m40", 0x946c7e181bfbec4b),
+    ("c1060/tour/NNListShared/m40", 0x40de2910c1b4874f),
+    ("c1060/tour/NNListSharedTex/m40", 0xc13b73cef08df01e),
+    ("c1060/tour/Baseline/sampled", 0x107b0e8c5a746648),
+    ("c1060/tour/ChoiceKernel/sampled", 0x6de900ddad0f184a),
+    ("c1060/tour/DeviceRng/sampled", 0xe1a8abb8cb087b36),
+    ("c1060/tour/NNList/sampled", 0xe82bb9ebebd4aa62),
+    ("c1060/tour/NNListShared/sampled", 0x5ecd60607a3920d7),
+    ("c1060/tour/NNListSharedTex/sampled", 0xab6640b95d106fc9),
+    ("m2050/tour/Baseline/m40", 0x0df863728d94e9b9),
+    ("m2050/tour/ChoiceKernel/m40", 0xd779a7a27befdb24),
+    ("m2050/tour/DeviceRng/m40", 0x3b720898d59f6a62),
+    ("m2050/tour/NNList/m40", 0xdee0aed4a11a74a6),
+    ("m2050/tour/NNListShared/m40", 0xf6d285da9e0db728),
+    ("m2050/tour/NNListSharedTex/m40", 0x5f9b26133199e5aa),
+    ("m2050/tour/Baseline/sampled", 0xefc59a698bc2af37),
+    ("m2050/tour/ChoiceKernel/sampled", 0xc7e47bb29c0f1ca6),
+    ("m2050/tour/DeviceRng/sampled", 0xa03d1c147c60d5aa),
+    ("m2050/tour/NNList/sampled", 0x24a5d9ce183861e8),
+    ("m2050/tour/NNListShared/sampled", 0x373cb951483ed1e4),
+    ("m2050/tour/NNListSharedTex/sampled", 0xa14f5828fbf13866),
 ];
