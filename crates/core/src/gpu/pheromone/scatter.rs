@@ -17,9 +17,9 @@
 //! Evaporation is fused into the same kernel (each thread owns its cell).
 //!
 //! **Host cost.** Every lane runs the same branch-free match per tour
-//! step, so its counters do not depend on the data: they are charged once
-//! per staged tile (once per ant in the plain row) as `count × steps`,
-//! and each step's deposit is added only to the lanes that own the edge's
+//! step, so its counters do not depend on the data: each staged tile
+//! (each ant in the plain row) charges them as one lane pass whose tally
+//! is one step's match times the steps, and each step's deposit is added only to the lanes that own the edge's
 //! cells — `(c0, c1)` and `(c1, c0)`, or the one upper-triangle cell of
 //! the reduced row. This is exact. Each charge is a whole number of
 //! cycles and instructions (see the `aco_simt::block` docs). `acc` starts
@@ -128,7 +128,7 @@ impl ScatterGatherKernel {
                 let c1 = ctx.ld_global_u32(gm, self.bufs.tours, &i1);
                 self.deposit(ctx, &mut acc, c0.lane(0), c1.lane(0), &delta);
             }
-            charge_match(ctx, n, false);
+            ctx.lane_pass(MATCH.times(n as u64));
         }
         acc
     }
@@ -170,7 +170,7 @@ impl ScatterGatherKernel {
                     let c1 = ctx.sh_ld_u32_uniform(sh, s + 1);
                     self.deposit(ctx, &mut acc, c0, c1, &delta);
                 }
-                charge_match(ctx, upto, true);
+                ctx.lane_pass(MATCH.plus(STAGED).times(upto as u64));
                 ctx.sync_threads();
             }
         }
@@ -201,15 +201,12 @@ impl ScatterGatherKernel {
     }
 }
 
-/// Charge `steps` tour steps of the branch-free edge match: 4 compares,
-/// 3 predicate ops, a zero splat, a select and an `fadd`, after 2 splats
-/// of the edge's cities when they come from a staged tile.
-fn charge_match(ctx: &mut BlockCtx, steps: u32, staged: bool) {
-    let steps = steps as u64;
-    ctx.charge(Op::Mov, if staged { 4 } else { 2 } * steps);
-    ctx.charge(Op::FAlu, 5 * steps);
-    ctx.charge(Op::IAlu, 3 * steps);
-}
+/// One tour step of the branch-free edge match: 4 compares, 3 predicate
+/// ops, a zero splat, a select and an `fadd`.
+const MATCH: Tally = Tally::NONE.op(Op::Mov, 2).op(Op::FAlu, 5).op(Op::IAlu, 3);
+
+/// The 2 splats of the edge's cities when they come from a staged tile.
+const STAGED: Tally = Tally::NONE.op(Op::Mov, 2);
 
 impl Kernel for ScatterGatherKernel {
     fn name(&self) -> &'static str {

@@ -15,28 +15,29 @@
 //! is modeled as the op-by-op CUDA it stands for, but only the parts whose
 //! counters depend on the data are interpreted:
 //!
-//! - Each tile is one lane pass, [`BlockCtx::ld_draw_st_tile`]. Its
-//!   arithmetic is charged with [`BlockCtx::charge`]: three splats and the
-//!   select (`Mov`); the city add, tabu shift and mask, index add and
-//!   clamp (`IAlu`); the in-range and unvisited compares (`FAlu`); and the
-//!   product (`FMul`). The collective charges the Park–Miller draw and the
-//!   two lane-indexed shared stores in closed form. The choice load's
-//!   texture or global memory model stays real, per lane and in lane
-//!   order.
+//! - Each tile is one lane pass ([`BlockCtx::lane_pass`]). Its tally:
+//!   three splats and the select (`Mov`); the city add, tabu shift and
+//!   mask, index add and clamp (`IAlu`); the in-range and unvisited
+//!   compares (`FAlu`); the product (`FMul`); and the Park–Miller draw.
+//!   The choice load (texture or global) and the two thread-indexed
+//!   shared stores run through their memory models.
 //! - [`BlockCtx::sh_argmax_tree`] charges the written-out level loop's
 //!   counters in closed form and runs its comparisons as a host loop.
 //! - Marking a city visited sets one lane with [`Reg::set_lane`]. It
 //!   charges the owner/tile div-mod, the branch over the block (with its
 //!   one divergent warp, via [`BlockCtx::branch`]), and a splat, an `ior`
 //!   and an assign on the owner's warp.
+//! - Each step's lane-0 work is a lane pass under the lane-0 branch: four
+//!   splats over the block, then the tour store and the distance load
+//!   through their memory models and the assign.
 //! - These stay real ops: `__syncthreads`, the two uniform shared reads
-//!   of each tile's winner, lane 0's tour stores and distance loads, the
-//!   start draw, and the padding stores.
+//!   of each tile's winner, the start draw, the closing edge and the
+//!   padding stores.
 //!
 //! Every closed-form counter holds whole numbers, so the batched charges
 //! leave the same bits as the ops would (see [`aco_simt::block`]).
-//! `tests/data_parallel_oracle.rs` keeps the op-by-op kernel and checks
-//! every counter, the modeled time, the tours and the lengths against it.
+//! `tests/lane_pass_oracle.rs` keeps the op-by-op kernel and checks every
+//! counter, the modeled time, the tours and the lengths against it.
 //!
 //! Note the selection rule: this is a *stochastically weighted argmax*
 //! (`argmax_j choice[cur][j] * r_j` over unvisited `j`), not the exact
@@ -45,9 +46,16 @@
 //! quality experiments in `crate::quality` quantify that claim.
 
 use aco_simt::prelude::*;
-use aco_simt::rng::PmRng;
+use aco_simt::rng::{pm_draw, PmRng};
 
 use crate::gpu::buffers::ColonyBuffers;
+
+/// One construction tile's data-independent instructions: splats of
+/// `tile*T`, `tile` and `cur*n` and the select; the city add, tabu shift
+/// and mask, index add and clamp; the in-range and unvisited compares;
+/// the product `choice * r`; and the draw of `r`.
+const TILE: Tally =
+    Tally::NONE.op(Op::Mov, 4).op(Op::IAlu, 5).op(Op::FAlu, 2).op(Op::FMul, 1).draws(1);
 
 /// The data-parallel construction kernel.
 pub struct DataParallelTourKernel {
@@ -107,11 +115,32 @@ impl DataParallelTourKernel {
         let owner_mask = ctx.lane_mask(owner);
         ctx.branch(&owner_mask);
         ctx.with_mask(gm, &owner_mask, |ctx, _| {
-            ctx.charge(Op::Mov, 2); // splat `1 << tile`, assign
-            ctx.charge(Op::IAlu, 1); // ior
+            // A splat of `1 << tile`, the `ior` and the assign.
+            ctx.lane_pass(Tally::NONE.op(Op::Mov, 2).op(Op::IAlu, 1));
         });
         let owner = owner as usize;
         tabu.set_lane(owner, tabu.lane(owner) | 1 << tile);
+    }
+
+    /// Lane 0 stores `city` at tour slot `pos` and adds the distance at
+    /// `didx` to `len`: splats of the slot, the city, the distance index
+    /// and a zero over the block, then the branch to lane 0, the store,
+    /// the load and its assign.
+    fn lane0_step(
+        &self,
+        ctx: &mut BlockCtx,
+        gm: &mut GlobalMem,
+        (pos, city): (u32, u32),
+        didx: u32,
+        len: &mut f32,
+    ) {
+        ctx.charge(Op::Mov, 4);
+        let lane0 = ctx.lane_mask(0);
+        ctx.if_then(gm, &lane0, |ctx, gm| {
+            let mut pass = ctx.lane_pass(Tally::NONE.op(Op::Mov, 1));
+            pass.st_global_u32(gm, self.bufs.tours, |_| pos, |_| city);
+            pass.ld_f32(gm, self.bufs.dist, false, |_| didx, |_, d| *len += d);
+        });
     }
 }
 
@@ -139,6 +168,8 @@ impl Kernel for DataParallelTourKernel {
         };
         // Per-lane bit-packed tabu: bit `k` = "my city in tile k visited".
         let mut tabu = ctx.splat_u32(0);
+        // Each lane's key for the argmax tree, rewritten by every tile.
+        let mut vals = ctx.lane_pass(Tally::NONE).reg(|_| 0.0f32);
 
         // Random start city from lane 0's stream.
         let r0 = ctx.lcg_next_f32(&mut lcg);
@@ -165,26 +196,20 @@ impl Kernel for DataParallelTourKernel {
                 // of my tabu register clear; value = choice[cur*n + city] * r
                 // (clamped index for the out-of-range lanes; their value is
                 // -1 anyway). Then value and city go to shared slot `lane`.
-                ctx.charge(Op::Mov, 4); // splats of tile*T, tile, cur*n; select
-                ctx.charge(Op::IAlu, 5); // city, shift, mask, index, clamp
-                ctx.charge(Op::FAlu, 2); // in range, unvisited
-                ctx.charge(Op::FMul, 1); // choice * r
                 let first = tile * t;
                 let row = cur * n;
-                let tabu = tabu.as_slice();
-                ctx.ld_draw_st_tile(
-                    gm,
-                    self.bufs.choice,
-                    self.texture,
-                    |l| row.wrapping_add(first + l as u32).min(last_cell),
-                    &mut lcg,
-                    (sh_val, sh_idx),
-                    |l, choice, r| {
-                        let city = first + l as u32;
-                        let unvisited = city < n && (tabu[l] >> tile) & 1 == 0;
-                        (if unvisited { choice * r } else { -1.0 }, city)
-                    },
-                );
+                let mut pass = ctx.lane_pass(TILE);
+                let idx = |l: usize| row.wrapping_add(first + l as u32).min(last_cell);
+                let value = |l: usize, choice: f32| {
+                    let mut state = lcg.lane(l);
+                    let r = pm_draw(&mut state);
+                    lcg.set_lane(l, state);
+                    let unvisited = first + (l as u32) < n && (tabu.lane(l) >> tile) & 1 == 0;
+                    vals.set_lane(l, if unvisited { choice * r } else { -1.0 });
+                };
+                pass.ld_f32(gm, self.bufs.choice, self.texture, idx, value);
+                pass.sh_st_lanes(sh_val, |l| vals.lane(l).to_bits());
+                pass.sh_st_lanes(sh_idx, |l| first + l as u32);
 
                 ctx.sync_threads();
                 ctx.sh_argmax_tree(sh_val, sh_idx);
@@ -202,17 +227,7 @@ impl Kernel for DataParallelTourKernel {
             self.mark_visited(ctx, gm, &mut tabu, winner);
 
             // Thread 0 appends to the tour and accumulates the length.
-            let step_reg = ctx.splat_u32(base_scalar + step);
-            let winner_reg = ctx.splat_u32(winner);
-            let didx = ctx.splat_u32(cur * n + winner);
-            let lane0 = ctx.lane_mask(0);
-            let mut d_reg = ctx.splat_f32(0.0);
-            ctx.if_then(gm, &lane0, |ctx, gm| {
-                ctx.st_global_u32(gm, self.bufs.tours, &step_reg, &winner_reg);
-                let d = ctx.ld_global_f32(gm, self.bufs.dist, &didx);
-                ctx.assign_f32(&mut d_reg, &d);
-            });
-            len += d_reg.lane(0);
+            self.lane0_step(ctx, gm, (base_scalar + step, winner), cur * n + winner, &mut len);
             cur = winner;
         }
 

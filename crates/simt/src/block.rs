@@ -15,14 +15,11 @@
 //! CC 1.x, as the paper discusses for the Tesla C1060).
 //!
 //! **Host cost follows the work.** Every lane-wise op runs its body
-//! through one lane loop, [`Mask::for_each_lane`]: under a full mask (the
-//! common case of the data-parallel kernels) that is a plain counted loop
-//! the compiler can vectorise, under any other mask a walk over the set
-//! bits. The full-mask loop and the sparse loop are the same op — the
-//! body is written once, sees the same lanes in the same order, and
-//! inactive lanes of a fresh register read back 0 either way — so the
-//! mask state alone picks the loop and no counter can tell them apart.
-//! Memory ops resolve their buffer once per op, not once per lane.
+//! through one lane loop, [`Mask::for_each_lane`]: a counted loop the
+//! compiler can vectorise under a full mask, a walk over the set bits
+//! under any other. Both see the same lanes in the same order, so no
+//! counter can tell them apart. Memory ops resolve their buffer once per
+//! op, not once per lane.
 //!
 //! **Comparisons build mask words directly.** A compare fills one 64-lane
 //! mask word at a time from fixed-width `[T; 64]` chunks of its two
@@ -33,32 +30,26 @@
 //! **Bank model.** A shared access is charged per conflict group (the
 //! half-warp on CC 1.x, the warp on CC 2.x) at its serialization degree,
 //! [`bank_conflict_degree`]: the largest number of distinct words that
-//! fall in one bank. When the group's word addresses strictly increase
-//! in lane order and span fewer words than there are banks
-//! (`last - first < banks`), they are distinct words in distinct banks,
-//! so the degree is 1 with nothing to count — the pattern of every
-//! contiguous tile and tree-reduction level. Any other group sorts its at
-//! most 32 addresses and counts distinct words per bank. Atomics count
-//! each warp's distinct addresses and largest multiplicity the same
-//! sorted way ([`atomic_replays`]).
+//! fall in one bank. Word addresses that strictly increase in lane order
+//! and span fewer words than there are banks have degree 1 with nothing
+//! to count (every contiguous tile); any other group sorts its at most 32
+//! addresses and counts distinct words per bank. Atomics count each
+//! warp's distinct addresses and largest multiplicity the same sorted way
+//! ([`atomic_replays`]).
 //!
-//! **Closed-form collectives.** A loop whose control flow and counters do
-//! not depend on the data need not run op by op: it can charge its
-//! counters in one step and do its data work as a plain host loop.
-//! [`BlockCtx::sh_argmax_tree`] does this for the data-parallel argmax
-//! tree, and a kernel can do it with [`BlockCtx::charge`] and
-//! [`Reg::set_lane`]. [`BlockCtx::ld_draw_st_tile`] serves a loop whose
-//! only data-dependent counters are one load's memory model: it runs that
-//! model for real, lane by lane, and charges the rest of the pass in
-//! closed form. Such a batched charge is exact only for counters
-//! that hold whole numbers: instruction counts, issue cycles, shared
-//! accesses, bank replays, branches and barriers all do, and stay far
-//! below 2^53, where every f64 sum of whole numbers is exact in any
-//! grouping. So one add of `k · c` leaves the same bits as `k` adds of
-//! `c`, in any order. A counter that can hold a fraction, such as the
-//! texture path's weighted `mem_warp_instructions` or the
-//! broadcast-camping share of `dram_bytes`, must still be charged op by
-//! op, in program order.
+//! **Lane passes.** A loop whose control flow does not depend on the data
+//! need not run op by op. [`BlockCtx::lane_pass`] charges its
+//! data-independent instructions, declared as a [`Tally`], in one step
+//! over the active warps; the [`LanePass`] it returns runs the loop's
+//! memory instructions one at a time, in program order, each over the
+//! active lanes in lane order through the op's own memory model, while
+//! the caller does the lanes' arithmetic as a host loop. This is exact:
+//! the counters a tally charges hold whole numbers far below 2^53, where
+//! one add of `k · c` leaves the same bits as `k` adds of `c`, and the
+//! fractional ones (the texture weight, broadcast camping) and the cache
+//! LRU state are updated by the memory instructions, in the ops' order.
+//! [`BlockCtx::sh_argmax_tree`] is the one collective that also charges
+//! its shared accesses in closed form (the tree's words are contiguous).
 
 use crate::cache::Cache;
 use crate::coalesce::{coalesce_cc13_half_warp_into, lines_cc20_into, Transaction};
@@ -66,7 +57,7 @@ use crate::device::DeviceSpec;
 use crate::global::{lane_addr, load_at, DevicePtr, GlobalMem, Word};
 use crate::mask::{walk_bits, Mask, WARP};
 use crate::pool::PoolItem;
-use crate::rng::park_miller;
+use crate::rng::pm_draw;
 use crate::shared::{ShPtr, SharedMem};
 use crate::stats::KernelStats;
 
@@ -99,14 +90,9 @@ impl<T: PoolItem> Reg<T> {
         self.0[lane]
     }
 
-    /// All lanes (host-side inspection; not charged).
-    pub fn as_slice(&self) -> &[T] {
-        &self.0
-    }
-
     /// Write `v` into `lane`, not charged: for a kernel that charges the
-    /// ops this write stands for itself, with [`BlockCtx::charge`], as it
-    /// does for the lane values [`BlockCtx::reg_from_fn_u32`] computes.
+    /// ops this write stands for itself, in a [`BlockCtx::lane_pass`] or
+    /// with [`BlockCtx::charge`].
     pub fn set_lane(&mut self, lane: usize, v: T) {
         self.0[lane] = v;
     }
@@ -147,6 +133,53 @@ pub fn op_cycles(dev: &DeviceSpec, op: Op) -> u32 {
         // Integer div/mod lowers to a long instruction sequence on both
         // GT200 and Fermi (no hardware divider): ~16 ALU ops.
         Op::IDivMod => 16 * base,
+    }
+}
+
+/// Every [`Op`], for walking a [`Tally`].
+const OPS: [Op; 10] = {
+    use Op::*;
+    [IAlu, FAlu, FMul, Sfu, IDivMod, Mov, Branch, MemIssue, Shared, Bar]
+};
+
+/// The data-independent instructions of a [`LanePass`]: a count per
+/// [`Op`] class, charged to every active warp, and Park–Miller draws per
+/// active lane. Built in `const` context, so a kernel can name its
+/// per-iteration tally once and scale it with [`Tally::times`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tally([u64; DRAWS + 1]);
+
+/// The slot of a [`Tally`] that counts draws; the others count [`OPS`].
+const DRAWS: usize = OPS.len();
+
+impl Tally {
+    /// No instructions.
+    pub const NONE: Tally = Tally([0; DRAWS + 1]);
+
+    /// `self` plus `count` instructions of class `op`.
+    pub const fn op(mut self, op: Op, count: u64) -> Tally {
+        self.0[op as usize] += count;
+        self
+    }
+
+    /// `self` plus `count` Park–Miller draws, charged as
+    /// [`BlockCtx::lcg_next_f32`] charges one: 4 `IAlu`, 1 `FMul` and an
+    /// `rng_calls` per active lane. The lanes draw with [`pm_draw`].
+    pub const fn draws(mut self, count: u64) -> Tally {
+        self.0[DRAWS] += count;
+        self.op(Op::IAlu, 4 * count).op(Op::FMul, count)
+    }
+
+    /// `self` plus `other`.
+    pub fn plus(mut self, other: Tally) -> Tally {
+        self.0.iter_mut().zip(other.0).for_each(|(a, b)| *a += b);
+        self
+    }
+
+    /// `self` repeated `k` times.
+    pub fn times(mut self, k: u64) -> Tally {
+        self.0.iter_mut().for_each(|a| *a *= k);
+        self
     }
 }
 
@@ -254,7 +287,7 @@ impl<'a> BlockCtx<'a> {
 
     /// Charge `count` instructions of class `op` to every active warp.
     pub fn charge(&mut self, op: Op, count: u64) {
-        let warps = self.active().active_warps() as f64;
+        let warps = if count == 0 { 0.0 } else { self.active().active_warps() as f64 };
         if warps == 0.0 {
             return;
         }
@@ -263,43 +296,47 @@ impl<'a> BlockCtx<'a> {
         self.stats.warp_instructions += warps * count as f64;
     }
 
+    /// Open a lane pass: charge `tally` over the active warps in one step
+    /// and return the pass that runs the loop's memory instructions (see
+    /// the module docs for why that is exact).
+    pub fn lane_pass(&mut self, tally: Tally) -> LanePass<'_, 'a> {
+        for op in OPS {
+            self.charge(op, tally.0[op as usize]);
+        }
+        self.stats.rng_calls += self.active().count() as f64 * tally.0[DRAWS] as f64;
+        LanePass(self)
+    }
+
     // --- register creation ------------------------------------------------
+
+    /// One `op` whose result `f(thread)` fills every lane of the block,
+    /// active or not.
+    fn every_lane<T: PoolItem>(&mut self, op: Op, f: impl Fn(u32) -> T) -> Reg<T> {
+        self.charge(op, 1);
+        let mut out = T::take(self.block_dim as usize);
+        (0..self.block_dim).zip(&mut out).for_each(|(t, o)| *o = f(t));
+        Reg(out)
+    }
 
     /// `threadIdx.x` of every lane.
     pub fn thread_idx(&mut self) -> Reg<u32> {
-        self.charge(Op::Mov, 1);
-        let mut out = u32::take(self.block_dim as usize);
-        for (t, o) in out.iter_mut().enumerate() {
-            *o = t as u32;
-        }
-        Reg(out)
+        self.every_lane(Op::Mov, |t| t)
     }
 
     /// `blockIdx.x * blockDim.x + threadIdx.x`.
     pub fn global_thread_idx(&mut self) -> Reg<u32> {
-        self.charge(Op::IAlu, 1);
         let base = self.block_idx * self.block_dim;
-        let mut out = u32::take(self.block_dim as usize);
-        for (t, o) in out.iter_mut().enumerate() {
-            *o = base + t as u32;
-        }
-        Reg(out)
+        self.every_lane(Op::IAlu, |t| base + t)
     }
 
     /// Broadcast an f32 constant.
     pub fn splat_f32(&mut self, v: f32) -> Reg<f32> {
-        self.charge(Op::Mov, 1);
-        let mut out = f32::take(self.block_dim as usize);
-        out.fill(v);
-        Reg(out)
+        self.every_lane(Op::Mov, |_| v)
     }
 
     /// Broadcast a u32 constant.
     pub fn splat_u32(&mut self, v: u32) -> Reg<u32> {
-        self.charge(Op::Mov, 1);
-        let mut out = u32::take(self.block_dim as usize);
-        out.fill(v);
-        Reg(out)
+        self.every_lane(Op::Mov, |_| v)
     }
 
     /// Initialise a register from a lane function (costed as one move; use
@@ -371,28 +408,10 @@ impl<'a> BlockCtx<'a> {
         self.charge(Op::Sfu, 1);
         self.bin(Op::FMul, a, b, |x, y| x / y)
     }
-    pub fn fmin(&mut self, a: &Reg<f32>, b: &Reg<f32>) -> Reg<f32> {
-        self.bin(Op::FAlu, a, b, f32::min)
-    }
-    pub fn fmax(&mut self, a: &Reg<f32>, b: &Reg<f32>) -> Reg<f32> {
-        self.bin(Op::FAlu, a, b, f32::max)
-    }
     /// `__powf` — two SFU passes (log + exp) plus a multiply.
     pub fn fpow(&mut self, a: &Reg<f32>, b: &Reg<f32>) -> Reg<f32> {
         self.charge(Op::Sfu, 2);
         self.bin(Op::FMul, a, b, f32::powf)
-    }
-    /// Absolute value.
-    pub fn fabs(&mut self, a: &Reg<f32>) -> Reg<f32> {
-        self.un(Op::FAlu, a, f32::abs)
-    }
-    /// SFU reciprocal (`__frcp`).
-    pub fn frecip(&mut self, a: &Reg<f32>) -> Reg<f32> {
-        self.un(Op::Sfu, a, |x| 1.0 / x)
-    }
-    /// SFU square root.
-    pub fn fsqrt(&mut self, a: &Reg<f32>) -> Reg<f32> {
-        self.un(Op::Sfu, a, f32::sqrt)
     }
 
     // --- u32 arithmetic -----------------------------------------------------
@@ -426,9 +445,6 @@ impl<'a> BlockCtx<'a> {
     }
     pub fn imin(&mut self, a: &Reg<u32>, b: &Reg<u32>) -> Reg<u32> {
         self.bin(Op::IAlu, a, b, u32::min)
-    }
-    pub fn imax(&mut self, a: &Reg<u32>, b: &Reg<u32>) -> Reg<u32> {
-        self.bin(Op::IAlu, a, b, u32::max)
     }
 
     /// u32 → f32 conversion.
@@ -667,47 +683,35 @@ impl<'a> BlockCtx<'a> {
 
     // --- shared memory ----------------------------------------------------------
 
-    /// Allocate `len` f32 elements of shared memory, or `None` when the
-    /// block's declared budget is exhausted.
-    pub fn try_shared_alloc_f32(&mut self, len: usize) -> Option<ShPtr<f32>> {
-        self.shared.try_alloc(len as u32).map(|off| ShPtr::new(off, len as u32))
-    }
-
     /// Allocate shared f32 storage; panics if over the declared budget.
     pub fn shared_alloc_f32(&mut self, len: usize) -> ShPtr<f32> {
-        self.try_shared_alloc_f32(len).unwrap_or_else(|| {
-            panic!(
-                "shared memory exhausted: wanted {} bytes more, declared {}",
-                4 * len,
-                self.declared_shared_bytes
-            )
-        })
-    }
-
-    /// Allocate `len` u32 elements of shared memory.
-    pub fn try_shared_alloc_u32(&mut self, len: usize) -> Option<ShPtr<u32>> {
-        self.shared.try_alloc(len as u32).map(|off| ShPtr::new(off, len as u32))
+        self.shared_alloc(len)
     }
 
     /// Allocate shared u32 storage; panics if over the declared budget.
     pub fn shared_alloc_u32(&mut self, len: usize) -> ShPtr<u32> {
-        self.try_shared_alloc_u32(len).unwrap_or_else(|| {
-            panic!(
-                "shared memory exhausted: wanted {} bytes more, declared {}",
-                4 * len,
-                self.declared_shared_bytes
-            )
-        })
+        self.shared_alloc(len)
     }
 
-    /// Charge one shared access of the active lanes to `ptr[idx]`: the
-    /// instruction, then the bank conflicts of each conflict group
-    /// (half-warp on CC 1.x, warp on CC 2.x), read straight off the
-    /// group's active lanes.
-    fn charge_shared<T>(&mut self, ptr: ShPtr<T>, idx: &Reg<u32>) {
+    fn shared_alloc<T>(&mut self, len: usize) -> ShPtr<T> {
+        let (wanted, declared) = (4 * len, self.declared_shared_bytes);
+        let off = self.shared.try_alloc(len as u32).unwrap_or_else(|| {
+            panic!("shared memory exhausted: wanted {wanted} bytes more, declared {declared}")
+        });
+        ShPtr::new(off, len as u32)
+    }
+
+    /// One shared access: `each(shared, lane, word address of
+    /// ptr[idx(lane)])` in lane order, charged with the bank conflicts of
+    /// each conflict group (half-warp on CC 1.x, warp on CC 2.x).
+    fn shared_access<T>(
+        &mut self,
+        ptr: ShPtr<T>,
+        idx: impl Fn(usize) -> u32,
+        mut each: impl FnMut(&mut SharedMem, usize, u32),
+    ) {
         self.charge(Op::Shared, 1);
-        let active = self.mask_stack.last().expect("mask stack never empty");
-        let idx = &idx.0[..active.len()];
+        let (active, shared) = (self.mask_stack.last().expect("never empty"), &mut self.shared);
         let banks = self.device.shared_banks;
         let group = if self.device.compute_capability.is_fermi() { WARP } else { WARP / 2 };
         let mut words = [0u32; WARP];
@@ -715,14 +719,12 @@ impl<'a> BlockCtx<'a> {
         for (wi, &bits) in active.words().iter().enumerate() {
             for lane0 in (0..64).step_by(group) {
                 let mut n = 0;
-                walk_bits(
-                    (bits >> lane0) & (u64::MAX >> (64 - group)),
-                    wi * 64 + lane0,
-                    &mut |l| {
-                        words[n] = ptr.word_addr(idx[l]);
-                        n += 1;
-                    },
-                );
+                let g = (bits >> lane0) & (u64::MAX >> (64 - group));
+                walk_bits(g, wi * 64 + lane0, &mut |l| {
+                    words[n] = ptr.word_addr(idx(l));
+                    each(shared, l, words[n]);
+                    n += 1;
+                });
                 extra += bank_conflict_degree(&mut words[..n], banks).saturating_sub(1);
             }
         }
@@ -741,9 +743,10 @@ impl<'a> BlockCtx<'a> {
         idx: &Reg<u32>,
         from_bits: impl Fn(u32) -> T,
     ) -> Reg<T> {
-        self.charge_shared(ptr, idx);
         let idx = self.view(idx);
-        self.map_lanes(|l| from_bits(self.shared.load(ptr.word_addr(idx[l]))))
+        let mut out = T::take(idx.len());
+        self.shared_access(ptr, |l| idx[l], |sh, l, w| out[l] = from_bits(sh.load(w)));
+        Reg(out)
     }
 
     fn sh_st<T: PoolItem>(
@@ -753,11 +756,8 @@ impl<'a> BlockCtx<'a> {
         val: &Reg<T>,
         to_bits: impl Fn(T) -> u32,
     ) {
-        self.charge_shared(ptr, idx);
-        let active = self.mask_stack.last().expect("mask stack never empty");
-        let (idx, val) = (&idx.0[..active.len()], &val.0[..active.len()]);
-        let shared = &mut self.shared;
-        active.for_each_lane(|l| shared.store(ptr.word_addr(idx[l]), to_bits(val[l])));
+        let (idx, val) = (self.view(idx), self.view(val));
+        self.shared_access(ptr, |l| idx[l], |sh, l, w| sh.store(w, to_bits(val[l])));
     }
 
     /// Shared load with per-lane indices.
@@ -783,27 +783,18 @@ impl<'a> BlockCtx<'a> {
     /// Uniform (broadcast) shared read — all active lanes read one word;
     /// broadcast never conflicts.
     pub fn sh_ld_f32_uniform(&mut self, ptr: ShPtr<f32>, idx: u32) -> f32 {
-        self.charge(Op::Shared, 1);
-        self.stats.shared_accesses += self.active().count() as f64;
-        f32::from_bits(self.shared.load(ptr.word_addr(idx)))
+        f32::from_bits(self.sh_ld_uniform(ptr, idx))
     }
 
     /// Uniform (broadcast) shared read of a u32 word.
     pub fn sh_ld_u32_uniform(&mut self, ptr: ShPtr<u32>, idx: u32) -> u32 {
+        self.sh_ld_uniform(ptr, idx)
+    }
+
+    fn sh_ld_uniform<T>(&mut self, ptr: ShPtr<T>, idx: u32) -> u32 {
         self.charge(Op::Shared, 1);
         self.stats.shared_accesses += self.active().count() as f64;
         self.shared.load(ptr.word_addr(idx))
-    }
-
-    /// Bank-conflict replays of one shared access by lanes `0..lanes`
-    /// to contiguous words: each conflict group holds `k` contiguous words,
-    /// `ceil(k / banks)` of them in its busiest bank (1 on both modeled
-    /// devices), so it replays `ceil(k / banks) - 1` times.
-    fn contiguous_bank_extra(&self, lanes: u32) -> u32 {
-        let warp = WARP as u32;
-        let group = if self.device.compute_capability.is_fermi() { warp } else { warp / 2 };
-        let banks = self.device.shared_banks;
-        (0..lanes).step_by(group as usize).map(|g| (lanes - g).min(group).div_ceil(banks) - 1).sum()
     }
 
     /// Shared-memory argmax tree over the first `block_dim` slots of
@@ -831,6 +822,7 @@ impl<'a> BlockCtx<'a> {
         );
         let c = |op| op_cycles(self.device, op) as f64;
         let warp = WARP as u32;
+        let group = if self.device.compute_capability.is_fermi() { warp } else { warp / 2 };
         let block_warps = t.div_ceil(warp) as f64;
         let (mut instr, mut cycles) = (0.0, 0.0);
         let mut s = t / 2;
@@ -839,7 +831,14 @@ impl<'a> BlockCtx<'a> {
             instr += 4.0 * block_warps + 10.0 * lo_warps;
             cycles += block_warps * (c(Op::Mov) + c(Op::FAlu) + c(Op::Branch) + c(Op::Bar))
                 + lo_warps * (c(Op::IAlu) + 6.0 * c(Op::Shared) + c(Op::FAlu) + 2.0 * c(Op::Mov));
-            let extra = self.contiguous_bank_extra(s);
+            // Each conflict group of the lanes below `s` holds `k`
+            // contiguous words, `ceil(k / banks)` of them in its busiest
+            // bank, so it replays `ceil(k / banks) - 1` times.
+            let banks = self.device.shared_banks;
+            let extra: u32 = (0..s)
+                .step_by(group as usize)
+                .map(|g| (s - g).min(group).div_ceil(banks) - 1)
+                .sum();
             self.stats.bank_conflict_extra += 6.0 * extra as f64;
             cycles += 6.0 * extra as f64 * c(Op::Shared);
             self.stats.shared_accesses += 6.0 * s as f64;
@@ -863,12 +862,11 @@ impl<'a> BlockCtx<'a> {
 
     /// Charge one global access of the active lanes to the buffer based
     /// at `base`: coalescing (CC 1.3) or L1 lines (CC 2.0), per warp.
-    fn charge_global_access(&mut self, base: u64, idx: &Reg<u32>, store: bool) {
+    fn charge_global_access(&mut self, base: u64, idx: &impl Fn(usize) -> u32, store: bool) {
         self.charge(Op::MemIssue, 1);
         let mut lines = std::mem::take(&mut self.scratch_lines);
         let mut txns = std::mem::take(&mut self.scratch_txns);
         let active = self.mask_stack.last().expect("mask stack never empty");
-        let idx = &idx.0[..active.len()];
         let stats = &mut *self.stats;
         stats.mem_warp_instructions += active.active_warps() as f64;
         let fermi = self.device.compute_capability.is_fermi();
@@ -882,7 +880,7 @@ impl<'a> BlockCtx<'a> {
             let mut warp_addrs = [0u64; WARP];
             let mut n = 0;
             active.for_each_warp_lane(w, |lane| {
-                warp_addrs[n] = lane_addr(base, idx[lane]);
+                warp_addrs[n] = lane_addr(base, idx(lane));
                 n += 1;
             });
             let addrs = &warp_addrs[..n];
@@ -933,21 +931,78 @@ impl<'a> BlockCtx<'a> {
         self.scratch_txns = txns;
     }
 
-    /// Global load: one buffer lookup, the access charge, then a lane
-    /// loop over the resolved contents.
+    /// Global load: one buffer lookup, the access charge, then
+    /// `each(lane, ptr[idx(lane)])` over the active lanes.
+    fn load<T: Word>(
+        &mut self,
+        gm: &GlobalMem,
+        ptr: DevicePtr<T>,
+        idx: impl Fn(usize) -> u32,
+        mut each: impl FnMut(usize, T),
+    ) {
+        let (base, data) = gm.view(ptr);
+        self.charge_global_access(base, &idx, false);
+        self.active().for_each_lane(|l| each(l, load_at(data, ptr.id, idx(l) as usize)));
+    }
+
+    /// Global store: `ptr[idx(lane)] = val(lane)` over the active lanes
+    /// (lane order resolves same-address races).
+    fn store<T: Word>(
+        &mut self,
+        gm: &mut GlobalMem,
+        ptr: DevicePtr<T>,
+        idx: impl Fn(usize) -> u32,
+        val: impl FnMut(usize) -> T,
+    ) {
+        self.charge_global_access(gm.view(ptr).0, &idx, true);
+        gm.store_lanes(ptr, self.active(), idx, val);
+    }
+
+    /// Texture load: `each(lane, ptr[idx(lane)])` over the active lanes,
+    /// in lane order with the texture cache model.
+    fn load_tex(
+        &mut self,
+        gm: &GlobalMem,
+        ptr: DevicePtr<f32>,
+        idx: impl Fn(usize) -> u32,
+        mut each: impl FnMut(usize, f32),
+    ) {
+        self.charge(Op::MemIssue, 1);
+        let (base, data) = gm.view(ptr);
+        let active = self.mask_stack.last().expect("mask stack never empty");
+        let (stats, tex) = (&mut *self.stats, &mut *self.tex);
+        let line_bytes = tex.line_bytes() as f64;
+        let (mut hits, mut misses) = (0u64, 0u64);
+        active.for_each_lane(|lane| {
+            let i = idx(lane);
+            if tex.access(lane_addr(base, i)) {
+                hits += 1;
+            } else {
+                misses += 1;
+                stats.dram_bytes += line_bytes;
+            }
+            each(lane, load_at(data, ptr.id, i as usize));
+        });
+        stats.tex_hits += hits as f64;
+        stats.tex_misses += misses as f64;
+        stats.ld_transactions += misses as f64;
+        let total = (hits + misses).max(1) as f64;
+        let weight = 0.35 + 0.65 * misses as f64 / total;
+        stats.mem_warp_instructions += active.active_warps() as f64 * weight;
+    }
+
     fn ld_global<T: PoolItem + Word>(
         &mut self,
         gm: &GlobalMem,
         ptr: DevicePtr<T>,
         idx: &Reg<u32>,
     ) -> Reg<T> {
-        let (base, data) = gm.view(ptr);
-        self.charge_global_access(base, idx, false);
         let idx = self.view(idx);
-        self.map_lanes(|l| load_at(data, ptr.id, idx[l] as usize))
+        let mut out = T::take(idx.len());
+        self.load(gm, ptr, |l| idx[l], |l, v| out[l] = v);
+        Reg(out)
     }
 
-    /// Global store (lane order resolves same-address races).
     fn st_global<T: PoolItem + Word>(
         &mut self,
         gm: &mut GlobalMem,
@@ -955,9 +1010,8 @@ impl<'a> BlockCtx<'a> {
         idx: &Reg<u32>,
         val: &Reg<T>,
     ) {
-        self.charge_global_access(gm.view(ptr).0, idx, true);
         let (idx, val) = (self.view(idx), self.view(val));
-        gm.store_lanes(ptr, self.active(), idx, val);
+        self.store(gm, ptr, |l| idx[l], |l| val[l]);
     }
 
     /// Global load, f32.
@@ -1008,91 +1062,10 @@ impl<'a> BlockCtx<'a> {
     /// the access contributes to the exposed-latency counter in proportion
     /// to its miss ratio (with a floor for the cache's own latency).
     pub fn ld_tex_f32(&mut self, gm: &GlobalMem, ptr: DevicePtr<f32>, idx: &Reg<u32>) -> Reg<f32> {
-        self.charge(Op::MemIssue, 1);
-        let (base, data) = gm.view(ptr);
-        let active = self.mask_stack.last().expect("mask stack never empty");
-        let idx = &idx.0[..active.len()];
-        let mut out = f32::take(active.len());
-        let o = &mut out[..active.len()];
-        tex_lanes(self.stats, self.tex, active, base, idx, |lane| {
-            o[lane] = load_at(data, ptr.id, idx[lane] as usize);
-        });
+        let idx = self.view(idx);
+        let mut out = f32::take(idx.len());
+        self.load_tex(gm, ptr, |l| idx[l], |l, v| out[l] = v);
         Reg(out)
-    }
-
-    /// One tile of a data-parallel choice pass as a single lane pass. For
-    /// every lane `l` of the block, in lane order: load `src[idx(l)]` —
-    /// through the texture cache when `texture`, else as a global load —
-    /// advance lane `l`'s Park–Miller state in `rng` once, and store the
-    /// `(key, tag)` that `f(l, value, draw)` returns at slot `l` of `keys`
-    /// and `tags`.
-    ///
-    /// The counters are exactly those of the op-by-op sequence it stands
-    /// for: [`BlockCtx::ld_tex_f32`] or [`BlockCtx::ld_global_f32`] with
-    /// the indices `idx(l)`, [`BlockCtx::lcg_next_f32`], then
-    /// [`BlockCtx::sh_st_f32`] and [`BlockCtx::sh_st_u32`] at
-    /// [`BlockCtx::thread_idx`]. The load's memory model is the only part
-    /// whose counters depend on the data, so it runs for real: the texture
-    /// cache per lane in the same pass as the draw, the global coalescing
-    /// or L1 model per warp just before it; its fractional counters (the
-    /// texture weight, the broadcast-camping factor) are added once per
-    /// call, as the load adds them. The draw and the two stores, contiguous
-    /// words with bank degree `ceil(k / banks)` per conflict group, are
-    /// charged in closed form. The caller charges the arithmetic `f` stands
-    /// for.
-    ///
-    /// Panics unless every lane is active and both arrays hold
-    /// `block_dim` slots.
-    #[allow(clippy::too_many_arguments)]
-    pub fn ld_draw_st_tile(
-        &mut self,
-        gm: &GlobalMem,
-        src: DevicePtr<f32>,
-        texture: bool,
-        idx: impl Fn(usize) -> u32,
-        rng: &mut Reg<u32>,
-        (keys, tags): (ShPtr<f32>, ShPtr<u32>),
-        mut f: impl FnMut(usize, f32, f32) -> (f32, u32),
-    ) {
-        let t = self.block_dim as usize;
-        assert!(self.active().is_full(), "a choice tile needs every lane of the block active");
-        assert!(
-            keys.len() >= t && tags.len() >= t,
-            "a choice tile needs block_dim slots in both arrays"
-        );
-        let ix = self.map_lanes(idx);
-        let (base, data) = gm.view(src);
-        if texture {
-            self.charge(Op::MemIssue, 1);
-        } else {
-            self.charge_global_access(base, &ix, false);
-        }
-        let state = &mut rng.0[..t];
-        let (key_words, tag_words) = self.shared.two_mut(keys, tags, t);
-        let ixs = &ix.0[..t];
-        let mut lane = |l: usize| {
-            let value = load_at(data, src.id, ixs[l] as usize);
-            let (key, tag) = f(l, value, pm_draw(&mut state[l]));
-            key_words[l] = key.to_bits();
-            tag_words[l] = tag;
-        };
-        if texture {
-            let active = self.mask_stack.last().expect("mask stack never empty");
-            tex_lanes(self.stats, self.tex, active, base, ixs, lane);
-        } else {
-            (0..t).for_each(&mut lane);
-        }
-        // The draw, as `lcg_next_f32` charges it.
-        self.charge(Op::IAlu, 4);
-        self.charge(Op::FMul, 1);
-        self.stats.rng_calls += t as f64;
-        // The two stores, as `charge_shared` charges contiguous slots.
-        self.charge(Op::Shared, 2);
-        self.stats.shared_accesses += 2.0 * t as f64;
-        let extra = 2.0 * self.contiguous_bank_extra(t as u32) as f64;
-        self.stats.bank_conflict_extra += extra;
-        self.stats.issue_cycles_per_sm[self.sm_id] +=
-            extra * op_cycles(self.device, Op::Shared) as f64;
     }
 
     /// Atomic `tau[idx] += val` with intra-warp serialization. On devices
@@ -1166,82 +1139,132 @@ impl<'a> BlockCtx<'a> {
     ///
     /// `states` must hold `12 * total_threads` words (12 words = 48 bytes).
     pub fn curand_next_f32(&mut self, gm: &mut GlobalMem, states: DevicePtr<u32>) -> Reg<f32> {
-        let gtid = self.global_thread_idx();
-        let twelve = self.splat_u32(12);
-        let base = self.imul(&gtid, &twelve);
-        // Load 3 words of state, xorshift, store back 3 words (the
-        // remaining state words ride along in the same transactions).
-        let mut s0 = self.ld_global_u32(gm, states, &base);
-        let one = self.splat_u32(1);
-        let idx1 = self.iadd(&base, &one);
-        let s1 = self.ld_global_u32(gm, states, &idx1);
-        let two = self.splat_u32(2);
-        let idx2 = self.iadd(&base, &two);
-        let s2 = self.ld_global_u32(gm, states, &idx2);
-        // XORWOW state update + sequence bookkeeping (the library does
-        // substantially more integer work per draw than a bare xorshift).
-        self.charge(Op::IAlu, 20);
-        let (x0, x1, x2) = (&mut s0.0[..self.active().len()], self.view(&s1), self.view(&s2));
-        let out = self.map_lanes(|l| {
-            let mut x = x0[l] ^ x1[l].rotate_left(13) ^ x2[l].wrapping_mul(0x9E37_79B9);
+        // State words `12 * gtid + k`, k < 3 (the rest ride along in the
+        // same transactions): thread index, 3 splats, multiply, 2 adds;
+        // then 20 integer ops of XORWOW update and sequence bookkeeping.
+        let first = self.block_idx * self.block_dim;
+        let word = |k: u32| move |l: usize| (first + l as u32).wrapping_mul(12).wrapping_add(k);
+        let mut pass = self.lane_pass(Tally::NONE.op(Op::IAlu, 24).op(Op::Mov, 3));
+        let [mut x0, mut x1, mut x2] = [0; 3].map(|_| pass.reg(|_| 0u32));
+        for (k, x) in [&mut x0, &mut x1, &mut x2].into_iter().enumerate() {
+            pass.ld_global_u32(gm, states, word(k as u32), |l, v| x.set_lane(l, v));
+        }
+        let out = pass.reg(|l| {
+            let mut x =
+                x0.lane(l) ^ x1.lane(l).rotate_left(13) ^ x2.lane(l).wrapping_mul(0x9E37_79B9);
             if x == 0 {
                 x = 0x1234_5678;
             }
             x ^= x << 13;
             x ^= x >> 17;
             x ^= x << 5;
-            x0[l] = x;
+            x0.set_lane(l, x);
             (x >> 8) as f32 / (1u32 << 24) as f32
         });
-        self.st_global_u32(gm, states, &base, &s0);
-        self.st_global_u32(gm, states, &idx1, &s1);
-        self.st_global_u32(gm, states, &idx2, &s2);
+        for (k, x) in [&x0, &x1, &x2].into_iter().enumerate() {
+            pass.st_global_u32(gm, states, word(k as u32), |l| x.lane(l));
+        }
         self.stats.rng_calls += self.active().count() as f64;
         out
     }
+}
 
-    /// Bytes of shared memory the block has allocated so far.
-    pub fn shared_used_bytes(&self) -> u32 {
-        self.shared.used_bytes()
+/// The memory instructions of a lane pass ([`BlockCtx::lane_pass`]): each
+/// method charges and models one instruction exactly as the [`BlockCtx`]
+/// op of the same name, over the active lanes in lane order, but takes
+/// its per-lane indices and values as closures instead of registers.
+pub struct LanePass<'p, 'a>(&'p mut BlockCtx<'a>);
+
+impl LanePass<'_, '_> {
+    /// A register with `f(lane)` in every active lane and 0 in the
+    /// others, not charged (the pass's results, for the ops after it).
+    pub fn reg<T: PoolItem>(&self, f: impl FnMut(usize) -> T) -> Reg<T> {
+        self.0.map_lanes(f)
     }
-}
 
-/// One Park–Miller step of a lane's state and its draw in `[0, 1)`.
-#[inline(always)]
-fn pm_draw(state: &mut u32) -> f32 {
-    *state = park_miller(*state);
-    *state as f32 / 2_147_483_647.0
-}
-
-/// The texture cache model of one load over the `active` lanes, in lane
-/// order: each lane's cache access, then `each(lane)`; then the op's hit,
-/// miss and transaction counts and its weighted memory instruction.
-fn tex_lanes(
-    stats: &mut KernelStats,
-    tex: &mut Cache,
-    active: &Mask,
-    base: u64,
-    idx: &[u32],
-    mut each: impl FnMut(usize),
-) {
-    let line_bytes = tex.line_bytes() as f64;
-    let (mut hits, mut misses) = (0u64, 0u64);
-    active.for_each_lane(|lane| {
-        if tex.access(lane_addr(base, idx[lane])) {
-            hits += 1;
+    /// Load `each(lane, ptr[idx(lane)])`: through the texture cache when
+    /// `texture` (read-only data), else as a global load.
+    pub fn ld_f32(
+        &mut self,
+        gm: &GlobalMem,
+        ptr: DevicePtr<f32>,
+        texture: bool,
+        idx: impl Fn(usize) -> u32,
+        each: impl FnMut(usize, f32),
+    ) {
+        if texture {
+            self.0.load_tex(gm, ptr, idx, each);
         } else {
-            misses += 1;
-            stats.dram_bytes += line_bytes;
+            self.0.load(gm, ptr, idx, each);
         }
-        each(lane);
-    });
-    // These counters only ever hold whole numbers far below 2^53, so
-    // adding the op's count once is exact: the same bits as adding 1.0
-    // per lane.
-    stats.tex_hits += hits as f64;
-    stats.tex_misses += misses as f64;
-    stats.ld_transactions += misses as f64;
-    let total = (hits + misses).max(1) as f64;
-    let weight = 0.35 + 0.65 * misses as f64 / total;
-    stats.mem_warp_instructions += active.active_warps() as f64 * weight;
+    }
+
+    /// Global load, u32.
+    pub fn ld_global_u32(
+        &mut self,
+        gm: &GlobalMem,
+        ptr: DevicePtr<u32>,
+        idx: impl Fn(usize) -> u32,
+        each: impl FnMut(usize, u32),
+    ) {
+        self.0.load(gm, ptr, idx, each);
+    }
+
+    /// Global store: `ptr[idx(lane)] = val(lane)`.
+    pub fn st_global_f32(
+        &mut self,
+        gm: &mut GlobalMem,
+        ptr: DevicePtr<f32>,
+        idx: impl Fn(usize) -> u32,
+        val: impl FnMut(usize) -> f32,
+    ) {
+        self.0.store(gm, ptr, idx, val);
+    }
+
+    /// Global store, u32.
+    pub fn st_global_u32(
+        &mut self,
+        gm: &mut GlobalMem,
+        ptr: DevicePtr<u32>,
+        idx: impl Fn(usize) -> u32,
+        val: impl FnMut(usize) -> u32,
+    ) {
+        self.0.store(gm, ptr, idx, val);
+    }
+
+    /// Shared load of raw 32-bit words: `each(lane, ptr[idx(lane)])`.
+    pub fn sh_ld<T>(
+        &mut self,
+        ptr: ShPtr<T>,
+        idx: impl Fn(usize) -> u32,
+        mut each: impl FnMut(usize, u32),
+    ) {
+        self.0.shared_access(ptr, idx, |sh, l, w| each(l, sh.load(w)));
+    }
+
+    /// Shared store of raw 32-bit words (`f32::to_bits` for floats):
+    /// `ptr[idx(lane)] = bits(lane)`.
+    pub fn sh_st<T>(
+        &mut self,
+        ptr: ShPtr<T>,
+        idx: impl Fn(usize) -> u32,
+        mut bits: impl FnMut(usize) -> u32,
+    ) {
+        self.0.shared_access(ptr, idx, |sh, l, w| sh.store(w, bits(l)));
+    }
+
+    /// `sh_st(ptr, |lane| lane, bits)` without walking the words: a
+    /// conflict group's active lanes hit distinct words spanning less than
+    /// the group, so with at least a group's worth of banks nothing replays.
+    pub fn sh_st_lanes<T>(&mut self, ptr: ShPtr<T>, mut bits: impl FnMut(usize) -> u32) {
+        let ctx = &mut *self.0;
+        let group = if ctx.device.compute_capability.is_fermi() { WARP } else { WARP / 2 };
+        if (ctx.device.shared_banks as usize) < group {
+            return self.sh_st(ptr, |l| l as u32, bits);
+        }
+        ctx.charge(Op::Shared, 1);
+        let active = ctx.mask_stack.last().expect("mask stack never empty");
+        ctx.stats.shared_accesses += active.count() as f64;
+        active.for_each_lane(|l| ctx.shared.store(ptr.word_addr(l as u32), bits(l)));
+    }
 }

@@ -306,25 +306,25 @@ impl GlobalMem {
     // logged in increasing lane order, so same-address races resolve
     // lane-last exactly as before.
 
-    /// Lane-batched global store: `buf[idx[l]] = val[l]` for every active
+    /// Lane-batched global store: `buf[idx(l)] = val(l)` for every active
     /// lane `l`, logged as a plain store on shadow arenas.
     pub(crate) fn store_lanes<T: Word>(
         &mut self,
         ptr: DevicePtr<T>,
         active: &Mask,
-        idx: &[u32],
-        val: &[T],
+        idx: impl Fn(usize) -> u32,
+        mut val: impl FnMut(usize) -> T,
     ) {
         let (v, log) = self.view_mut(ptr);
         let len = v.len();
         active.for_each_lane(|lane| {
-            let i = idx[lane] as usize;
+            let (i, x) = (idx(lane) as usize, val(lane));
             match v.get_mut(i) {
-                Some(x) => *x = val[lane],
+                Some(slot) => *slot = x,
                 None => oob("store", T::NAME, ptr.id, len, i),
             }
             if let Some(log) = log {
-                log.push(T::store_op(ptr.id, i as u32, val[lane]));
+                log.push(T::store_op(ptr.id, i as u32, x));
             }
         });
     }
@@ -398,7 +398,7 @@ mod tests {
     fn oob_store_panics() {
         let mut gm = GlobalMem::new();
         let a = gm.alloc_u32(2);
-        gm.store_lanes(a, &Mask::all(1), &[5], &[1]);
+        gm.store_lanes(a, &Mask::all(1), |_| 5, |_| 1);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod shared;
 pub mod stats;
 pub mod timing;
 
-pub use block::{BlockCtx, Op, Reg};
+pub use block::{BlockCtx, LanePass, Op, Reg, Tally};
 pub use device::{ComputeCapability, DeviceSpec};
 pub use global::{DevicePtr, GlobalMem};
 pub use launch::{launch, launch_threads, Kernel, LaunchConfig, LaunchResult, SimMode};
@@ -73,7 +73,7 @@ pub use timing::{estimate, KernelTime};
 
 /// Convenient glob import for kernel authors.
 pub mod prelude {
-    pub use crate::block::{BlockCtx, Op, Reg};
+    pub use crate::block::{BlockCtx, LanePass, Op, Reg, Tally};
     pub use crate::device::DeviceSpec;
     pub use crate::global::{DevicePtr, GlobalMem};
     pub use crate::launch::{launch, launch_threads, Kernel, LaunchConfig, LaunchResult, SimMode};

@@ -20,6 +20,14 @@ pub fn park_miller(state: u32) -> u32 {
     ((s as u64 * PM_MULTIPLIER) % PM_MODULUS as u64) as u32
 }
 
+/// One Park–Miller step of a lane's state and its draw in `[0, 1)`: the
+/// device function of Table II, version 3.
+#[inline(always)]
+pub fn pm_draw(state: &mut u32) -> f32 {
+    *state = park_miller(*state);
+    *state as f32 / PM_MODULUS as f32
+}
+
 /// Park–Miller stream as an iterator-style struct for host code.
 #[derive(Debug, Clone)]
 pub struct PmRng {
@@ -46,7 +54,7 @@ impl PmRng {
 
     /// Next uniform value in `[0, 1)`, `f32` (as the device function).
     pub fn next_f32(&mut self) -> f32 {
-        self.next_u32() as f32 / PM_MODULUS as f32
+        pm_draw(&mut self.state)
     }
 
     /// Derive a decorrelated per-thread seed from a base seed and an index

@@ -69,10 +69,6 @@ impl SharedMem {
         Some(off)
     }
 
-    pub(crate) fn used_bytes(&self) -> u32 {
-        self.used_words * 4
-    }
-
     #[inline]
     pub(crate) fn load(&self, word: u32) -> u32 {
         self.words[word as usize]
@@ -81,23 +77,6 @@ impl SharedMem {
     #[inline]
     pub(crate) fn store(&mut self, word: u32, val: u32) {
         self.words[word as usize] = val;
-    }
-
-    /// The first `n` words of two distinct arrays, both writable at once.
-    pub(crate) fn two_mut<A, B>(
-        &mut self,
-        a: ShPtr<A>,
-        b: ShPtr<B>,
-        n: usize,
-    ) -> (&mut [u32], &mut [u32]) {
-        let (a, b) = (a.off_words as usize, b.off_words as usize);
-        if a < b {
-            let (lo, hi) = self.words.split_at_mut(b);
-            (&mut lo[a..a + n], &mut hi[..n])
-        } else {
-            let (lo, hi) = self.words.split_at_mut(a);
-            (&mut hi[..n], &mut lo[b..b + n])
-        }
     }
 }
 
@@ -112,7 +91,7 @@ mod tests {
         let b = sh.try_alloc(6).unwrap();
         assert_eq!(a, 0);
         assert_eq!(b, 10);
-        assert_eq!(sh.used_bytes(), 64);
+        assert_eq!(sh.used_words * 4, 64);
         assert!(sh.try_alloc(1).is_none());
     }
 

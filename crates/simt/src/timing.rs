@@ -52,17 +52,6 @@ impl KernelTime {
         }
     }
 
-    /// A zero time (for folding).
-    pub fn zero() -> Self {
-        KernelTime {
-            compute_ms: 0.0,
-            memory_ms: 0.0,
-            latency_ms: 0.0,
-            overhead_ms: 0.0,
-            total_ms: 0.0,
-        }
-    }
-
     /// Sequential composition of two kernel times (sums every component).
     pub fn then(&self, other: &KernelTime) -> KernelTime {
         KernelTime {
