@@ -30,7 +30,13 @@
 //! data-parallel tour kernel with texture loads (Table II row 8) at
 //! n = 100 on the M2050 — one 128-lane tile: the choice pass, the
 //! barrier, the argmax tree, the visited mark and lane 0's tour and
-//! distance accesses — per ant, over `ceil(reps / 99)` ants. The
+//! distance accesses — per ant, over `ceil(reps / 99)` ants.
+//! `task_prob_step` is one construction step of the task-parallel kernel
+//! without CURAND (Table II row 3) at n = 100 on the C1060: 8 ants in one
+//! 128-lane block, the regime of the `gpu-kernels` benchmark — the
+//! probability pass over every city (most of the step), the roulette
+//! scan, the tabu mark and the tour and distance accesses — over the 99
+//! steps of one launch, whatever `reps`. The
 //! allocation column is the regression tripwire for the pooled register
 //! file: every row must stay at (or very near) zero allocations per op
 //! once the thread-local pools are warm; a future change that
@@ -52,7 +58,7 @@ use std::time::Instant;
 
 use aco_bench::json::Json;
 use aco_core::gpu::choice::ChoiceKernel;
-use aco_core::gpu::tour::DataParallelTourKernel;
+use aco_core::gpu::tour::{DataParallelTourKernel, TaskTourKernel, TourStrategy};
 use aco_core::gpu::ColonyBuffers;
 use aco_core::AcoParams;
 use aco_simt::prelude::*;
@@ -306,7 +312,7 @@ fn run_launches(threads: usize) -> LaunchAllocResult {
 /// single-threaded reference and a forked-shadow run.
 const LAUNCH_THREADS: [usize; 2] = [1, 4];
 
-const OPS: [&str; 17] = [
+const OPS: [&str; 18] = [
     "fmul",
     "fma",
     "fdiv_sfu",
@@ -324,6 +330,7 @@ const OPS: [&str; 17] = [
     "lcg_rng",
     "roulette_loop",
     "dp_tour_tile",
+    "task_prob_step",
 ];
 
 struct OpResult {
@@ -470,14 +477,34 @@ fn dp_tour_kernel(
     (DataParallelTourKernel::new(bufs, true, 7, 0), ants as u64 * steps as u64)
 }
 
+/// The `task_prob_step` launch: a row-3 kernel over 8 ants on a fresh
+/// n = 100 colony whose choice table is filled, its colony (the visited
+/// flags are cleared before every launch) and its ops per launch (its
+/// construction steps).
+fn task_tour_kernel(dev: &DeviceSpec, gm: &mut GlobalMem) -> (TaskTourKernel, ColonyBuffers, u64) {
+    let inst = aco_tsp::uniform_random("interp-bench", DP_CITIES as usize, 1000.0, 1);
+    let bufs = ColonyBuffers::allocate(gm, &inst, &AcoParams::default().nn(10).ants(8));
+    let ck = ChoiceKernel { bufs, alpha: 1.0, beta: 2.0 };
+    launch(dev, &ck.config(), &ck, gm, SimMode::Full).unwrap();
+    let opts = TourStrategy::DeviceRng.task_opts().expect("a task-parallel row");
+    let k = TaskTourKernel { bufs, opts, alpha: 1.0, beta: 2.0, seed: 7, iteration: 0 };
+    (k, bufs, DP_CITIES as u64 - 1)
+}
+
 /// Time `op` over `config.trials` trials of 8 launches each; ns/op is
 /// the fastest trial, allocs/op the mean over every trial.
 fn run_op(op: &'static str, config: Config) -> OpResult {
     let dev = device_for(op);
     let mut gm = GlobalMem::new();
+    let mut colony = None;
     let (k, cfg, ops_per_launch): (Box<dyn Kernel>, LaunchConfig, u64) = if op == "dp_tour_tile" {
         let (k, ops) = dp_tour_kernel(&dev, &mut gm, config.reps);
         let cfg = k.config();
+        (Box::new(k), cfg, ops)
+    } else if op == "task_prob_step" {
+        let (k, bufs, ops) = task_tour_kernel(&dev, &mut gm);
+        colony = Some(bufs);
+        let cfg = k.config(&dev);
         (Box::new(k), cfg, ops)
     } else {
         let buf_f = gm.alloc_f32(256);
@@ -488,8 +515,14 @@ fn run_op(op: &'static str, config: Config) -> OpResult {
         (Box::new(k), cfg, config.reps as u64)
     };
     let k = k.as_ref();
+    let launch_once = |gm: &mut GlobalMem| {
+        if let Some(bufs) = colony {
+            bufs.clear_visited(gm);
+        }
+        launch(&dev, &cfg, k, gm, SimMode::Full).unwrap();
+    };
     // Warm-up launch: fills the thread-local pools and caches.
-    launch(&dev, &cfg, k, &mut gm, SimMode::Full).unwrap();
+    launch_once(&mut gm);
 
     let rounds = 8u32;
     let trials = config.trials.max(1);
@@ -499,7 +532,7 @@ fn run_op(op: &'static str, config: Config) -> OpResult {
     for _ in 0..trials {
         let t0 = Instant::now();
         for _ in 0..rounds {
-            launch(&dev, &cfg, k, &mut gm, SimMode::Full).unwrap();
+            launch_once(&mut gm);
         }
         best_ns = best_ns.min(t0.elapsed().as_nanos() as f64 / ops_per_trial as f64);
     }

@@ -7,14 +7,16 @@
 //!
 //! Large launches are *block-sampled* (deterministic, evenly spaced
 //! blocks, extrapolated counters — see `aco_simt::launch`); the sampling
-//! thresholds live in [`sim_mode_for`] and are validated by the
+//! thresholds live in [`sim_mode_for_size`] and are validated by the
 //! cross-checking integration tests at small sizes.
 
 use std::sync::Mutex;
 
 use aco_core::cpu::ant_system::model as cpu_model;
 use aco_core::cpu::{AntSystem, CpuModel, OpCounter, TourPolicy, TourScratch};
-use aco_core::gpu::{run_pheromone, run_tour, ColonyBuffers, PheromoneStrategy, TourStrategy};
+use aco_core::gpu::{
+    run_pheromone, run_tour, sim_mode_for_size, ColonyBuffers, PheromoneStrategy, TourStrategy,
+};
 use aco_core::params::AcoParams;
 use aco_core::quality::{cpu_quality, gpu_quality};
 use aco_simt::rng::PmRng;
@@ -52,20 +54,13 @@ impl Default for RunConfig {
     }
 }
 
-/// The simulation mode [`ModePolicy::Auto`] picks for an instance size.
+/// The simulation mode a policy picks for an instance size;
+/// [`ModePolicy::Auto`] is [`sim_mode_for_size`].
 pub fn sim_mode_for(policy: ModePolicy, n: usize) -> SimMode {
     match policy {
         ModePolicy::Full => SimMode::Full,
         ModePolicy::Sample(k) => SimMode::SampleBlocks(k),
-        ModePolicy::Auto => {
-            if n <= 128 {
-                SimMode::Full
-            } else if n <= 442 {
-                SimMode::SampleBlocks(4)
-            } else {
-                SimMode::SampleBlocks(2)
-            }
-        }
+        ModePolicy::Auto => sim_mode_for_size(n),
     }
 }
 

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use aco_localsearch::{LocalSearch, LsScope, LsScratch, OrOptDev, TwoOptDev};
-use aco_simt::{DeviceSpec, GlobalMem, SimtError};
+use aco_simt::{DeviceSpec, GlobalMem, SimMode, SimtError};
 use aco_tsp::{NearestNeighborLists, Tour, TspInstance};
 
 pub mod acs;
@@ -20,6 +20,23 @@ pub use buffers::{ColonyBuffers, THETA};
 pub use pheromone::{run_pheromone, run_pheromone_threads, PheromoneRun, PheromoneStrategy};
 pub use system::{GpuAntSystem, GpuIterationReport};
 pub use tour::{run_tour, run_tour_threads, TourRun, TourStrategy};
+
+/// The simulation fidelity for an instance of `n` cities: every block up
+/// to 128 cities, then deterministic block sampling — four blocks up to
+/// 442 cities (pcb442), two beyond. Full simulation is exact but its host
+/// cost grows with the grid, while a launch's blocks are homogeneous
+/// enough for a sample (`tests/sampling_consistency.rs` bounds the error).
+/// The one size policy of the `Auto` backend's probes and of the paper
+/// reproduction's automatic mode.
+pub fn sim_mode_for_size(n: usize) -> SimMode {
+    if n <= 128 {
+        SimMode::Full
+    } else if n <= 442 {
+        SimMode::SampleBlocks(4)
+    } else {
+        SimMode::SampleBlocks(2)
+    }
+}
 
 /// Index of the first minimum — the canonical "iteration-best ant"
 /// choice both GPU colonies use (first strict minimum, matching the
@@ -213,5 +230,18 @@ impl GpuLocalSearch {
             gm.f32_mut(bufs.lengths)[ant] = lens[ant] as f32;
         }
         Ok(ms)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn size_policy_samples_past_128_and_442_cities() {
+        assert_eq!(sim_mode_for_size(128), SimMode::Full);
+        assert_eq!(sim_mode_for_size(129), SimMode::SampleBlocks(4));
+        assert_eq!(sim_mode_for_size(442), SimMode::SampleBlocks(4));
+        assert_eq!(sim_mode_for_size(443), SimMode::SampleBlocks(2));
     }
 }

@@ -17,6 +17,27 @@
 //! pass, roulette scan (a data-dependent `loop_while` — the warp
 //! divergence the paper blames), and the best-choice fallback when a
 //! candidate list is exhausted.
+//!
+//! **What is charged in a lane pass and what runs for real.** The kernel
+//! is modeled as the op-by-op CUDA it stands for, but its branch-free
+//! loops run as lane passes ([`BlockCtx::lane_pass`]): their arithmetic
+//! is one declared [`Tally`] per call, and only their loads and stores
+//! run, one instruction at a time, through the memory models. They are:
+//!
+//! - the full rule's probability pass (rows 1–3), with row 1's inline
+//!   `tau^alpha * eta^beta`;
+//! - the candidate rule's candidate loop (rows 4–6), its branch-free
+//!   roulette and the best-probability pick after a rounding shortfall;
+//! - the all-city argmax fallback;
+//! - every tabu test and mark, in all three layouts, and the zeroing of a
+//!   shared tabu list.
+//!
+//! These stay real ops: the divergent `loop_while` roulette scan of rows
+//! 1–3 (the cost the paper models), the branches into the fallbacks, the
+//! draws, the start city, and each step's tour store, distance load and
+//! length sum. `tests/lane_pass_oracle.rs` keeps the op-by-op kernel and
+//! checks every counter, the modeled time, the tours and the lengths
+//! against it.
 
 use aco_simt::prelude::*;
 use aco_simt::rng::PmRng;
@@ -86,10 +107,76 @@ pub struct TaskTourKernel {
     pub iteration: u64,
 }
 
+#[derive(Clone, Copy)]
 enum TabuState {
     Global,
     SharedInt(ShPtr<u32>),
     SharedBits(ShPtr<u32>),
+}
+
+impl TabuState {
+    /// A tabu test's instructions besides its load: the `n` splat, the
+    /// index math (the bit-packed layout also splats its constants and
+    /// shifts out its bit), and `1.0 - (float)flag`.
+    fn check_tally(self) -> Tally {
+        match self {
+            TabuState::Global | TabuState::SharedInt(_) => {
+                Tally::NONE.op(Op::Mov, 3).op(Op::IAlu, 2).op(Op::FAlu, 1)
+            }
+            TabuState::SharedBits(_) => Tally::NONE.op(Op::Mov, 7).op(Op::IAlu, 6).op(Op::FAlu, 1),
+        }
+    }
+
+    /// A tabu mark's instructions besides its stores (and the bit-packed
+    /// layout's load): the `n` splat, the index math and the value.
+    fn set_tally(self) -> Tally {
+        match self {
+            TabuState::Global | TabuState::SharedInt(_) => {
+                Tally::NONE.op(Op::Mov, 2).op(Op::IAlu, 2)
+            }
+            TabuState::SharedBits(_) => Tally::NONE.op(Op::Mov, 5).op(Op::IAlu, 6),
+        }
+    }
+}
+
+/// One block's ants: where their tabu lists live, and their global and
+/// in-block thread indices.
+struct Ants {
+    tabu: TabuState,
+    tid_global: Reg<u32>,
+    tid_local: Reg<u32>,
+}
+
+/// The candidate step's per-lane values, candidate-major (slot
+/// `c * block_dim + lane`): each candidate's city and probability.
+struct Candidates {
+    city: Vec<u32>,
+    p: Vec<f32>,
+}
+
+/// Row 1's inline `tau^alpha * eta^beta` besides its two loads: splats of
+/// 0, 1, the clamp, alpha and beta and the select; the `d <= 0` compare;
+/// the reciprocal, the double-precision `pow` surcharge, two `__powf` and
+/// the product.
+const INLINE_CHOICE: Tally =
+    Tally::NONE.op(Op::Mov, 6).op(Op::FAlu, 1).op(Op::Sfu, 19).op(Op::FMul, 4);
+
+/// One candidate of the branch-free roulette: the running sum, two
+/// compares, the select and the predicate bookkeeping.
+const ROULETTE_STEP: Tally = Tally::NONE.op(Op::FAlu, 3).op(Op::Mov, 1).op(Op::IAlu, 2);
+
+/// Allocate a shared tabu list of `words` words per thread and zero it:
+/// `thread_idx`, a splat of `words`, the row `imul` and a zero splat, then
+/// per word a splat, an `iadd` and the store.
+fn zeroed_tabu(ctx: &mut BlockCtx, block: u32, words: u32) -> ShPtr<u32> {
+    let arr = ctx.shared_alloc_u32((block * words) as usize);
+    let word = Tally::NONE.op(Op::Mov, 1).op(Op::IAlu, 1);
+    let mut pass =
+        ctx.lane_pass(Tally::NONE.op(Op::Mov, 3).op(Op::IAlu, 1).plus(word.times(words as u64)));
+    for w in 0..words {
+        pass.sh_st(arr, |l| (l as u32).wrapping_mul(words).wrapping_add(w), |_| 0);
+    }
+    arr
 }
 
 impl TaskTourKernel {
@@ -131,179 +218,191 @@ impl TaskTourKernel {
         }
     }
 
-    /// `choice_info[cidx]`, either loaded (optionally via texture) or
-    /// recomputed from `tau` and `dist` (baseline row 1).
-    fn choice_value(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem, cidx: &Reg<u32>) -> Reg<f32> {
+    /// The instructions of one [`Self::choice_value`] besides its loads.
+    fn choice_tally(&self) -> Tally {
         if self.opts.use_choice_table {
-            if self.opts.texture {
-                ctx.ld_tex_f32(gm, self.bufs.choice, cidx)
-            } else {
-                ctx.ld_global_f32(gm, self.bufs.choice, cidx)
-            }
+            Tally::NONE
         } else {
-            let tau = ctx.ld_global_f32(gm, self.bufs.tau, cidx);
-            let d = ctx.ld_global_f32(gm, self.bufs.dist, cidx);
-            let zero = ctx.splat_f32(0.0);
-            let dz = ctx.fle(&d, &zero);
-            let one = ctx.splat_f32(1.0);
-            let eta_raw = ctx.fdiv(&one, &d);
-            let clamp = ctx.splat_f32(ETA_ZERO_DIST);
-            let eta = ctx.select_f32(&dz, &clamp, &eta_raw);
-            let a = ctx.splat_f32(self.alpha);
-            let b = ctx.splat_f32(self.beta);
+            INLINE_CHOICE
+        }
+    }
+
+    /// `each(lane, choice_info[cidx(lane)])`, the value either loaded
+    /// (optionally via texture) or recomputed from `tau` and `dist`
+    /// (baseline row 1).
+    fn choice_value(
+        &self,
+        pass: &mut LanePass,
+        gm: &GlobalMem,
+        cidx: impl Fn(usize) -> u32,
+        mut each: impl FnMut(usize, f32),
+    ) {
+        let bufs = &self.bufs;
+        if !self.opts.use_choice_table {
             // The baseline port calls libm `pow()` on doubles per step
             // (it reuses the sequential code's arithmetic); GT200 runs
             // double precision at 1/8 rate, so each call costs far more
             // than the single-precision `__powf` of the Choice kernel.
-            ctx.charge(Op::Sfu, 14);
-            let ta = ctx.fpow(&tau, &a);
-            let eb = ctx.fpow(&eta, &b);
-            ctx.fmul(&ta, &eb)
+            let mut tau = pass.reg(|_| 0.0f32);
+            pass.ld_f32(gm, bufs.tau, false, &cidx, |l, t| tau.set_lane(l, t));
+            pass.ld_f32(gm, bufs.dist, false, &cidx, |l, d| {
+                let eta = if d <= 0.0 { ETA_ZERO_DIST } else { 1.0 / d };
+                each(l, tau.lane(l).powf(self.alpha) * eta.powf(self.beta));
+            });
+        } else {
+            pass.ld_f32(gm, bufs.choice, self.opts.texture, cidx, each);
         }
     }
 
-    /// 1.0 for unvisited cities, 0.0 for visited.
+    /// `each(lane, 1.0)` for an unvisited `city(lane)`, `0.0` for a
+    /// visited one.
     fn tabu_check(
         &self,
-        ctx: &mut BlockCtx,
-        gm: &mut GlobalMem,
-        tabu: &TabuState,
-        tid_global: &Reg<u32>,
-        tid_local: &Reg<u32>,
-        city: &Reg<u32>,
-    ) -> Reg<f32> {
-        let n = ctx.splat_u32(self.bufs.n);
-        let flag = match tabu {
-            TabuState::Global => {
-                let row = ctx.imul(tid_global, &n);
-                let idx = ctx.iadd(&row, city);
-                ctx.ld_global_u32(gm, self.bufs.visited, &idx)
-            }
-            TabuState::SharedInt(arr) => {
-                let row = ctx.imul(tid_local, &n);
-                let idx = ctx.iadd(&row, city);
-                ctx.sh_ld_u32(*arr, &idx)
-            }
-            TabuState::SharedBits(arr) => {
-                let words = ctx.splat_u32(self.bufs.n.div_ceil(32));
-                let five = ctx.splat_u32(5);
-                let word = ctx.ishr(city, &five);
-                let row = ctx.imul(tid_local, &words);
-                let idx = ctx.iadd(&row, &word);
-                let w = ctx.sh_ld_u32(*arr, &idx);
-                let thirty_one = ctx.splat_u32(31);
-                let bit = ctx.iand(city, &thirty_one);
-                let shifted = ctx.ishr(&w, &bit);
-                let one = ctx.splat_u32(1);
-                ctx.iand(&shifted, &one)
-            }
-        };
-        let fone = ctx.splat_f32(1.0);
-        let f = ctx.u2f(&flag);
-        ctx.fsub(&fone, &f)
+        pass: &mut LanePass,
+        gm: &GlobalMem,
+        ants: &Ants,
+        city: impl Fn(usize) -> u32,
+        mut each: impl FnMut(usize, f32),
+    ) {
+        let n = self.bufs.n;
+        let unvisited = |flag: u32| 1.0 - flag as f32;
+        match ants.tabu {
+            TabuState::Global => pass.ld_global_u32(
+                gm,
+                self.bufs.visited,
+                |l| ants.tid_global.lane(l).wrapping_mul(n).wrapping_add(city(l)),
+                |l, flag| each(l, unvisited(flag)),
+            ),
+            TabuState::SharedInt(arr) => pass.sh_ld(
+                arr,
+                |l| ants.tid_local.lane(l).wrapping_mul(n).wrapping_add(city(l)),
+                |l, flag| each(l, unvisited(flag)),
+            ),
+            TabuState::SharedBits(arr) => pass.sh_ld(
+                arr,
+                |l| ants.tid_local.lane(l).wrapping_mul(n.div_ceil(32)).wrapping_add(city(l) >> 5),
+                |l, w| each(l, unvisited(w.wrapping_shr(city(l) & 31) & 1)),
+            ),
+        }
     }
 
-    fn tabu_set(
-        &self,
-        ctx: &mut BlockCtx,
-        gm: &mut GlobalMem,
-        tabu: &TabuState,
-        tid_global: &Reg<u32>,
-        tid_local: &Reg<u32>,
-        city: &Reg<u32>,
-    ) {
-        let n = ctx.splat_u32(self.bufs.n);
-        match tabu {
-            TabuState::Global => {
-                let row = ctx.imul(tid_global, &n);
-                let idx = ctx.iadd(&row, city);
-                let one = ctx.splat_u32(1);
-                ctx.st_global_u32(gm, self.bufs.visited, &idx, &one);
-            }
-            TabuState::SharedInt(arr) => {
-                let row = ctx.imul(tid_local, &n);
-                let idx = ctx.iadd(&row, city);
-                let one = ctx.splat_u32(1);
-                ctx.sh_st_u32(*arr, &idx, &one);
-            }
+    /// Mark `city` visited for every active ant, as one lane pass.
+    fn tabu_set(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem, ants: &Ants, city: &Reg<u32>) {
+        let n = self.bufs.n;
+        let mut pass = ctx.lane_pass(ants.tabu.set_tally());
+        match ants.tabu {
+            TabuState::Global => pass.st_global_u32(
+                gm,
+                self.bufs.visited,
+                |l| ants.tid_global.lane(l).wrapping_mul(n).wrapping_add(city.lane(l)),
+                |_| 1,
+            ),
+            TabuState::SharedInt(arr) => pass.sh_st(
+                arr,
+                |l| ants.tid_local.lane(l).wrapping_mul(n).wrapping_add(city.lane(l)),
+                |_| 1,
+            ),
             TabuState::SharedBits(arr) => {
-                let words = ctx.splat_u32(self.bufs.n.div_ceil(32));
-                let five = ctx.splat_u32(5);
-                let word = ctx.ishr(city, &five);
-                let row = ctx.imul(tid_local, &words);
-                let idx = ctx.iadd(&row, &word);
-                let w = ctx.sh_ld_u32(*arr, &idx);
-                let thirty_one = ctx.splat_u32(31);
-                let bit = ctx.iand(city, &thirty_one);
-                let one = ctx.splat_u32(1);
-                let mask_bit = ctx.ishl(&one, &bit);
-                let neww = ctx.ior(&w, &mask_bit);
-                ctx.sh_st_u32(*arr, &idx, &neww);
+                let word = |l| {
+                    ants.tid_local
+                        .lane(l)
+                        .wrapping_mul(n.div_ceil(32))
+                        .wrapping_add(city.lane(l) >> 5)
+                };
+                let mut w = pass.reg(|_| 0u32);
+                pass.sh_ld(arr, word, |l, x| w.set_lane(l, x));
+                pass.sh_st(arr, word, |l| w.lane(l) | 1u32.wrapping_shl(city.lane(l) & 31));
             }
         }
     }
 
     /// Deterministic best unvisited city by choice value (the fallback of
-    /// the candidate-list rule, and the rounding guard of the full rule).
+    /// the candidate-list rule, and the rounding guard of the full rule):
+    /// per city a splat, the index `iadd`, the choice value, the tabu
+    /// test, the score `(choice + 1) * unvisited`, a compare and two
+    /// selects.
     fn argmax_unvisited(
         &self,
         ctx: &mut BlockCtx,
         gm: &mut GlobalMem,
-        tabu: &TabuState,
-        tid_global: &Reg<u32>,
-        tid_local: &Reg<u32>,
+        ants: &Ants,
         cur: &Reg<u32>,
     ) -> Reg<u32> {
         let n = self.bufs.n;
-        let nreg = ctx.splat_u32(n);
-        let one = ctx.splat_f32(1.0);
-        let curn = ctx.imul(cur, &nreg);
-        let mut best_v = ctx.splat_f32(-1.0);
-        let mut best_j = ctx.splat_u32(0);
+        let city = Tally::NONE.op(Op::Mov, 3).op(Op::IAlu, 1).op(Op::FAlu, 2).op(Op::FMul, 1);
+        let city = city.plus(self.choice_tally()).plus(ants.tabu.check_tally());
+        let mut pass =
+            ctx.lane_pass(Tally::NONE.op(Op::Mov, 4).op(Op::IAlu, 1).plus(city.times(n as u64)));
+        let curn = pass.reg(|l| cur.lane(l).wrapping_mul(n));
+        let mut raw = pass.reg(|_| 0.0f32);
+        let mut best_v = pass.reg(|_| -1.0f32);
+        let mut best_j = pass.reg(|_| 0u32);
         for j in 0..n {
-            let jr = ctx.splat_u32(j);
-            let cidx = ctx.iadd(&curn, &jr);
-            let v = self.choice_value(ctx, gm, &cidx);
-            let unvis = self.tabu_check(ctx, gm, tabu, tid_global, tid_local, &jr);
+            self.choice_value(
+                &mut pass,
+                gm,
+                |l| curn.lane(l).wrapping_add(j),
+                |l, v| raw.set_lane(l, v),
+            );
             // score = (choice + 1) * unvis: any unvisited city strictly
             // beats every visited one even when choice values reach 0.
-            let vp1 = ctx.fadd(&v, &one);
-            let v = ctx.fmul(&vp1, &unvis);
-            let better = ctx.fgt(&v, &best_v);
-            best_v = ctx.select_f32(&better, &v, &best_v);
-            best_j = ctx.select_u32(&better, &jr, &best_j);
+            self.tabu_check(
+                &mut pass,
+                gm,
+                ants,
+                |_| j,
+                |l, unvis| {
+                    let v = (raw.lane(l) + 1.0) * unvis;
+                    if v > best_v.lane(l) {
+                        best_v.set_lane(l, v);
+                        best_j.set_lane(l, j);
+                    }
+                },
+            );
         }
         best_j
     }
 
     /// Full random-proportional step (rows 1–3): probability pass into the
     /// global scratch array, then the divergent roulette scan.
-    #[allow(clippy::too_many_arguments)]
     fn select_full(
         &self,
         ctx: &mut BlockCtx,
         gm: &mut GlobalMem,
-        tabu: &TabuState,
-        tid_global: &Reg<u32>,
-        tid_local: &Reg<u32>,
+        ants: &Ants,
         cur: &Reg<u32>,
         lcg: &mut Reg<u32>,
     ) -> Reg<u32> {
         let n = self.bufs.n;
-        let nreg = ctx.splat_u32(n);
-        let curn = ctx.imul(cur, &nreg);
-        let prob_base = ctx.imul(tid_global, &nreg);
-
-        let mut sum = ctx.splat_f32(0.0);
+        // Per city: a splat, the choice and probability index adds, the
+        // choice value, the tabu test, the product and the running sum.
+        let city = Tally::NONE.op(Op::Mov, 1).op(Op::IAlu, 2).op(Op::FMul, 1).op(Op::FAlu, 1);
+        let city = city.plus(self.choice_tally()).plus(ants.tabu.check_tally());
+        let mut pass =
+            ctx.lane_pass(Tally::NONE.op(Op::Mov, 2).op(Op::IAlu, 2).plus(city.times(n as u64)));
+        let curn = pass.reg(|l| cur.lane(l).wrapping_mul(n));
+        let prob_base = pass.reg(|l| ants.tid_global.lane(l).wrapping_mul(n));
+        let mut p = pass.reg(|_| 0.0f32);
+        let mut sum = pass.reg(|_| 0.0f32);
         for j in 0..n {
-            let jr = ctx.splat_u32(j);
-            let cidx = ctx.iadd(&curn, &jr);
-            let raw = self.choice_value(ctx, gm, &cidx);
-            let unvis = self.tabu_check(ctx, gm, tabu, tid_global, tid_local, &jr);
-            let p = ctx.fmul(&raw, &unvis);
-            let pidx = ctx.iadd(&prob_base, &jr);
-            ctx.st_global_f32(gm, self.bufs.prob, &pidx, &p);
-            sum = ctx.fadd(&sum, &p);
+            self.choice_value(
+                &mut pass,
+                gm,
+                |l| curn.lane(l).wrapping_add(j),
+                |l, v| p.set_lane(l, v),
+            );
+            self.tabu_check(
+                &mut pass,
+                gm,
+                ants,
+                |_| j,
+                |l, unvis| p.set_lane(l, p.lane(l) * unvis),
+            );
+            let pidx = |l| prob_base.lane(l).wrapping_add(j);
+            pass.st_global_f32(gm, self.bufs.prob, pidx, |l| {
+                sum.set_lane(l, sum.lane(l) + p.lane(l));
+                p.lane(l)
+            });
         }
 
         let r = self.draw(ctx, gm, lcg);
@@ -333,12 +432,14 @@ impl TaskTourKernel {
 
         // Rounding guard: a lane can land on a visited (zero-probability)
         // city; fall back to the deterministic best.
-        let unvis = self.tabu_check(ctx, gm, tabu, tid_global, tid_local, &j);
+        let mut pass = ctx.lane_pass(ants.tabu.check_tally());
+        let mut unvis = pass.reg(|_| 0.0f32);
+        self.tabu_check(&mut pass, gm, ants, |l| j.lane(l), |l, u| unvis.set_lane(l, u));
         let zero = ctx.splat_f32(0.0);
         let bad = ctx.fle(&unvis, &zero);
         let mut next = j;
         ctx.if_then(gm, &bad, |ctx, gm| {
-            let fixed = self.argmax_unvisited(ctx, gm, tabu, tid_global, tid_local, cur);
+            let fixed = self.argmax_unvisited(ctx, gm, ants, cur);
             ctx.assign_u32(&mut next, &fixed);
         });
         next
@@ -346,38 +447,49 @@ impl TaskTourKernel {
 
     /// Candidate-list step (rows 4–6): branch-free roulette over the `nn`
     /// candidates, divergent full-scan fallback when all are visited.
-    #[allow(clippy::too_many_arguments)]
     fn select_nn(
         &self,
         ctx: &mut BlockCtx,
         gm: &mut GlobalMem,
-        tabu: &TabuState,
-        tid_global: &Reg<u32>,
-        tid_local: &Reg<u32>,
+        ants: &Ants,
         cur: &Reg<u32>,
         lcg: &mut Reg<u32>,
+        cands: &mut Candidates,
     ) -> Reg<u32> {
-        let nn = self.bufs.nn;
-        let nreg = ctx.splat_u32(self.bufs.n);
-        let nnreg = ctx.splat_u32(nn);
-        let curn = ctx.imul(cur, &nreg);
-        let curnn = ctx.imul(cur, &nnreg);
-
-        let mut ps: Vec<Reg<f32>> = Vec::with_capacity(nn as usize);
-        let mut cands: Vec<Reg<u32>> = Vec::with_capacity(nn as usize);
-        let mut sum = ctx.splat_f32(0.0);
+        let (n, nn, bd) = (self.bufs.n, self.bufs.nn as usize, ctx.block_dim as usize);
+        // Per candidate: a splat, the list and choice index adds, the
+        // list load, the choice value, the tabu test, the product and the
+        // running sum.
+        let cand = Tally::NONE.op(Op::Mov, 1).op(Op::IAlu, 2).op(Op::FMul, 1).op(Op::FAlu, 1);
+        let cand = cand.plus(self.choice_tally()).plus(ants.tabu.check_tally());
+        let mut pass =
+            ctx.lane_pass(Tally::NONE.op(Op::Mov, 3).op(Op::IAlu, 2).plus(cand.times(nn as u64)));
+        let curn = pass.reg(|l| cur.lane(l).wrapping_mul(n));
+        let curnn = pass.reg(|l| cur.lane(l).wrapping_mul(nn as u32));
+        let mut sum = pass.reg(|_| 0.0f32);
         for c in 0..nn {
-            let cr = ctx.splat_u32(c);
-            let lidx = ctx.iadd(&curnn, &cr);
-            let cand = ctx.ld_global_u32(gm, self.bufs.nn_list, &lidx);
-            let cidx = ctx.iadd(&curn, &cand);
-            let v = self.choice_value(ctx, gm, &cidx);
-            let unvis = self.tabu_check(ctx, gm, tabu, tid_global, tid_local, &cand);
-            let p = ctx.fmul(&v, &unvis);
-            sum = ctx.fadd(&sum, &p);
-            ps.push(p);
-            cands.push(cand);
+            let city = &mut cands.city[c * bd..(c + 1) * bd];
+            let lidx = |l| curnn.lane(l).wrapping_add(c as u32);
+            pass.ld_global_u32(gm, self.bufs.nn_list, lidx, |l, x| city[l] = x);
+            let p = &mut cands.p[c * bd..(c + 1) * bd];
+            self.choice_value(
+                &mut pass,
+                gm,
+                |l| curn.lane(l).wrapping_add(city[l]),
+                |l, v| p[l] = v,
+            );
+            self.tabu_check(
+                &mut pass,
+                gm,
+                ants,
+                |l| city[l],
+                |l, unvis| {
+                    p[l] *= unvis;
+                    sum.set_lane(l, sum.lane(l) + p[l]);
+                },
+            );
         }
+        let (city, p) = (&cands.city, &cands.p);
 
         let zero = ctx.splat_f32(0.0);
         let feasible = ctx.fgt(&sum, &zero);
@@ -386,29 +498,39 @@ impl TaskTourKernel {
         ctx.with_mask(gm, &feasible, |ctx, gm| {
             let r = self.draw(ctx, gm, lcg);
             let target = ctx.fmul(&r, &sum);
-            let mut cum = ctx.splat_f32(0.0);
-            let mut done = Mask::none(ctx.block_dim as usize);
-            let mut chosen = cands[0].clone();
-            for c in 0..nn as usize {
-                cum = ctx.fadd(&cum, &ps[c]);
-                let crossed = ctx.fge(&cum, &target);
-                let has_p = ctx.fgt(&ps[c], &zero);
-                let newly = crossed.and_not(&done).and(&has_p);
-                chosen = ctx.select_u32(&newly, &cands[c], &chosen);
-                done = done.or(&newly);
-                ctx.charge(Op::IAlu, 2); // predicate bookkeeping
-            }
-            // Rounding shortfall: pick the best-probability candidate.
-            let undone = done.not();
-            ctx.if_then(gm, &undone, |ctx, _| {
-                let mut bv = ctx.splat_f32(-1.0);
-                let mut bc = cands[0].clone();
-                for c in 0..nn as usize {
-                    let better = ctx.fgt(&ps[c], &bv);
-                    bv = ctx.select_f32(&better, &ps[c], &bv);
-                    bc = ctx.select_u32(&better, &cands[c], &bc);
+            // The first candidate whose running sum crosses the target
+            // and whose probability is positive; a cumulative-sum splat,
+            // then the roulette step per candidate.
+            let pass =
+                ctx.lane_pass(Tally::NONE.op(Op::Mov, 1).plus(ROULETTE_STEP.times(nn as u64)));
+            let mut done = pass.reg(|_| 0u32);
+            let mut chosen = pass.reg(|l| {
+                let (mut cum, mut chosen) = (0.0f32, city[l]);
+                for c in 0..nn {
+                    cum += p[c * bd + l];
+                    if cum >= target.lane(l) && p[c * bd + l] > 0.0 && done.lane(l) == 0 {
+                        chosen = city[c * bd + l];
+                        done.set_lane(l, 1);
+                    }
                 }
-                ctx.assign_u32(&mut chosen, &bc);
+                chosen
+            });
+            // Rounding shortfall: pick the best-probability candidate (a
+            // splat, then a compare and two selects per candidate).
+            let undone = Mask::from_fn(bd, |l| done.lane(l) == 0);
+            ctx.if_then(gm, &undone, |ctx, _| {
+                let pick = Tally::NONE.op(Op::FAlu, 1).op(Op::Mov, 2);
+                let pass = ctx.lane_pass(Tally::NONE.op(Op::Mov, 1).plus(pick.times(nn as u64)));
+                let best = pass.reg(|l| {
+                    let (mut bv, mut bc) = (-1.0f32, city[l]);
+                    for c in 0..nn {
+                        if p[c * bd + l] > bv {
+                            (bv, bc) = (p[c * bd + l], city[c * bd + l]);
+                        }
+                    }
+                    bc
+                });
+                ctx.assign_u32(&mut chosen, &best);
             });
             ctx.assign_u32(&mut next, &chosen);
         });
@@ -416,7 +538,7 @@ impl TaskTourKernel {
         ctx.with_mask(gm, &infeasible, |ctx, gm| {
             // All candidates visited: deterministic best over all
             // cities — the divergent fallback.
-            let best = self.argmax_unvisited(ctx, gm, tabu, tid_global, tid_local, cur);
+            let best = self.argmax_unvisited(ctx, gm, ants, cur);
             ctx.assign_u32(&mut next, &best);
         });
         next
@@ -431,44 +553,23 @@ impl Kernel for TaskTourKernel {
     fn run_block(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem) {
         let n = self.bufs.n;
         let stride = self.bufs.stride;
-        let layout = self.layout(ctx.device());
 
         // Shared tabu allocation + zeroing (whole block participates).
-        let tabu = match layout {
+        let tabu = match self.layout(ctx.device()) {
             TabuLayout::Global => TabuState::Global,
-            TabuLayout::SharedInt => {
-                let arr = ctx.shared_alloc_u32((self.opts.block * n) as usize);
-                let tl = ctx.thread_idx();
-                let nreg = ctx.splat_u32(n);
-                let row = ctx.imul(&tl, &nreg);
-                let zero = ctx.splat_u32(0);
-                for j in 0..n {
-                    let jr = ctx.splat_u32(j);
-                    let idx = ctx.iadd(&row, &jr);
-                    ctx.sh_st_u32(arr, &idx, &zero);
-                }
-                TabuState::SharedInt(arr)
-            }
+            TabuLayout::SharedInt => TabuState::SharedInt(zeroed_tabu(ctx, self.opts.block, n)),
             TabuLayout::SharedBits => {
-                let words = n.div_ceil(32);
-                let arr = ctx.shared_alloc_u32((self.opts.block * words) as usize);
-                let tl = ctx.thread_idx();
-                let wreg = ctx.splat_u32(words);
-                let row = ctx.imul(&tl, &wreg);
-                let zero = ctx.splat_u32(0);
-                for w in 0..words {
-                    let wr = ctx.splat_u32(w);
-                    let idx = ctx.iadd(&row, &wr);
-                    ctx.sh_st_u32(arr, &idx, &zero);
-                }
-                TabuState::SharedBits(arr)
+                TabuState::SharedBits(zeroed_tabu(ctx, self.opts.block, n.div_ceil(32)))
             }
         };
 
         let tid_global = ctx.global_thread_idx();
         let tid_local = ctx.thread_idx();
+        let ants = Ants { tabu, tid_global, tid_local };
         let m = ctx.splat_u32(self.bufs.m);
-        let is_ant = ctx.ult(&tid_global, &m);
+        let is_ant = ctx.ult(&ants.tid_global, &m);
+        let slots = if self.opts.use_nn_list { (self.bufs.nn * ctx.block_dim) as usize } else { 0 };
+        let mut cands = Candidates { city: vec![0; slots], p: vec![0.0; slots] };
 
         ctx.if_then(gm, &is_ant, |ctx, gm| {
             let mut lcg = {
@@ -486,9 +587,9 @@ impl Kernel for TaskTourKernel {
             let start = ctx.imin(&raw, &nm1);
 
             let stride_reg = ctx.splat_u32(stride);
-            let base = ctx.imul(&tid_global, &stride_reg);
+            let base = ctx.imul(&ants.tid_global, &stride_reg);
             ctx.st_global_u32(gm, self.bufs.tours, &base, &start);
-            self.tabu_set(ctx, gm, &tabu, &tid_global, &tid_local, &start);
+            self.tabu_set(ctx, gm, &ants, &start);
 
             let mut cur = start.clone();
             let mut len = ctx.splat_f32(0.0);
@@ -496,15 +597,15 @@ impl Kernel for TaskTourKernel {
 
             for step in 1..n {
                 let next = if self.opts.use_nn_list {
-                    self.select_nn(ctx, gm, &tabu, &tid_global, &tid_local, &cur, &mut lcg)
+                    self.select_nn(ctx, gm, &ants, &cur, &mut lcg, &mut cands)
                 } else {
-                    self.select_full(ctx, gm, &tabu, &tid_global, &tid_local, &cur, &mut lcg)
+                    self.select_full(ctx, gm, &ants, &cur, &mut lcg)
                 };
 
                 let sr = ctx.splat_u32(step);
                 let pos = ctx.iadd(&base, &sr);
                 ctx.st_global_u32(gm, self.bufs.tours, &pos, &next);
-                self.tabu_set(ctx, gm, &tabu, &tid_global, &tid_local, &next);
+                self.tabu_set(ctx, gm, &ants, &next);
 
                 let row = ctx.imul(&cur, &nreg);
                 let didx = ctx.iadd(&row, &next);
@@ -526,7 +627,7 @@ impl Kernel for TaskTourKernel {
                 ctx.st_global_u32(gm, self.bufs.tours, &pos, &start);
             }
 
-            ctx.st_global_f32(gm, self.bufs.lengths, &tid_global, &len);
+            ctx.st_global_f32(gm, self.bufs.lengths, &ants.tid_global, &len);
         });
     }
 }

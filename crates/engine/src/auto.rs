@@ -20,13 +20,15 @@
 //! instance pays for the probes once.
 
 use aco_core::cpu::{cpu_ls_colony_ms, cpu_phase_ms, LS_ROUNDS_EST};
-use aco_core::gpu::{run_pheromone, run_tour, ColonyBuffers, PheromoneStrategy, TourStrategy};
+use aco_core::gpu::{
+    run_pheromone, run_tour, sim_mode_for_size, ColonyBuffers, PheromoneStrategy, TourStrategy,
+};
 use aco_core::{AcoParams, CpuModel, TourPolicy};
 use aco_devices::{DeviceAffinity, DevicePool};
 use aco_localsearch::{
     probe_or_round_ms, probe_round_ms, LocalSearch, LsScope, OrOptDev, TwoOptDev,
 };
-use aco_simt::{GlobalMem, SimMode};
+use aco_simt::GlobalMem;
 use aco_tsp::TspInstance;
 
 use crate::cache::{ArtifactCache, InstanceArtifacts};
@@ -52,19 +54,6 @@ pub struct CandidateEstimate {
     pub backend: Backend,
     /// Modeled milliseconds per iteration.
     pub ms_per_iter: f64,
-}
-
-/// Probe fidelity: full simulation is exact but quadratic-ish in `n`, so
-/// large instances fall back to deterministic block sampling (same policy
-/// as the bench harness).
-fn probe_mode(n: usize) -> SimMode {
-    if n <= 128 {
-        SimMode::Full
-    } else if n <= 442 {
-        SimMode::SampleBlocks(4)
-    } else {
-        SimMode::SampleBlocks(2)
-    }
 }
 
 /// Seed every GPU probe runs under, regardless of the requesting job's
@@ -127,7 +116,7 @@ pub fn estimates(
         });
     }
 
-    let mode = probe_mode(n);
+    let mode = sim_mode_for_size(n);
     for &device in gpu_models {
         let dev = device.spec();
         // The local-search round cost depends only on the device (the
