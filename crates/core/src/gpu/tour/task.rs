@@ -227,15 +227,15 @@ impl TaskTourKernel {
         }
     }
 
-    /// `each(lane, choice_info[cidx(lane)])`, the value either loaded
+    /// `choice_info[cidx(lane)]` into `out`'s active lanes, either loaded
     /// (optionally via texture) or recomputed from `tau` and `dist`
-    /// (baseline row 1).
+    /// (baseline row 1, which holds `tau` in `out` between the loads).
     fn choice_value(
         &self,
         pass: &mut LanePass,
         gm: &GlobalMem,
         cidx: impl Fn(usize) -> u32,
-        mut each: impl FnMut(usize, f32),
+        out: &mut Reg<f32>,
     ) {
         let bufs = &self.bufs;
         if !self.opts.use_choice_table {
@@ -243,14 +243,13 @@ impl TaskTourKernel {
             // (it reuses the sequential code's arithmetic); GT200 runs
             // double precision at 1/8 rate, so each call costs far more
             // than the single-precision `__powf` of the Choice kernel.
-            let mut tau = pass.reg(|_| 0.0f32);
-            pass.ld_f32(gm, bufs.tau, false, &cidx, |l, t| tau.set_lane(l, t));
+            pass.ld_f32(gm, bufs.tau, false, &cidx, |l, tau| out.set_lane(l, tau));
             pass.ld_f32(gm, bufs.dist, false, &cidx, |l, d| {
                 let eta = if d <= 0.0 { ETA_ZERO_DIST } else { 1.0 / d };
-                each(l, tau.lane(l).powf(self.alpha) * eta.powf(self.beta));
+                out.set_lane(l, out.lane(l).powf(self.alpha) * eta.powf(self.beta));
             });
         } else {
-            pass.ld_f32(gm, bufs.choice, self.opts.texture, cidx, each);
+            pass.ld_f32(gm, bufs.choice, self.opts.texture, cidx, |l, v| out.set_lane(l, v));
         }
     }
 
@@ -338,12 +337,7 @@ impl TaskTourKernel {
         let mut best_v = pass.reg(|_| -1.0f32);
         let mut best_j = pass.reg(|_| 0u32);
         for j in 0..n {
-            self.choice_value(
-                &mut pass,
-                gm,
-                |l| curn.lane(l).wrapping_add(j),
-                |l, v| raw.set_lane(l, v),
-            );
+            self.choice_value(&mut pass, gm, |l| curn.lane(l).wrapping_add(j), &mut raw);
             // score = (choice + 1) * unvis: any unvisited city strictly
             // beats every visited one even when choice values reach 0.
             self.tabu_check(
@@ -385,12 +379,7 @@ impl TaskTourKernel {
         let mut p = pass.reg(|_| 0.0f32);
         let mut sum = pass.reg(|_| 0.0f32);
         for j in 0..n {
-            self.choice_value(
-                &mut pass,
-                gm,
-                |l| curn.lane(l).wrapping_add(j),
-                |l, v| p.set_lane(l, v),
-            );
+            self.choice_value(&mut pass, gm, |l| curn.lane(l).wrapping_add(j), &mut p);
             self.tabu_check(
                 &mut pass,
                 gm,
@@ -467,24 +456,21 @@ impl TaskTourKernel {
         let curn = pass.reg(|l| cur.lane(l).wrapping_mul(n));
         let curnn = pass.reg(|l| cur.lane(l).wrapping_mul(nn as u32));
         let mut sum = pass.reg(|_| 0.0f32);
+        let mut raw = pass.reg(|_| 0.0f32);
         for c in 0..nn {
             let city = &mut cands.city[c * bd..(c + 1) * bd];
             let lidx = |l| curnn.lane(l).wrapping_add(c as u32);
             pass.ld_global_u32(gm, self.bufs.nn_list, lidx, |l, x| city[l] = x);
+            let cidx = |l| curn.lane(l).wrapping_add(city[l]);
+            self.choice_value(&mut pass, gm, cidx, &mut raw);
             let p = &mut cands.p[c * bd..(c + 1) * bd];
-            self.choice_value(
-                &mut pass,
-                gm,
-                |l| curn.lane(l).wrapping_add(city[l]),
-                |l, v| p[l] = v,
-            );
             self.tabu_check(
                 &mut pass,
                 gm,
                 ants,
                 |l| city[l],
                 |l, unvis| {
-                    p[l] *= unvis;
+                    p[l] = raw.lane(l) * unvis;
                     sum.set_lane(l, sum.lane(l) + p[l]);
                 },
             );
