@@ -144,8 +144,7 @@ const OPS: [Op; 10] = {
 
 /// The data-independent instructions of a [`LanePass`]: a count per
 /// [`Op`] class, charged to every active warp, and Park–Miller draws per
-/// active lane. Built in `const` context, so a kernel can name its
-/// per-iteration tally once and scale it with [`Tally::times`].
+/// active lane. `const`-built, so a kernel can name a step's tally once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tally([u64; DRAWS + 1]);
 
@@ -162,9 +161,8 @@ impl Tally {
         self
     }
 
-    /// `self` plus `count` Park–Miller draws, charged as
-    /// [`BlockCtx::lcg_next_f32`] charges one: 4 `IAlu`, 1 `FMul` and an
-    /// `rng_calls` per active lane. The lanes draw with [`pm_draw`].
+    /// `self` plus `count` Park–Miller draws ([`pm_draw`]), charged as
+    /// [`BlockCtx::lcg_next_f32`] charges one (4 `IAlu`, 1 `FMul`, rng call).
     pub const fn draws(mut self, count: u64) -> Tally {
         self.0[DRAWS] += count;
         self.op(Op::IAlu, 4 * count).op(Op::FMul, count)
@@ -296,9 +294,8 @@ impl<'a> BlockCtx<'a> {
         self.stats.warp_instructions += warps * count as f64;
     }
 
-    /// Open a lane pass: charge `tally` over the active warps in one step
-    /// and return the pass that runs the loop's memory instructions (see
-    /// the module docs for why that is exact).
+    /// Charge `tally` over the active warps in one step (exact, see the
+    /// module docs) and return the pass for the loop's memory instructions.
     pub fn lane_pass(&mut self, tally: Tally) -> LanePass<'_, 'a> {
         for op in OPS {
             self.charge(op, tally.0[op as usize]);
@@ -309,8 +306,7 @@ impl<'a> BlockCtx<'a> {
 
     // --- register creation ------------------------------------------------
 
-    /// One `op` whose result `f(thread)` fills every lane of the block,
-    /// active or not.
+    /// One `op` whose result `f(thread)` fills every lane, active or not.
     fn every_lane<T: PoolItem>(&mut self, op: Op, f: impl Fn(u32) -> T) -> Reg<T> {
         self.charge(op, 1);
         let mut out = T::take(self.block_dim as usize);
@@ -701,9 +697,8 @@ impl<'a> BlockCtx<'a> {
         ShPtr::new(off, len as u32)
     }
 
-    /// One shared access: `each(shared, lane, word address of
-    /// ptr[idx(lane)])` in lane order, charged with the bank conflicts of
-    /// each conflict group (half-warp on CC 1.x, warp on CC 2.x).
+    /// One shared access, `each(shared, lane, word of ptr[idx(lane)])` in
+    /// lane order, charged per conflict group (CC 1.x half-warp, 2.x warp).
     fn shared_access<T>(
         &mut self,
         ptr: ShPtr<T>,
@@ -1176,8 +1171,7 @@ impl<'a> BlockCtx<'a> {
 pub struct LanePass<'p, 'a>(&'p mut BlockCtx<'a>);
 
 impl LanePass<'_, '_> {
-    /// A register with `f(lane)` in every active lane and 0 in the
-    /// others, not charged (the pass's results, for the ops after it).
+    /// An uncharged register of `f(lane)` on the active lanes, 0 elsewhere.
     pub fn reg<T: PoolItem>(&self, f: impl FnMut(usize) -> T) -> Reg<T> {
         self.0.map_lanes(f)
     }
@@ -1265,6 +1259,7 @@ impl LanePass<'_, '_> {
         ctx.charge(Op::Shared, 1);
         let active = ctx.mask_stack.last().expect("mask stack never empty");
         ctx.stats.shared_accesses += active.count() as f64;
-        active.for_each_lane(|l| ctx.shared.store(ptr.word_addr(l as u32), bits(l)));
+        let slots = ctx.shared.slots_mut(ptr, active.len());
+        active.for_each_lane(|l| slots[l] = bits(l));
     }
 }

@@ -78,6 +78,12 @@ impl SharedMem {
     pub(crate) fn store(&mut self, word: u32, val: u32) {
         self.words[word as usize] = val;
     }
+
+    /// The words of `ptr[0..len]`.
+    pub(crate) fn slots_mut<T>(&mut self, ptr: ShPtr<T>, len: usize) -> &mut [u32] {
+        debug_assert!(len <= ptr.len(), "shared OOB: {len} slots of {}", ptr.len());
+        &mut self.words[ptr.off_words as usize..][..len]
+    }
 }
 
 #[cfg(test)]
