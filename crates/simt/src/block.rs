@@ -17,7 +17,8 @@
 //! **Host cost follows the work.** Every lane-wise op runs its body
 //! through one lane loop, [`Mask::for_each_lane`]: a counted loop the
 //! compiler can vectorise under a full mask, a walk over the set bits
-//! under any other. Both see the same lanes in the same order, so no
+//! under any other. Both see the same lanes in the same order, and
+//! inactive lanes of a fresh register read back 0 either way, so no
 //! counter can tell them apart. Memory ops resolve their buffer once per
 //! op, not once per lane.
 //!
@@ -31,11 +32,12 @@
 //! half-warp on CC 1.x, the warp on CC 2.x) at its serialization degree,
 //! [`bank_conflict_degree`]: the largest number of distinct words that
 //! fall in one bank. Word addresses that strictly increase in lane order
-//! and span fewer words than there are banks have degree 1 with nothing
-//! to count (every contiguous tile); any other group sorts its at most 32
-//! addresses and counts distinct words per bank. Atomics count each
-//! warp's distinct addresses and largest multiplicity the same sorted way
-//! ([`atomic_replays`]).
+//! and span fewer words than there are banks (`last - first < banks`) are
+//! distinct words in distinct banks, so they have degree 1 with nothing
+//! to count (every contiguous tile and tree-reduction level); any other
+//! group sorts its at most 32 addresses and counts distinct words per
+//! bank. Atomics count each warp's distinct addresses and largest
+//! multiplicity the same sorted way ([`atomic_replays`]).
 //!
 //! **Lane passes.** A loop whose control flow does not depend on the data
 //! need not run op by op. [`BlockCtx::lane_pass`] charges its
@@ -136,9 +138,14 @@ pub fn op_cycles(dev: &DeviceSpec, op: Op) -> u32 {
     }
 }
 
-/// Every [`Op`], for walking a [`Tally`].
+/// Every [`Op`], for walking a [`Tally`] (which counts `op` in slot
+/// `op as usize`).
 const OPS: [Op; 10] = {
     use Op::*;
+    // Exhaustive, so a new `Op` fails to compile until it is listed here.
+    match IAlu {
+        IAlu | FAlu | FMul | Sfu | IDivMod | Mov | Branch | MemIssue | Shared | Bar => {}
+    }
     [IAlu, FAlu, FMul, Sfu, IDivMod, Mov, Branch, MemIssue, Shared, Bar]
 };
 
@@ -146,37 +153,39 @@ const OPS: [Op; 10] = {
 /// [`Op`] class, charged to every active warp, and Park–Miller draws per
 /// active lane. `const`-built, so a kernel can name a step's tally once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Tally([u64; DRAWS + 1]);
-
-/// The slot of a [`Tally`] that counts draws; the others count [`OPS`].
-const DRAWS: usize = OPS.len();
+pub struct Tally {
+    ops: [u64; OPS.len()],
+    draws: u64,
+}
 
 impl Tally {
     /// No instructions.
-    pub const NONE: Tally = Tally([0; DRAWS + 1]);
+    pub const NONE: Tally = Tally { ops: [0; OPS.len()], draws: 0 };
 
     /// `self` plus `count` instructions of class `op`.
     pub const fn op(mut self, op: Op, count: u64) -> Tally {
-        self.0[op as usize] += count;
+        self.ops[op as usize] += count;
         self
     }
 
     /// `self` plus `count` Park–Miller draws ([`pm_draw`]), charged as
     /// [`BlockCtx::lcg_next_f32`] charges one (4 `IAlu`, 1 `FMul`, rng call).
     pub const fn draws(mut self, count: u64) -> Tally {
-        self.0[DRAWS] += count;
+        self.draws += count;
         self.op(Op::IAlu, 4 * count).op(Op::FMul, count)
     }
 
     /// `self` plus `other`.
     pub fn plus(mut self, other: Tally) -> Tally {
-        self.0.iter_mut().zip(other.0).for_each(|(a, b)| *a += b);
+        self.ops.iter_mut().zip(other.ops).for_each(|(a, b)| *a += b);
+        self.draws += other.draws;
         self
     }
 
     /// `self` repeated `k` times.
     pub fn times(mut self, k: u64) -> Tally {
-        self.0.iter_mut().for_each(|a| *a *= k);
+        self.ops.iter_mut().for_each(|a| *a *= k);
+        self.draws *= k;
         self
     }
 }
@@ -298,9 +307,9 @@ impl<'a> BlockCtx<'a> {
     /// module docs) and return the pass for the loop's memory instructions.
     pub fn lane_pass(&mut self, tally: Tally) -> LanePass<'_, 'a> {
         for op in OPS {
-            self.charge(op, tally.0[op as usize]);
+            self.charge(op, tally.ops[op as usize]);
         }
-        self.stats.rng_calls += self.active().count() as f64 * tally.0[DRAWS] as f64;
+        self.stats.rng_calls += self.active().count() as f64 * tally.draws as f64;
         LanePass(self)
     }
 

@@ -272,11 +272,6 @@ impl GlobalMem {
         self.f32(ptr).len()
     }
 
-    /// Element count of a buffer.
-    pub fn len_u32(&self, ptr: DevicePtr<u32>) -> usize {
-        self.u32(ptr).len()
-    }
-
     /// Virtual byte address of element `idx` of a buffer.
     #[cfg(test)]
     fn addr(&self, id: u32, idx: usize) -> u64 {
@@ -369,7 +364,6 @@ mod tests {
         assert_eq!(gm.f32(a), &[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(gm.u32(b), &[7, 8, 9]);
         assert_eq!(gm.len_f32(a), 4);
-        assert_eq!(gm.len_u32(b), 3);
     }
 
     #[test]

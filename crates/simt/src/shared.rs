@@ -81,7 +81,7 @@ impl SharedMem {
 
     /// The words of `ptr[0..len]`.
     pub(crate) fn slots_mut<T>(&mut self, ptr: ShPtr<T>, len: usize) -> &mut [u32] {
-        debug_assert!(len <= ptr.len(), "shared OOB: {len} slots of {}", ptr.len());
+        assert!(len <= ptr.len(), "shared OOB: {len} slots of {}", ptr.len());
         &mut self.words[ptr.off_words as usize..][..len]
     }
 }

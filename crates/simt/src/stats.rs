@@ -56,11 +56,6 @@ impl KernelStats {
         self.issue_cycles_per_sm.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Total issue cycles across all SMs.
-    pub fn total_issue_cycles(&self) -> f64 {
-        self.issue_cycles_per_sm.iter().sum()
-    }
-
     /// Total global transactions (loads + stores).
     pub fn transactions(&self) -> f64 {
         self.ld_transactions + self.st_transactions
@@ -152,7 +147,6 @@ mod tests {
     fn max_and_totals() {
         let s = sample();
         assert_eq!(s.max_sm_cycles(), 40.0);
-        assert_eq!(s.total_issue_cycles(), 64.0);
         assert_eq!(s.transactions(), 6.0);
     }
 
