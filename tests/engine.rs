@@ -67,12 +67,27 @@ fn mixed_batch() -> Vec<SolveRequest> {
     ]
 }
 
+/// `(family, launches, modeled-ms bits)` of the serial run of
+/// [`mixed_batch`], in name order.
+const GOLDEN_KERNELS: [(&str, u64, u64); 8] = [
+    ("acs_global_update", 3, 0x3f990f3f086b67ff),
+    ("acs_tour", 3, 0x3ff81604189374bd),
+    ("choice_info", 12, 0x3fb3701c32dc87c6),
+    ("pheromone_deposit_atomic", 7, 0x3fd1f67cf85a2065),
+    ("pheromone_evaporate", 7, 0x3fa711db92beac06),
+    ("pheromone_reduction", 4, 0x3fcc4d69cfe89a3a),
+    ("tour_data_parallel", 7, 0x3fc9e819ab32ba86),
+    ("tour_task", 4, 0x3ff01bc6405f78e2),
+];
+
 #[test]
 fn four_worker_batch_is_bit_identical_to_serial_execution() {
     // The acceptance criterion: ≥ 8 mixed jobs, 4 workers vs 1 worker,
     // identical SolveReports (tours, lengths, modeled times, backends).
-    let serial: Vec<_> = Engine::new(EngineConfig::with_workers(1)).run_batch(mixed_batch());
-    let parallel: Vec<_> = Engine::new(EngineConfig::with_workers(4)).run_batch(mixed_batch());
+    let serial_engine = Engine::new(EngineConfig::with_workers(1));
+    let parallel_engine = Engine::new(EngineConfig::with_workers(4));
+    let serial: Vec<_> = serial_engine.run_batch(mixed_batch());
+    let parallel: Vec<_> = parallel_engine.run_batch(mixed_batch());
 
     assert_eq!(serial.len(), parallel.len());
     assert!(serial.len() >= 8, "acceptance requires at least 8 jobs");
@@ -86,6 +101,77 @@ fn four_worker_batch_is_bit_identical_to_serial_execution() {
         assert!(rep.best_tour.is_valid());
         assert_eq!(rep.instance, req.instance.name());
         assert_eq!(rep.best_len, rep.best_tour.length(req.instance.matrix()));
+    }
+
+    // The serial run's work, pinned exactly: per job the best length,
+    // the backend it ran on (the two `Auto` jobs resolve to parallel CPU
+    // AS and the M2050 data-parallel row) and the modeled-ms bits; the
+    // cache's hits and misses; and every kernel family's launches and
+    // modeled-ms bits. Any change to the work a colony, the auto resolver
+    // or the SIMT interpreter does for this batch fails here. Host speed
+    // is not checked; perfbench's alternating pairs measure that.
+    let nn = TourPolicy::NearestNeighborList;
+    let gpu = |device, tour, pheromone| Backend::Gpu { device, tour, pheromone };
+    let golden = [
+        (2433, Backend::CpuSequential { policy: nn }, 0x3fd31ad2d51fb216),
+        (2566, Backend::CpuParallel { policy: nn, threads: 3 }, 0x3fce4e7e65373b96),
+        (
+            4213,
+            gpu(GpuDevice::TeslaC1060, TourStrategy::NNList, PheromoneStrategy::AtomicShared),
+            0x3ff51195c1c03be0,
+        ),
+        (
+            3750,
+            gpu(GpuDevice::TeslaM2050, TourStrategy::DataParallelTex, PheromoneStrategy::Reduction),
+            0x3fd60dbc341a0872,
+        ),
+        (5523, Backend::CpuAcs(AcsParams::default()), 0x3ff2d56d52621075),
+        (6411, Backend::CpuMmas(MmasParams::default()), 0x3fe91c91c32d6b46),
+        (2516, Backend::CpuParallel { policy: nn, threads: 4 }, 0x3fc786f1d540660a),
+        (
+            5794,
+            gpu(
+                GpuDevice::TeslaM2050,
+                TourStrategy::DataParallelTex,
+                PheromoneStrategy::AtomicShared,
+            ),
+            0x3fc4c9c0abaee1f5,
+        ),
+        (
+            3520,
+            Backend::GpuAcs { device: GpuDevice::TeslaC1060, acs: AcsParams::default() },
+            0x3ff87a4114b5225c,
+        ),
+    ];
+    assert_eq!(serial.len(), golden.len());
+    for (i, (r, (best_len, backend, modeled_bits))) in serial.iter().zip(golden).enumerate() {
+        let rep = r.as_ref().expect("every job solves");
+        assert_eq!(rep.best_len, best_len, "job {i}: best length");
+        assert_eq!(rep.backend, backend, "job {i}: backend");
+        assert_eq!(
+            rep.modeled_ms.to_bits(),
+            modeled_bits,
+            "job {i}: modeled ms {}",
+            rep.modeled_ms
+        );
+    }
+    let cache = serial_engine.cache_stats();
+    assert_eq!((cache.artifact_hits, cache.artifact_misses), (6, 3), "artifact cache");
+    assert_eq!((cache.decision_hits, cache.decision_misses), (0, 2), "decision cache");
+    let kernels = serial_engine.metrics().kernels;
+    let got: Vec<_> = kernels
+        .iter()
+        .map(|k| (k.family.as_str(), k.invocations, k.modeled_ms.to_bits()))
+        .collect();
+    assert_eq!(got, GOLDEN_KERNELS, "kernel families (name, launches, modeled-ms bits)");
+    // The 4-worker engine launches the same kernels. The profiler sums a
+    // family's modeled ms in launch-completion order, which interleaves
+    // jobs at 4 workers, so those sums agree only up to rounding.
+    let parallel_kernels = parallel_engine.metrics().kernels;
+    assert_eq!(kernels.len(), parallel_kernels.len());
+    for (s, p) in kernels.iter().zip(&parallel_kernels) {
+        assert_eq!((&s.family, s.invocations), (&p.family, p.invocations));
+        assert!((s.modeled_ms - p.modeled_ms).abs() <= 1e-12 * s.modeled_ms, "{}", s.family);
     }
 }
 

@@ -486,3 +486,47 @@ fn two_opt_nn_scales_to_larger_instances() {
     assert_eq!(a, b);
     assert!(a.local_search_improvement > 0);
 }
+
+/// Release-mode case: the all-ants launch identity on a colony of 32
+/// ants over 5 iterations, one `TwoOptNn` job and one `OrOpt` job on
+/// the M2050. Every 2-opt pass launches one window per phase, so the
+/// `two_opt_*` total is exactly `4 · rounds − iterations` (no apply on
+/// each pass's final non-improving round); the round and Or-opt launch
+/// counts are pinned too, so any change to the rounds a pass takes or
+/// to the Or-opt driver's launches fails here. `#[ignore]`d in debug
+/// tier-1 (the Or-opt job interprets ~1600 launches).
+#[test]
+#[ignore = "release-mode case; slow in debug"]
+fn all_ants_launch_counts_are_exact() {
+    const ITERATIONS: usize = 5;
+    let inst = Arc::new(tsp::uniform_random("bench-batch-ls", 48, 1000.0, 0xB8));
+    let params = AcoParams::default().nn(15).ants(32);
+    let req = |ls: LocalSearch, seed: u64| {
+        SolveRequest::new(Arc::clone(&inst), params.clone())
+            .backend(Backend::Gpu {
+                device: GpuDevice::TeslaM2050,
+                tour: TourStrategy::NNList,
+                pheromone: PheromoneStrategy::AtomicShared,
+            })
+            .iterations(ITERATIONS)
+            .seed(seed)
+            .local_search(ls)
+            .local_search_scope(LsScope::AllAnts)
+    };
+    let engine = Engine::new(EngineConfig::with_workers(1));
+    let reports = engine.run_batch(vec![req(LocalSearch::TwoOptNn, 1), req(LocalSearch::OrOpt, 2)]);
+    assert!(reports.iter().all(|r| r.is_ok()), "both jobs solve");
+    let (mut rounds, mut two_opt, mut or_opt) = (0, 0, 0);
+    for fam in engine.metrics().kernels {
+        if fam.family == "two_opt_pos" {
+            rounds = fam.invocations;
+        }
+        if fam.family.starts_with("two_opt") {
+            two_opt += fam.invocations;
+        } else if fam.family.starts_with("or_opt") {
+            or_opt += fam.invocations;
+        }
+    }
+    assert_eq!(two_opt, 4 * rounds - ITERATIONS as u64, "one window per phase per round");
+    assert_eq!((rounds, two_opt, or_opt), (123, 487, 1639), "(rounds, two_opt, or_opt) launches");
+}
