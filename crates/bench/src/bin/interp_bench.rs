@@ -2,15 +2,17 @@
 //!
 //! ```text
 //! interp_bench [--label S] [--append] [--reps R] [--out FILE]
-//! interp_bench --check FILE [--tolerance T] [--reps R]
+//! interp_bench --check FILE [--reps R]
 //! ```
 //!
-//! `--check` is the CI regression gate mirroring `engine_bench --check`:
-//! it re-runs every op of the artifact's **last** history entry and fails
-//! (exit 1) if any op's allocs/op rose more than 0.5 above that entry
-//! (the zero-alloc tripwire is absolute) or its ns/op rose more than
-//! `--tolerance` (default 0.50 — wall time is advisory across machines;
-//! allocation counts are the hard signal). It runs at the entry's
+//! `--check` is the CI regression gate: it re-runs every op of the
+//! artifact's **last** history entry and fails (exit 1) only on counts —
+//! an op whose allocs/op rose more than 0.5 above that entry (the
+//! zero-alloc tripwire is absolute), a launch family whose
+//! allocs/launch did, or a baseline op the run no longer measures. An
+//! ns/op more than [`NS_ADVISORY`] above the entry prints a
+//! `gate ADVISORY` line and never fails: wall time swings up to 2x
+//! between runs of one binary on a shared host. It runs at the entry's
 //! recorded `reps` and `trials` and refuses (exit 2) an explicit `--reps`
 //! that differs, or an entry that records no config, because ns/op and
 //! allocs/op are only comparable at one config (allocs/op in particular
@@ -50,7 +52,7 @@
 //! flat however large the read-only inputs are. The `--check` gate
 //! holds each family within the same ±0.5 slack as the per-op rows.
 //!
-//! The artifact keeps a history entry per PR, like `BENCH_engine.json`.
+//! The artifact keeps a history entry per PR.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -344,6 +346,10 @@ struct OpResult {
 /// clears this slack immediately while counter jitter does not.
 const ALLOC_SLACK: f64 = 0.5;
 
+/// Relative ns/op rise above the baseline that `--check` reports as
+/// advisory. Wall time is never a hard gate here.
+const NS_ADVISORY: f64 = 0.5;
+
 /// The config an entry ran under.
 #[derive(Clone, Copy)]
 struct Config {
@@ -358,9 +364,10 @@ const DEFAULT_REPS: u32 = 4096;
 const TRIALS: u32 = 5;
 
 /// `--check`: re-run the last committed entry's ops at its recorded
-/// config and compare. Exit 1 on regression beyond the tolerances, exit 2
-/// when the entry records no config or an explicit `--reps` contradicts it.
-fn check(path: &std::path::Path, tolerance: f64, reps: Option<u32>) -> ! {
+/// config and compare. Exit 1 on an allocation-count regression or a
+/// missing op, exit 2 when the entry records no config or an explicit
+/// `--reps` contradicts it; ns/op overruns are only reported.
+fn check(path: &std::path::Path, reps: Option<u32>) -> ! {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("check: could not read {}: {e}", path.display());
         std::process::exit(2);
@@ -393,7 +400,7 @@ fn check(path: &std::path::Path, tolerance: f64, reps: Option<u32>) -> ! {
         std::process::exit(2);
     }
     println!(
-        "gate: entry '{label}', {} ops at reps {} x trials {}, tolerance {tolerance:.2}",
+        "gate: entry '{label}', {} ops at reps {} x trials {}",
         baseline.len(),
         config.reps,
         config.trials
@@ -413,13 +420,12 @@ fn check(path: &std::path::Path, tolerance: f64, reps: Option<u32>) -> ! {
             );
             failed = true;
         }
-        if f.ns_per_op > base_ns * (1.0 + tolerance) {
-            eprintln!(
-                "gate FAIL: {name} ns/op {:.1} > baseline {base_ns:.1} * {:.2}",
+        if f.ns_per_op > base_ns * (1.0 + NS_ADVISORY) {
+            println!(
+                "gate ADVISORY: {name} ns/op {:.1} > baseline {base_ns:.1} * {:.2}",
                 f.ns_per_op,
-                1.0 + tolerance
+                1.0 + NS_ADVISORY
             );
-            failed = true;
         }
     }
     // Launch-allocation gate: COW shadows hold allocs/launch flat, so a
@@ -441,7 +447,7 @@ fn check(path: &std::path::Path, tolerance: f64, reps: Option<u32>) -> ! {
     if failed {
         std::process::exit(1);
     }
-    println!("gate OK: every op within allocs +{ALLOC_SLACK} and ns *{:.2}", 1.0 + tolerance);
+    println!("gate OK: every op and launch family within allocs +{ALLOC_SLACK}");
     std::process::exit(0);
 }
 
@@ -653,7 +659,6 @@ fn main() {
     let mut reps: Option<u32> = None;
     let mut out = std::path::PathBuf::from("BENCH_interp.json");
     let mut check_path: Option<std::path::PathBuf> = None;
-    let mut tolerance = 0.50;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -662,9 +667,6 @@ fn main() {
             "--reps" => reps = Some(it.next().expect("--reps R").parse().expect("--reps R")),
             "--out" => out = it.next().expect("--out FILE").into(),
             "--check" => check_path = Some(it.next().expect("--check FILE").into()),
-            "--tolerance" => {
-                tolerance = it.next().expect("--tolerance T").parse().expect("--tolerance T");
-            }
             other => {
                 eprintln!("unknown arg {other}");
                 std::process::exit(2);
@@ -672,7 +674,7 @@ fn main() {
         }
     }
     if let Some(path) = &check_path {
-        check(path, tolerance, reps);
+        check(path, reps);
     }
     let config = Config { reps: reps.unwrap_or(DEFAULT_REPS), trials: TRIALS };
 

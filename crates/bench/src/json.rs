@@ -1,7 +1,7 @@
 //! A minimal JSON reader for the bench artifacts.
 //!
-//! The workspace vendors no serde; the bench binaries only need to read
-//! back their *own* output (`BENCH_engine.json` history entries for
+//! The workspace vendors no serde; `interp_bench` only needs to read
+//! back its *own* output (`BENCH_interp.json` history entries for
 //! appending and for the CI regression gate), so this is a small
 //! recursive-descent parser over the full JSON grammar — strict enough
 //! for interchange, tiny enough to audit.

@@ -49,8 +49,7 @@
 //!
 //! **Disabled cost.** A disabled [`Obs`] hands out handles that hold no
 //! cell: every operation is one branch on a `None` — no `Arc` deref, no
-//! atomic, no lock (the `obs_overhead` section of `engine_bench` gates
-//! the end-to-end overhead advisory at ≤ 5%).
+//! atomic, no lock.
 
 pub mod dynamics;
 pub mod http;
