@@ -21,11 +21,15 @@
 //! Each entry records its config — `reps` per launch, `trials` (new
 //! entries always run [`TRIALS`]), the `host_cpus` it ran on and the git
 //! `rev` it was built from — and each op's ns/op is the minimum over the
-//! trials (the least-disturbed run; the host's noise only ever adds).
+//! trials (the least-disturbed run; the host's noise only ever adds),
+//! with the median over the trials beside it as `ns_median` (entries
+//! that predate that column have none).
 //!
 //! Measures the per-operation cost of the `BlockCtx` primitives the
 //! kernels are built from — wall nanoseconds *and allocator calls* per
-//! op — on a 256-lane block of the Tesla C1060 (the two bank-model
+//! op — on a 256-lane block of the Tesla C1060 (`global_ld_uniform` is
+//! the broadcast load every lane of the scatter-to-gather plain row
+//! reads a tour word with; the two bank-model
 //! rows, `shared_reduce` and `shared_conflict`, and the
 //! `shared_argmax_tree` collective run on the M2050). One row times a
 //! whole kernel instead: `dp_tour_tile` is one construction step of the
@@ -154,6 +158,12 @@ impl Kernel for OpKernel {
             "global_ld" => {
                 for _ in 0..self.reps {
                     let _ = ctx.ld_global_f32(gm, self.buf_f, &idx);
+                }
+            }
+            "global_ld_uniform" => {
+                // One word for every lane, a new line every 32 reps.
+                for r in 0..self.reps {
+                    let _ = ctx.ld_global_u32_uniform(gm, self.buf_u, r % 256);
                 }
             }
             "global_st" => {
@@ -314,7 +324,7 @@ fn run_launches(threads: usize) -> LaunchAllocResult {
 /// single-threaded reference and a forked-shadow run.
 const LAUNCH_THREADS: [usize; 2] = [1, 4];
 
-const OPS: [&str; 18] = [
+const OPS: [&str; 19] = [
     "fmul",
     "fma",
     "fdiv_sfu",
@@ -322,6 +332,7 @@ const OPS: [&str; 18] = [
     "cmp_select_partial",
     "if_else",
     "global_ld",
+    "global_ld_uniform",
     "global_st",
     "tex_ld",
     "shared_ld_st",
@@ -338,6 +349,16 @@ const OPS: [&str; 18] = [
 struct OpResult {
     name: &'static str,
     ns_per_op: f64,
+    ns_median: f64,
+    allocs_per_op: f64,
+}
+
+/// One op of a history entry; `ns_median` is `None` on entries that
+/// predate the column.
+struct OpRow {
+    op: String,
+    ns_per_op: f64,
+    ns_median: Option<f64>,
     allocs_per_op: f64,
 }
 
@@ -407,7 +428,7 @@ fn check(path: &std::path::Path, reps: Option<u32>) -> ! {
     );
     let fresh: Vec<OpResult> = OPS.iter().map(|&op| run_op(op, config)).collect();
     let mut failed = false;
-    for &(ref name, base_ns, base_allocs) in baseline {
+    for OpRow { op: name, ns_per_op: base_ns, allocs_per_op: base_allocs, .. } in baseline {
         let Some(f) = fresh.iter().find(|r| r.name == name.as_str()) else {
             eprintln!("gate FAIL: op '{name}' no longer measured");
             failed = true;
@@ -498,7 +519,8 @@ fn task_tour_kernel(dev: &DeviceSpec, gm: &mut GlobalMem) -> (TaskTourKernel, Co
 }
 
 /// Time `op` over `config.trials` trials of 8 launches each; ns/op is
-/// the fastest trial, allocs/op the mean over every trial.
+/// the fastest trial, beside the median trial, and allocs/op the mean
+/// over every trial.
 fn run_op(op: &'static str, config: Config) -> OpResult {
     let dev = device_for(op);
     let mut gm = GlobalMem::new();
@@ -533,20 +555,32 @@ fn run_op(op: &'static str, config: Config) -> OpResult {
     let rounds = 8u32;
     let trials = config.trials.max(1);
     let ops_per_trial = ops_per_launch * rounds as u64;
-    let mut best_ns = f64::INFINITY;
+    let mut ns = Vec::with_capacity(trials as usize);
     let before_allocs = ALLOC_CALLS.load(Ordering::Relaxed);
     for _ in 0..trials {
         let t0 = Instant::now();
         for _ in 0..rounds {
             launch_once(&mut gm);
         }
-        best_ns = best_ns.min(t0.elapsed().as_nanos() as f64 / ops_per_trial as f64);
+        ns.push(t0.elapsed().as_nanos() as f64 / ops_per_trial as f64);
     }
     let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - before_allocs;
     OpResult {
         name: op,
-        ns_per_op: best_ns,
+        ns_per_op: ns.iter().copied().fold(f64::INFINITY, f64::min),
+        ns_median: median(&mut ns),
         allocs_per_op: allocs as f64 / (ops_per_trial * trials as u64) as f64,
+    }
+}
+
+/// The median of `xs` (the mean of the middle two for an even count).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
     }
 }
 
@@ -559,7 +593,7 @@ struct Entry {
     config: Option<Config>,
     host_cpus: Option<u32>,
     rev: Option<String>,
-    ops: Vec<(String, f64, f64)>,
+    ops: Vec<OpRow>,
     launches: Vec<(String, u64, u64, f64)>,
 }
 
@@ -578,9 +612,11 @@ impl Entry {
             rev: e.get("rev").and_then(Json::str).map(str::to_string),
             ops: list("ops")
                 .iter()
-                .map(|o| {
-                    let n = |k| num(o, k).unwrap_or(0.0);
-                    (text(o, "op"), n("ns_per_op"), n("allocs_per_op"))
+                .map(|o| OpRow {
+                    op: text(o, "op"),
+                    ns_per_op: num(o, "ns_per_op").unwrap_or(0.0),
+                    ns_median: num(o, "ns_median"),
+                    allocs_per_op: num(o, "allocs_per_op").unwrap_or(0.0),
                 })
                 .collect(),
             launches: list("launches")
@@ -613,10 +649,13 @@ impl Entry {
         let ops: Vec<String> = self
             .ops
             .iter()
-            .map(|(op, ns, allocs)| {
+            .map(|o| {
+                let median =
+                    o.ns_median.map(|m| format!(", \"ns_median\": {m:.1}")).unwrap_or_default();
                 format!(
-                    "      {{\"op\": \"{op}\", \"ns_per_op\": {ns:.1}, \
-                     \"allocs_per_op\": {allocs:.4}}}"
+                    "      {{\"op\": \"{}\", \"ns_per_op\": {:.1}{median}, \
+                     \"allocs_per_op\": {:.4}}}",
+                    o.op, o.ns_per_op, o.allocs_per_op
                 )
             })
             .collect();
@@ -679,10 +718,16 @@ fn main() {
     let config = Config { reps: reps.unwrap_or(DEFAULT_REPS), trials: TRIALS };
 
     let results: Vec<OpResult> = OPS.iter().map(|&op| run_op(op, config)).collect();
-    println!("reps {} x trials {} (ns/op: fastest trial)", config.reps, config.trials);
-    println!("{:<18} {:>10} {:>12}", "op", "ns/op", "allocs/op");
+    println!(
+        "reps {} x trials {} (ns/op: fastest trial; median: middle trial)",
+        config.reps, config.trials
+    );
+    println!("{:<18} {:>10} {:>10} {:>12}", "op", "ns/op", "median", "allocs/op");
     for r in &results {
-        println!("{:<18} {:>10.1} {:>12.4}", r.name, r.ns_per_op, r.allocs_per_op);
+        println!(
+            "{:<18} {:>10.1} {:>10.1} {:>12.4}",
+            r.name, r.ns_per_op, r.ns_median, r.allocs_per_op
+        );
     }
     let launches: Vec<LaunchAllocResult> =
         LAUNCH_THREADS.iter().map(|&t| run_launches(t)).collect();
@@ -705,7 +750,15 @@ fn main() {
         config: Some(config),
         host_cpus: std::thread::available_parallelism().ok().map(|n| n.get() as u32),
         rev: Some(git_rev()),
-        ops: results.iter().map(|r| (r.name.to_string(), r.ns_per_op, r.allocs_per_op)).collect(),
+        ops: results
+            .iter()
+            .map(|r| OpRow {
+                op: r.name.to_string(),
+                ns_per_op: r.ns_per_op,
+                ns_median: Some(r.ns_median),
+                allocs_per_op: r.allocs_per_op,
+            })
+            .collect(),
         launches: launches
             .iter()
             .map(|l| (l.family.clone(), l.threads as u64, l.launches, l.allocs_per_launch))

@@ -19,17 +19,25 @@
 //! **Host cost.** Every lane runs the same branch-free match per tour
 //! step, so its counters do not depend on the data: each staged tile
 //! (each ant in the plain row) charges them as one lane pass whose tally
-//! is one step's match times the steps, and each step's deposit is added only to the lanes that own the edge's
-//! cells — `(c0, c1)` and `(c1, c0)`, or the one upper-triangle cell of
-//! the reduced row. This is exact. Each charge is a whole number of
-//! cycles and instructions (see the `aco_simt::block` docs). `acc` starts
-//! at `+0.0` and only gains `δ = 1/L` with `L ≥ 0`, so it is never
-//! `-0.0`, and the `+0.0` a non-matching lane would add is the identity.
-//! Each cell still adds its deltas in `(ant, step)` order. Out-of-range
-//! lanes, clamped to the last cell, get no deposit, and they are never
-//! stored. Everything the memory models see stays a real op: the tile
-//! staging loads and barriers, the uniform shared reads, the plain row's
-//! two global loads per step and the fused evaporate-and-deposit writes.
+//! is one step's match times the steps, and each step's deposit is added
+//! only to the lanes that own the edge's cells — `(c0, c1)` and
+//! `(c1, c0)`, or the one upper-triangle cell of the reduced row. This is
+//! exact. Each charge is a whole number of cycles and instructions (see
+//! the `aco_simt::block` docs). `acc` starts at `+0.0` and only gains
+//! `δ = 1/L` with `L ≥ 0`, so it is never `-0.0`, and the `+0.0` a
+//! non-matching lane would add is the identity. Each cell still adds its
+//! deltas in `(ant, step)` order. Out-of-range lanes, clamped to the last
+//! cell, get no deposit, and they are never stored. Everything the memory
+//! models see stays a real op: the tile staging loads and barriers, the
+//! uniform shared reads, each ant's length load, the plain row's two
+//! global loads per step and the fused evaporate-and-deposit writes. The
+//! length loads and the plain row's tour loads are broadcast loads
+//! (`BlockCtx::ld_global_u32_uniform`): every lane reads one word, so the
+//! coalescing and L1 models charge them per warp, still exactly as they
+//! charge the per-lane load of one address. The registers they no longer
+//! need are charged in tallies instead: each ant's index and `1.0` splats
+//! and its division (`DELTA`), and a plain-row step's two address splats
+//! (`STAGED`).
 
 use aco_simt::prelude::*;
 
@@ -117,18 +125,13 @@ impl ScatterGatherKernel {
         let stride = self.bufs.stride;
         let mut acc = ctx.splat_f32(0.0);
         for k in 0..m {
-            let ant_reg = ctx.splat_u32(k);
-            let c_len = ctx.ld_global_f32(gm, self.bufs.lengths, &ant_reg);
-            let one = ctx.splat_f32(1.0);
-            let delta = ctx.fdiv(&one, &c_len);
+            let delta = self.ant_delta(ctx, gm, k);
             for s in 0..n {
-                let i0 = ctx.splat_u32(k * stride + s);
-                let i1 = ctx.splat_u32(k * stride + s + 1);
-                let c0 = ctx.ld_global_u32(gm, self.bufs.tours, &i0);
-                let c1 = ctx.ld_global_u32(gm, self.bufs.tours, &i1);
-                self.deposit(ctx, &mut acc, c0.lane(0), c1.lane(0), &delta);
+                let c0 = ctx.ld_global_u32_uniform(gm, self.bufs.tours, k * stride + s);
+                let c1 = ctx.ld_global_u32_uniform(gm, self.bufs.tours, k * stride + s + 1);
+                self.deposit(ctx, &mut acc, c0, c1, delta);
             }
-            ctx.lane_pass(MATCH.times(n as u64));
+            ctx.lane_pass(MATCH.plus(STAGED).times(n as u64));
         }
         acc
     }
@@ -142,10 +145,7 @@ impl ScatterGatherKernel {
         let lane = ctx.thread_idx();
         let mut acc = ctx.splat_f32(0.0);
         for k in 0..m {
-            let ant_reg = ctx.splat_u32(k);
-            let c_len = ctx.ld_global_f32(gm, self.bufs.lengths, &ant_reg);
-            let one = ctx.splat_f32(1.0);
-            let delta = ctx.fdiv(&one, &c_len);
+            let delta = self.ant_delta(ctx, gm, k);
             let tiles = stride / THETA;
             for tile in 0..tiles {
                 let base = k * stride + tile * THETA;
@@ -168,7 +168,7 @@ impl ScatterGatherKernel {
                 for s in 0..upto {
                     let c0 = ctx.sh_ld_u32_uniform(sh, s);
                     let c1 = ctx.sh_ld_u32_uniform(sh, s + 1);
-                    self.deposit(ctx, &mut acc, c0, c1, &delta);
+                    self.deposit(ctx, &mut acc, c0, c1, delta);
                 }
                 ctx.lane_pass(MATCH.plus(STAGED).times(upto as u64));
                 ctx.sync_threads();
@@ -177,10 +177,18 @@ impl ScatterGatherKernel {
         acc
     }
 
+    /// Ant `k`'s deposit `δ = 1/L_k`: a broadcast load of its length and
+    /// the division, with the splats of `k` and `1.0` charged as [`DELTA`].
+    fn ant_delta(&self, ctx: &mut BlockCtx, gm: &GlobalMem, k: u32) -> f32 {
+        let len = ctx.ld_global_f32_uniform(gm, self.bufs.lengths, k);
+        ctx.lane_pass(DELTA);
+        1.0 / len
+    }
+
     /// One tour step's deposit: `acc += delta` on the in-range lanes whose
     /// cell is the edge `(c0, c1)` in either direction, the lanes the
     /// branch-free match selects (the module docs say why that is exact).
-    fn deposit(&self, ctx: &BlockCtx, acc: &mut Reg<f32>, c0: u32, c1: u32, delta: &Reg<f32>) {
+    fn deposit(&self, ctx: &BlockCtx, acc: &mut Reg<f32>, c0: u32, c1: u32, delta: f32) {
         let n = self.bufs.n;
         if c0 >= n || c1 >= n {
             return;
@@ -195,7 +203,7 @@ impl ScatterGatherKernel {
         for cell in cells.into_iter().flatten() {
             if let Some(l) = cell.checked_sub(first).filter(|&l| l < ctx.block_dim) {
                 let l = l as usize;
-                acc.set_lane(l, acc.lane(l) + delta.lane(l));
+                acc.set_lane(l, acc.lane(l) + delta);
             }
         }
     }
@@ -205,7 +213,12 @@ impl ScatterGatherKernel {
 /// ops, a zero splat, a select and an `fadd`.
 const MATCH: Tally = Tally::NONE.op(Op::Mov, 2).op(Op::FAlu, 5).op(Op::IAlu, 3);
 
-/// The 2 splats of the edge's cities when they come from a staged tile.
+/// An ant's deposit: the splats of its index and of `1.0`, and the
+/// division (an SFU reciprocal and a multiply).
+const DELTA: Tally = Tally::NONE.op(Op::Mov, 2).op(Op::Sfu, 1).op(Op::FMul, 1);
+
+/// The 2 splats of one tour step: of a staged tile's two cities, or of
+/// the plain row's two tour addresses.
 const STAGED: Tally = Tally::NONE.op(Op::Mov, 2);
 
 impl Kernel for ScatterGatherKernel {

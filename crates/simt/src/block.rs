@@ -52,6 +52,16 @@
 //! LRU state are updated by the memory instructions, in the ops' order.
 //! [`BlockCtx::sh_argmax_tree`] is the one collective that also charges
 //! its shared accesses in closed form (the tree's words are contiguous).
+//!
+//! **Broadcast loads.** A global load whose active lanes all read one
+//! address ([`BlockCtx::ld_global_u32_uniform`], `_f32`) has a fixed
+//! answer per warp, so it is charged warp by warp without walking lanes:
+//! one L1 lookup of its line on CC 2.x, one copy of the transaction that
+//! one address coalesces to per non-empty half-warp on CC 1.3, and
+//! broadcast camping on a warp with at least 16 active lanes. The rules
+//! are the per-lane access's own (`WarpRules`), applied to the warps in
+//! the same order, so every counter, the L1's hit/miss sequence and its
+//! LRU state are those of the per-lane load of 32 equal addresses.
 
 use crate::cache::Cache;
 use crate::coalesce::{coalesce_cc13_half_warp_into, lines_cc20_into, Transaction};
@@ -226,6 +236,76 @@ pub fn atomic_replays(addrs: &mut [u64]) -> (u32, u32) {
     addrs
         .chunk_by(|a, b| a == b)
         .fold((0, 0), |(distinct, most), run| (distinct + 1, most.max(run.len() as u32)))
+}
+
+/// The lanes of a warp's first half (CC 1.3 coalesces per half-warp).
+const HALF_WARP_BITS: u32 = (1 << (WARP / 2)) - 1;
+
+/// Fewest lanes of a warp whose load of one address camps on a partition.
+const CAMPING_LANES: usize = 16;
+
+/// The per-warp rules of one global access, which the per-lane access
+/// ([`BlockCtx::charge_global_access`]) and the broadcast load both charge
+/// through.
+struct WarpRules<'r> {
+    stats: &'r mut KernelStats,
+    l1: &'r mut Cache,
+    broadcast_camping: f64,
+    fermi: bool,
+    store: bool,
+}
+
+impl<'r> WarpRules<'r> {
+    /// The rules of one access by `active`, whose active warps each issue
+    /// one memory instruction.
+    fn new(
+        dev: &DeviceSpec,
+        stats: &'r mut KernelStats,
+        l1: &'r mut Cache,
+        store: bool,
+        active: &Mask,
+    ) -> Self {
+        stats.mem_warp_instructions += active.active_warps() as f64;
+        let (broadcast_camping, fermi) = (dev.broadcast_camping, dev.compute_capability.is_fermi());
+        WarpRules { stats, l1, broadcast_camping, fermi, store }
+    }
+
+    /// Partition camping: a warp-wide broadcast load means every
+    /// concurrently running block is reading this address right now, all
+    /// hammering one DRAM partition — traffic is effectively serialized by
+    /// `broadcast_camping`. A load by `lanes` lanes camps when at least
+    /// [`CAMPING_LANES`] read one address (`one_addr`, asked only then).
+    fn camping(&self, lanes: usize, one_addr: impl FnOnce() -> bool) -> f64 {
+        if !self.store && lanes >= CAMPING_LANES && one_addr() {
+            self.broadcast_camping
+        } else {
+            1.0
+        }
+    }
+
+    /// One 128-byte line a warp touches on CC 2.x: loads look it up in the
+    /// L1, and a miss or a store goes to DRAM as one transaction.
+    fn line(&mut self, line: u64, camping: f64) {
+        if !self.store {
+            if self.l1.access(line) {
+                self.stats.l1_hits += 1.0;
+                return;
+            }
+            self.stats.l1_misses += 1.0;
+        }
+        self.transaction(128, camping);
+    }
+
+    /// One DRAM transaction of `bytes`: a coalesced CC 1.3 segment (no
+    /// cache) or a CC 2.x line.
+    fn transaction(&mut self, bytes: u32, camping: f64) {
+        self.stats.dram_bytes += bytes as f64 * camping;
+        if self.store {
+            self.stats.st_transactions += 1.0;
+        } else {
+            self.stats.ld_transactions += 1.0;
+        }
+    }
 }
 
 /// Execution context of one thread block.
@@ -871,9 +951,7 @@ impl<'a> BlockCtx<'a> {
         let mut lines = std::mem::take(&mut self.scratch_lines);
         let mut txns = std::mem::take(&mut self.scratch_txns);
         let active = self.mask_stack.last().expect("mask stack never empty");
-        let stats = &mut *self.stats;
-        stats.mem_warp_instructions += active.active_warps() as f64;
-        let fermi = self.device.compute_capability.is_fermi();
+        let mut rules = WarpRules::new(self.device, &mut *self.stats, &mut *self.l1, store, active);
         for w in 0..active.warp_count() {
             let bits = active.warp_bits(w);
             if bits == 0 {
@@ -888,51 +966,54 @@ impl<'a> BlockCtx<'a> {
                 n += 1;
             });
             let addrs = &warp_addrs[..n];
-            let half = (bits & ((1 << (WARP / 2)) - 1)).count_ones() as usize;
-            // Partition camping: a warp-wide broadcast load means every
-            // concurrently running block is reading this address right now,
-            // all hammering one DRAM partition — traffic is effectively
-            // serialized by `broadcast_camping`.
-            let camping = if !store && addrs.len() >= 16 && addrs.iter().all(|&a| a == addrs[0]) {
-                self.device.broadcast_camping
-            } else {
-                1.0
-            };
-            if fermi {
-                // L1-cached loads; stores go straight through in line units.
+            let half = (bits & HALF_WARP_BITS).count_ones() as usize;
+            let camping = rules.camping(n, || addrs.iter().all(|&a| a == addrs[0]));
+            if rules.fermi {
                 lines_cc20_into(addrs, &mut lines);
-                for &line in &lines {
-                    if !store && self.l1.access(line) {
-                        stats.l1_hits += 1.0;
-                    } else {
-                        if !store {
-                            stats.l1_misses += 1.0;
-                        }
-                        stats.dram_bytes += 128.0 * camping;
-                        if store {
-                            stats.st_transactions += 1.0;
-                        } else {
-                            stats.ld_transactions += 1.0;
-                        }
-                    }
-                }
+                lines.iter().for_each(|&line| rules.line(line, camping));
             } else {
-                // CC 1.3: segment coalescing per half-warp, no cache.
                 for part in [&addrs[..half], &addrs[half..]] {
                     coalesce_cc13_half_warp_into(part, &mut lines, &mut txns);
-                    for t in &txns {
-                        stats.dram_bytes += t.bytes as f64 * camping;
-                        if store {
-                            stats.st_transactions += 1.0;
-                        } else {
-                            stats.ld_transactions += 1.0;
-                        }
-                    }
+                    txns.iter().for_each(|t| rules.transaction(t.bytes, camping));
                 }
             }
         }
         self.scratch_lines = lines;
         self.scratch_txns = txns;
+    }
+
+    /// A broadcast global load: every active lane reads `ptr[idx]`, charged
+    /// per warp in closed form, exactly as the per-lane load of one address
+    /// (see "Broadcast loads" in the module docs).
+    fn load_uniform<T: Word>(&mut self, gm: &GlobalMem, ptr: DevicePtr<T>, idx: u32) -> T {
+        self.charge(Op::MemIssue, 1);
+        let (base, data) = gm.view(ptr);
+        let addr = lane_addr(base, idx);
+        let active = self.mask_stack.last().expect("mask stack never empty");
+        let mut rules = WarpRules::new(self.device, &mut *self.stats, &mut *self.l1, false, active);
+        // CC 1.3: the one transaction a half-warp of this address issues.
+        let segment = (!rules.fermi).then(|| {
+            coalesce_cc13_half_warp_into(&[addr], &mut self.scratch_lines, &mut self.scratch_txns);
+            self.scratch_txns[0].bytes
+        });
+        for w in 0..active.warp_count() {
+            let bits = active.warp_bits(w);
+            if bits == 0 {
+                continue;
+            }
+            let camping = rules.camping(bits.count_ones() as usize, || true);
+            match segment {
+                None => rules.line(addr & !127, camping),
+                Some(bytes) => {
+                    for half in [bits & HALF_WARP_BITS, bits & !HALF_WARP_BITS] {
+                        if half != 0 {
+                            rules.transaction(bytes, camping);
+                        }
+                    }
+                }
+            }
+        }
+        load_at(data, ptr.id, idx as usize)
     }
 
     /// Global load: one buffer lookup, the access charge, then
@@ -1036,6 +1117,16 @@ impl<'a> BlockCtx<'a> {
         idx: &Reg<u32>,
     ) -> Reg<u32> {
         self.ld_global(gm, ptr, idx)
+    }
+
+    /// Uniform (broadcast) global load: every active lane reads `ptr[idx]`.
+    pub fn ld_global_f32_uniform(&mut self, gm: &GlobalMem, ptr: DevicePtr<f32>, idx: u32) -> f32 {
+        self.load_uniform(gm, ptr, idx)
+    }
+
+    /// Uniform (broadcast) global load of a u32 word.
+    pub fn ld_global_u32_uniform(&mut self, gm: &GlobalMem, ptr: DevicePtr<u32>, idx: u32) -> u32 {
+        self.load_uniform(gm, ptr, idx)
     }
 
     /// Global store, f32 (lane order resolves same-address races).

@@ -15,8 +15,14 @@
 //!   candidate loop and roulette, argmax fallback, tabu tests and marks
 //!   in all three tabu layouts, shared-tabu zeroing;
 //! - the data-parallel tour kernel (rows 7–8): one pass per tile;
-//! - the scatter-to-gather pheromone rows: one pass per staged tile;
+//! - the scatter-to-gather pheromone rows: one pass per staged tile, or
+//!   per ant in the plain row;
 //! - the argmax tree.
+//!
+//! The written-out scatter rows load each ant's length, and the plain
+//! row each tour word, with per-lane loads of a splatted index, so they
+//! are also the oracle of the broadcast global load
+//! ([`BlockCtx::ld_global_u32_uniform`]) the kernel reads them with.
 //!
 //! The task rows' full grid is `#[ignore]`d for the release tier
 //! (`cargo test --release --test lane_pass_oracle -- --include-ignored`);
