@@ -346,15 +346,8 @@ const OPS: [&str; 19] = [
     "task_prob_step",
 ];
 
-struct OpResult {
-    name: &'static str,
-    ns_per_op: f64,
-    ns_median: f64,
-    allocs_per_op: f64,
-}
-
-/// One op of a history entry; `ns_median` is `None` on entries that
-/// predate the column.
+/// One op of a history entry or of a fresh run; `ns_median` is `None` on
+/// entries that predate the column.
 struct OpRow {
     op: String,
     ns_per_op: f64,
@@ -426,10 +419,10 @@ fn check(path: &std::path::Path, reps: Option<u32>) -> ! {
         config.reps,
         config.trials
     );
-    let fresh: Vec<OpResult> = OPS.iter().map(|&op| run_op(op, config)).collect();
+    let fresh: Vec<OpRow> = OPS.iter().map(|&op| run_op(op, config)).collect();
     let mut failed = false;
     for OpRow { op: name, ns_per_op: base_ns, allocs_per_op: base_allocs, .. } in baseline {
-        let Some(f) = fresh.iter().find(|r| r.name == name.as_str()) else {
+        let Some(f) = fresh.iter().find(|r| r.op == *name) else {
             eprintln!("gate FAIL: op '{name}' no longer measured");
             failed = true;
             continue;
@@ -521,7 +514,7 @@ fn task_tour_kernel(dev: &DeviceSpec, gm: &mut GlobalMem) -> (TaskTourKernel, Co
 /// Time `op` over `config.trials` trials of 8 launches each; ns/op is
 /// the fastest trial, beside the median trial, and allocs/op the mean
 /// over every trial.
-fn run_op(op: &'static str, config: Config) -> OpResult {
+fn run_op(op: &'static str, config: Config) -> OpRow {
     let dev = device_for(op);
     let mut gm = GlobalMem::new();
     let mut colony = None;
@@ -565,10 +558,10 @@ fn run_op(op: &'static str, config: Config) -> OpResult {
         ns.push(t0.elapsed().as_nanos() as f64 / ops_per_trial as f64);
     }
     let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - before_allocs;
-    OpResult {
-        name: op,
+    OpRow {
+        op: op.to_string(),
         ns_per_op: ns.iter().copied().fold(f64::INFINITY, f64::min),
-        ns_median: median(&mut ns),
+        ns_median: Some(median(&mut ns)),
         allocs_per_op: allocs as f64 / (ops_per_trial * trials as u64) as f64,
     }
 }
@@ -717,17 +710,15 @@ fn main() {
     }
     let config = Config { reps: reps.unwrap_or(DEFAULT_REPS), trials: TRIALS };
 
-    let results: Vec<OpResult> = OPS.iter().map(|&op| run_op(op, config)).collect();
+    let ops: Vec<OpRow> = OPS.iter().map(|&op| run_op(op, config)).collect();
     println!(
         "reps {} x trials {} (ns/op: fastest trial; median: middle trial)",
         config.reps, config.trials
     );
     println!("{:<18} {:>10} {:>10} {:>12}", "op", "ns/op", "median", "allocs/op");
-    for r in &results {
-        println!(
-            "{:<18} {:>10.1} {:>10.1} {:>12.4}",
-            r.name, r.ns_per_op, r.ns_median, r.allocs_per_op
-        );
+    for r in &ops {
+        let median = r.ns_median.expect("a fresh run records its median");
+        println!("{:<18} {:>10.1} {median:>10.1} {:>12.4}", r.op, r.ns_per_op, r.allocs_per_op);
     }
     let launches: Vec<LaunchAllocResult> =
         LAUNCH_THREADS.iter().map(|&t| run_launches(t)).collect();
@@ -750,15 +741,7 @@ fn main() {
         config: Some(config),
         host_cpus: std::thread::available_parallelism().ok().map(|n| n.get() as u32),
         rev: Some(git_rev()),
-        ops: results
-            .iter()
-            .map(|r| OpRow {
-                op: r.name.to_string(),
-                ns_per_op: r.ns_per_op,
-                ns_median: Some(r.ns_median),
-                allocs_per_op: r.allocs_per_op,
-            })
-            .collect(),
+        ops,
         launches: launches
             .iter()
             .map(|l| (l.family.clone(), l.threads as u64, l.launches, l.allocs_per_launch))
