@@ -1,6 +1,6 @@
 //! The broadcast global load ([`BlockCtx::ld_global_u32_uniform`]) against
-//! the per-lane load of one splatted address, on masks the kernels that
-//! use it never run under.
+//! the per-lane load of one splatted address, on the full block and on
+//! masks the kernels that use it never run under.
 //!
 //! Each case runs one script of loads under one active mask, once with
 //! broadcast loads and once with `splat_u32` plus `ld_global_u32` (the
