@@ -31,7 +31,10 @@
 //! the broadcast load every lane of the scatter-to-gather plain row
 //! reads a tour word with; the two bank-model
 //! rows, `shared_reduce` and `shared_conflict`, and the
-//! `shared_argmax_tree` collective run on the M2050). One row times a
+//! `shared_argmax_tree` collective run on the M2050).
+//! `global_ld_strided` is the task-parallel rows' tabu and probability
+//! load at m = 8 through the M2050's L1: lanes 0-7 of a 128-lane block
+//! read word `lane * 100 + r % 100` at rep `r`, one row per ant. One row times a
 //! whole kernel instead: `dp_tour_tile` is one construction step of the
 //! data-parallel tour kernel with texture loads (Table II row 8) at
 //! n = 100 on the M2050 — one 128-lane tile: the choice pass, the
@@ -159,6 +162,21 @@ impl Kernel for OpKernel {
                 for _ in 0..self.reps {
                     let _ = ctx.ld_global_f32(gm, self.buf_f, &idx);
                 }
+            }
+            "global_ld_strided" => {
+                // Lanes 0-7 of a 128-lane block, one 100-word row each: the
+                // task-parallel rows' tabu and probability loads at m = 8.
+                let eight = ctx.splat_u32(8);
+                let ants = ctx.ult(&a, &eight);
+                ctx.with_mask(gm, &ants, |ctx, gm| {
+                    for r in 0..self.reps {
+                        let at = |l: usize| l as u32 * 100 + r % 100;
+                        let mut pass = ctx.lane_pass(Tally::NONE);
+                        pass.ld_f32(gm, self.buf_f, false, at, |_, v| {
+                            std::hint::black_box(v);
+                        });
+                    }
+                });
             }
             "global_ld_uniform" => {
                 // One word for every lane, a new line every 32 reps.
@@ -324,7 +342,7 @@ fn run_launches(threads: usize) -> LaunchAllocResult {
 /// single-threaded reference and a forked-shadow run.
 const LAUNCH_THREADS: [usize; 2] = [1, 4];
 
-const OPS: [&str; 19] = [
+const OPS: [&str; 20] = [
     "fmul",
     "fma",
     "fdiv_sfu",
@@ -332,6 +350,7 @@ const OPS: [&str; 19] = [
     "cmp_select_partial",
     "if_else",
     "global_ld",
+    "global_ld_strided",
     "global_ld_uniform",
     "global_st",
     "tex_ld",
@@ -470,9 +489,8 @@ fn check(path: &std::path::Path, reps: Option<u32>) -> ! {
 /// the data-parallel rows run there.
 fn device_for(op: &str) -> DeviceSpec {
     match op {
-        "shared_reduce" | "shared_argmax_tree" | "shared_conflict" | "dp_tour_tile" => {
-            DeviceSpec::tesla_m2050()
-        }
+        "shared_reduce" | "shared_argmax_tree" | "shared_conflict" | "dp_tour_tile"
+        | "global_ld_strided" => DeviceSpec::tesla_m2050(),
         _ => DeviceSpec::tesla_c1060(),
     }
 }
@@ -527,6 +545,12 @@ fn run_op(op: &'static str, config: Config) -> OpRow {
         colony = Some(bufs);
         let cfg = k.config(&dev);
         (Box::new(k), cfg, ops)
+    } else if op == "global_ld_strided" {
+        // Eight 100-word rows.
+        let buf_f = gm.alloc_f32(800);
+        let buf_u = gm.alloc_u32(1);
+        let k = OpKernel { op, reps: config.reps, buf_f, buf_u };
+        (Box::new(k), LaunchConfig::new(1, 128), config.reps as u64)
     } else {
         let buf_f = gm.alloc_f32(256);
         let buf_u = gm.alloc_u32(256);

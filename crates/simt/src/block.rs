@@ -22,6 +22,22 @@
 //! counter can tell them apart. Memory ops resolve their buffer once per
 //! op, not once per lane.
 //!
+//! A per-lane global load or store is one walk over the active lanes,
+//! warp by warp: each lane's index is evaluated once, its word moves (a
+//! load hands it to the op; a store writes the slot and, on a shadow
+//! arena, logs it, in lane order) and its address is kept, and then the
+//! warp is charged from its addresses. On CC 1.3 each half-warp's
+//! transactions are counted from each 128-byte segment's mask of touched
+//! 32-byte quarters (one quarter is a 32-byte transaction, an aligned
+//! half 64, else 128), committed in one add each; on CC 2.x the warp's
+//! lines are deduplicated in lane order and sorted only when a lane's
+//! line is lower than the one before it, because the L1 must see each
+//! warp's lines in ascending order: its LRU state, and so every later
+//! hit or miss, depends on the order of its lookups. Both are the rules
+//! of `coalesce`'s written-out `coalesce_cc13_half_warp` and
+//! `lines_cc20`, so every counter and the L1's hit/miss sequence are
+//! theirs.
+//!
 //! **Comparisons build mask words directly.** A compare fills one 64-lane
 //! mask word at a time from fixed-width `[T; 64]` chunks of its two
 //! operands (a loop the compiler vectorises; a partial tail word goes
@@ -64,9 +80,9 @@
 //! LRU state are those of the per-lane load of 32 equal addresses.
 
 use crate::cache::Cache;
-use crate::coalesce::{coalesce_cc13_half_warp_into, lines_cc20_into, Transaction};
+use crate::coalesce::{cc13_half_warp_totals, cc20_warp_lines};
 use crate::device::DeviceSpec;
-use crate::global::{lane_addr, load_at, DevicePtr, GlobalMem, Word};
+use crate::global::{lane_addr, load_at, store_at, DevicePtr, GlobalMem, Word};
 use crate::mask::{walk_bits, Mask, WARP};
 use crate::pool::PoolItem;
 use crate::rng::pm_draw;
@@ -245,7 +261,7 @@ const HALF_WARP_BITS: u32 = (1 << (WARP / 2)) - 1;
 const CAMPING_LANES: usize = 16;
 
 /// The per-warp rules of one global access, which the per-lane access
-/// ([`BlockCtx::charge_global_access`]) and the broadcast load both charge
+/// ([`BlockCtx::global_access`]) and the broadcast load both charge
 /// through.
 struct WarpRules<'r> {
     stats: &'r mut KernelStats,
@@ -293,17 +309,23 @@ impl<'r> WarpRules<'r> {
             }
             self.stats.l1_misses += 1.0;
         }
-        self.transaction(128, camping);
+        self.transactions(1, 128, camping);
     }
 
-    /// One DRAM transaction of `bytes`: a coalesced CC 1.3 segment (no
-    /// cache) or a CC 2.x line.
-    fn transaction(&mut self, bytes: u32, camping: f64) {
+    /// `count` DRAM transactions of `bytes` in all, in one add each: a
+    /// CC 1.3 half-warp's coalesced segments (no cache) or a CC 2.x line.
+    /// Exact: camping is only charged on a warp whose lanes all read one
+    /// address, whose half-warps issue one transaction each, and every
+    /// other sum is of whole numbers far below 2^53.
+    fn transactions(&mut self, count: u32, bytes: u32, camping: f64) {
+        if count == 0 {
+            return;
+        }
         self.stats.dram_bytes += bytes as f64 * camping;
         if self.store {
-            self.stats.st_transactions += 1.0;
+            self.stats.st_transactions += count as f64;
         } else {
-            self.stats.ld_transactions += 1.0;
+            self.stats.ld_transactions += count as f64;
         }
     }
 }
@@ -324,11 +346,6 @@ pub struct BlockCtx<'a> {
     tex: &'a mut Cache,
     l1: &'a mut Cache,
     declared_shared_bytes: u32,
-    // Reusable scratch buffers for the memory models (allocated once per
-    // block, reused by every access — the per-op `collect()`s they
-    // replace dominated interpreter time).
-    scratch_lines: Vec<u64>,
-    scratch_txns: Vec<Transaction>,
 }
 
 impl<'a> BlockCtx<'a> {
@@ -356,8 +373,6 @@ impl<'a> BlockCtx<'a> {
             tex,
             l1,
             declared_shared_bytes: shared_bytes,
-            scratch_lines: Vec::new(),
-            scratch_txns: Vec::new(),
         }
     }
 
@@ -944,14 +959,17 @@ impl<'a> BlockCtx<'a> {
 
     // --- global memory -----------------------------------------------------------
 
-    /// Charge one global access of the active lanes to the buffer based
-    /// at `base`: coalescing (CC 1.3) or L1 lines (CC 2.0), per warp.
-    fn charge_global_access(&mut self, base: u64, idx: &impl Fn(usize) -> u32, store: bool) {
+    /// One global access of the active lanes to the buffer based at
+    /// `base`, in one walk: `lane(l)` moves lane `l`'s word and returns its
+    /// index, lane by lane in increasing order, and each warp is charged
+    /// once its lanes are walked: coalesced half-warps (CC 1.3) or L1
+    /// lines (CC 2.x).
+    #[inline(always)]
+    fn global_access(&mut self, base: u64, store: bool, mut lane: impl FnMut(usize) -> u32) {
         self.charge(Op::MemIssue, 1);
-        let mut lines = std::mem::take(&mut self.scratch_lines);
-        let mut txns = std::mem::take(&mut self.scratch_txns);
         let active = self.mask_stack.last().expect("mask stack never empty");
         let mut rules = WarpRules::new(self.device, &mut *self.stats, &mut *self.l1, store, active);
+        let (mut warp_addrs, mut lines) = ([0u64; WARP], [0u64; WARP]);
         for w in 0..active.warp_count() {
             let bits = active.warp_bits(w);
             if bits == 0 {
@@ -959,27 +977,25 @@ impl<'a> BlockCtx<'a> {
             }
             // Lane addresses in ascending lane order; the warp's first
             // half is a prefix of `half` lanes.
-            let mut warp_addrs = [0u64; WARP];
             let mut n = 0;
-            active.for_each_warp_lane(w, |lane| {
-                warp_addrs[n] = lane_addr(base, idx(lane));
+            walk_bits(bits as u64, w * WARP, &mut |l| {
+                warp_addrs[n] = lane_addr(base, lane(l));
                 n += 1;
             });
             let addrs = &warp_addrs[..n];
-            let half = (bits & HALF_WARP_BITS).count_ones() as usize;
             let camping = rules.camping(n, || addrs.iter().all(|&a| a == addrs[0]));
             if rules.fermi {
-                lines_cc20_into(addrs, &mut lines);
-                lines.iter().for_each(|&line| rules.line(line, camping));
+                for &line in cc20_warp_lines(addrs, &mut lines) {
+                    rules.line(line, camping);
+                }
             } else {
+                let half = (bits & HALF_WARP_BITS).count_ones() as usize;
                 for part in [&addrs[..half], &addrs[half..]] {
-                    coalesce_cc13_half_warp_into(part, &mut lines, &mut txns);
-                    txns.iter().for_each(|t| rules.transaction(t.bytes, camping));
+                    let (count, bytes) = cc13_half_warp_totals(part);
+                    rules.transactions(count, bytes, camping);
                 }
             }
         }
-        self.scratch_lines = lines;
-        self.scratch_txns = txns;
     }
 
     /// A broadcast global load: every active lane reads `ptr[idx]`, charged
@@ -991,11 +1007,9 @@ impl<'a> BlockCtx<'a> {
         let addr = lane_addr(base, idx);
         let active = self.mask_stack.last().expect("mask stack never empty");
         let mut rules = WarpRules::new(self.device, &mut *self.stats, &mut *self.l1, false, active);
-        // CC 1.3: the one transaction a half-warp of this address issues.
-        let segment = (!rules.fermi).then(|| {
-            coalesce_cc13_half_warp_into(&[addr], &mut self.scratch_lines, &mut self.scratch_txns);
-            self.scratch_txns[0].bytes
-        });
+        // CC 1.3: the size of the one transaction a half-warp of this
+        // address issues.
+        let segment = (!rules.fermi).then(|| cc13_half_warp_totals(&[addr]).1);
         for w in 0..active.warp_count() {
             let bits = active.warp_bits(w);
             if bits == 0 {
@@ -1007,7 +1021,7 @@ impl<'a> BlockCtx<'a> {
                 Some(bytes) => {
                     for half in [bits & HALF_WARP_BITS, bits & !HALF_WARP_BITS] {
                         if half != 0 {
-                            rules.transaction(bytes, camping);
+                            rules.transactions(1, bytes, camping);
                         }
                     }
                 }
@@ -1016,8 +1030,8 @@ impl<'a> BlockCtx<'a> {
         load_at(data, ptr.id, idx as usize)
     }
 
-    /// Global load: one buffer lookup, the access charge, then
-    /// `each(lane, ptr[idx(lane)])` over the active lanes.
+    /// Global load: one buffer lookup, then `each(lane, ptr[idx(lane)])`
+    /// over the active lanes in the access's one walk.
     fn load<T: Word>(
         &mut self,
         gm: &GlobalMem,
@@ -1026,21 +1040,29 @@ impl<'a> BlockCtx<'a> {
         mut each: impl FnMut(usize, T),
     ) {
         let (base, data) = gm.view(ptr);
-        self.charge_global_access(base, &idx, false);
-        self.active().for_each_lane(|l| each(l, load_at(data, ptr.id, idx(l) as usize)));
+        self.global_access(base, false, |l| {
+            let i = idx(l);
+            each(l, load_at(data, ptr.id, i as usize));
+            i
+        });
     }
 
-    /// Global store: `ptr[idx(lane)] = val(lane)` over the active lanes
-    /// (lane order resolves same-address races).
+    /// Global store: `ptr[idx(lane)] = val(lane)` over the active lanes in
+    /// the access's one walk (lane order resolves same-address races, and
+    /// orders a shadow arena's log).
     fn store<T: Word>(
         &mut self,
         gm: &mut GlobalMem,
         ptr: DevicePtr<T>,
         idx: impl Fn(usize) -> u32,
-        val: impl FnMut(usize) -> T,
+        mut val: impl FnMut(usize) -> T,
     ) {
-        self.charge_global_access(gm.view(ptr).0, &idx, true);
-        gm.store_lanes(ptr, self.active(), idx, val);
+        let (base, data, log) = gm.view_mut(ptr);
+        self.global_access(base, true, |l| {
+            let i = idx(l);
+            store_at(data, log, ptr.id, i, val(l));
+            i
+        });
     }
 
     /// Texture load: `each(lane, ptr[idx(lane)])` over the active lanes,

@@ -10,7 +10,28 @@
 //! * **CC 2.0 (Tesla M2050)** — per warp: one 128-byte L1 cache line per
 //!   distinct line touched; misses become 128-byte DRAM transactions.
 //!
+//! [`coalesce_cc13_half_warp`] and [`lines_cc20`] write the two rules out
+//! as sorted passes that list every transaction and line. The interpreter
+//! charges each access through the order-free forms beside them, which
+//! the property tests check against the written-out ones:
+//!
+//! * [`cc13_half_warp_totals`] needs only each transaction's size, which
+//!   follows from the set of 32-byte quarters its segment touches (a
+//!   4-bit mask): one quarter is 32 bytes, quarters inside one aligned
+//!   half are 64, anything else 128. Lanes whose segments ascend (every
+//!   contiguous and row-strided access) touch each segment in one run,
+//!   so a running mask is closed into the totals when the next segment
+//!   starts; any other order keeps one mask per distinct segment, found
+//!   by a scan. Neither copies or sorts.
+//! * [`cc20_warp_lines`] deduplicates lines in lane order and sorts only
+//!   when a line is lower than the one before it: the L1 must see a
+//!   warp's lines in ascending order, as the written-out rule lists them,
+//!   because its LRU state depends on the order of its lookups.
+//!
 //! Functions here are pure so they can be property-tested in isolation.
+//! Every address the interpreter passes is 4-byte aligned.
+
+use crate::mask::WARP;
 
 /// One coalesced transaction: base address and size in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,28 +43,13 @@ pub struct Transaction {
 /// Coalesce one *half-warp*'s 4-byte accesses under the CC 1.2/1.3 rules.
 ///
 /// `addrs` are the byte addresses issued by the active lanes of the
-/// half-warp (duplicates allowed). Returns the memory transactions issued.
+/// half-warp (duplicates allowed). Returns the memory transactions issued,
+/// in address order.
 pub fn coalesce_cc13_half_warp(addrs: &[u64]) -> Vec<Transaction> {
-    let mut segs = Vec::new();
     let mut out = Vec::new();
-    coalesce_cc13_half_warp_into(addrs, &mut segs, &mut out);
-    out
-}
-
-/// [`coalesce_cc13_half_warp`] writing into caller-provided buffers
-/// (`segs` is scratch, `out` receives the transactions) so the per-access
-/// hot path allocates nothing.
-pub fn coalesce_cc13_half_warp_into(
-    addrs: &[u64],
-    segs: &mut Vec<u64>,
-    out: &mut Vec<Transaction>,
-) {
-    out.clear();
     // Sorted addresses: each 128-byte segment is one run, in address
-    // order (for determinism), with its lowest and highest access at the
-    // ends of the run.
-    segs.clear();
-    segs.extend_from_slice(addrs);
+    // order, with its lowest and highest access at the ends of the run.
+    let mut segs = addrs.to_vec();
     segs.sort_unstable();
     let mut rest = &segs[..];
     while let Some(&first) = rest.first() {
@@ -60,21 +66,109 @@ pub fn coalesce_cc13_half_warp_into(
             Transaction { base: seg, bytes: 128 }
         });
     }
+    out
 }
 
-/// Distinct 128-byte lines touched by a warp (CC 2.0 L1 granularity).
+/// Transaction size of a CC 1.3 segment whose touched 32-byte quarters
+/// are the set bits of `quarters` (bit `q` for bytes `32q..32q + 32`).
+#[inline]
+fn segment_bytes(quarters: u8) -> u32 {
+    if quarters.count_ones() == 1 {
+        32
+    } else if quarters & 0b0011 == 0 || quarters & 0b1100 == 0 {
+        64
+    } else {
+        128
+    }
+}
+
+/// The number of transactions and their total bytes that one half-warp's
+/// 4-byte-aligned accesses issue under the CC 1.2/1.3 rules: the totals
+/// of [`coalesce_cc13_half_warp`], counted without sorting (see the
+/// module docs). Panics on more than a half-warp of addresses.
+#[inline]
+pub fn cc13_half_warp_totals(addrs: &[u64]) -> (u32, u32) {
+    assert!(addrs.len() <= WARP / 2, "a half-warp has at most {} lanes", WARP / 2);
+    // Ascending segments are one run each, closed when the next starts.
+    let (mut count, mut bytes) = (0, 0);
+    let (mut seg, mut quarters) = (0, 0u8);
+    for &a in addrs {
+        let (s, q) = (a >> 7, 1 << ((a >> 5) & 3));
+        if quarters != 0 && s == seg {
+            quarters |= q;
+        } else if quarters == 0 || s > seg {
+            if quarters != 0 {
+                count += 1;
+                bytes += segment_bytes(quarters);
+            }
+            (seg, quarters) = (s, q);
+        } else {
+            return cc13_totals_any_order(addrs);
+        }
+    }
+    if quarters != 0 {
+        count += 1;
+        bytes += segment_bytes(quarters);
+    }
+    (count, bytes)
+}
+
+/// [`cc13_half_warp_totals`] of addresses whose segments come in any
+/// order: one quarter mask per distinct segment, found by a scan.
+fn cc13_totals_any_order(addrs: &[u64]) -> (u32, u32) {
+    let mut segs = [(0u64, 0u8); WARP / 2];
+    let mut n = 0;
+    for &a in addrs {
+        let (seg, quarter) = (a >> 7, 1 << ((a >> 5) & 3));
+        match segs[..n].iter_mut().find(|s| s.0 == seg) {
+            Some(s) => s.1 |= quarter,
+            None => {
+                segs[n] = (seg, quarter);
+                n += 1;
+            }
+        }
+    }
+    (n as u32, segs[..n].iter().map(|&(_, q)| segment_bytes(q)).sum())
+}
+
+/// Distinct 128-byte lines touched by a warp (CC 2.0 L1 granularity), in
+/// ascending order.
 pub fn lines_cc20(addrs: &[u64]) -> Vec<u64> {
-    let mut lines = Vec::new();
-    lines_cc20_into(addrs, &mut lines);
+    let mut lines: Vec<u64> = addrs.iter().map(|a| a & !127).collect();
+    lines.sort_unstable();
+    lines.dedup();
     lines
 }
 
-/// [`lines_cc20`] writing into a caller-provided buffer.
-pub fn lines_cc20_into(addrs: &[u64], out: &mut Vec<u64>) {
-    out.clear();
-    out.extend(addrs.iter().map(|a| a & !127));
-    out.sort_unstable();
-    out.dedup();
+/// [`lines_cc20`] of at most a warp of addresses, written into `out`:
+/// deduplicated in lane order and sorted only when some line is lower
+/// than the one before it (see the module docs). Panics on more than a
+/// warp of addresses.
+#[inline]
+pub fn cc20_warp_lines<'o>(addrs: &[u64], out: &'o mut [u64; WARP]) -> &'o [u64] {
+    assert!(addrs.len() <= WARP, "a warp has at most {WARP} lanes");
+    let (mut n, mut ascending) = (0, true);
+    for &a in addrs {
+        let line = a & !127;
+        if n > 0 && line == out[n - 1] {
+            continue;
+        }
+        ascending &= n == 0 || line > out[n - 1];
+        out[n] = line;
+        n += 1;
+    }
+    if !ascending {
+        out[..n].sort_unstable();
+        let mut kept = 1;
+        for i in 1..n {
+            if out[i] != out[kept - 1] {
+                out[kept] = out[i];
+                kept += 1;
+            }
+        }
+        n = kept;
+    }
+    &out[..n]
 }
 
 #[cfg(test)]

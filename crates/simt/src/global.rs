@@ -116,6 +116,27 @@ pub(crate) fn load_at<T: Word>(data: &[T], id: u32, idx: usize) -> T {
     }
 }
 
+/// Store `val` into element `idx` of a buffer resolved by
+/// [`GlobalMem::view_mut`], with the device's OOB fault, logged as a plain
+/// store when `log` is a shadow arena's.
+#[inline(always)]
+pub(crate) fn store_at<T: Word>(
+    data: &mut [T],
+    log: &mut Option<Vec<LogOp>>,
+    id: u32,
+    idx: u32,
+    val: T,
+) {
+    let len = data.len();
+    match data.get_mut(idx as usize) {
+        Some(slot) => *slot = val,
+        None => oob("store", T::NAME, id, len, idx as usize),
+    }
+    if let Some(log) = log {
+        log.push(T::store_op(id, idx, val));
+    }
+}
+
 #[derive(Clone)]
 struct Buffer {
     base: u64,
@@ -226,11 +247,18 @@ impl GlobalMem {
         (buf.base, T::data(&buf.data))
     }
 
-    /// Writable contents of a buffer (materialising its copy-on-write
-    /// payload) plus the shadow log, for lane-batched mutations.
-    fn view_mut<T: Word>(&mut self, ptr: DevicePtr<T>) -> (&mut [T], &mut Option<Vec<LogOp>>) {
-        let data = T::data_mut(&mut self.buffers[ptr.id as usize].data);
-        (Arc::make_mut(data).as_mut_slice(), &mut self.log)
+    /// Base address, writable contents (materialising the copy-on-write
+    /// payload) and the shadow log of a buffer: the one lookup a warp-wide
+    /// mutation makes. Paying the lookup and `Arc::make_mut` once per op,
+    /// not once per lane, keeps the `Arc`-backed buffers from taxing
+    /// stores and atomics.
+    #[inline]
+    pub(crate) fn view_mut<T: Word>(
+        &mut self,
+        ptr: DevicePtr<T>,
+    ) -> (u64, &mut [T], &mut Option<Vec<LogOp>>) {
+        let buf = &mut self.buffers[ptr.id as usize];
+        (buf.base, Arc::make_mut(T::data_mut(&mut buf.data)).as_mut_slice(), &mut self.log)
     }
 
     /// Host-side view of an `f32` buffer (like `cudaMemcpy` D→H).
@@ -240,7 +268,7 @@ impl GlobalMem {
 
     /// Host-side mutable view of an `f32` buffer (like `cudaMemcpy` H→D).
     pub fn f32_mut(&mut self, ptr: DevicePtr<f32>) -> &mut [f32] {
-        self.view_mut(ptr).0
+        self.view_mut(ptr).1
     }
 
     /// Host-side view of a `u32` buffer.
@@ -250,7 +278,7 @@ impl GlobalMem {
 
     /// Host-side mutable view of a `u32` buffer.
     pub fn u32_mut(&mut self, ptr: DevicePtr<u32>) -> &mut [u32] {
-        self.view_mut(ptr).0
+        self.view_mut(ptr).1
     }
 
     /// Copy a host slice into a buffer (must match length).
@@ -285,43 +313,8 @@ impl GlobalMem {
 
     /// Unlogged single store (log replay).
     fn raw_store<T: Word>(&mut self, id: u32, idx: usize, val: T) {
-        let (v, _) = self.view_mut(DevicePtr::<T> { id, _pd: PhantomData });
-        let len = v.len();
-        match v.get_mut(idx) {
-            Some(x) => *x = val,
-            None => oob("store", T::NAME, id, len, idx),
-        }
-    }
-
-    // Stores arrive lane-batched — one call covers every active lane of a
-    // warp-wide vector operation — so the buffer lookup and the COW
-    // materialisation (`Arc::make_mut`) are paid **once per operation**
-    // instead of once per lane, which is what keeps the `Arc`-backed
-    // buffers from taxing `global_st`/`atomic_add`. Lanes are applied and
-    // logged in increasing lane order, so same-address races resolve
-    // lane-last exactly as before.
-
-    /// Lane-batched global store: `buf[idx(l)] = val(l)` for every active
-    /// lane `l`, logged as a plain store on shadow arenas.
-    pub(crate) fn store_lanes<T: Word>(
-        &mut self,
-        ptr: DevicePtr<T>,
-        active: &Mask,
-        idx: impl Fn(usize) -> u32,
-        mut val: impl FnMut(usize) -> T,
-    ) {
-        let (v, log) = self.view_mut(ptr);
-        let len = v.len();
-        active.for_each_lane(|lane| {
-            let (i, x) = (idx(lane) as usize, val(lane));
-            match v.get_mut(i) {
-                Some(slot) => *slot = x,
-                None => oob("store", T::NAME, ptr.id, len, i),
-            }
-            if let Some(log) = log {
-                log.push(T::store_op(ptr.id, i as u32, x));
-            }
-        });
+        let (_, data, _) = self.view_mut(DevicePtr::<T> { id, _pd: PhantomData });
+        store_at(data, &mut None, id, idx as u32, val);
     }
 
     /// Lane-batched simulated `atomicAdd(&buf[idx[l]], val[l])`: applied
@@ -335,7 +328,7 @@ impl GlobalMem {
         idx: &[u32],
         val: &[f32],
     ) {
-        let (v, log) = self.view_mut(ptr);
+        let (_, v, log) = self.view_mut(ptr);
         let len = v.len();
         active.for_each_lane(|lane| {
             let i = idx[lane] as usize;
@@ -390,9 +383,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "OOB store")]
     fn oob_store_panics() {
+        struct StorePastEnd(DevicePtr<u32>);
+        impl crate::Kernel for StorePastEnd {
+            fn name(&self) -> &'static str {
+                "store_past_end"
+            }
+            fn run_block(&self, ctx: &mut crate::BlockCtx, gm: &mut GlobalMem) {
+                let five = ctx.splat_u32(5);
+                ctx.st_global_u32(gm, self.0, &five, &five);
+            }
+        }
         let mut gm = GlobalMem::new();
         let a = gm.alloc_u32(2);
-        gm.store_lanes(a, &Mask::all(1), |_| 5, |_| 1);
+        let (dev, cfg) = (crate::DeviceSpec::tesla_c1060(), crate::LaunchConfig::new(1, 1));
+        let _ = crate::launch(&dev, &cfg, &StorePastEnd(a), &mut gm, crate::SimMode::Full);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use aco_simt::block::{atomic_replays, bank_conflict_degree};
 use aco_simt::cache::Cache;
-use aco_simt::coalesce::{coalesce_cc13_half_warp, lines_cc20};
+use aco_simt::coalesce::{
+    cc13_half_warp_totals, cc20_warp_lines, coalesce_cc13_half_warp, lines_cc20,
+};
 use aco_simt::prelude::*;
 use aco_simt::rng::{park_miller, PmRng, PM_MODULUS};
 use aco_simt::{occupancy, Mask};
@@ -28,6 +30,38 @@ proptest! {
             prop_assert!(matches!(t.bytes, 32 | 64 | 128));
             prop_assert_eq!(t.base % t.bytes as u64, 0);
         }
+    }
+
+    #[test]
+    fn order_free_cc13_totals_match_the_written_out_rule(
+        // A few segments' worth of words, so segments repeat, split into
+        // quarters and halves, and come back after other segments.
+        words in prop::collection::vec(0u64..320, 0..17),
+        base_line in 0u64..1_000,
+        ascending in any::<bool>(),
+    ) {
+        let mut addrs: Vec<u64> = words.iter().map(|w| base_line * 128 + 4 * w).collect();
+        if ascending {
+            // Segments in runs: the path without a per-segment table.
+            addrs.sort_unstable();
+        }
+        let ts = coalesce_cc13_half_warp(&addrs);
+        let bytes = ts.iter().map(|t| t.bytes).sum();
+        prop_assert_eq!(cc13_half_warp_totals(&addrs), (ts.len() as u32, bytes));
+    }
+
+    #[test]
+    fn lane_order_warp_lines_match_the_written_out_rule(
+        words in prop::collection::vec(0u64..2_000, 0..33),
+        ascending in any::<bool>(),
+    ) {
+        let mut addrs: Vec<u64> = words.iter().map(|w| 4 * w).collect();
+        if ascending {
+            // The common case: no sort at all.
+            addrs.sort_unstable();
+        }
+        let mut out = [0; 32];
+        prop_assert_eq!(cc20_warp_lines(&addrs, &mut out), &lines_cc20(&addrs)[..]);
     }
 
     #[test]
