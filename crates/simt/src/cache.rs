@@ -12,11 +12,11 @@
 //! multiplication (Lemire's), so every set count indexes without a divide.
 //!
 //! A lookup compares the line with every way of its set and keeps the
-//! match, with no early exit: the ways are few (8), and a loop whose trip
-//! count does not depend on where the line sits compiles to compares and
-//! selects instead of a branch that mispredicts whenever a hit moves
-//! between ways. A line sits in at most one way, so the match is the one
-//! the early exit found.
+//! match, with no early exit: the ways are few (8), and a scan whose trip
+//! count does not depend on where the line sits has no exit branch to
+//! mispredict when hits move between ways (end to end it ran faster than
+//! the early exit). A line sits in at most one way, so the match is the
+//! one the early exit found.
 //!
 //! **Repeat-line rule.** An access to the line the previous access touched
 //! is a hit, on the most recent way of its set, and refreshing that way's

@@ -22,7 +22,7 @@
 //!   contiguous and row-strided access) touch each segment in one run,
 //!   so a running mask is closed into the totals when the next segment
 //!   starts; any other order keeps one mask per distinct segment, found
-//!   by a scan. Neither copies or sorts.
+//!   by a scan. Neither copies nor sorts.
 //! * [`cc20_warp_lines`] deduplicates lines in lane order and sorts only
 //!   when a line is lower than the one before it: the L1 must see a
 //!   warp's lines in ascending order, as the written-out rule lists them,
