@@ -6,10 +6,9 @@
 //! captures.
 //!
 //! An access costs no divide: the line is a shift (line sizes are powers
-//! of two) and the set index is `SetIndex::of`. A power-of-two set count
-//! (the 16-set M2050 L1, the 32-set texture caches) masks the line's low
-//! bits; any other count (a 48-set L1) takes one exact remainder by
-//! multiplication (Lemire's), so every set count indexes without a divide.
+//! of two) and the set index is `SetIndex::of`, one exact remainder by
+//! multiplication that serves every set count alike, so a 48-set Fermi L1
+//! indexes the same way as a 32-set texture cache.
 //!
 //! A lookup compares the line with every way of its set and keeps the
 //! match, with no early exit: the ways are few (8), and a scan whose trip
@@ -138,40 +137,30 @@ impl Cache {
 }
 
 /// `line % sets` without a divide, exact for every u64 `line` and every
-/// `sets >= 1`.
+/// `sets >= 1` (Lemire, Kaser & Kurz, "Faster remainder by direct
+/// computation", 2019): with `m = ceil(2^128 / sets)` — which wraps to 0
+/// for `sets == 1`, whose remainder is always 0 — the remainder is the
+/// top 64 bits of `(m * line mod 2^128) * sets`.
 #[derive(Debug, Clone, Copy)]
-enum SetIndex {
-    /// A power-of-two `sets`: the low bits, `line & mask`.
-    Mask(u64),
-    /// Any other `sets` (Lemire, Kaser & Kurz, "Faster remainder by direct
-    /// computation", 2019): with `m = ceil(2^128 / sets)` the remainder is
-    /// the top 64 bits of `(m * line mod 2^128) * sets`.
-    Lemire { m: u128, sets: u64 },
+struct SetIndex {
+    m: u128,
+    sets: u64,
 }
 
 impl SetIndex {
     fn new(sets: u64) -> Self {
         assert!(sets >= 1);
-        if sets.is_power_of_two() {
-            SetIndex::Mask(sets - 1)
-        } else {
-            SetIndex::Lemire { m: u128::MAX / sets as u128 + 1, sets }
-        }
+        SetIndex { m: (u128::MAX / sets as u128).wrapping_add(1), sets }
     }
 
     #[inline]
     fn of(&self, line: u64) -> u64 {
-        match *self {
-            SetIndex::Mask(mask) => line & mask,
-            SetIndex::Lemire { m, sets } => {
-                let frac = m.wrapping_mul(line as u128);
-                let sets = sets as u128;
-                // (frac * sets) >> 128 from two 128-bit products; the sum
-                // cannot overflow because (2^64 - 1)^2 + 2^64 < 2^128.
-                let high = (frac >> 64) * sets + (((frac as u64) as u128 * sets) >> 64);
-                (high >> 64) as u64
-            }
-        }
+        let frac = self.m.wrapping_mul(line as u128);
+        let sets = self.sets as u128;
+        // (frac * sets) >> 128 from two 128-bit products; the sum cannot
+        // overflow because (2^64 - 1)^2 + 2^64 < 2^128.
+        let high = (frac >> 64) * sets + (((frac as u64) as u128 * sets) >> 64);
+        (high >> 64) as u64
     }
 }
 
