@@ -34,7 +34,10 @@
 //! `shared_argmax_tree` collective run on the M2050).
 //! `global_ld_strided` is the task-parallel rows' tabu and probability
 //! load at m = 8 through the M2050's L1: lanes 0-7 of a 128-lane block
-//! read word `lane * 100 + r % 100` at rep `r`, one row per ant. One row times a
+//! read word `lane * 100 + r % 100` at rep `r`, one row per ant.
+//! `roulette_scan` is the roulette scan of Table II rows 1-3 as a
+//! `BlockCtx::loop_pass` on the same lanes and rows of the M2050, lane `l`
+//! summing its row for `8 + l` trips; one op is one trip. One row times a
 //! whole kernel instead: `dp_tour_tile` is one construction step of the
 //! data-parallel tour kernel with texture loads (Table II row 8) at
 //! n = 100 on the M2050 — one 128-lane tile: the choice pass, the
@@ -274,6 +277,38 @@ impl Kernel for OpKernel {
                     });
                 }
             }
+            "roulette_scan" => {
+                // The roulette scan of Table II rows 1-3 as a loop pass at
+                // m = 8: lanes 0-7 of a 128-lane block scan their own
+                // 100-word row of ones from column `s % 80`, lane `l` for
+                // `8 + l` trips, so lanes retire one by one and each scan
+                // is 16 trips (the last one exits).
+                let test = Tally::NONE.op(Op::Branch, 2).op(Op::FAlu, 2);
+                let step = Tally::NONE.op(Op::IAlu, 2).op(Op::Mov, 2).op(Op::FAlu, 1);
+                let eight = ctx.splat_u32(8);
+                let ants = ctx.ult(&a, &eight);
+                ctx.with_mask(gm, &ants, |ctx, gm| {
+                    for s in 0..self.reps / 16 {
+                        let row = |l: usize| l as u32 * 100 + s % 80;
+                        let mut scan = (ctx.splat_u32(0), ctx.splat_f32(1.0));
+                        ctx.loop_pass(
+                            &mut scan,
+                            test,
+                            step,
+                            |(j, cum), l| cum.lane(l) < 9.0 + l as f32 && j.lane(l) < 99,
+                            |pass, (j, cum)| {
+                                let next = |l| {
+                                    j.set_lane(l, j.lane(l) + 1);
+                                    row(l) + j.lane(l)
+                                };
+                                pass.ld_f32(gm, self.buf_f, false, next, |l, p| {
+                                    cum.set_lane(l, cum.lane(l) + p)
+                                });
+                            },
+                        );
+                    }
+                });
+            }
             other => unreachable!("unknown op {other}"),
         }
     }
@@ -342,7 +377,7 @@ fn run_launches(threads: usize) -> LaunchAllocResult {
 /// single-threaded reference and a forked-shadow run.
 const LAUNCH_THREADS: [usize; 2] = [1, 4];
 
-const OPS: [&str; 20] = [
+const OPS: [&str; 21] = [
     "fmul",
     "fma",
     "fdiv_sfu",
@@ -361,6 +396,7 @@ const OPS: [&str; 20] = [
     "atomic_add",
     "lcg_rng",
     "roulette_loop",
+    "roulette_scan",
     "dp_tour_tile",
     "task_prob_step",
 ];
@@ -490,7 +526,7 @@ fn check(path: &std::path::Path, reps: Option<u32>) -> ! {
 fn device_for(op: &str) -> DeviceSpec {
     match op {
         "shared_reduce" | "shared_argmax_tree" | "shared_conflict" | "dp_tour_tile"
-        | "global_ld_strided" => DeviceSpec::tesla_m2050(),
+        | "global_ld_strided" | "roulette_scan" => DeviceSpec::tesla_m2050(),
         _ => DeviceSpec::tesla_c1060(),
     }
 }
@@ -545,9 +581,10 @@ fn run_op(op: &'static str, config: Config) -> OpRow {
         colony = Some(bufs);
         let cfg = k.config(&dev);
         (Box::new(k), cfg, ops)
-    } else if op == "global_ld_strided" {
-        // Eight 100-word rows.
+    } else if op == "global_ld_strided" || op == "roulette_scan" {
+        // Eight 100-word rows (of ones, which the scan sums).
         let buf_f = gm.alloc_f32(800);
+        gm.write_f32(buf_f, &[1.0; 800]);
         let buf_u = gm.alloc_u32(1);
         let k = OpKernel { op, reps: config.reps, buf_f, buf_u };
         (Box::new(k), LaunchConfig::new(1, 128), config.reps as u64)

@@ -14,9 +14,9 @@
 //! | 6   | + choice loads through the texture cache |
 //!
 //! The structure matches ACOTSP's construction loop exactly: probability
-//! pass, roulette scan (a data-dependent `loop_while` — the warp
-//! divergence the paper blames), and the best-choice fallback when a
-//! candidate list is exhausted.
+//! pass, roulette scan (a data-dependent loop — the warp divergence the
+//! paper blames), and the best-choice fallback when a candidate list is
+//! exhausted.
 //!
 //! **What is charged in a lane pass and what runs for real.** The kernel
 //! is modeled as the op-by-op CUDA it stands for, but its branch-free
@@ -32,12 +32,15 @@
 //! - every tabu test and mark, in all three layouts, and the zeroing of a
 //!   shared tabu list.
 //!
-//! These stay real ops: the divergent `loop_while` roulette scan of rows
-//! 1–3 (the cost the paper models), the branches into the fallbacks, the
-//! draws, the start city, and each step's tour store, distance load and
-//! length sum. `tests/lane_pass_oracle.rs` keeps the op-by-op kernel and
-//! checks every counter, the modeled time, the tours and the lengths
-//! against it.
+//! The divergent roulette scan of rows 1–3 (the cost the paper models)
+//! is a loop pass ([`BlockCtx::loop_pass`]): each trip charges its test
+//! over the warps still scanning and its step over the warps that go on,
+//! one declared [`Tally`] each, and runs its `prob` load; the lanes'
+//! divergence is counted from the looping mask trip by trip. These stay
+//! real ops: the branches into the fallbacks, the draws, the start city,
+//! and each step's tour store, distance load and length sum.
+//! `tests/lane_pass_oracle.rs` keeps the op-by-op kernel and checks every
+//! counter, the modeled time, the tours and the lengths against it.
 
 use aco_simt::prelude::*;
 use aco_simt::rng::PmRng;
@@ -164,6 +167,16 @@ const INLINE_CHOICE: Tally =
 /// One candidate of the branch-free roulette: the running sum, two
 /// compares, the select and the predicate bookkeeping.
 const ROULETTE_STEP: Tally = Tally::NONE.op(Op::FAlu, 3).op(Op::Mov, 1).op(Op::IAlu, 2);
+
+/// One trip's test in the roulette scan of rows 1–3, over the warps still
+/// scanning: the loop branch, `cum < target`, `j < n - 1` and the branch
+/// into the step.
+const SCAN_TEST: Tally = Tally::NONE.op(Op::Branch, 2).op(Op::FAlu, 2);
+
+/// One step of the roulette scan besides its `prob` load, over the warps
+/// that go on: `j + 1` and its move, the index add, `cum + p` and its
+/// move.
+const SCAN_STEP: Tally = Tally::NONE.op(Op::IAlu, 2).op(Op::Mov, 2).op(Op::FAlu, 1);
 
 /// Allocate a shared tabu list of `words` words per thread and zero it:
 /// `thread_idx`, a splat of `words`, the row `imul` and a zero splat, then
@@ -399,25 +412,27 @@ impl TaskTourKernel {
 
         // Roulette scan: data-dependent trip count per lane = warp
         // divergence ("this operation presents many warp divergences,
-        // leading to serialisation", Section IV-A).
-        let mut j = ctx.splat_u32(0);
-        let mut cum = ctx.ld_global_f32(gm, self.bufs.prob, &prob_base);
-        let one = ctx.splat_u32(1);
-        let nm1 = ctx.splat_u32(n - 1);
-        ctx.loop_while(gm, |ctx, gm| {
-            let below = ctx.flt(&cum, &target);
-            let more = ctx.ult(&j, &nm1);
-            let cont = below.and(&more);
-            ctx.if_then(gm, &cont.clone(), |ctx, gm| {
-                let jn = ctx.iadd(&j, &one);
-                ctx.assign_u32(&mut j, &jn);
-                let pidx = ctx.iadd(&prob_base, &j);
-                let p = ctx.ld_global_f32(gm, self.bufs.prob, &pidx);
-                let cn = ctx.fadd(&cum, &p);
-                ctx.assign_f32(&mut cum, &cn);
-            });
-            cont
-        });
+        // leading to serialisation", Section IV-A). `while (cum < target
+        // && j < n - 1) { j++; cum += prob[base + j]; }` as a loop pass;
+        // the splats of 1 and n - 1 are charged before it.
+        let mut scan = (ctx.splat_u32(0), ctx.ld_global_f32(gm, self.bufs.prob, &prob_base));
+        ctx.charge(Op::Mov, 2);
+        ctx.loop_pass(
+            &mut scan,
+            SCAN_TEST,
+            SCAN_STEP,
+            |(j, cum), l| cum.lane(l) < target.lane(l) && j.lane(l) < n - 1,
+            |pass, (j, cum)| {
+                let next = |l| {
+                    j.set_lane(l, j.lane(l) + 1);
+                    prob_base.lane(l).wrapping_add(j.lane(l))
+                };
+                pass.ld_f32(gm, self.bufs.prob, false, next, |l, p| {
+                    cum.set_lane(l, cum.lane(l) + p)
+                });
+            },
+        );
+        let (j, _) = scan;
 
         // Rounding guard: a lane can land on a visited (zero-probability)
         // city; fall back to the deterministic best.

@@ -66,8 +66,37 @@
 //! one add of `k · c` leaves the same bits as `k` adds of `c`, and the
 //! fractional ones (the texture weight, broadcast camping) and the cache
 //! LRU state are updated by the memory instructions, in the ops' order.
+//! A tally is charged as two precomputed per-warp sums, its issue cycles
+//! and its instructions, each multiplied by the warp count in one add.
 //! [`BlockCtx::sh_argmax_tree`] is the one collective that also charges
 //! its shared accesses in closed form (the tree's words are contiguous).
+//!
+//! **Loop passes.** [`BlockCtx::loop_pass`] is a data-dependent loop
+//! whose every trip is a pass. It equals the written-out loop
+//!
+//! ```text
+//! loop_while(|ctx| {
+//!     charge head;                 // over the warps still looping
+//!     let cont = test;             // per looping lane, in lane order
+//!     if_then(cont, |ctx| {
+//!         charge body;             // over the continuing warps
+//!         trip                     // its loads and stores, in order
+//!     });
+//!     cont
+//! })
+//! ```
+//!
+//! whose head tally holds the loop's and the `if`'s branches and the
+//! test's instructions. A trip keeps the looping mask in place: the test
+//! clears the bits of the lanes that stop, and the mask's words before
+//! and after give both warp counts and the divergence, counted twice
+//! (once for the `if`, once for the back edge, as the written-out form
+//! counts it: a warp diverges when it has both a lane that goes on and
+//! one that stops). The last trip, in which no lane goes on, charges the
+//! head and the divergence and no body. This is exact by the argument
+//! above: every counter a trip charges is a whole number, and the
+//! memory instructions run through the ops' own models under the same
+//! masks in the same order.
 //!
 //! **Broadcast loads.** A global load whose active lanes all read one
 //! address ([`BlockCtx::ld_global_u32_uniform`], `_f32`) has a fixed
@@ -216,6 +245,18 @@ impl Tally {
     }
 }
 
+/// Trips after which a data-dependent loop is taken to be runaway.
+const MAX_TRIPS: u64 = 100_000_000;
+
+/// A [`Tally`]'s charge on one device: issue cycles and instructions per
+/// warp, and draws per lane.
+#[derive(Debug, Clone, Copy)]
+struct TallyCharge {
+    cycles: f64,
+    instructions: f64,
+    draws: f64,
+}
+
 /// Largest `DeviceSpec::shared_banks` the bank model counts; launches on
 /// a device with more banks (or none) are refused.
 pub(crate) const MAX_SHARED_BANKS: u32 = 64;
@@ -272,16 +313,16 @@ struct WarpRules<'r> {
 }
 
 impl<'r> WarpRules<'r> {
-    /// The rules of one access by `active`, whose active warps each issue
+    /// The rules of one access by `warps` active warps, which each issue
     /// one memory instruction.
     fn new(
         dev: &DeviceSpec,
         stats: &'r mut KernelStats,
         l1: &'r mut Cache,
         store: bool,
-        active: &Mask,
+        warps: usize,
     ) -> Self {
-        stats.mem_warp_instructions += active.active_warps() as f64;
+        stats.mem_warp_instructions += warps as f64;
         let (broadcast_camping, fermi) = (dev.broadcast_camping, dev.compute_capability.is_fermi());
         WarpRules { stats, l1, broadcast_camping, fermi, store }
     }
@@ -389,23 +430,62 @@ impl<'a> BlockCtx<'a> {
 
     /// Charge `count` instructions of class `op` to every active warp.
     pub fn charge(&mut self, op: Op, count: u64) {
-        let warps = if count == 0 { 0.0 } else { self.active().active_warps() as f64 };
-        if warps == 0.0 {
+        if count == 0 {
             return;
         }
-        let cycles = op_cycles(self.device, op) as f64;
-        self.stats.issue_cycles_per_sm[self.sm_id] += warps * cycles * count as f64;
-        self.stats.warp_instructions += warps * count as f64;
+        let count = count as f64;
+        let cycles = op_cycles(self.device, op) as f64 * count;
+        self.charge_warps(self.active().active_warps(), cycles, count);
+    }
+
+    /// Charge `warps` warps `cycles` issue cycles and `instructions`
+    /// instructions each.
+    fn charge_warps(&mut self, warps: usize, cycles: f64, instructions: f64) {
+        if warps == 0 || instructions == 0.0 {
+            return;
+        }
+        let warps = warps as f64;
+        self.stats.issue_cycles_per_sm[self.sm_id] += warps * cycles;
+        self.stats.warp_instructions += warps * instructions;
+    }
+
+    /// `tally`'s per-warp sums on this block's device.
+    fn tally_charge(&self, tally: Tally) -> TallyCharge {
+        let (cycles, instructions) = OPS.iter().fold((0, 0), |(c, i), &op| {
+            let k = tally.ops[op as usize];
+            (c + k * op_cycles(self.device, op) as u64, i + k)
+        });
+        TallyCharge {
+            cycles: cycles as f64,
+            instructions: instructions as f64,
+            draws: tally.draws as f64,
+        }
+    }
+
+    /// Charge a tally to `warps` warps holding `lanes` lanes in one step
+    /// (exact, see the module docs).
+    fn charge_tally(&mut self, t: TallyCharge, warps: usize, lanes: usize) {
+        self.charge_warps(warps, t.cycles, t.instructions);
+        if t.draws != 0.0 {
+            self.stats.rng_calls += lanes as f64 * t.draws;
+        }
     }
 
     /// Charge `tally` over the active warps in one step (exact, see the
     /// module docs) and return the pass for the loop's memory instructions.
     pub fn lane_pass(&mut self, tally: Tally) -> LanePass<'_, 'a> {
-        for op in OPS {
-            self.charge(op, tally.ops[op as usize]);
-        }
-        self.stats.rng_calls += self.active().count() as f64 * tally.draws as f64;
+        let t = self.tally_charge(tally);
+        let active = self.active();
+        self.charge_tally(t, active.active_warps(), active.count());
         LanePass(self)
+    }
+
+    /// Charge one memory instruction to the active warps; returns how many
+    /// there are.
+    fn issue_mem(&mut self) -> usize {
+        let warps = self.active().active_warps();
+        self.charge_warps(warps, op_cycles(self.device, Op::MemIssue) as f64, 1.0);
+        warps
     }
 
     // --- register creation ------------------------------------------------
@@ -749,7 +829,6 @@ impl<'a> BlockCtx<'a> {
         gm: &mut GlobalMem,
         mut body: impl FnMut(&mut Self, &mut GlobalMem) -> Mask,
     ) {
-        const MAX_TRIPS: u64 = 100_000_000;
         let entry = self.active().clone();
         self.mask_stack.push(entry);
         let mut trips = 0u64;
@@ -765,6 +844,58 @@ impl<'a> BlockCtx<'a> {
             *self.mask_stack.last_mut().expect("pushed above") = next;
             trips += 1;
             assert!(trips < MAX_TRIPS, "loop_while exceeded {MAX_TRIPS} iterations");
+        }
+        self.mask_stack.pop();
+    }
+
+    /// Data-dependent loop whose every trip is a pass (see "Loop passes"
+    /// in the module docs). Each trip charges `head` over the warps still
+    /// looping and asks `test(lanes, lane)` once per looping lane, in lane
+    /// order; the lanes that pass charge `body` over their warps and run
+    /// `trip`'s memory instructions, and the loop ends on a trip that no
+    /// lane passes. Per-lane state lives in `state`, which both closures
+    /// see.
+    pub fn loop_pass<S>(
+        &mut self,
+        state: &mut S,
+        head: Tally,
+        body: Tally,
+        mut test: impl FnMut(&S, usize) -> bool,
+        mut trip: impl FnMut(&mut LanePass<'_, 'a>, &mut S),
+    ) {
+        let (head, body) = (self.tally_charge(head), self.tally_charge(body));
+        let entry = self.active().clone();
+        self.mask_stack.push(entry);
+        let mut trips = 0u64;
+        loop {
+            // Warps and lanes still looping and going on, and the warps
+            // with lanes on both sides.
+            let (mut looping, mut on, mut looping_lanes, mut on_lanes) = (0, 0, 0, 0);
+            let mut divergent = 0u32;
+            self.mask_stack.last_mut().expect("pushed above").retain(
+                |l| test(state, l),
+                |old, new| {
+                    looping_lanes += old.count_ones() as usize;
+                    on_lanes += new.count_ones() as usize;
+                    for shift in [0, WARP] {
+                        let (a, c) = ((old >> shift) as u32, (new >> shift) as u32);
+                        looping += (a != 0) as usize;
+                        on += (c != 0) as usize;
+                        divergent += (c != 0 && c != a) as u32;
+                    }
+                },
+            );
+            self.charge_tally(head, looping, looping_lanes);
+            // The `if`'s divergence, then the back edge's.
+            self.stats.divergent_branches += divergent as f64;
+            self.stats.divergent_branches += divergent as f64;
+            if on == 0 {
+                break;
+            }
+            self.charge_tally(body, on, on_lanes);
+            trip(&mut LanePass(self), state);
+            trips += 1;
+            assert!(trips < MAX_TRIPS, "loop_pass exceeded {MAX_TRIPS} iterations");
         }
         self.mask_stack.pop();
     }
@@ -966,33 +1097,35 @@ impl<'a> BlockCtx<'a> {
     /// lines (CC 2.x).
     #[inline(always)]
     fn global_access(&mut self, base: u64, store: bool, mut lane: impl FnMut(usize) -> u32) {
-        self.charge(Op::MemIssue, 1);
+        let warps = self.issue_mem();
         let active = self.mask_stack.last().expect("mask stack never empty");
-        let mut rules = WarpRules::new(self.device, &mut *self.stats, &mut *self.l1, store, active);
+        let mut rules = WarpRules::new(self.device, &mut *self.stats, &mut *self.l1, store, warps);
         let (mut warp_addrs, mut lines) = ([0u64; WARP], [0u64; WARP]);
-        for w in 0..active.warp_count() {
-            let bits = active.warp_bits(w);
-            if bits == 0 {
-                continue;
-            }
-            // Lane addresses in ascending lane order; the warp's first
-            // half is a prefix of `half` lanes.
-            let mut n = 0;
-            walk_bits(bits as u64, w * WARP, &mut |l| {
-                warp_addrs[n] = lane_addr(base, lane(l));
-                n += 1;
-            });
-            let addrs = &warp_addrs[..n];
-            let camping = rules.camping(n, || addrs.iter().all(|&a| a == addrs[0]));
-            if rules.fermi {
-                for &line in cc20_warp_lines(addrs, &mut lines) {
-                    rules.line(line, camping);
+        for (wi, &word) in active.words().iter().enumerate() {
+            for shift in [0, WARP] {
+                let bits = (word >> shift) as u32;
+                if bits == 0 {
+                    continue;
                 }
-            } else {
-                let half = (bits & HALF_WARP_BITS).count_ones() as usize;
-                for part in [&addrs[..half], &addrs[half..]] {
-                    let (count, bytes) = cc13_half_warp_totals(part);
-                    rules.transactions(count, bytes, camping);
+                // Lane addresses in ascending lane order; the warp's first
+                // half is a prefix of `half` lanes.
+                let mut n = 0;
+                walk_bits(bits as u64, wi * 64 + shift, &mut |l| {
+                    warp_addrs[n] = lane_addr(base, lane(l));
+                    n += 1;
+                });
+                let addrs = &warp_addrs[..n];
+                let camping = rules.camping(n, || addrs.iter().all(|&a| a == addrs[0]));
+                if rules.fermi {
+                    for &line in cc20_warp_lines(addrs, &mut lines) {
+                        rules.line(line, camping);
+                    }
+                } else {
+                    let half = (bits & HALF_WARP_BITS).count_ones() as usize;
+                    for part in [&addrs[..half], &addrs[half..]] {
+                        let (count, bytes) = cc13_half_warp_totals(part);
+                        rules.transactions(count, bytes, camping);
+                    }
                 }
             }
         }
@@ -1002,11 +1135,11 @@ impl<'a> BlockCtx<'a> {
     /// per warp in closed form, exactly as the per-lane load of one address
     /// (see "Broadcast loads" in the module docs).
     fn load_uniform<T: Word>(&mut self, gm: &GlobalMem, ptr: DevicePtr<T>, idx: u32) -> T {
-        self.charge(Op::MemIssue, 1);
+        let warps = self.issue_mem();
         let (base, data) = gm.view(ptr);
         let addr = lane_addr(base, idx);
         let active = self.mask_stack.last().expect("mask stack never empty");
-        let mut rules = WarpRules::new(self.device, &mut *self.stats, &mut *self.l1, false, active);
+        let mut rules = WarpRules::new(self.device, &mut *self.stats, &mut *self.l1, false, warps);
         // CC 1.3: the size of the one transaction a half-warp of this
         // address issues.
         let segment = (!rules.fermi).then(|| cc13_half_warp_totals(&[addr]).1);
@@ -1031,12 +1164,13 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Global load: one buffer lookup, then `each(lane, ptr[idx(lane)])`
-    /// over the active lanes in the access's one walk.
+    /// over the active lanes in the access's one walk (`idx(lane)` runs
+    /// just before `each` of the same lane).
     fn load<T: Word>(
         &mut self,
         gm: &GlobalMem,
         ptr: DevicePtr<T>,
-        idx: impl Fn(usize) -> u32,
+        mut idx: impl FnMut(usize) -> u32,
         mut each: impl FnMut(usize, T),
     ) {
         let (base, data) = gm.view(ptr);
@@ -1071,10 +1205,10 @@ impl<'a> BlockCtx<'a> {
         &mut self,
         gm: &GlobalMem,
         ptr: DevicePtr<f32>,
-        idx: impl Fn(usize) -> u32,
+        mut idx: impl FnMut(usize) -> u32,
         mut each: impl FnMut(usize, f32),
     ) {
-        self.charge(Op::MemIssue, 1);
+        let warps = self.issue_mem();
         let (base, data) = gm.view(ptr);
         let active = self.mask_stack.last().expect("mask stack never empty");
         let (stats, tex) = (&mut *self.stats, &mut *self.tex);
@@ -1095,7 +1229,7 @@ impl<'a> BlockCtx<'a> {
         stats.ld_transactions += misses as f64;
         let total = (hits + misses).max(1) as f64;
         let weight = 0.35 + 0.65 * misses as f64 / total;
-        stats.mem_warp_instructions += active.active_warps() as f64 * weight;
+        stats.mem_warp_instructions += warps as f64 * weight;
     }
 
     fn ld_global<T: PoolItem + Word>(
@@ -1195,12 +1329,12 @@ impl<'a> BlockCtx<'a> {
         idx: &Reg<u32>,
         val: &Reg<f32>,
     ) {
-        self.charge(Op::MemIssue, 1);
+        let warps = self.issue_mem();
         let base = gm.view(ptr).0;
         let active = self.mask_stack.last().expect("mask stack never empty");
         let (idx, val) = (&idx.0[..active.len()], &val.0[..active.len()]);
         let stats = &mut *self.stats;
-        stats.mem_warp_instructions += active.active_warps() as f64;
+        stats.mem_warp_instructions += warps as f64;
         let emu = if self.device.native_float_atomics {
             1.0
         } else {
@@ -1299,13 +1433,15 @@ impl LanePass<'_, '_> {
     }
 
     /// Load `each(lane, ptr[idx(lane)])`: through the texture cache when
-    /// `texture` (read-only data), else as a global load.
+    /// `texture` (read-only data), else as a global load. `idx(lane)` runs
+    /// once per active lane, in lane order, just before `each` of that
+    /// lane.
     pub fn ld_f32(
         &mut self,
         gm: &GlobalMem,
         ptr: DevicePtr<f32>,
         texture: bool,
-        idx: impl Fn(usize) -> u32,
+        idx: impl FnMut(usize) -> u32,
         each: impl FnMut(usize, f32),
     ) {
         if texture {

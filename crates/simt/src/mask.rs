@@ -151,6 +151,25 @@ impl Mask {
         &self.bits
     }
 
+    /// Keep, in place, the active lanes for which `keep(lane)` holds, asked
+    /// once per active lane in increasing order; `word(old, new)` sees each
+    /// word that had an active lane, before and after.
+    #[inline(always)]
+    pub(crate) fn retain(
+        &mut self,
+        mut keep: impl FnMut(usize) -> bool,
+        mut word: impl FnMut(u64, u64),
+    ) {
+        for (wi, w) in self.bits.iter_mut().enumerate() {
+            let old = *w;
+            if old == 0 {
+                continue;
+            }
+            walk_bits(old, 0, &mut |b| *w &= !((!keep(wi * 64 + b) as u64) << b));
+            word(old, *w);
+        }
+    }
+
     /// Call `f` on every active lane, in increasing order: a counted loop
     /// over all lanes when the mask is full, a walk over the set bits
     /// otherwise. See the module docs for why the two are one op.
