@@ -430,12 +430,13 @@ impl<'a> BlockCtx<'a> {
 
     /// Charge `count` instructions of class `op` to every active warp.
     pub fn charge(&mut self, op: Op, count: u64) {
-        if count == 0 {
+        let warps = if count == 0 { 0.0 } else { self.active().active_warps() as f64 };
+        if warps == 0.0 {
             return;
         }
-        let count = count as f64;
-        let cycles = op_cycles(self.device, op) as f64 * count;
-        self.charge_warps(self.active().active_warps(), cycles, count);
+        let cycles = op_cycles(self.device, op) as f64;
+        self.stats.issue_cycles_per_sm[self.sm_id] += warps * cycles * count as f64;
+        self.stats.warp_instructions += warps * count as f64;
     }
 
     /// Charge `warps` warps `cycles` issue cycles and `instructions`
