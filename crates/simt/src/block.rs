@@ -851,7 +851,7 @@ impl<'a> BlockCtx<'a> {
 
     /// Data-dependent loop whose every trip is a pass (see "Loop passes"
     /// in the module docs). Each trip charges `head` over the warps still
-    /// looping and asks `test(lanes, lane)` once per looping lane, in lane
+    /// looping and asks `test(state, lane)` once per looping lane, in lane
     /// order; the lanes that pass charge `body` over their warps and run
     /// `trip`'s memory instructions, and the loop ends on a trip that no
     /// lane passes. Per-lane state lives in `state`, which both closures
