@@ -35,6 +35,11 @@
 //! `global_ld_strided` is the task-parallel rows' tabu and probability
 //! load at m = 8 through the M2050's L1: lanes 0-7 of a 128-lane block
 //! read word `lane * 100 + r % 100` at rep `r`, one row per ant.
+//! `tex_ld_gather` is the miss-heavy gather of the device 2-opt's
+//! distance reads on the C1060's texture cache: lane `l` of a 128-lane
+//! block reads word `(l % 100) * 100 + (r * 37) % 100` of a 100 x 100
+//! f32 matrix at rep `r`; `global_ld_gather` is the same pattern as a
+//! global load through the M2050's L1.
 //! `roulette_scan` is the roulette scan of Table II rows 1-3 as a
 //! `BlockCtx::loop_pass` on the same lanes and rows of the M2050, lane `l`
 //! summing its row for `8 + l` trips; one op is one trip. One row times a
@@ -180,6 +185,19 @@ impl Kernel for OpKernel {
                         });
                     }
                 });
+            }
+            "tex_ld_gather" | "global_ld_gather" => {
+                // The 2-opt propose kernel's distance gathers: lane `l` of
+                // 128 reads column `r * 37 % 100` of row `l % 100` of a
+                // 100 x 100 matrix, a new line for most lanes every rep.
+                let texture = self.op == "tex_ld_gather";
+                for r in 0..self.reps {
+                    let at = |l: usize| (l as u32 % 100) * 100 + r * 37 % 100;
+                    let mut pass = ctx.lane_pass(Tally::NONE);
+                    pass.ld_f32(gm, self.buf_f, texture, at, |_, v| {
+                        std::hint::black_box(v);
+                    });
+                }
             }
             "global_ld_uniform" => {
                 // One word for every lane, a new line every 32 reps.
@@ -377,7 +395,7 @@ fn run_launches(threads: usize) -> LaunchAllocResult {
 /// single-threaded reference and a forked-shadow run.
 const LAUNCH_THREADS: [usize; 2] = [1, 4];
 
-const OPS: [&str; 21] = [
+const OPS: [&str; 23] = [
     "fmul",
     "fma",
     "fdiv_sfu",
@@ -387,8 +405,10 @@ const OPS: [&str; 21] = [
     "global_ld",
     "global_ld_strided",
     "global_ld_uniform",
+    "global_ld_gather",
     "global_st",
     "tex_ld",
+    "tex_ld_gather",
     "shared_ld_st",
     "shared_reduce",
     "shared_argmax_tree",
@@ -521,12 +541,13 @@ fn check(path: &std::path::Path, reps: Option<u32>) -> ! {
 }
 
 /// The device an op runs on: the Tesla C1060, except the rows that time
-/// the bank model on the 32-bank, warp-grouped M2050 and the argmax tree
-/// the data-parallel rows run there.
+/// the bank model on the 32-bank, warp-grouped M2050, the argmax tree
+/// the data-parallel rows run there, and the global loads that go
+/// through its L1.
 fn device_for(op: &str) -> DeviceSpec {
     match op {
         "shared_reduce" | "shared_argmax_tree" | "shared_conflict" | "dp_tour_tile"
-        | "global_ld_strided" | "roulette_scan" => DeviceSpec::tesla_m2050(),
+        | "global_ld_strided" | "roulette_scan" | "global_ld_gather" => DeviceSpec::tesla_m2050(),
         _ => DeviceSpec::tesla_c1060(),
     }
 }
@@ -581,6 +602,12 @@ fn run_op(op: &'static str, config: Config) -> OpRow {
         colony = Some(bufs);
         let cfg = k.config(&dev);
         (Box::new(k), cfg, ops)
+    } else if op == "tex_ld_gather" || op == "global_ld_gather" {
+        // A 100 x 100 distance matrix.
+        let buf_f = gm.alloc_f32(100 * 100);
+        let buf_u = gm.alloc_u32(1);
+        let k = OpKernel { op, reps: config.reps, buf_f, buf_u };
+        (Box::new(k), LaunchConfig::new(1, 128), config.reps as u64)
     } else if op == "global_ld_strided" || op == "roulette_scan" {
         // Eight 100-word rows (of ones, which the scan sums).
         let buf_f = gm.alloc_f32(800);

@@ -43,12 +43,41 @@
 //! tests below and the cross-crate suite. Every launch goes through
 //! [`aco_simt::launch_threads`], so counters, modeled times and memory
 //! are bit-identical at any host `exec_threads` count.
+//!
+//! **Host cost.** The propose kernel's forward and backward candidate
+//! loops run as one [`BlockCtx::lane_pass`] of `2 * nn` trips: their
+//! register instructions are charged as one declared tally over the
+//! awake warps, the gain arithmetic and the best-move update run as host
+//! lanes, and only each trip's six loads go through the memory models,
+//! in program order. The propose and select reductions are one
+//! [`BlockCtx::sh_tree`] each. Both are exact: the op-by-op kernels live
+//! on in `tests/propose_oracle.rs`, which compares every counter, every
+//! modeled-time bit and every written word on each round of full passes.
+//! Timed per kernel over full passes (8 ants, random tours, n = 48 and
+//! 100, both devices), a round splits into propose 79–90% of the host
+//! time, apply 5–10%, the position scatter 3–6% and select 2–5%. The
+//! apply kernel's strided swap stays a `loop_while` with a `with_mask`
+//! body: [`BlockCtx::loop_pass`] is not a drop-in for it, since it
+//! charges an `if` branch and its divergence that the masked body does
+//! not.
 
 use aco_simt::prelude::*;
 use aco_simt::SimtError;
 
 /// Threads per block for every kernel of both device families.
 pub const LS_BLOCK: u32 = 128;
+
+/// Lanes of a block, for per-lane host arrays.
+const LANES: usize = LS_BLOCK as usize;
+
+/// One trip of the propose kernel's candidate loop, forward or backward,
+/// beside its six loads (`nn_list`, `dist`, `pos`, `tours`, `dist`,
+/// `dist`; the distances through the texture cache): the splat of `k`, a
+/// select for the wrapped neighbour position and three selects and three
+/// assignments for the best move (8 `Mov`); six index adds, two row
+/// multiplies and the position step (9 `IAlu`); the wrap compare, two
+/// adds, a subtract and four compares (8 `FAlu`).
+const CANDIDATE: Tally = Tally::NONE.op(Op::Mov, 8).op(Op::IAlu, 9).op(Op::FAlu, 8);
 
 /// Outcome of one device local-search pass over a window of ant rows.
 #[derive(Debug, Clone)]
@@ -330,81 +359,59 @@ impl Kernel for TwoOptProposeKernel {
                 // order `cpu::best_move_for_city` evaluates — so a
                 // forward/backward move with exactly equal f32 gain
                 // resolves to the same winner on both sides (strict `>`
-                // keeps the earlier candidate).
-                for k in 0..nn {
-                    // Forward move: remove (c1, s1) and (c2, s2), add
-                    // (c1, c2) and (s1, s2) — reverse after a = c1 up to
-                    // b = c2.
-                    let k_reg = ctx.splat_u32(k);
-                    let l_idx = ctx.iadd(&nn_row, &k_reg);
-                    let c2 = ctx.ld_global_u32(gm, self.bufs.nn_list, &l_idx);
-                    let cc_idx = ctx.iadd(&row, &c2);
-                    let dcc = ctx.ld_tex_f32(gm, self.bufs.dist, &cc_idx);
-                    let c2p_idx = ctx.iadd(&prow_reg, &c2);
-                    let c2_pos = ctx.ld_global_u32(gm, self.bufs.pos, &c2p_idx);
-                    let c2p1 = ctx.iadd(&c2_pos, &one_u);
-                    let wrap = ctx.ueq(&c2p1, &n_reg);
-                    let sp2 = ctx.select_u32(&wrap, &zero_u, &c2p1);
-                    let sp2_g = ctx.iadd(&base_reg, &sp2);
-                    let s2 = ctx.ld_global_u32(gm, self.bufs.tours, &sp2_g);
-                    let c2_row = ctx.imul(&c2, &n_reg);
-                    let rem2_idx = ctx.iadd(&c2_row, &s2);
-                    let rem2 = ctx.ld_tex_f32(gm, self.bufs.dist, &rem2_idx);
-                    let s1_row = ctx.imul(&s1, &n_reg);
-                    let add2_idx = ctx.iadd(&s1_row, &s2);
-                    let add2 = ctx.ld_tex_f32(gm, self.bufs.dist, &add2_idx);
-                    let removed = ctx.fadd(&d1, &rem2);
-                    let added = ctx.fadd(&dcc, &add2);
-                    let g = ctx.fsub(&removed, &added);
-                    let closer = ctx.flt(&dcc, &d1);
-                    let ok1 = ctx.une(&s2, &tid);
-                    let ok2 = ctx.une(&c2, &s1);
-                    let better = ctx.fgt(&g, &best_g);
-                    let valid = closer.and(&ok1).and(&ok2).and(&better);
-                    let ng = ctx.select_f32(&valid, &g, &best_g);
-                    ctx.assign_f32(&mut best_g, &ng);
-                    let na = ctx.select_u32(&valid, &tid, &best_a);
-                    ctx.assign_u32(&mut best_a, &na);
-                    let nb = ctx.select_u32(&valid, &c2, &best_b);
-                    ctx.assign_u32(&mut best_b, &nb);
-                }
-
-                for k in 0..nn {
-                    // Backward move: remove (p1, c1) and (p2, c2), add
-                    // (c1, c2) and (p1, p2) — reverse after a = p1 up to
-                    // b = p2.
-                    let k_reg = ctx.splat_u32(k);
-                    let l_idx = ctx.iadd(&nn_row, &k_reg);
-                    let c2 = ctx.ld_global_u32(gm, self.bufs.nn_list, &l_idx);
-                    let cc_idx = ctx.iadd(&row, &c2);
-                    let dcc = ctx.ld_tex_f32(gm, self.bufs.dist, &cc_idx);
-                    let c2p_idx = ctx.iadd(&prow_reg, &c2);
-                    let c2_pos = ctx.ld_global_u32(gm, self.bufs.pos, &c2p_idx);
-                    let wrap = ctx.ueq(&c2_pos, &zero_u);
-                    let c2m1 = ctx.isub(&c2_pos, &one_u);
-                    let ppos2 = ctx.select_u32(&wrap, &nm1, &c2m1);
-                    let pp2_g = ctx.iadd(&base_reg, &ppos2);
-                    let p2 = ctx.ld_global_u32(gm, self.bufs.tours, &pp2_g);
-                    let p2_row = ctx.imul(&p2, &n_reg);
-                    let rem2_idx = ctx.iadd(&p2_row, &c2);
-                    let rem2 = ctx.ld_tex_f32(gm, self.bufs.dist, &rem2_idx);
-                    let p1_row2 = ctx.imul(&p1, &n_reg);
-                    let add2_idx = ctx.iadd(&p1_row2, &p2);
-                    let add2 = ctx.ld_tex_f32(gm, self.bufs.dist, &add2_idx);
-                    let removed = ctx.fadd(&d1p, &rem2);
-                    let added = ctx.fadd(&dcc, &add2);
-                    let g = ctx.fsub(&removed, &added);
-                    let closer = ctx.flt(&dcc, &d1p);
-                    let ok1 = ctx.une(&p2, &tid);
-                    let ok2 = ctx.une(&c2, &p1);
-                    let better = ctx.fgt(&g, &best_g);
-                    let valid = closer.and(&ok1).and(&ok2).and(&better);
-                    let ng = ctx.select_f32(&valid, &g, &best_g);
-                    ctx.assign_f32(&mut best_g, &ng);
-                    let na = ctx.select_u32(&valid, &p1, &best_a);
-                    ctx.assign_u32(&mut best_a, &na);
-                    let nb = ctx.select_u32(&valid, &p2, &best_b);
-                    ctx.assign_u32(&mut best_b, &nb);
+                // keeps the earlier candidate). Both loops are one lane
+                // pass of `2 * nn` trips (see `CANDIDATE`).
+                let dist = self.bufs.dist;
+                let (mut c2, mut pos2, mut end2) = ([0u32; LANES], [0u32; LANES], [0u32; LANES]);
+                let (mut dcc, mut rem2) = ([0f32; LANES], [0f32; LANES]);
+                let mut pass = ctx.lane_pass(CANDIDATE.times(2 * nn as u64));
+                for backward in [false, true] {
+                    // Forward move: remove (c1, s1) and (c2, s2), add (c1,
+                    // c2) and (s1, s2) — reverse after a = c1 up to b = c2.
+                    // Backward move: remove (p1, c1) and (p2, c2), add (c1,
+                    // c2) and (p1, p2) — reverse after a = p1 up to b = p2.
+                    let (near, d_near) = if backward { (&p1, &d1p) } else { (&s1, &d1) };
+                    for k in 0..nn {
+                        let nn_at = |l: usize| nn_row.lane(l).wrapping_add(k);
+                        pass.ld_global_u32(gm, self.bufs.nn_list, nn_at, |l, c| c2[l] = c);
+                        let cc_at = |l: usize| row.lane(l).wrapping_add(c2[l]);
+                        pass.ld_f32(gm, dist, true, cc_at, |l, d| dcc[l] = d);
+                        let pos_at = |l: usize| prow.wrapping_add(c2[l]);
+                        pass.ld_global_u32(gm, self.bufs.pos, pos_at, |l, p| pos2[l] = p);
+                        // s2 = succ(c2) forward, p2 = pred(c2) backward.
+                        let end_at = |l: usize| {
+                            let p = pos2[l];
+                            let e = match backward {
+                                false if p.wrapping_add(1) == n => 0,
+                                false => p.wrapping_add(1),
+                                true if p == 0 => n - 1,
+                                true => p.wrapping_sub(1),
+                            };
+                            base.wrapping_add(e)
+                        };
+                        pass.ld_global_u32(gm, self.bufs.tours, end_at, |l, e| end2[l] = e);
+                        // Removed (c2, s2) forward, (p2, c2) backward.
+                        let (from, to) = if backward { (&end2, &c2) } else { (&c2, &end2) };
+                        let rem_at = |l: usize| from[l].wrapping_mul(n).wrapping_add(to[l]);
+                        pass.ld_f32(gm, dist, true, rem_at, |l, d| rem2[l] = d);
+                        // Added (s1, s2) forward, (p1, p2) backward.
+                        let add_at = |l: usize| near.lane(l).wrapping_mul(n).wrapping_add(end2[l]);
+                        pass.ld_f32(gm, dist, true, add_at, |l, add2| {
+                            let (c1, d_near) = (tid.lane(l), d_near.lane(l));
+                            let g = (d_near + rem2[l]) - (dcc[l] + add2);
+                            if dcc[l] < d_near
+                                && end2[l] != c1
+                                && c2[l] != near.lane(l)
+                                && g > best_g.lane(l)
+                            {
+                                let (a, b) =
+                                    if backward { (p1.lane(l), end2[l]) } else { (c1, c2[l]) };
+                                best_g.set_lane(l, g);
+                                best_a.set_lane(l, a);
+                                best_b.set_lane(l, b);
+                            }
+                        });
+                    }
                 }
 
                 // Cities with nothing to propose go to sleep until a
@@ -433,10 +440,17 @@ impl Kernel for TwoOptProposeKernel {
     }
 }
 
+/// One level of [`block_reduce_best`] below `s`: an `iadd`, 8 shared
+/// loads and 4 shared stores, four compares (`>`, `>=`, `<=`, city `<`)
+/// and four selects.
+const BEST_LEVEL: Tally =
+    Tally::NONE.op(Op::IAlu, 1).op(Op::Shared, 12).op(Op::FAlu, 4).op(Op::Mov, 4);
+
 /// Shared-memory tree reduction of `(gain, a, b, city)` down to lane 0,
 /// preferring higher gain, then lower proposing city — the block-level
-/// half of the family's canonical move order. `emit` runs under the
-/// lane-0 mask with the winning values.
+/// half of the family's canonical move order — as one
+/// [`BlockCtx::sh_tree`]. `emit` runs under the lane-0 mask with the
+/// winning values.
 fn block_reduce_best(
     ctx: &mut BlockCtx,
     gm: &mut GlobalMem,
@@ -456,39 +470,10 @@ fn block_reduce_best(
     ctx.sh_st_u32(s_b, &lane, best_b);
     ctx.sh_st_u32(s_c, &lane, best_city);
     ctx.sync_threads();
-    let mut off = LS_BLOCK / 2;
-    while off >= 1 {
-        let off_reg = ctx.splat_u32(off);
-        let low = ctx.ult(&lane, &off_reg);
-        ctx.branch(&low);
-        ctx.with_mask(gm, &low, |ctx, _gm| {
-            let other = ctx.iadd(&lane, &off_reg);
-            let g1 = ctx.sh_ld_f32(s_g, &lane);
-            let g2 = ctx.sh_ld_f32(s_g, &other);
-            let c1 = ctx.sh_ld_u32(s_c, &lane);
-            let c2 = ctx.sh_ld_u32(s_c, &other);
-            let gt = ctx.fgt(&g2, &g1);
-            let ge = ctx.fge(&g2, &g1);
-            let le = ctx.fle(&g2, &g1);
-            let eq = ge.and(&le);
-            let lower = ctx.ult(&c2, &c1);
-            let better = gt.or(&eq.and(&lower));
-            let a1 = ctx.sh_ld_u32(s_a, &lane);
-            let a2 = ctx.sh_ld_u32(s_a, &other);
-            let b1 = ctx.sh_ld_u32(s_b, &lane);
-            let b2 = ctx.sh_ld_u32(s_b, &other);
-            let ng = ctx.select_f32(&better, &g2, &g1);
-            let na = ctx.select_u32(&better, &a2, &a1);
-            let nb = ctx.select_u32(&better, &b2, &b1);
-            let nc = ctx.select_u32(&better, &c2, &c1);
-            ctx.sh_st_f32(s_g, &lane, &ng);
-            ctx.sh_st_u32(s_a, &lane, &na);
-            ctx.sh_st_u32(s_b, &lane, &nb);
-            ctx.sh_st_u32(s_c, &lane, &nc);
-        });
-        ctx.sync_threads();
-        off /= 2;
-    }
+    ctx.sh_tree([s_g.words(), s_a, s_b, s_c], BEST_LEVEL, |lo, hi| {
+        let (g1, g2) = (lo.f32(0), hi.f32(0));
+        g2 > g1 || (g2 == g1 && hi.word(3) < lo.word(3))
+    });
     let lane0 = ctx.lane_mask(0);
     ctx.if_then(gm, &lane0, |ctx, gm| {
         let zero = ctx.splat_u32(0);

@@ -35,6 +35,17 @@
 //! — pinned by the tests below and the cross-crate suite. Every launch
 //! goes through [`aco_simt::launch_threads`], so counters, modeled
 //! times and memory are bit-identical at any host `exec_threads` count.
+//!
+//! **Host cost.** Both min-key reductions are one [`BlockCtx::sh_tree`]
+//! (checked against the written-out level loop in
+//! `tests/propose_oracle.rs`). The propose kernel's candidate loop still
+//! runs op by op, and it is where the host time goes: timed per kernel
+//! over full passes (8 ants, random tours, n = 48 and 100, both
+//! devices), propose takes 91–96% of a round, apply 3–6%, the position
+//! scatter 1–2% and select 1%. The apply kernel's splice and copy-back
+//! loops stay `loop_while`s with `with_mask` bodies, which
+//! [`BlockCtx::loop_pass`] would charge an extra `if` branch and its
+//! divergence.
 
 use aco_simt::prelude::*;
 use aco_simt::SimtError;
@@ -133,10 +144,15 @@ impl OrOptDev {
     }
 }
 
+/// One level of [`block_reduce_min_key`] below `s`: an `iadd`, 8 shared
+/// loads and 4 shared stores, the key compare and four selects.
+const MIN_KEY_LEVEL: Tally =
+    Tally::NONE.op(Op::IAlu, 1).op(Op::Shared, 12).op(Op::FAlu, 1).op(Op::Mov, 4);
+
 /// Shared-memory tree reduction of `(key, p, seg, rank)` down to lane 0,
-/// preferring the **lower** key — the first-improvement scan order.
-/// Keys are unique per move, so no tie-break is needed. `emit` runs
-/// under the lane-0 mask with the winning values.
+/// preferring the **lower** key — the first-improvement scan order — as
+/// one [`BlockCtx::sh_tree`]. Keys are unique per move, so no tie-break
+/// is needed. `emit` runs under the lane-0 mask with the winning values.
 fn block_reduce_min_key(
     ctx: &mut BlockCtx,
     gm: &mut GlobalMem,
@@ -156,34 +172,7 @@ fn block_reduce_min_key(
     ctx.sh_st_u32(s_s, &lane, seg);
     ctx.sh_st_u32(s_r, &lane, rank);
     ctx.sync_threads();
-    let mut off = LS_BLOCK / 2;
-    while off >= 1 {
-        let off_reg = ctx.splat_u32(off);
-        let low = ctx.ult(&lane, &off_reg);
-        ctx.branch(&low);
-        ctx.with_mask(gm, &low, |ctx, _gm| {
-            let other = ctx.iadd(&lane, &off_reg);
-            let k1 = ctx.sh_ld_u32(s_k, &lane);
-            let k2 = ctx.sh_ld_u32(s_k, &other);
-            let better = ctx.ult(&k2, &k1);
-            let p1 = ctx.sh_ld_u32(s_p, &lane);
-            let p2 = ctx.sh_ld_u32(s_p, &other);
-            let g1 = ctx.sh_ld_u32(s_s, &lane);
-            let g2 = ctx.sh_ld_u32(s_s, &other);
-            let r1 = ctx.sh_ld_u32(s_r, &lane);
-            let r2 = ctx.sh_ld_u32(s_r, &other);
-            let nk = ctx.select_u32(&better, &k2, &k1);
-            let np = ctx.select_u32(&better, &p2, &p1);
-            let ns = ctx.select_u32(&better, &g2, &g1);
-            let nr = ctx.select_u32(&better, &r2, &r1);
-            ctx.sh_st_u32(s_k, &lane, &nk);
-            ctx.sh_st_u32(s_p, &lane, &np);
-            ctx.sh_st_u32(s_s, &lane, &ns);
-            ctx.sh_st_u32(s_r, &lane, &nr);
-        });
-        ctx.sync_threads();
-        off /= 2;
-    }
+    ctx.sh_tree([s_k, s_p, s_s, s_r], MIN_KEY_LEVEL, |lo, hi| hi.word(0) < lo.word(0));
     let lane0 = ctx.lane_mask(0);
     ctx.if_then(gm, &lane0, |ctx, gm| {
         let zero = ctx.splat_u32(0);

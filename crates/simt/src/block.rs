@@ -68,8 +68,34 @@
 //! LRU state are updated by the memory instructions, in the ops' order.
 //! A tally is charged as two precomputed per-warp sums, its issue cycles
 //! and its instructions, each multiplied by the warp count in one add.
-//! [`BlockCtx::sh_argmax_tree`] is the one collective that also charges
-//! its shared accesses in closed form (the tree's words are contiguous).
+//!
+//! **Tree collective.** [`BlockCtx::sh_tree`] is the one collective that
+//! also charges its shared accesses in closed form. It is the written-out
+//! shared-memory tree
+//!
+//! ```text
+//! for s in [block_dim / 2, …, 1] {
+//!     let lower = lane < s;            // splat, compare, branch: every warp
+//!     if_then(lower, |ctx| {
+//!         level;                       // the declared tally, lanes below s
+//!         if take(slot[lane], slot[lane + s]) {
+//!             slot[lane] = slot[lane + s];   // every one of the K arrays
+//!         }
+//!     });
+//!     sync_threads();
+//! }
+//! ```
+//!
+//! with the caller's per-level tally and host predicate: the argmax of
+//! the data-parallel tour rows ([`BlockCtx::sh_argmax_tree`]) and the
+//! best-move and first-move reductions of the device local search. Every
+//! counter a level charges is a whole number, so the level's sums are
+//! those of its ops one by one; its shared accesses read and write slots
+//! `l` and `l + s` for `l < s`, contiguous words, so each conflict group
+//! of `k` lanes replays `ceil(k / banks) - 1` times; and since a level
+//! writes only slots below `s` and reads its upper slots from `s` up,
+//! taking the slots in lane order leaves the words the lockstep level
+//! leaves.
 //!
 //! **Loop passes.** [`BlockCtx::loop_pass`] is a data-dependent loop
 //! whose every trip is a pass. It equals the written-out loop
@@ -1034,34 +1060,58 @@ impl<'a> BlockCtx<'a> {
     /// (ties and NaN keep `l`), then the block syncs. Slot 0 ends with
     /// the first-lowest-slot maximum and its index.
     ///
+    /// One [`BlockCtx::sh_tree`] whose level, below `s`, is an `iadd`, 4
+    /// shared loads, a compare, 2 selects and 2 shared stores.
+    pub fn sh_argmax_tree(&mut self, vals: ShPtr<f32>, idxs: ShPtr<u32>) {
+        const LEVEL: Tally =
+            Tally::NONE.op(Op::IAlu, 1).op(Op::Shared, 6).op(Op::FAlu, 1).op(Op::Mov, 2);
+        self.sh_tree([vals.words(), idxs], LEVEL, |lo, hi| hi.f32(0) > lo.f32(0));
+    }
+
+    /// The shared tree collective over the first `block_dim` slots of
+    /// `K` word arrays, in place (see "Tree collective" in the module
+    /// docs): at each level `s = block_dim/2, …, 1`, lane `l < s` copies
+    /// the words of slot `l + s` of every array into slot `l` when
+    /// `take(lo, hi)` holds for the two slots ([`TreeSlot`]s, read lazily,
+    /// so a predicate loads only the words it compares), then the block
+    /// syncs. Slot 0 ends with the reduction.
+    ///
     /// Counters are charged in closed form, exactly as the written-out
     /// level loop charges them: a splat, a `lane < s` compare and a branch
     /// over every warp (one divergent warp when `s` is not a multiple of
-    /// 32); `iadd`, 4 shared loads, a compare, 2 selects and 2 shared
-    /// stores over the `ceil(s/32)` warps of lanes below `s`; and a
-    /// `__syncthreads`. See the module docs for why that is exact.
+    /// 32); `level` over the `ceil(s/32)` warps of lanes below `s`, each of
+    /// its `Shared` instructions an access of `s` contiguous words; and a
+    /// `__syncthreads`.
     ///
     /// Panics unless every lane is active and `block_dim` is a power of
     /// two: the closed form assumes both.
-    pub fn sh_argmax_tree(&mut self, vals: ShPtr<f32>, idxs: ShPtr<u32>) {
+    pub fn sh_tree<const K: usize>(
+        &mut self,
+        slots: [ShPtr<u32>; K],
+        level: Tally,
+        take: impl Fn(TreeSlot<K>, TreeSlot<K>) -> bool,
+    ) {
         let t = self.block_dim;
-        assert!(t.is_power_of_two(), "argmax tree needs a power-of-two block, not {t}");
-        assert!(self.active().is_full(), "argmax tree needs every lane of the block active");
+        assert!(t.is_power_of_two(), "shared tree needs a power-of-two block, not {t}");
+        assert!(self.active().is_full(), "shared tree needs every lane of the block active");
         assert!(
-            vals.len() >= t as usize && idxs.len() >= t as usize,
-            "argmax tree needs block_dim slots in both arrays"
+            slots.iter().all(|p| p.len() >= t as usize),
+            "shared tree needs block_dim slots in every array"
         );
+        let accesses = level.ops[Op::Shared as usize] as f64;
+        let lower = self.tally_charge(level);
         let c = |op| op_cycles(self.device, op) as f64;
         let warp = WARP as u32;
         let group = if self.device.compute_capability.is_fermi() { warp } else { warp / 2 };
         let block_warps = t.div_ceil(warp) as f64;
+        let block_cycles = c(Op::Mov) + c(Op::FAlu) + c(Op::Branch) + c(Op::Bar);
+        let at = slots.map(|p| p.off_words as usize);
         let (mut instr, mut cycles) = (0.0, 0.0);
         let mut s = t / 2;
         while s >= 1 {
             let lo_warps = s.div_ceil(warp) as f64;
-            instr += 4.0 * block_warps + 10.0 * lo_warps;
-            cycles += block_warps * (c(Op::Mov) + c(Op::FAlu) + c(Op::Branch) + c(Op::Bar))
-                + lo_warps * (c(Op::IAlu) + 6.0 * c(Op::Shared) + c(Op::FAlu) + 2.0 * c(Op::Mov));
+            instr += 4.0 * block_warps + lower.instructions * lo_warps;
+            cycles += block_warps * block_cycles + lo_warps * lower.cycles;
             // Each conflict group of the lanes below `s` holds `k`
             // contiguous words, `ceil(k / banks)` of them in its busiest
             // bank, so it replays `ceil(k / banks) - 1` times.
@@ -1070,17 +1120,19 @@ impl<'a> BlockCtx<'a> {
                 .step_by(group as usize)
                 .map(|g| (s - g).min(group).div_ceil(banks) - 1)
                 .sum();
-            self.stats.bank_conflict_extra += 6.0 * extra as f64;
-            cycles += 6.0 * extra as f64 * c(Op::Shared);
-            self.stats.shared_accesses += 6.0 * s as f64;
+            self.stats.bank_conflict_extra += accesses * extra as f64;
+            cycles += accesses * extra as f64 * c(Op::Shared);
+            self.stats.shared_accesses += accesses * s as f64;
             self.stats.divergent_branches += f64::from(s % warp != 0);
             self.stats.barriers += 1.0;
-            for l in 0..s {
-                let (mine, other) = (vals.word_addr(l), vals.word_addr(l + s));
-                if f32::from_bits(self.shared.load(other)) > f32::from_bits(self.shared.load(mine))
-                {
-                    self.shared.store(mine, self.shared.load(other));
-                    self.shared.store(idxs.word_addr(l), self.shared.load(idxs.word_addr(l + s)));
+            let words = self.shared.words_mut();
+            for l in 0..s as usize {
+                let h = l + s as usize;
+                let slot = |i: usize| TreeSlot { words, at: at.map(|a| a + i) };
+                if take(slot(l), slot(h)) {
+                    for a in at {
+                        words[a + l] = words[a + h];
+                    }
                 }
             }
             s /= 2;
@@ -1418,6 +1470,28 @@ impl<'a> BlockCtx<'a> {
         }
         self.stats.rng_calls += self.active().count() as f64;
         out
+    }
+}
+
+/// One slot of a [`BlockCtx::sh_tree`]'s `K` arrays, as its `take`
+/// predicate sees it: word `k` is array `k`'s word at the slot.
+#[derive(Clone, Copy)]
+pub struct TreeSlot<'w, const K: usize> {
+    words: &'w [u32],
+    at: [usize; K],
+}
+
+impl<const K: usize> TreeSlot<'_, K> {
+    /// Array `k`'s word at this slot.
+    #[inline]
+    pub fn word(self, k: usize) -> u32 {
+        self.words[self.at[k]]
+    }
+
+    /// Array `k`'s word at this slot, as an f32.
+    #[inline]
+    pub fn f32(self, k: usize) -> f32 {
+        f32::from_bits(self.word(k))
     }
 }
 

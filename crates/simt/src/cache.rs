@@ -17,10 +17,26 @@
 //! the early exit). A line sits in at most one way, so the match is the
 //! one the early exit found.
 //!
+//! **Age bytes.** A set's LRU order is one `u64`: byte `w` holds way
+//! `w`'s age, 0 for the most recent and `ways - 1` for the next victim,
+//! so the ages of a set's ways are always a permutation of `0..ways`
+//! (bytes above `ways` hold `0xFF` and take part in nothing). A hit on a
+//! way of age `a` ages every way younger than `a` by one and sets its own
+//! to 0, one SWAR compare and add; a miss fills the way of age
+//! `ways - 1`, found with the zero-byte trick, and ages every other way
+//! by one. That is exactly the LRU of per-way time stamps: the order of
+//! the ages is the order of the stamps, and the victim is the way whose
+//! stamp is oldest. A reset set starts at ages `ways - 1, ways - 2, …, 0`
+//! for ways `0, 1, …`, so an empty set fills way 0 first, then way 1 and
+//! so on, as stamps that all start at 0 with ties going to the lowest way
+//! do; and an invalid way stays older than every valid one, because only
+//! a hit on a valid way or a fill reorders ages. Ways are at most 8, one
+//! byte each; [`Cache::new`] refuses more.
+//!
 //! **Repeat-line rule.** An access to the line the previous access touched
-//! is a hit, on the most recent way of its set, and refreshing that way's
-//! stamp cannot change which way of the set is oldest. So such an access
-//! only counts the hit: no set lookup, no stamp. Consecutive lanes of a
+//! is a hit on the most recent way of its set, whose age is already 0, so
+//! the lookup would change no age. Such an access only counts the hit: no
+//! set lookup, no aging. Consecutive lanes of a
 //! contiguous load fall in one line most of the time (8 f32 lanes per
 //! 32-byte texture line), so most accesses take this path. The hit/miss
 //! sequence, the counters and every later victim are those of the full
@@ -35,9 +51,12 @@ pub struct Cache {
     ways: usize,
     /// `tags[set * ways + way]` = line tag; `u64::MAX` = invalid.
     tags: Vec<u64>,
-    /// LRU stamps parallel to `tags` (larger = more recent).
-    stamps: Vec<u64>,
-    tick: u64,
+    /// `ages[set]`: byte `w` is way `w`'s age (see the module docs).
+    ages: Vec<u64>,
+    /// The ages of a reset set.
+    fresh: u64,
+    /// 1 in every way's byte.
+    ones: u64,
     /// Line of the previous access, if any since the last `reset`.
     last_line: Option<u64>,
     hits: u64,
@@ -47,12 +66,18 @@ pub struct Cache {
 impl Cache {
     /// Build a cache of `capacity_bytes` with `line_bytes` lines and
     /// `ways`-way associativity. Capacity is rounded down to a whole number
-    /// of sets; a zero-capacity cache is legal and always misses.
+    /// of sets; a zero-capacity cache is legal and always misses. Panics
+    /// unless `1 <= ways <= 8` (one age byte per way).
     pub fn new(capacity_bytes: u64, line_bytes: u64, ways: usize) -> Self {
         assert!(line_bytes.is_power_of_two(), "line size must be a power of two");
-        assert!(ways >= 1);
+        assert!((1..=8).contains(&ways), "a cache has 1 to 8 ways (one age byte each), not {ways}");
         let lines = (capacity_bytes / line_bytes) as usize;
         let sets = (lines / ways).max(if lines == 0 { 0 } else { 1 });
+        // Way `w` starts at age `ways - 1 - w`; unused bytes hold 0xFF.
+        let fresh = (0..8).fold(0u64, |ages, w| {
+            let age = if w < ways { (ways - 1 - w) as u64 } else { 0xFF };
+            ages | age << (8 * w)
+        });
         Cache {
             line_shift: line_bytes.trailing_zeros(),
             sets,
@@ -60,8 +85,9 @@ impl Cache {
             set_index: SetIndex::new(sets.max(1) as u64),
             ways,
             tags: vec![u64::MAX; sets * ways],
-            stamps: vec![0; sets * ways],
-            tick: 0,
+            ages: vec![fresh; sets],
+            fresh,
+            ones: BYTES >> (8 * (8 - ways)),
             last_line: None,
             hits: 0,
             misses: 0,
@@ -95,27 +121,31 @@ impl Cache {
             return false;
         }
         self.last_line = Some(line);
-        self.tick += 1;
         let set = self.set_index.of(line) as usize;
         let base = set * self.ways;
         // Hit? Every way is compared (see the module docs).
         let tags = &self.tags[base..base + self.ways];
         let hit =
             (0..tags.len()).fold(usize::MAX, |hit, way| if tags[way] == line { way } else { hit });
+        let ages = &mut self.ages[set];
         if hit != usize::MAX {
-            self.stamps[base + hit] = self.tick;
+            // Age every way younger than the hit one: a byte `b` is below
+            // `age` exactly when `(b | 0x80) - age` clears its top bit
+            // (no byte borrows, as `age <= 7`; 0xFF bytes never qualify).
+            let age = (*ages >> (8 * hit)) & 0xFF;
+            let younger = !((*ages | TOPS) - age * BYTES) & TOPS;
+            *ages = (*ages & !(0xFF << (8 * hit))) + (younger >> 7);
             self.hits += 1;
             return true;
         }
-        // Miss: evict LRU way.
-        let mut victim = 0;
-        for way in 1..self.ways {
-            if self.stamps[base + way] < self.stamps[base + victim] {
-                victim = way;
-            }
-        }
+        // Miss: fill the way of age `ways - 1`, the lowest zero byte of
+        // `ages ^ (ways - 1)` (the zero-byte trick is exact for the lowest
+        // one, and exactly one way holds that age), and age the others.
+        let oldest = *ages ^ ((self.ways as u64 - 1) * BYTES);
+        let victim =
+            (((oldest.wrapping_sub(BYTES) & !oldest & TOPS).trailing_zeros()) / 8) as usize;
+        *ages = (*ages + self.ones) & !(0xFF << (8 * victim));
         self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.tick;
         self.misses += 1;
         false
     }
@@ -128,13 +158,18 @@ impl Cache {
     /// Clear contents and counters (between kernel launches).
     pub fn reset(&mut self) {
         self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
-        self.tick = 0;
+        self.ages.fill(self.fresh);
         self.last_line = None;
         self.hits = 0;
         self.misses = 0;
     }
 }
+
+/// 1 in every byte of a `u64`.
+const BYTES: u64 = 0x0101_0101_0101_0101;
+
+/// The top bit of every byte of a `u64`.
+const TOPS: u64 = 0x8080_8080_8080_8080;
 
 /// `line % sets` without a divide, exact for every u64 `line` and every
 /// `sets >= 1` (Lemire, Kaser & Kurz, "Faster remainder by direct
@@ -311,24 +346,44 @@ mod tests {
         out
     }
 
+    /// The age-byte LRU and its repeat-line path against the stamped
+    /// reference, access by access: every way count and line size the
+    /// byte packing allows, set counts that index by a power of two or
+    /// not, every stream, then the reversed stream after a `reset`.
     #[test]
-    fn repeat_line_path_matches_the_reference_lru() {
-        for (line, ways, sets) in [(32, 8, 1), (32, 8, 32), (128, 8, 48), (32, 1, 32)] {
-            let capacity = line * ways as u64 * sets;
-            for (name, addrs) in streams(capacity) {
-                let mut fast = Cache::new(capacity, line, ways);
-                let mut reference = ReferenceLru::new(capacity, line, ways);
-                for (i, &a) in addrs.iter().enumerate() {
-                    let want = reference.access(a);
-                    assert_eq!(fast.access(a), want, "{sets} sets, {name}: access {i} ({a:#x})");
+    fn age_byte_lru_matches_the_reference_lru() {
+        for line in [32, 128] {
+            for ways in 1..=8 {
+                for sets in [1, 2, 3, 16, 32, 48] {
+                    let capacity = line * ways as u64 * sets;
+                    let mut fast = Cache::new(capacity, line, ways);
+                    for (name, addrs) in streams(capacity) {
+                        let reversed: Vec<u64> = addrs.iter().rev().copied().collect();
+                        for (pass, stream) in [("forward", &addrs), ("reversed", &reversed)] {
+                            let case = format!("{line}B lines, {ways} ways, {sets} sets, {name}");
+                            fast.reset();
+                            let mut reference = ReferenceLru::new(capacity, line, ways);
+                            for (i, &a) in stream.iter().enumerate() {
+                                let want = reference.access(a);
+                                assert_eq!(
+                                    fast.access(a),
+                                    want,
+                                    "{case} {pass}: access {i} ({a:#x})"
+                                );
+                            }
+                            let want = (reference.hits, reference.misses);
+                            assert_eq!(fast.counters(), want, "{case} {pass}");
+                        }
+                    }
                 }
-                assert_eq!(
-                    fast.counters(),
-                    (reference.hits, reference.misses),
-                    "{sets} sets, {name}"
-                );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 8 ways")]
+    fn more_than_eight_ways_is_refused() {
+        let _ = Cache::new(32 * 16, 32, 16);
     }
 
     #[test]

@@ -37,6 +37,11 @@ impl<T> ShPtr<T> {
         self.len == 0
     }
 
+    /// The same slots as raw 32-bit words (f32 values are kept as bits).
+    pub fn words(self) -> ShPtr<u32> {
+        ShPtr::new(self.off_words, self.len)
+    }
+
     /// Word address of element `idx` (bank = word address % banks).
     #[inline]
     pub(crate) fn word_addr(&self, idx: u32) -> u32 {
@@ -77,6 +82,11 @@ impl SharedMem {
     #[inline]
     pub(crate) fn store(&mut self, word: u32, val: u32) {
         self.words[word as usize] = val;
+    }
+
+    /// Every word of the arena.
+    pub(crate) fn words_mut(&mut self) -> &mut [u32] {
+        &mut self.words
     }
 
     /// The words of `ptr[0..len]`.
