@@ -54,7 +54,7 @@
 //! on in `tests/propose_oracle.rs`, which compares every counter, every
 //! modeled-time bit and every written word on each round of full passes.
 //! Timed per kernel over full passes (8 ants, random tours, n = 48 and
-//! 100, both devices), a round splits into propose 79–90% of the host
+//! 100, both devices), a round splits into propose 78–90% of the host
 //! time, apply 5–10%, the position scatter 3–6% and select 2–5%. The
 //! apply kernel's strided swap stays a `loop_while` with a `with_mask`
 //! body: [`BlockCtx::loop_pass`] is not a drop-in for it, since it
