@@ -68,7 +68,7 @@ use aco_simt::SimtError;
 pub const LS_BLOCK: u32 = 128;
 
 /// Lanes of a block, for per-lane host arrays.
-const LANES: usize = LS_BLOCK as usize;
+pub(crate) const LANES: usize = LS_BLOCK as usize;
 
 /// One trip of the propose kernel's candidate loop, forward or backward,
 /// beside its six loads (`nn_list`, `dist`, `pos`, `tours`, `dist`,

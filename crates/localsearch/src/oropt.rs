@@ -36,21 +36,33 @@
 //! goes through [`aco_simt::launch_threads`], so counters, modeled
 //! times and memory are bit-identical at any host `exec_threads` count.
 //!
-//! **Host cost.** Both min-key reductions are one [`BlockCtx::sh_tree`]
-//! (checked against the written-out level loop in
-//! `tests/propose_oracle.rs`). The propose kernel's candidate loop still
-//! runs op by op, and it is where the host time goes: timed per kernel
-//! over full passes (8 ants, random tours, n = 48 and 100, both
-//! devices), propose takes 91–96% of a round, apply 3–6%, the position
-//! scatter 1–2% and select 1%. The apply kernel's splice and copy-back
-//! loops stay `loop_while`s with `with_mask` bodies, which
-//! [`BlockCtx::loop_pass`] would charge an extra `if` branch and its
-//! divergence.
+//! **Host cost.** The propose kernel's candidate loop runs as one
+//! [`BlockCtx::lane_pass`] of `nn` trips per segment length (see
+//! `CANDIDATE`): its register instructions are charged as one declared
+//! tally over the eligible warps, the cost arithmetic and the first-move
+//! update run as host lanes, and only each trip's eight loads go through
+//! the memory models, in program order. Both min-key reductions are one
+//! [`BlockCtx::sh_tree`]. `tests/propose_oracle.rs` keeps the op-by-op
+//! kernel and the written-out level loop and compares every counter,
+//! modeled-time bit and written word on each round of full passes. The
+//! apply kernel's splice and copy-back loops stay `loop_while`s with
+//! `with_mask` bodies, which [`BlockCtx::loop_pass`] would charge an
+//! extra `if` branch and its divergence.
 
 use aco_simt::prelude::*;
 use aco_simt::SimtError;
 
-use crate::gpu::{LsRun, PosKernel, LS_BLOCK};
+use crate::gpu::{LsRun, PosKernel, LANES, LS_BLOCK};
+
+/// One trip of the propose kernel's candidate loop, beside its eight
+/// loads (`nn_list`, `pos`, `tours`, then five distances through the
+/// texture cache): the splat of `k`, the wrapped-position select, the
+/// cost select and four selects and four assignments for the best move
+/// (11 `Mov`); eight index adds, the position step and its wrap, the row
+/// multiply and the key add (12 `IAlu`); the two segment compares, the
+/// `prev` compare, the wrap compare, two adds and three subtracts, and
+/// the cost, improvement and key compares (12 `FAlu`).
+const CANDIDATE: Tally = Tally::NONE.op(Op::Mov, 11).op(Op::IAlu, 12).op(Op::FAlu, 12);
 
 /// Device state of the `or_opt` family: colony buffers it reads plus
 /// per-ant slices of its own scratch. `Copy` so kernels capture it.
@@ -292,61 +304,54 @@ impl Kernel for OrOptProposeKernel {
                     let plane = ctx.splat_u32((seg_len - 1) * (n + 1) * nn);
                     let key_p = ctx.iadd(&plane, &p_nn);
 
+                    // The candidate loop, one lane pass of `nn` trips
+                    // (see `CANDIDATE`).
+                    let (tours, dist) = (self.bufs.tours, self.bufs.dist);
+                    let (mut c, mut cp, mut c_next) = ([0u32; LANES], [0u32; LANES], [0u32; LANES]);
+                    let [mut d_base, mut d_cf, mut d_lcn, mut d_cl] = [[0f32; LANES]; 4];
+                    let mut pass = ctx.lane_pass(CANDIDATE.times(nn as u64));
                     for k in 0..nn {
-                        let k_reg = ctx.splat_u32(k);
-                        let l_idx = ctx.iadd(&first_nn, &k_reg);
-                        let c = ctx.ld_global_u32(gm, self.bufs.nn_list, &l_idx);
-                        let cp_idx = ctx.iadd(&prow_reg, &c);
-                        let cp = ctx.ld_global_u32(gm, self.bufs.pos, &cp_idx);
-                        // Skip candidates inside the segment or equal to
-                        // `prev` (splicing after either is degenerate).
-                        let ge_p = ctx.ule(&p, &cp);
-                        let lt_end = ctx.ult(&cp, &seg_end);
-                        let in_seg = ge_p.and(&lt_end);
-                        let is_prev = ctx.ueq(&c, &prev);
-                        let usable = in_seg.or(&is_prev).not();
-
-                        let cp1 = ctx.iadd(&cp, &one_u);
-                        let cp1_over = ctx.ule(&n_reg, &cp1);
-                        let cp1_w = ctx.isub(&cp1, &n_reg);
-                        let cn_pos = ctx.select_u32(&cp1_over, &cp1_w, &cp1);
-                        let cn_g = ctx.iadd(&base_reg, &cn_pos);
-                        let c_next = ctx.ld_global_u32(gm, self.bufs.tours, &cn_g);
-
-                        let c_row = ctx.imul(&c, &n_reg);
-                        let ccn_idx = ctx.iadd(&c_row, &c_next);
-                        let d_base = ctx.ld_tex_f32(gm, self.bufs.dist, &ccn_idx);
-                        let cf_idx = ctx.iadd(&c_row, &first);
-                        let d_cf = ctx.ld_tex_f32(gm, self.bufs.dist, &cf_idx);
-                        let lcn_idx = ctx.iadd(&last_row, &c_next);
-                        let d_lcn = ctx.ld_tex_f32(gm, self.bufs.dist, &lcn_idx);
-                        let cl_idx = ctx.iadd(&c_row, &last);
-                        let d_cl = ctx.ld_tex_f32(gm, self.bufs.dist, &cl_idx);
-                        let fcn_idx = ctx.iadd(&first_row, &c_next);
-                        let d_fcn = ctx.ld_tex_f32(gm, self.bufs.dist, &fcn_idx);
-
-                        // fwd / rev / cost, mirroring the CPU expressions
-                        // term for term.
-                        let fwd_sum = ctx.fadd(&d_cf, &d_lcn);
-                        let fwd = ctx.fsub(&fwd_sum, &d_base);
-                        let rev_sum = ctx.fadd(&d_cl, &d_fcn);
-                        let rev = ctx.fsub(&rev_sum, &d_base);
-                        let take_fwd = ctx.fle(&fwd, &rev);
-                        let cost = ctx.select_f32(&take_fwd, &fwd, &rev);
-                        let imp = ctx.fsub(&removal, &cost);
-                        let improving = ctx.fgt(&imp, &zero_f);
-
-                        let key = ctx.iadd(&key_p, &k_reg);
-                        let lower = ctx.ult(&key, &best_key);
-                        let valid = rem_ok.and(&usable).and(&improving).and(&lower);
-                        let nk = ctx.select_u32(&valid, &key, &best_key);
-                        ctx.assign_u32(&mut best_key, &nk);
-                        let np = ctx.select_u32(&valid, &p, &best_p);
-                        ctx.assign_u32(&mut best_p, &np);
-                        let ns = ctx.select_u32(&valid, &s_reg, &best_seg);
-                        ctx.assign_u32(&mut best_seg, &ns);
-                        let nr = ctx.select_u32(&valid, &k_reg, &best_rank);
-                        ctx.assign_u32(&mut best_rank, &nr);
+                        let nn_at = |l: usize| first_nn.lane(l).wrapping_add(k);
+                        pass.ld_global_u32(gm, self.bufs.nn_list, nn_at, |l, v| c[l] = v);
+                        let pos_at = |l: usize| prow_reg.lane(l).wrapping_add(c[l]);
+                        pass.ld_global_u32(gm, self.bufs.pos, pos_at, |l, v| cp[l] = v);
+                        let next_at = |l: usize| {
+                            let q = cp[l].wrapping_add(1);
+                            base.wrapping_add(if q >= n { q.wrapping_sub(n) } else { q })
+                        };
+                        pass.ld_global_u32(gm, tours, next_at, |l, v| c_next[l] = v);
+                        let c_row = |l: usize| c[l].wrapping_mul(n);
+                        let base_at = |l: usize| c_row(l).wrapping_add(c_next[l]);
+                        pass.ld_f32(gm, dist, true, base_at, |l, v| d_base[l] = v);
+                        let cf_at = |l: usize| c_row(l).wrapping_add(first.lane(l));
+                        pass.ld_f32(gm, dist, true, cf_at, |l, v| d_cf[l] = v);
+                        let lcn_at = |l: usize| last_row.lane(l).wrapping_add(c_next[l]);
+                        pass.ld_f32(gm, dist, true, lcn_at, |l, v| d_lcn[l] = v);
+                        let cl_at = |l: usize| c_row(l).wrapping_add(last.lane(l));
+                        pass.ld_f32(gm, dist, true, cl_at, |l, v| d_cl[l] = v);
+                        let fcn_at = |l: usize| first_row.lane(l).wrapping_add(c_next[l]);
+                        pass.ld_f32(gm, dist, true, fcn_at, |l, d_fcn| {
+                            // fwd / rev / cost, mirroring the CPU
+                            // expressions term for term. Candidates inside
+                            // the segment or equal to `prev` are skipped
+                            // (splicing after either is degenerate).
+                            let fwd = (d_cf[l] + d_lcn[l]) - d_base[l];
+                            let rev = (d_cl[l] + d_fcn) - d_base[l];
+                            let cost = if fwd <= rev { fwd } else { rev };
+                            let start = p.lane(l);
+                            let in_seg = start <= cp[l] && cp[l] < seg_end.lane(l);
+                            let key = key_p.lane(l).wrapping_add(k);
+                            if rem_ok.get(l)
+                                && !(in_seg || c[l] == prev.lane(l))
+                                && removal.lane(l) - cost > 0.0
+                                && key < best_key.lane(l)
+                            {
+                                best_key.set_lane(l, key);
+                                best_p.set_lane(l, start);
+                                best_seg.set_lane(l, seg_len);
+                                best_rank.set_lane(l, k);
+                            }
+                        });
                     }
                 });
             }

@@ -1,11 +1,11 @@
 //! The device local search's closed-form code against the op-by-op
 //! kernels it replaced, kept here as the oracle.
 //!
-//! [`TwoOptProposeKernel`] scans its candidates as one lane pass
-//! (`BlockCtx::lane_pass`), and both families reduce their per-lane
-//! moves through the shared tree collective (`BlockCtx::sh_tree`).
-//! Below are the written-out forms: the op-by-op propose body and the
-//! level loops of the `(gain, a, b, city)` best-move reduction (2-opt
+//! Both families' propose kernels scan their candidates as one lane pass
+//! (`BlockCtx::lane_pass`), and both reduce their per-lane moves through
+//! the shared tree collective (`BlockCtx::sh_tree`). Below are the
+//! written-out forms: the op-by-op 2-opt and Or-opt propose bodies and
+//! the level loops of the `(gain, a, b, city)` best-move reduction (2-opt
 //! propose and select) and of the `(key, p, seg, rank)` first-move
 //! reduction (Or-opt propose and select). Each case runs full passes,
 //! round by round, and launches every propose and select kernel twice
@@ -300,7 +300,7 @@ fn or_opt_round(
     let (n, stride, tours, pos) = (bufs.n, bufs.stride, bufs.tours, bufs.pos);
     scatter(dev, gm, PosKernel { name: "or_opt_pos", n, stride, tours, pos, first_ant, num_ants });
     let propose = OrOptProposeKernel { bufs, first_ant, num_ants };
-    let oracle = WrittenOutOrPropose { bufs, first_ant };
+    let oracle = OpByOpOrPropose { bufs, first_ant };
     let outs = [
         Out::U32(bufs.block_key),
         Out::U32(bufs.block_p),
@@ -596,14 +596,14 @@ impl Kernel for WrittenOutSelect {
     }
 }
 
-/// [`OrOptProposeKernel`] with the level loop of its reduction written
-/// out.
-struct WrittenOutOrPropose {
+/// [`OrOptProposeKernel`] with its candidate loop op by op and the level
+/// loop of its reduction written out.
+struct OpByOpOrPropose {
     bufs: OrOptDev,
     first_ant: u32,
 }
 
-impl Kernel for WrittenOutOrPropose {
+impl Kernel for OpByOpOrPropose {
     fn name(&self) -> &'static str {
         "or_opt_propose"
     }
