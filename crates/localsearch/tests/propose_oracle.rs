@@ -124,10 +124,38 @@ fn launch_bits(
     bits
 }
 
-/// Launch the written-out `oracle`, put `outs` back, launch `kernel` and
-/// assert both launches and both sets of written words agree; the memory
-/// left is the kernel's.
+/// FNV-1a over 64-bit words.
+struct Fp(u64);
+
+impl Fp {
+    fn new() -> Self {
+        Fp(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// One launch: its bits (see [`launch_bits`]) and the words it wrote.
+    fn launch(&mut self, bits: &[u64], words: &[Vec<u32>]) {
+        self.word(bits.len() as u64);
+        bits.iter().for_each(|&b| self.word(b));
+        for buffer in words {
+            self.word(buffer.len() as u64);
+            buffer.iter().for_each(|&w| self.word(w as u64));
+        }
+    }
+}
+
+/// Launch the written-out `oracle`, put `outs` back, launch `kernel`,
+/// assert both launches and both sets of written words agree and hash
+/// the kernel's into `fp`; the memory left is the kernel's.
+#[allow(clippy::too_many_arguments)]
 fn same_launch(
+    fp: &mut Fp,
     case: &str,
     dev: &DeviceSpec,
     cfg: &LaunchConfig,
@@ -142,6 +170,7 @@ fn same_launch(
     let bits = launch_bits(dev, cfg, kernel, gm);
     assert_eq!(bits, oracle_bits, "{case} {}: counters and modeled time", kernel.name());
     assert_eq!(words(gm, outs), oracle_words, "{case} {}: memory", kernel.name());
+    fp.launch(&bits, &oracle_words);
 }
 
 /// A family scratch constructor (`TwoOptDev::allocate`,
@@ -218,15 +247,20 @@ fn cases(n: usize) -> Vec<Case> {
 /// Windows of all five ants and of the fourth alone.
 const WINDOWS: [(u32, u32); 2] = [(0, 5), (3, 1)];
 
+/// A family's round: `round(fp, label, dev, gm, bufs, first_ant,
+/// num_ants)` runs one round, hashing its launches into `fp`, and returns
+/// whether some ant of the window moved.
+type Round<D> = fn(&mut Fp, &str, &DeviceSpec, &mut GlobalMem, D, u32, u32) -> bool;
+
 /// Full passes of one family over every case of `n`, device and window:
-/// `round(label, dev, gm, bufs, first_ant, num_ants)` runs one round and
-/// returns whether some ant of the window moved. Returns the rounds run.
+/// their fingerprint, labelled `family n=<n>`.
 fn passes<D: Copy>(
+    family: &str,
     n: usize,
     allocate: Allocate<D>,
-    round: impl Fn(&str, &DeviceSpec, &mut GlobalMem, D, u32, u32) -> bool,
-) -> u32 {
-    let mut rounds = 0;
+    round: Round<D>,
+) -> (String, u64) {
+    let (mut rounds, mut fp) = (0, Fp::new());
     for case in cases(n) {
         for dev in [DeviceSpec::tesla_c1060(), DeviceSpec::tesla_m2050()] {
             for (first_ant, num_ants) in WINDOWS {
@@ -237,15 +271,42 @@ fn passes<D: Copy>(
                         case.name, dev.name
                     );
                     rounds += 1;
-                    if !round(&label, &dev, &mut gm, bufs, first_ant, num_ants) {
+                    if !round(&mut fp, &label, &dev, &mut gm, bufs, first_ant, num_ants) {
                         break;
                     }
                 }
             }
         }
     }
-    rounds
+    assert!(rounds > 0);
+    (format!("{family} n={n}"), fp.0)
 }
+
+/// Check each fingerprint against the entry of the same label in
+/// [`PASSES`]; a mismatch prints every actual fingerprint.
+fn compare(actual: &[(String, u64)]) {
+    let listing: String =
+        actual.iter().map(|(label, fp)| format!("    (\"{label}\", {fp:#018x}),\n")).collect();
+    let wrong: Vec<&str> = actual
+        .iter()
+        .filter(|(label, fp)| !PASSES.contains(&(label.as_str(), *fp)))
+        .map(|(label, _)| label.as_str())
+        .collect();
+    assert!(wrong.is_empty(), "fingerprints differ for {wrong:?}; actual fingerprints:\n{listing}");
+}
+
+/// One fingerprint per family and size: every propose and select launch
+/// of every round, over each case, device and window, in that order.
+const PASSES: &[(&str, u64)] = &[
+    ("two_opt n=24", 0x8a2283e3766e0351),
+    ("two_opt n=48", 0xecc86ecab18eb69e),
+    ("two_opt n=100", 0x34290cb8f876a1a0),
+    ("two_opt n=200", 0x53fb94c40e7d55f4),
+    ("or_opt n=24", 0x7991cdd45a42e7bd),
+    ("or_opt n=48", 0x2653afddad6bb173),
+    ("or_opt n=100", 0xed2f3bbb06c679d4),
+    ("or_opt n=200", 0x59f18dfd6aec9c36),
+];
 
 /// The position scatter of a round.
 fn scatter(dev: &DeviceSpec, gm: &mut GlobalMem, pk: PosKernel) {
@@ -255,6 +316,7 @@ fn scatter(dev: &DeviceSpec, gm: &mut GlobalMem, pk: PosKernel) {
 /// One 2-opt round with its propose and select launches against their
 /// written-out forms; the window starts awake (the buffer is fresh).
 fn two_opt_round(
+    fp: &mut Fp,
     label: &str,
     dev: &DeviceSpec,
     gm: &mut GlobalMem,
@@ -273,11 +335,11 @@ fn two_opt_round(
         Out::U32(bufs.block_city),
         Out::U32(bufs.dont_look),
     ];
-    same_launch(label, dev, &propose.config(), [&oracle, &propose], gm, &outs);
+    same_launch(fp, label, dev, &propose.config(), [&oracle, &propose], gm, &outs);
     let select = TwoOptSelectKernel { bufs, first_ant, num_ants };
     let oracle = WrittenOutSelect { bufs, first_ant };
     let outs = [Out::F32(bufs.chosen_gain), Out::U32(bufs.chosen_a), Out::U32(bufs.chosen_b)];
-    same_launch(label, dev, &select.config(), [&oracle, &select], gm, &outs);
+    same_launch(fp, label, dev, &select.config(), [&oracle, &select], gm, &outs);
     let window = first_ant as usize..(first_ant + num_ants) as usize;
     if gm.f32(bufs.chosen_gain)[window].iter().all(|&g| g <= 0.0) {
         return false;
@@ -290,6 +352,7 @@ fn two_opt_round(
 /// One Or-opt round with its propose and select launches against their
 /// written-out forms.
 fn or_opt_round(
+    fp: &mut Fp,
     label: &str,
     dev: &DeviceSpec,
     gm: &mut GlobalMem,
@@ -307,7 +370,7 @@ fn or_opt_round(
         Out::U32(bufs.block_seg),
         Out::U32(bufs.block_rank),
     ];
-    same_launch(label, dev, &propose.config(), [&oracle, &propose], gm, &outs);
+    same_launch(fp, label, dev, &propose.config(), [&oracle, &propose], gm, &outs);
     let select = OrOptSelectKernel { bufs, first_ant, num_ants };
     let oracle = WrittenOutOrSelect { bufs, first_ant };
     let outs = [
@@ -316,7 +379,7 @@ fn or_opt_round(
         Out::U32(bufs.chosen_seg),
         Out::U32(bufs.chosen_rank),
     ];
-    same_launch(label, dev, &select.config(), [&oracle, &select], gm, &outs);
+    same_launch(fp, label, dev, &select.config(), [&oracle, &select], gm, &outs);
     let window = first_ant as usize..(first_ant + num_ants) as usize;
     if gm.u32(bufs.chosen_key)[window].iter().all(|&k| k == u32::MAX) {
         return false;
@@ -328,32 +391,24 @@ fn or_opt_round(
 
 #[test]
 fn two_opt_rounds_match_the_written_out_kernels() {
-    for n in [24, 48] {
-        assert!(passes(n, TwoOptDev::allocate, two_opt_round) > 0);
-    }
+    compare(&[24, 48].map(|n| passes("two_opt", n, TwoOptDev::allocate, two_opt_round)));
 }
 
 #[test]
 #[ignore = "release tier: n = 100 and 200"]
 fn two_opt_rounds_match_the_written_out_kernels_at_100_and_200() {
-    for n in [100, 200] {
-        assert!(passes(n, TwoOptDev::allocate, two_opt_round) > 0);
-    }
+    compare(&[100, 200].map(|n| passes("two_opt", n, TwoOptDev::allocate, two_opt_round)));
 }
 
 #[test]
 fn or_opt_rounds_match_the_written_out_kernels() {
-    for n in [24, 48] {
-        assert!(passes(n, OrOptDev::allocate, or_opt_round) > 0);
-    }
+    compare(&[24, 48].map(|n| passes("or_opt", n, OrOptDev::allocate, or_opt_round)));
 }
 
 #[test]
 #[ignore = "release tier: n = 100 and 200"]
 fn or_opt_rounds_match_the_written_out_kernels_at_100_and_200() {
-    for n in [100, 200] {
-        assert!(passes(n, OrOptDev::allocate, or_opt_round) > 0);
-    }
+    compare(&[100, 200].map(|n| passes("or_opt", n, OrOptDev::allocate, or_opt_round)));
 }
 
 // --- the written-out kernels ---------------------------------------------------

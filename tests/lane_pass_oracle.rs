@@ -120,17 +120,55 @@ fn launch_bits(
     bits
 }
 
+/// FNV-1a over 64-bit words.
+struct Fp(u64);
+
+impl Fp {
+    fn new() -> Self {
+        Fp(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// One launch: its bits (see [`launch_bits`]) and the words it wrote.
+    fn launch(&mut self, (bits, words): &(Vec<u64>, Vec<u32>)) {
+        self.word(bits.len() as u64);
+        bits.iter().for_each(|&b| self.word(b));
+        self.word(words.len() as u64);
+        words.iter().for_each(|&w| self.word(w as u64));
+    }
+}
+
+/// Check each of `actual`'s fingerprints against the entry of the same
+/// label in `table`; a mismatch prints every actual fingerprint.
+fn compare(actual: Vec<(String, u64)>, table: &[(&str, u64)]) {
+    let listing: String =
+        actual.iter().map(|(label, fp)| format!("    (\"{label}\", {fp:#018x}),\n")).collect();
+    let wrong: Vec<&str> = actual
+        .iter()
+        .filter(|(label, fp)| !table.contains(&(label.as_str(), *fp)))
+        .map(|(label, _)| label.as_str())
+        .collect();
+    assert!(wrong.is_empty(), "fingerprints differ for {wrong:?}; actual fingerprints:\n{listing}");
+}
+
 /// Run the written-out form and the kernel itself through `run` (fresh
-/// memory, the launch, then the launch bits and the written words) and
-/// assert both agree.
+/// memory, the launch, then the launch bits and the written words),
+/// assert both agree and return the kernel's.
 fn assert_same(
     case: &str,
     forms: [&dyn Kernel; 2],
     run: impl Fn(&dyn Kernel) -> (Vec<u64>, Vec<u32>),
-) {
-    let [(oracle_bits, oracle_words), (bits, words)] = forms.map(run);
-    assert_eq!(bits, oracle_bits, "{case}: counters and modeled time");
-    assert_eq!(words, oracle_words, "{case}: memory");
+) -> (Vec<u64>, Vec<u32>) {
+    let [(oracle_bits, oracle_words), kernel] = forms.map(run);
+    assert_eq!(kernel.0, oracle_bits, "{case}: counters and modeled time");
+    assert_eq!(kernel.1, oracle_words, "{case}: memory");
+    kernel
 }
 
 fn f32_words(v: &[f32]) -> impl Iterator<Item = u32> + '_ {
@@ -547,14 +585,16 @@ impl Kernel for WrittenOutTask {
 }
 
 /// Rows 1–6 at every `m` of the grid for the given sizes, both devices,
-/// every execution mode.
+/// every execution mode: one fingerprint per row and size.
 fn task_rows(sizes: &[usize], rows: &[TourStrategy]) {
+    let mut fps = Vec::new();
     for &n in sizes {
         let inst = tsp::uniform_random("lane-pass-task", n, 900.0, n as u64);
-        for m in [1, 8, 40, 129] {
-            for dev in devices() {
-                for &row in rows {
-                    let opts = row.task_opts().expect("a task-parallel row");
+        for &row in rows {
+            let opts = row.task_opts().expect("a task-parallel row");
+            let mut fp = Fp::new();
+            for m in [1, 8, 40, 129] {
+                for dev in devices() {
                     for exec in EXECS {
                         let case = format!("{row:?} n={n} m={m} {} {exec:?}", dev.name);
                         let (_, bufs) = colony(&inst, m);
@@ -568,16 +608,18 @@ fn task_rows(sizes: &[usize], rows: &[TourStrategy]) {
                         };
                         let cfg = kernel.config(&dev);
                         let kernel = WrittenOutTask(kernel);
-                        assert_same(&case, [&kernel, &kernel.0], |k| {
+                        fp.launch(&assert_same(&case, [&kernel, &kernel.0], |k| {
                             let (mut gm, bufs) = colony(&inst, m);
                             let bits = launch_bits(&dev, &cfg, k, &mut gm, exec);
                             (bits, tour_words(&gm, bufs))
-                        });
+                        }));
                     }
                 }
             }
+            fps.push((format!("{row:?} n={n}"), fp.0));
         }
     }
+    compare(fps, TASK_ROWS);
 }
 
 #[test]
@@ -596,6 +638,41 @@ fn task_rows_1_to_3_match_their_written_out_form_at_every_size() {
 fn task_rows_4_to_6_match_their_written_out_form_at_every_size() {
     task_rows(&[48, 100, 150], &TourStrategy::ALL[3..6]);
 }
+
+/// One fingerprint per Table II row 1–6 and size: every `m`, device and
+/// execution mode of [`task_rows`], in that order.
+const TASK_ROWS: &[(&str, u64)] = &[
+    ("Baseline n=5", 0x5e5a1c763e1702c0),
+    ("ChoiceKernel n=5", 0xf41809f2f8b97f8f),
+    ("DeviceRng n=5", 0x76e42904821664c5),
+    ("NNList n=5", 0xd223725032ba1255),
+    ("NNListShared n=5", 0x4034d04f46101887),
+    ("NNListSharedTex n=5", 0x1fd9918b29f3f706),
+    ("Baseline n=24", 0x99d0ed92304a0ec3),
+    ("ChoiceKernel n=24", 0x44d0336727078c46),
+    ("DeviceRng n=24", 0xd2e6c1e4b3d514c9),
+    ("NNList n=24", 0xcba901fd147fb738),
+    ("NNListShared n=24", 0x4815a1e87b948f4c),
+    ("NNListSharedTex n=24", 0x74ca5f58cc92bdaf),
+    ("Baseline n=48", 0x7daf935ff2496ef6),
+    ("ChoiceKernel n=48", 0xc020c9208f7d2ef9),
+    ("DeviceRng n=48", 0xe16518b6c12a141f),
+    ("NNList n=48", 0x9d8bd560acab66ba),
+    ("NNListShared n=48", 0x6f7a250248b4df91),
+    ("NNListSharedTex n=48", 0xdb37dcb0e95b66e7),
+    ("Baseline n=100", 0xb5cbd45e1c46ac0a),
+    ("ChoiceKernel n=100", 0x2eeb9b6543edb51f),
+    ("DeviceRng n=100", 0x0278e08e0700340b),
+    ("NNList n=100", 0x8155b202c6c21c35),
+    ("NNListShared n=100", 0xb43be193ff5beaf5),
+    ("NNListSharedTex n=100", 0x7166b2222380434c),
+    ("Baseline n=150", 0x4606c0fa1356ba31),
+    ("ChoiceKernel n=150", 0xbc97cbbb3f25284a),
+    ("DeviceRng n=150", 0x308a4213ea1bdda6),
+    ("NNList n=150", 0x3a20813e7dcae8d0),
+    ("NNListShared n=150", 0xfa981cf0c8933c18),
+    ("NNListSharedTex n=150", 0xe1d9085bac2a5a07),
+];
 
 // --- Table II rows 7–8 ---------------------------------------------------------
 
@@ -755,8 +832,10 @@ impl Kernel for WrittenOutDataParallel {
 #[test]
 fn data_parallel_rows_match_their_written_out_form() {
     let mut cases = 0;
+    let mut fps = Vec::new();
     for n in [5, 20, 33, 48, 64, 100, 129, 300] {
         let inst = tsp::uniform_random("dp-oracle", n, 900.0, n as u64);
+        let mut fp = Fp::new();
         for dev in devices() {
             for texture in [false, true] {
                 for seed in [3, 17] {
@@ -779,19 +858,21 @@ fn data_parallel_rows_match_their_written_out_form() {
                             };
                             let cfg = kernel.config();
                             let kernel = WrittenOutDataParallel(kernel);
-                            assert_same(&case, [&kernel, &kernel.0], |k| {
+                            fp.launch(&assert_same(&case, [&kernel, &kernel.0], |k| {
                                 let (mut gm, bufs) = colony(&inst, 5);
                                 let bits = launch_bits(&dev, &cfg, k, &mut gm, exec);
                                 (bits, tour_words(&gm, bufs))
-                            });
+                            }));
                             cases += 1;
                         }
                     }
                 }
             }
         }
+        fps.push((format!("n={n}"), fp.0));
     }
     assert_eq!(cases, 8 * 2 * 2 * 2 * 3 * 3);
+    compare(fps, DATA_PARALLEL_ROWS);
 }
 
 /// An M2050 with 8 banks, fewer than its 32-lane conflict group: there a
@@ -803,8 +884,10 @@ fn few_banks() -> DeviceSpec {
 #[test]
 fn data_parallel_rows_match_their_written_out_form_with_few_banks() {
     let dev = few_banks();
+    let mut fps = Vec::new();
     for n in [33, 100] {
         let inst = tsp::uniform_random("dp-oracle", n, 900.0, n as u64);
+        let mut fp = Fp::new();
         for texture in [false, true] {
             for exec in EXECS {
                 let case = format!("n={n} 8 banks texture={texture} {exec:?}");
@@ -812,15 +895,33 @@ fn data_parallel_rows_match_their_written_out_form_with_few_banks() {
                 let kernel = DataParallelTourKernel::new(bufs, texture, 3, 2);
                 let cfg = kernel.config();
                 let kernel = WrittenOutDataParallel(kernel);
-                assert_same(&case, [&kernel, &kernel.0], |k| {
+                fp.launch(&assert_same(&case, [&kernel, &kernel.0], |k| {
                     let (mut gm, bufs) = colony(&inst, 5);
                     let bits = launch_bits(&dev, &cfg, k, &mut gm, exec);
                     (bits, tour_words(&gm, bufs))
-                });
+                }));
             }
         }
+        fps.push((format!("8 banks n={n}"), fp.0));
     }
+    compare(fps, DATA_PARALLEL_ROWS);
 }
+
+/// One fingerprint per size of rows 7–8: every device, texture flag,
+/// seed, block layout and execution mode, in that order; and of the
+/// few-banks device's texture flags and execution modes.
+const DATA_PARALLEL_ROWS: &[(&str, u64)] = &[
+    ("n=5", 0xccd04354620c4366),
+    ("n=20", 0x54bc27b62deed730),
+    ("n=33", 0x31ea1dfd4b960e74),
+    ("n=48", 0xedf5681e341d3c7b),
+    ("n=64", 0x7700122474c9f634),
+    ("n=100", 0xd448a4544b8a2536),
+    ("n=129", 0x8abd39727c89c734),
+    ("n=300", 0xa7c3ae1302895287),
+    ("8 banks n=33", 0x8af2ada7dae8cd4a),
+    ("8 banks n=100", 0x63eb4cf985029233),
+];
 
 // --- the scatter-to-gather pheromone rows -----------------------------------------
 
@@ -952,11 +1053,13 @@ impl Kernel for WrittenOutScatter {
 
 #[test]
 fn scatter_rows_match_their_written_out_form() {
-    for n in [5, 24, 60] {
-        let inst = tsp::uniform_random("scatter-oracle", n, 900.0, n as u64);
-        for m in [3, 8] {
-            for dev in devices() {
-                for mode in [ScatterMode::Plain, ScatterMode::Tiled, ScatterMode::TiledReduced] {
+    let mut fps = Vec::new();
+    for mode in [ScatterMode::Plain, ScatterMode::Tiled, ScatterMode::TiledReduced] {
+        for n in [5, 24, 60] {
+            let inst = tsp::uniform_random("scatter-oracle", n, 900.0, n as u64);
+            let mut fp = Fp::new();
+            for m in [3, 8] {
+                for dev in devices() {
                     for exec in EXECS {
                         let case = format!("{mode:?} n={n} m={m} {} {exec:?}", dev.name);
                         // A colony with tours to deposit.
@@ -970,17 +1073,33 @@ fn scatter_rows_match_their_written_out_form() {
                         let kernel = ScatterGatherKernel { bufs: toured().1, rho: 0.5, mode };
                         let cfg = kernel.config();
                         let kernel = WrittenOutScatter(kernel);
-                        assert_same(&case, [&kernel, &kernel.0], |k| {
+                        fp.launch(&assert_same(&case, [&kernel, &kernel.0], |k| {
                             let (mut gm, bufs) = toured();
                             let bits = launch_bits(&dev, &cfg, k, &mut gm, exec);
                             (bits, f32_words(gm.f32(bufs.tau)).collect())
-                        });
+                        }));
                     }
                 }
             }
+            fps.push((format!("{mode:?} n={n}"), fp.0));
         }
     }
+    compare(fps, SCATTER_ROWS);
 }
+
+/// One fingerprint per scatter mode and size: every `m`, device and
+/// execution mode, in that order.
+const SCATTER_ROWS: &[(&str, u64)] = &[
+    ("Plain n=5", 0xd31fe8d0927ef6a2),
+    ("Plain n=24", 0x455b7c617156b1b3),
+    ("Plain n=60", 0xf5cf2c072ba4703c),
+    ("Tiled n=5", 0xd1a9ab92dc068566),
+    ("Tiled n=24", 0x2f8e394a21bfc0a1),
+    ("Tiled n=60", 0x40e524e81195c8e8),
+    ("TiledReduced n=5", 0xd7851076caaf62ad),
+    ("TiledReduced n=24", 0xfd51004eea630c83),
+    ("TiledReduced n=60", 0x0528ae1272ad3d10),
+];
 
 // --- the argmax tree -------------------------------------------------------------
 
