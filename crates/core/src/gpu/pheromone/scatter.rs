@@ -39,6 +39,7 @@
 //! and its division (`DELTA`), and a plain-row step's two address splats
 //! (`STAGED`).
 
+use aco_simt::lane_pass;
 use aco_simt::prelude::*;
 
 use crate::gpu::buffers::{ColonyBuffers, THETA};
@@ -119,31 +120,39 @@ impl ScatterGatherKernel {
 
     /// Accumulate this cell's deposits by scanning all tours directly from
     /// global memory (version 5).
-    fn gather_plain(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem) -> Reg<f32> {
+    fn gather_plain(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem, ij: Coords) -> Reg<f32> {
         let n = self.bufs.n;
         let m = self.bufs.m;
         let stride = self.bufs.stride;
         let mut acc = ctx.splat_f32(0.0);
+        let mut edges = vec![(0, 0); n as usize];
         for k in 0..m {
             let delta = self.ant_delta(ctx, gm, k);
-            for s in 0..n {
+            for (s, edge) in (0..n).zip(&mut edges) {
                 let c0 = ctx.ld_global_u32_uniform(gm, self.bufs.tours, k * stride + s);
                 let c1 = ctx.ld_global_u32_uniform(gm, self.bufs.tours, k * stride + s + 1);
-                self.deposit(ctx, &mut acc, c0, c1, delta);
+                *edge = (c0, c1);
             }
-            ctx.lane_pass(MATCH.plus(STAGED).times(n as u64));
+            self.deposit(ctx, &mut acc, ij, &edges, delta);
         }
         acc
     }
 
     /// Accumulate deposits with tour tiles staged in shared memory
     /// (versions 3–4).
-    fn gather_tiled(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem, sh: ShPtr<u32>) -> Reg<f32> {
+    fn gather_tiled(
+        &self,
+        ctx: &mut BlockCtx,
+        gm: &mut GlobalMem,
+        sh: ShPtr<u32>,
+        ij: Coords,
+    ) -> Reg<f32> {
         let n = self.bufs.n;
         let m = self.bufs.m;
         let stride = self.bufs.stride;
         let lane = ctx.thread_idx();
         let mut acc = ctx.splat_f32(0.0);
+        let mut edges = [(0, 0); THETA as usize];
         for k in 0..m {
             let delta = self.ant_delta(ctx, gm, k);
             let tiles = stride / THETA;
@@ -165,61 +174,73 @@ impl ScatterGatherKernel {
                 ctx.sync_threads();
                 // Scan the staged tile (broadcast shared reads).
                 let upto = if tile == tiles - 1 { n - tile * THETA } else { THETA };
-                for s in 0..upto {
-                    let c0 = ctx.sh_ld_u32_uniform(sh, s);
-                    let c1 = ctx.sh_ld_u32_uniform(sh, s + 1);
-                    self.deposit(ctx, &mut acc, c0, c1, delta);
+                for (s, edge) in (0..upto).zip(&mut edges) {
+                    *edge = (ctx.sh_ld_u32_uniform(sh, s), ctx.sh_ld_u32_uniform(sh, s + 1));
                 }
-                ctx.lane_pass(MATCH.plus(STAGED).times(upto as u64));
+                self.deposit(ctx, &mut acc, ij, &edges[..upto as usize], delta);
                 ctx.sync_threads();
             }
         }
         acc
     }
 
-    /// Ant `k`'s deposit `δ = 1/L_k`: a broadcast load of its length and
-    /// the division, with the splats of `k` and `1.0` charged as [`DELTA`].
+    /// Ant `k`'s deposit `δ = 1/L_k`: a broadcast load of its length, the
+    /// splats of `k` and `1.0` and the division.
     fn ant_delta(&self, ctx: &mut BlockCtx, gm: &GlobalMem, k: u32) -> f32 {
         let len = ctx.ld_global_f32_uniform(gm, self.bufs.lengths, k);
-        ctx.lane_pass(DELTA);
-        1.0 / len
+        lane_pass!(ctx, |pass| {
+            let a = pass.alu();
+            // The splat of the index the broadcast load no longer reads.
+            a.mov(k);
+            a.fdiv(a.mov(1.0), len)
+        })
     }
 
-    /// One tour step's deposit: `acc += delta` on the in-range lanes whose
-    /// cell is the edge `(c0, c1)` in either direction, the lanes the
-    /// branch-free match selects (the module docs say why that is exact).
-    fn deposit(&self, ctx: &BlockCtx, acc: &mut Reg<f32>, c0: u32, c1: u32, delta: f32) {
-        let n = self.bufs.n;
-        if c0 >= n || c1 >= n {
-            return;
-        }
-        let (lo, hi) = (c0.min(c1), c0.max(c1));
-        let cells = match self.mode {
-            // Row `lo` of the upper triangle starts at `lo*n - lo*(lo-1)/2`.
-            ScatterMode::TiledReduced => [Some(lo * (2 * n + 1 - lo) / 2 + hi - lo), None],
-            _ => [Some(c0 * n + c1), (c0 != c1).then_some(c1 * n + c0)],
+    /// The deposits of one run of tour steps, `edges[s] = (c0, c1)`, as one
+    /// lane pass: per step the splats of its two cities, and `acc +=
+    /// delta` on the lanes whose cell is the edge in either direction, the
+    /// branch-free match of four compares, three predicate ops, a zero
+    /// splat and a select. The match runs only on the lanes that own the
+    /// edge's cells (the module docs say why that is exact).
+    fn deposit(
+        &self,
+        ctx: &mut BlockCtx,
+        acc: &mut Reg<f32>,
+        (i, j): Coords,
+        edges: &[(u32, u32)],
+        delta: f32,
+    ) {
+        let (n, first, block) = (self.bufs.n, ctx.block_idx * ctx.block_dim, ctx.block_dim);
+        let owners = |c0: u32, c1: u32| {
+            let (lo, hi) = (c0.min(c1), c0.max(c1));
+            let cells = match self.mode {
+                // Row `lo` of the upper triangle starts at `lo*n - lo*(lo-1)/2`.
+                ScatterMode::TiledReduced => [Some(lo * (2 * n + 1 - lo) / 2 + hi - lo), None],
+                _ => [Some(c0 * n + c1), (c0 != c1).then_some(c1 * n + c0)],
+            };
+            let in_range = c0 < n && c1 < n;
+            let lane = move |cell: u32| cell.checked_sub(first).filter(|&l| l < block);
+            cells.into_iter().flatten().filter_map(lane).filter(move |_| in_range)
         };
-        let first = ctx.block_idx * ctx.block_dim;
-        for cell in cells.into_iter().flatten() {
-            if let Some(l) = cell.checked_sub(first).filter(|&l| l < ctx.block_dim) {
-                let l = l as usize;
-                acc.set_lane(l, acc.lane(l) + delta);
-            }
-        }
+        lane_pass!(ctx, |pass| {
+            let a = pass.alu();
+            pass.repeat(edges.len() as u32, |pass, s| {
+                let (c0, c1) = edges[s as usize];
+                let (c0, c1) = (a.mov(c0), a.mov(c1));
+                let lanes = owners(c0, c1).map(|l| l as usize);
+                pass.lanes(lanes, |l| {
+                    let (i, j) = (i.lane(l), j.lane(l));
+                    let hit = (a.ueq(c0, i) & a.ueq(c1, j)) | (a.ueq(c0, j) & a.ueq(c1, i));
+                    a.charge(Op::IAlu, 3);
+                    acc.set_lane(l, a.fadd(acc.lane(l), a.select(hit, delta, a.mov(0.0))));
+                });
+            });
+        });
     }
 }
 
-/// One tour step of the branch-free edge match: 4 compares, 3 predicate
-/// ops, a zero splat, a select and an `fadd`.
-const MATCH: Tally = Tally::NONE.op(Op::Mov, 2).op(Op::FAlu, 5).op(Op::IAlu, 3);
-
-/// An ant's deposit: the splats of its index and of `1.0`, and the
-/// division (an SFU reciprocal and a multiply).
-const DELTA: Tally = Tally::NONE.op(Op::Mov, 2).op(Op::Sfu, 1).op(Op::FMul, 1);
-
-/// The 2 splats of one tour step: of a staged tile's two cities, or of
-/// the plain row's two tour addresses.
-const STAGED: Tally = Tally::NONE.op(Op::Mov, 2);
+/// Each lane's cell coordinates `(i, j)`.
+type Coords<'r> = (&'r Reg<u32>, &'r Reg<u32>);
 
 impl Kernel for ScatterGatherKernel {
     fn name(&self) -> &'static str {
@@ -261,8 +282,8 @@ impl Kernel for ScatterGatherKernel {
         };
 
         let acc = match self.mode {
-            ScatterMode::Plain => self.gather_plain(ctx, gm),
-            _ => self.gather_tiled(ctx, gm, sh.expect("allocated above")),
+            ScatterMode::Plain => self.gather_plain(ctx, gm, (&i, &j)),
+            _ => self.gather_tiled(ctx, gm, sh.expect("allocated above"), (&i, &j)),
         };
 
         ctx.if_then(gm, &in_range, |ctx, gm| {

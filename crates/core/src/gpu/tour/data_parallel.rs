@@ -45,17 +45,11 @@
 //! "results similar to those obtained by the sequential code". The
 //! quality experiments in `crate::quality` quantify that claim.
 
+use aco_simt::lane_pass;
 use aco_simt::prelude::*;
-use aco_simt::rng::{pm_draw, PmRng};
+use aco_simt::rng::PmRng;
 
 use crate::gpu::buffers::ColonyBuffers;
-
-/// One construction tile's data-independent instructions: splats of
-/// `tile*T`, `tile` and `cur*n` and the select; the city add, tabu shift
-/// and mask, index add and clamp; the in-range and unvisited compares;
-/// the product `choice * r`; and the draw of `r`.
-const TILE: Tally =
-    Tally::NONE.op(Op::Mov, 4).op(Op::IAlu, 5).op(Op::FAlu, 2).op(Op::FMul, 1).draws(1);
 
 /// The data-parallel construction kernel.
 pub struct DataParallelTourKernel {
@@ -115,11 +109,13 @@ impl DataParallelTourKernel {
         let owner_mask = ctx.lane_mask(owner);
         ctx.branch(&owner_mask);
         ctx.with_mask(gm, &owner_mask, |ctx, _| {
-            // A splat of `1 << tile`, the `ior` and the assign.
-            ctx.lane_pass(Tally::NONE.op(Op::Mov, 2).op(Op::IAlu, 1));
+            let marked = lane_pass!(ctx, |pass| {
+                let a = pass.alu();
+                let bit = a.mov(1 << tile);
+                pass.reg(|l| a.mov(a.ior(tabu.lane(l), bit)))
+            });
+            tabu.set_lane(owner as usize, marked.lane(owner as usize));
         });
-        let owner = owner as usize;
-        tabu.set_lane(owner, tabu.lane(owner) | 1 << tile);
     }
 
     /// Lane 0 stores `city` at tour slot `pos` and adds the distance at
@@ -137,9 +133,14 @@ impl DataParallelTourKernel {
         ctx.charge(Op::Mov, 4);
         let lane0 = ctx.lane_mask(0);
         ctx.if_then(gm, &lane0, |ctx, gm| {
-            let mut pass = ctx.lane_pass(Tally::NONE.op(Op::Mov, 1));
-            pass.st_global_u32(gm, self.bufs.tours, |_| pos, |_| city);
-            pass.ld_f32(gm, self.bufs.dist, false, |_| didx, |_, d| *len += d);
+            let d = lane_pass!(ctx, |pass| {
+                let a = pass.alu();
+                let mut d = pass.reg(|_| 0.0f32);
+                pass.st_global_u32(gm, self.bufs.tours, |_| pos, |_| city);
+                pass.ld_f32(gm, self.bufs.dist, false, |_| didx, |l, v| d.set_lane(l, a.mov(v)));
+                d
+            });
+            *len += d.lane(0);
         });
     }
 }
@@ -169,7 +170,7 @@ impl Kernel for DataParallelTourKernel {
         // Per-lane bit-packed tabu: bit `k` = "my city in tile k visited".
         let mut tabu = ctx.splat_u32(0);
         // Each lane's key for the argmax tree, rewritten by every tile.
-        let mut vals = ctx.lane_pass(Tally::NONE).reg(|_| 0.0f32);
+        let mut vals = lane_pass!(ctx, |pass| pass.reg(|_| 0.0f32));
 
         // Random start city from lane 0's stream.
         let r0 = ctx.lcg_next_f32(&mut lcg);
@@ -196,20 +197,25 @@ impl Kernel for DataParallelTourKernel {
                 // of my tabu register clear; value = choice[cur*n + city] * r
                 // (clamped index for the out-of-range lanes; their value is
                 // -1 anyway). Then value and city go to shared slot `lane`.
-                let first = tile * t;
-                let row = cur * n;
-                let mut pass = ctx.lane_pass(TILE);
-                let idx = |l: usize| row.wrapping_add(first + l as u32).min(last_cell);
-                let value = |l: usize, choice: f32| {
-                    let mut state = lcg.lane(l);
-                    let r = pm_draw(&mut state);
-                    lcg.set_lane(l, state);
-                    let unvisited = first + (l as u32) < n && (tabu.lane(l) >> tile) & 1 == 0;
-                    vals.set_lane(l, if unvisited { choice * r } else { -1.0 });
-                };
-                pass.ld_f32(gm, self.bufs.choice, self.texture, idx, value);
-                pass.sh_st_lanes(sh_val, |l| vals.lane(l).to_bits());
-                pass.sh_st_lanes(sh_idx, |l| first + l as u32);
+                let (first, row) = (tile * t, cur * n);
+                // The value and city slots are shared words `lane`.
+                let city = |l: usize| first + l as u32;
+                lane_pass!(ctx, |pass| {
+                    let a = pass.alu();
+                    let (first, tile, row) = (a.mov(first), a.mov(tile), a.mov(row));
+                    let idx = |l: usize| a.imin(a.iadd(row, a.iadd(first, l as u32)), last_cell);
+                    let value = |l: usize, choice: f32| {
+                        let mut state = lcg.lane(l);
+                        let r = a.draw(&mut state);
+                        lcg.set_lane(l, state);
+                        let visited = a.iand(a.ishr(tabu.lane(l), tile), 1);
+                        let unvisited = a.ult(city(l), n) & a.ueq(visited, 0);
+                        vals.set_lane(l, a.select(unvisited, a.fmul(choice, r), -1.0));
+                    };
+                    pass.ld_f32(gm, self.bufs.choice, self.texture, idx, value);
+                    pass.sh_st_lanes(sh_val, |l| vals.lane(l).to_bits());
+                    pass.sh_st_lanes(sh_idx, city);
+                });
 
                 ctx.sync_threads();
                 ctx.sh_argmax_tree(sh_val, sh_idx);

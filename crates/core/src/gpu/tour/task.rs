@@ -44,6 +44,7 @@
 
 use aco_simt::prelude::*;
 use aco_simt::rng::PmRng;
+use aco_simt::{lane_pass, loop_pass};
 
 use crate::gpu::buffers::ColonyBuffers;
 use crate::gpu::choice::ETA_ZERO_DIST;
@@ -117,31 +118,6 @@ enum TabuState {
     SharedBits(ShPtr<u32>),
 }
 
-impl TabuState {
-    /// A tabu test's instructions besides its load: the `n` splat, the
-    /// index math (the bit-packed layout also splats its constants and
-    /// shifts out its bit), and `1.0 - (float)flag`.
-    fn check_tally(self) -> Tally {
-        match self {
-            TabuState::Global | TabuState::SharedInt(_) => {
-                Tally::NONE.op(Op::Mov, 3).op(Op::IAlu, 2).op(Op::FAlu, 1)
-            }
-            TabuState::SharedBits(_) => Tally::NONE.op(Op::Mov, 7).op(Op::IAlu, 6).op(Op::FAlu, 1),
-        }
-    }
-
-    /// A tabu mark's instructions besides its stores (and the bit-packed
-    /// layout's load): the `n` splat, the index math and the value.
-    fn set_tally(self) -> Tally {
-        match self {
-            TabuState::Global | TabuState::SharedInt(_) => {
-                Tally::NONE.op(Op::Mov, 2).op(Op::IAlu, 2)
-            }
-            TabuState::SharedBits(_) => Tally::NONE.op(Op::Mov, 5).op(Op::IAlu, 6),
-        }
-    }
-}
-
 /// One block's ants: where their tabu lists live, and their global and
 /// in-block thread indices.
 struct Ants {
@@ -151,44 +127,28 @@ struct Ants {
 }
 
 /// The candidate step's per-lane values, candidate-major (slot
-/// `c * block_dim + lane`): each candidate's city and probability.
+/// `c * lanes + lane`, `lanes` the block's lanes and the spare lane a
+/// tally is derived on): each candidate's city and probability.
 struct Candidates {
+    lanes: usize,
     city: Vec<u32>,
     p: Vec<f32>,
 }
-
-/// Row 1's inline `tau^alpha * eta^beta` besides its two loads: splats of
-/// 0, 1, the clamp, alpha and beta and the select; the `d <= 0` compare;
-/// the reciprocal, the double-precision `pow` surcharge, two `__powf` and
-/// the product.
-const INLINE_CHOICE: Tally =
-    Tally::NONE.op(Op::Mov, 6).op(Op::FAlu, 1).op(Op::Sfu, 19).op(Op::FMul, 4);
-
-/// One candidate of the branch-free roulette: the running sum, two
-/// compares, the select and the predicate bookkeeping.
-const ROULETTE_STEP: Tally = Tally::NONE.op(Op::FAlu, 3).op(Op::Mov, 1).op(Op::IAlu, 2);
-
-/// One trip's test in the roulette scan of rows 1–3, over the warps still
-/// scanning: the loop branch, `cum < target`, `j < n - 1` and the branch
-/// into the step.
-const SCAN_TEST: Tally = Tally::NONE.op(Op::Branch, 2).op(Op::FAlu, 2);
-
-/// One step of the roulette scan besides its `prob` load, over the warps
-/// that go on: `j + 1` and its move, the index add, `cum + p` and its
-/// move.
-const SCAN_STEP: Tally = Tally::NONE.op(Op::IAlu, 2).op(Op::Mov, 2).op(Op::FAlu, 1);
 
 /// Allocate a shared tabu list of `words` words per thread and zero it:
 /// `thread_idx`, a splat of `words`, the row `imul` and a zero splat, then
 /// per word a splat, an `iadd` and the store.
 fn zeroed_tabu(ctx: &mut BlockCtx, block: u32, words: u32) -> ShPtr<u32> {
     let arr = ctx.shared_alloc_u32((block * words) as usize);
-    let word = Tally::NONE.op(Op::Mov, 1).op(Op::IAlu, 1);
-    let mut pass =
-        ctx.lane_pass(Tally::NONE.op(Op::Mov, 3).op(Op::IAlu, 1).plus(word.times(words as u64)));
-    for w in 0..words {
-        pass.sh_st(arr, |l| (l as u32).wrapping_mul(words).wrapping_add(w), |_| 0);
-    }
+    lane_pass!(ctx, |pass| {
+        let a = pass.alu();
+        let (wreg, zero) = (a.mov(words), a.mov(0));
+        let row = pass.reg(|l| a.imul(a.mov(l as u32), wreg));
+        pass.repeat(words, |pass, w| {
+            let w = a.mov(w);
+            pass.sh_st(arr, |l| a.iadd(row.lane(l), w), |_| zero);
+        });
+    });
     arr
 }
 
@@ -231,108 +191,116 @@ impl TaskTourKernel {
         }
     }
 
-    /// The instructions of one [`Self::choice_value`] besides its loads.
-    fn choice_tally(&self) -> Tally {
-        if self.opts.use_choice_table {
-            Tally::NONE
-        } else {
-            INLINE_CHOICE
-        }
-    }
-
-    /// `choice_info[cidx(lane)]` into `out`'s active lanes, either loaded
-    /// (optionally via texture) or recomputed from `tau` and `dist`
+    /// `choice_info[curn + col(lane)]` into `out`'s active lanes, either
+    /// loaded (optionally via texture) or recomputed from `tau` and `dist`
     /// (baseline row 1, which holds `tau` in `out` between the loads).
-    fn choice_value(
+    fn choice_value<P: Pass>(
         &self,
-        pass: &mut LanePass,
+        pass: &mut P,
         gm: &GlobalMem,
-        cidx: impl Fn(usize) -> u32,
+        curn: &Reg<u32>,
+        col: impl Fn(usize) -> u32,
         out: &mut Reg<f32>,
     ) {
-        let bufs = &self.bufs;
-        if !self.opts.use_choice_table {
-            // The baseline port calls libm `pow()` on doubles per step
-            // (it reuses the sequential code's arithmetic); GT200 runs
-            // double precision at 1/8 rate, so each call costs far more
-            // than the single-precision `__powf` of the Choice kernel.
-            pass.ld_f32(gm, bufs.tau, false, &cidx, |l, tau| out.set_lane(l, tau));
-            pass.ld_f32(gm, bufs.dist, false, &cidx, |l, d| {
-                let eta = if d <= 0.0 { ETA_ZERO_DIST } else { 1.0 / d };
-                out.set_lane(l, out.lane(l).powf(self.alpha) * eta.powf(self.beta));
-            });
-        } else {
+        let (bufs, a) = (&self.bufs, pass.alu());
+        let cidx = |l| a.iadd(curn.lane(l), col(l));
+        if self.opts.use_choice_table {
             pass.ld_f32(gm, bufs.choice, self.opts.texture, cidx, |l, v| out.set_lane(l, v));
+            return;
         }
+        pass.ld_f32(gm, bufs.tau, false, cidx, |l, tau| out.set_lane(l, tau));
+        // The distance load reuses the index register.
+        let reuse = |l| curn.lane(l).wrapping_add(col(l));
+        pass.ld_f32(gm, bufs.dist, false, reuse, |l, d| {
+            let eta = a.select(a.fle(d, a.mov(0.0)), a.mov(ETA_ZERO_DIST), a.fdiv(a.mov(1.0), d));
+            // The baseline port calls libm `pow()` on doubles per step (it
+            // reuses the sequential code's arithmetic); GT200 runs double
+            // precision at 1/8 rate, so each call costs far more than the
+            // single-precision `__powf` of the Choice kernel.
+            a.charge(Op::Sfu, 14);
+            let (ta, eb) = (a.fpow(out.lane(l), a.mov(self.alpha)), a.fpow(eta, a.mov(self.beta)));
+            out.set_lane(l, a.fmul(ta, eb));
+        });
     }
 
     /// `each(lane, 1.0)` for an unvisited `city(lane)`, `0.0` for a
-    /// visited one.
-    fn tabu_check(
+    /// visited one: the `n` splat, the index math (the bit-packed layout
+    /// also splats its constants and shifts out its bit), the load and
+    /// `1.0 - (float)flag`.
+    fn tabu_check<P: Pass>(
         &self,
-        pass: &mut LanePass,
+        pass: &mut P,
         gm: &GlobalMem,
         ants: &Ants,
         city: impl Fn(usize) -> u32,
         mut each: impl FnMut(usize, f32),
     ) {
-        let n = self.bufs.n;
-        let unvisited = |flag: u32| 1.0 - flag as f32;
+        let a = pass.alu();
+        let n = a.mov(self.bufs.n);
+        let unvisited = |flag: u32| a.fsub(a.mov(1.0), a.u2f(flag));
         match ants.tabu {
             TabuState::Global => pass.ld_global_u32(
                 gm,
                 self.bufs.visited,
-                |l| ants.tid_global.lane(l).wrapping_mul(n).wrapping_add(city(l)),
+                |l| a.iadd(a.imul(ants.tid_global.lane(l), n), city(l)),
                 |l, flag| each(l, unvisited(flag)),
             ),
             TabuState::SharedInt(arr) => pass.sh_ld(
                 arr,
-                |l| ants.tid_local.lane(l).wrapping_mul(n).wrapping_add(city(l)),
+                |l| a.iadd(a.imul(ants.tid_local.lane(l), n), city(l)),
                 |l, flag| each(l, unvisited(flag)),
             ),
-            TabuState::SharedBits(arr) => pass.sh_ld(
-                arr,
-                |l| ants.tid_local.lane(l).wrapping_mul(n.div_ceil(32)).wrapping_add(city(l) >> 5),
-                |l, w| each(l, unvisited(w.wrapping_shr(city(l) & 31) & 1)),
-            ),
-        }
-    }
-
-    /// Mark `city` visited for every active ant, as one lane pass.
-    fn tabu_set(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem, ants: &Ants, city: &Reg<u32>) {
-        let n = self.bufs.n;
-        let mut pass = ctx.lane_pass(ants.tabu.set_tally());
-        match ants.tabu {
-            TabuState::Global => pass.st_global_u32(
-                gm,
-                self.bufs.visited,
-                |l| ants.tid_global.lane(l).wrapping_mul(n).wrapping_add(city.lane(l)),
-                |_| 1,
-            ),
-            TabuState::SharedInt(arr) => pass.sh_st(
-                arr,
-                |l| ants.tid_local.lane(l).wrapping_mul(n).wrapping_add(city.lane(l)),
-                |_| 1,
-            ),
             TabuState::SharedBits(arr) => {
-                let word = |l| {
-                    ants.tid_local
-                        .lane(l)
-                        .wrapping_mul(n.div_ceil(32))
-                        .wrapping_add(city.lane(l) >> 5)
-                };
-                let mut w = pass.reg(|_| 0u32);
-                pass.sh_ld(arr, word, |l, x| w.set_lane(l, x));
-                pass.sh_st(arr, word, |l| w.lane(l) | 1u32.wrapping_shl(city.lane(l) & 31));
+                let (words, five) = (a.mov(self.bufs.n.div_ceil(32)), a.mov(5));
+                let word = |l| a.iadd(a.imul(ants.tid_local.lane(l), words), a.ishr(city(l), five));
+                pass.sh_ld(arr, word, |l, w| {
+                    let bit = a.iand(city(l), a.mov(31));
+                    each(l, unvisited(a.iand(a.ishr(w, bit), a.mov(1))))
+                })
             }
         }
     }
 
+    /// Mark `city` visited for every active ant, as one lane pass: the
+    /// `n` splat, the index math and the value (the bit-packed layout
+    /// also splats its constants, loads the word and sets its bit).
+    fn tabu_set(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem, ants: &Ants, city: &Reg<u32>) {
+        let n = self.bufs.n;
+        lane_pass!(ctx, |pass| {
+            let a = pass.alu();
+            let nreg = a.mov(n);
+            match ants.tabu {
+                TabuState::Global => pass.st_global_u32(
+                    gm,
+                    self.bufs.visited,
+                    |l| a.iadd(a.imul(ants.tid_global.lane(l), nreg), city.lane(l)),
+                    |_| a.mov(1),
+                ),
+                TabuState::SharedInt(arr) => pass.sh_st(
+                    arr,
+                    |l| a.iadd(a.imul(ants.tid_local.lane(l), nreg), city.lane(l)),
+                    |_| a.mov(1),
+                ),
+                TabuState::SharedBits(arr) => {
+                    let (words, five) = (a.mov(n.div_ceil(32)), a.mov(5));
+                    let (tid, mut w) = (&ants.tid_local, pass.reg(|_| 0u32));
+                    let word = |l| a.iadd(a.imul(tid.lane(l), words), a.ishr(city.lane(l), five));
+                    pass.sh_ld(arr, word, |l, x| w.set_lane(l, x));
+                    // The store reuses the index register.
+                    let reuse = |l| tid.lane(l).wrapping_mul(n.div_ceil(32)) + (city.lane(l) >> 5);
+                    pass.sh_st(arr, reuse, |l| {
+                        let bit = a.ishl(a.mov(1), a.iand(city.lane(l), a.mov(31)));
+                        a.ior(w.lane(l), bit)
+                    });
+                }
+            }
+        });
+    }
+
     /// Deterministic best unvisited city by choice value (the fallback of
     /// the candidate-list rule, and the rounding guard of the full rule):
-    /// per city a splat, the index `iadd`, the choice value, the tabu
-    /// test, the score `(choice + 1) * unvisited`, a compare and two
-    /// selects.
+    /// per city a splat, the choice value, the tabu test, the score
+    /// `(choice + 1) * unvisited`, a compare and two selects.
     fn argmax_unvisited(
         &self,
         ctx: &mut BlockCtx,
@@ -341,33 +309,33 @@ impl TaskTourKernel {
         cur: &Reg<u32>,
     ) -> Reg<u32> {
         let n = self.bufs.n;
-        let city = Tally::NONE.op(Op::Mov, 3).op(Op::IAlu, 1).op(Op::FAlu, 2).op(Op::FMul, 1);
-        let city = city.plus(self.choice_tally()).plus(ants.tabu.check_tally());
-        let mut pass =
-            ctx.lane_pass(Tally::NONE.op(Op::Mov, 4).op(Op::IAlu, 1).plus(city.times(n as u64)));
-        let curn = pass.reg(|l| cur.lane(l).wrapping_mul(n));
-        let mut raw = pass.reg(|_| 0.0f32);
-        let mut best_v = pass.reg(|_| -1.0f32);
-        let mut best_j = pass.reg(|_| 0u32);
-        for j in 0..n {
-            self.choice_value(&mut pass, gm, |l| curn.lane(l).wrapping_add(j), &mut raw);
-            // score = (choice + 1) * unvis: any unvisited city strictly
-            // beats every visited one even when choice values reach 0.
-            self.tabu_check(
-                &mut pass,
-                gm,
-                ants,
-                |_| j,
-                |l, unvis| {
-                    let v = (raw.lane(l) + 1.0) * unvis;
-                    if v > best_v.lane(l) {
-                        best_v.set_lane(l, v);
-                        best_j.set_lane(l, j);
-                    }
-                },
-            );
-        }
-        best_j
+        lane_pass!(ctx, |pass| {
+            let a = pass.alu();
+            let (nreg, one) = (a.mov(n), a.mov(1.0f32));
+            let curn = pass.reg(|l| a.imul(cur.lane(l), nreg));
+            let mut raw = pass.reg(|_| 0.0f32);
+            let mut best_v = pass.reg(|_| a.mov(-1.0f32));
+            let mut best_j = pass.reg(|_| a.mov(0u32));
+            pass.repeat(n, |pass, j| {
+                let j = a.mov(j);
+                self.choice_value(pass, gm, &curn, |_| j, &mut raw);
+                // score = (choice + 1) * unvis: any unvisited city strictly
+                // beats every visited one even when choice values reach 0.
+                self.tabu_check(
+                    pass,
+                    gm,
+                    ants,
+                    |_| j,
+                    |l, unvis| {
+                        let v = a.fmul(a.fadd(raw.lane(l), one), unvis);
+                        let better = a.fgt(v, best_v.lane(l));
+                        best_v.set_lane(l, a.select(better, v, best_v.lane(l)));
+                        best_j.set_lane(l, a.select(better, j, best_j.lane(l)));
+                    },
+                );
+            });
+            best_j
+        })
     }
 
     /// Full random-proportional step (rows 1–3): probability pass into the
@@ -381,31 +349,28 @@ impl TaskTourKernel {
         lcg: &mut Reg<u32>,
     ) -> Reg<u32> {
         let n = self.bufs.n;
-        // Per city: a splat, the choice and probability index adds, the
-        // choice value, the tabu test, the product and the running sum.
-        let city = Tally::NONE.op(Op::Mov, 1).op(Op::IAlu, 2).op(Op::FMul, 1).op(Op::FAlu, 1);
-        let city = city.plus(self.choice_tally()).plus(ants.tabu.check_tally());
-        let mut pass =
-            ctx.lane_pass(Tally::NONE.op(Op::Mov, 2).op(Op::IAlu, 2).plus(city.times(n as u64)));
-        let curn = pass.reg(|l| cur.lane(l).wrapping_mul(n));
-        let prob_base = pass.reg(|l| ants.tid_global.lane(l).wrapping_mul(n));
-        let mut p = pass.reg(|_| 0.0f32);
-        let mut sum = pass.reg(|_| 0.0f32);
-        for j in 0..n {
-            self.choice_value(&mut pass, gm, |l| curn.lane(l).wrapping_add(j), &mut p);
-            self.tabu_check(
-                &mut pass,
-                gm,
-                ants,
-                |_| j,
-                |l, unvis| p.set_lane(l, p.lane(l) * unvis),
-            );
-            let pidx = |l| prob_base.lane(l).wrapping_add(j);
-            pass.st_global_f32(gm, self.bufs.prob, pidx, |l| {
-                sum.set_lane(l, sum.lane(l) + p.lane(l));
-                p.lane(l)
+        // The probability pass: per city its splat, choice value, tabu
+        // test and product, stored, and the running sum.
+        let (prob_base, sum) = lane_pass!(ctx, |pass| {
+            let a = pass.alu();
+            let nreg = a.mov(n);
+            let curn = pass.reg(|l| a.imul(cur.lane(l), nreg));
+            let prob_base = pass.reg(|l| a.imul(ants.tid_global.lane(l), nreg));
+            let mut p = pass.reg(|_| 0.0f32);
+            let mut sum = pass.reg(|_| a.mov(0.0f32));
+            pass.repeat(n, |pass, j| {
+                let j = a.mov(j);
+                self.choice_value(pass, gm, &curn, |_| j, &mut p);
+                let tabu = |l, unvis| p.set_lane(l, a.fmul(p.lane(l), unvis));
+                self.tabu_check(pass, gm, ants, |_| j, tabu);
+                let pidx = |l| a.iadd(prob_base.lane(l), j);
+                pass.st_global_f32(gm, self.bufs.prob, pidx, |l| {
+                    sum.set_lane(l, a.fadd(sum.lane(l), p.lane(l)));
+                    p.lane(l)
+                });
             });
-        }
+            (prob_base, sum)
+        });
 
         let r = self.draw(ctx, gm, lcg);
         let target = ctx.fmul(&r, &sum);
@@ -417,18 +382,18 @@ impl TaskTourKernel {
         // the splats of 1 and n - 1 are charged before it.
         let mut scan = (ctx.splat_u32(0), ctx.ld_global_f32(gm, self.bufs.prob, &prob_base));
         ctx.charge(Op::Mov, 2);
-        ctx.loop_pass(
-            &mut scan,
-            SCAN_TEST,
-            SCAN_STEP,
-            |(j, cum), l| cum.lane(l) < target.lane(l) && j.lane(l) < n - 1,
+        loop_pass!(
+            ctx,
+            scan,
+            |a, (j, cum), l| a.flt(cum.lane(l), target.lane(l)) & a.ult(j.lane(l), n - 1),
             |pass, (j, cum)| {
+                let a = pass.alu();
                 let next = |l| {
-                    j.set_lane(l, j.lane(l) + 1);
-                    prob_base.lane(l).wrapping_add(j.lane(l))
+                    j.set_lane(l, a.mov(a.iadd(j.lane(l), 1)));
+                    a.iadd(prob_base.lane(l), j.lane(l))
                 };
                 pass.ld_f32(gm, self.bufs.prob, false, next, |l, p| {
-                    cum.set_lane(l, cum.lane(l) + p)
+                    cum.set_lane(l, a.mov(a.fadd(cum.lane(l), p)))
                 });
             },
         );
@@ -436,9 +401,11 @@ impl TaskTourKernel {
 
         // Rounding guard: a lane can land on a visited (zero-probability)
         // city; fall back to the deterministic best.
-        let mut pass = ctx.lane_pass(ants.tabu.check_tally());
-        let mut unvis = pass.reg(|_| 0.0f32);
-        self.tabu_check(&mut pass, gm, ants, |l| j.lane(l), |l, u| unvis.set_lane(l, u));
+        let unvis = lane_pass!(ctx, |pass| {
+            let mut unvis = pass.reg(|_| 0.0f32);
+            self.tabu_check(pass, gm, ants, |l| j.lane(l), |l, u| unvis.set_lane(l, u));
+            unvis
+        });
         let zero = ctx.splat_f32(0.0);
         let bad = ctx.fle(&unvis, &zero);
         let mut next = j;
@@ -460,37 +427,38 @@ impl TaskTourKernel {
         lcg: &mut Reg<u32>,
         cands: &mut Candidates,
     ) -> Reg<u32> {
-        let (n, nn, bd) = (self.bufs.n, self.bufs.nn as usize, ctx.block_dim as usize);
-        // Per candidate: a splat, the list and choice index adds, the
-        // list load, the choice value, the tabu test, the product and the
-        // running sum.
-        let cand = Tally::NONE.op(Op::Mov, 1).op(Op::IAlu, 2).op(Op::FMul, 1).op(Op::FAlu, 1);
-        let cand = cand.plus(self.choice_tally()).plus(ants.tabu.check_tally());
-        let mut pass =
-            ctx.lane_pass(Tally::NONE.op(Op::Mov, 3).op(Op::IAlu, 2).plus(cand.times(nn as u64)));
-        let curn = pass.reg(|l| cur.lane(l).wrapping_mul(n));
-        let curnn = pass.reg(|l| cur.lane(l).wrapping_mul(nn as u32));
-        let mut sum = pass.reg(|_| 0.0f32);
-        let mut raw = pass.reg(|_| 0.0f32);
-        for c in 0..nn {
-            let city = &mut cands.city[c * bd..(c + 1) * bd];
-            let lidx = |l| curnn.lane(l).wrapping_add(c as u32);
-            pass.ld_global_u32(gm, self.bufs.nn_list, lidx, |l, x| city[l] = x);
-            let cidx = |l| curn.lane(l).wrapping_add(city[l]);
-            self.choice_value(&mut pass, gm, cidx, &mut raw);
-            let p = &mut cands.p[c * bd..(c + 1) * bd];
-            self.tabu_check(
-                &mut pass,
-                gm,
-                ants,
-                |l| city[l],
-                |l, unvis| {
-                    p[l] = raw.lane(l) * unvis;
-                    sum.set_lane(l, sum.lane(l) + p[l]);
-                },
-            );
-        }
-        let (city, p) = (&cands.city, &cands.p);
+        let (n, nn, lanes) = (self.bufs.n, self.bufs.nn, cands.lanes);
+        // Per candidate: a splat, the list index add, the list load, the
+        // choice value, the tabu test, the product and the running sum.
+        let sum = lane_pass!(ctx, |pass| {
+            let a = pass.alu();
+            let (nreg, nnreg) = (a.mov(n), a.mov(nn));
+            let curn = pass.reg(|l| a.imul(cur.lane(l), nreg));
+            let curnn = pass.reg(|l| a.imul(cur.lane(l), nnreg));
+            let mut sum = pass.reg(|_| a.mov(0.0f32));
+            let mut raw = pass.reg(|_| 0.0f32);
+            pass.repeat(nn, |pass, c| {
+                let c = a.mov(c);
+                let slots = c as usize * lanes..(c as usize + 1) * lanes;
+                let city = &mut cands.city[slots.clone()];
+                let lidx = |l| a.iadd(curnn.lane(l), c);
+                pass.ld_global_u32(gm, self.bufs.nn_list, lidx, |l, x| city[l] = x);
+                self.choice_value(pass, gm, &curn, |l| city[l], &mut raw);
+                let p = &mut cands.p[slots];
+                self.tabu_check(
+                    pass,
+                    gm,
+                    ants,
+                    |l| city[l],
+                    |l, unvis| {
+                        p[l] = a.fmul(raw.lane(l), unvis);
+                        sum.set_lane(l, a.fadd(sum.lane(l), p[l]));
+                    },
+                );
+            });
+            sum
+        });
+        let (city, p, nn) = (&cands.city, &cands.p, nn as usize);
 
         let zero = ctx.splat_f32(0.0);
         let feasible = ctx.fgt(&sum, &zero);
@@ -500,36 +468,41 @@ impl TaskTourKernel {
             let r = self.draw(ctx, gm, lcg);
             let target = ctx.fmul(&r, &sum);
             // The first candidate whose running sum crosses the target
-            // and whose probability is positive; a cumulative-sum splat,
-            // then the roulette step per candidate.
-            let pass =
-                ctx.lane_pass(Tally::NONE.op(Op::Mov, 1).plus(ROULETTE_STEP.times(nn as u64)));
-            let mut done = pass.reg(|_| 0u32);
-            let mut chosen = pass.reg(|l| {
-                let (mut cum, mut chosen) = (0.0f32, city[l]);
-                for c in 0..nn {
-                    cum += p[c * bd + l];
-                    if cum >= target.lane(l) && p[c * bd + l] > 0.0 && done.lane(l) == 0 {
-                        chosen = city[c * bd + l];
-                        done.set_lane(l, 1);
+            // and whose probability is positive: per candidate the running
+            // sum, two compares, the predicate bookkeeping and a select.
+            let (mut chosen, done) = lane_pass!(ctx, |pass| {
+                let a = pass.alu();
+                let mut done = pass.reg(|_| 0u32);
+                let chosen = pass.reg(|l| {
+                    let (mut cum, mut chosen, mut done_l) = (a.mov(0.0f32), city[l], false);
+                    for c in 0..nn {
+                        let (pc, cc) = (p[c * lanes + l], city[c * lanes + l]);
+                        cum = a.fadd(cum, pc);
+                        let newly = a.fge(cum, target.lane(l)) & a.fgt(pc, 0.0) & !done_l;
+                        a.charge(Op::IAlu, 2);
+                        chosen = a.select(newly, cc, chosen);
+                        done_l |= newly;
                     }
-                }
-                chosen
+                    done.set_lane(l, done_l as u32);
+                    chosen
+                });
+                (chosen, done)
             });
             // Rounding shortfall: pick the best-probability candidate (a
             // splat, then a compare and two selects per candidate).
-            let undone = Mask::from_fn(bd, |l| done.lane(l) == 0);
+            let undone = Mask::from_fn(ctx.block_dim as usize, |l| done.lane(l) == 0);
             ctx.if_then(gm, &undone, |ctx, _| {
-                let pick = Tally::NONE.op(Op::FAlu, 1).op(Op::Mov, 2);
-                let pass = ctx.lane_pass(Tally::NONE.op(Op::Mov, 1).plus(pick.times(nn as u64)));
-                let best = pass.reg(|l| {
-                    let (mut bv, mut bc) = (-1.0f32, city[l]);
-                    for c in 0..nn {
-                        if p[c * bd + l] > bv {
-                            (bv, bc) = (p[c * bd + l], city[c * bd + l]);
+                let best = lane_pass!(ctx, |pass| {
+                    let a = pass.alu();
+                    pass.reg(|l| {
+                        let (mut bv, mut bc) = (a.mov(-1.0f32), city[l]);
+                        for c in 0..nn {
+                            let (pc, cc) = (p[c * lanes + l], city[c * lanes + l]);
+                            let better = a.fgt(pc, bv);
+                            (bv, bc) = (a.select(better, pc, bv), a.select(better, cc, bc));
                         }
-                    }
-                    bc
+                        bc
+                    })
                 });
                 ctx.assign_u32(&mut chosen, &best);
             });
@@ -569,8 +542,9 @@ impl Kernel for TaskTourKernel {
         let ants = Ants { tabu, tid_global, tid_local };
         let m = ctx.splat_u32(self.bufs.m);
         let is_ant = ctx.ult(&ants.tid_global, &m);
-        let slots = if self.opts.use_nn_list { (self.bufs.nn * ctx.block_dim) as usize } else { 0 };
-        let mut cands = Candidates { city: vec![0; slots], p: vec![0.0; slots] };
+        let lanes = ctx.block_dim as usize + 1;
+        let slots = if self.opts.use_nn_list { self.bufs.nn as usize * lanes } else { 0 };
+        let mut cands = Candidates { lanes, city: vec![0; slots], p: vec![0.0; slots] };
 
         ctx.if_then(gm, &is_ant, |ctx, gm| {
             let mut lcg = {

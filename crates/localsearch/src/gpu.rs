@@ -62,22 +62,14 @@
 //! not.
 
 use aco_simt::prelude::*;
-use aco_simt::SimtError;
+use aco_simt::{lane_pass, sh_tree, SimtError};
 
 /// Threads per block for every kernel of both device families.
 pub const LS_BLOCK: u32 = 128;
 
-/// Lanes of a block, for per-lane host arrays.
-pub(crate) const LANES: usize = LS_BLOCK as usize;
-
-/// One trip of the propose kernel's candidate loop, forward or backward,
-/// beside its six loads (`nn_list`, `dist`, `pos`, `tours`, `dist`,
-/// `dist`; the distances through the texture cache): the splat of `k`, a
-/// select for the wrapped neighbour position and three selects and three
-/// assignments for the best move (8 `Mov`); six index adds, two row
-/// multiplies and the position step (9 `IAlu`); the wrap compare, two
-/// adds, a subtract and four compares (8 `FAlu`).
-const CANDIDATE: Tally = Tally::NONE.op(Op::Mov, 8).op(Op::IAlu, 9).op(Op::FAlu, 8);
+/// Slots of a per-lane host array: the block's lanes and the spare lane a
+/// pass's tally is derived on.
+pub(crate) const LANES: usize = LS_BLOCK as usize + 1;
 
 /// Outcome of one device local-search pass over a window of ant rows.
 #[derive(Debug, Clone)]
@@ -360,59 +352,62 @@ impl Kernel for TwoOptProposeKernel {
                 // forward/backward move with exactly equal f32 gain
                 // resolves to the same winner on both sides (strict `>`
                 // keeps the earlier candidate). Both loops are one lane
-                // pass of `2 * nn` trips (see `CANDIDATE`).
+                // pass of `2 * nn` trips, each trip six loads (the
+                // distances through the texture cache).
                 let dist = self.bufs.dist;
                 let (mut c2, mut pos2, mut end2) = ([0u32; LANES], [0u32; LANES], [0u32; LANES]);
                 let (mut dcc, mut rem2) = ([0f32; LANES], [0f32; LANES]);
-                let mut pass = ctx.lane_pass(CANDIDATE.times(2 * nn as u64));
-                for backward in [false, true] {
-                    // Forward move: remove (c1, s1) and (c2, s2), add (c1,
-                    // c2) and (s1, s2) — reverse after a = c1 up to b = c2.
-                    // Backward move: remove (p1, c1) and (p2, c2), add (c1,
-                    // c2) and (p1, p2) — reverse after a = p1 up to b = p2.
-                    let (near, d_near) = if backward { (&p1, &d1p) } else { (&s1, &d1) };
-                    for k in 0..nn {
-                        let nn_at = |l: usize| nn_row.lane(l).wrapping_add(k);
-                        pass.ld_global_u32(gm, self.bufs.nn_list, nn_at, |l, c| c2[l] = c);
-                        let cc_at = |l: usize| row.lane(l).wrapping_add(c2[l]);
-                        pass.ld_f32(gm, dist, true, cc_at, |l, d| dcc[l] = d);
-                        let pos_at = |l: usize| prow.wrapping_add(c2[l]);
-                        pass.ld_global_u32(gm, self.bufs.pos, pos_at, |l, p| pos2[l] = p);
-                        // s2 = succ(c2) forward, p2 = pred(c2) backward.
-                        let end_at = |l: usize| {
-                            let p = pos2[l];
-                            let e = match backward {
-                                false if p.wrapping_add(1) == n => 0,
-                                false => p.wrapping_add(1),
-                                true if p == 0 => n - 1,
-                                true => p.wrapping_sub(1),
+                lane_pass!(ctx, |pass| {
+                    let a = pass.alu();
+                    for backward in [false, true] {
+                        // Forward move: remove (c1, s1) and (c2, s2), add
+                        // (c1, c2) and (s1, s2) — reverse after a = c1 up
+                        // to b = c2. Backward move: remove (p1, c1) and
+                        // (p2, c2), add (c1, c2) and (p1, p2) — reverse
+                        // after a = p1 up to b = p2.
+                        let (near, d_near) = if backward { (&p1, &d1p) } else { (&s1, &d1) };
+                        pass.repeat(nn, |pass, k| {
+                            let k = a.mov(k);
+                            let nn_at = |l: usize| a.iadd(nn_row.lane(l), k);
+                            pass.ld_global_u32(gm, self.bufs.nn_list, nn_at, |l, c| c2[l] = c);
+                            let cc_at = |l: usize| a.iadd(row.lane(l), c2[l]);
+                            pass.ld_f32(gm, dist, true, cc_at, |l, d| dcc[l] = d);
+                            let pos_at = |l: usize| a.iadd(prow, c2[l]);
+                            pass.ld_global_u32(gm, self.bufs.pos, pos_at, |l, p| pos2[l] = p);
+                            // s2 = succ(c2) forward, p2 = pred(c2) backward.
+                            let end_at = |l: usize| {
+                                let p = pos2[l];
+                                let e = if backward {
+                                    a.select(a.ueq(p, 0), n - 1, a.isub(p, 1))
+                                } else {
+                                    let next = a.iadd(p, 1);
+                                    a.select(a.ueq(next, n), 0, next)
+                                };
+                                a.iadd(base, e)
                             };
-                            base.wrapping_add(e)
-                        };
-                        pass.ld_global_u32(gm, self.bufs.tours, end_at, |l, e| end2[l] = e);
-                        // Removed (c2, s2) forward, (p2, c2) backward.
-                        let (from, to) = if backward { (&end2, &c2) } else { (&c2, &end2) };
-                        let rem_at = |l: usize| from[l].wrapping_mul(n).wrapping_add(to[l]);
-                        pass.ld_f32(gm, dist, true, rem_at, |l, d| rem2[l] = d);
-                        // Added (s1, s2) forward, (p1, p2) backward.
-                        let add_at = |l: usize| near.lane(l).wrapping_mul(n).wrapping_add(end2[l]);
-                        pass.ld_f32(gm, dist, true, add_at, |l, add2| {
-                            let (c1, d_near) = (tid.lane(l), d_near.lane(l));
-                            let g = (d_near + rem2[l]) - (dcc[l] + add2);
-                            if dcc[l] < d_near
-                                && end2[l] != c1
-                                && c2[l] != near.lane(l)
-                                && g > best_g.lane(l)
-                            {
-                                let (a, b) =
+                            pass.ld_global_u32(gm, self.bufs.tours, end_at, |l, e| end2[l] = e);
+                            // Removed (c2, s2) forward, (p2, c2) backward.
+                            let (from, to) = if backward { (&end2, &c2) } else { (&c2, &end2) };
+                            let rem_at = |l: usize| a.iadd(a.imul(from[l], n), to[l]);
+                            pass.ld_f32(gm, dist, true, rem_at, |l, d| rem2[l] = d);
+                            // Added (s1, s2) forward, (p1, p2) backward.
+                            let add_at = |l: usize| a.iadd(a.imul(near.lane(l), n), end2[l]);
+                            pass.ld_f32(gm, dist, true, add_at, |l, add2| {
+                                let (c1, d_near) = (tid.lane(l), d_near.lane(l));
+                                let g = a.fsub(a.fadd(d_near, rem2[l]), a.fadd(dcc[l], add2));
+                                let valid = a.flt(dcc[l], d_near)
+                                    & a.une(end2[l], c1)
+                                    & a.une(c2[l], near.lane(l))
+                                    & a.fgt(g, best_g.lane(l));
+                                let (ma, mb) =
                                     if backward { (p1.lane(l), end2[l]) } else { (c1, c2[l]) };
-                                best_g.set_lane(l, g);
-                                best_a.set_lane(l, a);
-                                best_b.set_lane(l, b);
-                            }
+                                best_g.set_lane(l, a.mov(a.select(valid, g, best_g.lane(l))));
+                                best_a.set_lane(l, a.mov(a.select(valid, ma, best_a.lane(l))));
+                                best_b.set_lane(l, a.mov(a.select(valid, mb, best_b.lane(l))));
+                            });
                         });
                     }
-                }
+                });
 
                 // Cities with nothing to propose go to sleep until a
                 // neighbouring edge changes.
@@ -440,12 +435,6 @@ impl Kernel for TwoOptProposeKernel {
     }
 }
 
-/// One level of [`block_reduce_best`] below `s`: an `iadd`, 8 shared
-/// loads and 4 shared stores, four compares (`>`, `>=`, `<=`, city `<`)
-/// and four selects.
-const BEST_LEVEL: Tally =
-    Tally::NONE.op(Op::IAlu, 1).op(Op::Shared, 12).op(Op::FAlu, 4).op(Op::Mov, 4);
-
 /// Shared-memory tree reduction of `(gain, a, b, city)` down to lane 0,
 /// preferring higher gain, then lower proposing city — the block-level
 /// half of the family's canonical move order — as one
@@ -470,9 +459,11 @@ fn block_reduce_best(
     ctx.sh_st_u32(s_b, &lane, best_b);
     ctx.sh_st_u32(s_c, &lane, best_city);
     ctx.sync_threads();
-    ctx.sh_tree([s_g.words(), s_a, s_b, s_c], BEST_LEVEL, |lo, hi| {
+    // A level's take: four compares (`>`, `>=`, `<=`, city `<`).
+    sh_tree!(ctx, [s_g.words(), s_a, s_b, s_c], |a, lo, hi| {
         let (g1, g2) = (lo.f32(0), hi.f32(0));
-        g2 > g1 || (g2 == g1 && hi.word(3) < lo.word(3))
+        let tie = a.fge(g2, g1) & a.fle(g2, g1) & a.ult(hi.word(3), lo.word(3));
+        a.fgt(g2, g1) | tie
     });
     let lane0 = ctx.lane_mask(0);
     ctx.if_then(gm, &lane0, |ctx, gm| {

@@ -50,19 +50,9 @@
 //! extra `if` branch and its divergence.
 
 use aco_simt::prelude::*;
-use aco_simt::SimtError;
+use aco_simt::{lane_pass, sh_tree, SimtError};
 
 use crate::gpu::{LsRun, PosKernel, LANES, LS_BLOCK};
-
-/// One trip of the propose kernel's candidate loop, beside its eight
-/// loads (`nn_list`, `pos`, `tours`, then five distances through the
-/// texture cache): the splat of `k`, the wrapped-position select, the
-/// cost select and four selects and four assignments for the best move
-/// (11 `Mov`); eight index adds, the position step and its wrap, the row
-/// multiply and the key add (12 `IAlu`); the two segment compares, the
-/// `prev` compare, the wrap compare, two adds and three subtracts, and
-/// the cost, improvement and key compares (12 `FAlu`).
-const CANDIDATE: Tally = Tally::NONE.op(Op::Mov, 11).op(Op::IAlu, 12).op(Op::FAlu, 12);
 
 /// Device state of the `or_opt` family: colony buffers it reads plus
 /// per-ant slices of its own scratch. `Copy` so kernels capture it.
@@ -156,11 +146,6 @@ impl OrOptDev {
     }
 }
 
-/// One level of [`block_reduce_min_key`] below `s`: an `iadd`, 8 shared
-/// loads and 4 shared stores, the key compare and four selects.
-const MIN_KEY_LEVEL: Tally =
-    Tally::NONE.op(Op::IAlu, 1).op(Op::Shared, 12).op(Op::FAlu, 1).op(Op::Mov, 4);
-
 /// Shared-memory tree reduction of `(key, p, seg, rank)` down to lane 0,
 /// preferring the **lower** key — the first-improvement scan order — as
 /// one [`BlockCtx::sh_tree`]. Keys are unique per move, so no tie-break
@@ -184,7 +169,7 @@ fn block_reduce_min_key(
     ctx.sh_st_u32(s_s, &lane, seg);
     ctx.sh_st_u32(s_r, &lane, rank);
     ctx.sync_threads();
-    ctx.sh_tree([s_k, s_p, s_s, s_r], MIN_KEY_LEVEL, |lo, hi| hi.word(0) < lo.word(0));
+    sh_tree!(ctx, [s_k, s_p, s_s, s_r], |a, lo, hi| a.ult(hi.word(0), lo.word(0)));
     let lane0 = ctx.lane_mask(0);
     ctx.if_then(gm, &lane0, |ctx, gm| {
         let zero = ctx.splat_u32(0);
@@ -295,7 +280,8 @@ impl Kernel for OrOptProposeKernel {
                     let d_pn = ctx.ld_tex_f32(gm, self.bufs.dist, &pn_idx);
                     let rem_sum = ctx.fadd(&d_pf, &d_ln);
                     let removal = ctx.fsub(&rem_sum, &d_pn);
-                    let rem_ok = ctx.fgt(&removal, &zero_f);
+                    // `removal > 0`: the candidate loop reads its predicate.
+                    ctx.fgt(&removal, &zero_f);
 
                     let first_nn = ctx.imul(&first, &nn_reg);
                     let first_row = ctx.imul(&first, &n_reg);
@@ -304,55 +290,65 @@ impl Kernel for OrOptProposeKernel {
                     let plane = ctx.splat_u32((seg_len - 1) * (n + 1) * nn);
                     let key_p = ctx.iadd(&plane, &p_nn);
 
-                    // The candidate loop, one lane pass of `nn` trips
-                    // (see `CANDIDATE`).
+                    // The candidate loop, one lane pass of `nn` trips,
+                    // each trip eight loads (`nn_list`, `pos`, `tours`,
+                    // then five distances through the texture cache).
                     let (tours, dist) = (self.bufs.tours, self.bufs.dist);
                     let (mut c, mut cp, mut c_next) = ([0u32; LANES], [0u32; LANES], [0u32; LANES]);
+                    let mut c_row = [0u32; LANES];
                     let [mut d_base, mut d_cf, mut d_lcn, mut d_cl] = [[0f32; LANES]; 4];
-                    let mut pass = ctx.lane_pass(CANDIDATE.times(nn as u64));
-                    for k in 0..nn {
-                        let nn_at = |l: usize| first_nn.lane(l).wrapping_add(k);
-                        pass.ld_global_u32(gm, self.bufs.nn_list, nn_at, |l, v| c[l] = v);
-                        let pos_at = |l: usize| prow_reg.lane(l).wrapping_add(c[l]);
-                        pass.ld_global_u32(gm, self.bufs.pos, pos_at, |l, v| cp[l] = v);
-                        let next_at = |l: usize| {
-                            let q = cp[l].wrapping_add(1);
-                            base.wrapping_add(if q >= n { q.wrapping_sub(n) } else { q })
-                        };
-                        pass.ld_global_u32(gm, tours, next_at, |l, v| c_next[l] = v);
-                        let c_row = |l: usize| c[l].wrapping_mul(n);
-                        let base_at = |l: usize| c_row(l).wrapping_add(c_next[l]);
-                        pass.ld_f32(gm, dist, true, base_at, |l, v| d_base[l] = v);
-                        let cf_at = |l: usize| c_row(l).wrapping_add(first.lane(l));
-                        pass.ld_f32(gm, dist, true, cf_at, |l, v| d_cf[l] = v);
-                        let lcn_at = |l: usize| last_row.lane(l).wrapping_add(c_next[l]);
-                        pass.ld_f32(gm, dist, true, lcn_at, |l, v| d_lcn[l] = v);
-                        let cl_at = |l: usize| c_row(l).wrapping_add(last.lane(l));
-                        pass.ld_f32(gm, dist, true, cl_at, |l, v| d_cl[l] = v);
-                        let fcn_at = |l: usize| first_row.lane(l).wrapping_add(c_next[l]);
-                        pass.ld_f32(gm, dist, true, fcn_at, |l, d_fcn| {
-                            // fwd / rev / cost, mirroring the CPU
-                            // expressions term for term. Candidates inside
-                            // the segment or equal to `prev` are skipped
-                            // (splicing after either is degenerate).
-                            let fwd = (d_cf[l] + d_lcn[l]) - d_base[l];
-                            let rev = (d_cl[l] + d_fcn) - d_base[l];
-                            let cost = if fwd <= rev { fwd } else { rev };
-                            let start = p.lane(l);
-                            let in_seg = start <= cp[l] && cp[l] < seg_end.lane(l);
-                            let key = key_p.lane(l).wrapping_add(k);
-                            if rem_ok.get(l)
-                                && !(in_seg || c[l] == prev.lane(l))
-                                && removal.lane(l) - cost > 0.0
-                                && key < best_key.lane(l)
-                            {
-                                best_key.set_lane(l, key);
-                                best_p.set_lane(l, start);
-                                best_seg.set_lane(l, seg_len);
-                                best_rank.set_lane(l, k);
-                            }
+                    lane_pass!(ctx, |pass| {
+                        let a = pass.alu();
+                        pass.repeat(nn, |pass, k| {
+                            let k = a.mov(k);
+                            let nn_at = |l: usize| a.iadd(first_nn.lane(l), k);
+                            pass.ld_global_u32(gm, self.bufs.nn_list, nn_at, |l, v| c[l] = v);
+                            let pos_at = |l: usize| a.iadd(prow_reg.lane(l), c[l]);
+                            pass.ld_global_u32(gm, self.bufs.pos, pos_at, |l, v| cp[l] = v);
+                            let next_at = |l: usize| {
+                                let q = a.iadd(cp[l], 1);
+                                a.iadd(base, a.select(a.ule(n, q), a.isub(q, n), q))
+                            };
+                            pass.ld_global_u32(gm, tours, next_at, |l, v| c_next[l] = v);
+                            let base_at = |l: usize| {
+                                c_row[l] = a.imul(c[l], n);
+                                a.iadd(c_row[l], c_next[l])
+                            };
+                            pass.ld_f32(gm, dist, true, base_at, |l, v| d_base[l] = v);
+                            let cf_at = |l: usize| a.iadd(c_row[l], first.lane(l));
+                            pass.ld_f32(gm, dist, true, cf_at, |l, v| d_cf[l] = v);
+                            let lcn_at = |l: usize| a.iadd(last_row.lane(l), c_next[l]);
+                            pass.ld_f32(gm, dist, true, lcn_at, |l, v| d_lcn[l] = v);
+                            let cl_at = |l: usize| a.iadd(c_row[l], last.lane(l));
+                            pass.ld_f32(gm, dist, true, cl_at, |l, v| d_cl[l] = v);
+                            let fcn_at = |l: usize| a.iadd(first_row.lane(l), c_next[l]);
+                            pass.ld_f32(gm, dist, true, fcn_at, |l, d_fcn| {
+                                // fwd / rev / cost, mirroring the CPU
+                                // expressions term for term. Candidates
+                                // inside the segment or equal to `prev` are
+                                // skipped (splicing after either is
+                                // degenerate).
+                                let start = p.lane(l);
+                                let in_seg = a.ule(start, cp[l]) & a.ult(cp[l], seg_end.lane(l));
+                                let usable = !(in_seg | a.ueq(c[l], prev.lane(l)));
+                                let fwd = a.fsub(a.fadd(d_cf[l], d_lcn[l]), d_base[l]);
+                                let rev = a.fsub(a.fadd(d_cl[l], d_fcn), d_base[l]);
+                                let cost = a.select(a.fle(fwd, rev), fwd, rev);
+                                let improving = a.fgt(a.fsub(removal.lane(l), cost), 0.0);
+                                let key = a.iadd(key_p.lane(l), k);
+                                // The predicate of `removal > 0`.
+                                let rem_ok = removal.lane(l) > 0.0;
+                                let valid =
+                                    rem_ok & usable & improving & a.ult(key, best_key.lane(l));
+                                let take =
+                                    |x, best: &Reg<u32>| a.mov(a.select(valid, x, best.lane(l)));
+                                best_key.set_lane(l, take(key, &best_key));
+                                best_p.set_lane(l, take(start, &best_p));
+                                best_seg.set_lane(l, take(seg_len, &best_seg));
+                                best_rank.set_lane(l, take(k, &best_rank));
+                            });
                         });
-                    }
+                    });
                 });
             }
         });

@@ -134,6 +134,7 @@
 //! the same order, so every counter, the L1's hit/miss sequence and its
 //! LRU state are those of the per-lane load of 32 equal addresses.
 
+use crate::alu::{LaneOp, Pass, Probe, Run};
 use crate::cache::Cache;
 use crate::coalesce::{cc13_half_warp_totals, cc20_warp_lines};
 use crate::device::DeviceSpec;
@@ -249,8 +250,10 @@ impl Tally {
         self
     }
 
-    /// `self` plus `count` Park–Miller draws ([`pm_draw`]), charged as
-    /// [`BlockCtx::lcg_next_f32`] charges one (4 `IAlu`, 1 `FMul`, rng call).
+    /// `self` plus `count` Park–Miller draws ([`pm_draw`]), each the
+    /// division-free step (`mul.lo`, `mul.hi`, fold, conditional add: 4
+    /// `IAlu`), the scale to `[0, 1)` (1 `FMul`) and an rng call: how
+    /// [`BlockCtx::lcg_next_f32`] and [`Alu::draw`] charge one.
     pub const fn draws(mut self, count: u64) -> Tally {
         self.draws += count;
         self.op(Op::IAlu, 4 * count).op(Op::FMul, count)
@@ -498,8 +501,17 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
+    /// The tally of a pass body: `body` run once on a [`Probe`] of this
+    /// block (see [`crate::alu`]). [`lane_pass!`](crate::lane_pass) derives
+    /// a lane pass's tally with it.
+    pub fn tally_of(&self, body: impl FnOnce(&mut Probe)) -> Tally {
+        Probe::tally(self.block_dim as usize, body)
+    }
+
     /// Charge `tally` over the active warps in one step (exact, see the
-    /// module docs) and return the pass for the loop's memory instructions.
+    /// module docs) and return the pass for the loop's memory instructions:
+    /// the primitive under [`lane_pass!`](crate::lane_pass), which derives
+    /// `tally` from the body.
     pub fn lane_pass(&mut self, tally: Tally) -> LanePass<'_, 'a> {
         let t = self.tally_charge(tally);
         let active = self.active();
@@ -518,39 +530,39 @@ impl<'a> BlockCtx<'a> {
     // --- register creation ------------------------------------------------
 
     /// One `op` whose result `f(thread)` fills every lane, active or not.
-    fn every_lane<T: PoolItem>(&mut self, op: Op, f: impl Fn(u32) -> T) -> Reg<T> {
-        self.charge(op, 1);
-        let mut out = T::take(self.block_dim as usize);
+    fn every_lane<T: PoolItem>(&mut self, op: LaneOp, f: impl Fn(u32) -> T) -> Reg<T> {
+        self.lane_op(op);
+        let mut out = T::take(self.block_dim as usize + 1);
         (0..self.block_dim).zip(&mut out).for_each(|(t, o)| *o = f(t));
         Reg(out)
     }
 
     /// `threadIdx.x` of every lane.
     pub fn thread_idx(&mut self) -> Reg<u32> {
-        self.every_lane(Op::Mov, |t| t)
+        self.every_lane(LaneOp::Mov, |t| t)
     }
 
     /// `blockIdx.x * blockDim.x + threadIdx.x`.
     pub fn global_thread_idx(&mut self) -> Reg<u32> {
         let base = self.block_idx * self.block_dim;
-        self.every_lane(Op::IAlu, |t| base + t)
+        self.every_lane(LaneOp::Int, |t| base + t)
     }
 
     /// Broadcast an f32 constant.
     pub fn splat_f32(&mut self, v: f32) -> Reg<f32> {
-        self.every_lane(Op::Mov, |_| v)
+        self.every_lane(LaneOp::Mov, |_| v)
     }
 
     /// Broadcast a u32 constant.
     pub fn splat_u32(&mut self, v: u32) -> Reg<u32> {
-        self.every_lane(Op::Mov, |_| v)
+        self.every_lane(LaneOp::Mov, |_| v)
     }
 
     /// Initialise a register from a lane function (costed as one move; use
     /// for thread-dependent seeds and similar setup, not bulk compute).
     /// Only *active* lanes are evaluated — inactive lanes read back 0.
     pub fn reg_from_fn_u32(&mut self, f: impl FnMut(usize) -> u32) -> Reg<u32> {
-        self.charge(Op::Mov, 1);
+        self.lane_op(LaneOp::Mov);
         self.map_lanes(f)
     }
 
@@ -562,7 +574,7 @@ impl<'a> BlockCtx<'a> {
     #[inline(always)]
     fn map_lanes<T: PoolItem>(&self, mut f: impl FnMut(usize) -> T) -> Reg<T> {
         let active = self.active();
-        let mut out = T::take(active.len());
+        let mut out = T::take(active.len() + 1);
         let o = &mut out[..active.len()];
         active.for_each_lane(|lane| o[lane] = f(lane));
         Reg(out)
@@ -575,20 +587,32 @@ impl<'a> BlockCtx<'a> {
         &r.0[..self.active().len()]
     }
 
+    /// Charge one `op` to every active warp: its class's instruction and
+    /// any SFU instructions beside it.
+    fn lane_op(&mut self, op: LaneOp) {
+        self.charge(op.class(), 1);
+        self.charge(Op::Sfu, op.sfu());
+    }
+
     fn bin<T: PoolItem>(
         &mut self,
-        op: Op,
+        op: LaneOp,
         a: &Reg<T>,
         b: &Reg<T>,
         f: impl Fn(T, T) -> T,
     ) -> Reg<T> {
-        self.charge(op, 1);
+        self.lane_op(op);
         let (a, b) = (self.view(a), self.view(b));
         self.map_lanes(|l| f(a[l], b[l]))
     }
 
-    fn un<T: PoolItem, U: PoolItem>(&mut self, op: Op, a: &Reg<T>, f: impl Fn(T) -> U) -> Reg<U> {
-        self.charge(op, 1);
+    fn un<T: PoolItem, U: PoolItem>(
+        &mut self,
+        op: LaneOp,
+        a: &Reg<T>,
+        f: impl Fn(T) -> U,
+    ) -> Reg<U> {
+        self.lane_op(op);
         let a = self.view(a);
         self.map_lanes(|l| f(a[l]))
     }
@@ -596,72 +620,70 @@ impl<'a> BlockCtx<'a> {
     // --- f32 arithmetic -----------------------------------------------------
 
     pub fn fadd(&mut self, a: &Reg<f32>, b: &Reg<f32>) -> Reg<f32> {
-        self.bin(Op::FAlu, a, b, |x, y| x + y)
+        self.bin(LaneOp::FAdd, a, b, |x, y| x + y)
     }
     pub fn fsub(&mut self, a: &Reg<f32>, b: &Reg<f32>) -> Reg<f32> {
-        self.bin(Op::FAlu, a, b, |x, y| x - y)
+        self.bin(LaneOp::FAdd, a, b, |x, y| x - y)
     }
     pub fn fmul(&mut self, a: &Reg<f32>, b: &Reg<f32>) -> Reg<f32> {
-        self.bin(Op::FMul, a, b, |x, y| x * y)
+        self.bin(LaneOp::FMul, a, b, |x, y| x * y)
     }
     /// `a * b + c` as a single FMA.
     pub fn fma(&mut self, a: &Reg<f32>, b: &Reg<f32>, c: &Reg<f32>) -> Reg<f32> {
-        self.charge(Op::FMul, 1);
+        self.lane_op(LaneOp::FMul);
         let (a, b, c) = (self.view(a), self.view(b), self.view(c));
         self.map_lanes(|l| a[l].mul_add(b[l], c[l]))
     }
     /// Division lowers to SFU reciprocal + multiply.
     pub fn fdiv(&mut self, a: &Reg<f32>, b: &Reg<f32>) -> Reg<f32> {
-        self.charge(Op::Sfu, 1);
-        self.bin(Op::FMul, a, b, |x, y| x / y)
+        self.bin(LaneOp::FDiv, a, b, |x, y| x / y)
     }
     /// `__powf` — two SFU passes (log + exp) plus a multiply.
     pub fn fpow(&mut self, a: &Reg<f32>, b: &Reg<f32>) -> Reg<f32> {
-        self.charge(Op::Sfu, 2);
-        self.bin(Op::FMul, a, b, f32::powf)
+        self.bin(LaneOp::FPow, a, b, f32::powf)
     }
 
     // --- u32 arithmetic -----------------------------------------------------
 
     pub fn iadd(&mut self, a: &Reg<u32>, b: &Reg<u32>) -> Reg<u32> {
-        self.bin(Op::IAlu, a, b, u32::wrapping_add)
+        self.bin(LaneOp::Int, a, b, u32::wrapping_add)
     }
     pub fn isub(&mut self, a: &Reg<u32>, b: &Reg<u32>) -> Reg<u32> {
-        self.bin(Op::IAlu, a, b, u32::wrapping_sub)
+        self.bin(LaneOp::Int, a, b, u32::wrapping_sub)
     }
     pub fn imul(&mut self, a: &Reg<u32>, b: &Reg<u32>) -> Reg<u32> {
-        self.bin(Op::IAlu, a, b, u32::wrapping_mul)
+        self.bin(LaneOp::Int, a, b, u32::wrapping_mul)
     }
     pub fn imod(&mut self, a: &Reg<u32>, b: &Reg<u32>) -> Reg<u32> {
-        self.bin(Op::IDivMod, a, b, |x, y| x % y)
+        self.bin(LaneOp::DivMod, a, b, |x, y| x % y)
     }
     pub fn idiv(&mut self, a: &Reg<u32>, b: &Reg<u32>) -> Reg<u32> {
-        self.bin(Op::IDivMod, a, b, |x, y| x / y)
+        self.bin(LaneOp::DivMod, a, b, |x, y| x / y)
     }
     pub fn iand(&mut self, a: &Reg<u32>, b: &Reg<u32>) -> Reg<u32> {
-        self.bin(Op::IAlu, a, b, |x, y| x & y)
+        self.bin(LaneOp::Int, a, b, |x, y| x & y)
     }
     pub fn ior(&mut self, a: &Reg<u32>, b: &Reg<u32>) -> Reg<u32> {
-        self.bin(Op::IAlu, a, b, |x, y| x | y)
+        self.bin(LaneOp::Int, a, b, |x, y| x | y)
     }
     pub fn ishl(&mut self, a: &Reg<u32>, b: &Reg<u32>) -> Reg<u32> {
-        self.bin(Op::IAlu, a, b, |x, y| x.wrapping_shl(y))
+        self.bin(LaneOp::Int, a, b, |x, y| x.wrapping_shl(y))
     }
     pub fn ishr(&mut self, a: &Reg<u32>, b: &Reg<u32>) -> Reg<u32> {
-        self.bin(Op::IAlu, a, b, |x, y| x.wrapping_shr(y))
+        self.bin(LaneOp::Int, a, b, |x, y| x.wrapping_shr(y))
     }
     pub fn imin(&mut self, a: &Reg<u32>, b: &Reg<u32>) -> Reg<u32> {
-        self.bin(Op::IAlu, a, b, u32::min)
+        self.bin(LaneOp::Int, a, b, u32::min)
     }
 
     /// u32 → f32 conversion.
     pub fn u2f(&mut self, a: &Reg<u32>) -> Reg<f32> {
-        self.un(Op::Mov, a, |x| x as f32)
+        self.un(LaneOp::Mov, a, |x| x as f32)
     }
 
     /// f32 → u32 truncating conversion.
     pub fn f2u(&mut self, a: &Reg<f32>) -> Reg<u32> {
-        self.un(Op::Mov, a, |x| x.max(0.0) as u32)
+        self.un(LaneOp::Mov, a, |x| x.max(0.0) as u32)
     }
 
     /// Mask selecting a single lane of the block (e.g. "thread 0 writes
@@ -677,7 +699,7 @@ impl<'a> BlockCtx<'a> {
     // --- comparisons & selection ---------------------------------------------
 
     fn cmp<T: PoolItem>(&mut self, a: &Reg<T>, b: &Reg<T>, f: impl Fn(T, T) -> bool) -> Mask {
-        self.charge(Op::FAlu, 1);
+        self.lane_op(LaneOp::Cmp);
         let (a, b) = (self.view(a), self.view(b));
         self.active().filter_words(|wi| {
             let (a, b) = (&a[wi * 64..], &b[wi * 64..]);
@@ -729,7 +751,7 @@ impl<'a> BlockCtx<'a> {
     /// `m ? a : b` on the active lanes: `b` everywhere, then `a` over the
     /// active lanes of `m` (which are usually few, or all).
     fn sel<T: PoolItem>(&mut self, m: &Mask, a: &Reg<T>, b: &Reg<T>) -> Reg<T> {
-        self.charge(Op::Mov, 1);
+        self.lane_op(LaneOp::Mov);
         let (a, b) = (self.view(a), self.view(b));
         let mut out = self.map_lanes(|l| b[l]);
         let o = &mut out.0[..a.len()];
@@ -759,7 +781,7 @@ impl<'a> BlockCtx<'a> {
     }
 
     fn assign<T: PoolItem>(&mut self, dst: &mut Reg<T>, src: &Reg<T>) {
-        self.charge(Op::Mov, 1);
+        self.lane_op(LaneOp::Mov);
         let active = self.active();
         let (d, s) = (&mut dst.0[..active.len()], &src.0[..active.len()]);
         active.for_each_lane(|l| d[l] = s[l]);
@@ -964,7 +986,7 @@ impl<'a> BlockCtx<'a> {
     fn shared_access<T>(
         &mut self,
         ptr: ShPtr<T>,
-        idx: impl Fn(usize) -> u32,
+        mut idx: impl FnMut(usize) -> u32,
         mut each: impl FnMut(&mut SharedMem, usize, u32),
     ) {
         self.charge(Op::Shared, 1);
@@ -1001,7 +1023,7 @@ impl<'a> BlockCtx<'a> {
         from_bits: impl Fn(u32) -> T,
     ) -> Reg<T> {
         let idx = self.view(idx);
-        let mut out = T::take(idx.len());
+        let mut out = T::take(idx.len() + 1);
         self.shared_access(ptr, |l| idx[l], |sh, l, w| out[l] = from_bits(sh.load(w)));
         Reg(out)
     }
@@ -1060,12 +1082,9 @@ impl<'a> BlockCtx<'a> {
     /// (ties and NaN keep `l`), then the block syncs. Slot 0 ends with
     /// the first-lowest-slot maximum and its index.
     ///
-    /// One [`BlockCtx::sh_tree`] whose level, below `s`, is an `iadd`, 4
-    /// shared loads, a compare, 2 selects and 2 shared stores.
+    /// One [`BlockCtx::sh_tree`] whose level takes on one compare.
     pub fn sh_argmax_tree(&mut self, vals: ShPtr<f32>, idxs: ShPtr<u32>) {
-        const LEVEL: Tally =
-            Tally::NONE.op(Op::IAlu, 1).op(Op::Shared, 6).op(Op::FAlu, 1).op(Op::Mov, 2);
-        self.sh_tree([vals.words(), idxs], LEVEL, |lo, hi| hi.f32(0) > lo.f32(0));
+        crate::sh_tree!(self, [vals.words(), idxs], |a, lo, hi| a.fgt(hi.f32(0), lo.f32(0)));
     }
 
     /// The shared tree collective over the first `block_dim` slots of
@@ -1079,16 +1098,18 @@ impl<'a> BlockCtx<'a> {
     /// Counters are charged in closed form, exactly as the written-out
     /// level loop charges them: a splat, a `lane < s` compare and a branch
     /// over every warp (one divergent warp when `s` is not a multiple of
-    /// 32); `level` over the `ceil(s/32)` warps of lanes below `s`, each of
-    /// its `Shared` instructions an access of `s` contiguous words; and a
-    /// `__syncthreads`.
+    /// 32); over the `ceil(s/32)` warps of lanes below `s`, the level: the
+    /// `lane + s` add, `take`'s instructions (`take_tally`, which
+    /// [`sh_tree!`](crate::sh_tree) counts from `take`), and per array two
+    /// shared loads, a select and a shared store, each shared instruction
+    /// an access of `s` contiguous words; and a `__syncthreads`.
     ///
     /// Panics unless every lane is active and `block_dim` is a power of
     /// two: the closed form assumes both.
     pub fn sh_tree<const K: usize>(
         &mut self,
         slots: [ShPtr<u32>; K],
-        level: Tally,
+        take_tally: Tally,
         take: impl Fn(TreeSlot<K>, TreeSlot<K>) -> bool,
     ) {
         let t = self.block_dim;
@@ -1098,6 +1119,9 @@ impl<'a> BlockCtx<'a> {
             slots.iter().all(|p| p.len() >= t as usize),
             "shared tree needs block_dim slots in every array"
         );
+        let k = K as u64;
+        let level = Tally::NONE.op(Op::IAlu, 1).op(Op::Shared, 3 * k).op(Op::Mov, k);
+        let level = level.plus(take_tally);
         let accesses = level.ops[Op::Shared as usize] as f64;
         let lower = self.tally_charge(level);
         let c = |op| op_cycles(self.device, op) as f64;
@@ -1241,7 +1265,7 @@ impl<'a> BlockCtx<'a> {
         &mut self,
         gm: &mut GlobalMem,
         ptr: DevicePtr<T>,
-        idx: impl Fn(usize) -> u32,
+        mut idx: impl FnMut(usize) -> u32,
         mut val: impl FnMut(usize) -> T,
     ) {
         let (base, data, log) = gm.view_mut(ptr);
@@ -1292,7 +1316,7 @@ impl<'a> BlockCtx<'a> {
         idx: &Reg<u32>,
     ) -> Reg<T> {
         let idx = self.view(idx);
-        let mut out = T::take(idx.len());
+        let mut out = T::take(idx.len() + 1);
         self.load(gm, ptr, |l| idx[l], |l, v| out[l] = v);
         Reg(out)
     }
@@ -1367,7 +1391,7 @@ impl<'a> BlockCtx<'a> {
     /// to its miss ratio (with a floor for the cache's own latency).
     pub fn ld_tex_f32(&mut self, gm: &GlobalMem, ptr: DevicePtr<f32>, idx: &Reg<u32>) -> Reg<f32> {
         let idx = self.view(idx);
-        let mut out = f32::take(idx.len());
+        let mut out = f32::take(idx.len() + 1);
         self.load_tex(gm, ptr, |l| idx[l], |l, v| out[l] = v);
         Reg(out)
     }
@@ -1429,12 +1453,8 @@ impl<'a> BlockCtx<'a> {
     /// multiply plus a few ALU ops), not a hardware modulo.
     pub fn lcg_next_f32(&mut self, state: &mut Reg<u32>) -> Reg<f32> {
         // s = s * 16807 mod (2^31 - 1); r = s / (2^31 - 1).
-        self.charge(Op::IAlu, 4); // mul.lo, mul.hi, fold, conditional add
-        self.charge(Op::FMul, 1); // scale to [0,1)
         let state = &mut state.0[..self.active().len()];
-        let out = self.map_lanes(|l| pm_draw(&mut state[l]));
-        self.stats.rng_calls += self.active().count() as f64;
-        out
+        self.lane_pass(Tally::NONE.draws(1)).reg(|l| pm_draw(&mut state[l]))
     }
 
     /// CURAND-style draw: per-thread generator state lives in *global*
@@ -1481,6 +1501,14 @@ pub struct TreeSlot<'w, const K: usize> {
     at: [usize; K],
 }
 
+impl<const K: usize> TreeSlot<'static, K> {
+    /// A slot of zero words for a tree over `slots`, which
+    /// [`sh_tree!`](crate::sh_tree) counts a `take` predicate on.
+    pub fn probe(_: &[ShPtr<u32>; K]) -> Self {
+        TreeSlot { words: &[0], at: [0; K] }
+    }
+}
+
 impl<const K: usize> TreeSlot<'_, K> {
     /// Array `k`'s word at this slot.
     #[inline]
@@ -1498,20 +1526,36 @@ impl<const K: usize> TreeSlot<'_, K> {
 /// The memory instructions of a lane pass ([`BlockCtx::lane_pass`]): each
 /// method charges and models one instruction exactly as the [`BlockCtx`]
 /// op of the same name, over the active lanes in lane order, but takes
-/// its per-lane indices and values as closures instead of registers.
+/// its per-lane indices and values as closures instead of registers. Its
+/// arithmetic is [`Run`].
 pub struct LanePass<'p, 'a>(&'p mut BlockCtx<'a>);
 
-impl LanePass<'_, '_> {
-    /// An uncharged register of `f(lane)` on the active lanes, 0 elsewhere.
-    pub fn reg<T: PoolItem>(&self, f: impl FnMut(usize) -> T) -> Reg<T> {
+impl Pass for LanePass<'_, '_> {
+    type Alu = Run;
+
+    #[inline(always)]
+    fn alu(&self) -> Run {
+        Run
+    }
+
+    fn reg<T: PoolItem>(&self, f: impl FnMut(usize) -> T) -> Reg<T> {
         self.0.map_lanes(f)
     }
 
-    /// Load `each(lane, ptr[idx(lane)])`: through the texture cache when
-    /// `texture` (read-only data), else as a global load. `idx(lane)` runs
-    /// once per active lane, in lane order, just before `each` of that
-    /// lane.
-    pub fn ld_f32(
+    fn repeat(&mut self, trips: u32, mut body: impl FnMut(&mut Self, u32)) {
+        for i in 0..trips {
+            body(self, i);
+        }
+    }
+
+    fn lanes(&mut self, lanes: impl IntoIterator<Item = usize>, mut f: impl FnMut(usize)) {
+        for l in lanes {
+            debug_assert!(self.0.active().get(l), "lane {l} is not active");
+            f(l);
+        }
+    }
+
+    fn ld_f32(
         &mut self,
         gm: &GlobalMem,
         ptr: DevicePtr<f32>,
@@ -1526,55 +1570,49 @@ impl LanePass<'_, '_> {
         }
     }
 
-    /// Global load, u32.
-    pub fn ld_global_u32(
+    fn ld_global_u32(
         &mut self,
         gm: &GlobalMem,
         ptr: DevicePtr<u32>,
-        idx: impl Fn(usize) -> u32,
+        idx: impl FnMut(usize) -> u32,
         each: impl FnMut(usize, u32),
     ) {
         self.0.load(gm, ptr, idx, each);
     }
 
-    /// Global store: `ptr[idx(lane)] = val(lane)`.
-    pub fn st_global_f32(
+    fn st_global_f32(
         &mut self,
         gm: &mut GlobalMem,
         ptr: DevicePtr<f32>,
-        idx: impl Fn(usize) -> u32,
+        idx: impl FnMut(usize) -> u32,
         val: impl FnMut(usize) -> f32,
     ) {
         self.0.store(gm, ptr, idx, val);
     }
 
-    /// Global store, u32.
-    pub fn st_global_u32(
+    fn st_global_u32(
         &mut self,
         gm: &mut GlobalMem,
         ptr: DevicePtr<u32>,
-        idx: impl Fn(usize) -> u32,
+        idx: impl FnMut(usize) -> u32,
         val: impl FnMut(usize) -> u32,
     ) {
         self.0.store(gm, ptr, idx, val);
     }
 
-    /// Shared load of raw 32-bit words: `each(lane, ptr[idx(lane)])`.
-    pub fn sh_ld<T>(
+    fn sh_ld<T>(
         &mut self,
         ptr: ShPtr<T>,
-        idx: impl Fn(usize) -> u32,
+        idx: impl FnMut(usize) -> u32,
         mut each: impl FnMut(usize, u32),
     ) {
         self.0.shared_access(ptr, idx, |sh, l, w| each(l, sh.load(w)));
     }
 
-    /// Shared store of raw 32-bit words (`f32::to_bits` for floats):
-    /// `ptr[idx(lane)] = bits(lane)`.
-    pub fn sh_st<T>(
+    fn sh_st<T>(
         &mut self,
         ptr: ShPtr<T>,
-        idx: impl Fn(usize) -> u32,
+        idx: impl FnMut(usize) -> u32,
         mut bits: impl FnMut(usize) -> u32,
     ) {
         self.0.shared_access(ptr, idx, |sh, l, w| sh.store(w, bits(l)));
@@ -1583,7 +1621,7 @@ impl LanePass<'_, '_> {
     /// `sh_st(ptr, |lane| lane, bits)` without walking the words: a
     /// conflict group's active lanes hit distinct words spanning less than
     /// the group, so with at least a group's worth of banks nothing replays.
-    pub fn sh_st_lanes<T>(&mut self, ptr: ShPtr<T>, mut bits: impl FnMut(usize) -> u32) {
+    fn sh_st_lanes<T>(&mut self, ptr: ShPtr<T>, mut bits: impl FnMut(usize) -> u32) {
         let ctx = &mut *self.0;
         let group = if ctx.device.compute_capability.is_fermi() { WARP } else { WARP / 2 };
         if (ctx.device.shared_banks as usize) < group {

@@ -47,6 +47,7 @@
 //! assert!(r.time.total_ms > 0.0);
 //! ```
 
+pub mod alu;
 pub mod block;
 pub mod cache;
 pub mod coalesce;
@@ -61,6 +62,7 @@ pub mod shared;
 pub mod stats;
 pub mod timing;
 
+pub use alu::{Alu, LaneOp, Pass, Probe, Run};
 pub use block::{BlockCtx, LanePass, Op, Reg, Tally};
 pub use device::{ComputeCapability, DeviceSpec};
 pub use global::{DevicePtr, GlobalMem};
@@ -73,6 +75,7 @@ pub use timing::{estimate, KernelTime};
 
 /// Convenient glob import for kernel authors.
 pub mod prelude {
+    pub use crate::alu::{Alu, Pass};
     pub use crate::block::{BlockCtx, LanePass, Op, Reg, Tally};
     pub use crate::device::DeviceSpec;
     pub use crate::global::{DevicePtr, GlobalMem};
