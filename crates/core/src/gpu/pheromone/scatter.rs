@@ -18,26 +18,28 @@
 //!
 //! **Host cost.** Every lane runs the same branch-free match per tour
 //! step, so its counters do not depend on the data: each staged tile
-//! (each ant in the plain row) charges them as one lane pass whose tally
-//! is one step's match times the steps, and each step's deposit is added
-//! only to the lanes that own the edge's cells — `(c0, c1)` and
-//! `(c1, c0)`, or the one upper-triangle cell of the reduced row. This is
-//! exact. Each charge is a whole number of cycles and instructions (see
-//! the `aco_simt::block` docs). `acc` starts at `+0.0` and only gains
-//! `δ = 1/L` with `L ≥ 0`, so it is never `-0.0`, and the `+0.0` a
-//! non-matching lane would add is the identity. Each cell still adds its
-//! deltas in `(ant, step)` order. Out-of-range lanes, clamped to the last
-//! cell, get no deposit, and they are never stored. Everything the memory
-//! models see stays a real op: the tile staging loads and barriers, the
-//! uniform shared reads, each ant's length load, the plain row's two
-//! global loads per step and the fused evaporate-and-deposit writes. The
-//! length loads and the plain row's tour loads are broadcast loads
-//! (`BlockCtx::ld_global_u32_uniform`): every lane reads one word, so the
-//! coalescing and L1 models charge them per warp, still exactly as they
-//! charge the per-lane load of one address. The registers they no longer
-//! need are charged in tallies instead: each ant's index and `1.0` splats
-//! and its division (`DELTA`), and a plain-row step's two address splats
-//! (`STAGED`).
+//! (each ant in the plain row) is one lane pass over its steps, charged
+//! the tally counted from the step's body (the two city splats and the
+//! match: four compares, three predicate ops, a zero splat, a select and
+//! the add). The body runs only on the lanes that own the edge's cells —
+//! `(c0, c1)` and `(c1, c0)`, or the one upper-triangle cell of the
+//! reduced row — through `Pass::lanes`. This is exact. Each charge is a
+//! whole number of cycles and instructions (see the `aco_simt::block`
+//! docs). `acc` starts at `+0.0` and only gains `δ = 1/L` with `L ≥ 0`,
+//! so it is never `-0.0`, and the `+0.0` a non-matching lane would add is
+//! the identity. Each cell still adds its deltas in `(ant, step)` order.
+//! Out-of-range lanes, clamped to the last cell, get no deposit, and they
+//! are never stored. Everything the memory models see stays a real op,
+//! in the same order: the tile staging loads and barriers, the uniform
+//! shared reads of a tile's cities (all before its pass), each ant's
+//! length load, the plain row's two global loads per step and the fused
+//! evaporate-and-deposit writes. The length loads and the plain row's
+//! tour loads are broadcast loads (`BlockCtx::ld_global_u32_uniform`):
+//! every lane reads one word, so the coalescing and L1 models charge them
+//! per warp, still exactly as they charge the per-lane load of one
+//! address. The registers they no longer need are charged in passes
+//! instead: each ant's index splat beside its `1.0` splat and division,
+//! and a plain-row step's two address splats.
 
 use aco_simt::lane_pass;
 use aco_simt::prelude::*;

@@ -15,20 +15,20 @@
 //! is modeled as the op-by-op CUDA it stands for, but only the parts whose
 //! counters depend on the data are interpreted:
 //!
-//! - Each tile is one lane pass ([`BlockCtx::lane_pass`]). Its tally:
-//!   three splats and the select (`Mov`); the city add, tabu shift and
-//!   mask, index add and clamp (`IAlu`); the in-range and unvisited
-//!   compares (`FAlu`); the product (`FMul`); and the Park–Miller draw.
-//!   The choice load (texture or global) and the two thread-indexed
-//!   shared stores run through their memory models.
+//! - Each tile is one lane pass ([`aco_simt::lane_pass!`]), charged the
+//!   tally counted from its body: three splats and the select (`Mov`);
+//!   the city add, tabu shift and mask, index add and clamp (`IAlu`); the
+//!   in-range and unvisited compares (`FAlu`); the product (`FMul`); and
+//!   the Park–Miller draw. The choice load (texture or global) and the
+//!   two thread-indexed shared stores run through their memory models.
 //! - [`BlockCtx::sh_argmax_tree`] charges the written-out level loop's
 //!   counters in closed form and runs its comparisons as a host loop.
-//! - Marking a city visited sets one lane with [`Reg::set_lane`]. It
-//!   charges the owner/tile div-mod, the branch over the block (with its
-//!   one divergent warp, via [`BlockCtx::branch`]), and a splat, an `ior`
-//!   and an assign on the owner's warp.
-//! - Each step's lane-0 work is a lane pass under the lane-0 branch: four
-//!   splats over the block, then the tour store and the distance load
+//! - Marking a city visited charges the owner/tile div-mod and the branch
+//!   over the block (with its one divergent warp, via
+//!   [`BlockCtx::branch`]), and runs a splat, an `ior` and an assign as a
+//!   lane pass on the owner's lane.
+//! - Each step's lane-0 work is a lane pass under the lane-0 branch, after
+//!   four splats over the block: the tour store and the distance load
 //!   through their memory models and the assign.
 //! - These stay real ops: `__syncthreads`, the two uniform shared reads
 //!   of each tile's winner, the start draw, the closing edge and the
@@ -36,8 +36,9 @@
 //!
 //! Every closed-form counter holds whole numbers, so the batched charges
 //! leave the same bits as the ops would (see [`aco_simt::block`]).
-//! `tests/lane_pass_oracle.rs` keeps the op-by-op kernel and checks every
-//! counter, the modeled time, the tours and the lengths against it.
+//! `tests/lane_pass_oracle.rs` pins every counter, the modeled time, the
+//! tours and the lengths by fingerprints recorded against the op-by-op
+//! kernel.
 //!
 //! Note the selection rule: this is a *stochastically weighted argmax*
 //! (`argmax_j choice[cur][j] * r_j` over unvisited `j`), not the exact

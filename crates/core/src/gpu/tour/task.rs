@@ -20,12 +20,15 @@
 //!
 //! **What is charged in a lane pass and what runs for real.** The kernel
 //! is modeled as the op-by-op CUDA it stands for, but its branch-free
-//! loops run as lane passes ([`BlockCtx::lane_pass`]): their arithmetic
-//! is one declared [`Tally`] per call, and only their loads and stores
+//! loops run as lane passes ([`BlockCtx::lane_pass`]): each body is
+//! written once, its arithmetic through an [`Alu`] and each per-lane `if`
+//! as the selects the CUDA code executes, and [`aco_simt::lane_pass!`]
+//! charges the tally counted from that body; only the loads and stores
 //! run, one instruction at a time, through the memory models. They are:
 //!
 //! - the full rule's probability pass (rows 1–3), with row 1's inline
-//!   `tau^alpha * eta^beta`;
+//!   `tau^alpha * eta^beta` (and its double-precision `pow` surcharge,
+//!   an explicit [`Alu::charge`]);
 //! - the candidate rule's candidate loop (rows 4–6), its branch-free
 //!   roulette and the best-probability pick after a rounding shortfall;
 //! - the all-city argmax fallback;
@@ -33,14 +36,15 @@
 //!   shared tabu list.
 //!
 //! The divergent roulette scan of rows 1–3 (the cost the paper models)
-//! is a loop pass ([`BlockCtx::loop_pass`]): each trip charges its test
+//! is a loop pass ([`aco_simt::loop_pass!`]): each trip charges its test
 //! over the warps still scanning and its step over the warps that go on,
-//! one declared [`Tally`] each, and runs its `prob` load; the lanes'
+//! each counted from its code, and runs its `prob` load; the lanes'
 //! divergence is counted from the looping mask trip by trip. These stay
 //! real ops: the branches into the fallbacks, the draws, the start city,
 //! and each step's tour store, distance load and length sum.
-//! `tests/lane_pass_oracle.rs` keeps the op-by-op kernel and checks every
-//! counter, the modeled time, the tours and the lengths against it.
+//! `tests/lane_pass_oracle.rs` pins every counter, the modeled time, the
+//! tours and the lengths by fingerprints recorded against the op-by-op
+//! kernel.
 
 use aco_simt::prelude::*;
 use aco_simt::rng::PmRng;

@@ -45,18 +45,19 @@
 //! are bit-identical at any host `exec_threads` count.
 //!
 //! **Host cost.** The propose kernel's forward and backward candidate
-//! loops run as one [`BlockCtx::lane_pass`] of `2 * nn` trips: their
-//! register instructions are charged as one declared tally over the
-//! awake warps, the gain arithmetic and the best-move update run as host
-//! lanes, and only each trip's six loads go through the memory models,
-//! in program order. The propose and select reductions are one
-//! [`BlockCtx::sh_tree`] each. Both are exact: the op-by-op kernels live
-//! on in `tests/propose_oracle.rs`, which compares every counter, every
-//! modeled-time bit and every written word on each round of full passes.
-//! Timed per kernel over full passes (8 ants, random tours, n = 48 and
-//! 100, both devices), a round splits into propose 78–90% of the host
-//! time, apply 5–10%, the position scatter 3–6% and select 2–5%. The
-//! apply kernel's strided swap stays a `loop_while` with a `with_mask`
+//! loops run as one lane pass ([`aco_simt::lane_pass!`]) of `2 * nn`
+//! trips: their register instructions are charged as the tally counted
+//! from the pass body over the awake warps, the gain arithmetic and the
+//! best-move selects run as host lanes, and only each trip's six loads go
+//! through the memory models, in program order. The propose and select
+//! reductions are one [`aco_simt::sh_tree!`] each, whose level cost is
+//! counted from its compare. Both are exact: `tests/propose_oracle.rs`
+//! pins every counter, every modeled-time bit and every written word on
+//! each round of full passes by fingerprints recorded against the op-by-op
+//! kernels. Timed per kernel over full passes (8 ants, random tours,
+//! n = 48 and 100, both devices), a round splits into propose 78–90% of
+//! the host time, apply 5–10%, the position scatter 3–6% and select 2–5%.
+//! The apply kernel's strided swap stays a `loop_while` with a `with_mask`
 //! body: [`BlockCtx::loop_pass`] is not a drop-in for it, since it
 //! charges an `if` branch and its divergence that the masked body does
 //! not.

@@ -36,18 +36,19 @@
 //! goes through [`aco_simt::launch_threads`], so counters, modeled
 //! times and memory are bit-identical at any host `exec_threads` count.
 //!
-//! **Host cost.** The propose kernel's candidate loop runs as one
-//! [`BlockCtx::lane_pass`] of `nn` trips per segment length (see
-//! `CANDIDATE`): its register instructions are charged as one declared
-//! tally over the eligible warps, the cost arithmetic and the first-move
-//! update run as host lanes, and only each trip's eight loads go through
+//! **Host cost.** The propose kernel's candidate loop runs as one lane
+//! pass ([`aco_simt::lane_pass!`]) of `nn` trips per segment length: its
+//! register instructions are charged as the tally counted from the pass
+//! body over the eligible warps, the cost arithmetic and the first-move
+//! selects run as host lanes, and only each trip's eight loads go through
 //! the memory models, in program order. Both min-key reductions are one
-//! [`BlockCtx::sh_tree`]. `tests/propose_oracle.rs` keeps the op-by-op
-//! kernel and the written-out level loop and compares every counter,
-//! modeled-time bit and written word on each round of full passes. The
-//! apply kernel's splice and copy-back loops stay `loop_while`s with
-//! `with_mask` bodies, which [`BlockCtx::loop_pass`] would charge an
-//! extra `if` branch and its divergence.
+//! [`aco_simt::sh_tree!`]. `tests/propose_oracle.rs` pins every counter,
+//! modeled-time bit and written word on each round of full passes by
+//! fingerprints recorded against the op-by-op kernel, and compares the
+//! select kernel against the written-out level loop. The apply kernel's
+//! splice and copy-back loops stay `loop_while`s with `with_mask` bodies,
+//! which [`BlockCtx::loop_pass`] would charge an extra `if` branch and its
+//! divergence.
 
 use aco_simt::prelude::*;
 use aco_simt::{lane_pass, sh_tree, SimtError};

@@ -1,18 +1,19 @@
-//! The device local search's closed-form code against the op-by-op
-//! kernels it replaced, kept here as the oracle.
+//! The device local search's closed-form code, pinned by fingerprint,
+//! and its select kernels against their written-out tree levels.
 //!
 //! Both families' propose kernels scan their candidates as one lane pass
-//! (`BlockCtx::lane_pass`), and both reduce their per-lane moves through
-//! the shared tree collective (`BlockCtx::sh_tree`). Below are the
-//! written-out forms: the op-by-op 2-opt and Or-opt propose bodies and
-//! the level loops of the `(gain, a, b, city)` best-move reduction (2-opt
-//! propose and select) and of the `(key, p, seg, rank)` first-move
-//! reduction (Or-opt propose and select). Each case runs full passes,
-//! round by round, and launches every propose and select kernel twice
-//! from the same memory — the written-out form, then the kernel — and
-//! compares every `KernelStats` and `KernelTime` bit, the executed blocks
-//! and every word the kernel writes (the per-block entries and the
-//! don't-look bits, or the chosen move), then goes on from the kernel's
+//! (`BlockCtx::lane_pass`) whose tally is derived from the pass body
+//! (`aco_simt::alu`), and both reduce their per-lane moves through the
+//! shared tree collective (`BlockCtx::sh_tree`). Each case runs full
+//! passes, round by round, and hashes every propose and select launch —
+//! every `KernelStats` and `KernelTime` bit, the executed blocks and
+//! every word the kernel writes (the per-block entries and the
+//! don't-look bits, or the chosen move) — into one fingerprint per family
+//! and size. The table was recorded while each propose kernel was still
+//! compared, launch by launch, against its op-by-op form. Each select
+//! launch is also still compared against the written-out level loop of
+//! its reduction: the `(gain, a, b, city)` best move (2-opt) or the
+//! `(key, p, seg, rank)` first move (Or-opt), launched from the same
 //! memory.
 //!
 //! The cases cover n = 24, 48, 100 and 200 (two propose blocks per ant),
@@ -148,6 +149,20 @@ impl Fp {
             buffer.iter().for_each(|&w| self.word(w as u64));
         }
     }
+}
+
+/// Launch `kernel` and hash its launch bits and the words of `outs` into
+/// `fp`.
+fn hash_launch(
+    fp: &mut Fp,
+    dev: &DeviceSpec,
+    cfg: &LaunchConfig,
+    kernel: &dyn Kernel,
+    gm: &mut GlobalMem,
+    outs: &[Out],
+) {
+    let bits = launch_bits(dev, cfg, kernel, gm);
+    fp.launch(&bits, &words(gm, outs));
 }
 
 /// Launch the written-out `oracle`, put `outs` back, launch `kernel`,
@@ -313,8 +328,8 @@ fn scatter(dev: &DeviceSpec, gm: &mut GlobalMem, pk: PosKernel) {
     launch_threads(dev, &pk.config(), &pk, gm, SimMode::Full, 1).unwrap();
 }
 
-/// One 2-opt round with its propose and select launches against their
-/// written-out forms; the window starts awake (the buffer is fresh).
+/// One 2-opt round: its propose launch, and its select launch against
+/// the written-out form; the window starts awake (the buffer is fresh).
 fn two_opt_round(
     fp: &mut Fp,
     label: &str,
@@ -327,7 +342,6 @@ fn two_opt_round(
     let (n, stride, tours, pos) = (bufs.n, bufs.stride, bufs.tours, bufs.pos);
     scatter(dev, gm, PosKernel { name: "two_opt_pos", n, stride, tours, pos, first_ant, num_ants });
     let propose = TwoOptProposeKernel { bufs, first_ant, num_ants };
-    let oracle = OpByOpPropose { bufs, first_ant };
     let outs = [
         Out::F32(bufs.block_gain),
         Out::U32(bufs.block_a),
@@ -335,7 +349,7 @@ fn two_opt_round(
         Out::U32(bufs.block_city),
         Out::U32(bufs.dont_look),
     ];
-    same_launch(fp, label, dev, &propose.config(), [&oracle, &propose], gm, &outs);
+    hash_launch(fp, dev, &propose.config(), &propose, gm, &outs);
     let select = TwoOptSelectKernel { bufs, first_ant, num_ants };
     let oracle = WrittenOutSelect { bufs, first_ant };
     let outs = [Out::F32(bufs.chosen_gain), Out::U32(bufs.chosen_a), Out::U32(bufs.chosen_b)];
@@ -349,8 +363,8 @@ fn two_opt_round(
     true
 }
 
-/// One Or-opt round with its propose and select launches against their
-/// written-out forms.
+/// One Or-opt round: its propose launch, and its select launch against
+/// the written-out form.
 fn or_opt_round(
     fp: &mut Fp,
     label: &str,
@@ -363,14 +377,13 @@ fn or_opt_round(
     let (n, stride, tours, pos) = (bufs.n, bufs.stride, bufs.tours, bufs.pos);
     scatter(dev, gm, PosKernel { name: "or_opt_pos", n, stride, tours, pos, first_ant, num_ants });
     let propose = OrOptProposeKernel { bufs, first_ant, num_ants };
-    let oracle = OpByOpOrPropose { bufs, first_ant };
     let outs = [
         Out::U32(bufs.block_key),
         Out::U32(bufs.block_p),
         Out::U32(bufs.block_seg),
         Out::U32(bufs.block_rank),
     ];
-    same_launch(fp, label, dev, &propose.config(), [&oracle, &propose], gm, &outs);
+    hash_launch(fp, dev, &propose.config(), &propose, gm, &outs);
     let select = OrOptSelectKernel { bufs, first_ant, num_ants };
     let oracle = WrittenOutOrSelect { bufs, first_ant };
     let outs = [
@@ -390,206 +403,28 @@ fn or_opt_round(
 }
 
 #[test]
-fn two_opt_rounds_match_the_written_out_kernels() {
+fn two_opt_rounds_match_their_fingerprints() {
     compare(&[24, 48].map(|n| passes("two_opt", n, TwoOptDev::allocate, two_opt_round)));
 }
 
 #[test]
 #[ignore = "release tier: n = 100 and 200"]
-fn two_opt_rounds_match_the_written_out_kernels_at_100_and_200() {
+fn two_opt_rounds_match_their_fingerprints_at_100_and_200() {
     compare(&[100, 200].map(|n| passes("two_opt", n, TwoOptDev::allocate, two_opt_round)));
 }
 
 #[test]
-fn or_opt_rounds_match_the_written_out_kernels() {
+fn or_opt_rounds_match_their_fingerprints() {
     compare(&[24, 48].map(|n| passes("or_opt", n, OrOptDev::allocate, or_opt_round)));
 }
 
 #[test]
 #[ignore = "release tier: n = 100 and 200"]
-fn or_opt_rounds_match_the_written_out_kernels_at_100_and_200() {
+fn or_opt_rounds_match_their_fingerprints_at_100_and_200() {
     compare(&[100, 200].map(|n| passes("or_opt", n, OrOptDev::allocate, or_opt_round)));
 }
 
-// --- the written-out kernels ---------------------------------------------------
-
-/// [`TwoOptProposeKernel`] with its candidate loops op by op and the
-/// level loop of its reduction written out.
-struct OpByOpPropose {
-    bufs: TwoOptDev,
-    first_ant: u32,
-}
-
-impl Kernel for OpByOpPropose {
-    fn name(&self) -> &'static str {
-        "two_opt_propose"
-    }
-
-    fn run_block(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem) {
-        let n = self.bufs.n;
-        let nn = self.bufs.nn;
-        let per_ant = self.bufs.pgrid();
-        let ant = self.first_ant + ctx.block_idx / per_ant;
-        let blk = ctx.block_idx % per_ant;
-        let base = ant * self.bufs.stride;
-        let prow = ant * n; // this ant's pos / don't-look slice
-        let off = ctx.splat_u32(blk * LS_BLOCK);
-        let lane = ctx.thread_idx();
-        let tid = ctx.iadd(&off, &lane);
-        let n_reg = ctx.splat_u32(n);
-        let zero_f = ctx.splat_f32(0.0);
-        let zero_u = ctx.splat_u32(0);
-        let one_u = ctx.splat_u32(1);
-        let base_reg = ctx.splat_u32(base);
-        let prow_reg = ctx.splat_u32(prow);
-        let nm1 = ctx.splat_u32(n - 1);
-
-        // Per-lane best move; lanes out of range or asleep keep the
-        // sentinel (gain 0) and lose every reduction comparison.
-        let mut best_g = ctx.splat_f32(0.0);
-        let mut best_a = ctx.splat_u32(0);
-        let mut best_b = ctx.splat_u32(0);
-
-        let in_range = ctx.ult(&tid, &n_reg);
-        ctx.if_then(gm, &in_range, |ctx, gm| {
-            let dl_idx = ctx.iadd(&prow_reg, &tid);
-            let look = ctx.ld_global_u32(gm, self.bufs.dont_look, &dl_idx);
-            let awake = ctx.ueq(&look, &zero_u);
-            ctx.branch(&awake);
-            ctx.with_mask(gm, &awake, |ctx, gm| {
-                // succ(c) / pred(c) positions via the scattered index.
-                let mp_idx = ctx.iadd(&prow_reg, &tid);
-                let my_pos = ctx.ld_global_u32(gm, self.bufs.pos, &mp_idx);
-                let p_plus = ctx.iadd(&my_pos, &one_u);
-                let wrap_s = ctx.ueq(&p_plus, &n_reg);
-                let sp = ctx.select_u32(&wrap_s, &zero_u, &p_plus);
-                let sp_g = ctx.iadd(&base_reg, &sp);
-                let s1 = ctx.ld_global_u32(gm, self.bufs.tours, &sp_g);
-                let wrap_p = ctx.ueq(&my_pos, &zero_u);
-                let p_minus = ctx.isub(&my_pos, &one_u);
-                let pp = ctx.select_u32(&wrap_p, &nm1, &p_minus);
-                let pp_g = ctx.iadd(&base_reg, &pp);
-                let p1 = ctx.ld_global_u32(gm, self.bufs.tours, &pp_g);
-
-                let row = ctx.imul(&tid, &n_reg);
-                let nn_reg = ctx.splat_u32(nn);
-                let nn_row = ctx.imul(&tid, &nn_reg);
-
-                // Forward edge (c1, succ c1): removed length d1.
-                let s1_idx = ctx.iadd(&row, &s1);
-                let d1 = ctx.ld_tex_f32(gm, self.bufs.dist, &s1_idx);
-                // Backward edge (pred c1, c1): removed length d1p.
-                let p1_row = ctx.imul(&p1, &n_reg);
-                let p1_idx = ctx.iadd(&p1_row, &tid);
-                let d1p = ctx.ld_tex_f32(gm, self.bufs.dist, &p1_idx);
-
-                // Scan order matters for exact CPU equivalence: ALL
-                // forward moves first, then all backward moves — the
-                // order `cpu::best_move_for_city` evaluates — so a
-                // forward/backward move with exactly equal f32 gain
-                // resolves to the same winner on both sides (strict `>`
-                // keeps the earlier candidate).
-                for k in 0..nn {
-                    // Forward move: remove (c1, s1) and (c2, s2), add
-                    // (c1, c2) and (s1, s2) — reverse after a = c1 up to
-                    // b = c2.
-                    let k_reg = ctx.splat_u32(k);
-                    let l_idx = ctx.iadd(&nn_row, &k_reg);
-                    let c2 = ctx.ld_global_u32(gm, self.bufs.nn_list, &l_idx);
-                    let cc_idx = ctx.iadd(&row, &c2);
-                    let dcc = ctx.ld_tex_f32(gm, self.bufs.dist, &cc_idx);
-                    let c2p_idx = ctx.iadd(&prow_reg, &c2);
-                    let c2_pos = ctx.ld_global_u32(gm, self.bufs.pos, &c2p_idx);
-                    let c2p1 = ctx.iadd(&c2_pos, &one_u);
-                    let wrap = ctx.ueq(&c2p1, &n_reg);
-                    let sp2 = ctx.select_u32(&wrap, &zero_u, &c2p1);
-                    let sp2_g = ctx.iadd(&base_reg, &sp2);
-                    let s2 = ctx.ld_global_u32(gm, self.bufs.tours, &sp2_g);
-                    let c2_row = ctx.imul(&c2, &n_reg);
-                    let rem2_idx = ctx.iadd(&c2_row, &s2);
-                    let rem2 = ctx.ld_tex_f32(gm, self.bufs.dist, &rem2_idx);
-                    let s1_row = ctx.imul(&s1, &n_reg);
-                    let add2_idx = ctx.iadd(&s1_row, &s2);
-                    let add2 = ctx.ld_tex_f32(gm, self.bufs.dist, &add2_idx);
-                    let removed = ctx.fadd(&d1, &rem2);
-                    let added = ctx.fadd(&dcc, &add2);
-                    let g = ctx.fsub(&removed, &added);
-                    let closer = ctx.flt(&dcc, &d1);
-                    let ok1 = ctx.une(&s2, &tid);
-                    let ok2 = ctx.une(&c2, &s1);
-                    let better = ctx.fgt(&g, &best_g);
-                    let valid = closer.and(&ok1).and(&ok2).and(&better);
-                    let ng = ctx.select_f32(&valid, &g, &best_g);
-                    ctx.assign_f32(&mut best_g, &ng);
-                    let na = ctx.select_u32(&valid, &tid, &best_a);
-                    ctx.assign_u32(&mut best_a, &na);
-                    let nb = ctx.select_u32(&valid, &c2, &best_b);
-                    ctx.assign_u32(&mut best_b, &nb);
-                }
-
-                for k in 0..nn {
-                    // Backward move: remove (p1, c1) and (p2, c2), add
-                    // (c1, c2) and (p1, p2) — reverse after a = p1 up to
-                    // b = p2.
-                    let k_reg = ctx.splat_u32(k);
-                    let l_idx = ctx.iadd(&nn_row, &k_reg);
-                    let c2 = ctx.ld_global_u32(gm, self.bufs.nn_list, &l_idx);
-                    let cc_idx = ctx.iadd(&row, &c2);
-                    let dcc = ctx.ld_tex_f32(gm, self.bufs.dist, &cc_idx);
-                    let c2p_idx = ctx.iadd(&prow_reg, &c2);
-                    let c2_pos = ctx.ld_global_u32(gm, self.bufs.pos, &c2p_idx);
-                    let wrap = ctx.ueq(&c2_pos, &zero_u);
-                    let c2m1 = ctx.isub(&c2_pos, &one_u);
-                    let ppos2 = ctx.select_u32(&wrap, &nm1, &c2m1);
-                    let pp2_g = ctx.iadd(&base_reg, &ppos2);
-                    let p2 = ctx.ld_global_u32(gm, self.bufs.tours, &pp2_g);
-                    let p2_row = ctx.imul(&p2, &n_reg);
-                    let rem2_idx = ctx.iadd(&p2_row, &c2);
-                    let rem2 = ctx.ld_tex_f32(gm, self.bufs.dist, &rem2_idx);
-                    let p1_row2 = ctx.imul(&p1, &n_reg);
-                    let add2_idx = ctx.iadd(&p1_row2, &p2);
-                    let add2 = ctx.ld_tex_f32(gm, self.bufs.dist, &add2_idx);
-                    let removed = ctx.fadd(&d1p, &rem2);
-                    let added = ctx.fadd(&dcc, &add2);
-                    let g = ctx.fsub(&removed, &added);
-                    let closer = ctx.flt(&dcc, &d1p);
-                    let ok1 = ctx.une(&p2, &tid);
-                    let ok2 = ctx.une(&c2, &p1);
-                    let better = ctx.fgt(&g, &best_g);
-                    let valid = closer.and(&ok1).and(&ok2).and(&better);
-                    let ng = ctx.select_f32(&valid, &g, &best_g);
-                    ctx.assign_f32(&mut best_g, &ng);
-                    let na = ctx.select_u32(&valid, &p1, &best_a);
-                    ctx.assign_u32(&mut best_a, &na);
-                    let nb = ctx.select_u32(&valid, &p2, &best_b);
-                    ctx.assign_u32(&mut best_b, &nb);
-                }
-
-                // Cities with nothing to propose go to sleep until a
-                // neighbouring edge changes.
-                let stale = ctx.fle(&best_g, &zero_f);
-                ctx.if_then(gm, &stale, |ctx, gm| {
-                    ctx.st_global_u32(gm, self.bufs.dont_look, &dl_idx, &one_u);
-                });
-            });
-        });
-
-        // Reduction key: (gain, proposing city); sentinel city = MAX so
-        // idle lanes lose ties too.
-        let improved = ctx.fgt(&best_g, &zero_f);
-        let max_u = ctx.splat_u32(u32::MAX);
-        let best_city = ctx.select_u32(&improved, &tid, &max_u);
-
-        let entry = ant * per_ant + blk;
-        written_out_best(ctx, gm, &best_g, &best_a, &best_b, &best_city, |ctx, gm, g, a, b, c| {
-            let eidx = ctx.splat_u32(entry);
-            ctx.st_global_f32(gm, self.bufs.block_gain, &eidx, g);
-            ctx.st_global_u32(gm, self.bufs.block_a, &eidx, a);
-            ctx.st_global_u32(gm, self.bufs.block_b, &eidx, b);
-            ctx.st_global_u32(gm, self.bufs.block_city, &eidx, c);
-        });
-    }
-}
+// --- the written-out select kernels ----------------------------------------------
 
 /// [`TwoOptSelectKernel`] with the level loop of its reduction written
 /// out.
@@ -648,179 +483,6 @@ impl Kernel for WrittenOutSelect {
             ctx.st_global_u32(gm, self.bufs.chosen_a, &aidx, a);
             ctx.st_global_u32(gm, self.bufs.chosen_b, &aidx, b);
         });
-    }
-}
-
-/// [`OrOptProposeKernel`] with its candidate loop op by op and the level
-/// loop of its reduction written out.
-struct OpByOpOrPropose {
-    bufs: OrOptDev,
-    first_ant: u32,
-}
-
-impl Kernel for OpByOpOrPropose {
-    fn name(&self) -> &'static str {
-        "or_opt_propose"
-    }
-
-    fn run_block(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem) {
-        let n = self.bufs.n;
-        let nn = self.bufs.nn;
-        let per_ant = self.bufs.pgrid();
-        let ant = self.first_ant + ctx.block_idx / per_ant;
-        let blk = ctx.block_idx % per_ant;
-        let base = ant * self.bufs.stride;
-        let prow = ant * n;
-        let off = ctx.splat_u32(blk * LS_BLOCK);
-        let lane = ctx.thread_idx();
-        let p = ctx.iadd(&off, &lane);
-        let n_reg = ctx.splat_u32(n);
-        let zero_f = ctx.splat_f32(0.0);
-        let one_u = ctx.splat_u32(1);
-        let base_reg = ctx.splat_u32(base);
-        let prow_reg = ctx.splat_u32(prow);
-        let nn_reg = ctx.splat_u32(nn);
-        let max_u = ctx.splat_u32(u32::MAX);
-
-        // Per-lane minimum scan key (sentinel MAX = no improving move),
-        // with the winning (p, seg_len, rank) carried alongside.
-        let mut best_key = max_u.clone();
-        let mut best_p = ctx.splat_u32(0);
-        let mut best_seg = ctx.splat_u32(1);
-        let mut best_rank = ctx.splat_u32(0);
-
-        // `prev` is shared by every segment length starting at p.
-        let in_tour = ctx.ult(&p, &n_reg);
-        ctx.branch(&in_tour);
-        ctx.with_mask(gm, &in_tour, |ctx, gm| {
-            let pn = ctx.iadd(&p, &n_reg);
-            let pm1 = ctx.isub(&pn, &one_u);
-            let pm1_over = ctx.ule(&n_reg, &pm1);
-            let pm1_w = ctx.isub(&pm1, &n_reg);
-            let prev_pos = ctx.select_u32(&pm1_over, &pm1_w, &pm1);
-            let prev_g = ctx.iadd(&base_reg, &prev_pos);
-            let prev = ctx.ld_global_u32(gm, self.bufs.tours, &prev_g);
-            let p_nn = ctx.imul(&p, &nn_reg);
-
-            for seg_len in 1..=3.min(n.saturating_sub(4)) {
-                // Eligible starts: p <= n - seg_len (the CPU loop's
-                // inclusive upper bound).
-                let bound = ctx.splat_u32(n - seg_len + 1);
-                let elig = ctx.ult(&p, &bound);
-                ctx.branch(&elig);
-                ctx.with_mask(gm, &elig, |ctx, gm| {
-                    let first_g = ctx.iadd(&base_reg, &p);
-                    let first = ctx.ld_global_u32(gm, self.bufs.tours, &first_g);
-                    let sm1 = ctx.splat_u32(seg_len - 1);
-                    let last_pos = ctx.iadd(&p, &sm1);
-                    let last_g = ctx.iadd(&base_reg, &last_pos);
-                    let last = ctx.ld_global_u32(gm, self.bufs.tours, &last_g);
-                    let s_reg = ctx.splat_u32(seg_len);
-                    let next_raw = ctx.iadd(&p, &s_reg);
-                    let next_over = ctx.ule(&n_reg, &next_raw);
-                    let next_w = ctx.isub(&next_raw, &n_reg);
-                    let next_pos = ctx.select_u32(&next_over, &next_w, &next_raw);
-                    let next_g = ctx.iadd(&base_reg, &next_pos);
-                    let next = ctx.ld_global_u32(gm, self.bufs.tours, &next_g);
-
-                    // removal = d(prev, first) + d(last, next)
-                    //         - d(prev, next); exact in f32 at integer
-                    // distances (every term < 2^24).
-                    let prev_row = ctx.imul(&prev, &n_reg);
-                    let pf_idx = ctx.iadd(&prev_row, &first);
-                    let d_pf = ctx.ld_tex_f32(gm, self.bufs.dist, &pf_idx);
-                    let last_row = ctx.imul(&last, &n_reg);
-                    let ln_idx = ctx.iadd(&last_row, &next);
-                    let d_ln = ctx.ld_tex_f32(gm, self.bufs.dist, &ln_idx);
-                    let pn_idx = ctx.iadd(&prev_row, &next);
-                    let d_pn = ctx.ld_tex_f32(gm, self.bufs.dist, &pn_idx);
-                    let rem_sum = ctx.fadd(&d_pf, &d_ln);
-                    let removal = ctx.fsub(&rem_sum, &d_pn);
-                    let rem_ok = ctx.fgt(&removal, &zero_f);
-
-                    let first_nn = ctx.imul(&first, &nn_reg);
-                    let first_row = ctx.imul(&first, &n_reg);
-                    let seg_end = ctx.iadd(&p, &s_reg);
-                    // Key base for this (seg_len, ·, ·) plane.
-                    let plane = ctx.splat_u32((seg_len - 1) * (n + 1) * nn);
-                    let key_p = ctx.iadd(&plane, &p_nn);
-
-                    for k in 0..nn {
-                        let k_reg = ctx.splat_u32(k);
-                        let l_idx = ctx.iadd(&first_nn, &k_reg);
-                        let c = ctx.ld_global_u32(gm, self.bufs.nn_list, &l_idx);
-                        let cp_idx = ctx.iadd(&prow_reg, &c);
-                        let cp = ctx.ld_global_u32(gm, self.bufs.pos, &cp_idx);
-                        // Skip candidates inside the segment or equal to
-                        // `prev` (splicing after either is degenerate).
-                        let ge_p = ctx.ule(&p, &cp);
-                        let lt_end = ctx.ult(&cp, &seg_end);
-                        let in_seg = ge_p.and(&lt_end);
-                        let is_prev = ctx.ueq(&c, &prev);
-                        let usable = in_seg.or(&is_prev).not();
-
-                        let cp1 = ctx.iadd(&cp, &one_u);
-                        let cp1_over = ctx.ule(&n_reg, &cp1);
-                        let cp1_w = ctx.isub(&cp1, &n_reg);
-                        let cn_pos = ctx.select_u32(&cp1_over, &cp1_w, &cp1);
-                        let cn_g = ctx.iadd(&base_reg, &cn_pos);
-                        let c_next = ctx.ld_global_u32(gm, self.bufs.tours, &cn_g);
-
-                        let c_row = ctx.imul(&c, &n_reg);
-                        let ccn_idx = ctx.iadd(&c_row, &c_next);
-                        let d_base = ctx.ld_tex_f32(gm, self.bufs.dist, &ccn_idx);
-                        let cf_idx = ctx.iadd(&c_row, &first);
-                        let d_cf = ctx.ld_tex_f32(gm, self.bufs.dist, &cf_idx);
-                        let lcn_idx = ctx.iadd(&last_row, &c_next);
-                        let d_lcn = ctx.ld_tex_f32(gm, self.bufs.dist, &lcn_idx);
-                        let cl_idx = ctx.iadd(&c_row, &last);
-                        let d_cl = ctx.ld_tex_f32(gm, self.bufs.dist, &cl_idx);
-                        let fcn_idx = ctx.iadd(&first_row, &c_next);
-                        let d_fcn = ctx.ld_tex_f32(gm, self.bufs.dist, &fcn_idx);
-
-                        // fwd / rev / cost, mirroring the CPU expressions
-                        // term for term.
-                        let fwd_sum = ctx.fadd(&d_cf, &d_lcn);
-                        let fwd = ctx.fsub(&fwd_sum, &d_base);
-                        let rev_sum = ctx.fadd(&d_cl, &d_fcn);
-                        let rev = ctx.fsub(&rev_sum, &d_base);
-                        let take_fwd = ctx.fle(&fwd, &rev);
-                        let cost = ctx.select_f32(&take_fwd, &fwd, &rev);
-                        let imp = ctx.fsub(&removal, &cost);
-                        let improving = ctx.fgt(&imp, &zero_f);
-
-                        let key = ctx.iadd(&key_p, &k_reg);
-                        let lower = ctx.ult(&key, &best_key);
-                        let valid = rem_ok.and(&usable).and(&improving).and(&lower);
-                        let nk = ctx.select_u32(&valid, &key, &best_key);
-                        ctx.assign_u32(&mut best_key, &nk);
-                        let np = ctx.select_u32(&valid, &p, &best_p);
-                        ctx.assign_u32(&mut best_p, &np);
-                        let ns = ctx.select_u32(&valid, &s_reg, &best_seg);
-                        ctx.assign_u32(&mut best_seg, &ns);
-                        let nr = ctx.select_u32(&valid, &k_reg, &best_rank);
-                        ctx.assign_u32(&mut best_rank, &nr);
-                    }
-                });
-            }
-        });
-
-        let entry = ant * per_ant + blk;
-        written_out_min_key(
-            ctx,
-            gm,
-            &best_key,
-            &best_p,
-            &best_seg,
-            &best_rank,
-            |ctx, gm, k, p, s, r| {
-                let eidx = ctx.splat_u32(entry);
-                ctx.st_global_u32(gm, self.bufs.block_key, &eidx, k);
-                ctx.st_global_u32(gm, self.bufs.block_p, &eidx, p);
-                ctx.st_global_u32(gm, self.bufs.block_seg, &eidx, s);
-                ctx.st_global_u32(gm, self.bufs.block_rank, &eidx, r);
-            },
-        );
     }
 }
 

@@ -1,13 +1,14 @@
 //! Pass bodies written once: the per-lane arithmetic a body runs, and the
 //! [`Tally`] derived from it.
 //!
-//! A lane pass ([`BlockCtx::lane_pass`]) charges its data-independent
+//! A lane pass ([`BlockCtx::lane_pass`](crate::BlockCtx::lane_pass)) charges its data-independent
 //! instructions as one [`Tally`] and runs the lanes' arithmetic as a host
 //! loop. The body does that arithmetic through an [`Alu`], and its memory
 //! instructions through a [`Pass`], so one body has two readings:
 //!
 //! - [`Run`], a zero-sized [`Alu`] whose every method inlines to the
-//!   plain host operation, with [`LanePass`]: the pass itself;
+//!   plain host operation, with [`LanePass`](crate::LanePass): the pass
+//!   itself;
 //! - [`Count`], which counts each operation's class, with [`Probe`],
 //!   which calls the body's per-lane closures once, for the block's
 //!   spare lane (every register holds one slot past the block, which no

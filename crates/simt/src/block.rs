@@ -57,17 +57,20 @@
 //!
 //! **Lane passes.** A loop whose control flow does not depend on the data
 //! need not run op by op. [`BlockCtx::lane_pass`] charges its
-//! data-independent instructions, declared as a [`Tally`], in one step
-//! over the active warps; the [`LanePass`] it returns runs the loop's
-//! memory instructions one at a time, in program order, each over the
-//! active lanes in lane order through the op's own memory model, while
-//! the caller does the lanes' arithmetic as a host loop. This is exact:
-//! the counters a tally charges hold whole numbers far below 2^53, where
-//! one add of `k · c` leaves the same bits as `k` adds of `c`, and the
-//! fractional ones (the texture weight, broadcast camping) and the cache
-//! LRU state are updated by the memory instructions, in the ops' order.
-//! A tally is charged as two precomputed per-warp sums, its issue cycles
-//! and its instructions, each multiplied by the warp count in one add.
+//! data-independent instructions, a [`Tally`], in one step over the
+//! active warps; the [`LanePass`] it returns runs the loop's memory
+//! instructions one at a time, in program order, each over the active
+//! lanes in lane order through the op's own memory model, while the
+//! lanes' arithmetic runs as a host loop. Kernels do not write the tally:
+//! [`lane_pass!`](crate::lane_pass) derives it from the pass body, whose
+//! arithmetic goes through an [`Alu`](crate::Alu) (see [`crate::alu`]).
+//! This is exact: the counters a tally charges hold whole numbers far
+//! below 2^53, where one add of `k · c` leaves the same bits as `k` adds
+//! of `c`, and the fractional ones (the texture weight, broadcast
+//! camping) and the cache LRU state are updated by the memory
+//! instructions, in the ops' order. A tally is charged as two precomputed
+//! per-warp sums, its issue cycles and its instructions, each multiplied
+//! by the warp count in one add.
 //!
 //! **Tree collective.** [`BlockCtx::sh_tree`] is the one collective that
 //! also charges its shared accesses in closed form. It is the written-out
@@ -77,17 +80,18 @@
 //! for s in [block_dim / 2, …, 1] {
 //!     let lower = lane < s;            // splat, compare, branch: every warp
 //!     if_then(lower, |ctx| {
-//!         level;                       // the declared tally, lanes below s
-//!         if take(slot[lane], slot[lane + s]) {
-//!             slot[lane] = slot[lane + s];   // every one of the K arrays
+//!         let hi = lane + s;           // loads of both slots of every array
+//!         if take(slot[lane], slot[hi]) {
+//!             slot[lane] = slot[hi];   // a select and a store per array
 //!         }
 //!     });
 //!     sync_threads();
 //! }
 //! ```
 //!
-//! with the caller's per-level tally and host predicate: the argmax of
-//! the data-parallel tour rows ([`BlockCtx::sh_argmax_tree`]) and the
+//! with the caller's predicate, whose instructions
+//! [`sh_tree!`](crate::sh_tree) counts from its code: the argmax of the
+//! data-parallel tour rows ([`BlockCtx::sh_argmax_tree`]) and the
 //! best-move and first-move reductions of the device local search. Every
 //! counter a level charges is a whole number, so the level's sums are
 //! those of its ops one by one; its shared accesses read and write slots
@@ -113,16 +117,17 @@
 //! ```
 //!
 //! whose head tally holds the loop's and the `if`'s branches and the
-//! test's instructions. A trip keeps the looping mask in place: the test
-//! clears the bits of the lanes that stop, and the mask's words before
-//! and after give both warp counts and the divergence, counted twice
-//! (once for the `if`, once for the back edge, as the written-out form
-//! counts it: a warp diverges when it has both a lane that goes on and
-//! one that stops). The last trip, in which no lane goes on, charges the
-//! head and the divergence and no body. This is exact by the argument
-//! above: every counter a trip charges is a whole number, and the
-//! memory instructions run through the ops' own models under the same
-//! masks in the same order.
+//! test's instructions; [`loop_pass!`](crate::loop_pass) counts the test
+//! and the body from their code. A trip keeps the looping mask in place:
+//! the test clears the bits of the lanes that stop, and the mask's words
+//! before and after give both warp counts and the divergence, counted
+//! twice (once for the `if`, once for the back edge, as the written-out
+//! form counts it: a warp diverges when it has both a lane that goes on
+//! and one that stops). The last trip, in which no lane goes on, charges
+//! the head and the divergence and no body. This is exact by the argument
+//! above: every counter a trip charges is a whole number, and the memory
+//! instructions run through the ops' own models under the same masks in
+//! the same order.
 //!
 //! **Broadcast loads.** A global load whose active lanes all read one
 //! address ([`BlockCtx::ld_global_u32_uniform`], `_f32`) has a fixed
@@ -145,7 +150,9 @@ use crate::rng::pm_draw;
 use crate::shared::{ShPtr, SharedMem};
 use crate::stats::KernelStats;
 
-/// A per-thread register vector (one value per lane of the block).
+/// A per-thread register vector (one value per lane of the block, and a
+/// spare slot past the last lane, which no mask covers: a pass body's
+/// tally is derived on it, see [`crate::alu`]).
 ///
 /// The backing buffer recycles through a thread-local free list (see
 /// [`crate::pool`]): every lockstep operation produces a `Reg`, so the
@@ -253,7 +260,7 @@ impl Tally {
     /// `self` plus `count` Park–Miller draws ([`pm_draw`]), each the
     /// division-free step (`mul.lo`, `mul.hi`, fold, conditional add: 4
     /// `IAlu`), the scale to `[0, 1)` (1 `FMul`) and an rng call: how
-    /// [`BlockCtx::lcg_next_f32`] and [`Alu::draw`] charge one.
+    /// [`BlockCtx::lcg_next_f32`] and [`Alu::draw`](crate::Alu::draw) charge one.
     pub const fn draws(mut self, count: u64) -> Tally {
         self.draws += count;
         self.op(Op::IAlu, 4 * count).op(Op::FMul, count)
@@ -903,7 +910,8 @@ impl<'a> BlockCtx<'a> {
     /// order; the lanes that pass charge `body` over their warps and run
     /// `trip`'s memory instructions, and the loop ends on a trip that no
     /// lane passes. Per-lane state lives in `state`, which both closures
-    /// see.
+    /// see. The primitive under [`loop_pass!`](crate::loop_pass), which
+    /// derives `head` and `body` from the code of `test` and `trip`.
     pub fn loop_pass<S>(
         &mut self,
         state: &mut S,
