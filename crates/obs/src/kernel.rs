@@ -22,10 +22,17 @@ use std::sync::{Arc, Mutex};
 use crate::metrics::KernelFamilySnapshot;
 use crate::trace::JobTrace;
 
-/// Engine-wide kernel-family aggregate (every job's launches, summed).
+/// Modeled-time quanta per millisecond: a family's modeled time is summed
+/// as a whole number of 2^-40 ms (about 0.9 fs) quanta, an integer sum
+/// that does not depend on the order the launches complete in.
+const QUANTA_PER_MS: f64 = (1u64 << 40) as f64;
+
+/// Engine-wide kernel-family aggregate (every job's launches, summed):
+/// per family its launches and modeled time in whole 2^-40 ms quanta, so
+/// the totals are the same at any worker count.
 #[derive(Default)]
 pub struct KernelProfiler {
-    families: Mutex<BTreeMap<String, (u64, f64)>>,
+    families: Mutex<BTreeMap<String, (u64, u128)>>,
 }
 
 impl KernelProfiler {
@@ -37,9 +44,9 @@ impl KernelProfiler {
     /// Record one launch of `family` costing `ms` modeled time.
     pub fn record(&self, family: &str, ms: f64) {
         let mut map = self.families.lock().expect("profiler lock");
-        let e = map.entry(family.to_string()).or_insert((0, 0.0));
+        let e = map.entry(family.to_string()).or_insert((0, 0));
         e.0 += 1;
-        e.1 += ms;
+        e.1 += (ms * QUANTA_PER_MS).round() as u128;
     }
 
     /// Per-family totals, sorted by family name.
@@ -48,10 +55,10 @@ impl KernelProfiler {
             .lock()
             .expect("profiler lock")
             .iter()
-            .map(|(family, &(invocations, modeled_ms))| KernelFamilySnapshot {
+            .map(|(family, &(invocations, quanta))| KernelFamilySnapshot {
                 family: family.clone(),
                 invocations,
-                modeled_ms,
+                modeled_ms: quanta as f64 / QUANTA_PER_MS,
             })
             .collect()
     }
@@ -147,6 +154,19 @@ mod tests {
         let inner = inner_prof.snapshot();
         assert_eq!(inner[0].family, "b");
         assert_eq!(inner[0].invocations, 1);
+    }
+
+    #[test]
+    fn family_sums_do_not_depend_on_launch_order() {
+        // Summed as f64 in these two orders, these differ in the last bit.
+        let ms = [0.026336, 1.674938, 0.518708, 0.468662, 1.99129, 4.70263507522448e-10];
+        let forward = KernelProfiler::new();
+        ms.iter().for_each(|&t| forward.record("k", t));
+        let backward = KernelProfiler::new();
+        ms.iter().rev().for_each(|&t| backward.record("k", t));
+        let (f, b) = (forward.snapshot(), backward.snapshot());
+        assert_eq!(f[0].modeled_ms.to_bits(), b[0].modeled_ms.to_bits());
+        assert!((f[0].modeled_ms - ms.iter().sum::<f64>()).abs() < 1e-9);
     }
 
     #[test]
