@@ -27,7 +27,7 @@
 
 use std::cell::Cell;
 
-use crate::block::{Op, Reg, Tally};
+use crate::block::{Op, Reg, Tally, OPS};
 use crate::global::{DevicePtr, GlobalMem};
 use crate::pool::PoolItem;
 use crate::rng::pm_draw;
@@ -286,20 +286,50 @@ impl Alu for Run {
 /// The arithmetic a tally is derived with: every method adds its charge
 /// to the count it borrows.
 #[derive(Debug, Clone, Copy)]
-pub struct Count<'c>(&'c Cell<Tally>);
+pub struct Count<'c>(&'c Counter);
+
+/// A tally being counted: instructions per [`Op`] class, and draws.
+#[derive(Debug, Default)]
+pub(crate) struct Counter {
+    ops: [Cell<u64>; OPS.len()],
+    draws: Cell<u64>,
+}
+
+impl Counter {
+    fn add(&self, op: Op, k: u64) {
+        let n = &self.ops[op as usize];
+        n.set(n.get() + k);
+    }
+
+    fn tally(&self) -> Tally {
+        Tally { ops: self.ops.each_ref().map(Cell::get), draws: self.draws.get() }
+    }
+
+    /// Set the count to `t`.
+    fn set(&self, t: Tally) {
+        self.ops.iter().zip(t.ops).for_each(|(n, k)| n.set(k));
+        self.draws.set(t.draws);
+    }
+}
 
 impl Alu for Count<'_> {
     fn tally(self, t: Tally) {
-        self.0.set(self.0.get().plus(t));
+        OPS.iter().for_each(|&op| self.0.add(op, t.ops[op as usize]));
+        self.0.draws.set(self.0.draws.get() + t.draws);
+    }
+
+    fn lane_op(self, op: LaneOp) {
+        self.0.add(op.class(), 1);
+        self.0.add(Op::Sfu, op.sfu());
     }
 }
 
 impl Tally {
     /// The tally of `body`'s arithmetic, run once through [`Count`].
     pub fn count(body: impl FnOnce(Count)) -> Tally {
-        let count = Cell::new(Tally::NONE);
-        body(Count(&count));
-        count.get()
+        let counter = Counter::default();
+        body(Count(&counter));
+        counter.tally()
     }
 }
 
@@ -392,16 +422,16 @@ pub trait Pass {
 /// only the block's spare lane, its loops run one trip, and it touches no
 /// memory (see the module docs).
 pub struct Probe<'c> {
-    count: &'c Cell<Tally>,
+    count: &'c Counter,
     lane: usize,
 }
 
 impl Probe<'_> {
     /// The tally of `body` on a block of `lanes` lanes.
     pub(crate) fn tally(lanes: usize, body: impl FnOnce(&mut Probe)) -> Tally {
-        let count = Cell::new(Tally::NONE);
+        let count = Counter::default();
         body(&mut Probe { count: &count, lane: lanes });
-        count.get()
+        count.tally()
     }
 }
 
@@ -419,12 +449,12 @@ impl<'c> Pass for Probe<'c> {
     }
 
     fn repeat(&mut self, trips: u32, mut body: impl FnMut(&mut Self, u32)) {
-        let outer = self.count.replace(Tally::NONE);
+        let outer = self.count.tally();
+        self.count.set(Tally::NONE);
         if trips > 0 {
             body(self, 0);
         }
-        let trip = self.count.replace(outer);
-        self.count.set(outer.plus(trip.times(trips as u64)));
+        self.count.set(outer.plus(self.count.tally().times(trips as u64)));
     }
 
     fn lanes(&mut self, _: impl IntoIterator<Item = usize>, mut f: impl FnMut(usize)) {

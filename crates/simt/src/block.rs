@@ -229,7 +229,7 @@ pub fn op_cycles(dev: &DeviceSpec, op: Op) -> u32 {
 
 /// Every [`Op`], for walking a [`Tally`] (which counts `op` in slot
 /// `op as usize`).
-const OPS: [Op; 10] = {
+pub(crate) const OPS: [Op; 10] = {
     use Op::*;
     // Exhaustive, so a new `Op` fails to compile until it is listed here.
     match IAlu {
@@ -243,8 +243,8 @@ const OPS: [Op; 10] = {
 /// active lane. `const`-built, so a kernel can name a step's tally once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tally {
-    ops: [u64; OPS.len()],
-    draws: u64,
+    pub(crate) ops: [u64; OPS.len()],
+    pub(crate) draws: u64,
 }
 
 impl Tally {
