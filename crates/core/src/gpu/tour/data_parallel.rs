@@ -46,6 +46,7 @@
 //! "results similar to those obtained by the sequential code". The
 //! quality experiments in `crate::quality` quantify that claim.
 
+use aco_simt::alu::Memo;
 use aco_simt::lane_pass;
 use aco_simt::prelude::*;
 use aco_simt::rng::PmRng;
@@ -110,12 +111,11 @@ impl DataParallelTourKernel {
         let owner_mask = ctx.lane_mask(owner);
         ctx.branch(&owner_mask);
         ctx.with_mask(gm, &owner_mask, |ctx, _| {
-            let marked = lane_pass!(ctx, |pass| {
+            lane_pass!(ctx, |pass| {
                 let a = pass.alu();
                 let bit = a.mov(1 << tile);
-                pass.reg(|l| a.mov(a.ior(tabu.lane(l), bit)))
+                pass.lanes([owner as usize], |l| tabu.set_lane(l, a.mov(a.ior(tabu.lane(l), bit))));
             });
-            tabu.set_lane(owner as usize, marked.lane(owner as usize));
         });
     }
 
@@ -134,14 +134,12 @@ impl DataParallelTourKernel {
         ctx.charge(Op::Mov, 4);
         let lane0 = ctx.lane_mask(0);
         ctx.if_then(gm, &lane0, |ctx, gm| {
-            let d = lane_pass!(ctx, |pass| {
-                let a = pass.alu();
-                let mut d = pass.reg(|_| 0.0f32);
+            *len += lane_pass!(ctx, |pass| {
+                let (a, mut d) = (pass.alu(), 0.0);
                 pass.st_global_u32(gm, self.bufs.tours, |_| pos, |_| city);
-                pass.ld_f32(gm, self.bufs.dist, false, |_| didx, |l, v| d.set_lane(l, a.mov(v)));
+                pass.ld_f32(gm, self.bufs.dist, false, |_| didx, |_, v| d = a.mov(v));
                 d
             });
-            *len += d.lane(0);
         });
     }
 }
@@ -188,6 +186,8 @@ impl Kernel for DataParallelTourKernel {
         let mut len = 0.0f32;
         ctx.charge(Op::Mov, 5); // splats of -1, 0, 1, n^2 - 1 and n
         let last_cell = n * n - 1;
+        // Every tile issues the same instructions.
+        let tile_tally = Memo::default();
 
         for step in 1..n {
             let mut best_val = f32::NEG_INFINITY;
@@ -201,7 +201,7 @@ impl Kernel for DataParallelTourKernel {
                 let (first, row) = (tile * t, cur * n);
                 // The value and city slots are shared words `lane`.
                 let city = |l: usize| first + l as u32;
-                lane_pass!(ctx, |pass| {
+                lane_pass!(ctx, &tile_tally, |pass| {
                     let a = pass.alu();
                     let (first, tile, row) = (a.mov(first), a.mov(tile), a.mov(row));
                     let idx = |l: usize| a.imin(a.iadd(row, a.iadd(first, l as u32)), last_cell);

@@ -46,6 +46,7 @@
 //! tours and the lengths by fingerprints recorded against the op-by-op
 //! kernel.
 
+use aco_simt::alu::Memo;
 use aco_simt::prelude::*;
 use aco_simt::rng::PmRng;
 use aco_simt::{lane_pass, loop_pass};
@@ -122,12 +123,27 @@ enum TabuState {
     SharedBits(ShPtr<u32>),
 }
 
-/// One block's ants: where their tabu lists live, and their global and
-/// in-block thread indices.
+/// One block's ants: where their tabu lists live, their global and
+/// in-block thread indices, and the tallies of their pass sites.
 struct Ants {
     tabu: TabuState,
     tid_global: Reg<u32>,
     tid_local: Reg<u32>,
+    tallies: Tallies,
+}
+
+/// Each per-step pass site's tally, derived on its first call in the
+/// block: every call of a site issues the same instructions.
+#[derive(Default)]
+struct Tallies {
+    mark: Memo<Tally>,
+    argmax: Memo<Tally>,
+    prob: Memo<Tally>,
+    scan: Memo<(Tally, Tally)>,
+    guard: Memo<Tally>,
+    cand: Memo<Tally>,
+    roulette: Memo<Tally>,
+    pick: Memo<Tally>,
 }
 
 /// The candidate step's per-lane values, candidate-major (slot
@@ -270,7 +286,7 @@ impl TaskTourKernel {
     /// also splats its constants, loads the word and sets its bit).
     fn tabu_set(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem, ants: &Ants, city: &Reg<u32>) {
         let n = self.bufs.n;
-        lane_pass!(ctx, |pass| {
+        lane_pass!(ctx, &ants.tallies.mark, |pass| {
             let a = pass.alu();
             let nreg = a.mov(n);
             match ants.tabu {
@@ -313,7 +329,7 @@ impl TaskTourKernel {
         cur: &Reg<u32>,
     ) -> Reg<u32> {
         let n = self.bufs.n;
-        lane_pass!(ctx, |pass| {
+        lane_pass!(ctx, &ants.tallies.argmax, |pass| {
             let a = pass.alu();
             let (nreg, one) = (a.mov(n), a.mov(1.0f32));
             let curn = pass.reg(|l| a.imul(cur.lane(l), nreg));
@@ -355,7 +371,7 @@ impl TaskTourKernel {
         let n = self.bufs.n;
         // The probability pass: per city its splat, choice value, tabu
         // test and product, stored, and the running sum.
-        let (prob_base, sum) = lane_pass!(ctx, |pass| {
+        let (prob_base, sum) = lane_pass!(ctx, &ants.tallies.prob, |pass| {
             let a = pass.alu();
             let nreg = a.mov(n);
             let curn = pass.reg(|l| a.imul(cur.lane(l), nreg));
@@ -388,6 +404,7 @@ impl TaskTourKernel {
         ctx.charge(Op::Mov, 2);
         loop_pass!(
             ctx,
+            &ants.tallies.scan,
             scan,
             |a, (j, cum), l| a.flt(cum.lane(l), target.lane(l)) & a.ult(j.lane(l), n - 1),
             |pass, (j, cum)| {
@@ -405,7 +422,7 @@ impl TaskTourKernel {
 
         // Rounding guard: a lane can land on a visited (zero-probability)
         // city; fall back to the deterministic best.
-        let unvis = lane_pass!(ctx, |pass| {
+        let unvis = lane_pass!(ctx, &ants.tallies.guard, |pass| {
             let mut unvis = pass.reg(|_| 0.0f32);
             self.tabu_check(pass, gm, ants, |l| j.lane(l), |l, u| unvis.set_lane(l, u));
             unvis
@@ -434,7 +451,7 @@ impl TaskTourKernel {
         let (n, nn, lanes) = (self.bufs.n, self.bufs.nn, cands.lanes);
         // Per candidate: a splat, the list index add, the list load, the
         // choice value, the tabu test, the product and the running sum.
-        let sum = lane_pass!(ctx, |pass| {
+        let sum = lane_pass!(ctx, &ants.tallies.cand, |pass| {
             let a = pass.alu();
             let (nreg, nnreg) = (a.mov(n), a.mov(nn));
             let curn = pass.reg(|l| a.imul(cur.lane(l), nreg));
@@ -474,7 +491,7 @@ impl TaskTourKernel {
             // The first candidate whose running sum crosses the target
             // and whose probability is positive: per candidate the running
             // sum, two compares, the predicate bookkeeping and a select.
-            let (mut chosen, done) = lane_pass!(ctx, |pass| {
+            let (mut chosen, done) = lane_pass!(ctx, &ants.tallies.roulette, |pass| {
                 let a = pass.alu();
                 let mut done = pass.reg(|_| 0u32);
                 let chosen = pass.reg(|l| {
@@ -496,7 +513,7 @@ impl TaskTourKernel {
             // splat, then a compare and two selects per candidate).
             let undone = Mask::from_fn(ctx.block_dim as usize, |l| done.lane(l) == 0);
             ctx.if_then(gm, &undone, |ctx, _| {
-                let best = lane_pass!(ctx, |pass| {
+                let best = lane_pass!(ctx, &ants.tallies.pick, |pass| {
                     let a = pass.alu();
                     pass.reg(|l| {
                         let (mut bv, mut bc) = (a.mov(-1.0f32), city[l]);
@@ -543,7 +560,7 @@ impl Kernel for TaskTourKernel {
 
         let tid_global = ctx.global_thread_idx();
         let tid_local = ctx.thread_idx();
-        let ants = Ants { tabu, tid_global, tid_local };
+        let ants = Ants { tabu, tid_global, tid_local, tallies: Tallies::default() };
         let m = ctx.splat_u32(self.bufs.m);
         let is_ant = ctx.ult(&ants.tid_global, &m);
         let lanes = ctx.block_dim as usize + 1;

@@ -21,7 +21,8 @@
 //! the CUDA code executes, and every compare is counted (combine them
 //! with `&` and `|`, which predicate registers do for free, not `&&`).
 //! [`Pass::repeat`] runs a loop of a fixed trip count; the probe counts
-//! one trip and multiplies. Costs the model charges that run no host
+//! one trip and multiplies. A pass site called every step keeps its
+//! derived tally in a [`Memo`] for the rest of its block. Costs the model charges that run no host
 //! operation, such as the baseline's double-precision `pow` surcharge,
 //! are an explicit [`Alu::charge`].
 
@@ -57,18 +58,6 @@ pub enum LaneOp {
 }
 
 impl LaneOp {
-    /// Every lane op.
-    pub const ALL: [LaneOp; 8] = [
-        LaneOp::Int,
-        LaneOp::DivMod,
-        LaneOp::FAdd,
-        LaneOp::FMul,
-        LaneOp::FDiv,
-        LaneOp::FPow,
-        LaneOp::Cmp,
-        LaneOp::Mov,
-    ];
-
     /// The class the op issues as.
     pub const fn class(self) -> Op {
         match self {
@@ -88,30 +77,37 @@ impl LaneOp {
             _ => 0,
         }
     }
+}
 
-    /// The op's instructions as a tally.
-    pub const fn tally(self) -> Tally {
-        Tally::NONE.op(self.class(), 1).op(Op::Sfu, self.sfu())
-    }
+/// `fn name(self, x: T, y: T) -> U`: one `op`, then `f(x, y)`.
+macro_rules! binary_ops {
+    ($($name:ident($t:ty) -> $u:ty = $op:ident, $f:expr;)*) => {$(
+        #[inline(always)]
+        fn $name(self, x: $t, y: $t) -> $u {
+            self.lane_op(LaneOp::$op);
+            ($f)(x, y)
+        }
+    )*};
 }
 
 /// One lane's arithmetic in a pass body: each method is the operation
-/// on one lane's values, charged as [`LaneOp`] says. The two readings are
-/// [`Run`] and [`Count`] (see the module docs).
+/// on one lane's values, charged as [`LaneOp`] says (the integer ops
+/// wrap, as the registers do). The two readings are [`Run`] and
+/// [`Count`] (see the module docs).
 pub trait Alu: Copy {
     /// Add `t` to the body's tally: nothing for [`Run`].
     fn tally(self, t: Tally);
+
+    /// One `op`.
+    #[inline(always)]
+    fn lane_op(self, op: LaneOp) {
+        self.tally(Tally::NONE.op(op.class(), 1).op(Op::Sfu, op.sfu()));
+    }
 
     /// `k` instructions of class `op` with no host operation behind them.
     #[inline(always)]
     fn charge(self, op: Op, k: u64) {
         self.tally(Tally::NONE.op(op, k));
-    }
-
-    /// One `op`.
-    #[inline(always)]
-    fn lane_op(self, op: LaneOp) {
-        self.tally(op.tally());
     }
 
     /// A splat, predicated move or register copy of `v`.
@@ -132,137 +128,11 @@ pub trait Alu: Copy {
         }
     }
 
-    #[inline(always)]
-    fn iadd(self, x: u32, y: u32) -> u32 {
-        self.lane_op(LaneOp::Int);
-        x.wrapping_add(y)
-    }
-
-    #[inline(always)]
-    fn isub(self, x: u32, y: u32) -> u32 {
-        self.lane_op(LaneOp::Int);
-        x.wrapping_sub(y)
-    }
-
-    #[inline(always)]
-    fn imul(self, x: u32, y: u32) -> u32 {
-        self.lane_op(LaneOp::Int);
-        x.wrapping_mul(y)
-    }
-
-    #[inline(always)]
-    fn iand(self, x: u32, y: u32) -> u32 {
-        self.lane_op(LaneOp::Int);
-        x & y
-    }
-
-    #[inline(always)]
-    fn ior(self, x: u32, y: u32) -> u32 {
-        self.lane_op(LaneOp::Int);
-        x | y
-    }
-
-    #[inline(always)]
-    fn ishl(self, x: u32, y: u32) -> u32 {
-        self.lane_op(LaneOp::Int);
-        x.wrapping_shl(y)
-    }
-
-    #[inline(always)]
-    fn ishr(self, x: u32, y: u32) -> u32 {
-        self.lane_op(LaneOp::Int);
-        x.wrapping_shr(y)
-    }
-
-    #[inline(always)]
-    fn imin(self, x: u32, y: u32) -> u32 {
-        self.lane_op(LaneOp::Int);
-        x.min(y)
-    }
-
-    #[inline(always)]
-    fn fadd(self, x: f32, y: f32) -> f32 {
-        self.lane_op(LaneOp::FAdd);
-        x + y
-    }
-
-    #[inline(always)]
-    fn fsub(self, x: f32, y: f32) -> f32 {
-        self.lane_op(LaneOp::FAdd);
-        x - y
-    }
-
-    #[inline(always)]
-    fn fmul(self, x: f32, y: f32) -> f32 {
-        self.lane_op(LaneOp::FMul);
-        x * y
-    }
-
-    #[inline(always)]
-    fn fdiv(self, x: f32, y: f32) -> f32 {
-        self.lane_op(LaneOp::FDiv);
-        x / y
-    }
-
-    #[inline(always)]
-    fn fpow(self, x: f32, y: f32) -> f32 {
-        self.lane_op(LaneOp::FPow);
-        x.powf(y)
-    }
-
     /// u32 → f32 conversion.
     #[inline(always)]
     fn u2f(self, x: u32) -> f32 {
         self.lane_op(LaneOp::Mov);
         x as f32
-    }
-
-    #[inline(always)]
-    fn flt(self, x: f32, y: f32) -> bool {
-        self.lane_op(LaneOp::Cmp);
-        x < y
-    }
-
-    #[inline(always)]
-    fn fle(self, x: f32, y: f32) -> bool {
-        self.lane_op(LaneOp::Cmp);
-        x <= y
-    }
-
-    #[inline(always)]
-    fn fgt(self, x: f32, y: f32) -> bool {
-        self.lane_op(LaneOp::Cmp);
-        x > y
-    }
-
-    #[inline(always)]
-    fn fge(self, x: f32, y: f32) -> bool {
-        self.lane_op(LaneOp::Cmp);
-        x >= y
-    }
-
-    #[inline(always)]
-    fn ult(self, x: u32, y: u32) -> bool {
-        self.lane_op(LaneOp::Cmp);
-        x < y
-    }
-
-    #[inline(always)]
-    fn ule(self, x: u32, y: u32) -> bool {
-        self.lane_op(LaneOp::Cmp);
-        x <= y
-    }
-
-    #[inline(always)]
-    fn ueq(self, x: u32, y: u32) -> bool {
-        self.lane_op(LaneOp::Cmp);
-        x == y
-    }
-
-    #[inline(always)]
-    fn une(self, x: u32, y: u32) -> bool {
-        self.lane_op(LaneOp::Cmp);
-        x != y
     }
 
     /// One Park–Miller draw from the lane's `state`, charged as
@@ -271,6 +141,30 @@ pub trait Alu: Copy {
     fn draw(self, state: &mut u32) -> f32 {
         self.tally(Tally::NONE.draws(1));
         pm_draw(state)
+    }
+
+    binary_ops! {
+        iadd(u32) -> u32 = Int, u32::wrapping_add;
+        isub(u32) -> u32 = Int, u32::wrapping_sub;
+        imul(u32) -> u32 = Int, u32::wrapping_mul;
+        iand(u32) -> u32 = Int, |x, y| x & y;
+        ior(u32) -> u32 = Int, |x, y| x | y;
+        ishl(u32) -> u32 = Int, u32::wrapping_shl;
+        ishr(u32) -> u32 = Int, u32::wrapping_shr;
+        imin(u32) -> u32 = Int, u32::min;
+        fadd(f32) -> f32 = FAdd, |x, y| x + y;
+        fsub(f32) -> f32 = FAdd, |x, y| x - y;
+        fmul(f32) -> f32 = FMul, |x, y| x * y;
+        fdiv(f32) -> f32 = FDiv, |x, y| x / y;
+        fpow(f32) -> f32 = FPow, f32::powf;
+        flt(f32) -> bool = Cmp, |x, y| x < y;
+        fle(f32) -> bool = Cmp, |x, y| x <= y;
+        fgt(f32) -> bool = Cmp, |x, y| x > y;
+        fge(f32) -> bool = Cmp, |x, y| x >= y;
+        ult(u32) -> bool = Cmp, |x, y| x < y;
+        ule(u32) -> bool = Cmp, |x, y| x <= y;
+        ueq(u32) -> bool = Cmp, |x, y| x == y;
+        une(u32) -> bool = Cmp, |x, y| x != y;
     }
 }
 
@@ -418,6 +312,9 @@ pub trait Pass {
     fn sh_st_lanes<T>(&mut self, ptr: ShPtr<T>, bits: impl FnMut(usize) -> u32);
 }
 
+/// A derived tally kept for a pass site (see [`lane_pass!`](crate::lane_pass)).
+pub type Memo<T> = Cell<Option<T>>;
+
 /// The pass a body's tally is derived on: its registers and closures see
 /// only the block's spare lane, its loops run one trip, and it touches no
 /// memory (see the module docs).
@@ -536,6 +433,11 @@ impl<'c> Pass for Probe<'c> {
 /// an expression over `pass: &mut impl Pass`, expanded twice: on a
 /// [`Probe`] for the tally, then on the [`LanePass`](crate::LanePass);
 /// its value is the second's.
+///
+/// `lane_pass!(ctx, memo, |pass| body)`, with `memo: &Memo<Tally>`,
+/// derives the tally on the first call only and keeps it in `memo`: for a
+/// pass site whose every call issues the same instructions, such as a
+/// kernel's per-step pass within one block.
 #[macro_export]
 macro_rules! lane_pass {
     ($ctx:ident, |$pass:ident| $body:expr) => {{
@@ -546,31 +448,51 @@ macro_rules! lane_pass {
         let $pass = &mut $ctx.lane_pass(tally);
         $body
     }};
+    ($ctx:ident, $memo:expr, |$pass:ident| $body:expr) => {{
+        use $crate::alu::{Alu as _, Pass as _};
+        let memo: &$crate::alu::Memo<$crate::Tally> = $memo;
+        let tally = memo.get().unwrap_or_else(|| {
+            let tally = $ctx.tally_of(|$pass| {
+                let _ = $body;
+            });
+            memo.set(Some(tally));
+            tally
+        });
+        let $pass = &mut $ctx.lane_pass(tally);
+        $body
+    }};
 }
 
-/// `loop_pass!(ctx, state, |a, s, lane| test, |pass, s| trip)`: the loop
-/// pass ([`BlockCtx::loop_pass`](crate::BlockCtx::loop_pass)) whose head
-/// tally is the loop's and the `if`'s branches plus the instructions
-/// counted from `test` (run with `a: impl Alu`), and whose step tally is
-/// counted from `trip` on a [`Probe`].
+/// `loop_pass!(ctx, memo, state, |a, s, lane| test, |pass, s| trip)`:
+/// the loop pass ([`BlockCtx::loop_pass`](crate::BlockCtx::loop_pass))
+/// whose head tally is the loop's and the `if`'s branches plus the
+/// instructions counted from `test` (run with `a: impl Alu`), and whose
+/// step tally is counted from `trip` on a [`Probe`]. Both are derived on
+/// the first call and kept in `memo: &Memo<(Tally, Tally)>`, as
+/// [`lane_pass!`](crate::lane_pass) keeps one.
 #[macro_export]
 macro_rules! loop_pass {
     (
-        $ctx:ident, $state:ident,
+        $ctx:ident, $memo:expr, $state:ident,
         |$a:ident, $ts:pat_param, $l:ident| $test:expr,
         |$pass:ident, $ps:pat_param| $trip:expr $(,)?
     ) => {{
         use $crate::alu::{Alu as _, Pass as _};
-        let lane = $ctx.block_dim as usize;
-        let test = $crate::Tally::count(|$a| {
-            let ($ts, $l) = (&$state, lane);
-            let _ = $test;
+        let memo: &$crate::alu::Memo<($crate::Tally, $crate::Tally)> = $memo;
+        let (head, step) = memo.get().unwrap_or_else(|| {
+            let lane = $ctx.block_dim as usize;
+            let test = $crate::Tally::count(|$a| {
+                let ($ts, $l) = (&$state, lane);
+                let _ = $test;
+            });
+            let step = $ctx.tally_of(|$pass| {
+                let $ps = &mut $state;
+                $trip;
+            });
+            let head = test.plus($crate::Tally::NONE.op($crate::Op::Branch, 2));
+            memo.set(Some((head, step)));
+            (head, step)
         });
-        let step = $ctx.tally_of(|$pass| {
-            let $ps = &mut $state;
-            $trip;
-        });
-        let head = test.plus($crate::Tally::NONE.op($crate::Op::Branch, 2));
         $ctx.loop_pass(
             &mut $state,
             head,

@@ -240,7 +240,9 @@ pub(crate) const OPS: [Op; 10] = {
 
 /// The data-independent instructions of a [`LanePass`]: a count per
 /// [`Op`] class, charged to every active warp, and Park–Miller draws per
-/// active lane. `const`-built, so a kernel can name a step's tally once.
+/// active lane. Kernels derive theirs from the pass body
+/// ([`Tally::count`], [`BlockCtx::tally_of`]); the interpreter's own
+/// machinery builds its few with [`Tally::op`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tally {
     pub(crate) ops: [u64; OPS.len()],
@@ -596,9 +598,12 @@ impl<'a> BlockCtx<'a> {
 
     /// Charge one `op` to every active warp: its class's instruction and
     /// any SFU instructions beside it.
+    #[inline(always)]
     fn lane_op(&mut self, op: LaneOp) {
         self.charge(op.class(), 1);
-        self.charge(Op::Sfu, op.sfu());
+        if op.sfu() > 0 {
+            self.charge(Op::Sfu, op.sfu());
+        }
     }
 
     fn bin<T: PoolItem>(
