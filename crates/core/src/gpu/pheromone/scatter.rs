@@ -18,7 +18,8 @@
 //!
 //! **Host cost.** Every lane runs the same branch-free match per tour
 //! step, so its counters do not depend on the data: each staged tile
-//! (each ant in the plain row) is one lane pass over its steps, charged
+//! (each run of up to θ steps of an ant in the plain row) is one lane
+//! pass over its steps, charged
 //! the tally counted from the step's body (the two city splats and the
 //! match: four compares, three predicate ops, a zero splat, a select and
 //! the add). The body runs only on the lanes that own the edge's cells —
@@ -127,15 +128,19 @@ impl ScatterGatherKernel {
         let m = self.bufs.m;
         let stride = self.bufs.stride;
         let mut acc = ctx.splat_f32(0.0);
-        let mut edges = vec![(0, 0); n as usize];
+        let mut edges = [(0, 0); THETA as usize];
         for k in 0..m {
             let delta = self.ant_delta(ctx, gm, k);
-            for (s, edge) in (0..n).zip(&mut edges) {
-                let c0 = ctx.ld_global_u32_uniform(gm, self.bufs.tours, k * stride + s);
-                let c1 = ctx.ld_global_u32_uniform(gm, self.bufs.tours, k * stride + s + 1);
-                *edge = (c0, c1);
+            // The steps in runs of at most θ, each one pass.
+            for first in (0..n).step_by(THETA as usize) {
+                let run = (n - first).min(THETA);
+                for (s, edge) in (first..first + run).zip(&mut edges) {
+                    let c0 = ctx.ld_global_u32_uniform(gm, self.bufs.tours, k * stride + s);
+                    let c1 = ctx.ld_global_u32_uniform(gm, self.bufs.tours, k * stride + s + 1);
+                    *edge = (c0, c1);
+                }
+                self.deposit(ctx, &mut acc, ij, &edges[..run as usize], delta);
             }
-            self.deposit(ctx, &mut acc, ij, &edges, delta);
         }
         acc
     }

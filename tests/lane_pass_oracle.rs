@@ -16,7 +16,7 @@
 //!   in all three tabu layouts, shared-tabu zeroing;
 //! - the data-parallel tour kernel (rows 7–8): one pass per tile;
 //! - the scatter-to-gather pheromone rows: one pass per staged tile, or
-//!   per ant in the plain row.
+//!   per run of up to θ steps in the plain row.
 //!
 //! The tables were recorded while each kernel was still compared, on the
 //! same grid, against its op-by-op form, so a changed fingerprint means a
