@@ -1,10 +1,11 @@
 //! Pass bodies written once: the per-lane arithmetic a body runs, and the
 //! [`Tally`] derived from it.
 //!
-//! A lane pass ([`BlockCtx::lane_pass`](crate::BlockCtx::lane_pass)) charges its data-independent
-//! instructions as one [`Tally`] and runs the lanes' arithmetic as a host
-//! loop. The body does that arithmetic through an [`Alu`], and its memory
-//! instructions through a [`Pass`], so one body has two readings:
+//! A lane pass ([`BlockCtx::lane_pass`](crate::BlockCtx::lane_pass))
+//! charges its data-independent instructions as one [`Tally`] and runs
+//! the lanes' arithmetic as a host loop. The body does that arithmetic
+//! through an [`Alu`], and its memory instructions through a [`Pass`], so
+//! one body has two readings:
 //!
 //! - [`Run`], a zero-sized [`Alu`] whose every method inlines to the
 //!   plain host operation, with [`LanePass`](crate::LanePass): the pass
@@ -22,9 +23,9 @@
 //! with `&` and `|`, which predicate registers do for free, not `&&`).
 //! [`Pass::repeat`] runs a loop of a fixed trip count; the probe counts
 //! one trip and multiplies. A pass site called every step keeps its
-//! derived tally in a [`Memo`] for the rest of its block. Costs the model charges that run no host
-//! operation, such as the baseline's double-precision `pow` surcharge,
-//! are an explicit [`Alu::charge`].
+//! derived tally in a [`Memo`] for the rest of its block. Costs the model
+//! charges that run no host operation, such as the baseline's
+//! double-precision `pow` surcharge, are an explicit [`Alu::charge`].
 
 use std::cell::Cell;
 

@@ -62,7 +62,7 @@ pub mod shared;
 pub mod stats;
 pub mod timing;
 
-pub use alu::{Alu, LaneOp, Pass, Probe, Run};
+pub use alu::{Alu, Pass};
 pub use block::{BlockCtx, LanePass, Op, Reg, Tally};
 pub use device::{ComputeCapability, DeviceSpec};
 pub use global::{DevicePtr, GlobalMem};
