@@ -307,7 +307,9 @@ impl TaskTourKernel {
                     let word = |l| a.iadd(a.imul(tid.lane(l), words), a.ishr(city.lane(l), five));
                     pass.sh_ld(arr, word, |l, x| w.set_lane(l, x));
                     // The store reuses the index register.
-                    let reuse = |l| tid.lane(l).wrapping_mul(n.div_ceil(32)) + (city.lane(l) >> 5);
+                    let reuse = |l| {
+                        tid.lane(l).wrapping_mul(n.div_ceil(32)).wrapping_add(city.lane(l) >> 5)
+                    };
                     pass.sh_st(arr, reuse, |l| {
                         let bit = a.ishl(a.mov(1), a.iand(city.lane(l), a.mov(31)));
                         a.ior(w.lane(l), bit)
