@@ -14,6 +14,9 @@
 //! - the task-parallel tour kernel (Table II rows 1–6): probability pass,
 //!   candidate loop and roulette, argmax fallback, tabu tests and marks
 //!   in all three tabu layouts, shared-tabu zeroing;
+//! - the GPU ACS tour kernel: its candidate loop, the exploitation pick
+//!   and roulette it shares with rows 4–6, the all-city fallback, the
+//!   move and the local update of `tau`;
 //! - the data-parallel tour kernel (rows 7–8): one pass per tile;
 //! - the scatter-to-gather pheromone rows: one pass per staged tile, or
 //!   per run of up to θ steps in the plain row.
@@ -24,10 +27,12 @@
 //! ([`BlockCtx::sh_argmax_tree`]), which charges its levels in closed
 //! form, is still compared against its written-out level loop.
 //!
-//! The task rows' full grid is `#[ignore]`d for the release tier
-//! (`cargo test --release --test lane_pass_oracle -- --include-ignored`);
-//! the debug tier runs its n = 5 and n = 24 columns.
+//! The task rows' and the ACS kernel's full grids are `#[ignore]`d for
+//! the release tier (`cargo test --release --test lane_pass_oracle --
+//! --include-ignored`); the debug tier runs their n = 5 and n = 24
+//! columns.
 
+use aco_gpu::core::gpu::acs::AcsTourKernel;
 use aco_gpu::core::gpu::choice::ChoiceKernel;
 use aco_gpu::core::gpu::pheromone::{ScatterGatherKernel, ScatterMode};
 use aco_gpu::core::gpu::tour::{DataParallelTourKernel, TaskTourKernel, TourStrategy};
@@ -279,6 +284,88 @@ const TASK_ROWS: &[(&str, u64)] = &[
     ("NNList n=150", 0x3a20813e7dcae8d0),
     ("NNListShared n=150", 0xfa981cf0c8933c18),
     ("NNListSharedTex n=150", 0xe1d9085bac2a5a07),
+];
+
+// --- GPU ACS ---------------------------------------------------------------------
+
+/// The `tau0` of the ACS cases.
+const ACS_TAU0: f32 = 1e-4;
+
+/// An ACS colony's memory: `eta^beta` in the choice table (the Choice
+/// kernel at `alpha = 0`), `tau` off `tau0` by a per-cell pattern so the
+/// exploitation pick weighs both, and a candidate list short enough that
+/// the all-city fallback runs at every size.
+fn acs_colony(inst: &tsp::TspInstance, m: usize) -> (GlobalMem, ColonyBuffers) {
+    let n = inst.n();
+    let mut gm = GlobalMem::new();
+    let params = AcoParams::default().nn((n / 4).clamp(1, 8)).ants(m).seed(13);
+    let bufs = ColonyBuffers::allocate(&mut gm, inst, &params);
+    let ck = ChoiceKernel { bufs, alpha: 0.0, beta: 2.0 };
+    launch(&DeviceSpec::tesla_m2050(), &ck.config(), &ck, &mut gm, SimMode::Full).unwrap();
+    let tau: Vec<f32> = (0..n * n).map(|i| ACS_TAU0 * (1.0 + (i * 7 % 11) as f32 / 4.0)).collect();
+    gm.write_f32(bufs.tau, &tau);
+    bufs.clear_visited(&mut gm);
+    (gm, bufs)
+}
+
+fn acs_kernel(bufs: ColonyBuffers) -> AcsTourKernel {
+    AcsTourKernel { bufs, q0: 0.9, xi: 0.1, tau0: ACS_TAU0, seed: 11, iteration: 3 }
+}
+
+/// The ACS tour kernel at every `m` of the grid (partial 64-lane blocks
+/// among them), both devices and every execution mode: one fingerprint
+/// per size, over the tours, lengths and every other colony word
+/// including the whole `tau` buffer the local update writes.
+fn acs_tour(sizes: &[usize]) {
+    let mut fps = Vec::new();
+    for &n in sizes {
+        let inst = tsp::uniform_random("lane-pass-acs", n, 900.0, n as u64);
+        let mut fp = Fp::new();
+        for m in [1, 8, 65, 129] {
+            for dev in devices() {
+                for exec in EXECS {
+                    let (mut gm, bufs) = acs_colony(&inst, m);
+                    let kernel = acs_kernel(bufs);
+                    let bits = launch_bits(&dev, &kernel.config(), &kernel, &mut gm, exec);
+                    let mut words = tour_words(&gm, bufs);
+                    words.extend(f32_words(gm.f32(bufs.tau)));
+                    fp.launch(&(bits, words));
+                }
+            }
+        }
+        fps.push((format!("n={n}"), fp.0));
+
+        // At m = 65 the partial second block diverges once on `is_ant`;
+        // every other divergent branch is a warp of the full first block
+        // split between the candidate rule and the all-city fallback.
+        let (mut gm, bufs) = acs_colony(&inst, 65);
+        let kernel = acs_kernel(bufs);
+        let dev = DeviceSpec::tesla_m2050();
+        let r = launch(&dev, &kernel.config(), &kernel, &mut gm, SimMode::Full).unwrap();
+        assert!(r.stats.divergent_branches > 1.0, "n={n}: the fallback never split a warp");
+    }
+    compare(fps, ACS_TOUR);
+}
+
+#[test]
+fn acs_tour_matches_its_fingerprints() {
+    acs_tour(&[5, 24]);
+}
+
+#[test]
+#[ignore = "the full grid; run in release with --include-ignored"]
+fn acs_tour_matches_its_fingerprints_at_every_size() {
+    acs_tour(&[48, 100, 150]);
+}
+
+/// One fingerprint per size of the ACS tour kernel: every `m`, device and
+/// execution mode of [`acs_tour`], in that order.
+const ACS_TOUR: &[(&str, u64)] = &[
+    ("n=5", 0x3604f35bf4eea3e2),
+    ("n=24", 0x97d59937fc82afc4),
+    ("n=48", 0x248d60f7d9ea5dd1),
+    ("n=100", 0xa706dfcd18f4e3ad),
+    ("n=150", 0xc711384a841e080e),
 ];
 
 // --- Table II rows 7–8 ---------------------------------------------------------
