@@ -136,6 +136,14 @@ pub trait Alu: Copy {
         x as f32
     }
 
+    /// `x * y + z` as one fused multiply-add, rounded once, bit for bit
+    /// as [`BlockCtx::fma`](crate::BlockCtx::fma).
+    #[inline(always)]
+    fn ffma(self, x: f32, y: f32, z: f32) -> f32 {
+        self.lane_op(LaneOp::FMul);
+        x.mul_add(y, z)
+    }
+
     /// One Park–Miller draw from the lane's `state`, charged as
     /// [`Tally::draws`] charges one.
     #[inline(always)]
@@ -150,6 +158,7 @@ pub trait Alu: Copy {
         imul(u32) -> u32 = Int, u32::wrapping_mul;
         iand(u32) -> u32 = Int, |x, y| x & y;
         ior(u32) -> u32 = Int, |x, y| x | y;
+        ixor(u32) -> u32 = Int, |x, y| x ^ y;
         ishl(u32) -> u32 = Int, u32::wrapping_shl;
         ishr(u32) -> u32 = Int, u32::wrapping_shr;
         imin(u32) -> u32 = Int, u32::min;

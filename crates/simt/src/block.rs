@@ -139,7 +139,9 @@
 //! the same order, so every counter, the L1's hit/miss sequence and its
 //! LRU state are those of the per-lane load of 32 equal addresses.
 
-use crate::alu::{LaneOp, Pass, Probe, Run};
+use std::cell::Cell;
+
+use crate::alu::{LaneOp, Memo, Pass, Probe, Run};
 use crate::cache::Cache;
 use crate::coalesce::{cc13_half_warp_totals, cc20_warp_lines};
 use crate::device::DeviceSpec;
@@ -1476,31 +1478,44 @@ impl<'a> BlockCtx<'a> {
     ///
     /// `states` must hold `12 * total_threads` words (12 words = 48 bytes).
     pub fn curand_next_f32(&mut self, gm: &mut GlobalMem, states: DevicePtr<u32>) -> Reg<f32> {
-        // State words `12 * gtid + k`, k < 3 (the rest ride along in the
-        // same transactions): thread index, 3 splats, multiply, 2 adds;
-        // then 20 integer ops of XORWOW update and sequence bookkeeping.
+        thread_local! {
+            static TALLY: Memo<Tally> = const { Cell::new(None) };
+        }
         let first = self.block_idx * self.block_dim;
-        let word = |k: u32| move |l: usize| (first + l as u32).wrapping_mul(12).wrapping_add(k);
-        let mut pass = self.lane_pass(Tally::NONE.op(Op::IAlu, 24).op(Op::Mov, 3));
-        let [mut x0, mut x1, mut x2] = [0; 3].map(|_| pass.reg(|_| 0u32));
-        for (k, x) in [&mut x0, &mut x1, &mut x2].into_iter().enumerate() {
-            pass.ld_global_u32(gm, states, word(k as u32), |l, v| x.set_lane(l, v));
-        }
-        let out = pass.reg(|l| {
-            let mut x =
-                x0.lane(l) ^ x1.lane(l).rotate_left(13) ^ x2.lane(l).wrapping_mul(0x9E37_79B9);
-            if x == 0 {
-                x = 0x1234_5678;
-            }
-            x ^= x << 13;
-            x ^= x >> 17;
-            x ^= x << 5;
-            x0.set_lane(l, x);
-            (x >> 8) as f32 / (1u32 << 24) as f32
+        let out = TALLY.with(|memo| {
+            crate::lane_pass!(self, memo, |pass| {
+                let a = pass.alu();
+                // State words `12 * gtid + k`, k < 3 (the rest ride along in
+                // the same transactions); the stores reuse the index
+                // registers.
+                let (twelve, one, two) = (a.mov(12), a.mov(1), a.mov(2));
+                let base = &pass.reg(|l| a.imul(a.iadd(first, l as u32), twelve));
+                let word = |k: u32| move |l: usize| base.lane(l).wrapping_add(k);
+                let [mut x0, mut x1, mut x2] = [0; 3].map(|_| pass.reg(|_| 0u32));
+                pass.ld_global_u32(gm, states, word(0), |l, v| x0.set_lane(l, v));
+                let idx = |k| move |l| a.iadd(base.lane(l), k);
+                pass.ld_global_u32(gm, states, idx(one), |l, v| x1.set_lane(l, v));
+                pass.ld_global_u32(gm, states, idx(two), |l, v| x2.set_lane(l, v));
+                let out = pass.reg(|l| {
+                    let rot = a.ior(a.ishl(x1.lane(l), 13), a.ishr(x1.lane(l), 19));
+                    let x = a.ixor(a.ixor(x0.lane(l), rot), a.imul(x2.lane(l), 0x9E37_79B9));
+                    let x = a.select(a.ueq(x, 0), 0x1234_5678, x);
+                    let x = a.ixor(x, a.ishl(x, 13));
+                    let x = a.ixor(x, a.ishr(x, 17));
+                    let x = a.ixor(x, a.ishl(x, 5));
+                    // XORWOW's sequence bookkeeping, which the three words
+                    // kept here do not model: the Weyl counter's add, its
+                    // add into the output and the state-offset update.
+                    a.charge(Op::IAlu, 3);
+                    x0.set_lane(l, x);
+                    a.fmul(a.u2f(a.ishr(x, 8)), 1.0 / (1u32 << 24) as f32)
+                });
+                for (k, x) in [&x0, &x1, &x2].into_iter().enumerate() {
+                    pass.st_global_u32(gm, states, word(k as u32), |l| x.lane(l));
+                }
+                out
+            })
         });
-        for (k, x) in [&x0, &x1, &x2].into_iter().enumerate() {
-            pass.st_global_u32(gm, states, word(k as u32), |l| x.lane(l));
-        }
         self.stats.rng_calls += self.active().count() as f64;
         out
     }

@@ -72,6 +72,7 @@ fn every_register_op_charges_its_counted_tally() {
         fadd: |c, i| c.fadd(&i.x, &i.y), |a| a.fadd(1.5, 0.5);
         fsub: |c, i| c.fsub(&i.x, &i.y), |a| a.fsub(1.5, 0.5);
         fmul: |c, i| c.fmul(&i.x, &i.y), |a| a.fmul(1.5, 0.5);
+        ffma: |c, i| c.fma(&i.x, &i.y, &i.x), |a| a.ffma(1.5, 0.5, 1.5);
         fdiv: |c, i| c.fdiv(&i.x, &i.y), |a| a.fdiv(1.5, 0.5);
         fpow: |c, i| c.fpow(&i.x, &i.y), |a| a.fpow(1.5, 0.5);
         iadd: |c, i| c.iadd(&i.u, &i.v), |a| a.iadd(7, 3);
@@ -114,5 +115,49 @@ fn every_register_op_charges_its_counted_tally() {
             });
             assert_eq!(op_by_op, counted, "{} on the {}", case.name, dev.name);
         }
+    }
+}
+
+/// One 32-lane block's CURAND-style draw, or its former hand-written
+/// charge: 27 issue-priced instructions and no SFU, beside the same three
+/// state loads and three stores.
+struct Curand {
+    derived: bool,
+    states: DevicePtr<u32>,
+}
+
+impl Kernel for Curand {
+    fn name(&self) -> &'static str {
+        "curand"
+    }
+
+    fn run_block(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem) {
+        if self.derived {
+            ctx.curand_next_f32(gm, self.states);
+            return;
+        }
+        let word = |k: u32| move |l: usize| l as u32 * 12 + k;
+        let mut pass = ctx.lane_pass(Tally::NONE.op(Op::IAlu, 27));
+        for k in 0..3 {
+            pass.ld_global_u32(gm, self.states, word(k), |_, _| {});
+        }
+        for k in 0..3 {
+            pass.st_global_u32(gm, self.states, word(k), |_| 0);
+        }
+    }
+}
+
+#[test]
+fn curand_draw_issues_27_slots_and_no_sfu() {
+    for dev in [DeviceSpec::tesla_c1060(), DeviceSpec::tesla_m2050()] {
+        let [derived, hand_written] = [true, false].map(|derived| {
+            let mut gm = GlobalMem::new();
+            let states = gm.alloc_u32(12 * 32);
+            let k = Curand { derived, states };
+            launch(&dev, &LaunchConfig::new(1, 32), &k, &mut gm, SimMode::Full).unwrap().stats
+        });
+        assert!(dev.sfu_cycles_per_warp != dev.issue_cycles_per_warp, "an SFU slot would show");
+        assert_eq!(derived.rng_calls, 32.0, "one draw per lane on the {}", dev.name);
+        assert_eq!(KernelStats { rng_calls: 0.0, ..derived }, hand_written, "on the {}", dev.name);
     }
 }
