@@ -18,11 +18,27 @@
 //!
 //! The heuristic weights live in a precomputed `eta^beta` table (the
 //! Choice kernel with `alpha = 0`), since ACS multiplies raw `tau` in.
+//!
+//! **Passes.** A step of the tour kernel is four lane passes, each body
+//! written once through an [`Alu`] and charged the tally derived from it
+//! (see [`crate::gpu::tour::task`]): the candidate loop, with the ant's
+//! tabu row hoisted; the choice of ants with a positive candidate, whose
+//! best pick and roulette (`Candidates::best`, `Candidates::roulette`)
+//! are Table II rows 4–6's own, the roulette seeded with the pick; the
+//! all-city fallback of the others; and the move with the local update
+//! of both directions of the crossed edge. The closing edge adds only its
+//! length: neither this kernel nor the CPU colony ([`crate::cpu::acs`])
+//! applies the local update to it, although ACOTSP does.
+//! `tests/lane_pass_oracle.rs` pins every counter, the modeled time, the
+//! tours, the lengths and `tau` by fingerprints recorded against the
+//! op-by-op kernel.
 
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 use aco_localsearch::{LocalSearch, LsScope};
+use aco_simt::alu::Memo;
+use aco_simt::lane_pass;
 use aco_simt::prelude::*;
 use aco_simt::rng::PmRng;
 use aco_simt::SimtError;
@@ -30,6 +46,7 @@ use aco_tsp::{Tour, TspInstance};
 
 use super::buffers::ColonyBuffers;
 use super::choice::ChoiceKernel;
+use super::tour::task::Candidates;
 use super::{ExecThreads, GpuLocalSearch};
 use crate::cpu::acs::AcsParams;
 use crate::lifecycle::{Colony, PhaseMs, SolveCtx, Step};
@@ -60,45 +77,6 @@ impl AcsTourKernel {
     pub fn config(&self) -> LaunchConfig {
         LaunchConfig::new(self.bufs.m.div_ceil(64), 64).regs(26)
     }
-
-    /// `tau[idx] * eta_beta[idx]` for a candidate (2 loads + 1 mul).
-    fn value(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem, idx: &Reg<u32>) -> Reg<f32> {
-        let tau = ctx.ld_global_f32(gm, self.bufs.tau, idx);
-        let eb = ctx.ld_global_f32(gm, self.bufs.choice, idx);
-        ctx.fmul(&tau, &eb)
-    }
-
-    /// Best unvisited city over all cities (fallback path).
-    fn argmax_unvisited(
-        &self,
-        ctx: &mut BlockCtx,
-        gm: &mut GlobalMem,
-        tid: &Reg<u32>,
-        cur: &Reg<u32>,
-    ) -> Reg<u32> {
-        let n = self.bufs.n;
-        let nreg = ctx.splat_u32(n);
-        let one = ctx.splat_f32(1.0);
-        let curn = ctx.imul(cur, &nreg);
-        let row = ctx.imul(tid, &nreg);
-        let mut best_v = ctx.splat_f32(-1.0);
-        let mut best_j = ctx.splat_u32(0);
-        for j in 0..n {
-            let jr = ctx.splat_u32(j);
-            let cidx = ctx.iadd(&curn, &jr);
-            let v = self.value(ctx, gm, &cidx);
-            let vidx = ctx.iadd(&row, &jr);
-            let vis = ctx.ld_global_u32(gm, self.bufs.visited, &vidx);
-            let visf = ctx.u2f(&vis);
-            let unvis = ctx.fsub(&one, &visf);
-            let vp1 = ctx.fadd(&v, &one);
-            let score = ctx.fmul(&vp1, &unvis);
-            let better = ctx.fgt(&score, &best_v);
-            best_v = ctx.select_f32(&better, &score, &best_v);
-            best_j = ctx.select_u32(&better, &jr, &best_j);
-        }
-        best_j
-    }
 }
 
 impl Kernel for AcsTourKernel {
@@ -107,12 +85,14 @@ impl Kernel for AcsTourKernel {
     }
 
     fn run_block(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem) {
-        let n = self.bufs.n;
-        let nn = self.bufs.nn;
-        let stride = self.bufs.stride;
+        let (n, nn, bufs) = (self.bufs.n, self.bufs.nn, self.bufs);
         let tid = ctx.global_thread_idx();
         let m = ctx.splat_u32(self.bufs.m);
         let is_ant = ctx.ult(&tid, &m);
+        let mut cands = Candidates::new(ctx.block_dim, nn);
+        // Each per-step pass site's tally, derived on its first call.
+        let [cand_tally, choose_tally, fallback_tally, step_tally]: [Memo<Tally>; 4] =
+            Default::default();
 
         ctx.if_then(gm, &is_ant, |ctx, gm| {
             let mut lcg = {
@@ -121,16 +101,11 @@ impl Kernel for AcsTourKernel {
                 ctx.reg_from_fn_u32(|lane| PmRng::thread_seed(seed, (base as usize + lane) as u64))
             };
 
-            let nreg = ctx.splat_u32(n);
-            let nnreg = ctx.splat_u32(nn);
-            let one_u = ctx.splat_u32(1);
-            let one_f = ctx.splat_f32(1.0);
-            let zero_f = ctx.splat_f32(0.0);
-            let q0 = ctx.splat_f32(self.q0);
-            let xi = ctx.splat_f32(self.xi);
-            let keep = ctx.splat_f32(1.0 - self.xi);
-            let tau0_reg = ctx.splat_f32(self.tau0);
-            let xtau0 = ctx.fmul(&xi, &tau0_reg);
+            // The constants every step reads, splatted once per ant.
+            let [nreg, nnreg, one_u] = [n, nn, 1].map(|v| ctx.splat_u32(v));
+            let [one_f, zero_f, q0, xi, keep, tau0] =
+                [1.0, 0.0, self.q0, self.xi, 1.0 - self.xi, self.tau0].map(|v| ctx.splat_f32(v));
+            let xtau0 = ctx.fmul(&xi, &tau0);
 
             // Start city.
             let r0 = ctx.lcg_next_f32(&mut lcg);
@@ -139,120 +114,140 @@ impl Kernel for AcsTourKernel {
             let raw = ctx.f2u(&sf);
             let nm1 = ctx.splat_u32(n - 1);
             let start = ctx.imin(&raw, &nm1);
-            let stride_reg = ctx.splat_u32(stride);
-            let base = ctx.imul(&tid, &stride_reg);
-            ctx.st_global_u32(gm, self.bufs.tours, &base, &start);
+            let stride = ctx.splat_u32(bufs.stride);
+            let base = ctx.imul(&tid, &stride);
+            ctx.st_global_u32(gm, bufs.tours, &base, &start);
             let vrow = ctx.imul(&tid, &nreg);
             let vidx = ctx.iadd(&vrow, &start);
-            ctx.st_global_u32(gm, self.bufs.visited, &vidx, &one_u);
+            ctx.st_global_u32(gm, bufs.visited, &vidx, &one_u);
 
             let mut cur = start.clone();
             let mut len = ctx.splat_f32(0.0);
 
             for step in 1..n {
-                let curn = ctx.imul(&cur, &nreg);
-                let curnn = ctx.imul(&cur, &nnreg);
-
-                // Candidate values (tau * eta^beta, tabu-masked).
-                let mut vals: Vec<Reg<f32>> = Vec::with_capacity(nn as usize);
-                let mut cands: Vec<Reg<u32>> = Vec::with_capacity(nn as usize);
-                let mut sum = ctx.splat_f32(0.0);
-                for c in 0..nn {
-                    let cr = ctx.splat_u32(c);
-                    let lidx = ctx.iadd(&curnn, &cr);
-                    let cand = ctx.ld_global_u32(gm, self.bufs.nn_list, &lidx);
-                    let cidx = ctx.iadd(&curn, &cand);
-                    let v = self.value(ctx, gm, &cidx);
-                    let vi = ctx.iadd(&vrow, &cand);
-                    let vis = ctx.ld_global_u32(gm, self.bufs.visited, &vi);
-                    let visf = ctx.u2f(&vis);
-                    let unvis = ctx.fsub(&one_f, &visf);
-                    let p = ctx.fmul(&v, &unvis);
-                    sum = ctx.fadd(&sum, &p);
-                    vals.push(p);
-                    cands.push(cand);
-                }
+                // Per candidate: a splat, the list index add and load, the
+                // value, the tabu index add and load, `1 - (float)flag`,
+                // the product and the running sum.
+                let (curn, sum) = lane_pass!(ctx, &cand_tally, |pass| {
+                    let a = pass.alu();
+                    let curn = pass.reg(|l| a.imul(cur.lane(l), nreg.lane(l)));
+                    let curnn = pass.reg(|l| a.imul(cur.lane(l), nnreg.lane(l)));
+                    let (mut sum, mut v) = (pass.reg(|_| a.mov(0.0f32)), pass.reg(|_| 0.0f32));
+                    pass.repeat(nn, |pass, c| {
+                        let slots = cands.slots(c);
+                        let (c, city) = (a.mov(c), &mut cands.city[slots.clone()]);
+                        let lidx = |l| a.iadd(curnn.lane(l), c);
+                        pass.ld_global_u32(gm, bufs.nn_list, lidx, |l, x| city[l] = x);
+                        let cidx = |l| a.iadd(curn.lane(l), city[l]);
+                        pass.ld_f32(gm, bufs.tau, false, cidx, |l, t| v.set_lane(l, t));
+                        // The `eta^beta` load reuses the index register.
+                        let reuse = |l: usize| curn.lane(l).wrapping_add(city[l]);
+                        let eb = |l, eb| v.set_lane(l, a.fmul(v.lane(l), eb));
+                        pass.ld_f32(gm, bufs.choice, false, reuse, eb);
+                        let p = &mut cands.p[slots];
+                        let vi = |l| a.iadd(vrow.lane(l), city[l]);
+                        pass.ld_global_u32(gm, bufs.visited, vi, |l, flag| {
+                            p[l] = a.fmul(v.lane(l), a.fsub(one_f.lane(l), a.u2f(flag)));
+                            sum.set_lane(l, a.fadd(sum.lane(l), p[l]));
+                        });
+                    });
+                    (curn, sum)
+                });
+                let cands = &cands;
 
                 let feasible = ctx.fgt(&sum, &zero_f);
                 let mut next = ctx.splat_u32(0);
-
                 ctx.branch(&feasible);
-                ctx.with_mask(gm, &feasible, |ctx, _gm| {
-                    let q = ctx.lcg_next_f32(&mut lcg);
-                    let exploit = ctx.flt(&q, &q0);
-
-                    // Exploitation: branch-free argmax over candidates.
-                    let mut bx_v = ctx.splat_f32(-1.0);
-                    let mut bx_c = cands[0].clone();
-                    for c in 0..nn as usize {
-                        let better = ctx.fgt(&vals[c], &bx_v);
-                        bx_v = ctx.select_f32(&better, &vals[c], &bx_v);
-                        bx_c = ctx.select_u32(&better, &cands[c], &bx_c);
-                    }
-
-                    // Exploration: branch-free roulette.
-                    let r = ctx.lcg_next_f32(&mut lcg);
-                    let target = ctx.fmul(&r, &sum);
-                    let mut cum = ctx.splat_f32(0.0);
-                    let mut done = Mask::none(ctx.block_dim as usize);
-                    let mut rx_c = bx_c.clone();
-                    for c in 0..nn as usize {
-                        cum = ctx.fadd(&cum, &vals[c]);
-                        let crossed = ctx.fge(&cum, &target);
-                        let has_p = ctx.fgt(&vals[c], &zero_f);
-                        let newly = crossed.and_not(&done).and(&has_p);
-                        rx_c = ctx.select_u32(&newly, &cands[c], &rx_c);
-                        done = done.or(&newly);
-                        ctx.charge(Op::IAlu, 2);
-                    }
-
-                    let chosen = ctx.select_u32(&exploit, &bx_c, &rx_c);
+                ctx.with_mask(gm, &feasible, |ctx, _| {
+                    // Exploit with probability q0, else the roulette from
+                    // the exploitation pick.
+                    let chosen = lane_pass!(ctx, &choose_tally, |pass| {
+                        let a = pass.alu();
+                        pass.reg(|l| {
+                            let mut state = lcg.lane(l);
+                            let exploit = a.flt(a.draw(&mut state), q0.lane(l));
+                            let best = cands.best(a, l);
+                            let target = a.fmul(a.draw(&mut state), sum.lane(l));
+                            let (spun, _) = cands.roulette(a, l, target, best);
+                            lcg.set_lane(l, state);
+                            a.select(exploit, best, spun)
+                        })
+                    });
                     ctx.assign_u32(&mut next, &chosen);
                 });
-                let infeasible = feasible.not();
-                ctx.with_mask(gm, &infeasible, |ctx, gm| {
-                    let fixed = self.argmax_unvisited(ctx, gm, &tid, &cur);
-                    ctx.assign_u32(&mut next, &fixed);
+                ctx.with_mask(gm, &feasible.not(), |ctx, gm| {
+                    // Every candidate visited: the best unvisited city by
+                    // score `(value + 1) * unvisited`; per city a splat, the
+                    // value, the tabu index add and load, the score, a
+                    // compare and two selects.
+                    let best = lane_pass!(ctx, &fallback_tally, |pass| {
+                        let a = pass.alu();
+                        let (nreg, one) = (a.mov(n), a.mov(1.0f32));
+                        let curn = pass.reg(|l| a.imul(cur.lane(l), nreg));
+                        let row = pass.reg(|l| a.imul(tid.lane(l), nreg));
+                        let mut best_v = pass.reg(|_| a.mov(-1.0f32));
+                        let (mut best_j, mut v) = (pass.reg(|_| a.mov(0u32)), pass.reg(|_| 0.0));
+                        pass.repeat(n, |pass, j| {
+                            let j = a.mov(j);
+                            let cidx = |l| a.iadd(curn.lane(l), j);
+                            pass.ld_f32(gm, bufs.tau, false, cidx, |l, t| v.set_lane(l, t));
+                            let reuse = |l: usize| curn.lane(l).wrapping_add(j);
+                            let eb = |l, eb| v.set_lane(l, a.fmul(v.lane(l), eb));
+                            pass.ld_f32(gm, bufs.choice, false, reuse, eb);
+                            let vidx = |l| a.iadd(row.lane(l), j);
+                            pass.ld_global_u32(gm, bufs.visited, vidx, |l, flag| {
+                                let unvis = a.fsub(one, a.u2f(flag));
+                                let score = a.fmul(a.fadd(v.lane(l), one), unvis);
+                                let better = a.fgt(score, best_v.lane(l));
+                                best_v.set_lane(l, a.select(better, score, best_v.lane(l)));
+                                best_j.set_lane(l, a.select(better, j, best_j.lane(l)));
+                            });
+                        });
+                        best_j
+                    });
+                    ctx.assign_u32(&mut next, &best);
                 });
 
-                // Move: record, mark, accumulate length.
-                let sr = ctx.splat_u32(step);
-                let pos = ctx.iadd(&base, &sr);
-                ctx.st_global_u32(gm, self.bufs.tours, &pos, &next);
-                let vi = ctx.iadd(&vrow, &next);
-                ctx.st_global_u32(gm, self.bufs.visited, &vi, &one_u);
-                let didx = ctx.iadd(&curn, &next);
-                let d = ctx.ld_global_f32(gm, self.bufs.dist, &didx);
-                len = ctx.fadd(&len, &d);
-
-                // ACS local update on the crossed edge, both directions:
-                // tau = (1-xi) tau + xi tau0. Plain read-modify-write —
-                // concurrent ants race benignly, as on real hardware.
-                let fwd = ctx.iadd(&curn, &next);
-                let t_f = ctx.ld_global_f32(gm, self.bufs.tau, &fwd);
-                let upd_f = ctx.fma(&t_f, &keep, &xtau0);
-                ctx.st_global_f32(gm, self.bufs.tau, &fwd, &upd_f);
-                let nextn = ctx.imul(&next, &nreg);
-                let bwd = ctx.iadd(&nextn, &cur);
-                let t_b = ctx.ld_global_f32(gm, self.bufs.tau, &bwd);
-                let upd_b = ctx.fma(&t_b, &keep, &xtau0);
-                ctx.st_global_f32(gm, self.bufs.tau, &bwd, &upd_b);
-
-                ctx.assign_u32(&mut cur, &next);
+                // Move (record, mark, add the edge's length), then the
+                // local update `tau = (1-xi) tau + xi tau0` of the crossed
+                // edge, both directions: a plain read-modify-write whose
+                // concurrent ants race benignly, as on real hardware. Each
+                // update's store reuses its load's index register.
+                cur = lane_pass!(ctx, &step_tally, |pass| {
+                    let a = pass.alu();
+                    let s = a.mov(step);
+                    let pos = |l| a.iadd(base.lane(l), s);
+                    pass.st_global_u32(gm, bufs.tours, pos, |l| next.lane(l));
+                    let vi = |l| a.iadd(vrow.lane(l), next.lane(l));
+                    pass.st_global_u32(gm, bufs.visited, vi, |l| one_u.lane(l));
+                    let edge = |l| a.iadd(curn.lane(l), next.lane(l));
+                    let sum_len = |l, d| len.set_lane(l, a.fadd(len.lane(l), d));
+                    pass.ld_f32(gm, bufs.dist, false, edge, sum_len);
+                    let (keep, xtau0) = (&keep, &xtau0);
+                    let update = |t: &Reg<f32>, l| a.ffma(t.lane(l), keep.lane(l), xtau0.lane(l));
+                    let mut t = pass.reg(|_| 0.0f32);
+                    pass.ld_f32(gm, bufs.tau, false, edge, |l, x| t.set_lane(l, x));
+                    let fwd = |l: usize| curn.lane(l).wrapping_add(next.lane(l));
+                    pass.st_global_f32(gm, bufs.tau, fwd, |l| update(&t, l));
+                    let back = |l| a.iadd(a.imul(next.lane(l), nreg.lane(l)), cur.lane(l));
+                    pass.ld_f32(gm, bufs.tau, false, back, |l, x| t.set_lane(l, x));
+                    let bwd = |l: usize| next.lane(l).wrapping_mul(n).wrapping_add(cur.lane(l));
+                    pass.st_global_f32(gm, bufs.tau, bwd, |l| update(&t, l));
+                    pass.reg(|l| a.mov(next.lane(l)))
+                });
             }
 
-            // Closing edge + its local update.
+            // The closing edge: its length only (see the module docs).
             let curn = ctx.imul(&cur, &nreg);
             let didx = ctx.iadd(&curn, &start);
-            let d = ctx.ld_global_f32(gm, self.bufs.dist, &didx);
+            let d = ctx.ld_global_f32(gm, bufs.dist, &didx);
             len = ctx.fadd(&len, &d);
-
-            for p in n..stride {
+            for p in n..bufs.stride {
                 let pr = ctx.splat_u32(p);
                 let pos = ctx.iadd(&base, &pr);
-                ctx.st_global_u32(gm, self.bufs.tours, &pos, &start);
+                ctx.st_global_u32(gm, bufs.tours, &pos, &start);
             }
-            ctx.st_global_f32(gm, self.bufs.lengths, &tid, &len);
+            ctx.st_global_f32(gm, bufs.lengths, &tid, &len);
         });
     }
 }

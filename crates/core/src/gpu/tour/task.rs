@@ -30,7 +30,11 @@
 //!   `tau^alpha * eta^beta` (and its double-precision `pow` surcharge,
 //!   an explicit [`Alu::charge`]);
 //! - the candidate rule's candidate loop (rows 4–6), its branch-free
-//!   roulette and the best-probability pick after a rounding shortfall;
+//!   roulette and the best-probability pick after a rounding shortfall:
+//!   the roulette and the pick are per-lane functions over the block's
+//!   `Candidates`, which the GPU ACS tour kernel ([`crate::gpu::acs`])
+//!   calls in its own pass, its roulette seeded with its exploitation
+//!   pick instead of candidate 0;
 //! - the all-city argmax fallback;
 //! - every tabu test and mark, in all three layouts, and the zeroing of a
 //!   shared tabu list.
@@ -148,11 +152,63 @@ struct Tallies {
 
 /// The candidate step's per-lane values, candidate-major (slot
 /// `c * lanes + lane`, `lanes` the block's lanes and the spare lane a
-/// tally is derived on): each candidate's city and probability.
-struct Candidates {
+/// tally is derived on): each candidate's city and probability (value,
+/// in GPU ACS). Rows 4–6 and GPU ACS fill it in their own candidate
+/// loops and share the two per-lane picks over it.
+pub(crate) struct Candidates {
     lanes: usize,
-    city: Vec<u32>,
-    p: Vec<f32>,
+    pub(crate) city: Vec<u32>,
+    pub(crate) p: Vec<f32>,
+}
+
+impl Candidates {
+    /// Room for `nn` candidates of every lane of a `block_dim`-lane block.
+    pub(crate) fn new(block_dim: u32, nn: u32) -> Self {
+        let lanes = block_dim as usize + 1;
+        let slots = nn as usize * lanes;
+        Candidates { lanes, city: vec![0; slots], p: vec![0.0; slots] }
+    }
+
+    /// The slots of candidate `c`, one per lane.
+    pub(crate) fn slots(&self, c: u32) -> std::ops::Range<usize> {
+        c as usize * self.lanes..(c as usize + 1) * self.lanes
+    }
+
+    /// Lane `l`'s candidates in order: each one's probability and city.
+    #[inline(always)]
+    fn lane(&self, l: usize) -> impl Iterator<Item = (f32, u32)> + '_ {
+        let slot = move |c| c * self.lanes + l;
+        (0..self.p.len() / self.lanes).map(move |c| (self.p[slot(c)], self.city[slot(c)]))
+    }
+
+    /// Lane `l`'s branch-free roulette: the first candidate whose running
+    /// sum crosses `target` and whose probability is positive, and whether
+    /// one did; `first` when none does. A splat, then per candidate the
+    /// running sum, two compares, the predicate bookkeeping and a select.
+    #[inline(always)]
+    pub(crate) fn roulette(&self, a: impl Alu, l: usize, target: f32, first: u32) -> (u32, bool) {
+        let (mut cum, mut chosen, mut done) = (a.mov(0.0f32), first, false);
+        for (pc, cc) in self.lane(l) {
+            cum = a.fadd(cum, pc);
+            let newly = a.fge(cum, target) & a.fgt(pc, 0.0) & !done;
+            a.charge(Op::IAlu, 2);
+            chosen = a.select(newly, cc, chosen);
+            done |= newly;
+        }
+        (chosen, done)
+    }
+
+    /// Lane `l`'s best-probability candidate, the first on ties: a splat,
+    /// then per candidate a compare and two selects.
+    #[inline(always)]
+    pub(crate) fn best(&self, a: impl Alu, l: usize) -> u32 {
+        let (mut bv, mut bc) = (a.mov(-1.0f32), self.city[l]);
+        for (pc, cc) in self.lane(l) {
+            let better = a.fgt(pc, bv);
+            (bv, bc) = (a.select(better, pc, bv), a.select(better, cc, bc));
+        }
+        bc
+    }
 }
 
 /// Allocate a shared tabu list of `words` words per thread and zero it:
@@ -450,7 +506,7 @@ impl TaskTourKernel {
         lcg: &mut Reg<u32>,
         cands: &mut Candidates,
     ) -> Reg<u32> {
-        let (n, nn, lanes) = (self.bufs.n, self.bufs.nn, cands.lanes);
+        let (n, nn) = (self.bufs.n, self.bufs.nn);
         // Per candidate: a splat, the list index add, the list load, the
         // choice value, the tabu test, the product and the running sum.
         let sum = lane_pass!(ctx, &ants.tallies.cand, |pass| {
@@ -461,8 +517,8 @@ impl TaskTourKernel {
             let mut sum = pass.reg(|_| a.mov(0.0f32));
             let mut raw = pass.reg(|_| 0.0f32);
             pass.repeat(nn, |pass, c| {
+                let slots = cands.slots(c);
                 let c = a.mov(c);
-                let slots = c as usize * lanes..(c as usize + 1) * lanes;
                 let city = &mut cands.city[slots.clone()];
                 let lidx = |l| a.iadd(curnn.lane(l), c);
                 pass.ld_global_u32(gm, self.bufs.nn_list, lidx, |l, x| city[l] = x);
@@ -481,7 +537,7 @@ impl TaskTourKernel {
             });
             sum
         });
-        let (city, p, nn) = (&cands.city, &cands.p, nn as usize);
+        let cands = &*cands;
 
         let zero = ctx.splat_f32(0.0);
         let feasible = ctx.fgt(&sum, &zero);
@@ -490,42 +546,23 @@ impl TaskTourKernel {
         ctx.with_mask(gm, &feasible, |ctx, gm| {
             let r = self.draw(ctx, gm, lcg);
             let target = ctx.fmul(&r, &sum);
-            // The first candidate whose running sum crosses the target
-            // and whose probability is positive: per candidate the running
-            // sum, two compares, the predicate bookkeeping and a select.
+            // The roulette from candidate 0.
             let (mut chosen, done) = lane_pass!(ctx, &ants.tallies.roulette, |pass| {
                 let a = pass.alu();
                 let mut done = pass.reg(|_| 0u32);
                 let chosen = pass.reg(|l| {
-                    let (mut cum, mut chosen, mut done_l) = (a.mov(0.0f32), city[l], false);
-                    for c in 0..nn {
-                        let (pc, cc) = (p[c * lanes + l], city[c * lanes + l]);
-                        cum = a.fadd(cum, pc);
-                        let newly = a.fge(cum, target.lane(l)) & a.fgt(pc, 0.0) & !done_l;
-                        a.charge(Op::IAlu, 2);
-                        chosen = a.select(newly, cc, chosen);
-                        done_l |= newly;
-                    }
+                    let (chosen, done_l) = cands.roulette(a, l, target.lane(l), cands.city[l]);
                     done.set_lane(l, done_l as u32);
                     chosen
                 });
                 (chosen, done)
             });
-            // Rounding shortfall: pick the best-probability candidate (a
-            // splat, then a compare and two selects per candidate).
+            // Rounding shortfall: the best-probability candidate.
             let undone = Mask::from_fn(ctx.block_dim as usize, |l| done.lane(l) == 0);
             ctx.if_then(gm, &undone, |ctx, _| {
                 let best = lane_pass!(ctx, &ants.tallies.pick, |pass| {
                     let a = pass.alu();
-                    pass.reg(|l| {
-                        let (mut bv, mut bc) = (a.mov(-1.0f32), city[l]);
-                        for c in 0..nn {
-                            let (pc, cc) = (p[c * lanes + l], city[c * lanes + l]);
-                            let better = a.fgt(pc, bv);
-                            (bv, bc) = (a.select(better, pc, bv), a.select(better, cc, bc));
-                        }
-                        bc
-                    })
+                    pass.reg(|l| cands.best(a, l))
                 });
                 ctx.assign_u32(&mut chosen, &best);
             });
@@ -565,9 +602,8 @@ impl Kernel for TaskTourKernel {
         let ants = Ants { tabu, tid_global, tid_local, tallies: Tallies::default() };
         let m = ctx.splat_u32(self.bufs.m);
         let is_ant = ctx.ult(&ants.tid_global, &m);
-        let lanes = ctx.block_dim as usize + 1;
-        let slots = if self.opts.use_nn_list { self.bufs.nn as usize * lanes } else { 0 };
-        let mut cands = Candidates { lanes, city: vec![0; slots], p: vec![0.0; slots] };
+        let nn = if self.opts.use_nn_list { self.bufs.nn } else { 0 };
+        let mut cands = Candidates::new(ctx.block_dim, nn);
 
         ctx.if_then(gm, &is_ant, |ctx, gm| {
             let mut lcg = {
