@@ -48,6 +48,12 @@
 //! n = 100 on the M2050 — one 128-lane tile: the choice pass, the
 //! barrier, the argmax tree, the visited mark and lane 0's tour and
 //! distance accesses — per ant, over `ceil(reps / 99)` ants.
+//! `acs_tour_step` is one construction step of the GPU ACS tour kernel at
+//! n = 48 on the M2050: 8 ants in one 64-lane block — the candidate
+//! loop, the exploitation pick and roulette, the all-city fallback once a
+//! list runs out, the move and the local update — over the 47 steps of
+//! one launch, whatever `reps`; each launch starts from the `tau` the
+//! last one left.
 //! `task_prob_step` is one construction step of the task-parallel kernel
 //! without CURAND (Table II row 3) at n = 100 on the C1060: 8 ants in one
 //! 128-lane block, the regime of the `gpu-kernels` benchmark — the
@@ -74,6 +80,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use aco_bench::json::Json;
+use aco_core::gpu::acs::AcsTourKernel;
 use aco_core::gpu::choice::ChoiceKernel;
 use aco_core::gpu::tour::{DataParallelTourKernel, TaskTourKernel, TourStrategy};
 use aco_core::gpu::ColonyBuffers;
@@ -395,7 +402,7 @@ fn run_launches(threads: usize) -> LaunchAllocResult {
 /// single-threaded reference and a forked-shadow run.
 const LAUNCH_THREADS: [usize; 2] = [1, 4];
 
-const OPS: [&str; 23] = [
+const OPS: [&str; 24] = [
     "fmul",
     "fma",
     "fdiv_sfu",
@@ -419,6 +426,7 @@ const OPS: [&str; 23] = [
     "roulette_scan",
     "dp_tour_tile",
     "task_prob_step",
+    "acs_tour_step",
 ];
 
 /// One op of a history entry or of a fresh run; `ns_median` is `None` on
@@ -547,7 +555,9 @@ fn check(path: &std::path::Path, reps: Option<u32>) -> ! {
 fn device_for(op: &str) -> DeviceSpec {
     match op {
         "shared_reduce" | "shared_argmax_tree" | "shared_conflict" | "dp_tour_tile"
-        | "global_ld_strided" | "roulette_scan" | "global_ld_gather" => DeviceSpec::tesla_m2050(),
+        | "global_ld_strided" | "roulette_scan" | "global_ld_gather" | "acs_tour_step" => {
+            DeviceSpec::tesla_m2050()
+        }
         _ => DeviceSpec::tesla_c1060(),
     }
 }
@@ -586,6 +596,22 @@ fn task_tour_kernel(dev: &DeviceSpec, gm: &mut GlobalMem) -> (TaskTourKernel, Co
     (k, bufs, DP_CITIES as u64 - 1)
 }
 
+/// Cities of the `acs_tour_step` instance.
+const ACS_CITIES: u32 = 48;
+
+/// The `acs_tour_step` launch: an ACS tour kernel over 8 ants on a fresh
+/// n = 48 colony whose choice table holds `eta^beta`, its colony and its
+/// ops per launch (its construction steps).
+fn acs_tour_kernel(dev: &DeviceSpec, gm: &mut GlobalMem) -> (AcsTourKernel, ColonyBuffers, u64) {
+    let inst = aco_tsp::uniform_random("interp-bench", ACS_CITIES as usize, 1000.0, 1);
+    let bufs = ColonyBuffers::allocate(gm, &inst, &AcoParams::default().nn(10).ants(8));
+    let ck = ChoiceKernel { bufs, alpha: 0.0, beta: 2.0 };
+    launch(dev, &ck.config(), &ck, gm, SimMode::Full).unwrap();
+    let tau0 = gm.f32(bufs.tau)[0];
+    let k = AcsTourKernel { bufs, q0: 0.9, xi: 0.1, tau0, seed: 7, iteration: 0 };
+    (k, bufs, ACS_CITIES as u64 - 1)
+}
+
 /// Time `op` over `config.trials` trials of 8 launches each; ns/op is
 /// the fastest trial, beside the median trial, and allocs/op the mean
 /// over every trial.
@@ -601,6 +627,11 @@ fn run_op(op: &'static str, config: Config) -> OpRow {
         let (k, bufs, ops) = task_tour_kernel(&dev, &mut gm);
         colony = Some(bufs);
         let cfg = k.config(&dev);
+        (Box::new(k), cfg, ops)
+    } else if op == "acs_tour_step" {
+        let (k, bufs, ops) = acs_tour_kernel(&dev, &mut gm);
+        colony = Some(bufs);
+        let cfg = k.config();
         (Box::new(k), cfg, ops)
     } else if op == "tex_ld_gather" || op == "global_ld_gather" {
         // A 100 x 100 distance matrix.
